@@ -10,7 +10,7 @@ from . import actionable as actionable_mod
 from . import lingua
 from .actionable import ActionableModel
 from .chunker import Chunk, ChunkSet
-from .docmodel import DocTree, Kind
+from .docmodel import DocNode, DocTree, Kind
 from .goals import GoalAnnotation, GoalCue, GoalCueConfig, annotate_goal
 from .lingua import SentenceAnnotations, TaggedSentence, Tagger
 from .relatedness import Role, chunk_relatedness
@@ -97,10 +97,21 @@ def _effective_parent(chunk: Chunk, tree: DocTree) -> int | None:
     return parent
 
 
+def _heading_is_goal(node: DocNode, *, tagger: Tagger,
+                     goal_config: GoalCueConfig) -> bool:
+    if node.kind not in (Kind.HEADING, Kind.TITLE) or not node.text.strip():
+        return False
+    return annotate_goal(tagger.tag(node.text), is_heading=True,
+                         config=goal_config).is_goal
+
+
 def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
                    goal_config: GoalCueConfig,
                    model: ActionableModel | None,
-                   role_weights: dict[Role, float] | None = None) -> ChunkAnnotation:
+                   role_weights: dict[Role, float] | None = None,
+                   parent_goals: dict[int, bool] | None = None) -> ChunkAnnotation:
+    """`parent_goals` memoizes the goal flag of parent nodes by node id, so
+    chunks sharing a parent heading tag it once."""
     items: list[ItemAnnotation] = []
     all_tagged: list[TaggedSentence] = []
     for node_id in chunk.item_node_ids:
@@ -109,26 +120,23 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
         sentences = tuple(
             annotate_sentence_text(text, is_heading=is_heading, tagger=tagger,
                                    goal_config=goal_config, model=model)
-            for text in lingua.split_sentences(node.text)
+            for text in tree.sentences[node_id]
         )
         all_tagged.extend(s.tagged for s in sentences)
         items.append(ItemAnnotation(node_id=node_id, sentences=sentences,
                                     associated_image=node.associated_image))
 
-    parent_is_goal = False
+    parent_goals = {} if parent_goals is None else parent_goals
     parent_id = _effective_parent(chunk, tree)
-    if parent_id is not None:
-        parent = tree.node(parent_id)
-        if parent.kind in (Kind.HEADING, Kind.TITLE) and parent.text.strip():
-            parent_goal = annotate_goal(tagger.tag(parent.text),
-                                        is_heading=True, config=goal_config)
-            parent_is_goal = parent_goal.is_goal
+    if parent_id is not None and parent_id not in parent_goals:
+        parent_goals[parent_id] = _heading_is_goal(
+            tree.node(parent_id), tagger=tagger, goal_config=goal_config)
 
     return ChunkAnnotation(
         chunk_id=chunk.id,
         items=tuple(items),
         context_text=chunk.context_text,
-        parent_is_goal=parent_is_goal,
+        parent_is_goal=parent_goals.get(parent_id, False),
         relatedness=chunk_relatedness(all_tagged, role_weights),
     )
 
@@ -140,9 +148,11 @@ def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger | None = 
                     ) -> dict[int, ChunkAnnotation]:
     tagger = tagger or Tagger()
     goal_config = goal_config or GoalCueConfig.bundled()
+    parent_goals: dict[int, bool] = {}
     return {
         chunk.id: annotate_chunk(chunk, tree, tagger=tagger,
                                  goal_config=goal_config, model=model,
-                                 role_weights=role_weights)
+                                 role_weights=role_weights,
+                                 parent_goals=parent_goals)
         for chunk in chunks
     }

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .docmodel import DocNode, DocTree, Kind
+# split_sentences stays importable from here: perfbench/tracer.py patches it
+# by module.
 from .lingua import split_sentences
 
 
@@ -73,7 +75,7 @@ def chunk_context(chunk: Chunk, tree: DocTree) -> str:
     for sib_id in reversed(siblings[:index]):
         sibling = tree.node(sib_id)
         if sibling.kind in _CONTEXT_DONOR_KINDS and sibling.text.strip():
-            sentences = split_sentences(sibling.text)
+            sentences = tree.sentences[sib_id]
             return sentences[-1] if sentences else sibling.text.strip()
     return tree.node(parent_id).text.strip()
 
@@ -85,8 +87,7 @@ def chunk_size(chunk: Chunk, tree: DocTree) -> int:
         return len(chunk.item_node_ids)
     if chunk.kind is ChunkKind.HEADING_GROUP:
         return len(chunk.item_node_ids)
-    return sum(len(split_sentences(tree.node(nid).text)) or 1
-               for nid in chunk.item_node_ids)
+    return sum(len(tree.sentences[nid]) or 1 for nid in chunk.item_node_ids)
 
 
 def _dominating_item(tree: DocTree, chunk: Chunk,
@@ -160,12 +161,3 @@ def build_chunks(tree: DocTree) -> ChunkSet:
 
     return ChunkSet(chunks=chunks, by_level=by_level, child_chunks=child_chunks)
 
-
-def chunk_sentences(chunk: Chunk, tree: DocTree) -> list[tuple[int, str]]:
-    """(item node id, sentence) pairs across the chunk in document order."""
-    out: list[tuple[int, str]] = []
-    for node_id in chunk.item_node_ids:
-        text = tree.node(node_id).text
-        for sentence in split_sentences(text):
-            out.append((node_id, sentence))
-    return out

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import classifier as classifier_mod
@@ -257,20 +256,10 @@ def _cmd_extract(args) -> int:
 
     trees = [(path, _load_document(path, args.format)) for path in inputs]
 
-    def process(entry):
-        path, tree = entry
+    for path, tree in trees:
         run = pipeline.run_document(
             tree, actionable_model, procedure_model, pconfig,
             propagate=not args.no_propagation, ablate_ids=ablate_ids)
-        return path, run
-
-    if multi:
-        with ThreadPoolExecutor(max_workers=min(8, len(trees))) as pool:
-            runs = list(pool.map(process, trees))
-    else:
-        runs = [process(trees[0])]
-
-    for path, run in runs:
         if args.dump_graphs:
             for chunk in run.chunks:
                 tagged = [s.tagged for item in run.annotations[chunk.id].items

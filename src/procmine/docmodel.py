@@ -14,6 +14,8 @@ from enum import Enum
 from functools import cached_property
 from typing import IO, Iterable
 
+from . import lingua
+
 
 class Kind(str, Enum):
     TITLE = "title"
@@ -30,6 +32,14 @@ class SchemaError(ValueError):
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def decode_utf8(data: bytes) -> str:
+    """Decode document bytes; invalid UTF-8 is a SchemaError, not a crash."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 class HierarchyError(ValueError):
@@ -69,6 +79,26 @@ class DocTree:
 
     def parent_of(self, node_id: int) -> int | None:
         return self.parents.get(node_id)
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Node id -> preorder (document-order) index."""
+        return {node.id: i for i, node in enumerate(self.preorder())}
+
+    @cached_property
+    def sentences(self) -> dict[int, tuple[str, ...]]:
+        """Node id -> the node's sentences, split once per document."""
+        return {node_id: tuple(lingua.split_sentences(node.text))
+                for node_id, node in self.nodes.items()}
+
+    @cached_property
+    def sentences_before(self) -> list[int]:
+        """Entry i: total sentences of the first i nodes in preorder, so the
+        nodes at preorder indexes [i, j) hold entry j - entry i sentences."""
+        out = [0]
+        for node_id in self.position:  # preorder
+            out.append(out[-1] + len(self.sentences[node_id]))
+        return out
 
     def preorder(self, start: int | None = None) -> Iterable[DocNode]:
         stack = [self.root if start is None else start]
@@ -169,7 +199,7 @@ def parse_sdjson(data: bytes | str | IO, source_name: str = "") -> DocTree:
     if hasattr(data, "read"):
         data = data.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = decode_utf8(data)
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -66,17 +66,13 @@ def _item_flags(annotation: ChunkAnnotation, node_id: int) -> tuple[bool, bool]:
     return False, False
 
 
-def _document_position(tree: DocTree) -> dict[int, int]:
-    return {node.id: i for i, node in enumerate(tree.preorder())}
-
-
 def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
             tree: DocTree,
             annotations: dict[int, ChunkAnnotation]) -> list[Procedure]:
     """One procedure per procedure-labeled chunk, sequence ids in document
     order ("seq-1", "seq-2", ...)."""
     labels = {p.chunk_id: p.label for p in predictions}
-    position = _document_position(tree)
+    position = tree.position
     procedure_chunks = sorted(
         (cid for cid, label in labels.items() if label),
         key=lambda cid: position[chunks.chunks[cid].item_node_ids[0]])

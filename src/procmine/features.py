@@ -17,6 +17,8 @@ import numpy as np
 from .annotate import ChunkAnnotation, ItemAnnotation
 from .chunker import Chunk, ChunkKind, chunk_size
 from .docmodel import DocTree
+# split_sentences stays importable from here: perfbench/tracer.py patches it
+# by module.
 from .lingua import bundled_data_dir, split_sentences
 from .linear import MinMaxScaler
 
@@ -131,13 +133,10 @@ def avg_sibling_distance(chunk: Chunk, tree: DocTree) -> float:
     and the next item)."""
     if len(chunk.item_node_ids) < 2:
         return 0.0
-    order = {node.id: i for i, node in enumerate(tree.preorder())}
-    counts = []
-    for a, b in zip(chunk.item_node_ids, chunk.item_node_ids[1:]):
-        between = [nid for nid, pos in order.items()
-                   if order[a] < pos < order[b]]
-        counts.append(sum(len(split_sentences(tree.node(nid).text))
-                          for nid in between))
+    position, before = tree.position, tree.sentences_before
+    # nothing lies between a and b unless b comes after a
+    counts = [max(0, before[position[b]] - before[position[a] + 1])
+              for a, b in zip(chunk.item_node_ids, chunk.item_node_ids[1:])]
     return sum(counts) / len(counts)
 
 

@@ -1,8 +1,8 @@
 """End-to-end wiring: document -> tree -> chunks -> annotations ->
 features -> bottom-up classification -> extracted procedures.
 
-Each document run is self-contained (no shared mutable state), so
-multiple documents can be processed concurrently.
+Each document run is self-contained: it shares no mutable state with
+other runs, and the CLI processes multiple documents one after another.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .actionable import ActionableModel
 from .annotate import ChunkAnnotation, annotate_chunks
 from .chunker import ChunkSet
 from .classifier import ChunkPrediction, ProcedureClassifierModel
-from .docmodel import DocTree, parse_markdown, parse_sdjson
+from .docmodel import DocTree, decode_utf8, parse_markdown, parse_sdjson
 from .extractor import Procedure
 from .features import ContextLexicons, FeatureVector
 from .goals import GoalCueConfig
@@ -70,7 +70,7 @@ def load_document(path: str | Path, fmt: str | None = None) -> DocTree:
     if fmt == "sdjson":
         return parse_sdjson(data, source_name=path.name)
     if fmt == "md":
-        return parse_markdown(data.decode("utf-8"), source_name=path.stem)
+        return parse_markdown(decode_utf8(data), source_name=path.stem)
     raise ValueError(f"unknown format {fmt!r}")
 
 

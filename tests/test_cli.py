@@ -58,6 +58,23 @@ class TestIngest:
         code, _, _ = run_main(["ingest", str(DOC), "-f", "pdf"], capsys)
         assert code == 64
 
+    @pytest.mark.parametrize("name, data", [
+        ("bad.md", b"# T\n\n\xff bad\n"),
+        ("bad.json", b'{"version": "sdjson/1", "title": "T\xff", "elements": []}'),
+    ], ids=["md", "sdjson"])
+    def test_invalid_utf8_exits_2_without_traceback(self, tmp_path, name, data):
+        src = tmp_path / name
+        src.write_bytes(data)
+        result = subprocess.run(
+            [sys.executable, "-m", "procmine.cli", "extract", str(src),
+             "--model", str(CORPUS / "models" / "procedure.json")],
+            capture_output=True, text=True)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "not valid UTF-8" in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
     def test_unreadable_file_exits_66(self, capsys):
         code, _, _ = run_main(["ingest", "missing.md"], capsys)
         assert code == 66
@@ -93,7 +110,7 @@ class TestExtract:
         assert len(json.loads(full.read_text())) == 3
         assert len(json.loads(frozen.read_text())) == 2
 
-    def test_multiple_inputs_concurrent(self, capsys, tmp_path):
+    def test_multiple_inputs_write_one_file_each(self, capsys, tmp_path):
         docs = [str(CORPUS / "docs" / name) for name in
                 ("appliance-quickstart.md", "release-notes.md")]
         out_dir = tmp_path / "out"

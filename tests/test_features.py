@@ -12,13 +12,29 @@ from procmine.features import (FEATURE_NAMES, FeatureVector,
                                compute_static_features, scale,
                                update_propagated_features)
 from procmine.linear import MinMaxScaler
+from procmine.lingua import split_sentences
 
-from conftest import random_tree
+from conftest import CORPUS_DIR, random_tree
 
 FRACTION_FIELDS = ("n_imperatives", "n_conditionals", "n_actionables",
                    "n_effect_actionable", "n_discourse_goals",
                    "n_inferred_goal", "n_non_actionable_goals",
                    "n_associated_image")
+
+
+def brute_force_sibling_distance(chunk, tree) -> float:
+    """Independent oracle: for every pair of consecutive items, rebuild the
+    preorder map, scan every node and split each one in between again."""
+    if len(chunk.item_node_ids) < 2:
+        return 0.0
+    order = {node.id: i for i, node in enumerate(tree.preorder())}
+    counts = []
+    for a, b in zip(chunk.item_node_ids, chunk.item_node_ids[1:]):
+        between = [nid for nid, pos in order.items()
+                   if order[a] < pos < order[b]]
+        counts.append(sum(len(split_sentences(tree.node(nid).text))
+                          for nid in between))
+    return sum(counts) / len(counts)
 
 
 def analyze_md(text):
@@ -123,6 +139,28 @@ class TestStaticFeatures:
                          "2. The system stores the result.\n")
         chunk = chunk_of(run, ChunkKind.LIST)
         assert run.static_features[chunk.id].n_imperatives == 0.5
+
+
+class TestSiblingDistanceOracle:
+    def test_oracle_equivalence_random_documents(self):
+        rng = random.Random(12)
+        multi_item = 0
+        for _ in range(300):
+            tree = random_tree(rng, max_elements=rng.randint(1, 30))
+            for chunk in build_chunks(tree):
+                multi_item += len(chunk.item_node_ids) > 1
+                assert avg_sibling_distance(chunk, tree) == \
+                    brute_force_sibling_distance(chunk, tree)
+        assert multi_item > 500
+
+    @pytest.mark.parametrize("path", sorted(CORPUS_DIR.glob("docs/*.md"))
+                             + [CORPUS_DIR / "nested-fixture.md"],
+                             ids=lambda p: p.stem)
+    def test_oracle_equivalence_corpus(self, path):
+        tree = pipeline.load_document(path)
+        for chunk in build_chunks(tree):
+            assert avg_sibling_distance(chunk, tree) == \
+                brute_force_sibling_distance(chunk, tree)
 
 
 class TestPropagatedFeatures:

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from procmine import actionable, classifier, extractor, pipeline
-from procmine.docmodel import parse_sdjson
+from procmine import (actionable, chunker, classifier, extractor, features,
+                      lingua, pipeline)
+from procmine.docmodel import DocTree, Kind, parse_sdjson
 
-from conftest import random_sdjson
+from conftest import random_sdjson, random_tree
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -62,3 +63,46 @@ class TestPipelineProperties:
         run = pipeline.run_document(tree, None, models[1])
         labels = {p.chunk_id: p.label for p in run.predictions}
         assert labels == {1: True, 2: True, 3: True}
+
+
+class TestLinearWork:
+    """Counts, not timings: per-document work that must not grow with the
+    number of chunks."""
+
+    def test_one_split_per_node_one_preorder_per_document(self, models,
+                                                          monkeypatch):
+        tree = random_tree(random.Random(5), max_elements=400)
+        nodes = len(tree.nodes)
+        assert nodes > 500
+        calls = {"split": 0, "preorder": 0, "tag": 0}
+        split, preorder, tag = (lingua.split_sentences, DocTree.preorder,
+                                lingua.Tagger.tag)
+
+        def counting_split(text):
+            calls["split"] += 1
+            return split(text)
+
+        def counting_preorder(self, start=None):
+            calls["preorder"] += 1
+            return preorder(self, start)
+
+        def counting_tag(self, text):
+            calls["tag"] += 1
+            return tag(self, text)
+
+        for module in (lingua, chunker, features):  # every importing module
+            monkeypatch.setattr(module, "split_sentences", counting_split)
+        monkeypatch.setattr(DocTree, "preorder", counting_preorder)
+        monkeypatch.setattr(lingua.Tagger, "tag", counting_tag)
+        run = pipeline.run_document(tree, None, models[1])
+
+        assert len(run.chunks) > 100
+        assert calls["split"] <= nodes
+        assert calls["preorder"] <= 2
+        # every item sentence once, plus each heading at most once as the
+        # parent of the chunks below it
+        sentences = sum(len(item.sentences) for a in run.annotations.values()
+                        for item in a.items)
+        headings = sum(n.kind in (Kind.HEADING, Kind.TITLE)
+                       for n in tree.nodes.values())
+        assert calls["tag"] <= sentences + headings
