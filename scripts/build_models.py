@@ -98,21 +98,14 @@ def main() -> int:
               f"({len(run.procedures)} procedures)")
 
     # corpus-wide metrics (fixture excluded)
-    tp = fp = fn = tn = 0
-    for doc in DOCS:
-        gold = all_gold[doc.name]
-        labels = {p.chunk_id: p.label for p in all_predictions[doc.name]}
-        for cid, truth in gold.items():
-            predicted = labels[cid]
-            tp += predicted and truth
-            fp += predicted and not truth
-            fn += (not predicted) and truth
-            tn += (not predicted) and not truth
-    accuracy = (tp + tn) / (tp + fp + fn + tn)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    print(f"corpus: accuracy={accuracy:.3f} precision={precision:.3f} "
-          f"recall={recall:.3f} (tp={tp} fp={fp} fn={fn} tn={tn})")
+    predicted = {(doc.name, p.chunk_id): p.label
+                 for doc in DOCS for p in all_predictions[doc.name]}
+    gold = {(doc.name, cid): truth
+            for doc in DOCS for cid, truth in all_gold[doc.name].items()}
+    corpus = classifier.evaluate_labels(predicted, gold)
+    print(f"corpus: accuracy={corpus.accuracy:.3f} "
+          f"precision={corpus.precision:.3f} recall={corpus.recall:.3f} "
+          f"({len(gold)} chunks)")
 
     # propagation flip on the fixture
     fixture_tree = pipeline.load_document(FIXTURE)
@@ -126,8 +119,8 @@ def main() -> int:
     ok = (full_labels == {1: True, 2: True, 3: True}
           and frozen_labels == {1: False, 2: True, 3: True})
     print("propagation flip:", "ok" if ok else "NOT OK")
-    return 0 if ok and accuracy >= 0.85 and precision >= 0.75 and recall >= 0.80 \
-        else 1
+    return 0 if ok and corpus.accuracy >= 0.85 and corpus.precision >= 0.75 \
+        and corpus.recall >= 0.80 else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
 from .goals import GoalAnnotation, GoalCue, GoalCueConfig, annotate_goal
 from .linear import DegenerateLabels, NonFinite, TrainParams, VersionMismatch
 from .lingua import (Polarity, TaggedSentence, Tagger, Tense, Voice,
-                     detect_conditional, detect_imperative, pos_tag, profile,
+                     detect_conditional, detect_imperative, profile,
                      split_sentences)
 from .pipeline import PipelineConfig, analyze, load_document, run_document
 from .relatedness import (BipartiteGraph, Entity, ProjectionGraph, Role,

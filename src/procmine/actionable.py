@@ -19,8 +19,8 @@ import numpy as np
 from . import linear
 from .lingua import (Polarity, Profile, TaggedSentence, Tagger, Tense, Voice,
                      profile as profile_sentence)
-from .linear import (DegenerateLabels, MinMaxScaler, NonFinite, TrainParams,
-                     VersionMismatch)
+from .linear import (DegenerateLabels, MinMaxScaler, TrainParams,
+                     VersionMismatch, check_shape)
 
 MODEL_VERSION = "actionable/1 tf=raw idf=ln"
 
@@ -125,11 +125,11 @@ class ActionableModel:
             idf=tuple(e["idf"] for e in doc["vocabulary"]),
             total_sentences=doc["total_sentences"],
         )
-        return cls(vocabulary=vocab,
-                   weights=np.array(doc["weights"], dtype=float),
-                   bias=doc["bias"],
-                   scaler=MinMaxScaler.from_pairs(doc["scaler"]),
-                   version=version)
+        weights = np.array(doc["weights"], dtype=float)
+        scaler = MinMaxScaler.from_pairs(doc["scaler"])
+        check_shape(weights, scaler, len(vocab) + 3)
+        return cls(vocabulary=vocab, weights=weights, bias=doc["bias"],
+                   scaler=scaler, version=version)
 
     @classmethod
     def load(cls, path: str | Path) -> "ActionableModel":

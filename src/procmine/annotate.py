@@ -43,11 +43,6 @@ class ItemAnnotation:
         return any(s.annotations.conditional for s in self.sentences)
 
     @property
-    def effect_actionable(self) -> bool:
-        return any(s.annotations.conditional and s.annotations.effect_imperative
-                   for s in self.sentences)
-
-    @property
     def non_imperative_actionable(self) -> bool:
         return any(s.non_imperative_actionable and not s.annotations.imperative
                    for s in self.sentences)

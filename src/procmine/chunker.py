@@ -47,11 +47,7 @@ class ChunkSet:
     def __len__(self):
         return len(self.chunks)
 
-    def in_document_order(self) -> list[Chunk]:
-        return list(self.chunks.values())
 
-
-_ITEM_KINDS = frozenset({Kind.LIST_ITEM, Kind.HEADING, Kind.PARAGRAPH})
 _CONTEXT_DONOR_KINDS = frozenset({Kind.PARAGRAPH, Kind.HEADING, Kind.TITLE})
 
 

@@ -20,8 +20,7 @@ from .chunker import Chunk, ChunkSet
 from .docmodel import DocTree
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
                        PropagationOrderError, update_propagated_features)
-from .linear import (DegenerateLabels, MinMaxScaler, NonFinite, TrainParams,
-                     VersionMismatch)
+from .linear import MinMaxScaler, TrainParams, VersionMismatch, check_shape
 
 MODEL_VERSION = "procedure/1 features=15"
 
@@ -60,11 +59,9 @@ class ProcedureClassifierModel:
             raise VersionMismatch(
                 f"model version {version!r}, expected {MODEL_VERSION!r}")
         weights = np.array(doc["weights"], dtype=float)
-        if weights.shape != (N_FEATURES,):
-            raise VersionMismatch(
-                f"model has {weights.shape[0]} weights, expected {N_FEATURES}")
-        return cls(weights=weights, bias=doc["bias"],
-                   scaler=MinMaxScaler.from_pairs(doc["scaler"]),
+        scaler = MinMaxScaler.from_pairs(doc["scaler"])
+        check_shape(weights, scaler, N_FEATURES)
+        return cls(weights=weights, bias=doc["bias"], scaler=scaler,
                    version=version)
 
     @classmethod
@@ -162,57 +159,38 @@ class Metrics:
     undefined_recall: bool = False
 
 
-def evaluate(predictions: list[ChunkPrediction],
-             gold: dict[int, bool]) -> Metrics:
-    """Binary metrics with procedures positive; an empty denominator yields
-    0 with the corresponding flag set."""
-    by_id = {p.chunk_id: p.label for p in predictions}
-    missing = [cid for cid in gold if cid not in by_id]
+def evaluate_labels(predicted: dict, gold: dict) -> Metrics:
+    """Binary metrics of predicted labels against gold labels, keyed alike,
+    with procedures positive; an empty denominator yields 0 with the
+    corresponding flag set."""
+    missing = [key for key in gold if key not in predicted]
     if missing:
         raise MissingPrediction(f"no prediction for chunks {sorted(missing)}")
     tp = fp = fn = tn = 0
-    for chunk_id, truth in gold.items():
-        predicted = by_id[chunk_id]
-        if predicted and truth:
+    for key, truth in gold.items():
+        if predicted[key] and truth:
             tp += 1
-        elif predicted and not truth:
+        elif predicted[key]:
             fp += 1
-        elif not predicted and truth:
+        elif truth:
             fn += 1
         else:
             tn += 1
     total = tp + fp + fn + tn
-    accuracy = (tp + tn) / total if total else 0.0
     undefined_precision = (tp + fp) == 0
     undefined_recall = (tp + fn) == 0
-    precision = 0.0 if undefined_precision else tp / (tp + fp)
-    recall = 0.0 if undefined_recall else tp / (tp + fn)
-    return Metrics(accuracy=accuracy, precision=precision, recall=recall,
-                   undefined_precision=undefined_precision,
-                   undefined_recall=undefined_recall)
-
-
-def _metrics_from_rows(model: ProcedureClassifierModel,
-                       rows: list[tuple[FeatureVector, bool]]) -> Metrics:
-    tp = fp = fn = tn = 0
-    for vector, truth in rows:
-        predicted = linear.decide(model.score(vector))
-        if predicted and truth:
-            tp += 1
-        elif predicted and not truth:
-            fp += 1
-        elif not predicted and truth:
-            fn += 1
-        else:
-            tn += 1
-    total = tp + fp + fn + tn
     return Metrics(
         accuracy=(tp + tn) / total if total else 0.0,
-        precision=tp / (tp + fp) if tp + fp else 0.0,
-        recall=tp / (tp + fn) if tp + fn else 0.0,
-        undefined_precision=(tp + fp) == 0,
-        undefined_recall=(tp + fn) == 0,
-    )
+        precision=0.0 if undefined_precision else tp / (tp + fp),
+        recall=0.0 if undefined_recall else tp / (tp + fn),
+        undefined_precision=undefined_precision,
+        undefined_recall=undefined_recall)
+
+
+def evaluate(predictions: list[ChunkPrediction],
+             gold: dict[int, bool]) -> Metrics:
+    """`evaluate_labels` over the labels of classified chunks."""
+    return evaluate_labels({p.chunk_id: p.label for p in predictions}, gold)
 
 
 def ablate(feature_ids: tuple[int, ...],
@@ -226,7 +204,10 @@ def ablate(feature_ids: tuple[int, ...],
     train_z = [(_zero_features(v, feature_ids), label) for v, label in train_rows]
     test_z = [(_zero_features(v, feature_ids), label) for v, label in test_rows]
     model = train(train_z, params)
-    return _metrics_from_rows(model, test_z)
+    predicted = {i: linear.decide(model.score(vector))
+                 for i, (vector, _) in enumerate(test_z)}
+    gold = {i: label for i, (_, label) in enumerate(test_z)}
+    return evaluate_labels(predicted, gold)
 
 
 def ablation_report(train_rows, test_rows, params: TrainParams,

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: ingest, extract, features, train-actionable, train, eval,
-ablate. Machine-readable output goes to stdout or -o targets; diagnostics
-go to stderr. Exit codes: 0 ok, 2 malformed document, 64 usage, 65 bad
-data or model file, 66 unreadable input.
+ablate. Every command builds one `pipeline.PipelineConfig` from --config
+and its flags, and reads each kind of input through one loader: documents,
+model files, and labeled CSVs. Machine-readable output goes to stdout or
+-o targets; diagnostics go to stderr. Exit codes: 0 ok, 2 malformed
+document, 64 usage, 65 bad data or model file, 66 unreadable input.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from . import classifier as classifier_mod
 from . import extractor, pipeline
 from .actionable import ActionableModel, EmptyCorpus
 from .actionable import train as train_actionable_model
-from .classifier import (Metrics, ProcedureClassifierModel, ablation_report,
-                         evaluate)
-from .config import ConfigError, RunConfig
+from .classifier import (Metrics, MissingPrediction, ProcedureClassifierModel,
+                         ablation_report)
 from .docmodel import HierarchyError, SchemaError, tree_to_json
 from .features import FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector
-from .linear import DegenerateLabels, NonFinite, TrainParams, VersionMismatch
+from .linear import DegenerateLabels, NonFinite, TrainParams
 from .pipeline import PipelineConfig
 from .relatedness import describe_graph
 
@@ -129,7 +130,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args) -> PipelineConfig:
     overrides = {
         "lexicon_dir": getattr(args, "lexicon_dir", None),
         "actionable_model": getattr(args, "actionable_model", None),
@@ -137,10 +138,10 @@ def _run_config(args) -> RunConfig:
         "seed": getattr(args, "seed", None),
     }
     try:
-        config = RunConfig.from_sources(args.config, overrides)
-    except FileNotFoundError as exc:
-        raise CliError(f"config file not found: {exc.filename}", EX_NOINPUT)
-    except (ConfigError, ValueError) as exc:
+        config = PipelineConfig.from_sources(args.config, overrides)
+    except OSError as exc:
+        raise CliError(f"cannot read config: {exc}", EX_NOINPUT)
+    except ValueError as exc:
         raise CliError(str(exc), EX_DATA)
     missing = config.check_paths()
     if missing:
@@ -148,32 +149,80 @@ def _run_config(args) -> RunConfig:
     return config
 
 
-def _pipeline_config(config: RunConfig) -> PipelineConfig:
-    return PipelineConfig(
-        lexicon_dir=config.lexicon_dir,
-        cue_file=config.cue_file,
-        context_procedural=config.context_procedural,
-        context_non_procedural=config.context_nonprocedural,
-        role_weights=config.role_weight_map(),
-    )
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text("utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EX_NOINPUT)
-
-
 def _load_document(path: str, fmt: str | None):
-    if not Path(path).exists():
-        raise CliError(f"cannot read {path}: no such file", EX_NOINPUT)
     try:
         return pipeline.load_document(path, fmt)
     except (SchemaError, HierarchyError) as exc:
         raise CliError(f"{path}: {exc}", EX_DOCUMENT)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EX_NOINPUT)
+
+
+def _load_model(cls, path: Path):
+    try:
+        return cls.load(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EX_NOINPUT)
+    except (ValueError, KeyError) as exc:
+        raise CliError(f"cannot load model {path}: {exc}", EX_DATA)
+
+
+def _actionable_model(config: PipelineConfig) -> ActionableModel | None:
+    if config.actionable_model is None:
+        return None
+    return _load_model(ActionableModel, config.actionable_model)
+
+
+_LABELS = {"1": True, "true": True, "True": True,
+           "0": False, "false": False, "False": False}
+
+
+def _read_labeled_csv(path: str | Path, columns: tuple[str, ...],
+                      parse) -> list[tuple[object, bool]]:
+    """(parse(values of `columns`), label) for each row of a CSV whose header
+    names `columns` and `label`. A label is 1/true/True or 0/false/False.
+    An unreadable file exits 66; a missing column or bad value exits 65."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EX_NOINPUT)
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            missing = [c for c in (*columns, "label") if c not in header]
+            if missing:
+                raise ValueError(f"missing column(s) {', '.join(missing)}")
+            where = [header.index(c) for c in columns]
+            label_at = header.index("label")
+            rows = []
+            for line in reader:
+                if not line:
+                    continue
+                label = line[label_at].strip()
+                if label not in _LABELS:
+                    raise ValueError(f"label must be 0/1 or true/false, got {label!r}")
+                rows.append((parse([line[i] for i in where]), _LABELS[label]))
+        except (ValueError, IndexError, csv.Error) as exc:
+            raise CliError(f"{path}, line {reader.line_num}: {exc}", EX_DATA)
+    return rows
+
+
+def read_labels_csv(path: str | Path) -> dict[int, bool]:
+    """chunk_id -> label from a gold labels CSV or a prediction log."""
+    return dict(_read_labeled_csv(path, ("chunk_id",), lambda v: int(v[0])))
+
+
+_FEATURE_COLUMNS = tuple(f"f{i}" for i in range(1, len(FEATURE_NAMES) + 1))
+
+
+def _read_feature_csvs(paths: list[str]) -> list[tuple[FeatureVector, bool]]:
+    rows: list[tuple[FeatureVector, bool]] = []
+    for path in paths:
+        rows.extend(_read_labeled_csv(
+            path, _FEATURE_COLUMNS,
+            lambda v: FeatureVector.from_array([float(x) for x in v])))
+    return rows
 
 
 def _write_or_print(text: str, output: str | None) -> None:
@@ -183,16 +232,11 @@ def _write_or_print(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _train_params(args, require_seed: bool = True) -> TrainParams:
-    seed = args.seed
-    if seed is None and args.config:
-        seed = RunConfig.from_sources(args.config, {}).seed
-    if seed is None:
-        if require_seed:
-            raise CliError("--seed is required for training commands", EX_USAGE)
-        seed = 0
+def _train_params(args, config: PipelineConfig) -> TrainParams:
+    if config.seed is None:
+        raise CliError("--seed is required for training commands", EX_USAGE)
     return TrainParams(epochs=args.epochs, learning_rate=args.learning_rate,
-                       l2=args.l2, seed=seed)
+                       l2=args.l2, seed=config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +262,6 @@ def _parse_ablate_ids(raw: str | None) -> tuple[int, ...]:
     return ids
 
 
-def _load_models(config: RunConfig) -> tuple[ActionableModel | None,
-                                             ProcedureClassifierModel]:
-    if config.procedure_model is None:
-        raise CliError("a procedure model is required (--model or config)",
-                       EX_USAGE)
-    try:
-        procedure_model = ProcedureClassifierModel.load(config.procedure_model)
-        actionable_model = (ActionableModel.load(config.actionable_model)
-                            if config.actionable_model else None)
-    except VersionMismatch as exc:
-        raise CliError(str(exc), EX_DATA)
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load model: {exc}", EX_DATA)
-    return actionable_model, procedure_model
-
-
 def _prediction_log(run: pipeline.DocumentRun) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -245,8 +273,11 @@ def _prediction_log(run: pipeline.DocumentRun) -> str:
 
 def _cmd_extract(args) -> int:
     config = _run_config(args)
-    pconfig = _pipeline_config(config)
-    actionable_model, procedure_model = _load_models(config)
+    if config.procedure_model is None:
+        raise CliError("a procedure model is required (--model or config)",
+                       EX_USAGE)
+    procedure_model = _load_model(ProcedureClassifierModel, config.procedure_model)
+    actionable_model = _actionable_model(config)
     ablate_ids = _parse_ablate_ids(args.ablate)
     inputs = args.inputs
     multi = len(inputs) > 1
@@ -258,14 +289,14 @@ def _cmd_extract(args) -> int:
 
     for path, tree in trees:
         run = pipeline.run_document(
-            tree, actionable_model, procedure_model, pconfig,
+            tree, actionable_model, procedure_model, config,
             propagate=not args.no_propagation, ablate_ids=ablate_ids)
         if args.dump_graphs:
             for chunk in run.chunks:
                 tagged = [s.tagged for item in run.annotations[chunk.id].items
                           for s in item.sentences]
                 sys.stderr.write(f"# chunk {chunk.id}\n")
-                sys.stderr.write(describe_graph(tagged, pconfig.role_weights) + "\n")
+                sys.stderr.write(describe_graph(tagged, config.role_weights) + "\n")
         payload = extractor.serialize(run.procedures)
         if multi:
             out_dir = Path(args.output) if args.output else Path(".")
@@ -286,14 +317,6 @@ def _cmd_extract(args) -> int:
     return EX_OK
 
 
-def read_labels_csv(path: str | Path) -> dict[int, bool]:
-    labels: dict[int, bool] = {}
-    with Path(path).open(newline="") as handle:
-        for row in csv.DictReader(handle):
-            labels[int(row["chunk_id"])] = row["label"].strip() in ("1", "true", "True")
-    return labels
-
-
 def feature_csv_rows(vectors: dict[int, FeatureVector],
                      labels: dict[int, bool] | None) -> str:
     out = io.StringIO()
@@ -310,36 +333,15 @@ def feature_csv_rows(vectors: dict[int, FeatureVector],
     return out.getvalue()
 
 
-def read_feature_csv(path: str | Path) -> list[tuple[FeatureVector, bool]]:
-    rows: list[tuple[FeatureVector, bool]] = []
-    with Path(path).open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "label" not in reader.fieldnames:
-            raise CliError(f"{path}: expected a labeled feature CSV", EX_DATA)
-        for row in reader:
-            values = [float(row[f"f{i}"]) for i in range(1, len(FEATURE_NAMES) + 1)]
-            rows.append((FeatureVector.from_array(values),
-                         row["label"].strip() in ("1", "true", "True")))
-    return rows
-
-
 def _cmd_features(args) -> int:
     config = _run_config(args)
-    pconfig = _pipeline_config(config)
-    actionable_model = None
-    if config.actionable_model:
-        try:
-            actionable_model = ActionableModel.load(config.actionable_model)
-        except VersionMismatch as exc:
-            raise CliError(str(exc), EX_DATA)
+    actionable_model = _actionable_model(config)
     tree = _load_document(args.input, args.format)
-    run = pipeline.analyze(tree, actionable_model, pconfig)
+    run = pipeline.analyze(tree, actionable_model, config)
 
     labels = None
     vectors = run.static_features
     if args.labels:
-        if not Path(args.labels).exists():
-            raise CliError(f"cannot read {args.labels}: no such file", EX_NOINPUT)
         labels = read_labels_csv(args.labels)
         vectors = pipeline.teacher_forced_features(run, labels)
     _write_or_print(feature_csv_rows(vectors, labels), args.output)
@@ -358,17 +360,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_train_actionable(args) -> int:
-    _run_config(args)
-    params = _train_params(args)
-    if not Path(args.corpus).exists():
-        raise CliError(f"cannot read {args.corpus}: no such file", EX_NOINPUT)
-    labeled: list[tuple[str, bool]] = []
-    with open(args.corpus, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "text" not in reader.fieldnames:
-            raise CliError(f"{args.corpus}: expected text,label columns", EX_DATA)
-        for row in reader:
-            labeled.append((row["text"], row["label"].strip() in ("1", "true", "True")))
+    params = _train_params(args, _run_config(args))
+    labeled = _read_labeled_csv(args.corpus, ("text",), lambda v: v[0])
     try:
         model = train_actionable_model(labeled, params)
     except (DegenerateLabels, EmptyCorpus, NonFinite) as exc:
@@ -379,13 +372,8 @@ def _cmd_train_actionable(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _run_config(args)
-    params = _train_params(args)
-    rows: list[tuple[FeatureVector, bool]] = []
-    for path in args.features:
-        if not Path(path).exists():
-            raise CliError(f"cannot read {path}: no such file", EX_NOINPUT)
-        rows.extend(read_feature_csv(path))
+    params = _train_params(args, _run_config(args))
+    rows = _read_feature_csvs(args.features)
     try:
         model = classifier_mod.train(rows, params)
     except (DegenerateLabels, NonFinite) as exc:
@@ -402,29 +390,12 @@ def _metrics_line(metrics: Metrics) -> str:
 
 def _cmd_eval(args) -> int:
     _run_config(args)
-    for path in (args.predictions, args.gold):
-        if not Path(path).exists():
-            raise CliError(f"cannot read {path}: no such file", EX_NOINPUT)
-    predicted: dict[int, bool] = {}
-    with open(args.predictions, newline="") as handle:
-        for row in csv.DictReader(handle):
-            predicted[int(row["chunk_id"])] = row["label"].strip() in ("1", "true", "True")
+    predicted = read_labels_csv(args.predictions)
     gold = read_labels_csv(args.gold)
-    missing = [cid for cid in gold if cid not in predicted]
-    if missing:
-        raise CliError(f"no prediction for chunks {sorted(missing)}", EX_DATA)
-    tp = sum(1 for c, t in gold.items() if t and predicted[c])
-    fp = sum(1 for c, t in gold.items() if not t and predicted[c])
-    fn = sum(1 for c, t in gold.items() if t and not predicted[c])
-    tn = sum(1 for c, t in gold.items() if not t and not predicted[c])
-    total = len(gold)
-    metrics = Metrics(
-        accuracy=(tp + tn) / total if total else 0.0,
-        precision=tp / (tp + fp) if tp + fp else 0.0,
-        recall=tp / (tp + fn) if tp + fn else 0.0,
-        undefined_precision=(tp + fp) == 0,
-        undefined_recall=(tp + fn) == 0,
-    )
+    try:
+        metrics = classifier_mod.evaluate_labels(predicted, gold)
+    except MissingPrediction as exc:
+        raise CliError(exc.args[0], EX_DATA)
     if metrics.undefined_precision or metrics.undefined_recall:
         sys.stderr.write("warning: zero-denominator metric reported as 0\n")
     sys.stdout.write("accuracy,precision,recall\n")
@@ -433,14 +404,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _run_config(args)
-    params = _train_params(args)
-    train_rows: list[tuple[FeatureVector, bool]] = []
-    test_rows: list[tuple[FeatureVector, bool]] = []
-    for path in args.train:
-        train_rows.extend(read_feature_csv(path))
-    for path in args.test:
-        test_rows.extend(read_feature_csv(path))
+    params = _train_params(args, _run_config(args))
+    train_rows = _read_feature_csvs(args.train)
+    test_rows = _read_feature_csvs(args.test)
 
     try:
         if args.ids:

@@ -20,7 +20,6 @@ from .docmodel import DocTree
 # split_sentences stays importable from here: perfbench/tracer.py patches it
 # by module.
 from .lingua import bundled_data_dir, split_sentences
-from .linear import MinMaxScaler
 
 FEATURE_NAMES = (
     "n_imperatives",          # 1  fraction of imperative units
@@ -47,8 +46,6 @@ FEATURE_CATEGORIES = {
     "Structural": (10, 11, 12, 13),
     "Context-based": (14, 15),
 }
-
-PROPAGATED_FEATURE_IDS = (6, 7)
 
 
 class PropagationOrderError(RuntimeError):
@@ -209,7 +206,3 @@ def update_propagated_features(annotation: ChunkAnnotation,
     return replace(current, n_inferred_goal=inferred,
                    n_non_actionable_goals=non_actionable_goals)
 
-
-def scale(vector: FeatureVector, scaler: MinMaxScaler) -> np.ndarray:
-    """Min-max scale to [0, 1] with clipping outside the training range."""
-    return scaler.transform(vector.to_array()[np.newaxis, :])[0]

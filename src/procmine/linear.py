@@ -22,7 +22,7 @@ class NonFinite(FloatingPointError):
 
 
 class VersionMismatch(ValueError):
-    """Serialized model has an incompatible version string."""
+    """Serialized model has an incompatible version string or shape."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,15 @@ class MinMaxScaler:
     def from_pairs(cls, pairs: list[dict]) -> "MinMaxScaler":
         return cls(mins=np.array([p["min"] for p in pairs], dtype=float),
                    maxs=np.array([p["max"] for p in pairs], dtype=float))
+
+
+def check_shape(weights: np.ndarray, scaler: MinMaxScaler, size: int) -> None:
+    """Raise VersionMismatch unless a loaded model has `size` weights and
+    `size` scaler ranges, so a bad model fails at load, not when scoring."""
+    if weights.shape != (size,) or scaler.mins.shape != (size,):
+        raise VersionMismatch(
+            f"model has {weights.size} weights and {scaler.mins.size} scaler "
+            f"ranges, expected {size} of each")
 
 
 @dataclass

@@ -315,12 +315,6 @@ class Tagger:
         return NOUN
 
 
-def pos_tag(tokens: list[str], lexicon: Lexicon | None = None) -> TaggedSentence:
-    """Tag a pre-tokenized sentence (convenience wrapper around Tagger)."""
-    tagger = Tagger(lexicon)
-    return TaggedSentence(text=" ".join(tokens), tokens=tuple(tagger.tag_tokens(tokens)))
-
-
 # ---------------------------------------------------------------------------
 # Detectors
 

@@ -1,8 +1,11 @@
 """End-to-end wiring: document -> tree -> chunks -> annotations ->
 features -> bottom-up classification -> extracted procedures.
 
-Each document run is self-contained: it shares no mutable state with
-other runs, and the CLI processes multiple documents one after another.
+`PipelineConfig` is the one run configuration: a flat key=value file
+merged with command-line flags (flags win), whose referenced paths are
+checked up front so a bad config fails before any work starts. Each
+document run is self-contained: it shares no mutable state with other
+runs, and the CLI processes multiple documents one after another.
 """
 
 from __future__ import annotations
@@ -19,8 +22,28 @@ from .docmodel import DocTree, decode_utf8, parse_markdown, parse_sdjson
 from .extractor import Procedure
 from .features import ContextLexicons, FeatureVector
 from .goals import GoalCueConfig
-from .lingua import Lexicon, Tagger, load_lexicon
+from .lingua import Tagger, load_lexicon
 from .relatedness import DEFAULT_ROLE_WEIGHTS, Role
+
+_PATH_KEYS = ("lexicon_dir", "cue_file", "context_procedural",
+              "context_nonprocedural", "actionable_model", "procedure_model")
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _read_config_file(path: str | Path) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
+    return values
 
 
 @dataclass
@@ -28,9 +51,43 @@ class PipelineConfig:
     lexicon_dir: Path | None = None
     cue_file: Path | None = None
     context_procedural: Path | None = None
-    context_non_procedural: Path | None = None
+    context_nonprocedural: Path | None = None
+    actionable_model: Path | None = None
+    procedure_model: Path | None = None
     role_weights: dict[Role, float] = field(
         default_factory=lambda: dict(DEFAULT_ROLE_WEIGHTS))
+    seed: int | None = None
+
+    @classmethod
+    def from_sources(cls, config_path: str | Path | None,
+                     overrides: dict) -> "PipelineConfig":
+        """The key=value file at `config_path` (if any) with every
+        non-None value of `overrides` taking precedence."""
+        values = _read_config_file(config_path) if config_path is not None else {}
+        values.update((k, v) for k, v in overrides.items() if v is not None)
+        config = cls()
+        for key in _PATH_KEYS:
+            if values.get(key):
+                setattr(config, key, Path(values[key]))
+        weights = values.get("role_weights")
+        if weights:
+            parts = weights.replace(",", " ").split()
+            if len(parts) != 3:
+                raise ConfigError(f"role_weights needs 3 numbers, got {weights!r}")
+            config.role_weights = dict(zip((Role.SUBJECT, Role.OBJECT, Role.OTHER),
+                                           map(float, parts)))
+        if "seed" in values:
+            config.seed = int(values["seed"])
+        return config
+
+    def check_paths(self) -> list[str]:
+        """`key: path` for every configured path that does not exist."""
+        missing = []
+        for key in _PATH_KEYS:
+            value = getattr(self, key)
+            if value is not None and not value.exists():
+                missing.append(f"{key}: {value}")
+        return missing
 
     def tagger(self) -> Tagger:
         if self.lexicon_dir is not None:
@@ -45,9 +102,9 @@ class PipelineConfig:
         return GoalCueConfig.bundled()
 
     def context_lexicons(self) -> ContextLexicons:
-        if self.context_procedural and self.context_non_procedural:
+        if self.context_procedural and self.context_nonprocedural:
             return ContextLexicons.load(self.context_procedural,
-                                        self.context_non_procedural)
+                                        self.context_nonprocedural)
         return ContextLexicons.bundled()
 
 

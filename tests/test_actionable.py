@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -223,6 +224,14 @@ class TestModelIO:
         path.write_text(toy_model.to_json().replace("actionable/1", "actionable/9"))
         with pytest.raises(VersionMismatch):
             ActionableModel.load(path)
+
+    @pytest.mark.parametrize("key", ["weights", "scaler"])
+    def test_entries_must_number_vocabulary_plus_three(self, toy_model, key):
+        doc = json.loads(toy_model.to_json())
+        assert len(doc[key]) == len(toy_model.vocabulary) + 3
+        doc[key] = doc[key][:-1]
+        with pytest.raises(VersionMismatch):
+            ActionableModel.from_json(json.dumps(doc))
 
     def test_predictions_survive_round_trip(self, toy_model, tagger, tmp_path):
         path = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -12,7 +13,8 @@ from procmine.classifier import (ChunkPrediction, Metrics, MissingPrediction,
                                  train)
 from procmine.docmodel import parse_markdown
 from procmine.features import FEATURE_NAMES, FeatureVector
-from procmine.linear import DegenerateLabels, MinMaxScaler, TrainParams
+from procmine.linear import (DegenerateLabels, MinMaxScaler, TrainParams,
+                             VersionMismatch)
 
 PARAMS = TrainParams(epochs=200, learning_rate=0.01, l2=1e-4, seed=11)
 
@@ -85,6 +87,14 @@ class TestTrain:
     def test_deterministic_model_bytes(self):
         rows = toy_rows(5)
         assert train(rows, PARAMS).to_json() == train(rows, PARAMS).to_json()
+
+
+class TestModelIO:
+    def test_scaler_must_have_one_range_per_feature(self):
+        doc = json.loads(FLIP_MODEL.to_json())
+        doc["scaler"] = doc["scaler"][:-1]
+        with pytest.raises(VersionMismatch):
+            ProcedureClassifierModel.from_json(json.dumps(doc))
 
 
 class TestClassifyTree:

@@ -24,6 +24,58 @@ SDJSON_DOC = json.dumps({
 })
 
 
+def write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def truncated_model(path, name, key):
+    """A copy of a bundled model with the last entry of `key` dropped."""
+    doc = json.loads((CORPUS / "models" / f"{name}.json").read_text())
+    doc[key] = doc[key][:-1]
+    return write(path, json.dumps(doc))
+
+
+# command -> (expected exit code, argv built in a scratch directory)
+BAD_INPUTS = {
+    "features-malformed-actionable-model": (65, lambda d: [
+        "features", str(DOC), "--actionable-model", write(d / "m.json", "{no")]),
+    "ablate-missing-csv": (66, lambda d: [
+        "ablate", "--train", str(d / "none.csv"), "--test", str(d / "none.csv"),
+        "--seed", "1"]),
+    "config-is-directory": (66, lambda d: [
+        "ingest", str(DOC), "--config", str(d)]),
+    "eval-non-integer-chunk-id": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\none,0,1,1.0\n"),
+        write(d / "g.csv", "chunk_id,label\n1,1\n")]),
+    "eval-gold-without-label": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write(d / "g.csv", "chunk_id\n1\n")]),
+    "train-missing-feature-column": (65, lambda d: [
+        "train", write(d / "f.csv", "chunk_id,f1,label\n1,0.9,1\n2,0.1,0\n"),
+        "--seed", "1", "-o", str(d / "m.json")]),
+    "train-actionable-without-label": (65, lambda d: [
+        "train-actionable", write(d / "c.csv", "text\nOpen the panel.\n"),
+        "--seed", "1", "-o", str(d / "m.json")]),
+    "procedure-model-short-scaler": (65, lambda d: [
+        "extract", str(DOC),
+        "--model", truncated_model(d / "p.json", "procedure", "scaler")]),
+    "actionable-model-short-weights": (65, lambda d: [
+        "extract", str(DOC), "--model", str(CORPUS / "models" / "procedure.json"),
+        "--actionable-model", truncated_model(d / "a.json", "actionable", "weights")]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_exits_with_code_without_traceback(tmp_path, name):
+    code, argv = BAD_INPUTS[name]
+    result = subprocess.run([sys.executable, "-m", "procmine.cli", *argv(tmp_path)],
+                            capture_output=True, text=True)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == code
+    assert result.stdout == ""
+
+
 def run_main(args, capsys):
     code = main(args)
     captured = capsys.readouterr()

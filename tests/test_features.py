@@ -6,10 +6,10 @@ import pytest
 
 from procmine import pipeline
 from procmine.chunker import ChunkKind, build_chunks
+from procmine.classifier import ProcedureClassifierModel
 from procmine.docmodel import parse_markdown
 from procmine.features import (FEATURE_NAMES, FeatureVector,
                                PropagationOrderError, avg_sibling_distance,
-                               compute_static_features, scale,
                                update_propagated_features)
 from procmine.linear import MinMaxScaler
 from procmine.lingua import split_sentences
@@ -230,19 +230,25 @@ class TestScale:
     SCALER = MinMaxScaler(mins=np.zeros(len(FEATURE_NAMES)),
                           maxs=np.full(len(FEATURE_NAMES), 2.0))
 
+    def score_of(self, vector, name):
+        """The model score reads out one scaled feature: unit weight, no bias."""
+        weights = np.zeros(len(FEATURE_NAMES))
+        weights[FEATURE_NAMES.index(name)] = 1.0
+        model = ProcedureClassifierModel(weights=weights, bias=0.0,
+                                         scaler=self.SCALER)
+        return model.score(vector)
+
     def test_training_minimum_scales_to_zero(self):
-        vector = FeatureVector()
-        assert scale(vector, self.SCALER).tolist() == [0.0] * len(FEATURE_NAMES)
+        raw = FeatureVector().to_array()[np.newaxis, :]
+        assert self.SCALER.transform(raw)[0].tolist() == [0.0] * len(FEATURE_NAMES)
 
     def test_above_maximum_clips_to_one(self):
         vector = replace(FeatureVector(), chunk_size=99.0)
-        scaled = scale(vector, self.SCALER)
-        assert scaled[FEATURE_NAMES.index("chunk_size")] == 1.0
+        assert self.score_of(vector, "chunk_size") == 1.0
 
     def test_midpoint_scales_to_half(self):
         vector = replace(FeatureVector(), relatedness=1.0)
-        scaled = scale(vector, self.SCALER)
-        assert scaled[FEATURE_NAMES.index("relatedness")] == 0.5
+        assert self.score_of(vector, "relatedness") == 0.5
 
     def test_constant_feature_scales_to_zero(self):
         scaler = MinMaxScaler(mins=np.ones(3), maxs=np.ones(3))

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from procmine import lingua
 from procmine.lingua import (ADV, DET, NOUN, PUNCT, VB, VBD, VBG, VBN, VBZ,
                              Polarity, Tagger, Tense, Voice,
-                             detect_conditional, detect_imperative, pos_tag,
-                             profile, split_sentences, tokenize)
+                             detect_conditional, detect_imperative, profile,
+                             split_sentences)
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +87,11 @@ class TestTagger:
         assert tags["assessment"] == NOUN
         assert tags["gracefully"] == ADV
 
-    def test_pos_tag_wrapper_matches_tagger(self, tagger):
-        tokens = tokenize("Restart the server.")
-        assert pos_tag(tokens).tokens == tagger.tag("Restart the server.").tokens
+    def test_tag_tokens_tags_pretokenized_input(self, tagger):
+        tokens = ["Restart", "the", "server", "."]
+        assert [t.tag for t in tagger.tag_tokens(tokens)] == [VB, DET, NOUN, PUNCT]
+        assert tuple(tagger.tag_tokens(tokens)) == \
+            tagger.tag("Restart the server.").tokens
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=120))

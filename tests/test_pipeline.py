@@ -6,7 +6,10 @@ import pytest
 
 from procmine import (actionable, chunker, classifier, extractor, features,
                       lingua, pipeline)
+from procmine.cli import main
 from procmine.docmodel import DocTree, Kind, parse_sdjson
+from procmine.pipeline import ConfigError, PipelineConfig
+from procmine.relatedness import DEFAULT_ROLE_WEIGHTS, Role
 
 from conftest import random_sdjson, random_tree
 
@@ -106,3 +109,45 @@ class TestLinearWork:
         headings = sum(n.kind in (Kind.HEADING, Kind.TITLE)
                        for n in tree.nodes.values())
         assert calls["tag"] <= sentences + headings
+
+
+class TestPipelineConfig:
+    def test_defaults_without_sources(self):
+        config = PipelineConfig.from_sources(None, {})
+        assert config == PipelineConfig()
+        assert config.role_weights == DEFAULT_ROLE_WEIGHTS
+
+    def test_flag_wins_over_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed=7\nlexicon_dir=from-file\n")
+        config = PipelineConfig.from_sources(
+            path, {"seed": 3, "lexicon_dir": "from-flag", "procedure_model": None})
+        assert config.seed == 3
+        assert config.lexicon_dir == Path("from-flag")
+        assert config.procedure_model is None
+
+    def test_role_weights_reach_role_dict(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("role_weights=4,2,1\n")
+        config = PipelineConfig.from_sources(path, {})
+        assert config.role_weights == {Role.SUBJECT: 4.0, Role.OBJECT: 2.0,
+                                       Role.OTHER: 1.0}
+
+    def test_two_role_weights_raise(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("role_weights=4 2\n")
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_sources(path, {})
+
+    def test_blank_lines_and_comments_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# run settings\n\n   \n  # seed=1\nseed = 9\n")
+        assert PipelineConfig.from_sources(path, {}).seed == 9
+
+    def test_line_without_equals_exits_65(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed 9\n")
+        code = main(["ingest", str(CORPUS / "nested-fixture.md"),
+                     "--config", str(path), "-o", str(tmp_path / "tree.json")])
+        assert code == 65
+        assert "expected key=value" in capsys.readouterr().err
