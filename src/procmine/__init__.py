@@ -2,7 +2,7 @@
 
 from .actionable import ActionableModel, Vocabulary, build_vocabulary, featurize
 from .annotate import AnnotatedSentence, ChunkAnnotation, ItemAnnotation, annotate_chunks
-from .chunker import Chunk, ChunkKind, ChunkSet, build_chunks, chunk_context, chunk_size
+from .chunker import Chunk, ChunkKind, ChunkSet, build_chunks, chunk_size
 from .classifier import (ChunkPrediction, Metrics, ProcedureClassifierModel,
                          ablate, classify_tree, evaluate)
 from .docmodel import (DocNode, DocTree, HierarchyError, Kind, SchemaError,

@@ -20,7 +20,8 @@ from . import linear
 from .lingua import (Polarity, Profile, TaggedSentence, Tagger, Tense, Voice,
                      profile as profile_sentence)
 from .linear import (DegenerateLabels, MinMaxScaler, TrainParams,
-                     VersionMismatch, check_shape)
+                     VersionMismatch, check_shape, finite, finite_array,
+                     objects, read_model)
 
 MODEL_VERSION = "actionable/1 tf=raw idf=ln"
 
@@ -114,22 +115,23 @@ class ActionableModel:
 
     @classmethod
     def from_json(cls, data: str | bytes) -> "ActionableModel":
-        doc = json.loads(data)
-        version = doc.get("version", "")
-        if version != MODEL_VERSION:
-            raise VersionMismatch(
-                f"model version {version!r}, expected {MODEL_VERSION!r}")
+        doc = read_model(data, MODEL_VERSION)
+        entries = objects(doc["vocabulary"], "vocabulary")
+        terms = tuple(e["term"] for e in entries)
+        if not all(isinstance(term, str) for term in terms):
+            raise VersionMismatch("vocabulary terms must be strings")
         vocab = Vocabulary(
-            terms=tuple(e["term"] for e in doc["vocabulary"]),
-            document_frequency=tuple(e["df"] for e in doc["vocabulary"]),
-            idf=tuple(e["idf"] for e in doc["vocabulary"]),
+            terms=terms,
+            document_frequency=tuple(e["df"] for e in entries),
+            idf=tuple(finite_array([e["idf"] for e in entries], "idf").tolist()),
             total_sentences=doc["total_sentences"],
         )
-        weights = np.array(doc["weights"], dtype=float)
+        weights = finite_array(doc["weights"], "weights")
         scaler = MinMaxScaler.from_pairs(doc["scaler"])
         check_shape(weights, scaler, len(vocab) + 3)
-        return cls(vocabulary=vocab, weights=weights, bias=doc["bias"],
-                   scaler=scaler, version=version)
+        return cls(vocabulary=vocab, weights=weights,
+                   bias=finite(doc["bias"], "bias"), scaler=scaler,
+                   version=MODEL_VERSION)
 
     @classmethod
     def load(cls, path: str | Path) -> "ActionableModel":

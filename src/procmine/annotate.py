@@ -35,17 +35,8 @@ class ItemAnnotation:
     associated_image: bool
 
     @property
-    def imperative(self) -> bool:
-        return any(s.annotations.imperative for s in self.sentences)
-
-    @property
     def conditional(self) -> bool:
         return any(s.annotations.conditional for s in self.sentences)
-
-    @property
-    def non_imperative_actionable(self) -> bool:
-        return any(s.non_imperative_actionable and not s.annotations.imperative
-                   for s in self.sentences)
 
     @property
     def actionable(self) -> bool:
@@ -60,7 +51,6 @@ class ItemAnnotation:
 class ChunkAnnotation:
     chunk_id: int
     items: tuple[ItemAnnotation, ...]
-    context_text: str
     parent_is_goal: bool
     relatedness: float
 
@@ -83,15 +73,6 @@ def annotate_sentence_text(text: str, *, is_heading: bool, tagger: Tagger,
                              non_imperative_actionable=non_imperative)
 
 
-def _effective_parent(chunk: Chunk, tree: DocTree) -> int | None:
-    """The node whose text introduces the chunk: the list block's parent for
-    list chunks, the items' parent otherwise."""
-    parent = chunk.parent_node_id
-    if tree.node(parent).kind is Kind.LIST_BLOCK:
-        return tree.parent_of(parent)
-    return parent
-
-
 def _heading_is_goal(node: DocNode, *, tagger: Tagger,
                      goal_config: GoalCueConfig) -> bool:
     if node.kind not in (Kind.HEADING, Kind.TITLE) or not node.text.strip():
@@ -104,9 +85,8 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
                    goal_config: GoalCueConfig,
                    model: ActionableModel | None,
                    role_weights: dict[Role, float] | None = None,
-                   parent_goals: dict[int, bool] | None = None) -> ChunkAnnotation:
-    """`parent_goals` memoizes the goal flag of parent nodes by node id, so
-    chunks sharing a parent heading tag it once."""
+                   parent_is_goal: bool) -> ChunkAnnotation:
+    """`parent_is_goal` is the goal flag of the chunk's introducing node."""
     items: list[ItemAnnotation] = []
     all_tagged: list[TaggedSentence] = []
     for node_id in chunk.item_node_ids:
@@ -120,18 +100,10 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
         all_tagged.extend(s.tagged for s in sentences)
         items.append(ItemAnnotation(node_id=node_id, sentences=sentences,
                                     associated_image=node.associated_image))
-
-    parent_goals = {} if parent_goals is None else parent_goals
-    parent_id = _effective_parent(chunk, tree)
-    if parent_id is not None and parent_id not in parent_goals:
-        parent_goals[parent_id] = _heading_is_goal(
-            tree.node(parent_id), tagger=tagger, goal_config=goal_config)
-
     return ChunkAnnotation(
         chunk_id=chunk.id,
         items=tuple(items),
-        context_text=chunk.context_text,
-        parent_is_goal=parent_goals.get(parent_id, False),
+        parent_is_goal=parent_is_goal,
         relatedness=chunk_relatedness(all_tagged, role_weights),
     )
 
@@ -141,13 +113,18 @@ def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger | None = 
                     model: ActionableModel | None = None,
                     role_weights: dict[Role, float] | None = None,
                     ) -> dict[int, ChunkAnnotation]:
+    """Annotate every chunk; each introducing node is tagged once, as a
+    whole heading, however many chunks it introduces."""
     tagger = tagger or Tagger()
     goal_config = goal_config or GoalCueConfig.bundled()
-    parent_goals: dict[int, bool] = {}
-    return {
-        chunk.id: annotate_chunk(chunk, tree, tagger=tagger,
-                                 goal_config=goal_config, model=model,
-                                 role_weights=role_weights,
-                                 parent_goals=parent_goals)
-        for chunk in chunks
-    }
+    intro_goals: dict[int, bool] = {}
+    out: dict[int, ChunkAnnotation] = {}
+    for chunk in chunks:
+        intro = chunk.intro_node_id
+        if intro not in intro_goals:
+            intro_goals[intro] = _heading_is_goal(
+                tree.node(intro), tagger=tagger, goal_config=goal_config)
+        out[chunk.id] = annotate_chunk(
+            chunk, tree, tagger=tagger, goal_config=goal_config, model=model,
+            role_weights=role_weights, parent_is_goal=intro_goals[intro])
+    return out

@@ -4,6 +4,22 @@ Three grouping rules: a list's items form a chunk; sibling headings of
 equal level under one parent form a chunk; paragraphs under one parent
 form a chunk. Every list item, heading, and paragraph lands in exactly
 one chunk.
+
+`build_chunks` makes one preorder walk with an explicit stack, so any
+nesting depth works, and emits each chunk complete:
+
+- Order: at each node, its heading and paragraph groups in the order of
+  their first items, then the chunks below its children; a list chunk is
+  emitted when the walk reaches its list block.
+- Context: the last sentence of the last sibling with text (paragraph,
+  heading or title) before the chunk's anchor, else the stripped text of
+  the anchor's parent. The anchor is the list block for a list chunk and
+  the first item otherwise, so a list block's context is worked out while
+  its parent's children are scanned and travels on the stack.
+- `intro_node_id` is the node whose text introduces the chunk: the list
+  block's parent for a list chunk, the items' parent otherwise.
+- `child_chunks` files each chunk under the nearest chunk item at or above
+  its parent node, which also travels on the stack.
 """
 
 from __future__ import annotations
@@ -31,6 +47,7 @@ class Chunk:
     depth: int
     context_text: str
     parent_node_id: int
+    intro_node_id: int
 
 
 @dataclass(eq=False)
@@ -49,111 +66,65 @@ class ChunkSet:
 
 
 _CONTEXT_DONOR_KINDS = frozenset({Kind.PARAGRAPH, Kind.HEADING, Kind.TITLE})
-
-
-def _chunk_anchor(chunk: Chunk, tree: DocTree) -> int:
-    """Node whose siblings/parent supply the chunk's context: the list block
-    for list chunks, the first item otherwise."""
-    if chunk.kind is ChunkKind.LIST:
-        return chunk.parent_node_id
-    return chunk.item_node_ids[0]
-
-
-def chunk_context(chunk: Chunk, tree: DocTree) -> str:
-    """Context text: last sentence of the nearest preceding sibling with
-    text, else the enclosing node's text, else empty."""
-    anchor = _chunk_anchor(chunk, tree)
-    parent_id = tree.parent_of(anchor)
-    if parent_id is None:
-        return ""
-    siblings = tree.node(parent_id).children
-    index = siblings.index(anchor)
-    for sib_id in reversed(siblings[:index]):
-        sibling = tree.node(sib_id)
-        if sibling.kind in _CONTEXT_DONOR_KINDS and sibling.text.strip():
-            sentences = tree.sentences[sib_id]
-            return sentences[-1] if sentences else sibling.text.strip()
-    return tree.node(parent_id).text.strip()
+_GROUP_KINDS = {Kind.HEADING: ChunkKind.HEADING_GROUP,
+                Kind.PARAGRAPH: ChunkKind.PARAGRAPH_GROUP}
 
 
 def chunk_size(chunk: Chunk, tree: DocTree) -> int:
     """Items for list chunks, one sentence per heading for heading groups,
     total sentences for paragraph groups."""
-    if chunk.kind is ChunkKind.LIST:
-        return len(chunk.item_node_ids)
-    if chunk.kind is ChunkKind.HEADING_GROUP:
+    if chunk.kind is not ChunkKind.PARAGRAPH_GROUP:
         return len(chunk.item_node_ids)
     return sum(len(tree.sentences[nid]) or 1 for nid in chunk.item_node_ids)
 
 
-def _dominating_item(tree: DocTree, chunk: Chunk,
-                     is_item: set[int]) -> int | None:
-    """Nearest ancestor of the chunk that is itself a chunk item."""
-    current = chunk.parent_node_id
-    while current is not None:
-        if current in is_item:
-            return current
-        current = tree.parent_of(current)
-    return None
-
-
 def build_chunks(tree: DocTree) -> ChunkSet:
-    """Traverse the tree and build the chunk set (document order)."""
-    groups: list[tuple[ChunkKind, list[int], int]] = []  # kind, items, parent
-
-    def visit(node: DocNode) -> None:
-        if node.kind is Kind.LIST_BLOCK:
-            items = [c for c in node.children]
-            if items:
-                groups.append((ChunkKind.LIST, items, node.id))
-        else:
-            headings: dict[int, list[int]] = {}
-            paragraphs: list[int] = []
-            for child_id in node.children:
-                child = tree.node(child_id)
-                if child.kind is Kind.HEADING:
-                    headings.setdefault(child.level or 0, []).append(child_id)
-                elif child.kind is Kind.PARAGRAPH:
-                    paragraphs.append(child_id)
-            emitted: set[int] = set()
-            for child_id in node.children:
-                child = tree.node(child_id)
-                if child.kind is Kind.HEADING and child.level not in emitted:
-                    groups.append((ChunkKind.HEADING_GROUP,
-                                   headings[child.level or 0], node.id))
-                    emitted.add(child.level)
-                elif child.kind is Kind.PARAGRAPH and "para" not in emitted:
-                    groups.append((ChunkKind.PARAGRAPH_GROUP, paragraphs, node.id))
-                    emitted.add("para")
-        for child_id in node.children:
-            visit(tree.node(child_id))
-
-    visit(tree.node(tree.root))
-
+    """One preorder walk with an explicit stack; chunk ids follow the walk."""
     chunks: dict[int, Chunk] = {}
     by_level: dict[int, list[int]] = {}
-    is_item: set[int] = set()
-    for chunk_id, (kind, items, parent) in enumerate(groups, start=1):
-        depth = tree.node(items[0]).depth
-        chunk = Chunk(id=chunk_id, kind=kind, item_node_ids=tuple(items),
-                      depth=depth, context_text="", parent_node_id=parent)
-        chunks[chunk_id] = chunk
-        by_level.setdefault(depth, []).append(chunk_id)
-        is_item.update(items)
-
-    # context needs the full set (siblings may be other chunks' anchors)
-    for chunk_id, chunk in list(chunks.items()):
-        context = chunk_context(chunk, tree)
-        chunks[chunk_id] = Chunk(id=chunk.id, kind=chunk.kind,
-                                 item_node_ids=chunk.item_node_ids,
-                                 depth=chunk.depth, context_text=context,
-                                 parent_node_id=chunk.parent_node_id)
-
     child_chunks: dict[int, list[int]] = {}
-    for chunk in chunks.values():
-        owner = _dominating_item(tree, chunk, is_item)
+
+    def emit(kind: ChunkKind, items: list[DocNode], context: str, parent: int,
+             intro: int, owner: int | None) -> None:
+        chunk_id = len(chunks) + 1
+        depth = items[0].depth
+        chunks[chunk_id] = Chunk(
+            id=chunk_id, kind=kind, item_node_ids=tuple(n.id for n in items),
+            depth=depth, context_text=context, parent_node_id=parent,
+            intro_node_id=intro)
+        by_level.setdefault(depth, []).append(chunk_id)
         if owner is not None:
-            child_chunks.setdefault(owner, []).append(chunk.id)
+            child_chunks.setdefault(owner, []).append(chunk_id)
+
+    # (node, its parent's id, the context of a chunk anchored at it, the
+    # nearest chunk item at or above it)
+    stack: list[tuple[DocNode, int | None, str, int | None]] = [
+        (tree.node(tree.root), None, "", None)]
+    while stack:
+        node, parent, context_here, owner = stack.pop()
+        if not node.children:
+            continue
+        is_block = node.kind is Kind.LIST_BLOCK
+        groups: dict[tuple[ChunkKind, int | None], tuple[str, list[DocNode]]] = {}
+        context = node.text.strip()  # until a child donates a sentence
+        below = []
+        for child in map(tree.node, node.children):
+            group = None if is_block else _GROUP_KINDS.get(child.kind)
+            if group is not None:
+                key = (group, child.level)
+                if key not in groups:
+                    groups[key] = (context, [])
+                groups[key][1].append(child)
+            item = is_block or group is not None
+            below.append((child, node.id, context, child.id if item else owner))
+            if child.kind in _CONTEXT_DONOR_KINDS and child.text.strip():
+                sentences = tree.sentences[child.id]
+                context = sentences[-1] if sentences else child.text.strip()
+        if is_block:
+            emit(ChunkKind.LIST, [entry[0] for entry in below], context_here,
+                 node.id, parent, owner)
+        for (kind, _), (group_context, items) in groups.items():
+            emit(kind, items, group_context, node.id, node.id, owner)
+        stack.extend(reversed(below))
 
     return ChunkSet(chunks=chunks, by_level=by_level, child_chunks=child_chunks)
-

@@ -20,7 +20,8 @@ from .chunker import Chunk, ChunkSet
 from .docmodel import DocTree
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
                        PropagationOrderError, update_propagated_features)
-from .linear import MinMaxScaler, TrainParams, VersionMismatch, check_shape
+from .linear import (MinMaxScaler, TrainParams, check_shape, finite,
+                     finite_array, read_model)
 
 MODEL_VERSION = "procedure/1 features=15"
 
@@ -53,16 +54,12 @@ class ProcedureClassifierModel:
 
     @classmethod
     def from_json(cls, data: str | bytes) -> "ProcedureClassifierModel":
-        doc = json.loads(data)
-        version = doc.get("version", "")
-        if version != MODEL_VERSION:
-            raise VersionMismatch(
-                f"model version {version!r}, expected {MODEL_VERSION!r}")
-        weights = np.array(doc["weights"], dtype=float)
+        doc = read_model(data, MODEL_VERSION)
+        weights = finite_array(doc["weights"], "weights")
         scaler = MinMaxScaler.from_pairs(doc["scaler"])
         check_shape(weights, scaler, N_FEATURES)
-        return cls(weights=weights, bias=doc["bias"], scaler=scaler,
-                   version=version)
+        return cls(weights=weights, bias=finite(doc["bias"], "bias"),
+                   scaler=scaler, version=MODEL_VERSION)
 
     @classmethod
     def load(cls, path: str | Path) -> "ProcedureClassifierModel":

@@ -107,9 +107,6 @@ class DocTree:
             yield node
             stack.extend(reversed(node.children))
 
-    def subtree_ids(self, node_id: int) -> set[int]:
-        return {n.id for n in self.preorder(node_id)}
-
 
 class _Builder:
     """Accumulates nodes with list-valued children, then freezes them."""
@@ -163,7 +160,16 @@ def _require(mapping: dict, key: str, kind: type, path: str):
     value = mapping[key]
     if kind is int and isinstance(value, bool) or not isinstance(value, kind):
         raise SchemaError(f"field '{key}' must be {kind.__name__}", path)
+    if kind is str:
+        _check_encodable(value, key, path)
     return value
+
+
+def _check_encodable(text: str, key: str, path: str) -> None:
+    try:  # a lone surrogate escape ("\\ud800") parses but cannot be written out
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"field '{key}' holds a lone surrogate", path) from None
 
 
 def _add_list(builder: _Builder, parent: int, obj: dict, path: str) -> None:
@@ -193,13 +199,21 @@ def _add_list(builder: _Builder, parent: int, obj: dict, path: str) -> None:
 def parse_sdjson(data: bytes | str | IO, source_name: str = "") -> DocTree:
     """Parse structured-document JSON into a validated tree.
 
-    Raises SchemaError on malformed input (with the offending path) and
-    HierarchyError on impossible heading levels.
+    Raises SchemaError on malformed input (with the offending path), also
+    when it nests too deep for the recursive JSON decoder, sublist reader or
+    validator, and HierarchyError on impossible heading levels.
     """
     if hasattr(data, "read"):
         data = data.read()
     if isinstance(data, bytes):
         data = decode_utf8(data)
+    try:
+        return _parse_sdjson(data, source_name)
+    except RecursionError:
+        raise SchemaError("nested too deep") from None
+
+
+def _parse_sdjson(data: str, source_name: str) -> DocTree:
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -212,6 +226,7 @@ def parse_sdjson(data: bytes | str | IO, source_name: str = "") -> DocTree:
     title = doc.get("title")
     if not isinstance(title, str) or not title.strip():
         raise SchemaError("no root title")
+    _check_encodable(title, "title", "$")
     elements = _require(doc, "elements", list, "$")
 
     builder = _Builder(source_name or title)

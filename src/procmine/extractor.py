@@ -3,8 +3,13 @@
 Each procedure-labeled chunk yields exactly one procedure: its items
 become steps in document order with actionable/conditional flags. A step
 whose node dominates another procedure-labeled chunk links to it through
-childProcedureId; a non-procedure nested list under a list-item step is
-folded in as sub-steps carrying parentStepId.
+childProcedureId; otherwise each non-procedure list chunk directly below
+the step is folded in as sub-steps carrying parentStepId.
+
+Folding uses an explicit stack, so any nesting depth works: steps come in
+preorder (a step, then its folded sub-steps, then its next sibling), are
+numbered s1, s2, ... in that order, and read their flags from one node id
+-> (actionable, conditional) table built per document.
 """
 
 from __future__ import annotations
@@ -49,21 +54,14 @@ def _nearest_heading_text(tree: DocTree, node_id: int) -> str | None:
     return None
 
 
-def _goal_for(chunk: Chunk, tree: DocTree, annotation: ChunkAnnotation) -> str:
-    context = annotation.context_text.strip()
+def _goal_for(chunk: Chunk, tree: DocTree) -> str:
+    context = chunk.context_text.strip()
     if context:
         return context
     heading = _nearest_heading_text(tree, chunk.item_node_ids[0])
     if heading:
         return heading
     return tree.node(tree.root).text.strip()
-
-
-def _item_flags(annotation: ChunkAnnotation, node_id: int) -> tuple[bool, bool]:
-    for item in annotation.items:
-        if item.node_id == node_id:
-            return item.actionable, item.conditional
-    return False, False
 
 
 def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
@@ -78,46 +76,34 @@ def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
         key=lambda cid: position[chunks.chunks[cid].item_node_ids[0]])
     sequence_ids = {cid: f"seq-{i}" for i, cid in enumerate(procedure_chunks, 1)}
 
+    flags = {item.node_id: (item.actionable, item.conditional)
+             for annotation in annotations.values() for item in annotation.items}
+
     procedures: list[Procedure] = []
     for chunk_id in procedure_chunks:
         chunk = chunks.chunks[chunk_id]
-        annotation = annotations[chunk_id]
         steps: list[Step] = []
-        counter = [0]
-
-        def next_id() -> str:
-            counter[0] += 1
-            return f"s{counter[0]}"
-
-        def child_link(node_id: int) -> str | None:
-            for child_id in chunks.child_chunks.get(node_id, ()):
-                if labels.get(child_id):
-                    return sequence_ids[child_id]
-            return None
-
-        def add_item(node_id: int, item_annotation: ChunkAnnotation,
-                     parent_step: str | None) -> None:
-            actionable, conditional = _item_flags(item_annotation, node_id)
-            link = child_link(node_id)
-            step = Step(step_id=next_id(), text=tree.node(node_id).text,
-                        actionable=actionable, conditional=conditional,
-                        parent_step_id=parent_step, child_procedure_id=link)
-            steps.append(step)
+        stack = [(node_id, None) for node_id in reversed(chunk.item_node_ids)]
+        while stack:
+            node_id, parent_step = stack.pop()
+            below = chunks.child_chunks.get(node_id, ())
+            link = next((sequence_ids[c] for c in below if labels.get(c)), None)
+            actionable, conditional = flags[node_id]
+            step_id = f"s{len(steps) + 1}"
+            steps.append(Step(step_id=step_id, text=tree.node(node_id).text,
+                              actionable=actionable, conditional=conditional,
+                              parent_step_id=parent_step,
+                              child_procedure_id=link))
             if link is not None:
-                return  # the nested content lives in its own procedure
-            # fold a non-procedure nested list in as sub-steps
-            for child_id in chunks.child_chunks.get(node_id, ()):
-                child_chunk = chunks.chunks[child_id]
-                if child_chunk.kind is ChunkKind.LIST and not labels.get(child_id):
-                    child_annotation = annotations[child_id]
-                    for sub_node in child_chunk.item_node_ids:
-                        add_item(sub_node, child_annotation, step.step_id)
-
-        for node_id in chunk.item_node_ids:
-            add_item(node_id, annotation, None)
+                continue  # the nested content lives in its own procedure
+            # no chunk below is a procedure: its list chunks become sub-steps
+            folded = [(sub_node, step_id) for child_id in below
+                      if chunks.chunks[child_id].kind is ChunkKind.LIST
+                      for sub_node in chunks.chunks[child_id].item_node_ids]
+            stack.extend(reversed(folded))
 
         procedures.append(Procedure(sequence_id=sequence_ids[chunk_id],
-                                    goal=_goal_for(chunk, tree, annotation),
+                                    goal=_goal_for(chunk, tree),
                                     step_list=tuple(steps)))
     _check_links(procedures)
     return procedures

@@ -159,7 +159,7 @@ def compute_static_features(chunk: Chunk, tree: DocTree,
     goal_items = [item.is_goal for item in annotation.items]
     image_items = [item.associated_image for item in annotation.items]
 
-    non_procedural, procedural = _context_flags(annotation.context_text, lexicons)
+    non_procedural, procedural = _context_flags(chunk.context_text, lexicons)
 
     return FeatureVector(
         n_imperatives=_fraction(unit_imperative, size),

@@ -8,6 +8,7 @@ from one seeded generator and all arithmetic is plain float64.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,8 @@ class NonFinite(FloatingPointError):
 
 
 class VersionMismatch(ValueError):
-    """Serialized model has an incompatible version string or shape."""
+    """Serialized model has an incompatible version string, shape or
+    value."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,44 @@ class MinMaxScaler:
 
     @classmethod
     def from_pairs(cls, pairs: list[dict]) -> "MinMaxScaler":
-        return cls(mins=np.array([p["min"] for p in pairs], dtype=float),
-                   maxs=np.array([p["max"] for p in pairs], dtype=float))
+        pairs = objects(pairs, "scaler")
+        return cls(mins=finite_array([p["min"] for p in pairs], "scaler"),
+                   maxs=finite_array([p["max"] for p in pairs], "scaler"))
+
+
+def read_model(data: str | bytes, version: str) -> dict:
+    """The JSON object of a serialized model; VersionMismatch unless it is
+    an object whose version is `version`."""
+    doc = json.loads(data)
+    if not isinstance(doc, dict):
+        raise VersionMismatch("model file must hold a JSON object")
+    if doc.get("version", "") != version:
+        raise VersionMismatch(
+            f"model version {doc.get('version', '')!r}, expected {version!r}")
+    return doc
+
+
+def objects(values, what: str) -> list[dict]:
+    if not isinstance(values, list) or not all(isinstance(v, dict) for v in values):
+        raise VersionMismatch(f"{what} must be a list of objects")
+    return values
+
+
+def finite_array(values, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as float64, else VersionMismatch (also
+    for booleans and for integers too large for a float)."""
+    try:
+        if isinstance(values, list) and all(type(v) in (int, float) for v in values):
+            array = np.array(values, dtype=float)
+            if np.isfinite(array).all():
+                return array
+    except OverflowError:
+        pass
+    raise VersionMismatch(f"{what} must be finite numbers")
+
+
+def finite(value, what: str) -> float:
+    return float(finite_array([value], what)[0])
 
 
 def check_shape(weights: np.ndarray, scaler: MinMaxScaler, size: int) -> None:

@@ -22,11 +22,12 @@ from .docmodel import DocTree, decode_utf8, parse_markdown, parse_sdjson
 from .extractor import Procedure
 from .features import ContextLexicons, FeatureVector
 from .goals import GoalCueConfig
-from .lingua import Tagger, load_lexicon
+from .lingua import Tagger, bundled_data_dir, load_lexicon
 from .relatedness import DEFAULT_ROLE_WEIGHTS, Role
 
 _PATH_KEYS = ("lexicon_dir", "cue_file", "context_procedural",
               "context_nonprocedural", "actionable_model", "procedure_model")
+_KEYS = (*_PATH_KEYS, "role_weights", "seed")
 
 
 class ConfigError(ValueError):
@@ -62,9 +63,13 @@ class PipelineConfig:
     def from_sources(cls, config_path: str | Path | None,
                      overrides: dict) -> "PipelineConfig":
         """The key=value file at `config_path` (if any) with every
-        non-None value of `overrides` taking precedence."""
+        non-None value of `overrides` taking precedence; a key that names
+        no setting is a ConfigError."""
         values = _read_config_file(config_path) if config_path is not None else {}
         values.update((k, v) for k, v in overrides.items() if v is not None)
+        unknown = [key for key in values if key not in _KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         config = cls()
         for key in _PATH_KEYS:
             if values.get(key):
@@ -94,18 +99,23 @@ class PipelineConfig:
             return Tagger(load_lexicon(self.lexicon_dir))
         return Tagger()
 
+    def _lexicon_file(self, explicit: Path | None, name: str) -> Path:
+        """The explicitly configured file, else `name` in lexicon_dir when it
+        exists there, else the bundled `name`."""
+        if explicit is not None:
+            return explicit
+        if self.lexicon_dir is not None and (Path(self.lexicon_dir) / name).exists():
+            return Path(self.lexicon_dir) / name
+        return bundled_data_dir() / name
+
     def goal_config(self) -> GoalCueConfig:
-        if self.cue_file is not None:
-            return GoalCueConfig.load(self.cue_file)
-        if self.lexicon_dir is not None and (Path(self.lexicon_dir) / "goal_cues.txt").exists():
-            return GoalCueConfig.load(Path(self.lexicon_dir) / "goal_cues.txt")
-        return GoalCueConfig.bundled()
+        return GoalCueConfig.load(self._lexicon_file(self.cue_file, "goal_cues.txt"))
 
     def context_lexicons(self) -> ContextLexicons:
-        if self.context_procedural and self.context_nonprocedural:
-            return ContextLexicons.load(self.context_procedural,
-                                        self.context_nonprocedural)
-        return ContextLexicons.bundled()
+        return ContextLexicons.load(
+            self._lexicon_file(self.context_procedural, "context_procedural.txt"),
+            self._lexicon_file(self.context_nonprocedural,
+                               "context_nonprocedural.txt"))
 
 
 @dataclass

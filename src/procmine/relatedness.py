@@ -140,18 +140,16 @@ def build_bipartite(sentences: list[TaggedSentence],
 def project(graph: BipartiteGraph) -> ProjectionGraph:
     """Weighted one-mode projection onto sentences: for each pair (i, j)
     with shared entities, sum the products of their edge weights and divide
-    once by the pair distance j - i."""
+    once by the pair distance j - i. Edges must come as `build_bipartite`
+    makes them: one per (sentence, entity), in increasing sentence order."""
     by_entity: dict[str, list[tuple[int, float]]] = {}
     for index, entity, weight in graph.edges:
         by_entity.setdefault(entity, []).append((index, weight))
     pair_sums: dict[tuple[int, int], float] = {}
     for mentions in by_entity.values():
-        for a in range(len(mentions)):
-            for b in range(len(mentions)):
-                i, wi = mentions[a]
-                j, wj = mentions[b]
-                if i < j:
-                    pair_sums[(i, j)] = pair_sums.get((i, j), 0.0) + wi * wj
+        for a, (i, wi) in enumerate(mentions):
+            for j, wj in mentions[a + 1:]:
+                pair_sums[(i, j)] = pair_sums.get((i, j), 0.0) + wi * wj
     edges = tuple((i, j, total / (j - i))
                   for (i, j), total in sorted(pair_sums.items()))
     return ProjectionGraph(sentence_count=graph.sentence_count,

@@ -233,6 +233,20 @@ class TestModelIO:
         with pytest.raises(VersionMismatch):
             ActionableModel.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("vocabulary", None), ("term", 7), ("idf", None), ("idf", float("nan")),
+        ("bias", None), ("weights", None)])
+    def test_malformed_values_are_rejected(self, toy_model, field, value):
+        doc = json.loads(toy_model.to_json())
+        if field in ("term", "idf"):
+            doc["vocabulary"][0][field] = value
+        elif field in ("vocabulary", "weights"):
+            doc[field][0] = value
+        else:
+            doc[field] = value
+        with pytest.raises(VersionMismatch):
+            ActionableModel.from_json(json.dumps(doc))
+
     def test_predictions_survive_round_trip(self, toy_model, tagger, tmp_path):
         path = tmp_path / "model.json"
         toy_model.save(path)

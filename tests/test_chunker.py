@@ -1,13 +1,16 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from procmine.chunker import (Chunk, ChunkKind, build_chunks, chunk_context,
-                              chunk_size)
-from procmine.docmodel import Kind, parse_markdown, parse_sdjson
+from procmine import pipeline
+from procmine.chunker import Chunk, ChunkKind, build_chunks, chunk_size
+from procmine.docmodel import DocTree, Kind, parse_markdown, parse_sdjson
 
 from conftest import random_tree
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def md_tree(text):
@@ -73,7 +76,8 @@ class TestBuildChunks:
         assert kinds == {ChunkKind.PARAGRAPH_GROUP, ChunkKind.LIST}
         # the list items' own sub-chunks would not be attributed to the section
         for cid in owned:
-            assert chunks.chunks[cid].parent_node_id in tree.subtree_ids(section.id)
+            assert chunks.chunks[cid].parent_node_id in \
+                {n.id for n in tree.preorder(section.id)}
 
     def test_determinism(self):
         text = "# T\n## A\np1.\n1. x\n2. y\n## B\np2."
@@ -173,3 +177,117 @@ class TestPartitionProperty:
         rng = random.Random(1234)
         for _ in range(500):
             self.assert_partition(random_tree(rng))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the chunker before its one-pass walk. It groups in preorder, then
+# rebuilds every chunk with a backwards scan of its anchor's siblings for
+# the context, then walks up from each chunk to the chunk item dominating it.
+
+_DONORS = (Kind.PARAGRAPH, Kind.HEADING, Kind.TITLE)
+
+
+def _oracle_context(tree, kind, items, parent):
+    anchor = parent if kind is ChunkKind.LIST else items[0]
+    parent_id = tree.parent_of(anchor)
+    if parent_id is None:
+        return ""
+    siblings = tree.node(parent_id).children
+    for sib_id in reversed(siblings[:siblings.index(anchor)]):
+        sibling = tree.node(sib_id)
+        if sibling.kind in _DONORS and sibling.text.strip():
+            sentences = tree.sentences[sib_id]
+            return sentences[-1] if sentences else sibling.text.strip()
+    return tree.node(parent_id).text.strip()
+
+
+def oracle_chunks(tree):
+    groups = []  # (kind, items, parent)
+    for node in tree.preorder():
+        if node.kind is Kind.LIST_BLOCK:
+            if node.children:
+                groups.append((ChunkKind.LIST, list(node.children), node.id))
+            continue
+        headings, paragraphs, emitted = {}, [], set()
+        for child_id in node.children:
+            child = tree.node(child_id)
+            if child.kind is Kind.HEADING:
+                headings.setdefault(child.level, []).append(child_id)
+            elif child.kind is Kind.PARAGRAPH:
+                paragraphs.append(child_id)
+        for child_id in node.children:
+            child = tree.node(child_id)
+            if child.kind is Kind.HEADING and child.level not in emitted:
+                groups.append((ChunkKind.HEADING_GROUP, headings[child.level],
+                               node.id))
+                emitted.add(child.level)
+            elif child.kind is Kind.PARAGRAPH and "para" not in emitted:
+                groups.append((ChunkKind.PARAGRAPH_GROUP, paragraphs, node.id))
+                emitted.add("para")
+
+    chunks, by_level, is_item = {}, {}, set()
+    for chunk_id, (kind, items, parent) in enumerate(groups, start=1):
+        depth = tree.node(items[0]).depth
+        intro = tree.parent_of(parent) if kind is ChunkKind.LIST else parent
+        chunks[chunk_id] = Chunk(
+            id=chunk_id, kind=kind, item_node_ids=tuple(items), depth=depth,
+            context_text=_oracle_context(tree, kind, items, parent),
+            parent_node_id=parent, intro_node_id=intro)
+        by_level.setdefault(depth, []).append(chunk_id)
+        is_item.update(items)
+
+    child_chunks = {}
+    for chunk in chunks.values():
+        current = chunk.parent_node_id
+        while current is not None and current not in is_item:
+            current = tree.parent_of(current)
+        if current is not None:
+            child_chunks.setdefault(current, []).append(chunk.id)
+    return chunks, by_level, child_chunks
+
+
+def assert_matches_oracle(tree):
+    chunks = build_chunks(tree)
+    want_chunks, want_levels, want_children = oracle_chunks(tree)
+    assert list(chunks.chunks.items()) == list(want_chunks.items())
+    assert list(chunks.by_level.items()) == list(want_levels.items())
+    assert list(chunks.child_chunks.items()) == list(want_children.items())
+
+
+class TestOnePassOracle:
+    def test_500_random_trees(self):
+        rng = random.Random(4242)
+        for _ in range(500):
+            assert_matches_oracle(random_tree(rng, max_elements=20))
+
+    @pytest.mark.parametrize("path", sorted((CORPUS / "docs").glob("*.md"))
+                             + [CORPUS / "nested-fixture.md"],
+                             ids=lambda p: p.stem)
+    def test_corpus_documents(self, path):
+        assert_matches_oracle(pipeline.load_document(path))
+
+    def test_paragraph_lead_ins_between_lists(self):
+        tree = md_tree("# T\nIntro. Then this.\n\n- a\n- b\n\n## H\nOne.\n\n"
+                       "1. x\n  - y\n    1. z\n2. w\n\nLast words.\n\n- q")
+        assert_matches_oracle(tree)
+
+
+class TestLinearWork:
+    def test_node_lookups_linear_in_nodes(self, monkeypatch):
+        doc = {"version": "sdjson/1", "title": "Many lists", "elements": [
+            {"type": "list", "ordered": True, "items": [{"text": "Do it."}]}
+            for _ in range(2000)]}
+        tree = parse_sdjson(json.dumps(doc))
+        assert len(tree.nodes) == 4001
+        tree.sentences  # split up front; only the chunker's lookups count
+        calls = [0]
+        node = DocTree.node
+
+        def counting_node(self, node_id):
+            calls[0] += 1
+            return node(self, node_id)
+
+        monkeypatch.setattr(DocTree, "node", counting_node)
+        chunks = build_chunks(tree)
+        assert len(chunks) == 2000
+        assert calls[0] <= 4 * len(tree.nodes)

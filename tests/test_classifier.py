@@ -96,6 +96,26 @@ class TestModelIO:
         with pytest.raises(VersionMismatch):
             ProcedureClassifierModel.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [],
+        lambda doc: {**doc, "scaler": [1] * 15},
+        lambda doc: {**doc, "weights": [None] * 15},
+        lambda doc: {**doc, "weights": [True] * 15},
+        lambda doc: {**doc, "bias": "1.0"},
+        lambda doc: {**doc, "bias": float("nan")},
+        lambda doc: {**doc, "scaler": [{"min": 0, "max": float("inf")}] * 15},
+    ], ids=["list", "scaler-ints", "null-weights", "bool-weights",
+            "string-bias", "nan-bias", "infinite-scaler"])
+    def test_malformed_values_are_rejected(self, edit):
+        doc = edit(json.loads(FLIP_MODEL.to_json()))
+        with pytest.raises(VersionMismatch):
+            ProcedureClassifierModel.from_json(json.dumps(doc))
+
+    def test_huge_integer_weight_is_rejected(self):
+        text = FLIP_MODEL.to_json().replace('"bias": -1.0', '"bias": 1' + "0" * 400)
+        with pytest.raises(VersionMismatch):
+            ProcedureClassifierModel.from_json(text)
+
 
 class TestClassifyTree:
     def test_flip_fixture_with_propagation(self):

@@ -36,6 +36,44 @@ def truncated_model(path, name, key):
     return write(path, json.dumps(doc))
 
 
+def edited_model(path, name, **changes):
+    """A copy of a bundled model with top-level keys replaced."""
+    doc = json.loads((CORPUS / "models" / f"{name}.json").read_text())
+    doc.update(changes)
+    return write(path, json.dumps(doc))
+
+
+def hand_model(path, imperative_weight):
+    """A procedure model whose margin is imperative_weight * f1 - 1 on
+    unscaled features: with weight 2 a chunk of all-imperative items is a
+    procedure, with weight 0 nothing is."""
+    weights = [imperative_weight] + [0.0] * 14
+    return write(path, json.dumps({
+        "version": "procedure/1 features=15", "weights": weights, "bias": -1.0,
+        "scaler": [{"min": 0.0, "max": 1.0}] * 15}))
+
+
+def deep_markdown(path, top_items):
+    """`top_items`, then a Markdown list nested 1,100 deep below the last."""
+    lines = ["# Deep", *top_items]
+    lines += ["  " * (d + 1) + f"- option {d}" for d in range(1100)]
+    return write(path, "\n".join(lines) + "\n")
+
+
+def deep_sublists(path, depth):
+    """sdjson whose list items chain `depth` sublists (built as text:
+    json.dumps itself recurses)."""
+    item = '{"text": "leaf"}'
+    for _ in range(depth):
+        item = '{"text": "level", "sublist": {"ordered": true, "items": [%s]}}' % item
+    return write(path, '{"version": "sdjson/1", "title": "Deep", "elements": '
+                       '[{"type": "list", "ordered": true, "items": [%s]}]}' % item)
+
+
+LONE_SURROGATE = ('{"version": "sdjson/1", "title": "T", "elements": '
+                  '[{"type": "paragraph", "text": "Open the \\ud800 panel."}]}')
+PROCEDURE = str(CORPUS / "models" / "procedure.json")
+
 # command -> (expected exit code, argv built in a scratch directory)
 BAD_INPUTS = {
     "features-malformed-actionable-model": (65, lambda d: [
@@ -63,6 +101,41 @@ BAD_INPUTS = {
     "actionable-model-short-weights": (65, lambda d: [
         "extract", str(DOC), "--model", str(CORPUS / "models" / "procedure.json"),
         "--actionable-model", truncated_model(d / "a.json", "actionable", "weights")]),
+    "ingest-lone-surrogate": (2, lambda d: [
+        "ingest", write(d / "s.json", LONE_SURROGATE), "-o", str(d / "t.json")]),
+    "extract-lone-surrogate": (2, lambda d: [
+        "extract", write(d / "s.json", LONE_SURROGATE), "--model", PROCEDURE,
+        "-o", str(d / "out.json")]),
+    "extract-sublists-450-deep": (2, lambda d: [
+        "extract", deep_sublists(d / "deep.json", 450), "--model", PROCEDURE,
+        "-o", str(d / "out.json")]),
+    "procedure-model-not-an-object": (65, lambda d: [
+        "extract", str(DOC), "--model", write(d / "p.json", "[]")]),
+    "procedure-model-scaler-not-objects": (65, lambda d: [
+        "extract", str(DOC), "--model",
+        edited_model(d / "p.json", "procedure", scaler=[1] * 15)]),
+    "procedure-model-null-weight": (65, lambda d: [
+        "extract", str(DOC), "--model",
+        edited_model(d / "p.json", "procedure", weights=[None] * 15)]),
+    "procedure-model-infinite-bias": (65, lambda d: [
+        "extract", str(DOC), "--model",
+        edited_model(d / "p.json", "procedure", bias=float("inf"))]),
+    "actionable-model-nan-scaler-value": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "--actionable-model",
+        edited_model(d / "a.json", "actionable",
+                     scaler=[{"min": 0.0, "max": float("nan")}] * 110)]),
+    "actionable-model-vocabulary-not-objects": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "--actionable-model",
+        edited_model(d / "a.json", "actionable", vocabulary=[1] * 107)]),
+    "config-unknown-key": (65, lambda d: [
+        "ingest", str(DOC), "--config", write(d / "run.cfg", "role_weight=1,2,3\n")]),
+    "extract-markdown-1100-deep-no-procedure": (0, lambda d: [
+        "extract", deep_markdown(d / "deep.md", ["- option top"]),
+        "--model", hand_model(d / "p.json", 0.0), "-o", str(d / "out.json")]),
+    "extract-markdown-1100-deep-folded": (0, lambda d: [
+        "extract", deep_markdown(d / "deep.md", ["1. Click the icon.",
+                                                 "2. Type the value."]),
+        "--model", hand_model(d / "p.json", 2.0), "-o", str(d / "out.json")]),
 }
 
 

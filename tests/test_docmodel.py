@@ -89,6 +89,32 @@ class TestParseSdjson:
                  "items": [{"text": "ok"}, {"image": True}]},
             ]))
 
+    @pytest.mark.parametrize("raw", [
+        '{"version": "sdjson/1", "title": "\\ud800", "elements": []}',
+        '{"version": "sdjson/1", "title": "T", "elements": '
+        '[{"type": "paragraph", "text": "Open the \\udc00 panel."}]}',
+    ], ids=["title", "text"])
+    def test_lone_surrogate_is_schema_error(self, raw):
+        with pytest.raises(SchemaError, match="lone surrogate"):
+            parse_sdjson(raw)
+
+    @staticmethod
+    def sublist_chain(depth):
+        item = '{"text": "leaf"}'
+        for _ in range(depth):
+            item = '{"text": "x", "sublist": {"ordered": true, "items": [%s]}}' % item
+        return sdjson([]).replace('"elements": []', '"elements": [{"type": "list", '
+                                  '"ordered": true, "items": [%s]}]' % item)
+
+    def test_sublist_chain_150_deep_parses(self):
+        tree = parse_sdjson(self.sublist_chain(150))
+        assert max(n.depth for n in tree.nodes.values()) == 302
+
+    @pytest.mark.parametrize("depth", [340, 450])
+    def test_too_deep_sublist_chain_is_schema_error(self, depth):
+        with pytest.raises(SchemaError, match="nested too deep"):
+            parse_sdjson(self.sublist_chain(depth))
+
     def test_element_image_flag(self):
         tree = parse_sdjson(sdjson([
             {"type": "paragraph", "text": "figure below", "image": True},

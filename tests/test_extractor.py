@@ -75,6 +75,17 @@ class TestExtract:
         assert parents == [None, None, "s2", "s2", None]
         assert procedure.step_list[2].actionable is False
 
+    def test_1100_deep_non_procedure_lists_fold_in_preorder(self):
+        lines = ["# Manual", "1. Click the icon.", "2. Type the value."]
+        lines += ["  " * (d + 1) + f"- option {d}" for d in range(1100)]
+        _, _, procedures = run_and_extract("\n".join(lines), IMPERATIVE_ONLY)
+        assert len(procedures) == 1
+        steps = procedures[0].step_list
+        assert [s.step_id for s in steps] == [f"s{i}" for i in range(1, 1103)]
+        assert [s.text for s in steps[2:]] == [f"option {d}" for d in range(1100)]
+        assert [s.parent_step_id for s in steps] == \
+            [None, None] + [f"s{i}" for i in range(2, 1102)]
+
     def test_goal_falls_back_to_nearest_heading(self):
         markdown = ("# Manual\n"
                     "## Creating the cluster\n"

@@ -139,6 +139,28 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_sources(path, {})
 
+    @pytest.mark.parametrize("line", ["role_weight=1,2,3",
+                                      "procedure_modle=m.json"])
+    def test_unknown_key_raises_naming_it(self, tmp_path, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=line.partition("=")[0]):
+            PipelineConfig.from_sources(path, {})
+
+    def test_context_lexicons_from_lexicon_dir_unless_explicit(self, tmp_path):
+        (tmp_path / "context_procedural.txt").write_text("frobnicate\n")
+        (tmp_path / "context_nonprocedural.txt").write_text("overview\n")
+        explicit = tmp_path / "explicit.txt"
+        explicit.write_text("glossary\n")
+        config = PipelineConfig(lexicon_dir=tmp_path)
+        lexicons = config.context_lexicons()
+        assert lexicons.procedural == {"frobnicate"}
+        assert lexicons.non_procedural == {"overview"}
+        config.context_nonprocedural = explicit
+        assert config.context_lexicons().non_procedural == {"glossary"}
+        assert PipelineConfig().context_lexicons() == \
+            features.ContextLexicons.bundled()
+
     def test_blank_lines_and_comments_skipped(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# run settings\n\n   \n  # seed=1\nseed = 9\n")
