@@ -12,6 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,9 @@ class Vocabulary:
     idf: tuple[float, ...]
     total_sentences: int
 
+    @cached_property
     def index(self) -> dict[str, int]:
+        """Term -> position in `terms`, built on first use."""
         return {term: i for i, term in enumerate(self.terms)}
 
     def __len__(self) -> int:
@@ -78,7 +81,7 @@ def build_vocabulary(corpus: list[str],
 def featurize(text: str, prof: Profile, vocab: Vocabulary) -> np.ndarray:
     """tf-idf bag plus [present, active, positive] indicator tail."""
     vector = np.zeros(len(vocab) + 3, dtype=float)
-    index = vocab.index()
+    index = vocab.index
     for term in sentence_terms(text):
         i = index.get(term)
         if i is not None:

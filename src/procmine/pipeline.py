@@ -3,15 +3,18 @@ features -> bottom-up classification -> extracted procedures.
 
 `PipelineConfig` is the one run configuration: a flat key=value file
 merged with command-line flags (flags win), whose referenced paths are
-checked up front so a bad config fails before any work starts. Each
-document run is self-contained: it shares no mutable state with other
-runs, and the CLI processes multiple documents one after another.
+checked up front so a bad config fails before any work starts. It reads
+each lexicon once and hands the same read-only tagger and lexicons to
+every document run with it. Each document run is otherwise self-contained:
+it shares no mutable state with other runs, and the CLI processes multiple
+documents one after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import chunker, classifier, extractor, features
 from .actionable import ActionableModel
@@ -28,6 +31,8 @@ from .relatedness import DEFAULT_ROLE_WEIGHTS, Role
 _PATH_KEYS = ("lexicon_dir", "cue_file", "context_procedural",
               "context_nonprocedural", "actionable_model", "procedure_model")
 _KEYS = (*_PATH_KEYS, "role_weights", "seed")
+
+T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -58,6 +63,9 @@ class PipelineConfig:
     role_weights: dict[Role, float] = field(
         default_factory=lambda: dict(DEFAULT_ROLE_WEIGHTS))
     seed: int | None = None
+    # Lexicons read so far, not a setting: see `_once`.
+    _loaded: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @classmethod
     def from_sources(cls, config_path: str | Path | None,
@@ -94,10 +102,20 @@ class PipelineConfig:
                 missing.append(f"{key}: {value}")
         return missing
 
+    def _once(self, key: tuple, load: Callable[[], T]) -> T:
+        """`load()` the first time this config meets `key`, the same object
+        after, so a run reads each lexicon file once however many documents
+        it processes. Keys hold the fields the value is read from: setting
+        one of them later makes a fresh load."""
+        if key not in self._loaded:
+            self._loaded[key] = load()
+        return self._loaded[key]
+
     def tagger(self) -> Tagger:
-        if self.lexicon_dir is not None:
-            return Tagger(load_lexicon(self.lexicon_dir))
-        return Tagger()
+        if self.lexicon_dir is None:
+            return Tagger()  # the bundled lexicon is cached by lingua
+        return self._once(("tagger", self.lexicon_dir),
+                          lambda: Tagger(load_lexicon(self.lexicon_dir)))
 
     def _lexicon_file(self, explicit: Path | None, name: str) -> Path:
         """The explicitly configured file, else `name` in lexicon_dir when it
@@ -109,13 +127,20 @@ class PipelineConfig:
         return bundled_data_dir() / name
 
     def goal_config(self) -> GoalCueConfig:
-        return GoalCueConfig.load(self._lexicon_file(self.cue_file, "goal_cues.txt"))
+        return self._once(
+            ("goals", self.lexicon_dir, self.cue_file),
+            lambda: GoalCueConfig.load(
+                self._lexicon_file(self.cue_file, "goal_cues.txt")))
 
     def context_lexicons(self) -> ContextLexicons:
-        return ContextLexicons.load(
-            self._lexicon_file(self.context_procedural, "context_procedural.txt"),
-            self._lexicon_file(self.context_nonprocedural,
-                               "context_nonprocedural.txt"))
+        return self._once(
+            ("context", self.lexicon_dir, self.context_procedural,
+             self.context_nonprocedural),
+            lambda: ContextLexicons.load(
+                self._lexicon_file(self.context_procedural,
+                                   "context_procedural.txt"),
+                self._lexicon_file(self.context_nonprocedural,
+                                   "context_nonprocedural.txt")))
 
 
 @dataclass

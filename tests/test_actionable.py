@@ -100,6 +100,11 @@ class TestVocabulary:
         with pytest.raises(EmptyCorpus):
             build_vocabulary([])
 
+    def test_term_index_built_once(self):
+        vocab = build_vocabulary(["zeta alpha mid"] * 3)
+        assert vocab.index == {"alpha": 0, "mid": 1, "zeta": 2}
+        assert vocab.index is vocab.index
+
 
 class TestFeaturize:
     VOCAB = Vocabulary(terms=("install", "server"),

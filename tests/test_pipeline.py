@@ -161,6 +161,33 @@ class TestPipelineConfig:
         assert PipelineConfig().context_lexicons() == \
             features.ContextLexicons.bundled()
 
+    def test_lexicons_read_once_per_config(self, tmp_path, monkeypatch):
+        for name in ("context_procedural.txt", "context_nonprocedural.txt",
+                     "goal_cues.txt"):
+            (tmp_path / name).write_text("x\n")
+        reads = []
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: (
+            reads.append(self.name), read_text(self, *a, **k))[1])
+        loads = []
+        monkeypatch.setattr(pipeline, "load_lexicon",
+                            lambda d: loads.append(d) or lingua.load_lexicon(d))
+        config = PipelineConfig(lexicon_dir=tmp_path)
+        for _ in range(3):
+            assert config.tagger() is config.tagger()
+            assert config.goal_config() is config.goal_config()
+            assert config.context_lexicons() is config.context_lexicons()
+        assert loads == [tmp_path]
+        assert sorted(reads) == ["context_nonprocedural.txt",
+                                 "context_procedural.txt", "goal_cues.txt"]
+        other = PipelineConfig(lexicon_dir=tmp_path)
+        other.tagger()
+        assert loads == [tmp_path, tmp_path]
+        explicit = tmp_path / "explicit.txt"
+        explicit.write_text("glossary\n")
+        config.context_nonprocedural = explicit
+        assert config.context_lexicons().non_procedural == {"glossary"}
+
     def test_blank_lines_and_comments_skipped(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# run settings\n\n   \n  # seed=1\nseed = 9\n")

@@ -1,13 +1,22 @@
+import csv
 import random
 import time
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from procmine import relatedness
 from procmine.lingua import Tagger
-from procmine.relatedness import (BipartiteGraph, Role, build_bipartite,
-                                  chunk_relatedness, describe_graph,
-                                  extract_entities, project,
+from procmine.relatedness import (VECTOR_MIN_MENTION_PAIRS, BipartiteGraph,
+                                  Role, build_bipartite, chunk_relatedness,
+                                  describe_graph, extract_entities,
+                                  mention_pairs, project, project_arrays,
                                   relatedness_score)
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +53,54 @@ def random_graph(rng: random.Random) -> BipartiteGraph:
         for entity in rng.sample(entity_pool, rng.randint(0, len(entity_pool))):
             edges.append((i, entity, float(rng.choice((3, 2, 1)))))
     return BipartiteGraph(sentence_count=n, edges=tuple(edges))
+
+
+# Role weight triples for `varied_graph`: the defaults, zeros, negatives
+# (products of -0.0 and 0.0 included) and fractions that round.
+WEIGHT_SETS = ((3.0, 2.0, 1.0), (0.0, -1.0, 2.5), (-0.0, 0.0, -3.0),
+               (0.1, 0.2, 0.7), (-1.5, 1e-3, 7.0))
+
+
+def varied_graph(rng: random.Random) -> BipartiteGraph:
+    """Up to 12 sentences over up to 10 entities; an entity appears in a
+    sentence at most once and sentences come in increasing order, as
+    `build_bipartite` makes them."""
+    n = rng.randint(1, 12)
+    pool = [f"e{k}" for k in range(rng.randint(1, 10))]
+    weights = rng.choice(WEIGHT_SETS)
+    edges = []
+    for i in range(n):
+        for entity in rng.sample(pool, rng.randint(0, len(pool))):
+            edges.append((i, entity, rng.choice(weights)))
+    return BipartiteGraph(sentence_count=n, edges=tuple(edges))
+
+
+def sentences_with_mention_pairs(tagger, target: int):
+    """Tagged sentences whose graph has exactly `target` mention pairs:
+    the i-th noun is named in the first c_i sentences, with the c_i taken
+    greedily so that the c_i * (c_i - 1) / 2 sum to `target`."""
+    nouns = ("console", "server", "adapter", "switch", "network", "cluster",
+             "printer", "backup")
+    counts = []
+    left = target
+    while left:
+        c = 2
+        while (c + 1) * c // 2 <= left:
+            c += 1
+        counts.append(c)
+        left -= c * (c - 1) // 2
+    assert len(counts) <= len(nouns)
+    return [tagger.tag("Check the " + " and the ".join(
+                nouns[k] for k, c in enumerate(counts) if c > i) + ".")
+            for i in range(max(counts))]
+
+
+def mentions(graph: BipartiteGraph) -> dict[str, list[int]]:
+    """Entity -> the sentences that mention it, in edge order."""
+    by_entity: dict[str, list[int]] = {}
+    for index, entity, _ in graph.edges:
+        by_entity.setdefault(entity, []).append(index)
+    return by_entity
 
 
 class TestExtractEntities:
@@ -189,6 +246,60 @@ class TestRelatednessScore:
             sentences, {Role.SUBJECT: 5.0, Role.OBJECT: 2.0, Role.OTHER: 1.0})
         default = chunk_relatedness(sentences)
         assert heavier > default
+
+
+class TestVectorProjection:
+    """`project_arrays` against `project`, the oracle: equal to the bit."""
+
+    def test_weights_equal_project_on_1000_random_graphs(self):
+        rng = random.Random(5)
+        seen = {"shared 2+": 0, "one sentence": 0, "nothing shared": 0,
+                "zero or negative weight": 0}
+        for _ in range(1000):
+            graph = varied_graph(rng)
+            expected = project(graph).directed_edges
+            i, j, weights = project_arrays(graph)
+            assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a, b, _ in expected]
+            assert weights.tolist() == [w for _, _, w in expected]
+            # == treats -0.0 and 0.0 as equal: compare the bits too.
+            assert weights.tobytes() == np.array([w for _, _, w in expected],
+                                                 dtype=float).tobytes()
+            shared = Counter(pair for sentences in mentions(graph).values()
+                             for pair in combinations(sentences, 2))
+            seen["shared 2+"] += any(c >= 2 for c in shared.values())
+            seen["one sentence"] += graph.sentence_count == 1
+            seen["nothing shared"] += not shared
+            seen["zero or negative weight"] += any(w <= 0 for _, _, w in graph.edges)
+        assert all(count >= 20 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("pairs", [VECTOR_MIN_MENTION_PAIRS - 1,
+                                       VECTOR_MIN_MENTION_PAIRS])
+    def test_score_equal_below_and_at_the_constant(self, tagger, monkeypatch,
+                                                   pairs):
+        sentences = sentences_with_mention_pairs(tagger, pairs)
+        graph = build_bipartite(sentences)
+        assert mention_pairs(graph) == pairs
+        oracle = relatedness_score(project(graph))
+        assert oracle > 0
+        assert chunk_relatedness(sentences) == oracle
+        # The same chunk through the other path.
+        other = 0 if pairs < VECTOR_MIN_MENTION_PAIRS else pairs + 1
+        monkeypatch.setattr(relatedness, "VECTOR_MIN_MENTION_PAIRS", other)
+        assert chunk_relatedness(sentences) == oracle
+
+    def test_2000_sentence_corpus_chunk(self, tagger):
+        with (CORPUS / "actionable_sentences.csv").open(newline="") as handle:
+            texts = [row["text"] for row in csv.DictReader(handle)]
+        rng = random.Random(3)
+        chunk = []
+        while len(chunk) < 2000:
+            copy = texts[:]
+            rng.shuffle(copy)
+            chunk += copy
+        sentences = [tagger.tag(text) for text in chunk[:2000]]
+        graph = build_bipartite(sentences)
+        assert mention_pairs(graph) >= VECTOR_MIN_MENTION_PAIRS
+        assert chunk_relatedness(sentences) == relatedness_score(project(graph))
 
 
 class TestDescribeGraph:
