@@ -11,18 +11,20 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import linear
 from .lingua import (Polarity, Profile, TaggedSentence, Tagger, Tense, Voice,
                      profile as profile_sentence)
-from .linear import (DegenerateLabels, MinMaxScaler, TrainParams,
+from .linear import (DegenerateLabels, MinMaxScaler, Scorer, TrainParams,
                      VersionMismatch, check_shape, finite, finite_array,
                      objects, read_model)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODEL_VERSION = "actionable/1 tf=raw idf=ln"
 
@@ -78,27 +80,48 @@ def build_vocabulary(corpus: list[str],
     )
 
 
-def featurize(text: str, prof: Profile, vocab: Vocabulary) -> np.ndarray:
-    """tf-idf bag plus [present, active, positive] indicator tail."""
-    vector = np.zeros(len(vocab) + 3, dtype=float)
-    index = vocab.index
+def _tf_idf(text: str, vocab: Vocabulary) -> dict[int, float]:
+    """Term index -> tf-idf of the vocabulary terms in `text`: idf added
+    once per occurrence, starting from 0.0."""
+    index, idf = vocab.index, vocab.idf
+    bag: dict[int, float] = {}
     for term in sentence_terms(text):
         i = index.get(term)
         if i is not None:
-            vector[i] += vocab.idf[i]
-    vector[len(vocab)] = 1.0 if prof.tense is Tense.PRESENT else 0.0
-    vector[len(vocab) + 1] = 1.0 if prof.voice is Voice.ACTIVE else 0.0
-    vector[len(vocab) + 2] = 1.0 if prof.polarity is Polarity.POSITIVE else 0.0
+            bag[i] = bag.get(i, 0.0) + idf[i]
+    return bag
+
+
+def _indicators(prof: Profile) -> tuple[float, float, float]:
+    return (1.0 if prof.tense is Tense.PRESENT else 0.0,
+            1.0 if prof.voice is Voice.ACTIVE else 0.0,
+            1.0 if prof.polarity is Polarity.POSITIVE else 0.0)
+
+
+def featurize(text: str, prof: Profile, vocab: Vocabulary) -> np.ndarray:
+    """tf-idf bag plus [present, active, positive] indicator tail."""
+    import numpy as np
+    vector = np.zeros(len(vocab) + 3, dtype=float)
+    for i, value in _tf_idf(text, vocab).items():
+        vector[i] = value
+    vector[len(vocab):] = _indicators(prof)
     return vector
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionableModel:
     vocabulary: Vocabulary
-    weights: np.ndarray
+    weights: Sequence[float]
     bias: float
     scaler: MinMaxScaler
     version: str = MODEL_VERSION
+    # training diagnostic, not serialized
+    epoch_losses: list[float] = field(default_factory=list, compare=False,
+                                      repr=False)
+
+    @cached_property
+    def scorer(self) -> Scorer:
+        return Scorer(self.weights, self.bias, self.scaler)
 
     def to_json(self) -> str:
         doc = {
@@ -126,12 +149,18 @@ class ActionableModel:
         vocab = Vocabulary(
             terms=terms,
             document_frequency=tuple(e["df"] for e in entries),
-            idf=tuple(finite_array([e["idf"] for e in entries], "idf").tolist()),
+            idf=finite_array([e["idf"] for e in entries], "idf"),
             total_sentences=doc["total_sentences"],
         )
         weights = finite_array(doc["weights"], "weights")
         scaler = MinMaxScaler.from_pairs(doc["scaler"])
         check_shape(weights, scaler, len(vocab) + 3)
+        # `predict` leaves out absent terms, which is exact only when a
+        # tf-idf of 0 scales to 0. Training always gives 0 <= min <= max.
+        if not all(0.0 <= lo <= hi for lo, hi in
+                   zip(scaler.mins[:len(vocab)], scaler.maxs)):
+            raise VersionMismatch(
+                "tf-idf scaler ranges must have 0 <= min <= max")
         return cls(vocabulary=vocab, weights=weights,
                    bias=finite(doc["bias"], "bias"), scaler=scaler,
                    version=MODEL_VERSION)
@@ -146,6 +175,7 @@ class ActionableModel:
 
 def _feature_matrix(sentences: list[str], profiles: list[Profile],
                     vocab: Vocabulary) -> np.ndarray:
+    import numpy as np
     return np.stack([featurize(s, p, vocab)
                      for s, p in zip(sentences, profiles)])
 
@@ -154,6 +184,7 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
           tagger: Tagger | None = None,
           min_df: int = MIN_DOCUMENT_FREQUENCY) -> ActionableModel:
     """Train from (sentence text, actionable) pairs. Deterministic per seed."""
+    import numpy as np
     positives = sum(1 for _, label in labeled if label)
     if positives < 2 or len(labeled) - positives < 2:
         raise DegenerateLabels("need at least 2 examples of each class")
@@ -166,17 +197,22 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
     x = scaler.transform(raw)
     y = np.array([1.0 if label else -1.0 for _, label in labeled])
     fit = linear.fit_hinge(x, y, params)
-    model = ActionableModel(vocabulary=vocab, weights=fit.weights,
-                            bias=fit.bias, scaler=scaler)
-    model.epoch_losses = fit.epoch_losses  # training diagnostic, not serialized
-    return model
+    return ActionableModel(vocabulary=vocab, weights=fit.weights,
+                           bias=fit.bias, scaler=scaler,
+                           epoch_losses=fit.epoch_losses)
 
 
 def predict(model: ActionableModel, sentence: TaggedSentence,
             prof: Profile | None = None) -> tuple[bool, float]:
-    """(actionable, margin); margin-zero ties resolve to actionable."""
+    """(actionable, margin); margin-zero ties resolve to actionable.
+
+    Scores only the vocabulary terms present, in index order, then the
+    three indicators. An absent term's tf-idf of 0 scales to 0 (see
+    `ActionableModel.from_json`), so the margin has the same bits as the
+    sum over every feature."""
     prof = prof or profile_sentence(sentence)
-    raw = featurize(sentence.text, prof, model.vocabulary)
-    scaled = model.scaler.transform(raw[np.newaxis, :])[0]
-    margin = float(scaled @ model.weights + model.bias)
+    size = len(model.vocabulary)
+    features = sorted(_tf_idf(sentence.text, model.vocabulary).items())
+    features.extend(zip(range(size, size + 3), _indicators(prof)))
+    margin = model.scorer.margin(features)
     return linear.decide(margin), margin

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-
-import numpy as np
+from typing import Sequence
 
 from . import linear
 from .annotate import ChunkAnnotation
@@ -20,7 +20,7 @@ from .chunker import Chunk, ChunkSet
 from .docmodel import DocTree
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
                        PropagationOrderError, update_propagated_features)
-from .linear import (MinMaxScaler, TrainParams, check_shape, finite,
+from .linear import (MinMaxScaler, Scorer, TrainParams, check_shape, finite,
                      finite_array, read_model)
 
 MODEL_VERSION = "procedure/1 features=15"
@@ -32,16 +32,19 @@ class MissingPrediction(KeyError):
     """A gold-labeled chunk has no prediction."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcedureClassifierModel:
-    weights: np.ndarray  # one per feature
+    weights: Sequence[float]  # one per feature
     bias: float
     scaler: MinMaxScaler
     version: str = MODEL_VERSION
 
+    @cached_property
+    def scorer(self) -> Scorer:
+        return Scorer(self.weights, self.bias, self.scaler)
+
     def score(self, vector: FeatureVector) -> float:
-        scaled = self.scaler.transform(vector.to_array()[np.newaxis, :])[0]
-        return float(scaled @ self.weights + self.bias)
+        return self.scorer.margin(enumerate(vector.values()))
 
     def to_json(self) -> str:
         doc = {
@@ -81,7 +84,8 @@ class ChunkPrediction:
 def train(rows: list[tuple[FeatureVector, bool]],
           params: TrainParams) -> ProcedureClassifierModel:
     """Hinge-loss SGD on min-max scaled features; deterministic per seed."""
-    raw = np.stack([vector.to_array() for vector, _ in rows])
+    import numpy as np
+    raw = np.array([vector.values() for vector, _ in rows], dtype=float)
     scaler = MinMaxScaler.fit(raw)
     x = scaler.transform(raw)
     y = np.array([1.0 if label else -1.0 for _, label in rows])
@@ -93,10 +97,10 @@ def train(rows: list[tuple[FeatureVector, bool]],
 def _zero_features(vector: FeatureVector, feature_ids) -> FeatureVector:
     if not feature_ids:
         return vector
-    values = vector.to_array()
+    values = list(vector.values())
     for fid in feature_ids:
         values[fid - 1] = 0.0
-    return FeatureVector.from_array(values)
+    return FeatureVector.from_values(values)
 
 
 def classify_tree(tree: DocTree, chunks: ChunkSet,

@@ -4,8 +4,9 @@ Subcommands: ingest, extract, features, train-actionable, train, eval,
 ablate. Every command builds one `pipeline.PipelineConfig` from --config
 and its flags, and reads each kind of input through one loader: documents,
 model files, and labeled CSVs. Machine-readable output goes to stdout or
--o targets; diagnostics go to stderr. Exit codes: 0 ok, 2 malformed
-document, 64 usage, 65 bad data or model file, 66 unreadable input.
+-o targets, all written through `_write`; diagnostics go to stderr. Exit
+codes: 0 ok, 2 malformed document, 64 usage or unwritable output, 65 bad
+data or model file, 66 unreadable input.
 """
 
 from __future__ import annotations
@@ -221,13 +222,29 @@ def _read_feature_csvs(paths: list[str]) -> list[tuple[FeatureVector, bool]]:
     for path in paths:
         rows.extend(_read_labeled_csv(
             path, _FEATURE_COLUMNS,
-            lambda v: FeatureVector.from_array([float(x) for x in v])))
+            lambda v: FeatureVector.from_values([float(x) for x in v])))
     return rows
+
+
+def _write(path: str | Path, data: str | bytes, *, make_dir: bool = False) -> None:
+    """Write one output file, first creating its directory when `make_dir`.
+    An OSError (no such directory, a file in the way, no permission) exits
+    64 with one line naming the path."""
+    path = Path(path)
+    try:
+        if make_dir:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(data, str):
+            path.write_text(data, "utf-8")
+        else:
+            path.write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}", EX_USAGE)
 
 
 def _write_or_print(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, "utf-8")
+        _write(output, text)
     else:
         sys.stdout.write(text)
 
@@ -298,22 +315,18 @@ def _cmd_extract(args) -> int:
                 sys.stderr.write(f"# chunk {chunk.id}\n")
                 sys.stderr.write(describe_graph(tagged, config.role_weights) + "\n")
         payload = extractor.serialize(run.procedures)
+        stem = Path(path).stem
         if multi:
-            out_dir = Path(args.output) if args.output else Path(".")
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / (Path(path).stem + ".procedures.json")).write_bytes(payload)
+            _write(Path(args.output or ".") / (stem + ".procedures.json"),
+                   payload, make_dir=True)
         elif args.output:
-            Path(args.output).write_bytes(payload)
+            _write(args.output, payload)
         else:
             sys.stdout.buffer.write(payload)
         if args.pred_log:
-            if multi:
-                log_dir = Path(args.pred_log)
-                log_dir.mkdir(parents=True, exist_ok=True)
-                target = log_dir / (Path(path).stem + ".predictions.csv")
-            else:
-                target = Path(args.pred_log)
-            target.write_text(_prediction_log(run), "utf-8")
+            target = (Path(args.pred_log) / (stem + ".predictions.csv")
+                      if multi else args.pred_log)
+            _write(target, _prediction_log(run), make_dir=multi)
     return EX_OK
 
 
@@ -326,7 +339,7 @@ def feature_csv_rows(vectors: dict[int, FeatureVector],
         header.append("label")
     writer.writerow(header)
     for chunk_id, vector in vectors.items():
-        row = [chunk_id] + [repr(v) for v in vector.to_array().tolist()]
+        row = [chunk_id] + [repr(v) for v in vector.values()]
         if labels is not None:
             row.append(int(labels.get(chunk_id, False)))
         writer.writerow(row)
@@ -355,7 +368,7 @@ def _cmd_features(args) -> int:
             writer.writerow([chunk.id, chunk.kind.value, chunk.depth,
                              chunk.parent_node_id, len(chunk.item_node_ids),
                              chunk.context_text])
-        Path(args.chunk_dump).write_text(out.getvalue(), "utf-8")
+        _write(args.chunk_dump, out.getvalue())
     return EX_OK
 
 
@@ -366,7 +379,7 @@ def _cmd_train_actionable(args) -> int:
         model = train_actionable_model(labeled, params)
     except (DegenerateLabels, EmptyCorpus, NonFinite) as exc:
         raise CliError(str(exc), EX_DATA)
-    model.save(args.output)
+    _write(args.output, model.to_json())
     sys.stderr.write(f"trained actionable model on {len(labeled)} sentences\n")
     return EX_OK
 
@@ -378,7 +391,7 @@ def _cmd_train(args) -> int:
         model = classifier_mod.train(rows, params)
     except (DegenerateLabels, NonFinite) as exc:
         raise CliError(str(exc), EX_DATA)
-    model.save(args.output)
+    _write(args.output, model.to_json())
     sys.stderr.write(f"trained procedure classifier on {len(rows)} chunks\n")
     return EX_OK
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-
-import numpy as np
 
 from .annotate import ChunkAnnotation, ItemAnnotation
 from .chunker import Chunk, ChunkKind, chunk_size
@@ -48,6 +47,9 @@ FEATURE_CATEGORIES = {
 }
 
 
+_FEATURE_VALUES = attrgetter(*FEATURE_NAMES)
+
+
 class PropagationOrderError(RuntimeError):
     """A chunk below this one has not been classified yet."""
 
@@ -70,11 +72,12 @@ class FeatureVector:
     context_non_procedural: float = 0.0
     context_procedural: float = 0.0
 
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
+    def values(self) -> tuple[float, ...]:
+        """The features in FEATURE_NAMES order."""
+        return _FEATURE_VALUES(self)
 
     @classmethod
-    def from_array(cls, values) -> "FeatureVector":
+    def from_values(cls, values) -> "FeatureVector":
         return cls(**{name: float(v) for name, v in zip(FEATURE_NAMES, values)})
 
 

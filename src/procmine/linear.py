@@ -1,17 +1,26 @@
 """Shared linear max-margin machinery: min-max scaling, seeded stochastic
-subgradient descent on hinge loss with L2 regularization, and the
-exception family both classifiers raise.
+subgradient descent on hinge loss with L2 regularization, the scorer both
+classifiers use, and the exception family they raise.
 
 Training is bit-deterministic for a given seed: the sample order comes
-from one seeded generator and all arithmetic is plain float64.
+from one seeded generator and all arithmetic is plain float64. Training
+imports numpy inside its functions; loading and scoring a model do not
+need it.
+
+Scoring is plain Python float64 summed left to right in feature order
+(`Scorer`), not a BLAS dot product, whose summation order depends on the
+kernel the CPU selects. So a margin has the same bits on every machine.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DegenerateLabels(ValueError):
@@ -37,17 +46,21 @@ class TrainParams:
 
 @dataclass
 class MinMaxScaler:
-    mins: np.ndarray
-    maxs: np.ndarray
+    mins: Sequence[float]
+    maxs: Sequence[float]
 
     @classmethod
     def fit(cls, rows: np.ndarray) -> "MinMaxScaler":
-        return cls(mins=rows.min(axis=0), maxs=rows.max(axis=0))
+        return cls(mins=tuple(rows.min(axis=0).tolist()),
+                   maxs=tuple(rows.max(axis=0).tolist()))
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        span = self.maxs - self.mins
+        """Scale training rows; `Scorer` is the same arithmetic per row."""
+        import numpy as np
+        mins = np.asarray(self.mins, dtype=float)
+        span = np.asarray(self.maxs, dtype=float) - mins
         span = np.where(span == 0.0, 1.0, span)
-        scaled = (rows - self.mins) / span
+        scaled = (rows - mins) / span
         return np.clip(scaled, 0.0, 1.0)
 
     def pairs(self) -> list[dict]:
@@ -79,41 +92,76 @@ def objects(values, what: str) -> list[dict]:
     return values
 
 
-def finite_array(values, what: str) -> np.ndarray:
-    """A JSON list of finite numbers as float64, else VersionMismatch (also
+def finite_array(values, what: str) -> tuple[float, ...]:
+    """A JSON list of finite numbers as floats, else VersionMismatch (also
     for booleans and for integers too large for a float)."""
     try:
         if isinstance(values, list) and all(type(v) in (int, float) for v in values):
-            array = np.array(values, dtype=float)
-            if np.isfinite(array).all():
-                return array
+            floats = tuple(float(v) for v in values)
+            if all(math.isfinite(v) for v in floats):
+                return floats
     except OverflowError:
         pass
     raise VersionMismatch(f"{what} must be finite numbers")
 
 
 def finite(value, what: str) -> float:
-    return float(finite_array([value], what)[0])
+    return finite_array([value], what)[0]
 
 
-def check_shape(weights: np.ndarray, scaler: MinMaxScaler, size: int) -> None:
+def check_shape(weights: Sequence[float], scaler: MinMaxScaler, size: int) -> None:
     """Raise VersionMismatch unless a loaded model has `size` weights and
     `size` scaler ranges, so a bad model fails at load, not when scoring."""
-    if weights.shape != (size,) or scaler.mins.shape != (size,):
+    if len(weights) != size or len(scaler.mins) != size:
         raise VersionMismatch(
-            f"model has {weights.size} weights and {scaler.mins.size} scaler "
+            f"model has {len(weights)} weights and {len(scaler.mins)} scaler "
             f"ranges, expected {size} of each")
+
+
+class Scorer:
+    """The margin of a linear model over min-max scaled features.
+
+    Built once per model as one (min, span, weight) row per feature, a zero
+    span taken as 1 as in `MinMaxScaler.transform`. `margin` clips each
+    (x - min) / span to [0, 1], sums value * weight left to right from 0.0
+    and then adds the bias, all in Python floats."""
+
+    __slots__ = ("rows", "bias")
+
+    def __init__(self, weights: Sequence[float], bias: float,
+                 scaler: MinMaxScaler):
+        self.rows = tuple((float(lo), (float(hi) - float(lo)) or 1.0, float(w))
+                          for lo, hi, w in zip(scaler.mins, scaler.maxs, weights,
+                                               strict=True))
+        self.bias = float(bias)
+
+    def margin(self, features: Iterable[tuple[int, float]]) -> float:
+        """The margin over (feature index, raw value) pairs in increasing
+        index order. A feature left out adds nothing, which equals the full
+        sum only where its value would scale to zero."""
+        rows = self.rows
+        total = 0.0
+        for index, x in features:
+            lo, span, w = rows[index]
+            v = (x - lo) / span
+            if v < 0.0:
+                v = 0.0
+            elif v > 1.0:
+                v = 1.0
+            total += v * w
+        return total + self.bias
 
 
 @dataclass
 class FitResult:
-    weights: np.ndarray
+    weights: tuple[float, ...]
     bias: float
     epoch_losses: list[float]  # mean hinge + L2 loss per epoch
 
 
 def _epoch_loss(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
                 l2: float) -> float:
+    import numpy as np
     margins = y * (x @ w + b)
     hinge = np.maximum(0.0, 1.0 - margins).mean()
     return float(hinge + 0.5 * l2 * float(w @ w))
@@ -125,29 +173,34 @@ def fit_hinge(x: np.ndarray, y: np.ndarray, params: TrainParams) -> FitResult:
     The step size decays as lr / (1 + lr * l2 * t) over global update
     count t, so it is near-constant early and ~1/t asymptotically.
     """
+    import numpy as np
     classes = set(np.unique(y).tolist())
     if not classes.issuperset({-1.0, 1.0}) or len(classes) != 2:
         raise DegenerateLabels(f"need both classes, got labels {sorted(classes)}")
     n, dim = x.shape
     rng = np.random.Generator(np.random.PCG64(params.seed))
+    # Rows and labels looked up once; Python floats and float64 scalars
+    # round alike, so the updates are the same to the bit.
+    rows, labels = list(x), y.tolist()
     w = np.zeros(dim, dtype=float)
     b = 0.0
     t = 0
     losses: list[float] = []
     for _ in range(params.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             lr = params.learning_rate / (1.0 + params.learning_rate * params.l2 * t)
-            margin = y[i] * (float(x[i] @ w) + b)
+            xi, yi = rows[i], labels[i]
+            margin = yi * (float(xi @ w) + b)
             w *= 1.0 - lr * params.l2
             if margin < 1.0:
-                w += lr * y[i] * x[i]
-                b += lr * y[i]
+                w += lr * yi * xi
+                b += lr * yi
         loss = _epoch_loss(x, y, w, b, params.l2)
         if not np.isfinite(loss) or not np.all(np.isfinite(w)):
             raise NonFinite(f"training diverged (loss={loss})")
         losses.append(loss)
-    return FitResult(weights=w, bias=b, epoch_losses=losses)
+    return FitResult(weights=tuple(w.tolist()), bias=b, epoch_losses=losses)
 
 
 def decide(score: float) -> bool:

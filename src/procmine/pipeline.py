@@ -143,6 +143,11 @@ class PipelineConfig:
                                    "context_nonprocedural.txt")))
 
 
+# The configuration of every call that passes none, shared so that such
+# callers also read each lexicon once per process.
+_DEFAULT_CONFIG = PipelineConfig()
+
+
 @dataclass
 class DocumentRun:
     tree: DocTree
@@ -169,7 +174,7 @@ def load_document(path: str | Path, fmt: str | None = None) -> DocTree:
 def analyze(tree: DocTree, actionable_model: ActionableModel | None,
             config: PipelineConfig | None = None) -> DocumentRun:
     """Everything up to (but not including) classification."""
-    config = config or PipelineConfig()
+    config = config or _DEFAULT_CONFIG
     chunks = chunker.build_chunks(tree)
     annotations = annotate_chunks(
         tree, chunks, tagger=config.tagger(), goal_config=config.goal_config(),

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .lingua import (ADJ, DET, NOUN, PREP, VERB_TAGS, TaggedSentence,
                      detect_imperative)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Role(str, Enum):
@@ -203,6 +205,7 @@ def project_arrays(graph: BipartiteGraph,
     """`project` with numpy: the (i, j, weight) columns of its directed
     edges, sorted by (i, j), with bit-identical weights. Edges must come as
     for `project`."""
+    import numpy as np  # only wide chunks pay for the import
     n = graph.sentence_count
     codes: dict[str, int] = {}
     entity = np.array([codes.setdefault(e, len(codes)) for _, e, _ in graph.edges],

@@ -207,12 +207,11 @@ class TestPredict:
     def test_weight_increase_raises_margin(self, toy_model, tagger):
         sentence = tagger.tag("The user installs the package on the server.")
         _, base = predict(toy_model, sentence)
+        weights = list(toy_model.weights)
+        weights[toy_model.vocabulary.terms.index("installs")] += 1.0
         boosted = ActionableModel(
-            vocabulary=toy_model.vocabulary,
-            weights=toy_model.weights.copy(), bias=toy_model.bias,
-            scaler=toy_model.scaler)
-        idx = boosted.vocabulary.terms.index("installs")
-        boosted.weights[idx] += 1.0
+            vocabulary=toy_model.vocabulary, weights=tuple(weights),
+            bias=toy_model.bias, scaler=toy_model.scaler)
         _, raised = predict(boosted, sentence)
         assert raised > base
 

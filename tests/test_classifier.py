@@ -41,13 +41,13 @@ def toy_rows(seed, count=40):
         f1 = rng.uniform(0.7, 1.0) if label else rng.uniform(0.0, 0.3)
         noise = [rng.random() for _ in range(14)]
         values = [f1] + noise
-        rows.append((FeatureVector.from_array(values), label))
+        rows.append((FeatureVector.from_values(values), label))
     return rows
 
 
 def threshold_separable(rows, feature_index) -> bool:
-    pos = [v.to_array()[feature_index] for v, l in rows if l]
-    neg = [v.to_array()[feature_index] for v, l in rows if not l]
+    pos = [v.values()[feature_index] for v, l in rows if l]
+    neg = [v.values()[feature_index] for v, l in rows if not l]
     return min(pos) > max(neg) or max(pos) < min(neg)
 
 

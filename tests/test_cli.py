@@ -124,11 +124,32 @@ BAD_INPUTS = {
         "extract", str(DOC), "--model", PROCEDURE, "--actionable-model",
         edited_model(d / "a.json", "actionable",
                      scaler=[{"min": 0.0, "max": float("nan")}] * 110)]),
+    "actionable-model-negative-tf-idf-min": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "--actionable-model",
+        edited_model(d / "a.json", "actionable",
+                     scaler=[{"min": -0.5, "max": 1.0}] * 110)]),
     "actionable-model-vocabulary-not-objects": (65, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "--actionable-model",
         edited_model(d / "a.json", "actionable", vocabulary=[1] * 107)]),
     "config-unknown-key": (65, lambda d: [
         "ingest", str(DOC), "--config", write(d / "run.cfg", "role_weight=1,2,3\n")]),
+    "ingest-output-in-missing-directory": (64, lambda d: [
+        "ingest", str(DOC), "-o", str(d / "missing" / "t.json")]),
+    "extract-output-in-missing-directory": (64, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE,
+        "-o", str(d / "missing" / "out.json")]),
+    "extract-many-output-is-a-file": (64, lambda d: [
+        "extract", str(DOC), str(CORPUS / "nested-fixture.md"), "--model",
+        PROCEDURE, "-o", write(d / "out", "")]),
+    "extract-pred-log-in-missing-directory": (64, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--pred-log", str(d / "missing" / "p.csv")]),
+    "features-chunk-dump-in-missing-directory": (64, lambda d: [
+        "features", str(DOC), "-o", str(d / "f.csv"),
+        "--chunk-dump", str(d / "missing" / "c.csv")]),
+    "train-actionable-output-in-missing-directory": (64, lambda d: [
+        "train-actionable", str(CORPUS / "actionable_sentences.csv"),
+        "--seed", "1", "-o", str(d / "missing" / "m.json")]),
     "extract-markdown-1100-deep-no-procedure": (0, lambda d: [
         "extract", deep_markdown(d / "deep.md", ["- option top"]),
         "--model", hand_model(d / "p.json", 0.0), "-o", str(d / "out.json")]),

@@ -1,0 +1,80 @@
+"""Process-level determinism of the extract path, each check in a fresh
+interpreter.
+
+Scoring is plain Python float64 summed in a fixed order, so `procmine
+extract` needs no numpy and its margins do not depend on the BLAS kernel
+numpy would pick for this CPU (`OPENBLAS_CORETYPE` forces one). Training
+still uses numpy; the bundled models must come out byte for byte under a
+forced kernel too.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
+DOCS = sorted((CORPUS / "docs").glob("*.md")) + [CORPUS / "nested-fixture.md"]
+MODELS = ["--model", str(CORPUS / "models" / "procedure.json"),
+          "--actionable-model", str(CORPUS / "models" / "actionable.json")]
+
+
+def python(code: str, *args: str, coretype: str | None = None) -> str:
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_extract_never_imports_numpy(tmp_path):
+    out = python(
+        "import sys\n"
+        "from procmine import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print('numpy' in sys.modules)\n",
+        "extract", str(DOCS[0]), *MODELS, "-o", str(tmp_path / "out.json"))
+    assert out == "False\n"
+    assert (tmp_path / "out.json").read_bytes() == (
+        CORPUS / "golden" / (DOCS[0].stem + ".procedures.json")).read_bytes()
+
+
+def test_prediction_logs_do_not_depend_on_blas_kernel(tmp_path):
+    logs = {}
+    for coretype in (None, "Nehalem", "Prescott"):
+        log_dir = tmp_path / str(coretype)
+        python("import sys\nfrom procmine import cli\n"
+               "sys.exit(cli.main(sys.argv[1:]))\n",
+               "extract", *map(str, DOCS), *MODELS, "-o", str(log_dir / "out"),
+               "--pred-log", str(log_dir), coretype=coretype)
+        logs[coretype] = {path.name: path.read_bytes()
+                          for path in sorted(log_dir.glob("*.predictions.csv"))}
+    assert len(logs[None]) == len(DOCS)
+    assert logs["Nehalem"] == logs[None]
+    assert logs["Prescott"] == logs[None]
+
+
+def test_models_rebuild_byte_for_byte_under_forced_kernel():
+    """The training recipe of scripts/build_models.py, writing nothing."""
+    out = python(
+        "import csv, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import build_models as b\n"
+        "from procmine import actionable, classifier\n"
+        "from procmine.linear import TrainParams\n"
+        "with (b.CORPUS / 'actionable_sentences.csv').open(newline='') as f:\n"
+        "    rows = [(r['text'], r['label'] == '1') for r in csv.DictReader(f)]\n"
+        "am = actionable.train(rows[:b.TRAIN_SPLIT],\n"
+        "                      TrainParams(seed=b.ACTIONABLE_SEED, **b.PARAMS))\n"
+        "train_rows = [row for doc in b.DOCS if doc.name in b.TRAIN_DOCS\n"
+        "              for row in b.labeled_rows(doc, am)]\n"
+        "pm = classifier.train(train_rows,\n"
+        "                      TrainParams(seed=b.PROCEDURE_SEED, **b.PARAMS))\n"
+        "sys.stdout.write(am.to_json() + pm.to_json())\n",
+        str(ROOT / "scripts"), coretype="Nehalem")
+    assert out == ((CORPUS / "models" / "actionable.json").read_text("utf-8")
+                   + (CORPUS / "models" / "procedure.json").read_text("utf-8"))

@@ -239,7 +239,7 @@ class TestScale:
         return model.score(vector)
 
     def test_training_minimum_scales_to_zero(self):
-        raw = FeatureVector().to_array()[np.newaxis, :]
+        raw = np.array([FeatureVector().values()])
         assert self.SCALER.transform(raw)[0].tolist() == [0.0] * len(FEATURE_NAMES)
 
     def test_above_maximum_clips_to_one(self):
@@ -272,5 +272,5 @@ class TestFeatureBounds:
 
     def test_array_round_trip_preserves_order(self):
         vector = FeatureVector(*[float(i) for i in range(1, 16)])
-        assert FeatureVector.from_array(vector.to_array()) == vector
-        assert vector.to_array().tolist() == [float(i) for i in range(1, 16)]
+        assert FeatureVector.from_values(vector.values()) == vector
+        assert vector.values() == tuple(float(i) for i in range(1, 16))

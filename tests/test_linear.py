@@ -1,0 +1,162 @@
+"""`linear.Scorer` against the numpy scorer it replaced.
+
+The oracle is the old scoring path: `MinMaxScaler.transform` on a one-row
+matrix, then a BLAS dot product with the weights plus the bias. It sums in
+another order, so margins agree within 1e-12 rather than to the bit, and
+labels must agree exactly. The sparse actionable sum must equal the dense
+sequential sum to the bit.
+"""
+
+import csv
+import json
+import random
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from procmine import linear, pipeline
+from procmine.actionable import ActionableModel, featurize, predict
+from procmine.classifier import ProcedureClassifierModel
+from procmine.features import FEATURE_NAMES, FeatureVector
+from procmine.linear import MinMaxScaler, VersionMismatch
+from procmine.lingua import Polarity, Profile, Tagger, Tense, Voice, profile
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+DOCS = sorted((CORPUS / "docs").glob("*.md")) + [CORPUS / "nested-fixture.md"]
+TOLERANCE = 1e-12
+
+
+@pytest.fixture(scope="module")
+def models():
+    return (ActionableModel.load(CORPUS / "models" / "actionable.json"),
+            ProcedureClassifierModel.load(CORPUS / "models" / "procedure.json"))
+
+
+@pytest.fixture(scope="module")
+def tagger():
+    return Tagger()
+
+
+def numpy_margin(model, raw) -> float:
+    scaled = model.scaler.transform(np.asarray(raw, dtype=float)[np.newaxis, :])[0]
+    return float(scaled @ np.asarray(model.weights, dtype=float) + model.bias)
+
+
+def assert_matches_oracle(margin, oracle):
+    assert type(margin) is float
+    assert linear.decide(margin) is linear.decide(oracle)
+    assert abs(margin - oracle) <= TOLERANCE
+
+
+def corpus_sentences() -> list[str]:
+    with (CORPUS / "actionable_sentences.csv").open(newline="") as handle:
+        return [row["text"] for row in csv.DictReader(handle)]
+
+
+def random_sentence(rng: random.Random, terms: tuple[str, ...]) -> str:
+    """Vocabulary terms, some repeated, mixed with words outside it."""
+    words = [rng.choice(terms) if rng.random() < 0.7 else rng.choice(
+        ("zyzzyva", "quux", "the", "Panel", "42")) for _ in range(rng.randint(0, 14))]
+    return " ".join(words) + "."
+
+
+def random_profile(rng: random.Random) -> Profile:
+    return Profile(tense=rng.choice(list(Tense)), voice=rng.choice(list(Voice)),
+                   polarity=rng.choice(list(Polarity)))
+
+
+class TestProcedureScorer:
+    def test_corpus_margins_match_numpy(self, models):
+        actionable_model, procedure_model = models
+        scored = 0
+        for path in DOCS:
+            run = pipeline.run_document(pipeline.load_document(path),
+                                        actionable_model, procedure_model)
+            for p in run.predictions:
+                oracle = numpy_margin(procedure_model, p.feature_snapshot.values())
+                assert_matches_oracle(p.margin, oracle)
+                assert p.label is linear.decide(oracle)
+                scored += 1
+        assert scored == 70  # every chunk of the corpus
+
+    def test_random_vectors_match_numpy(self, models):
+        model = models[1]
+        rng = random.Random(6)
+        for _ in range(3000):
+            # beyond both ends of each range, so clipping is exercised
+            values = [rng.uniform(lo - (hi - lo), hi + (hi - lo)) if rng.random() < 0.8
+                      else rng.choice((lo, hi))
+                      for lo, hi in zip(model.scaler.mins, model.scaler.maxs)]
+            vector = FeatureVector.from_values(values)
+            assert_matches_oracle(model.score(vector), numpy_margin(model, values))
+
+    def test_random_models_match_numpy(self):
+        rng = random.Random(7)
+        size = len(FEATURE_NAMES)
+        for _ in range(500):
+            mins = [rng.uniform(-2, 2) for _ in range(size)]
+            maxs = [lo if rng.random() < 0.2 else lo + rng.uniform(0, 3) for lo in mins]
+            model = ProcedureClassifierModel(
+                weights=tuple(rng.uniform(-5, 5) for _ in range(size)),
+                bias=rng.uniform(-1, 1), scaler=MinMaxScaler(mins=mins, maxs=maxs))
+            values = [rng.uniform(-4, 6) for _ in range(size)]
+            assert_matches_oracle(model.score(FeatureVector.from_values(values)),
+                                  numpy_margin(model, values))
+
+
+class TestActionableScorer:
+    def test_corpus_sentences_match_numpy(self, models, tagger):
+        model = models[0]
+        for text in corpus_sentences():
+            tagged = tagger.tag(text)
+            label, margin = predict(model, tagged)
+            raw = featurize(text, profile(tagged), model.vocabulary)
+            assert_matches_oracle(margin, numpy_margin(model, raw))
+            assert label is linear.decide(margin)
+
+    def test_sparse_sum_equals_dense_sum(self, models, tagger):
+        """Leaving out absent terms gives the same bits as scoring all
+        vocabulary + 3 features in index order, in plain Python."""
+        model = models[0]
+        rng = random.Random(8)
+        sentences = corpus_sentences() + [
+            random_sentence(rng, model.vocabulary.terms) for _ in range(1500)]
+        for text in sentences:
+            prof = random_profile(rng)
+            _, margin = predict(model, tagger.tag(text), prof)
+            dense = featurize(text, prof, model.vocabulary).tolist()
+            assert margin == model.scorer.margin(enumerate(dense))
+            assert_matches_oracle(margin, numpy_margin(model, dense))
+
+    def test_negative_indicator_min_still_scores_exactly(self, models, tagger):
+        """Only tf-idf columns are left out when absent; the three indicators
+        are always scored, whatever their range."""
+        model = models[0]
+        doc = json.loads(model.to_json())
+        for entry in doc["scaler"][-3:]:
+            entry["min"] = -1.0
+        edited = ActionableModel.from_json(json.dumps(doc))
+        rng = random.Random(9)
+        for text in corpus_sentences()[:100]:
+            prof = random_profile(rng)
+            _, margin = predict(edited, tagger.tag(text), prof)
+            dense = featurize(text, prof, edited.vocabulary).tolist()
+            assert margin == edited.scorer.margin(enumerate(dense))
+
+    @pytest.mark.parametrize("entry", [{"min": -0.5, "max": 1.0},
+                                       {"min": 2.0, "max": 1.0}],
+                             ids=["negative-min", "min-above-max"])
+    def test_tf_idf_range_that_scores_absent_terms_is_rejected(self, models, entry):
+        doc = json.loads(models[0].to_json())
+        doc["scaler"][5] = entry
+        with pytest.raises(VersionMismatch, match="tf-idf"):
+            ActionableModel.from_json(json.dumps(doc))
+
+    def test_weights_are_fixed_at_construction(self, models):
+        model = models[0]
+        assert isinstance(model.weights, tuple)
+        with pytest.raises(AttributeError):
+            model.weights = ()
+        assert replace(model, bias=model.bias + 1.0).scorer.bias == model.bias + 1.0

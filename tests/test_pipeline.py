@@ -7,7 +7,7 @@ import pytest
 from procmine import (actionable, chunker, classifier, extractor, features,
                       lingua, pipeline)
 from procmine.cli import main
-from procmine.docmodel import DocTree, Kind, parse_sdjson
+from procmine.docmodel import DocTree, Kind, parse_markdown, parse_sdjson
 from procmine.pipeline import ConfigError, PipelineConfig
 from procmine.relatedness import DEFAULT_ROLE_WEIGHTS, Role
 
@@ -187,6 +187,20 @@ class TestPipelineConfig:
         explicit.write_text("glossary\n")
         config.context_nonprocedural = explicit
         assert config.context_lexicons().non_procedural == {"glossary"}
+
+    def test_config_less_analyze_reads_each_lexicon_once(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_DEFAULT_CONFIG", PipelineConfig())
+        reads = []
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: (
+            reads.append(self.name), read_text(self, *a, **k))[1])
+        tree = parse_markdown("# T\n\n1. Open the panel.\n2. Press start.\n",
+                              source_name="t")
+        for _ in range(5):
+            pipeline.analyze(tree, None)
+        lexicons = ["context_nonprocedural.txt", "context_procedural.txt",
+                    "goal_cues.txt"]
+        assert sorted(r for r in reads if r in lexicons) == lexicons
 
     def test_blank_lines_and_comments_skipped(self, tmp_path):
         path = tmp_path / "run.cfg"
