@@ -6,7 +6,7 @@ from .chunker import Chunk, ChunkKind, ChunkSet, build_chunks, chunk_size
 from .classifier import (ChunkPrediction, Metrics, ProcedureClassifierModel,
                          ablate, classify_tree, evaluate)
 from .docmodel import (DocNode, DocTree, HierarchyError, Kind, SchemaError,
-                       parse_markdown, parse_sdjson, validate_tree)
+                       parse_markdown, parse_sdjson)
 from .extractor import Procedure, Step, extract, serialize
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
                        compute_static_features, update_propagated_features)

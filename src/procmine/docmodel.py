@@ -1,8 +1,11 @@
-"""Hierarchical document model: node/tree types, ingestion, validation.
+"""Hierarchical document model: node/tree types and ingestion.
 
 Two ingestion paths produce the same tree shape: a structured-document JSON
 format (``sdjson/1``) emitted by upstream converters, and a Markdown subset
-for authoring test corpora by hand. Trees are immutable once built.
+for authoring test corpora by hand. Both build through one `_Builder`,
+which alone keeps the heading outline and sets every node's parent and
+depth, so a parsed tree needs no separate validation pass. Trees are
+immutable once built.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from . import lingua
 
@@ -43,7 +46,7 @@ def decode_utf8(data: bytes) -> str:
 
 
 class HierarchyError(ValueError):
-    """Heading levels violate the outline ordering of the document."""
+    """A heading level below 1: the outline has no place for it."""
 
 
 @dataclass(frozen=True)
@@ -109,34 +112,59 @@ class DocTree:
 
 
 class _Builder:
-    """Accumulates nodes with list-valued children, then freezes them."""
+    """Accumulates nodes with list-valued children, then freezes them.
 
-    def __init__(self, source_name: str):
+    The only code that decides tree shape: it keeps the heading outline,
+    gives each node its parent's depth plus one and attaches it. Parsers add
+    nodes in document order, so node ids are preorder indexes.
+    """
+
+    def __init__(self, source_name: str, title: str):
         self.source_name = source_name
-        self._nodes: list[dict] = []
+        self._nodes: list[dict] = [{
+            "id": 0, "kind": Kind.TITLE, "text": title, "depth": 0,
+            "children": [], "level": None, "ordered": None, "image": False,
+        }]
+        # Outline stack of (heading level, node id); the title acts as level 0.
+        self._outline: list[tuple[int, int]] = [(0, 0)]
 
-    def add(self, kind: Kind, text: str, depth: int, *, level: int | None = None,
-            ordered: bool | None = None, image: bool = False) -> int:
+    @property
+    def section(self) -> int:
+        """The innermost open heading (or the title)."""
+        return self._outline[-1][1]
+
+    def child(self, parent: int, kind: Kind, text: str, *, level: int | None = None,
+              ordered: bool | None = None, image: bool = False) -> int:
         node_id = len(self._nodes)
         self._nodes.append({
-            "id": node_id, "kind": kind, "text": text, "depth": depth,
-            "children": [], "level": level, "ordered": ordered, "image": image,
+            "id": node_id, "kind": kind, "text": text,
+            "depth": self._nodes[parent]["depth"] + 1, "children": [],
+            "level": level, "ordered": ordered, "image": image,
         })
+        self._nodes[parent]["children"].append(node_id)
         return node_id
 
-    def attach(self, parent: int, child: int) -> None:
-        self._nodes[parent]["children"].append(child)
+    def heading(self, level: int, text: str, image: bool) -> int:
+        """Close every open section of `level` or deeper and open this one
+        under the nearest lower-level heading."""
+        while self._outline[-1][0] >= level:
+            self._outline.pop()
+        node_id = self.child(self.section, Kind.HEADING, text, level=level, image=image)
+        self._outline.append((level, node_id))
+        return node_id
 
-    def set_image(self, node_id: int) -> None:
-        self._nodes[node_id]["image"] = True
-
-    def depth(self, node_id: int) -> int:
-        return self._nodes[node_id]["depth"]
+    def extend(self, node_id: int, text: str = "", image: bool = False) -> None:
+        """Append continuation text and an image flag to an existing node."""
+        raw = self._nodes[node_id]
+        if text:
+            raw["text"] = (raw["text"] + " " + text).strip()
+        if image:
+            raw["image"] = True
 
     def children(self, node_id: int) -> list[int]:
         return self._nodes[node_id]["children"]
 
-    def freeze(self, root: int = 0) -> DocTree:
+    def freeze(self) -> DocTree:
         nodes = {
             raw["id"]: DocNode(
                 id=raw["id"], kind=raw["kind"], text=raw["text"], depth=raw["depth"],
@@ -145,7 +173,7 @@ class _Builder:
             )
             for raw in self._nodes
         }
-        return DocTree(nodes=nodes, root=root, source_name=self.source_name)
+        return DocTree(nodes=nodes, root=0, source_name=self.source_name)
 
 
 # ---------------------------------------------------------------------------
@@ -172,36 +200,52 @@ def _check_encodable(text: str, key: str, path: str) -> None:
         raise SchemaError(f"field '{key}' holds a lone surrogate", path) from None
 
 
-def _add_list(builder: _Builder, parent: int, obj: dict, path: str) -> None:
+def _image(mapping: dict, path: str) -> bool:
+    """An absent flag is false; anything but a JSON boolean is an error."""
+    return "image" in mapping and _require(mapping, "image", bool, path)
+
+
+def _open_list(builder: _Builder, parent: int, obj: dict,
+               path: str) -> tuple[int, Iterator[tuple[int, object]], str]:
     if "type" in obj and obj["type"] != "list":
         raise SchemaError("sublist must have type 'list'", path)
     ordered = _require(obj, "ordered", bool, path)
     items = _require(obj, "items", list, path)
     if not items:
         raise SchemaError("field 'items' must be non-empty", path)
-    block = builder.add(Kind.LIST_BLOCK, "", builder.depth(parent) + 1, ordered=ordered)
-    builder.attach(parent, block)
-    for i, item in enumerate(items):
-        item_path = f"{path}.items[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError("item must be an object", item_path)
-        text = _require(item, "text", str, item_path)
-        node = builder.add(Kind.LIST_ITEM, text, builder.depth(block) + 1,
-                           image=bool(item.get("image", False)))
-        builder.attach(block, node)
-        if "sublist" in item:
-            sub = item["sublist"]
-            if not isinstance(sub, dict):
-                raise SchemaError("field 'sublist' must be an object", item_path)
-            _add_list(builder, node, sub, f"{item_path}.sublist")
+    block = builder.child(parent, Kind.LIST_BLOCK, "", ordered=ordered)
+    return block, enumerate(items), path
+
+
+def _add_list(builder: _Builder, parent: int, obj: dict, path: str) -> None:
+    """Add a list and its sublists in document order. One stack entry per
+    open list: (block id, its items not yet added, path)."""
+    stack = [_open_list(builder, parent, obj, path)]
+    while stack:
+        block, items, path = stack[-1]
+        for i, item in items:
+            item_path = f"{path}.items[{i}]"
+            if not isinstance(item, dict):
+                raise SchemaError("item must be an object", item_path)
+            text = _require(item, "text", str, item_path)
+            node = builder.child(block, Kind.LIST_ITEM, text,
+                                 image=_image(item, item_path))
+            if "sublist" in item:
+                sub = item["sublist"]
+                if not isinstance(sub, dict):
+                    raise SchemaError("field 'sublist' must be an object", item_path)
+                stack.append(_open_list(builder, node, sub, f"{item_path}.sublist"))
+                break  # the sublist's items come before this list's next item
+        else:
+            stack.pop()
 
 
 def parse_sdjson(data: bytes | str | IO, source_name: str = "") -> DocTree:
-    """Parse structured-document JSON into a validated tree.
+    """Parse structured-document JSON into a tree.
 
     Raises SchemaError on malformed input (with the offending path), also
-    when it nests too deep for the recursive JSON decoder, sublist reader or
-    validator, and HierarchyError on impossible heading levels.
+    when it nests too deep for the recursive JSON decoder, and
+    HierarchyError on a heading level below 1.
     """
     if hasattr(data, "read"):
         data = data.read()
@@ -229,11 +273,7 @@ def _parse_sdjson(data: str, source_name: str) -> DocTree:
     _check_encodable(title, "title", "$")
     elements = _require(doc, "elements", list, "$")
 
-    builder = _Builder(source_name or title)
-    root = builder.add(Kind.TITLE, title.strip(), 0)
-    # Outline stack of (heading level, node id); the title acts as level 0.
-    stack: list[tuple[int, int]] = [(0, root)]
-
+    builder = _Builder(source_name or title, title.strip())
     for i, element in enumerate(elements):
         path = f"$.elements[{i}]"
         if not isinstance(element, dict):
@@ -244,29 +284,16 @@ def _parse_sdjson(data: str, source_name: str) -> DocTree:
             if level < 1:
                 raise HierarchyError(f"{path}: heading level must be >= 1, got {level}")
             text = _require(element, "text", str, path)
-            while stack[-1][0] >= level:
-                stack.pop()
-            parent = stack[-1][1]
-            node = builder.add(Kind.HEADING, text, builder.depth(parent) + 1,
-                               level=level, image=bool(element.get("image", False)))
-            builder.attach(parent, node)
-            stack.append((level, node))
+            builder.heading(level, text, _image(element, path))
         elif etype == "paragraph":
             text = _require(element, "text", str, path)
-            parent = stack[-1][1]
-            node = builder.add(Kind.PARAGRAPH, text, builder.depth(parent) + 1,
-                               image=bool(element.get("image", False)))
-            builder.attach(parent, node)
+            builder.child(builder.section, Kind.PARAGRAPH, text,
+                          image=_image(element, path))
         elif etype == "list":
-            _add_list(builder, stack[-1][1], element, path)
+            _add_list(builder, builder.section, element, path)
         else:
             raise SchemaError(f"unknown element type {etype!r}", path)
-
-    tree = builder.freeze(root)
-    inversions = [v for v in validate_tree(tree) if "heading level" in v]
-    if inversions:
-        raise HierarchyError("; ".join(inversions))
-    return tree
+    return builder.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +311,11 @@ def _strip_images(text: str) -> tuple[str, bool]:
 
 
 class _MarkdownParser:
-    def __init__(self, source_name: str):
-        self.builder = _Builder(source_name)
-        self.heading_stack: list[tuple[int, int]] = []  # (level, node id)
+    def __init__(self, source_name: str, title: str):
+        self.builder = _Builder(source_name, title)
         # open lists: (indent level, block id, ordered, last item id)
         self.list_stack: list[list] = []
         self.para_lines: list[str] = []
-
-    def container(self) -> int:
-        return self.heading_stack[-1][1]
-
-    def last_sibling(self, parent: int) -> int | None:
-        children = self.builder.children(parent)
-        return children[-1] if children else None
 
     def flush_paragraph(self) -> None:
         if not self.para_lines:
@@ -304,16 +323,14 @@ class _MarkdownParser:
         text = " ".join(line.strip() for line in self.para_lines)
         self.para_lines = []
         text, has_image = _strip_images(text)
-        parent = self.container()
+        parent = self.builder.section
         if not text and has_image:
             # A bare figure marks the node it illustrates: the element just
             # before it, falling back to the enclosing section.
-            target = self.last_sibling(parent)
-            self.builder.set_image(target if target is not None else parent)
+            siblings = self.builder.children(parent)
+            self.builder.extend(siblings[-1] if siblings else parent, image=True)
             return
-        node = self.builder.add(Kind.PARAGRAPH, text, self.builder.depth(parent) + 1,
-                                image=has_image)
-        self.builder.attach(parent, node)
+        self.builder.child(parent, Kind.PARAGRAPH, text, image=has_image)
 
     def close_lists(self, down_to: int = -1) -> None:
         while self.list_stack and self.list_stack[-1][0] > down_to:
@@ -323,10 +340,8 @@ class _MarkdownParser:
         if self.list_stack:
             parent = self.list_stack[-1][3]  # nest under the last open item
         else:
-            parent = self.container()
-        block = self.builder.add(Kind.LIST_BLOCK, "", self.builder.depth(parent) + 1,
-                                 ordered=ordered)
-        self.builder.attach(parent, block)
+            parent = self.builder.section
+        block = self.builder.child(parent, Kind.LIST_BLOCK, "", ordered=ordered)
         self.list_stack.append([indent, block, ordered, None])
 
     def add_item(self, indent: int, ordered: bool, text: str) -> None:
@@ -340,22 +355,13 @@ class _MarkdownParser:
             self.open_list(indent, ordered)
         top = self.list_stack[-1]
         text, has_image = _strip_images(text)
-        item = self.builder.add(Kind.LIST_ITEM, text, self.builder.depth(top[1]) + 1,
-                                image=has_image)
-        self.builder.attach(top[1], item)
-        top[3] = item
+        top[3] = self.builder.child(top[1], Kind.LIST_ITEM, text, image=has_image)
 
     def add_heading(self, level: int, text: str) -> None:
         self.flush_paragraph()
         self.close_lists()
         text, has_image = _strip_images(text)
-        while self.heading_stack[-1][0] >= level:
-            self.heading_stack.pop()
-        parent = self.container()
-        node = self.builder.add(Kind.HEADING, text, self.builder.depth(parent) + 1,
-                                level=level, image=has_image)
-        self.builder.attach(parent, node)
-        self.heading_stack.append((level, node))
+        self.builder.heading(level, text, has_image)
 
 
 def parse_markdown(text: str, source_name: str = "document") -> DocTree:
@@ -375,9 +381,7 @@ def parse_markdown(text: str, source_name: str = "document") -> DocTree:
             title_text, _ = _strip_images(match.group(2).strip())
             title_line = i
             break
-    parser = _MarkdownParser(source_name)
-    root = parser.builder.add(Kind.TITLE, title_text or source_name, 0)
-    parser.heading_stack.append((0, root))
+    parser = _MarkdownParser(source_name, title_text or source_name)
 
     for i, line in enumerate(lines):
         if i == title_line:
@@ -401,94 +405,17 @@ def parse_markdown(text: str, source_name: str = "document") -> DocTree:
             # indented continuation of the current list item
             item = parser.list_stack[-1][3]
             if item is not None:
-                extra, has_image = _strip_images(line.strip())
-                raw = parser.builder._nodes[item]
-                if extra:
-                    raw["text"] = (raw["text"] + " " + extra).strip()
-                if has_image:
-                    raw["image"] = True
+                parser.builder.extend(item, *_strip_images(line.strip()))
                 continue
         if not parser.para_lines:
             parser.close_lists()
         parser.para_lines.append(line)
     parser.flush_paragraph()
-    return parser.builder.freeze(root)
+    return parser.builder.freeze()
 
 
 # ---------------------------------------------------------------------------
-# Validation
-
-def validate_tree(tree: DocTree) -> list[str]:
-    """Return a violation descriptor per broken invariant (empty when valid)."""
-    violations: list[str] = []
-    nodes = tree.nodes
-
-    if tree.root not in nodes:
-        return [f"node {tree.root}: root id not present"]
-    root = nodes[tree.root]
-    if root.kind is not Kind.TITLE:
-        violations.append(f"node {root.id}: root is not a title")
-    if root.depth != 0:
-        violations.append(f"node {root.id}: root depth is {root.depth}, expected 0")
-    for node in nodes.values():
-        if node.kind is Kind.TITLE and node.id != tree.root:
-            violations.append(f"node {node.id}: non-root title")
-
-    parent_count: dict[int, int] = {nid: 0 for nid in nodes}
-    for node in nodes.values():
-        for child in node.children:
-            if child not in nodes:
-                violations.append(f"node {node.id}: child {child} does not exist")
-                continue
-            parent_count[child] += 1
-    for nid, count in parent_count.items():
-        if nid == tree.root:
-            if count:
-                violations.append(f"node {nid}: root has a parent")
-            continue
-        if count == 0:
-            violations.append(f"node {nid}: unreachable (no parent)")
-        elif count > 1:
-            violations.append(f"node {nid}: multiple parents")
-
-    seen: set[int] = set()
-    stack: list[int] = [tree.root]
-    path: set[int] = set()
-
-    def walk(nid: int) -> None:
-        if nid in path:
-            violations.append(f"node {nid}: cycle in children references")
-            return
-        if nid in seen:
-            return
-        seen.add(nid)
-        path.add(nid)
-        node = nodes[nid]
-        for child in node.children:
-            if child not in nodes:
-                continue
-            child_node = nodes[child]
-            if child_node.depth != node.depth + 1:
-                violations.append(
-                    f"node {child}: depth {child_node.depth}, expected {node.depth + 1}")
-            if child_node.kind is Kind.LIST_ITEM and node.kind is not Kind.LIST_BLOCK:
-                violations.append(f"node {child}: list item outside a list block")
-            if node.kind is Kind.LIST_BLOCK and child_node.kind is not Kind.LIST_ITEM:
-                violations.append(f"node {child}: non-item child of list block")
-            if (node.kind is Kind.HEADING and child_node.kind is Kind.HEADING
-                    and (child_node.level or 0) < (node.level or 0)):
-                violations.append(
-                    f"node {child}: heading level inversion "
-                    f"({child_node.level} under {node.level})")
-            walk(child)
-        path.discard(nid)
-
-    walk(tree.root)
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Canonical tree JSON (CLI `ingest` output; round-trips losslessly)
+# Canonical tree JSON (CLI `ingest` output; lossless, no command reads it back)
 
 TREE_FORMAT = "doctree/1"
 
@@ -513,20 +440,3 @@ def tree_to_json(tree: DocTree) -> str:
     doc = {"format": TREE_FORMAT, "source": tree.source_name,
            "root": tree.root, "nodes": nodes}
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def tree_from_json(data: str | bytes) -> DocTree:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
-    if doc.get("format") != TREE_FORMAT:
-        raise SchemaError(f"unsupported tree format {doc.get('format')!r}")
-    nodes = {}
-    for raw in doc["nodes"]:
-        nodes[raw["id"]] = DocNode(
-            id=raw["id"], kind=Kind(raw["kind"]), text=raw["text"],
-            depth=raw["depth"], children=tuple(raw["children"]),
-            level=raw.get("level"), ordered=raw.get("ordered"),
-            associated_image=raw.get("image", False),
-        )
-    return DocTree(nodes=nodes, root=doc["root"], source_name=doc.get("source", ""))

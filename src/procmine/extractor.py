@@ -151,19 +151,3 @@ def serialize(procedures: list[Procedure]) -> bytes:
         })
     text = json.dumps(payload, indent=2, ensure_ascii=False)
     return (text + "\n").encode("utf-8")
-
-
-def deserialize(data: bytes | str) -> list[Procedure]:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    out = []
-    for raw in json.loads(data):
-        steps = tuple(
-            Step(step_id=s["stepId"], text=s["text"], actionable=s["actionable"],
-                 conditional=s["conditional"],
-                 parent_step_id=s.get("parentStepId"),
-                 child_procedure_id=s.get("childProcedureId"))
-            for s in raw["stepList"])
-        out.append(Procedure(sequence_id=raw["sequenceId"], goal=raw["goal"],
-                             step_list=steps))
-    return out

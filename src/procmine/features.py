@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
 
@@ -98,6 +99,7 @@ class ContextLexicons:
                    non_procedural=read(non_procedural_path))
 
     @classmethod
+    @cache  # read once per process; the config is frozen
     def bundled(cls) -> "ContextLexicons":
         data = bundled_data_dir()
         return cls.load(data / "context_procedural.txt",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
 
 from .lingua import NUM, PUNCT, VBG, TaggedSentence, bundled_data_dir
@@ -51,6 +52,7 @@ class GoalCueConfig:
         return cls(gerund_opening=gerund, prefixes=tuple(prefixes) or ("method",))
 
     @classmethod
+    @cache  # read once per process; the config is frozen
     def bundled(cls) -> "GoalCueConfig":
         return cls.load(bundled_data_dir() / "goal_cues.txt")
 

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,118 @@ def corpus_dir() -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Random document generation (valid by construction: generated documents go
-# through the sdjson parser, so every invariant the parser enforces holds).
+# Tree oracle. The parsers build every tree through one builder and check
+# nothing afterwards; this independent check of the shape they guarantee
+# runs over random, fuzzed and corpus trees in the tests.
+
+def validate_tree(tree: DocTree) -> list[str]:
+    """Return a violation descriptor per broken invariant (empty when valid)."""
+    violations: list[str] = []
+    nodes = tree.nodes
+
+    if tree.root not in nodes:
+        return [f"node {tree.root}: root id not present"]
+    root = nodes[tree.root]
+    if root.kind is not Kind.TITLE:
+        violations.append(f"node {root.id}: root is not a title")
+    if root.depth != 0:
+        violations.append(f"node {root.id}: root depth is {root.depth}, expected 0")
+    for node in nodes.values():
+        if node.kind is Kind.TITLE and node.id != tree.root:
+            violations.append(f"node {node.id}: non-root title")
+
+    parent_count: dict[int, int] = {nid: 0 for nid in nodes}
+    for node in nodes.values():
+        for child in node.children:
+            if child not in nodes:
+                violations.append(f"node {node.id}: child {child} does not exist")
+                continue
+            parent_count[child] += 1
+    for nid, count in parent_count.items():
+        if nid == tree.root:
+            if count:
+                violations.append(f"node {nid}: root has a parent")
+            continue
+        if count == 0:
+            violations.append(f"node {nid}: unreachable (no parent)")
+        elif count > 1:
+            violations.append(f"node {nid}: multiple parents")
+
+    seen: set[int] = set()
+    stack: list[int] = [tree.root]
+    path: set[int] = set()
+
+    def walk(nid: int) -> None:
+        if nid in path:
+            violations.append(f"node {nid}: cycle in children references")
+            return
+        if nid in seen:
+            return
+        seen.add(nid)
+        path.add(nid)
+        node = nodes[nid]
+        for child in node.children:
+            if child not in nodes:
+                continue
+            child_node = nodes[child]
+            if child_node.depth != node.depth + 1:
+                violations.append(
+                    f"node {child}: depth {child_node.depth}, expected {node.depth + 1}")
+            if child_node.kind is Kind.LIST_ITEM and node.kind is not Kind.LIST_BLOCK:
+                violations.append(f"node {child}: list item outside a list block")
+            if node.kind is Kind.LIST_BLOCK and child_node.kind is not Kind.LIST_ITEM:
+                violations.append(f"node {child}: non-item child of list block")
+            if (node.kind is Kind.HEADING and child_node.kind is Kind.HEADING
+                    and (child_node.level or 0) < (node.level or 0)):
+                violations.append(
+                    f"node {child}: heading level inversion "
+                    f"({child_node.level} under {node.level})")
+            walk(child)
+        path.discard(nid)
+
+    walk(tree.root)
+    return violations
+
+
+def assert_well_formed(tree: DocTree) -> None:
+    """The builder's guarantees: node ids are preorder indexes, and the
+    oracle finds no broken invariant."""
+    assert [n.id for n in tree.preorder()] == list(range(len(tree.nodes)))
+    assert validate_tree(tree) == []
+
+
+# Field-by-field views of the two JSON outputs, for checking that each
+# carries every field: `astuple` lists all dataclass fields in order, so a
+# field the writer leaves out makes the two views differ.
+
+def node_fields(tree: DocTree) -> list[tuple]:
+    return [astuple(node) for node in tree.nodes.values()]
+
+
+def tree_json_node_fields(text: str) -> list[tuple]:
+    """The same rows read back from `tree_to_json` output."""
+    return [(n["id"], Kind(n["kind"]), n["text"], n["depth"], tuple(n["children"]),
+             n.get("level"), n.get("ordered"), n.get("image", False))
+            for n in json.loads(text)["nodes"]]
+
+
+def procedure_fields(procedures) -> list[tuple]:
+    return [(p.sequence_id, p.goal, [astuple(step) for step in p.step_list])
+            for p in procedures]
+
+
+def procedures_json_fields(payload: bytes) -> list[tuple]:
+    """The same rows read back from `extractor.serialize` output."""
+    return [(p["sequenceId"], p["goal"],
+             [(s["stepId"], s["text"], s["actionable"], s["conditional"],
+               s.get("parentStepId"), s.get("childProcedureId"))
+              for s in p["stepList"]])
+            for p in json.loads(payload)]
+
+
+# ---------------------------------------------------------------------------
+# Random document generation (generated documents go through the sdjson
+# parser, so the trees carry the builder's guarantees).
 
 _WORDS = ("server", "network", "adapter", "console", "service", "instance",
           "cluster", "backup", "storage", "user", "password", "address")

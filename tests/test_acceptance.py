@@ -16,14 +16,14 @@ from procmine import actionable, classifier, extractor, pipeline
 from procmine.chunker import ChunkKind, build_chunks
 from procmine.cli import read_labels_csv
 from procmine.classifier import (ChunkPrediction, ablation_report, evaluate)
-from procmine.docmodel import Kind, validate_tree
+from procmine.docmodel import Kind
 from procmine.features import FeatureVector
 from procmine.goals import GoalCue, annotate_goal
 from procmine.linear import TrainParams
 from procmine.lingua import Tagger, detect_conditional, detect_imperative
 from procmine.relatedness import project, relatedness_score
 
-from conftest import random_tree
+from conftest import random_tree, validate_tree
 from test_relatedness import brute_force_score, random_graph
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -70,6 +70,11 @@ def deep_sublists(path, depth):
                        '[{"type": "list", "ordered": true, "items": [%s]}]}' % item)
 
 
+def sdjson_element(path, element):
+    return write(path, json.dumps({"version": "sdjson/1", "title": "T",
+                                   "elements": [element]}))
+
+
 LONE_SURROGATE = ('{"version": "sdjson/1", "title": "T", "elements": '
                   '[{"type": "paragraph", "text": "Open the \\ud800 panel."}]}')
 PROCEDURE = str(CORPUS / "models" / "procedure.json")
@@ -109,6 +114,27 @@ BAD_INPUTS = {
     "extract-sublists-450-deep": (2, lambda d: [
         "extract", deep_sublists(d / "deep.json", 450), "--model", PROCEDURE,
         "-o", str(d / "out.json")]),
+    "extract-image-flag-not-boolean": (2, lambda d: [
+        "extract", sdjson_element(d / "i.json", {
+            "type": "list", "ordered": True,
+            "items": [{"text": "Open the panel.", "image": "false"}]}),
+        "--model", PROCEDURE, "-o", str(d / "out.json")]),
+    "ingest-heading-level-0": (2, lambda d: [
+        "ingest", sdjson_element(d / "h.json", {
+            "type": "heading", "level": 0, "text": "Setup"}),
+        "-o", str(d / "t.json")]),
+    "ingest-heading-level-minus-3": (2, lambda d: [
+        "ingest", sdjson_element(d / "h.json", {
+            "type": "heading", "level": -3, "text": "Setup"}),
+        "-o", str(d / "t.json")]),
+    "extract-heading-level-0": (2, lambda d: [
+        "extract", sdjson_element(d / "h.json", {
+            "type": "heading", "level": 0, "text": "Setup"}),
+        "--model", PROCEDURE, "-o", str(d / "out.json")]),
+    "extract-heading-level-minus-3": (2, lambda d: [
+        "extract", sdjson_element(d / "h.json", {
+            "type": "heading", "level": -3, "text": "Setup"}),
+        "--model", PROCEDURE, "-o", str(d / "out.json")]),
     "procedure-model-not-an-object": (65, lambda d: [
         "extract", str(DOC), "--model", write(d / "p.json", "[]")]),
     "procedure-model-scaler-not-objects": (65, lambda d: [
@@ -168,6 +194,7 @@ def test_bad_input_exits_with_code_without_traceback(tmp_path, name):
     assert "Traceback" not in result.stderr
     assert result.returncode == code
     assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == (1 if code else 0)
 
 
 def run_main(args, capsys):

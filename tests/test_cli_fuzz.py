@@ -1,5 +1,6 @@
 """Fuzz the CLI in process: whatever the document bytes, sdjson tree or
-model file, `main` returns a documented exit code and raises nothing.
+model file, `main` returns a documented exit code and raises nothing, and
+every document that parses gives a tree the `validate_tree` oracle accepts.
 
 Examples are drawn deterministically and their number is bounded, so the
 tests take a few seconds and fail the same way on every run."""
@@ -9,11 +10,15 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procmine import pipeline
 from procmine.cli import main
+
+from conftest import assert_well_formed
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 PROCEDURE = CORPUS / "models" / "procedure.json"
@@ -36,12 +41,25 @@ SMALL_DOC = json.dumps({
 })
 
 
+def checked(parse):
+    """`parse`, asserting the builder's guarantees on every tree it returns."""
+    def parse_and_check(*args, **kwargs):
+        tree = parse(*args, **kwargs)
+        assert_well_formed(tree)
+        return tree
+    return parse_and_check
+
+
 def run_cli(files: dict[str, bytes], argv) -> int:
     """Write `files` into a fresh directory and run `main(argv(directory))`
-    with stdout and stderr captured. Any exception propagates."""
+    with stdout and stderr captured and both parsers checked. Any exception
+    propagates."""
     with tempfile.TemporaryDirectory() as scratch, \
             contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.object(pipeline, "parse_sdjson", checked(pipeline.parse_sdjson)), \
+            mock.patch.object(pipeline, "parse_markdown",
+                              checked(pipeline.parse_markdown)):
         directory = Path(scratch)
         for name, data in files.items():
             (directory / name).write_bytes(data)

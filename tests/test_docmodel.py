@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procmine.docmodel import (DocNode, DocTree, HierarchyError, Kind,
-                               SchemaError, parse_markdown, parse_sdjson,
-                               tree_from_json, tree_to_json, validate_tree)
+from procmine.docmodel import (DocNode, HierarchyError, Kind, SchemaError,
+                               parse_markdown, parse_sdjson, tree_to_json)
 
-from conftest import make_tree, random_sdjson
+from conftest import (CORPUS_DIR, assert_well_formed, make_tree, node_fields,
+                      random_sdjson, tree_json_node_fields, validate_tree)
 
 
 def sdjson(elements, title="Doc"):
@@ -82,6 +82,12 @@ class TestParseSdjson:
         with pytest.raises(HierarchyError):
             parse_sdjson(sdjson([{"type": "heading", "level": 0, "text": "x"}]))
 
+    @pytest.mark.parametrize("level", [0, -3])
+    def test_heading_level_error_carries_path(self, level):
+        with pytest.raises(HierarchyError, match=r"^\$\.elements\[1\]: heading level"):
+            parse_sdjson(sdjson([{"type": "paragraph", "text": "p"},
+                                 {"type": "heading", "level": level, "text": "x"}]))
+
     def test_bad_item_reports_nested_path(self):
         with pytest.raises(SchemaError, match=r"items\[1\]"):
             parse_sdjson(sdjson([
@@ -109,6 +115,7 @@ class TestParseSdjson:
     def test_sublist_chain_150_deep_parses(self):
         tree = parse_sdjson(self.sublist_chain(150))
         assert max(n.depth for n in tree.nodes.values()) == 302
+        assert_well_formed(tree)
 
     @pytest.mark.parametrize("depth", [340, 450])
     def test_too_deep_sublist_chain_is_schema_error(self, depth):
@@ -121,6 +128,19 @@ class TestParseSdjson:
         ]))
         para = list(tree.preorder())[1]
         assert para.associated_image
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    @pytest.mark.parametrize("element, path", [
+        ({"type": "heading", "level": 1, "text": "h"}, r"\$\.elements\[0\]:"),
+        ({"type": "paragraph", "text": "p"}, r"\$\.elements\[0\]:"),
+        ({"type": "list", "ordered": True, "items": [{"text": "i"}]},
+         r"\$\.elements\[0\]\.items\[0\]:"),
+    ], ids=["heading", "paragraph", "item"])
+    def test_image_must_be_boolean(self, element, path, value):
+        target = element["items"][0] if "items" in element else element
+        target["image"] = value
+        with pytest.raises(SchemaError, match=path + " field 'image' must be bool"):
+            parse_sdjson(sdjson([element]))
 
 
 class TestParseMarkdown:
@@ -180,8 +200,13 @@ class TestParseMarkdown:
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=400))
     def test_fuzzed_markdown_always_validates(self, text):
-        tree = parse_markdown(text)
-        assert validate_tree(tree) == []
+        assert_well_formed(parse_markdown(text))
+
+    def test_continuation_lines_extend_the_item(self):
+        tree = parse_markdown("# T\n- first\n  more text\n  ![f](x.png)\n- second")
+        items = [n for n in tree.preorder() if n.kind is Kind.LIST_ITEM]
+        assert [(n.text, n.associated_image) for n in items] == \
+            [("first more text", True), ("second", False)]
 
 
 class TestValidateTree:
@@ -229,23 +254,24 @@ class TestValidateTree:
         assert any("list item outside" in v for v in violations)
 
 
-class TestRoundTrip:
-    def test_tree_json_round_trip_preserves_shape(self):
+class TestBuilderGuarantees:
+    def test_tree_json_carries_every_node_field(self):
         rng = random.Random(7)
         for _ in range(20):
-            doc = random_sdjson(rng)
-            tree = parse_sdjson(json.dumps(doc))
-            clone = tree_from_json(tree_to_json(tree))
-            assert [(n.kind, n.text, n.depth, n.level, n.ordered,
-                     n.associated_image)
-                    for n in tree.preorder()] == \
-                   [(n.kind, n.text, n.depth, n.level, n.ordered,
-                     n.associated_image)
-                    for n in clone.preorder()]
-            assert validate_tree(clone) == []
-
-    def test_random_documents_validate(self):
-        rng = random.Random(99)
-        for _ in range(50):
             tree = parse_sdjson(json.dumps(random_sdjson(rng)))
-            assert validate_tree(tree) == []
+            text = tree_to_json(tree)
+            assert tree_json_node_fields(text) == node_fields(tree)
+            doc = json.loads(text)
+            assert (doc["format"], doc["root"], doc["source"]) == \
+                ("doctree/1", tree.root, tree.source_name)
+
+    def test_random_documents_are_well_formed(self):
+        rng = random.Random(99)
+        for _ in range(200):
+            assert_well_formed(parse_sdjson(json.dumps(random_sdjson(rng))))
+
+    @pytest.mark.parametrize("path", sorted((CORPUS_DIR / "docs").glob("*.md"))
+                             + [CORPUS_DIR / "nested-fixture.md"],
+                             ids=lambda path: path.name)
+    def test_corpus_documents_are_well_formed(self, path):
+        assert_well_formed(parse_markdown(path.read_text("utf-8"), path.stem))

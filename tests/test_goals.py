@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from procmine.goals import (GoalCue, GoalCueConfig, annotate_goal,
@@ -78,6 +80,18 @@ class TestGoalCueConfig:
         config = GoalCueConfig.bundled()
         assert config.gerund_opening is True
         assert config.prefixes == ("method",)
+
+    def test_config_less_calls_read_the_bundled_file_once(self, tagger,
+                                                          monkeypatch):
+        heading = tagger.tag("Creating a Service Instance")
+        annotate_goal(heading, is_heading=True)
+        reads = []
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: (
+            reads.append(self.name), read_text(self, *a, **k))[1])
+        for _ in range(3):
+            assert annotate_goal(heading, is_heading=True).is_goal
+        assert reads == []
 
 
 class TestSectionNumbering:
