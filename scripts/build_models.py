@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Train the bundled models and regenerate the golden outputs.
 
-Deterministic end to end: fixed seeds, fixed train/test split (the first
-two corpus documents train the procedure classifier; the actionable model
+Deterministic end to end: fixed seeds, fixed train/test split (the three
+TRAIN_DOCS documents train the procedure classifier; the actionable model
 trains on the first 200 corpus sentences). Writes:
 
   corpus/models/actionable.json

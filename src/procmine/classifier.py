@@ -1,9 +1,12 @@
 """Procedure/non-procedure classification over the document tree.
 
-Chunks are scored level by level from the deepest up; once a level is
-done, the propagated features of shallower chunks that dominate it are
-refreshed before those chunks are scored. Training rows are expected to
-carry propagated values computed from gold child labels.
+Chunks are scored level by level from the deepest up. Before a chunk is
+scored, its two propagated features are filled in by `child_flags` from
+the labels of the chunks filed below its items. Those labels are always
+decided by then: the chunker files a chunk under an item that is an
+ancestor of the chunk's own items, so the chunk lies strictly deeper than
+the item's chunk. Training rows carry the same rule applied to gold
+labels (`pipeline.teacher_forced_features`).
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from typing import Sequence
 
 from . import linear
 from .annotate import ChunkAnnotation
-from .chunker import Chunk, ChunkSet
+from .chunker import ChunkSet
 from .docmodel import DocTree
+# update_propagated_features stays imported by name: perfbench/tracer.py
+# patches it in this module.
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
-                       PropagationOrderError, update_propagated_features)
+                       child_flags, update_propagated_features)
 from .linear import (MinMaxScaler, Scorer, TrainParams, check_shape, finite,
                      finite_array, read_model)
 
@@ -83,12 +88,14 @@ class ChunkPrediction:
 
 def train(rows: list[tuple[FeatureVector, bool]],
           params: TrainParams) -> ProcedureClassifierModel:
-    """Hinge-loss SGD on min-max scaled features; deterministic per seed."""
+    """Hinge-loss SGD on min-max scaled features; deterministic per seed.
+    DegenerateLabels unless `rows` hold both classes."""
     import numpy as np
+    y = np.array([1.0 if label else -1.0 for _, label in rows])
+    linear.check_classes(y)  # before the scaler, which cannot fit zero rows
     raw = np.array([vector.values() for vector, _ in rows], dtype=float)
     scaler = MinMaxScaler.fit(raw)
     x = scaler.transform(raw)
-    y = np.array([1.0 if label else -1.0 for _, label in rows])
     fit = linear.fit_hinge(x, y, params)
     return ProcedureClassifierModel(weights=fit.weights, bias=fit.bias,
                                     scaler=scaler)
@@ -115,40 +122,22 @@ def classify_tree(tree: DocTree, chunks: ChunkSet,
     returned list is in processing order: depth descending, document order
     within a level.
     """
-    predictions: dict[int, ChunkPrediction] = {}
+    labels: dict[int, bool] = {}
     ordered: list[ChunkPrediction] = []
     for depth in sorted(chunks.by_level, reverse=True):
         for chunk_id in chunks.by_level[depth]:
-            chunk = chunks.chunks[chunk_id]
             vector = static_features[chunk_id]
             if propagate:
-                child_flags = _child_outcomes(chunk, chunks, predictions)
                 vector = update_propagated_features(
-                    annotations[chunk_id], child_flags, vector)
+                    annotations[chunk_id],
+                    child_flags(chunks.chunks[chunk_id], chunks, labels), vector)
             vector = _zero_features(vector, ablate_ids)
             margin = model.score(vector)
-            prediction = ChunkPrediction(chunk_id=chunk_id, depth=depth,
-                                         label=linear.decide(margin),
-                                         margin=margin,
-                                         feature_snapshot=vector)
-            predictions[chunk_id] = prediction
-            ordered.append(prediction)
+            labels[chunk_id] = linear.decide(margin)
+            ordered.append(ChunkPrediction(chunk_id=chunk_id, depth=depth,
+                                           label=labels[chunk_id], margin=margin,
+                                           feature_snapshot=vector))
     return ordered
-
-
-def _child_outcomes(chunk: Chunk, chunks: ChunkSet,
-                    predictions: dict[int, ChunkPrediction]) -> dict[int, bool]:
-    outcomes: dict[int, bool] = {}
-    for node_id in chunk.item_node_ids:
-        flag = False
-        for child_id in chunks.child_chunks.get(node_id, ()):
-            if child_id not in predictions:
-                raise PropagationOrderError(
-                    f"chunk {child_id} below item {node_id} is unclassified")
-            if predictions[child_id].label:
-                flag = True
-        outcomes[node_id] = flag
-    return outcomes
 
 
 @dataclass(frozen=True)

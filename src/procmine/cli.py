@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -250,8 +251,18 @@ def _write_or_print(text: str, output: str | None) -> None:
 
 
 def _train_params(args, config: PipelineConfig) -> TrainParams:
+    """The training settings; a missing or negative seed, a learning rate
+    not above 0 or an l2 below 0 (either one not finite) exits 64."""
     if config.seed is None:
         raise CliError("--seed is required for training commands", EX_USAGE)
+    if config.seed < 0:
+        raise CliError(f"--seed must be 0 or more, got {config.seed}", EX_USAGE)
+    if not (math.isfinite(args.learning_rate) and args.learning_rate > 0):
+        raise CliError("--learning-rate must be a finite number above 0, "
+                       f"got {args.learning_rate}", EX_USAGE)
+    if not (math.isfinite(args.l2) and args.l2 >= 0):
+        raise CliError(f"--l2 must be a finite number of 0 or more, got {args.l2}",
+                       EX_USAGE)
     return TrainParams(epochs=args.epochs, learning_rate=args.learning_rate,
                        l2=args.l2, seed=config.seed)
 

@@ -63,7 +63,11 @@ class DocNode:
 
 @dataclass(eq=False)
 class DocTree:
-    """Id-indexed node collection. Treated as immutable after construction."""
+    """Id-indexed node collection. Treated as immutable after construction.
+
+    Node ids are preorder indexes: the root is 0, and `nodes` holds the
+    nodes in document order. `_Builder` guarantees this for every parsed
+    tree, so code that needs document order reads the id."""
 
     nodes: dict[int, DocNode]
     root: int
@@ -84,11 +88,6 @@ class DocTree:
         return self.parents.get(node_id)
 
     @cached_property
-    def position(self) -> dict[int, int]:
-        """Node id -> preorder (document-order) index."""
-        return {node.id: i for i, node in enumerate(self.preorder())}
-
-    @cached_property
     def sentences(self) -> dict[int, tuple[str, ...]]:
         """Node id -> the node's sentences, split once per document."""
         return {node_id: tuple(lingua.split_sentences(node.text))
@@ -96,10 +95,10 @@ class DocTree:
 
     @cached_property
     def sentences_before(self) -> list[int]:
-        """Entry i: total sentences of the first i nodes in preorder, so the
-        nodes at preorder indexes [i, j) hold entry j - entry i sentences."""
+        """Entry i: total sentences of nodes 0 .. i - 1, so the nodes with
+        ids in [i, j) hold entry j - entry i sentences."""
         out = [0]
-        for node_id in self.position:  # preorder
+        for node_id in self.nodes:  # ids in order, which is preorder
             out.append(out[-1] + len(self.sentences[node_id]))
         return out
 

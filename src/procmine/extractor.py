@@ -10,6 +10,11 @@ Folding uses an explicit stack, so any nesting depth works: steps come in
 preorder (a step, then its folded sub-steps, then its next sibling), are
 numbered s1, s2, ... in that order, and read their flags from one node id
 -> (actionable, conditional) table built per document.
+
+Every link resolves by construction: a sub-step's parentStepId names the
+step popped just before its own entry was pushed, so that step is already
+in the list, and a childProcedureId is read from the sequence ids of the
+procedure-labeled chunks, each of which yields a procedure.
 """
 
 from __future__ import annotations
@@ -21,10 +26,6 @@ from .annotate import ChunkAnnotation
 from .chunker import Chunk, ChunkKind, ChunkSet
 from .classifier import ChunkPrediction
 from .docmodel import DocTree, Kind
-
-
-class DanglingLink(RuntimeError):
-    """A step references a procedure or step that does not exist."""
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,9 @@ def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
     """One procedure per procedure-labeled chunk, sequence ids in document
     order ("seq-1", "seq-2", ...)."""
     labels = {p.chunk_id: p.label for p in predictions}
-    position = tree.position
-    procedure_chunks = sorted(
+    procedure_chunks = sorted(  # node ids are preorder: document order
         (cid for cid, label in labels.items() if label),
-        key=lambda cid: position[chunks.chunks[cid].item_node_ids[0]])
+        key=lambda cid: chunks.chunks[cid].item_node_ids[0])
     sequence_ids = {cid: f"seq-{i}" for i, cid in enumerate(procedure_chunks, 1)}
 
     flags = {item.node_id: (item.actionable, item.conditional)
@@ -105,25 +105,7 @@ def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
         procedures.append(Procedure(sequence_id=sequence_ids[chunk_id],
                                     goal=_goal_for(chunk, tree),
                                     step_list=tuple(steps)))
-    _check_links(procedures)
     return procedures
-
-
-def _check_links(procedures: list[Procedure]) -> None:
-    known_sequences = {p.sequence_id for p in procedures}
-    for procedure in procedures:
-        seen: set[str] = set()
-        for step in procedure.step_list:
-            if step.parent_step_id is not None and step.parent_step_id not in seen:
-                raise DanglingLink(
-                    f"{procedure.sequence_id}/{step.step_id}: parent step "
-                    f"{step.parent_step_id!r} not defined earlier")
-            if (step.child_procedure_id is not None
-                    and step.child_procedure_id not in known_sequences):
-                raise DanglingLink(
-                    f"{procedure.sequence_id}/{step.step_id}: child procedure "
-                    f"{step.child_procedure_id!r} does not exist")
-            seen.add(step.step_id)
 
 
 def serialize(procedures: list[Procedure]) -> bytes:

@@ -15,7 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .annotate import ChunkAnnotation, ItemAnnotation
-from .chunker import Chunk, ChunkKind, chunk_size
+from .chunker import Chunk, ChunkKind, ChunkSet, chunk_size
 from .docmodel import DocTree
 # split_sentences stays importable from here: perfbench/tracer.py patches it
 # by module.
@@ -49,10 +49,6 @@ FEATURE_CATEGORIES = {
 
 
 _FEATURE_VALUES = attrgetter(*FEATURE_NAMES)
-
-
-class PropagationOrderError(RuntimeError):
-    """A chunk below this one has not been classified yet."""
 
 
 @dataclass(frozen=True)
@@ -135,9 +131,9 @@ def avg_sibling_distance(chunk: Chunk, tree: DocTree) -> float:
     and the next item)."""
     if len(chunk.item_node_ids) < 2:
         return 0.0
-    position, before = tree.position, tree.sentences_before
+    before = tree.sentences_before  # indexed by node id: ids are preorder
     # nothing lies between a and b unless b comes after a
-    counts = [max(0, before[position[b]] - before[position[a] + 1])
+    counts = [max(0, before[b] - before[a + 1])
               for a, b in zip(chunk.item_node_ids, chunk.item_node_ids[1:])]
     return sum(counts) / len(counts)
 
@@ -185,20 +181,25 @@ def compute_static_features(chunk: Chunk, tree: DocTree,
     )
 
 
+def child_flags(chunk: Chunk, chunks: ChunkSet,
+                labels: dict[int, bool]) -> dict[int, bool]:
+    """The propagation rule: item node id -> whether some chunk filed
+    directly below that item is labeled a procedure in `labels` (chunk id
+    -> label). A chunk missing from `labels` counts as not a procedure."""
+    return {node_id: any(labels.get(child_id, False)
+                         for child_id in chunks.child_chunks.get(node_id, ()))
+            for node_id in chunk.item_node_ids}
+
+
 def update_propagated_features(annotation: ChunkAnnotation,
                                child_predictions: dict[int, bool],
                                current: FeatureVector) -> FeatureVector:
     """Recompute the two propagated features from per-item child outcomes.
 
     `child_predictions` maps every item node id to whether some chunk
-    directly below it was classified as a procedure. Only the two
-    propagated fields change.
+    directly below it was classified as a procedure (see `child_flags`).
+    Only the two propagated fields change.
     """
-    missing = [item.node_id for item in annotation.items
-               if item.node_id not in child_predictions]
-    if missing:
-        raise PropagationOrderError(
-            f"items {missing} have unclassified descendant chunks")
     items = annotation.items
     with_child = [child_predictions[item.node_id] for item in items]
     inferred = _fraction(with_child, len(items))

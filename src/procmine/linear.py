@@ -167,6 +167,14 @@ def _epoch_loss(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
     return float(hinge + 0.5 * l2 * float(w @ w))
 
 
+def check_classes(y: np.ndarray) -> None:
+    """DegenerateLabels unless the labels `y` are exactly {-1, +1}."""
+    import numpy as np
+    classes = set(np.unique(y).tolist())
+    if classes != {-1.0, 1.0}:
+        raise DegenerateLabels(f"need both classes, got labels {sorted(classes)}")
+
+
 def fit_hinge(x: np.ndarray, y: np.ndarray, params: TrainParams) -> FitResult:
     """SGD on hinge loss. `x` must already be scaled; `y` in {-1, +1}.
 
@@ -174,9 +182,7 @@ def fit_hinge(x: np.ndarray, y: np.ndarray, params: TrainParams) -> FitResult:
     count t, so it is near-constant early and ~1/t asymptotically.
     """
     import numpy as np
-    classes = set(np.unique(y).tolist())
-    if not classes.issuperset({-1.0, 1.0}) or len(classes) != 2:
-        raise DegenerateLabels(f"need both classes, got labels {sorted(classes)}")
+    check_classes(y)
     n, dim = x.shape
     rng = np.random.Generator(np.random.PCG64(params.seed))
     # Rows and labels looked up once; Python floats and float64 scalars

@@ -12,6 +12,7 @@ documents one after another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -87,8 +88,11 @@ class PipelineConfig:
             parts = weights.replace(",", " ").split()
             if len(parts) != 3:
                 raise ConfigError(f"role_weights needs 3 numbers, got {weights!r}")
+            numbers = [float(part) for part in parts]
+            if not all(map(math.isfinite, numbers)):
+                raise ConfigError(f"role_weights must be finite, got {weights!r}")
             config.role_weights = dict(zip((Role.SUBJECT, Role.OBJECT, Role.OTHER),
-                                           map(float, parts)))
+                                           numbers))
         if "seed" in values:
             config.seed = int(values["seed"])
         return config
@@ -208,14 +212,10 @@ def run_document(tree: DocTree, actionable_model: ActionableModel | None,
 def teacher_forced_features(run: DocumentRun,
                             gold: dict[int, bool]) -> dict[int, FeatureVector]:
     """Feature vectors with the propagated pair filled in from gold labels
-    of dominated chunks (training-time propagation)."""
-    out: dict[int, FeatureVector] = {}
-    for chunk in run.chunks:
-        child_flags = {}
-        for node_id in chunk.item_node_ids:
-            child_flags[node_id] = any(
-                gold.get(child_id, False)
-                for child_id in run.chunks.child_chunks.get(node_id, ()))
-        out[chunk.id] = features.update_propagated_features(
-            run.annotations[chunk.id], child_flags, run.static_features[chunk.id])
-    return out
+    of dominated chunks (training-time propagation): the rule that
+    `classifier.classify_tree` applies to its own labels."""
+    return {chunk.id: features.update_propagated_features(
+                run.annotations[chunk.id],
+                features.child_flags(chunk, run.chunks, gold),
+                run.static_features[chunk.id])
+            for chunk in run.chunks}

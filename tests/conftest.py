@@ -97,6 +97,42 @@ def assert_well_formed(tree: DocTree) -> None:
     assert validate_tree(tree) == []
 
 
+# ---------------------------------------------------------------------------
+# Oracles for what the chunker and the extractor guarantee without checking
+# at run time.
+
+def assert_children_deeper(chunks) -> None:
+    """Every chunk filed under an item lies strictly deeper than the chunk
+    holding that item, so deepest-first scoring labels it first."""
+    depth_of_item = {node_id: chunk.depth for chunk in chunks
+                     for node_id in chunk.item_node_ids}
+    for node_id, below in chunks.child_chunks.items():
+        for child_id in below:
+            assert chunks.chunks[child_id].depth > depth_of_item[node_id], \
+                (node_id, child_id)
+
+
+class DanglingLink(AssertionError):
+    """A step references a procedure or step that does not exist."""
+
+
+def check_links(procedures) -> None:
+    known_sequences = {p.sequence_id for p in procedures}
+    for procedure in procedures:
+        seen: set[str] = set()
+        for step in procedure.step_list:
+            if step.parent_step_id is not None and step.parent_step_id not in seen:
+                raise DanglingLink(
+                    f"{procedure.sequence_id}/{step.step_id}: parent step "
+                    f"{step.parent_step_id!r} not defined earlier")
+            if (step.child_procedure_id is not None
+                    and step.child_procedure_id not in known_sequences):
+                raise DanglingLink(
+                    f"{procedure.sequence_id}/{step.step_id}: child procedure "
+                    f"{step.child_procedure_id!r} does not exist")
+            seen.add(step.step_id)
+
+
 # Field-by-field views of the two JSON outputs, for checking that each
 # carries every field: `astuple` lists all dataclass fields in order, so a
 # field the writer leaves out makes the two views differ.
@@ -180,6 +216,14 @@ def random_sdjson(rng: random.Random, max_elements: int = 12) -> dict:
 
 def random_tree(rng: random.Random, max_elements: int = 12) -> DocTree:
     return parse_sdjson(json.dumps(random_sdjson(rng, max_elements)))
+
+
+def deep_list_markdown(depth: int = 1100) -> str:
+    """Two ordered items, then a bullet list nested `depth` levels deep below
+    the second."""
+    lines = ["# Manual", "1. Click the icon.", "2. Type the value."]
+    lines += ["  " * (d + 1) + f"- option {d}" for d in range(depth)]
+    return "\n".join(lines)
 
 
 def make_tree(nodes: list[DocNode], root: int = 0,

@@ -23,7 +23,7 @@ from procmine.linear import TrainParams
 from procmine.lingua import Tagger, detect_conditional, detect_imperative
 from procmine.relatedness import project, relatedness_score
 
-from conftest import random_tree, validate_tree
+from conftest import check_links, random_tree, validate_tree
 from test_relatedness import brute_force_score, random_graph
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,6 +135,7 @@ def test_golden_end_to_end(models):
         payload = extractor.serialize(run.procedures)
         golden = (CORPUS / "golden" / (doc.stem + ".procedures.json")).read_bytes()
         assert payload == golden, f"{doc.name}: output differs from golden"
+        check_links(run.procedures)
         if doc == FIXTURE:
             continue
         gold = read_labels_csv(CORPUS / "labels" / (doc.stem + ".labels.csv"))

@@ -8,7 +8,7 @@ from procmine import pipeline
 from procmine.chunker import Chunk, ChunkKind, build_chunks, chunk_size
 from procmine.docmodel import DocTree, Kind, parse_markdown, parse_sdjson
 
-from conftest import random_tree
+from conftest import assert_children_deeper, deep_list_markdown, random_tree
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -270,6 +270,32 @@ class TestOnePassOracle:
         tree = md_tree("# T\nIntro. Then this.\n\n- a\n- b\n\n## H\nOne.\n\n"
                        "1. x\n  - y\n    1. z\n2. w\n\nLast words.\n\n- q")
         assert_matches_oracle(tree)
+
+
+class TestChildrenDeeperOracle:
+    """`classifier.classify_tree` scores deepest first and reads the labels
+    of the chunks below each item without checking they exist: this is the
+    chunker guarantee that makes them exist."""
+
+    def test_300_random_trees(self):
+        rng = random.Random(808)
+        pairs = 0
+        for _ in range(300):
+            chunks = build_chunks(random_tree(rng, max_elements=20))
+            assert_children_deeper(chunks)
+            pairs += sum(map(len, chunks.child_chunks.values()))
+        assert pairs > 1000
+
+    @pytest.mark.parametrize("path", sorted((CORPUS / "docs").glob("*.md"))
+                             + [CORPUS / "nested-fixture.md"],
+                             ids=lambda p: p.stem)
+    def test_corpus_documents(self, path):
+        assert_children_deeper(build_chunks(pipeline.load_document(path)))
+
+    def test_1100_deep_markdown_list(self):
+        chunks = build_chunks(md_tree(deep_list_markdown(1100)))
+        assert len(chunks) == 1101
+        assert_children_deeper(chunks)
 
 
 class TestLinearWork:

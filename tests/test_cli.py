@@ -78,6 +78,8 @@ def sdjson_element(path, element):
 LONE_SURROGATE = ('{"version": "sdjson/1", "title": "T", "elements": '
                   '[{"type": "paragraph", "text": "Open the \\ud800 panel."}]}')
 PROCEDURE = str(CORPUS / "models" / "procedure.json")
+FEATURE_HEADER = ",".join(["chunk_id", *(f"f{i}" for i in range(1, 16)), "label"])
+ACTIONABLE_CSV = str(CORPUS / "actionable_sentences.csv")
 
 # command -> (expected exit code, argv built in a scratch directory)
 BAD_INPUTS = {
@@ -176,6 +178,39 @@ BAD_INPUTS = {
     "train-actionable-output-in-missing-directory": (64, lambda d: [
         "train-actionable", str(CORPUS / "actionable_sentences.csv"),
         "--seed", "1", "-o", str(d / "missing" / "m.json")]),
+    "train-header-only-csv": (65, lambda d: [
+        "train", write(d / "f.csv", FEATURE_HEADER + "\n"),
+        "--seed", "1", "-o", str(d / "m.json")]),
+    "ablate-header-only-csv": (65, lambda d: [
+        "ablate", "--train", write(d / "f.csv", FEATURE_HEADER + "\n"),
+        "--test", str(d / "f.csv"), "--seed", "1"]),
+    "train-negative-seed": (64, lambda d: [
+        "train", write(d / "f.csv", FEATURE_HEADER + "\n"),
+        "--seed", "-1", "-o", str(d / "m.json")]),
+    "train-actionable-negative-seed": (64, lambda d: [
+        "train-actionable", ACTIONABLE_CSV, "--seed", "-1", "-o", str(d / "m.json")]),
+    "ablate-negative-seed": (64, lambda d: [
+        "ablate", "--train", write(d / "f.csv", FEATURE_HEADER + "\n"),
+        "--test", str(d / "f.csv"), "--seed", "-1"]),
+    "train-actionable-negative-seed-in-config": (64, lambda d: [
+        "train-actionable", ACTIONABLE_CSV, "--config", write(d / "run.cfg", "seed=-2\n"),
+        "-o", str(d / "m.json")]),
+    "train-negative-l2": (64, lambda d: [
+        "train", write(d / "f.csv", FEATURE_HEADER + "\n"), "--seed", "1",
+        "--learning-rate", "1", "--l2", "-1", "-o", str(d / "m.json")]),
+    "train-actionable-infinite-l2": (64, lambda d: [
+        "train-actionable", ACTIONABLE_CSV, "--seed", "1", "--l2", "inf",
+        "-o", str(d / "m.json")]),
+    "train-actionable-nan-learning-rate": (64, lambda d: [
+        "train-actionable", ACTIONABLE_CSV, "--seed", "1", "--learning-rate", "nan",
+        "-o", str(d / "m.json")]),
+    "ablate-zero-learning-rate": (64, lambda d: [
+        "ablate", "--train", write(d / "f.csv", FEATURE_HEADER + "\n"),
+        "--test", str(d / "f.csv"), "--seed", "1", "--learning-rate", "0"]),
+    "extract-non-finite-role-weights": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE,
+        "--config", write(d / "run.cfg", "role_weights=nan inf -1\n"),
+        "-o", str(d / "out.json")]),
     "extract-markdown-1100-deep-no-procedure": (0, lambda d: [
         "extract", deep_markdown(d / "deep.md", ["- option top"]),
         "--model", hand_model(d / "p.json", 0.0), "-o", str(d / "out.json")]),

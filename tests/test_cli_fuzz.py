@@ -1,6 +1,8 @@
-"""Fuzz the CLI in process: whatever the document bytes, sdjson tree or
-model file, `main` returns a documented exit code and raises nothing, and
-every document that parses gives a tree the `validate_tree` oracle accepts.
+"""Fuzz the CLI in process: whatever the document bytes, sdjson tree,
+model file or training input and flags, `main` returns a documented exit
+code and raises nothing. Every document that parses gives a tree the
+`validate_tree` oracle accepts, and every extraction gives procedures whose
+links the `check_links` oracle accepts.
 
 Examples are drawn deterministically and their number is bounded, so the
 tests take a few seconds and fail the same way on every run."""
@@ -15,10 +17,11 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procmine import pipeline
+from procmine import extractor, pipeline
 from procmine.cli import main
 
-from conftest import assert_well_formed
+from conftest import assert_well_formed, check_links
+from test_cli import FEATURE_HEADER
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 PROCEDURE = CORPUS / "models" / "procedure.json"
@@ -28,15 +31,22 @@ EXIT_CODES = {0, 2, 64, 65, 66}
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 database=None)
 
+# The bundled models make a procedure of the outer list that links to the
+# first sublist and folds in the second, so mutated models that still load
+# give the link check both kinds of link to look at.
 SMALL_DOC = json.dumps({
     "version": "sdjson/1", "title": "Setting up the panel",
     "elements": [
         {"type": "heading", "level": 1, "text": "Installing the agent"},
-        {"type": "paragraph", "text": "The agent reports to the console."},
+        {"type": "paragraph", "text": "Complete the following steps:"},
         {"type": "list", "ordered": True, "items": [
             {"text": "Open the panel.",
-             "sublist": {"ordered": False, "items": [{"text": "Click Start."}]}},
-            {"text": "The administrator restarts the service."}]},
+             "sublist": {"ordered": True, "items": [{"text": "Click Start."},
+                                                    {"text": "Type the name."}]}},
+            {"text": "Select the mode.",
+             "sublist": {"ordered": False, "items": [{"text": "The fast mode."},
+                                                     {"text": "The safe mode."}]}},
+            {"text": "Restart the service."}]},
     ],
 })
 
@@ -50,16 +60,27 @@ def checked(parse):
     return parse_and_check
 
 
+def linked(extract):
+    """`extract`, asserting that every link in the procedures it returns
+    resolves."""
+    def extract_and_check(*args, **kwargs):
+        procedures = extract(*args, **kwargs)
+        check_links(procedures)
+        return procedures
+    return extract_and_check
+
+
 def run_cli(files: dict[str, bytes], argv) -> int:
     """Write `files` into a fresh directory and run `main(argv(directory))`
-    with stdout and stderr captured and both parsers checked. Any exception
-    propagates."""
+    with stdout and stderr captured, both parsers and the extractor checked.
+    Any exception propagates."""
     with tempfile.TemporaryDirectory() as scratch, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()), \
             mock.patch.object(pipeline, "parse_sdjson", checked(pipeline.parse_sdjson)), \
             mock.patch.object(pipeline, "parse_markdown",
-                              checked(pipeline.parse_markdown)):
+                              checked(pipeline.parse_markdown)), \
+            mock.patch.object(extractor, "extract", linked(extractor.extract)):
         directory = Path(scratch)
         for name, data in files.items():
             (directory / name).write_bytes(data)
@@ -184,4 +205,39 @@ def test_mutated_model_file(name, data):
         argv = extract("doc.json", model="model.json")
     else:
         argv = extract("doc.json", actionable_model="model.json")
+    assert run_cli(files, argv) in EXIT_CODES
+
+
+FEATURE_ROWS = st.lists(st.tuples(
+    st.lists(st.sampled_from(["0", "0.25", "1", "3"]), min_size=15, max_size=15),
+    st.booleans()), max_size=4)
+CORPUS_ROWS = st.lists(st.tuples(
+    st.sampled_from(["Open the panel.", "Click Start.", "The server restarts.",
+                     "If the light is red, press reset."]),
+    st.booleans()), max_size=4)
+RATE = st.sampled_from(["1e-3", "1", "0", "-1", "inf", "nan"])
+
+
+# About 9 draws in 10 hold a flag that exits 64, so this test takes more
+# examples for enough of them to reach training.
+@settings(FUZZ, max_examples=200)
+@given(st.sampled_from(["train", "train-actionable", "ablate"]), FEATURE_ROWS,
+       CORPUS_ROWS, st.integers(-3, 3), RATE, RATE, st.integers(0, 3))
+def test_training_commands(command, feature_rows, corpus_rows, seed,
+                           learning_rate, l2, epochs):
+    features = [FEATURE_HEADER] + [",".join([str(i), *values, str(int(label))])
+                                   for i, (values, label) in enumerate(feature_rows)]
+    corpus = ["text,label"] + [f'"{text}",{int(label)}' for text, label in corpus_rows]
+    files = {"f.csv": "\n".join(features).encode("utf-8"),
+             "c.csv": "\n".join(corpus).encode("utf-8")}
+
+    def argv(d: Path) -> list[str]:
+        flags = ["--seed", str(seed), "--learning-rate", learning_rate,
+                 "--l2", l2, "--epochs", str(epochs)]
+        if command == "ablate":
+            return ["ablate", "--train", str(d / "f.csv"),
+                    "--test", str(d / "f.csv"), *flags]
+        data = d / ("f.csv" if command == "train" else "c.csv")
+        return [command, str(data), "-o", str(d / "m.json"), *flags]
+
     assert run_cli(files, argv) in EXIT_CODES

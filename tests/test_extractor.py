@@ -7,12 +7,12 @@ from procmine import pipeline
 from procmine.chunker import ChunkKind
 from procmine.classifier import classify_tree
 from procmine.docmodel import parse_markdown
-from procmine.extractor import (DanglingLink, Procedure, Step, _check_links,
-                                extract, serialize)
+from procmine.extractor import Procedure, Step, extract, serialize
 from procmine.features import FEATURE_NAMES
 from procmine.linear import MinMaxScaler
 
-from conftest import procedure_fields, procedures_json_fields
+from conftest import (DanglingLink, check_links, deep_list_markdown,
+                      procedure_fields, procedures_json_fields)
 from test_classifier import FLIP_MODEL, NESTED_DOC, hand_model
 
 IMPERATIVE_ONLY = hand_model({"n_imperatives": 2.0}, -1.0)
@@ -77,9 +77,9 @@ class TestExtract:
         assert procedure.step_list[2].actionable is False
 
     def test_1100_deep_non_procedure_lists_fold_in_preorder(self):
-        lines = ["# Manual", "1. Click the icon.", "2. Type the value."]
-        lines += ["  " * (d + 1) + f"- option {d}" for d in range(1100)]
-        _, _, procedures = run_and_extract("\n".join(lines), IMPERATIVE_ONLY)
+        _, _, procedures = run_and_extract(deep_list_markdown(1100),
+                                           IMPERATIVE_ONLY)
+        check_links(procedures)
         assert len(procedures) == 1
         steps = procedures[0].step_list
         assert [s.step_id for s in steps] == [f"s{i}" for i in range(1, 1103)]
@@ -123,14 +123,14 @@ class TestExtract:
             Step(step_id="s1", text="x", actionable=True, conditional=False,
                  parent_step_id="s9"),))
         with pytest.raises(DanglingLink):
-            _check_links([bad])
+            check_links([bad])
 
     def test_dangling_child_procedure_raises(self):
         bad = Procedure(sequence_id="seq-1", goal="g", step_list=(
             Step(step_id="s1", text="x", actionable=True, conditional=False,
                  child_procedure_id="seq-9"),))
         with pytest.raises(DanglingLink):
-            _check_links([bad])
+            check_links([bad])
 
 
 class TestSerialize:

@@ -10,8 +10,7 @@ from procmine.chunker import ChunkKind, build_chunks
 from procmine.classifier import ProcedureClassifierModel
 from procmine.docmodel import parse_markdown
 from procmine.features import (FEATURE_NAMES, FeatureVector,
-                               PropagationOrderError, avg_sibling_distance,
-                               compute_static_features,
+                               avg_sibling_distance, compute_static_features,
                                update_propagated_features)
 from procmine.linear import MinMaxScaler
 from procmine.lingua import split_sentences
@@ -234,13 +233,6 @@ class TestPropagatedFeatures:
             if name in ("n_inferred_goal", "n_non_actionable_goals"):
                 continue
             assert getattr(updated, name) == getattr(base, name)
-
-    def test_missing_item_raises_order_error(self):
-        run = self._heading_run(2)
-        group = chunk_of(run, ChunkKind.HEADING_GROUP)
-        with pytest.raises(PropagationOrderError):
-            update_propagated_features(run.annotations[group.id], {},
-                                       run.static_features[group.id])
 
 
 class TestScale:

@@ -11,8 +11,8 @@ from procmine.docmodel import DocTree, Kind, parse_markdown, parse_sdjson
 from procmine.pipeline import ConfigError, PipelineConfig
 from procmine.relatedness import DEFAULT_ROLE_WEIGHTS, Role
 
-from conftest import (procedure_fields, procedures_json_fields, random_sdjson,
-                      random_tree)
+from conftest import (check_links, procedure_fields, procedures_json_fields,
+                      random_sdjson, random_tree)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -32,6 +32,7 @@ def run_random_doc(rng, models):
 class TestPipelineProperties:
     def test_random_documents_uphold_output_invariants(self, models):
         rng = random.Random(2718)
+        parents = children = 0
         for _ in range(40):
             run = run_random_doc(rng, models)
             # every chunk predicted exactly once, deepest level first
@@ -46,11 +47,16 @@ class TestPipelineProperties:
             for p in run.predictions:
                 assert models[1].score(p.feature_snapshot) == p.margin
             # links resolve, sequence ids unique, the JSON carries every field
+            check_links(run.procedures)
+            steps = [s for p in run.procedures for s in p.step_list]
+            parents += sum(s.parent_step_id is not None for s in steps)
+            children += sum(s.child_procedure_id is not None for s in steps)
             ids = [p.sequence_id for p in run.procedures]
             assert len(ids) == len(set(ids))
             payload = extractor.serialize(run.procedures)
             assert procedures_json_fields(payload) == \
                 procedure_fields(run.procedures)
+        assert parents > 10 and children > 40  # both kinds of link were checked
 
     def test_same_document_twice_is_byte_identical(self, models):
         rng = random.Random(99)
@@ -68,6 +74,31 @@ class TestPipelineProperties:
         run = pipeline.run_document(tree, None, models[1])
         labels = {p.chunk_id: p.label for p in run.predictions}
         assert labels == {1: True, 2: True, 3: True}
+
+
+class TestOnePropagationRule:
+    """Inference and teacher forcing share `features.child_flags`: given the
+    classifier's own labels as gold, teacher forcing rebuilds every vector
+    the classifier scored."""
+
+    @staticmethod
+    def assert_reproduces_snapshots(run):
+        labels = {p.chunk_id: p.label for p in run.predictions}
+        forced = pipeline.teacher_forced_features(run, labels)
+        assert {p.chunk_id: p.feature_snapshot for p in run.predictions} == forced
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("docs/*.md"))
+                             + [CORPUS / "nested-fixture.md"],
+                             ids=lambda p: p.stem)
+    def test_corpus_documents(self, models, path):
+        run = pipeline.run_document(pipeline.load_document(path), *models)
+        assert any(p.feature_snapshot.n_inferred_goal for p in run.predictions)
+        self.assert_reproduces_snapshots(run)
+
+    def test_random_documents(self, models):
+        rng = random.Random(404)
+        for _ in range(60):
+            self.assert_reproduces_snapshots(run_random_doc(rng, models))
 
 
 class TestLinearWork:
@@ -139,6 +170,13 @@ class TestPipelineConfig:
         path = tmp_path / "run.cfg"
         path.write_text("role_weights=4 2\n")
         with pytest.raises(ConfigError):
+            PipelineConfig.from_sources(path, {})
+
+    @pytest.mark.parametrize("value", ["nan inf -1", "1 2 nan", "1,-inf,1"])
+    def test_non_finite_role_weights_raise(self, tmp_path, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"role_weights={value}\n")
+        with pytest.raises(ConfigError, match="finite"):
             PipelineConfig.from_sources(path, {})
 
     @pytest.mark.parametrize("line", ["role_weight=1,2,3",
