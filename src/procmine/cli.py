@@ -7,6 +7,12 @@ model files, and labeled CSVs. Machine-readable output goes to stdout or
 -o targets, all written through `_write`; diagnostics go to stderr. Exit
 codes: 0 ok, 2 malformed document, 64 usage or unwritable output, 65 bad
 data or model file, 66 unreadable input.
+
+`extract` over several documents runs them on up to one process per
+usable CPU: the parent parses every input and loads the models, then forks
+workers that inherit all of it, and writes every diagnostic itself, so the
+output and stderr bytes do not depend on the number of processes. The CLI
+starts no threads, which is what makes forking it safe.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +43,7 @@ EX_DOCUMENT = 2
 EX_USAGE = 64
 EX_DATA = 65
 EX_NOINPUT = 66
+EX_FAULT = 1  # a fault in the program, the status of an uncaught exception
 
 
 class CliError(Exception):
@@ -251,12 +260,15 @@ def _write_or_print(text: str, output: str | None) -> None:
 
 
 def _train_params(args, config: PipelineConfig) -> TrainParams:
-    """The training settings; a missing or negative seed, a learning rate
-    not above 0 or an l2 below 0 (either one not finite) exits 64."""
+    """The training settings; a missing or negative seed, negative epochs,
+    a learning rate not above 0 or an l2 below 0 (either one not finite)
+    exits 64."""
     if config.seed is None:
         raise CliError("--seed is required for training commands", EX_USAGE)
     if config.seed < 0:
         raise CliError(f"--seed must be 0 or more, got {config.seed}", EX_USAGE)
+    if args.epochs < 0:
+        raise CliError(f"--epochs must be 0 or more, got {args.epochs}", EX_USAGE)
     if not (math.isfinite(args.learning_rate) and args.learning_rate > 0):
         raise CliError("--learning-rate must be a finite number above 0, "
                        f"got {args.learning_rate}", EX_USAGE)
@@ -299,6 +311,18 @@ def _prediction_log(run: pipeline.DocumentRun) -> str:
     return out.getvalue()
 
 
+def _check_distinct_stems(inputs: list[str]) -> None:
+    """Each of several inputs writes `<stem>.procedures.json`, so two inputs
+    with one stem (one file given twice included) exit 64."""
+    first: dict[str, str] = {}
+    for path in inputs:
+        stem = Path(path).stem
+        if stem in first:
+            raise CliError(f"{first[stem]} and {path} would both write "
+                           f"{stem}.procedures.json", EX_USAGE)
+        first[stem] = path
+
+
 def _cmd_extract(args) -> int:
     config = _run_config(args)
     if config.procedure_model is None:
@@ -312,19 +336,32 @@ def _cmd_extract(args) -> int:
     if multi and args.output and Path(args.output).suffix:
         raise CliError("-o must be a directory when extracting multiple inputs",
                        EX_USAGE)
+    if multi:
+        _check_distinct_stems(inputs)
 
-    trees = [(path, _load_document(path, args.format)) for path in inputs]
+    trees = [_load_document(path, args.format) for path in inputs]
+    # Read every lexicon and build both scorers before any worker forks, so
+    # that the workers share them instead of each building its own.
+    config.tagger()
+    config.goal_config()
+    config.context_lexicons()
+    for model in (procedure_model, actionable_model):
+        if model is not None:
+            model.scorer  # a cached property, built on first read
 
-    for path, tree in trees:
+    def extract_one(index: int, diagnostics: list[tuple[int, str]]) -> None:
+        """Run input `index` and write its outputs, after adding its
+        --dump-graphs text to `diagnostics`."""
+        path = inputs[index]
         run = pipeline.run_document(
-            tree, actionable_model, procedure_model, config,
+            trees[index], actionable_model, procedure_model, config,
             propagate=not args.no_propagation, ablate_ids=ablate_ids)
         if args.dump_graphs:
-            for chunk in run.chunks:
-                tagged = [s.tagged for item in run.annotations[chunk.id].items
-                          for s in item.sentences]
-                sys.stderr.write(f"# chunk {chunk.id}\n")
-                sys.stderr.write(describe_graph(tagged, config.role_weights) + "\n")
+            diagnostics.append((index, "".join(
+                f"# chunk {chunk.id}\n"
+                + describe_graph([s.tagged for item in run.annotations[chunk.id].items
+                                  for s in item.sentences], config.role_weights)
+                + "\n" for chunk in run.chunks)))
         payload = extractor.serialize(run.procedures)
         stem = Path(path).stem
         if multi:
@@ -338,7 +375,134 @@ def _cmd_extract(args) -> int:
             target = (Path(args.pred_log) / (stem + ".predictions.csv")
                       if multi else args.pred_log)
             _write(target, _prediction_log(run), make_dir=multi)
+
+    processes = min(_usable_cpus(), len(inputs)) if hasattr(os, "fork") else 1
+    shares = _shares([len(tree.nodes) for tree in trees], processes)
+    diagnostics, errors = _run_shares(shares, extract_one)
+    # Every input before the earliest failing one has run, whatever the
+    # split, so stderr is the same for any number of processes.
+    error = min(errors, default=None)
+    last = error[0] if error else len(inputs)
+    sys.stderr.write("".join(text for index, text in sorted(diagnostics)
+                             if index <= last))
+    if error:
+        raise CliError(error[2], error[1])
     return EX_OK
+
+
+# ---------------------------------------------------------------------------
+# Several documents on several processes
+
+# What one share of the inputs leaves: (input index, stderr diagnostics) of
+# each document run, and (input index, exit code, message) of the CliError
+# that stopped the share, if one did.
+ShareReport = tuple[list[tuple[int, str]], tuple[int, int, str] | None]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, so that a
+    `taskset` limit counts, or the machine's count where there is none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(sizes: list[int], count: int) -> list[list[int]]:
+    """The indexes of `sizes` dealt into `count` shares, largest size first,
+    each to the share with the smallest total so far; each share in index
+    order."""
+    shares: list[list[int]] = [[] for _ in range(count)]
+    totals = [0] * count
+    for index in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        least = totals.index(min(totals))
+        shares[least].append(index)
+        totals[least] += sizes[index]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(share: list[int], extract_one) -> ShareReport:
+    """`extract_one` on each input index of `share` in turn, up to the
+    first CliError."""
+    diagnostics: list[tuple[int, str]] = []
+    for index in share:
+        try:
+            extract_one(index, diagnostics)
+        except CliError as exc:
+            return diagnostics, (index, exc.code, str(exc))
+    return diagnostics, None
+
+
+def _fork_worker(share: list[int], extract_one) -> tuple[int, int]:
+    """Fork a worker that runs `share` and writes its ShareReport as JSON to
+    a pipe in one piece at the end; return (pid, read end of the pipe). The
+    worker inherits the parsed documents and the models, and always ends in
+    os._exit: it never returns into its caller."""
+    sys.stderr.flush()  # so that a worker writing a traceback repeats nothing
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        report = json.dumps(_run_share(share, extract_one)).encode("utf-8")
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(report)
+        status = 0
+    except Exception:  # a fault: show it as an uncaught one would show
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, read_fd: int) -> ShareReport | int:
+    """A worker's report, read to the end of its pipe before the worker is
+    reaped (it may be blocked writing); its exit status if it ended
+    without one."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        data = pipe.read()
+    _, wait_status = os.waitpid(pid, 0)
+    status = os.waitstatus_to_exitcode(wait_status)
+    if status:
+        return status
+    diagnostics, error = json.loads(data)
+    return [tuple(pair) for pair in diagnostics], tuple(error) if error else None
+
+
+def _run_shares(shares: list[list[int]],
+                extract_one) -> tuple[list[tuple[int, str]], list[tuple[int, int, str]]]:
+    """Run the last share in this process and each other one in a forked
+    worker (here too, if no process can be forked); return every document's
+    diagnostics and every share's error. All workers are reaped, also when
+    this process's own share raises. A worker that ends without reporting
+    exits 1, as an uncaught exception would."""
+    workers: list[tuple[int, int]] = []
+    reports: list[ShareReport] = []
+    try:
+        for share in shares[:-1]:
+            try:
+                workers.append(_fork_worker(share, extract_one))
+            except OSError:
+                reports.append(_run_share(share, extract_one))
+        reports.append(_run_share(shares[-1], extract_one))
+    finally:
+        collected = [_collect(pid, read_fd) for pid, read_fd in workers]
+    for report in collected:
+        if isinstance(report, int):
+            raise CliError(f"extract: a worker process ended with status {report} "
+                           "before reporting", EX_FAULT)
+        reports.append(report)
+    return ([pair for diagnostics, _ in reports for pair in diagnostics],
+            [error for _, error in reports if error])
 
 
 def feature_csv_rows(vectors: dict[int, FeatureVector],

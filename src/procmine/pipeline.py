@@ -6,8 +6,8 @@ merged with command-line flags (flags win), whose referenced paths are
 checked up front so a bad config fails before any work starts. It reads
 each lexicon once and hands the same read-only tagger and lexicons to
 every document run with it. Each document run is otherwise self-contained:
-it shares no mutable state with other runs, and the CLI processes multiple
-documents one after another.
+it shares no mutable state with other runs, so the CLI can run several
+documents in forked worker processes.
 """
 
 from __future__ import annotations

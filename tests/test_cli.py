@@ -1,11 +1,14 @@
 import csv
+import errno
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from procmine import cli, pipeline
 from procmine.cli import main
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -79,6 +82,9 @@ LONE_SURROGATE = ('{"version": "sdjson/1", "title": "T", "elements": '
                   '[{"type": "paragraph", "text": "Open the \\ud800 panel."}]}')
 PROCEDURE = str(CORPUS / "models" / "procedure.json")
 FEATURE_HEADER = ",".join(["chunk_id", *(f"f{i}" for i in range(1, 16)), "label"])
+# One row of each class: enough for every training command to succeed.
+TWO_CLASS_FEATURES = "\n".join([FEATURE_HEADER, "1," + "1," * 15 + "1",
+                                "2," + "0," * 15 + "0"]) + "\n"
 ACTIONABLE_CSV = str(CORPUS / "actionable_sentences.csv")
 
 # command -> (expected exit code, argv built in a scratch directory)
@@ -207,6 +213,21 @@ BAD_INPUTS = {
     "ablate-zero-learning-rate": (64, lambda d: [
         "ablate", "--train", write(d / "f.csv", FEATURE_HEADER + "\n"),
         "--test", str(d / "f.csv"), "--seed", "1", "--learning-rate", "0"]),
+    "train-negative-epochs": (64, lambda d: [
+        "train", write(d / "f.csv", TWO_CLASS_FEATURES), "--seed", "1",
+        "--epochs", "-5", "-o", str(d / "m.json")]),
+    "train-actionable-negative-epochs": (64, lambda d: [
+        "train-actionable", ACTIONABLE_CSV, "--seed", "1", "--epochs", "-5",
+        "-o", str(d / "m.json")]),
+    "ablate-negative-epochs": (64, lambda d: [
+        "ablate", "--train", write(d / "f.csv", TWO_CLASS_FEATURES),
+        "--test", str(d / "f.csv"), "--seed", "1", "--epochs", "-1"]),
+    "extract-two-inputs-one-output-name": (64, lambda d: [
+        "extract", str(DOC), write(d / "appliance-quickstart.json", SDJSON_DOC),
+        "--model", PROCEDURE, "-o", str(d / "out")]),
+    "extract-one-input-twice": (64, lambda d: [
+        "extract", str(DOC), str(CORPUS / "nested-fixture.md"), str(DOC),
+        "--model", PROCEDURE, "-o", str(d / "out")]),
     "extract-non-finite-role-weights": (65, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE,
         "--config", write(d / "run.cfg", "role_weights=nan inf -1\n"),
@@ -356,6 +377,212 @@ class TestExtract:
         assert code == 0
         # imperative + propagated goal evidence removed: nothing survives
         assert json.loads(out.read_text()) == []
+
+    def test_duplicate_output_names_exit_64_before_any_work(self, capsys, tmp_path):
+        other = tmp_path / "b" / "appliance-quickstart.md"
+        other.parent.mkdir()
+        other.write_text("# T\n\n1. Open the panel.\n")
+        out = tmp_path / "out"
+        code, _, err = run_main(["extract", str(DOC), str(other), *MODELS,
+                                 "-o", str(out)], capsys)
+        assert code == 64
+        assert err.splitlines() == [f"{DOC} and {other} would both write "
+                                    "appliance-quickstart.procedures.json"]
+        assert not out.exists()
+
+
+CORPUS_DOCS = [*sorted((CORPUS / "docs").glob("*.md")), CORPUS / "nested-fixture.md"]
+
+
+def big_dump_list(path, items=80):
+    """One list whose items all name the same entities: its --dump-graphs
+    text holds every pair of items as an edge, over 64 KiB for 80 items."""
+    lines = ["# Panel", *(f"- Restart the server on the console {i}." for i in range(items))]
+    return write(path, "\n".join(lines) + "\n")
+
+
+def force_processes(monkeypatch, count):
+    """Make `extract` see `count` usable CPUs; return the list that records
+    each fork."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def extract_with_processes(count, argv, timeout=120):
+    """`procmine extract` in a fresh interpreter that sees `count` usable
+    CPUs, ended after `timeout` seconds."""
+    code = ("import sys; from procmine import cli; "
+            "cli._usable_cpus = lambda: int(sys.argv[1]); "
+            "sys.exit(cli.main(sys.argv[2:]))")
+    return subprocess.run([sys.executable, "-c", code, str(count), "extract", *argv],
+                          capture_output=True, timeout=timeout)
+
+
+class TestWorkers:
+    """Several inputs run on up to one process per usable CPU, with the same
+    bytes out as one process."""
+
+    @pytest.fixture(scope="class")
+    def alone(self, tmp_path_factory):
+        """(procedures, prediction log) bytes of each corpus document run by
+        itself, by stem."""
+        d = tmp_path_factory.mktemp("alone")
+        results = {}
+        for path in CORPUS_DOCS:
+            out, log = d / (path.stem + ".json"), d / (path.stem + ".csv")
+            assert main(["extract", str(path), *MODELS, "-o", str(out),
+                         "--pred-log", str(log)]) == 0
+            results[path.stem] = out.read_bytes(), log.read_bytes()
+        return results
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_outputs_equal_single_runs_and_golden(self, monkeypatch, tmp_path,
+                                                  alone, processes):
+        forks = force_processes(monkeypatch, processes)
+        out, logs = tmp_path / "out", tmp_path / "logs"
+        assert main(["extract", *map(str, CORPUS_DOCS), *MODELS, "-o", str(out),
+                     "--pred-log", str(logs)]) == 0
+        assert len(forks) == processes - 1
+        assert_no_child_left()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            stem + ".procedures.json" for stem in alone)
+        assert sorted(p.name for p in logs.iterdir()) == sorted(
+            stem + ".predictions.csv" for stem in alone)
+        for stem, (procedures, log) in alone.items():
+            assert (out / (stem + ".procedures.json")).read_bytes() == procedures
+            assert (logs / (stem + ".predictions.csv")).read_bytes() == log
+            golden = CORPUS / "golden" / (stem + ".procedures.json")
+            assert procedures == golden.read_bytes()
+
+    def test_share_that_cannot_fork_runs_here(self, monkeypatch, tmp_path, alone):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+
+        def no_process():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        out = tmp_path / "out"
+        assert main(["extract", *map(str, CORPUS_DOCS), *MODELS,
+                     "-o", str(out)]) == 0
+        for stem, (procedures, _) in alone.items():
+            assert (out / (stem + ".procedures.json")).read_bytes() == procedures
+
+    def test_dump_graphs_stderr_same_for_any_count(self, tmp_path):
+        big = big_dump_list(tmp_path / "big.md")
+        alone = extract_with_processes(1, [big, *MODELS, "-o", str(tmp_path / "big.json"),
+                                           "--dump-graphs"])
+        assert alone.returncode == 0
+        assert len(alone.stderr) > 65536  # more than a pipe holds unread
+        # The largest input goes to the first share, which a worker runs.
+        argv = [*map(str, CORPUS_DOCS), big, *MODELS, "--dump-graphs"]
+        results = [extract_with_processes(n, [*argv, "-o", str(tmp_path / f"out{n}")])
+                   for n in (1, 2, 3)]
+        assert [r.returncode for r in results] == [0, 0, 0]
+        assert results[0].stderr.endswith(alone.stderr)
+        assert results[1].stderr == results[0].stderr
+        assert results[2].stderr == results[0].stderr
+        assert results[0].stdout == results[1].stdout == results[2].stdout == b""
+
+    def test_error_of_earliest_failing_input_and_stderr_same_for_any_count(
+            self, monkeypatch, capsys, tmp_path):
+        # Inputs 2 and 4 cannot be written: a directory is in the way.
+        errors = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            out = tmp_path / f"out{processes}"
+            for stem in ("db-troubleshooting", "release-notes"):
+                (out / (stem + ".procedures.json")).mkdir(parents=True)
+            code, _, err = run_main(["extract", *map(str, CORPUS_DOCS), *MODELS,
+                                     "-o", str(out), "--dump-graphs"], capsys)
+            assert code == 64
+            assert_no_child_left()
+            lines = err.splitlines()
+            assert lines[-1].startswith(
+                f"cannot write {out / 'db-troubleshooting.procedures.json'}: ")
+            assert not any(line.startswith("cannot") for line in lines[:-1])
+            errors.append(err.replace(str(out), "OUT"))
+        assert errors[1] == errors[0] and errors[2] == errors[0]
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_output_is_a_file_prints_one_line(self, monkeypatch, capsys,
+                                              tmp_path, processes):
+        force_processes(monkeypatch, processes)
+        code, out, err = run_main(["extract", *map(str, CORPUS_DOCS), *MODELS,
+                                   "-o", write(tmp_path / "out", "")], capsys)
+        assert code == 64
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["raise", "exit"])
+    def test_worker_fault_exits_1(self, monkeypatch, capsys, tmp_path, fault):
+        forks = force_processes(monkeypatch, 2)
+        parent = os.getpid()
+        run_document = pipeline.run_document
+
+        def faulty(*args, **kwargs):
+            if os.getpid() != parent:
+                if fault == "raise":
+                    raise RuntimeError("fault in a worker")
+                os._exit(3)
+            return run_document(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_document", faulty)
+        code, _, err = run_main(["extract", *map(str, CORPUS_DOCS), *MODELS,
+                                 "-o", str(tmp_path / "out")], capsys)
+        assert len(forks) == 1
+        assert code == 1
+        status = 1 if fault == "raise" else 3
+        assert err.splitlines() == [
+            f"extract: a worker process ended with status {status} before reporting"]
+        assert_no_child_left()
+
+    def test_fault_in_this_process_reaps_workers_first(self, monkeypatch, tmp_path):
+        forks = force_processes(monkeypatch, 3)
+        parent = os.getpid()
+        run_document = pipeline.run_document
+
+        def faulty(*args, **kwargs):
+            if os.getpid() == parent:
+                raise RuntimeError("fault in the parent")
+            return run_document(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_document", faulty)
+        with pytest.raises(RuntimeError, match="fault in the parent"):
+            main(["extract", *map(str, CORPUS_DOCS), *MODELS,
+                  "-o", str(tmp_path / "out")])
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_one_input_or_one_cpu_never_forks(self, monkeypatch, tmp_path):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["extract", *map(str, CORPUS_DOCS), *MODELS,
+                     "-o", str(tmp_path / "out")]) == 0
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        assert main(["extract", str(DOC), *MODELS,
+                     "-o", str(tmp_path / "one.json")]) == 0
+
+    def test_shares_deal_largest_first_and_keep_input_order(self):
+        assert cli._shares([5, 1, 9, 4, 4, 2], 2) == [[2, 4], [0, 1, 3, 5]]
+        assert cli._shares([3, 3, 3], 3) == [[0], [1], [2]]
+        assert cli._shares([7], 1) == [[0]]
 
 
 class TestFeaturesCommand:
