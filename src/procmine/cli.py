@@ -69,6 +69,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--lexicon-dir", dest="lexicon_dir",
                        help="directory overriding the bundled lexicons")
 
+    def training(p):
+        p.add_argument("--epochs", type=int, default=200)
+        p.add_argument("--learning-rate", dest="learning_rate", type=float,
+                       default=0.01)
+        p.add_argument("--l2", type=float, default=1e-4)
+
     p_ingest = sub.add_parser("ingest", help="parse a document to tree JSON")
     p_ingest.add_argument("input")
     p_ingest.add_argument("-f", "--format", choices=["md", "sdjson"])
@@ -104,19 +110,13 @@ def _build_parser() -> _Parser:
                           help="train the actionable-statement model")
     p_ta.add_argument("corpus", help="CSV with text,label rows")
     p_ta.add_argument("-o", "--output", required=True)
-    p_ta.add_argument("--epochs", type=int, default=200)
-    p_ta.add_argument("--learning-rate", dest="learning_rate", type=float,
-                      default=0.01)
-    p_ta.add_argument("--l2", type=float, default=1e-4)
+    training(p_ta)
     shared(p_ta)
 
     p_train = sub.add_parser("train", help="train the procedure classifier")
     p_train.add_argument("features", nargs="+", help="labeled feature CSVs")
     p_train.add_argument("-o", "--output", required=True)
-    p_train.add_argument("--epochs", type=int, default=200)
-    p_train.add_argument("--learning-rate", dest="learning_rate", type=float,
-                         default=0.01)
-    p_train.add_argument("--l2", type=float, default=1e-4)
+    training(p_train)
     shared(p_train)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold labels")
@@ -133,10 +133,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--category", choices=sorted(FEATURE_CATEGORIES))
     group.add_argument("--ids", help="comma-separated feature ids to remove")
     p_ablate.add_argument("-o", "--output", help="report CSV (default stdout)")
-    p_ablate.add_argument("--epochs", type=int, default=200)
-    p_ablate.add_argument("--learning-rate", dest="learning_rate", type=float,
-                          default=0.01)
-    p_ablate.add_argument("--l2", type=float, default=1e-4)
+    training(p_ablate)
     shared(p_ablate)
     return parser
 
@@ -154,9 +151,9 @@ def _run_config(args) -> PipelineConfig:
         raise CliError(f"cannot read config: {exc}", EX_NOINPUT)
     except ValueError as exc:
         raise CliError(str(exc), EX_DATA)
-    missing = config.check_paths()
-    if missing:
-        raise CliError("missing configured paths: " + "; ".join(missing), EX_NOINPUT)
+    problems = config.check_paths()
+    if problems:
+        raise CliError("bad configured paths: " + "; ".join(problems), EX_NOINPUT)
     return config
 
 
@@ -220,8 +217,17 @@ def _read_labeled_csv(path: str | Path, columns: tuple[str, ...],
 
 
 def read_labels_csv(path: str | Path) -> dict[int, bool]:
-    """chunk_id -> label from a gold labels CSV or a prediction log."""
-    return dict(_read_labeled_csv(path, ("chunk_id",), lambda v: int(v[0])))
+    """chunk_id -> label from a gold labels CSV or a prediction log; a
+    chunk_id given twice exits 65."""
+    seen: set[int] = set()
+
+    def chunk_id(values: list[str]) -> int:
+        value = int(values[0])
+        if value in seen:
+            raise ValueError(f"chunk_id {value} appears twice")
+        seen.add(value)
+        return value
+    return dict(_read_labeled_csv(path, ("chunk_id",), chunk_id))
 
 
 _FEATURE_COLUMNS = tuple(f"f{i}" for i in range(1, len(FEATURE_NAMES) + 1))
@@ -289,16 +295,18 @@ def _cmd_ingest(args) -> int:
     return EX_OK
 
 
-def _parse_ablate_ids(raw: str | None) -> tuple[int, ...]:
-    if not raw:
-        return ()
+def _parse_ablate_ids(raw: str, flag: str) -> tuple[int, ...]:
+    """The feature ids in the value of `flag`; no ids, an id that is not an
+    integer or one out of range exits 64, naming `flag`."""
     try:
         ids = tuple(int(part) for part in raw.replace(",", " ").split())
     except ValueError:
-        raise CliError(f"--ablate expects integer ids, got {raw!r}", EX_USAGE)
+        raise CliError(f"{flag} expects integer ids, got {raw!r}", EX_USAGE)
+    if not ids:
+        raise CliError(f"{flag} needs at least one feature id", EX_USAGE)
     bad = [i for i in ids if not 1 <= i <= len(FEATURE_NAMES)]
     if bad:
-        raise CliError(f"--ablate ids out of range: {bad}", EX_USAGE)
+        raise CliError(f"{flag} ids out of range: {bad}", EX_USAGE)
     return ids
 
 
@@ -330,7 +338,8 @@ def _cmd_extract(args) -> int:
                        EX_USAGE)
     procedure_model = _load_model(ProcedureClassifierModel, config.procedure_model)
     actionable_model = _actionable_model(config)
-    ablate_ids = _parse_ablate_ids(args.ablate)
+    ablate_ids = (_parse_ablate_ids(args.ablate, "--ablate")
+                  if args.ablate is not None else ())
     inputs = args.inputs
     multi = len(inputs) > 1
     if multi and args.output and Path(args.output).suffix:
@@ -593,12 +602,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     params = _train_params(args, _run_config(args))
+    ids = _parse_ablate_ids(args.ids, "--ids") if args.ids is not None else None
     train_rows = _read_feature_csvs(args.train)
     test_rows = _read_feature_csvs(args.test)
 
     try:
-        if args.ids:
-            ids = _parse_ablate_ids(args.ids)
+        if ids is not None:
             report = [(f"ids:{args.ids}",
                        classifier_mod.ablate(ids, train_rows, test_rows, params))]
         elif args.category:

@@ -15,7 +15,7 @@ import csv
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -122,41 +122,40 @@ def _read_lines(path: Path) -> list[str]:
             if line.strip() and not line.startswith("#")]
 
 
-def load_lexicon(directory: str | Path) -> Lexicon:
-    directory = Path(directory)
+def bundled_data_dir() -> Path:
+    return Path(str(resources.files("procmine").joinpath("data")))
+
+
+def lexicon_file(directory: str | Path | None, name: str) -> Path:
+    """The lexicon file `name`: from `directory` when it holds the file,
+    else from the bundled set."""
+    if directory is not None and (Path(directory) / name).exists():
+        return Path(directory) / name
+    return bundled_data_dir() / name
+
+
+def load_lexicon(directory: str | Path | None) -> Lexicon:
+    """The tagger lexicon, each file by `lexicon_file`."""
     closed: dict[str, str] = {}
     for filename, tag in _CLOSED_CLASS_FILES:
-        path = directory / filename
-        if not path.exists():
-            continue
-        for word in _read_lines(path):
+        for word in _read_lines(lexicon_file(directory, filename)):
             closed.setdefault(word, tag)  # earlier class wins on overlap
     verb_forms: dict[str, set[str]] = {}
-    verbs_path = directory / "verbs.csv"
-    if verbs_path.exists():
-        with verbs_path.open(newline="") as handle:
-            for row in csv.DictReader(handle):
-                for kind in ("base", "third", "past", "participle", "gerund"):
-                    surface = (row.get(kind) or "").strip().lower()
-                    if surface:
-                        verb_forms.setdefault(surface, set()).add(kind)
+    with lexicon_file(directory, "verbs.csv").open(newline="") as handle:
+        for row in csv.DictReader(handle):
+            for kind in ("base", "third", "past", "participle", "gerund"):
+                surface = (row.get(kind) or "").strip().lower()
+                if surface:
+                    verb_forms.setdefault(surface, set()).add(kind)
     return Lexicon(
         verb_forms={k: frozenset(v) for k, v in verb_forms.items()},
         closed=closed,
     )
 
 
-def bundled_data_dir() -> Path:
-    return Path(str(resources.files("procmine").joinpath("data")))
-
-
-@lru_cache(maxsize=4)
-def _cached_lexicon(directory: str) -> Lexicon:
-    return load_lexicon(directory)
-
-
+@cache  # read once per process; the lexicon is frozen
 def default_lexicon() -> Lexicon:
-    return _cached_lexicon(str(bundled_data_dir()))
+    return load_lexicon(None)
 
 
 # ---------------------------------------------------------------------------

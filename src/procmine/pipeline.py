@@ -3,9 +3,11 @@ features -> bottom-up classification -> extracted procedures.
 
 `PipelineConfig` is the one run configuration: a flat key=value file
 merged with command-line flags (flags win), whose referenced paths are
-checked up front so a bad config fails before any work starts. It reads
-each lexicon once and hands the same read-only tagger and lexicons to
-every document run with it. Each document run is otherwise self-contained:
+checked up front so a bad config fails before any work starts. Each
+lexicon file comes from its `lexicon_dir` when that holds it and from the
+bundled set otherwise; it is read once per process per directory, and the
+same read-only tagger and lexicons go to every document run that names
+that directory. Each document run is otherwise self-contained:
 it shares no mutable state with other runs, so the CLI can run several
 documents in forked worker processes.
 """
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
-from typing import Callable, TypeVar
 
 from . import chunker, classifier, extractor, features
 from .actionable import ActionableModel
@@ -26,14 +28,11 @@ from .docmodel import DocTree, decode_utf8, parse_markdown, parse_sdjson
 from .extractor import Procedure
 from .features import ContextLexicons, FeatureVector
 from .goals import GoalCueConfig
-from .lingua import Tagger, bundled_data_dir, load_lexicon
+from .lingua import Tagger, lexicon_file, load_lexicon
 from .relatedness import DEFAULT_ROLE_WEIGHTS, Role
 
-_PATH_KEYS = ("lexicon_dir", "cue_file", "context_procedural",
-              "context_nonprocedural", "actionable_model", "procedure_model")
+_PATH_KEYS = ("lexicon_dir", "actionable_model", "procedure_model")
 _KEYS = (*_PATH_KEYS, "role_weights", "seed")
-
-T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -53,20 +52,30 @@ def _read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+@cache
+def _lexicons(lexicon_dir: Path | None
+              ) -> tuple[Tagger, GoalCueConfig, ContextLexicons]:
+    """The tagger, goal cues and context lexicons of a run, each file by
+    `lingua.lexicon_file`; read once per process per directory, and shared
+    read-only by every run that names it."""
+    def file(name: str) -> Path:
+        return lexicon_file(lexicon_dir, name)
+
+    # Without a directory the tagger shares lingua's cached bundled lexicon.
+    tagger = Tagger() if lexicon_dir is None else Tagger(load_lexicon(lexicon_dir))
+    return (tagger, GoalCueConfig.load(file("goal_cues.txt")),
+            ContextLexicons.load(file("context_procedural.txt"),
+                                 file("context_nonprocedural.txt")))
+
+
 @dataclass
 class PipelineConfig:
     lexicon_dir: Path | None = None
-    cue_file: Path | None = None
-    context_procedural: Path | None = None
-    context_nonprocedural: Path | None = None
     actionable_model: Path | None = None
     procedure_model: Path | None = None
     role_weights: dict[Role, float] = field(
         default_factory=lambda: dict(DEFAULT_ROLE_WEIGHTS))
     seed: int | None = None
-    # Lexicons read so far, not a setting: see `_once`.
-    _loaded: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     @classmethod
     def from_sources(cls, config_path: str | Path | None,
@@ -98,58 +107,27 @@ class PipelineConfig:
         return config
 
     def check_paths(self) -> list[str]:
-        """`key: path` for every configured path that does not exist."""
-        missing = []
+        """`key: path` for every configured path that does not exist or,
+        for lexicon_dir, is not a directory."""
+        problems = []
         for key in _PATH_KEYS:
             value = getattr(self, key)
-            if value is not None and not value.exists():
-                missing.append(f"{key}: {value}")
-        return missing
-
-    def _once(self, key: tuple, load: Callable[[], T]) -> T:
-        """`load()` the first time this config meets `key`, the same object
-        after, so a run reads each lexicon file once however many documents
-        it processes. Keys hold the fields the value is read from: setting
-        one of them later makes a fresh load."""
-        if key not in self._loaded:
-            self._loaded[key] = load()
-        return self._loaded[key]
+            if value is None:
+                continue
+            if not value.exists():
+                problems.append(f"{key}: {value} does not exist")
+            elif key == "lexicon_dir" and not value.is_dir():
+                problems.append(f"{key}: {value} is not a directory")
+        return problems
 
     def tagger(self) -> Tagger:
-        if self.lexicon_dir is None:
-            return Tagger()  # the bundled lexicon is cached by lingua
-        return self._once(("tagger", self.lexicon_dir),
-                          lambda: Tagger(load_lexicon(self.lexicon_dir)))
-
-    def _lexicon_file(self, explicit: Path | None, name: str) -> Path:
-        """The explicitly configured file, else `name` in lexicon_dir when it
-        exists there, else the bundled `name`."""
-        if explicit is not None:
-            return explicit
-        if self.lexicon_dir is not None and (Path(self.lexicon_dir) / name).exists():
-            return Path(self.lexicon_dir) / name
-        return bundled_data_dir() / name
+        return _lexicons(self.lexicon_dir)[0]
 
     def goal_config(self) -> GoalCueConfig:
-        return self._once(
-            ("goals", self.lexicon_dir, self.cue_file),
-            lambda: GoalCueConfig.load(
-                self._lexicon_file(self.cue_file, "goal_cues.txt")))
+        return _lexicons(self.lexicon_dir)[1]
 
     def context_lexicons(self) -> ContextLexicons:
-        return self._once(
-            ("context", self.lexicon_dir, self.context_procedural,
-             self.context_nonprocedural),
-            lambda: ContextLexicons.load(
-                self._lexicon_file(self.context_procedural,
-                                   "context_procedural.txt"),
-                self._lexicon_file(self.context_nonprocedural,
-                                   "context_nonprocedural.txt")))
-
-
-# The configuration of every call that passes none, shared so that such
-# callers also read each lexicon once per process.
-_DEFAULT_CONFIG = PipelineConfig()
+        return _lexicons(self.lexicon_dir)[2]
 
 
 @dataclass
@@ -178,7 +156,7 @@ def load_document(path: str | Path, fmt: str | None = None) -> DocTree:
 def analyze(tree: DocTree, actionable_model: ActionableModel | None,
             config: PipelineConfig | None = None) -> DocumentRun:
     """Everything up to (but not including) classification."""
-    config = config or _DEFAULT_CONFIG
+    config = config or PipelineConfig()
     chunks = chunker.build_chunks(tree)
     annotations = annotate_chunks(
         tree, chunks, tagger=config.tagger(), goal_config=config.goal_config(),

@@ -232,6 +232,36 @@ BAD_INPUTS = {
         "extract", str(DOC), "--model", PROCEDURE,
         "--config", write(d / "run.cfg", "role_weights=nan inf -1\n"),
         "-o", str(d / "out.json")]),
+    "extract-lexicon-dir-is-a-file": (66, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "--lexicon-dir", str(DOC),
+        "-o", str(d / "out.json")]),
+    "config-cue-file-key": (65, lambda d: [
+        "ingest", str(DOC), "--config", write(d / "run.cfg", "cue_file=c.txt\n")]),
+    "config-context-procedural-key": (65, lambda d: [
+        "ingest", str(DOC),
+        "--config", write(d / "run.cfg", "context_procedural=p.txt\n")]),
+    "config-context-nonprocedural-key": (65, lambda d: [
+        "ingest", str(DOC),
+        "--config", write(d / "run.cfg", "context_nonprocedural=n.txt\n")]),
+    "eval-duplicate-gold-row": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write(d / "g.csv", "chunk_id,label\n1,1\n1,0\n")]),
+    "eval-duplicate-prediction-row": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n"
+                                   "1,0,1,1.0\n1,0,0,-1.0\n"),
+        write(d / "g.csv", "chunk_id,label\n1,1\n")]),
+    "features-duplicate-label-row": (65, lambda d: [
+        "features", str(DOC), "--labels",
+        write(d / "l.csv", "chunk_id,label\n1,1\n1,0\n"), "-o", str(d / "f.csv")]),
+    "ablate-ids-not-integer": (64, lambda d: [
+        "ablate", "--train", write(d / "f.csv", TWO_CLASS_FEATURES),
+        "--test", str(d / "f.csv"), "--seed", "1", "--ids", "x"]),
+    "ablate-empty-ids": (64, lambda d: [
+        "ablate", "--train", write(d / "f.csv", TWO_CLASS_FEATURES),
+        "--test", str(d / "f.csv"), "--seed", "1", "--ids", ""]),
+    "extract-empty-ablate": (64, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "--ablate", "",
+        "-o", str(d / "out.json")]),
     "extract-markdown-1100-deep-no-procedure": (0, lambda d: [
         "extract", deep_markdown(d / "deep.md", ["- option top"]),
         "--model", hand_model(d / "p.json", 0.0), "-o", str(d / "out.json")]),
@@ -633,6 +663,17 @@ class TestTraining:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("ids,message", [
+        ("x", "--ids expects integer ids, got 'x'"),
+        ("", "--ids needs at least one feature id"),
+        ("0,16", "--ids ids out of range: [0, 16]")])
+    def test_ablate_ids_errors_name_the_flag(self, capsys, tmp_path, ids, message):
+        features = write(tmp_path / "f.csv", TWO_CLASS_FEATURES)
+        code, out, err = run_main(["ablate", "--train", features, "--test",
+                                   features, "--seed", "1", "--ids", ids], capsys)
+        assert (code, out) == (64, "")
+        assert err == message + "\n"
+
     def test_train_requires_seed(self, capsys, tmp_path):
         code, _, err = run_main(
             ["train-actionable", str(CORPUS / "actionable_sentences.csv"),
@@ -693,6 +734,18 @@ class TestEvalCommand:
         assert out.splitlines() == ["accuracy,precision,recall",
                                     "0.8000,0.6667,0.6667"]
 
+    @pytest.mark.parametrize("which,duplicate", [("pred", "1,0,0,-1.0"),
+                                                 ("gold", "1,0")])
+    def test_duplicate_chunk_id_exits_65_naming_file_and_line(
+            self, capsys, tmp_path, which, duplicate):
+        files = {"pred": "chunk_id,depth,label,margin\n1,0,1,1.0\n2,0,0,-1.0\n",
+                 "gold": "chunk_id,label\n1,1\n2,0\n"}
+        files[which] += duplicate + "\n"
+        paths = [write(tmp_path / f"{name}.csv", text) for name, text in files.items()]
+        code, out, err = run_main(["eval", *paths], capsys)
+        assert (code, out) == (65, "")
+        assert err == f"{tmp_path / which}.csv, line 4: chunk_id 1 appears twice\n"
+
     def test_missing_prediction_exit_65(self, capsys, tmp_path):
         pred = tmp_path / "pred.csv"
         gold = tmp_path / "gold.csv"
@@ -732,6 +785,30 @@ class TestLexiconOverride:
                                  "-o", "/dev/null"], capsys)
         assert code == 66
         assert "lexicon_dir" in err
+
+    def test_lexicon_dir_that_is_a_file_exits_66(self, capsys, tmp_path):
+        code, out, err = run_main(["extract", str(DOC), *MODELS,
+                                   "--lexicon-dir", str(DOC),
+                                   "-o", str(tmp_path / "out.json")], capsys)
+        assert (code, out) == (66, "")
+        assert err == f"bad configured paths: lexicon_dir: {DOC} is not a directory\n"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("name", ["goal_cues.txt", "verbs.csv"])
+    def test_a_file_the_directory_lacks_comes_from_the_bundled_set(
+            self, capsys, tmp_path, name):
+        from procmine.lingua import bundled_data_dir
+        lexicons = tmp_path / "lexicons"
+        lexicons.mkdir()
+        (lexicons / name).write_bytes((bundled_data_dir() / name).read_bytes())
+        for doc in CORPUS_DOCS:
+            out = tmp_path / (doc.stem + ".json")
+            code, _, _ = run_main(["extract", str(doc), *MODELS,
+                                   "--lexicon-dir", str(lexicons),
+                                   "-o", str(out)], capsys)
+            assert code == 0
+            golden = CORPUS / "golden" / (doc.stem + ".procedures.json")
+            assert out.read_bytes() == golden.read_bytes(), doc.name
 
 
 class TestConsoleScript:

@@ -180,30 +180,38 @@ class TestPipelineConfig:
             PipelineConfig.from_sources(path, {})
 
     @pytest.mark.parametrize("line", ["role_weight=1,2,3",
-                                      "procedure_modle=m.json"])
+                                      "procedure_modle=m.json",
+                                      "cue_file=cues.txt",
+                                      "context_procedural=p.txt",
+                                      "context_nonprocedural=n.txt"])
     def test_unknown_key_raises_naming_it(self, tmp_path, line):
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match=line.partition("=")[0]):
             PipelineConfig.from_sources(path, {})
 
-    def test_context_lexicons_from_lexicon_dir_unless_explicit(self, tmp_path):
+    def test_each_lexicon_file_from_lexicon_dir_else_bundled(self, tmp_path):
         (tmp_path / "context_procedural.txt").write_text("frobnicate\n")
-        (tmp_path / "context_nonprocedural.txt").write_text("overview\n")
-        explicit = tmp_path / "explicit.txt"
-        explicit.write_text("glossary\n")
+        (tmp_path / "goal_cues.txt").write_text("prefix:how to\n")
+        (tmp_path / "modals.txt").write_text("frobnicate\n")
         config = PipelineConfig(lexicon_dir=tmp_path)
         lexicons = config.context_lexicons()
         assert lexicons.procedural == {"frobnicate"}
-        assert lexicons.non_procedural == {"overview"}
-        config.context_nonprocedural = explicit
-        assert config.context_lexicons().non_procedural == {"glossary"}
+        assert lexicons.non_procedural == \
+            features.ContextLexicons.bundled().non_procedural
+        assert config.goal_config().prefixes == ("how to",)
+        lexicon, bundled = config.tagger().lexicon, lingua.default_lexicon()
+        assert lexicon.closed["frobnicate"] == lingua.MD
+        assert lexicon.closed["the"] == bundled.closed["the"] == lingua.DET
+        assert lexicon.verb_forms == bundled.verb_forms
         assert PipelineConfig().context_lexicons() == \
             features.ContextLexicons.bundled()
 
-    def test_lexicons_read_once_per_config(self, tmp_path, monkeypatch):
-        for name in ("context_procedural.txt", "context_nonprocedural.txt",
-                     "goal_cues.txt"):
+    def test_lexicons_read_once_per_process_per_directory(self, tmp_path,
+                                                          monkeypatch):
+        own = ["context_nonprocedural.txt", "context_procedural.txt",
+               "goal_cues.txt"]
+        for name in own:
             (tmp_path / name).write_text("x\n")
         reads = []
         read_text = Path.read_text
@@ -217,19 +225,47 @@ class TestPipelineConfig:
             assert config.tagger() is config.tagger()
             assert config.goal_config() is config.goal_config()
             assert config.context_lexicons() is config.context_lexicons()
-        assert loads == [tmp_path]
-        assert sorted(reads) == ["context_nonprocedural.txt",
-                                 "context_procedural.txt", "goal_cues.txt"]
         other = PipelineConfig(lexicon_dir=tmp_path)
-        other.tagger()
-        assert loads == [tmp_path, tmp_path]
-        explicit = tmp_path / "explicit.txt"
-        explicit.write_text("glossary\n")
-        config.context_nonprocedural = explicit
-        assert config.context_lexicons().non_procedural == {"glossary"}
+        assert other.tagger() is config.tagger()
+        assert other.goal_config() is config.goal_config()
+        assert other.context_lexicons() is config.context_lexicons()
+        assert loads == [tmp_path]
+        closed = [name for name, _ in lingua._CLOSED_CLASS_FILES]
+        assert sorted(reads) == sorted(own + closed)
+        (tmp_path / "second").mkdir()
+        PipelineConfig(lexicon_dir=tmp_path / "second").tagger()
+        assert loads == [tmp_path, tmp_path / "second"]
+
+    def test_each_lexicon_file_opened_once_over_analyze_calls(self, tmp_path,
+                                                              monkeypatch):
+        bundled = lingua.bundled_data_dir()
+        for name in ("verbs.csv", "goal_cues.txt", "context_procedural.txt"):
+            (tmp_path / name).write_bytes((bundled / name).read_bytes())
+        names = {path.name for path in bundled.iterdir()}
+        assert len(names) == 12
+        opened = []
+        depth = [0]
+
+        def counted(method):
+            def wrapper(self, *args, **kwargs):
+                if depth[0] == 0 and self.name in names:
+                    opened.append(self.name)
+                depth[0] += 1
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+        monkeypatch.setattr(Path, "read_text", counted(Path.read_text))
+        monkeypatch.setattr(Path, "open", counted(Path.open))
+        tree = parse_markdown("# T\n\n1. Open the panel.\n2. Press start.\n",
+                              source_name="t")
+        for _ in range(5):
+            pipeline.analyze(tree, None, PipelineConfig(lexicon_dir=tmp_path))
+        assert sorted(opened) == sorted(names)
 
     def test_config_less_analyze_reads_each_lexicon_once(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_DEFAULT_CONFIG", PipelineConfig())
+        pipeline._lexicons.cache_clear()
         reads = []
         read_text = Path.read_text
         monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: (
