@@ -108,15 +108,13 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
     )
 
 
-def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger | None = None,
-                    goal_config: GoalCueConfig | None = None,
+def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger,
+                    goal_config: GoalCueConfig,
                     model: ActionableModel | None = None,
                     role_weights: dict[Role, float] | None = None,
                     ) -> dict[int, ChunkAnnotation]:
     """Annotate every chunk; each introducing node is tagged once, as a
     whole heading, however many chunks it introduces."""
-    tagger = tagger or Tagger()
-    goal_config = goal_config or GoalCueConfig.bundled()
     intro_goals: dict[int, bool] = {}
     out: dict[int, ChunkAnnotation] = {}
     for chunk in chunks:

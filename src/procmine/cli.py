@@ -6,7 +6,7 @@ and its flags, and reads each kind of input through one loader: documents,
 model files, and labeled CSVs. Machine-readable output goes to stdout or
 -o targets, all written through `_write`; diagnostics go to stderr. Exit
 codes: 0 ok, 2 malformed document, 64 usage or unwritable output, 65 bad
-data or model file, 66 unreadable input.
+data, model or lexicon file, 66 unreadable input.
 
 `extract` over several documents runs them on up to one process per
 usable CPU: the parent parses every input and loads the models, then forks
@@ -35,6 +35,7 @@ from .classifier import (Metrics, MissingPrediction, ProcedureClassifierModel,
 from .docmodel import HierarchyError, SchemaError, tree_to_json
 from .features import FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector
 from .linear import DegenerateLabels, NonFinite, TrainParams
+from .lingua import LexiconError
 from .pipeline import PipelineConfig
 from .relatedness import describe_graph
 
@@ -154,6 +155,12 @@ def _run_config(args) -> PipelineConfig:
     problems = config.check_paths()
     if problems:
         raise CliError("bad configured paths: " + "; ".join(problems), EX_NOINPUT)
+    try:  # read every lexicon now, before any work and any fork
+        pipeline._lexicons(config.lexicon_dir)
+    except LexiconError as exc:
+        raise CliError(str(exc), EX_DATA)
+    except OSError as exc:
+        raise CliError(f"cannot read lexicon: {exc}", EX_NOINPUT)
     return config
 
 
@@ -349,11 +356,8 @@ def _cmd_extract(args) -> int:
         _check_distinct_stems(inputs)
 
     trees = [_load_document(path, args.format) for path in inputs]
-    # Read every lexicon and build both scorers before any worker forks, so
-    # that the workers share them instead of each building its own.
-    config.tagger()
-    config.goal_config()
-    config.context_lexicons()
+    # Build both scorers before any worker forks (the lexicons are already
+    # read), so that the workers share them instead of each building its own.
     for model in (procedure_model, actionable_model):
         if model is not None:
             model.scorer  # a cached property, built on first read
@@ -557,10 +561,11 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_train_actionable(args) -> int:
-    params = _train_params(args, _run_config(args))
+    config = _run_config(args)
+    params = _train_params(args, config)
     labeled = _read_labeled_csv(args.corpus, ("text",), lambda v: v[0])
     try:
-        model = train_actionable_model(labeled, params)
+        model = train_actionable_model(labeled, params, config.tagger())
     except (DegenerateLabels, EmptyCorpus, NonFinite) as exc:
         raise CliError(str(exc), EX_DATA)
     _write(args.output, model.to_json())

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cache
 from operator import attrgetter
-from pathlib import Path
 
 from .annotate import ChunkAnnotation, ItemAnnotation
 from .chunker import Chunk, ChunkKind, ChunkSet, chunk_size
 from .docmodel import DocTree
 # split_sentences stays importable from here: perfbench/tracer.py patches it
 # by module.
-from .lingua import bundled_data_dir, split_sentences
+from .lingua import split_sentences
 
 FEATURE_NAMES = (
     "n_imperatives",          # 1  fraction of imperative units
@@ -83,24 +81,6 @@ class ContextLexicons:
     procedural: frozenset[str]
     non_procedural: frozenset[str]
 
-    @classmethod
-    def load(cls, procedural_path: str | Path,
-             non_procedural_path: str | Path) -> "ContextLexicons":
-        def read(path):
-            return frozenset(
-                line.strip().lower()
-                for line in Path(path).read_text("utf-8").splitlines()
-                if line.strip() and not line.startswith("#"))
-        return cls(procedural=read(procedural_path),
-                   non_procedural=read(non_procedural_path))
-
-    @classmethod
-    @cache  # read once per process; the config is frozen
-    def bundled(cls) -> "ContextLexicons":
-        data = bundled_data_dir()
-        return cls.load(data / "context_procedural.txt",
-                        data / "context_nonprocedural.txt")
-
 
 _CONTEXT_WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -140,9 +120,8 @@ def avg_sibling_distance(chunk: Chunk, tree: DocTree) -> float:
 
 def compute_static_features(chunk: Chunk, tree: DocTree,
                             annotation: ChunkAnnotation,
-                            lexicons: ContextLexicons | None = None) -> FeatureVector:
+                            lexicons: ContextLexicons) -> FeatureVector:
     """All features except the two propagated ones, which start at 0."""
-    lexicons = lexicons or ContextLexicons.bundled()
     units = _units(chunk, annotation.items)
     size = chunk_size(chunk, tree)
 

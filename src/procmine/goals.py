@@ -1,9 +1,9 @@
 """Discourse-cue goal annotation for headings.
 
 Two cues: a heading opening with a gerund ("Creating a Service Instance")
-and a heading carrying a configured prefix such as "Method". Cues are
-configurable through a small line-oriented file so new prefixes can be
-added without code changes.
+and a heading carrying a configured prefix such as "Method". A run's cues
+come from the lexicon file `goal_cues.txt`, which `pipeline` loads, so new
+prefixes can be added without code changes.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
-from pathlib import Path
 
-from .lingua import NUM, PUNCT, VBG, TaggedSentence, bundled_data_dir
+from .lingua import NUM, PUNCT, VBG, TaggedSentence
 
 
 class GoalCue(str, Enum):
@@ -34,28 +32,6 @@ class GoalCueConfig:
     gerund_opening: bool = True
     prefixes: tuple[str, ...] = ("method",)
 
-    @classmethod
-    def load(cls, path: str | Path) -> "GoalCueConfig":
-        gerund = True
-        prefixes: list[str] = []
-        for line in Path(path).read_text("utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(":")
-            key = key.strip().lower()
-            value = value.strip().lower()
-            if key == "gerund_opening":
-                gerund = value != "off"
-            elif key == "prefix" and value:
-                prefixes.append(value)
-        return cls(gerund_opening=gerund, prefixes=tuple(prefixes) or ("method",))
-
-    @classmethod
-    @cache  # read once per process; the config is frozen
-    def bundled(cls) -> "GoalCueConfig":
-        return cls.load(bundled_data_dir() / "goal_cues.txt")
-
 
 _LEADING_NUMBERING_RE = re.compile(r"^\s*\d+(?:\.\d+)*\.?\s*")
 
@@ -67,12 +43,10 @@ def strip_section_numbering(text: str) -> str:
 
 
 def annotate_goal(sentence: TaggedSentence, *, is_heading: bool,
-                  config: GoalCueConfig | None = None) -> GoalAnnotation:
+                  config: GoalCueConfig) -> GoalAnnotation:
     """Annotate a sentence as a goal. Only headings can carry goal cues."""
     if not is_heading:
         return NOT_GOAL
-    config = config or GoalCueConfig.bundled()
-
     stripped = strip_section_numbering(sentence.text).lower()
     for prefix in config.prefixes:
         if re.match(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)", stripped):

@@ -6,12 +6,12 @@ The tagger is intentionally lightweight: a closed-class lexicon, a verb
 inflection table shipped as an editable data file, suffix fallbacks, and a
 NOUN default. It is deterministic and total over arbitrary text. Callers
 that need higher fidelity can pass their own tagger anywhere a
-:class:`Tagger` is accepted.
+:class:`Tagger` is accepted. `lexicon_lines` is the one reader of every
+lexicon file: the tagger's here and the lists that `pipeline` loads.
 """
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -117,9 +117,23 @@ class Lexicon:
     closed: dict  # surface -> tag
 
 
-def _read_lines(path: Path) -> list[str]:
-    return [line.strip().lower() for line in path.read_text("utf-8").splitlines()
-            if line.strip() and not line.startswith("#")]
+class LexiconError(ValueError):
+    """A lexicon file that is not UTF-8 or breaks its format."""
+
+
+def lexicon_lines(path: Path) -> list[tuple[int, str]]:
+    """(line number, text) of each line of the lexicon file `path`,
+    stripped and lower-cased, skipping blank lines and `#` comments. Bytes
+    that are not UTF-8 raise LexiconError; an unreadable file, OSError."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # name the line of the first bad byte
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise LexiconError(f"{path}, line {lineno}: not UTF-8") from None
+    lines = enumerate((line.strip() for line in text.splitlines()), 1)
+    return [(lineno, line.lower()) for lineno, line in lines
+            if line and not line.startswith("#")]
 
 
 def bundled_data_dir() -> Path:
@@ -134,19 +148,30 @@ def lexicon_file(directory: str | Path | None, name: str) -> Path:
     return bundled_data_dir() / name
 
 
+_VERB_KINDS = ["base", "third", "past", "participle", "gerund"]
+
+
 def load_lexicon(directory: str | Path | None) -> Lexicon:
-    """The tagger lexicon, each file by `lexicon_file`."""
+    """The tagger lexicon, each file by `lexicon_file`. `verbs.csv` must be
+    the header `base,third,past,participle,gerund` and rows of five forms."""
     closed: dict[str, str] = {}
     for filename, tag in _CLOSED_CLASS_FILES:
-        for word in _read_lines(lexicon_file(directory, filename)):
+        for _, word in lexicon_lines(lexicon_file(directory, filename)):
             closed.setdefault(word, tag)  # earlier class wins on overlap
+    path = lexicon_file(directory, "verbs.csv")
+    rows = [(lineno, [field.strip() for field in line.split(",")])
+            for lineno, line in lexicon_lines(path)]
+    if not rows or rows[0][1] != _VERB_KINDS:
+        raise LexiconError(f"{path}, line {rows[0][0] if rows else 1}: expected "
+                           f"the header {','.join(_VERB_KINDS)}")
     verb_forms: dict[str, set[str]] = {}
-    with lexicon_file(directory, "verbs.csv").open(newline="") as handle:
-        for row in csv.DictReader(handle):
-            for kind in ("base", "third", "past", "participle", "gerund"):
-                surface = (row.get(kind) or "").strip().lower()
-                if surface:
-                    verb_forms.setdefault(surface, set()).add(kind)
+    for lineno, fields in rows[1:]:
+        if len(fields) != len(_VERB_KINDS):
+            raise LexiconError(f"{path}, line {lineno}: expected 5 fields, "
+                               f"got {len(fields)}")
+        for kind, surface in zip(_VERB_KINDS, fields):
+            if surface:
+                verb_forms.setdefault(surface, set()).add(kind)
     return Lexicon(
         verb_forms={k: frozenset(v) for k, v in verb_forms.items()},
         closed=closed,

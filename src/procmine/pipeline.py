@@ -5,9 +5,10 @@ features -> bottom-up classification -> extracted procedures.
 merged with command-line flags (flags win), whose referenced paths are
 checked up front so a bad config fails before any work starts. Each
 lexicon file comes from its `lexicon_dir` when that holds it and from the
-bundled set otherwise; it is read once per process per directory, and the
-same read-only tagger and lexicons go to every document run that names
-that directory. Each document run is otherwise self-contained:
+bundled set otherwise. `_lexicons` is the one loader of them all, through
+`lingua.lexicon_lines`, once per process per directory; the same
+read-only tagger, goal cues and context lists go to every document run
+that names that directory. Each document run is otherwise self-contained:
 it shares no mutable state with other runs, so the CLI can run several
 documents in forked worker processes.
 """
@@ -28,7 +29,8 @@ from .docmodel import DocTree, decode_utf8, parse_markdown, parse_sdjson
 from .extractor import Procedure
 from .features import ContextLexicons, FeatureVector
 from .goals import GoalCueConfig
-from .lingua import Tagger, lexicon_file, load_lexicon
+from .lingua import (LexiconError, Tagger, lexicon_file, lexicon_lines,
+                     load_lexicon)
 from .relatedness import DEFAULT_ROLE_WEIGHTS, Role
 
 _PATH_KEYS = ("lexicon_dir", "actionable_model", "procedure_model")
@@ -52,20 +54,37 @@ def _read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+def _goal_cues(path: Path) -> GoalCueConfig:
+    """Goal cues from `prefix:<words>` and `gerund_opening:on|off` lines;
+    without a prefix line the default prefixes stay."""
+    gerund, prefixes = True, []
+    for lineno, line in lexicon_lines(path):
+        key, _, value = (part.strip() for part in line.partition(":"))
+        if key == "prefix" and value:
+            prefixes.append(value)
+        elif key == "gerund_opening" and value in ("on", "off"):
+            gerund = value == "on"
+        else:
+            raise LexiconError(f"{path}, line {lineno}: expected prefix:<word> "
+                               f"or gerund_opening:on|off, got {line!r}")
+    return GoalCueConfig(gerund, tuple(prefixes) or GoalCueConfig.prefixes)
+
+
 @cache
 def _lexicons(lexicon_dir: Path | None
               ) -> tuple[Tagger, GoalCueConfig, ContextLexicons]:
-    """The tagger, goal cues and context lexicons of a run, each file by
-    `lingua.lexicon_file`; read once per process per directory, and shared
-    read-only by every run that names it."""
-    def file(name: str) -> Path:
-        return lexicon_file(lexicon_dir, name)
+    """The tagger, goal cues and context lexicons of a run, read once per
+    process per directory and shared read-only by every run that names it.
+    A bad file raises LexiconError; an unreadable one, OSError."""
+    def words(name: str) -> frozenset[str]:
+        return frozenset(text for _, text in
+                         lexicon_lines(lexicon_file(lexicon_dir, name)))
 
     # Without a directory the tagger shares lingua's cached bundled lexicon.
     tagger = Tagger() if lexicon_dir is None else Tagger(load_lexicon(lexicon_dir))
-    return (tagger, GoalCueConfig.load(file("goal_cues.txt")),
-            ContextLexicons.load(file("context_procedural.txt"),
-                                 file("context_nonprocedural.txt")))
+    return (tagger, _goal_cues(lexicon_file(lexicon_dir, "goal_cues.txt")),
+            ContextLexicons(procedural=words("context_procedural.txt"),
+                            non_procedural=words("context_nonprocedural.txt")))
 
 
 @dataclass

@@ -188,12 +188,13 @@ def test_actionable_classifier_bounds(tagger):
 def test_detector_unit_suite(tagger):
     assert detect_imperative(tagger.tag("Click Start, select ALL Programs"))
     assert not detect_imperative(tagger.tag("The user enters the password"))
+    cues = pipeline.PipelineConfig().goal_config()
     goal = annotate_goal(tagger.tag("Creating a Service Instance"),
-                         is_heading=True)
+                         is_heading=True, config=cues)
     assert goal.is_goal and goal.cue is GoalCue.GERUND_OPENING
     non_goal = annotate_goal(
         tagger.tag("2.1.5 Linux Large Pages and Oracle Databases"),
-        is_heading=True)
+        is_heading=True, config=cues)
     assert not non_goal.is_goal
 
     rng = random.Random(7)

@@ -78,6 +78,18 @@ def sdjson_element(path, element):
                                    "elements": [element]}))
 
 
+def lexicon_dir(path, name, data=None):
+    """A lexicon directory whose only entry is the file `name` holding
+    `data`, or a directory of that name when `data` is None."""
+    path.mkdir()
+    if data is None:
+        (path / name).mkdir()
+    else:
+        (path / name).write_bytes(data)
+    return str(path)
+
+
+VERB_HEADER = b"base,third,past,participle,gerund\n"
 LONE_SURROGATE = ('{"version": "sdjson/1", "title": "T", "elements": '
                   '[{"type": "paragraph", "text": "Open the \\ud800 panel."}]}')
 PROCEDURE = str(CORPUS / "models" / "procedure.json")
@@ -262,6 +274,39 @@ BAD_INPUTS = {
     "extract-empty-ablate": (64, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "--ablate", "",
         "-o", str(d / "out.json")]),
+    "extract-lexicon-negators-not-utf8": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "negators.txt", b"not\n\xff\n")]),
+    "extract-lexicon-context-not-utf8": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "context_procedural.txt",
+                                     b"steps\n\xff\n")]),
+    "extract-lexicon-verbs-is-a-directory": (66, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "verbs.csv")]),
+    "extract-lexicon-verbs-other-header": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "verbs.csv", b"a,b\n")]),
+    "extract-lexicon-verbs-four-fields": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "verbs.csv",
+                                     VERB_HEADER + b"open,opens,opened,opened\n")]),
+    "extract-lexicon-goal-cue-bogus-line": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "goal_cues.txt", b"bogus:line\n")]),
+    "extract-lexicon-goal-cue-prefix-without-word": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "goal_cues.txt", b"prefix\n")]),
+    "extract-lexicon-goal-cue-gerund-maybe": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "goal_cues.txt",
+                                     b"gerund_opening:maybe\n")]),
+    "features-lexicon-not-utf8": (65, lambda d: [
+        "features", str(DOC), "-o", str(d / "f.csv"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "negators.txt", b"\xff")]),
+    "train-actionable-lexicon-verbs-other-header": (65, lambda d: [
+        "train-actionable", ACTIONABLE_CSV, "--seed", "1", "-o", str(d / "m.json"),
+        "--lexicon-dir", lexicon_dir(d / "lex", "verbs.csv", b"a,b\n")]),
     "extract-markdown-1100-deep-no-procedure": (0, lambda d: [
         "extract", deep_markdown(d / "deep.md", ["- option top"]),
         "--model", hand_model(d / "p.json", 0.0), "-o", str(d / "out.json")]),
@@ -663,6 +708,28 @@ class TestTraining:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def train_actionable(self, capsys, out, *flags):
+        code, _, _ = run_main(["train-actionable", ACTIONABLE_CSV, "--seed", "7",
+                               "--epochs", "20", "-o", str(out), *flags], capsys)
+        assert code == 0
+        return out.read_bytes()
+
+    def test_train_actionable_with_the_bundled_lexicons_copied(self, capsys,
+                                                               tmp_path):
+        import shutil
+        from procmine.lingua import bundled_data_dir
+        shutil.copytree(bundled_data_dir(), tmp_path / "lexicons")
+        assert self.train_actionable(
+            capsys, tmp_path / "copy.json", "--lexicon-dir",
+            str(tmp_path / "lexicons")) == \
+            self.train_actionable(capsys, tmp_path / "bundled.json")
+
+    def test_train_actionable_tags_with_the_lexicon_dir(self, capsys, tmp_path):
+        lexicons = lexicon_dir(tmp_path / "lexicons", "verbs.csv", VERB_HEADER)
+        assert self.train_actionable(
+            capsys, tmp_path / "no-verbs.json", "--lexicon-dir", lexicons) != \
+            self.train_actionable(capsys, tmp_path / "bundled.json")
+
     @pytest.mark.parametrize("ids,message", [
         ("x", "--ids expects integer ids, got 'x'"),
         ("", "--ids needs at least one feature id"),
@@ -792,6 +859,27 @@ class TestLexiconOverride:
                                    "-o", str(tmp_path / "out.json")], capsys)
         assert (code, out) == (66, "")
         assert err == f"bad configured paths: lexicon_dir: {DOC} is not a directory\n"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", [["extract", str(DOC), *MODELS],
+                                         ["features", str(DOC)]])
+    def test_bad_lexicon_file_names_the_file_and_line(self, capsys, tmp_path,
+                                                      command):
+        lexicons = lexicon_dir(tmp_path / "lexicons", "goal_cues.txt",
+                               b"# cues\nprefix:method\nprefix:\xe9\n")
+        code, out, err = run_main([*command, "--lexicon-dir", lexicons,
+                                   "-o", str(tmp_path / "out")], capsys)
+        assert (code, out) == (65, "")
+        assert err == f"{lexicons}/goal_cues.txt, line 3: not UTF-8\n"
+
+    def test_unreadable_lexicon_file_exits_66_naming_it(self, capsys, tmp_path):
+        lexicons = lexicon_dir(tmp_path / "lexicons", "verbs.csv")
+        code, out, err = run_main(["extract", str(DOC), *MODELS, "--lexicon-dir",
+                                   lexicons, "-o", str(tmp_path / "out.json")],
+                                  capsys)
+        assert (code, out) == (66, "")
+        assert err.startswith("cannot read lexicon: ")
+        assert err.endswith(f"'{lexicons}/verbs.csv'\n")
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("name", ["goal_cues.txt", "verbs.csv"])

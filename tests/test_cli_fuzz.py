@@ -1,10 +1,10 @@
 """Fuzz the CLI in process: whatever the document bytes, sdjson tree,
-model file or training input and flags, `main` returns a documented exit
-code and raises nothing. Every document that parses gives a tree the
-`validate_tree` oracle accepts, and every extraction gives procedures whose
-links the `check_links` oracle accepts. Documents of imperative lists,
-several to one `extract` on 1 to 3 processes, reach the extractor's linking
-and folding, also in forked workers.
+model file, lexicon directory or training input and flags, `main` returns
+a documented exit code and raises nothing. Every document that parses
+gives a tree the `validate_tree` oracle accepts, and every extraction gives
+procedures whose links the `check_links` oracle accepts. Documents of
+imperative lists, several to one `extract` on 1 to 3 processes, reach the
+extractor's linking and folding, also in forked workers.
 
 Examples are drawn deterministically and their number is bounded, so the
 tests take a few seconds and fail the same way on every run."""
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from procmine import cli, extractor, pipeline
 from procmine.cli import main
+from procmine.lingua import bundled_data_dir
 
 from conftest import assert_well_formed, check_links
 from test_cli import FEATURE_HEADER
@@ -72,12 +73,12 @@ def linked(extract):
     return extract_and_check
 
 
-def run_cli(files: dict[str, bytes], argv, outputs=None) -> int:
-    """Write `files` into a fresh directory and run `main(argv(directory))`
-    with stdout and stderr captured, both parsers and the extractor checked,
-    then `outputs(directory)` if given. Any exception propagates. The
-    checks hold in forked workers too, where a failed one makes `main`
-    return 1."""
+def run_cli(files: dict[str, bytes | None], argv, outputs=None) -> int:
+    """Write `files` into a fresh directory (a name may hold a `/`; None
+    makes a directory) and run `main(argv(directory))` with stdout and
+    stderr captured, both parsers and the extractor checked, then
+    `outputs(directory)` if given. Any exception propagates. The checks
+    hold in forked workers too, where a failed one makes `main` return 1."""
     with tempfile.TemporaryDirectory() as scratch, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()), \
@@ -87,7 +88,12 @@ def run_cli(files: dict[str, bytes], argv, outputs=None) -> int:
             mock.patch.object(extractor, "extract", linked(extractor.extract)):
         directory = Path(scratch)
         for name, data in files.items():
-            (directory / name).write_bytes(data)
+            path = directory / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if data is None:
+                path.mkdir()
+            else:
+                path.write_bytes(data)
         code = main(argv(directory))
         if outputs is not None:
             outputs(directory)
@@ -269,6 +275,57 @@ def test_mutated_model_file(name, data):
     else:
         argv = extract("doc.json", actionable_model="model.json")
     assert run_cli(files, argv) in EXIT_CODES
+
+
+BUNDLED_LEXICONS = {path.name: path.read_bytes()
+                    for path in bundled_data_dir().iterdir()}
+LEXICON_LINES = st.one_of(
+    st.sampled_from(["prefix:how to", "gerund_opening:off", "bogus:line", "prefix",
+                     "gerund_opening:maybe", "a,b", "open,opens,opened,opened,opening",
+                     "open,opens", "# note", "  Steps  ", "base,third,past"]),
+    st.text(max_size=20))
+
+
+def mutate_lexicon(data, name) -> bytes | None:
+    """A replacement for the bundled lexicon file `name`: random bytes, the
+    bundled bytes cut short, spliced with random bytes or given one more
+    line, or None for a directory in its place."""
+    kind = data.draw(st.sampled_from(["directory", "bytes", "truncate", "splice",
+                                      "line"]))
+    if kind == "directory":
+        return None
+    if kind == "bytes":
+        return data.draw(st.binary(max_size=80))
+    bundled = BUNDLED_LEXICONS[name]
+    at = data.draw(st.integers(0, len(bundled)))
+    if kind == "truncate":
+        return bundled[:at]
+    if kind == "splice":
+        return bundled[:at] + data.draw(st.binary(min_size=1, max_size=4)) + bundled[at:]
+    lines = bundled.splitlines(keepends=True)
+    at = data.draw(st.integers(0, len(lines)))
+    line = data.draw(LEXICON_LINES).encode("utf-8") + b"\n"
+    return b"".join([*lines[:at], line, *lines[at:]])
+
+
+# Each example writes its lexicons to a fresh directory: `pipeline._lexicons`
+# caches what it read by directory path.
+@FUZZ
+@given(st.sampled_from(["extract", "features"]),
+       st.lists(st.sampled_from(sorted(BUNDLED_LEXICONS)), min_size=1, max_size=3,
+                unique=True), st.data())
+def test_mutated_lexicon_dir(command, names, data):
+    files = {"doc.json": SMALL_DOC.encode("utf-8")}
+    files.update((f"lexicons/{name}", mutate_lexicon(data, name)) for name in names)
+
+    def argv(d: Path) -> list[str]:
+        if command == "extract":
+            args = extract("doc.json")(d)
+        else:
+            args = ["features", str(d / "doc.json"), "-o", str(d / "f.csv")]
+        return [*args, "--lexicon-dir", str(d / "lexicons")]
+
+    assert run_cli(files, argv) in {0, 65, 66}
 
 
 FEATURE_ROWS = st.lists(st.tuples(

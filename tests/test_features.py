@@ -1,6 +1,5 @@
 import random
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +9,7 @@ from procmine.chunker import ChunkKind, build_chunks
 from procmine.classifier import ProcedureClassifierModel
 from procmine.docmodel import parse_markdown
 from procmine.features import (FEATURE_NAMES, FeatureVector,
-                               avg_sibling_distance, compute_static_features,
-                               update_propagated_features)
+                               avg_sibling_distance, update_propagated_features)
 from procmine.linear import MinMaxScaler
 from procmine.lingua import split_sentences
 
@@ -48,21 +46,6 @@ def chunk_of(run, kind):
 
 
 class TestStaticFeatures:
-    def test_config_less_calls_read_the_bundled_lexicons_once(self,
-                                                              monkeypatch):
-        run = analyze_md("# T\nAfter setup:\n\n1. Click the icon.\n2. Type it.\n")
-        chunk = chunk_of(run, ChunkKind.LIST)
-        compute_static_features(chunk, run.tree, run.annotations[chunk.id])
-        reads = []
-        read_text = Path.read_text
-        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: (
-            reads.append(self.name), read_text(self, *a, **k))[1])
-        for _ in range(3):
-            assert compute_static_features(
-                chunk, run.tree, run.annotations[chunk.id]) == \
-                run.static_features[chunk.id]
-        assert reads == []
-
     def test_imperative_fraction_three_of_four(self):
         run = analyze_md("# T\n"
                          "1. Click the icon.\n"

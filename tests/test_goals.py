@@ -1,10 +1,11 @@
-from pathlib import Path
-
 import pytest
 
-from procmine.goals import (GoalCue, GoalCueConfig, annotate_goal,
-                            strip_section_numbering)
+from procmine.goals import GoalCue, annotate_goal, strip_section_numbering
 from procmine.lingua import Tagger
+from procmine.pipeline import PipelineConfig
+
+# The bundled goal cues, as a run without a lexicon directory has them.
+CUES = PipelineConfig().goal_config()
 
 
 @pytest.fixture(scope="module")
@@ -15,58 +16,60 @@ def tagger():
 class TestAnnotateGoal:
     def test_gerund_opening_heading(self, tagger):
         annotation = annotate_goal(tagger.tag("Creating a Service Instance"),
-                                   is_heading=True)
+                                   is_heading=True, config=CUES)
         assert annotation.is_goal is True
         assert annotation.cue is GoalCue.GERUND_OPENING
 
     def test_method_prefix_heading(self, tagger):
         annotation = annotate_goal(tagger.tag("Method 1: Restart the service"),
-                                   is_heading=True)
+                                   is_heading=True, config=CUES)
         assert annotation.is_goal is True
         assert annotation.cue is GoalCue.METHOD_PREFIX
 
     def test_numbered_noun_heading_is_not_goal(self, tagger):
         annotation = annotate_goal(
             tagger.tag("2.1.5 Linux Large Pages and Oracle Databases"),
-            is_heading=True)
+            is_heading=True, config=CUES)
         assert annotation.is_goal is False
         assert annotation.cue is GoalCue.NONE
 
     def test_numbered_gerund_heading_is_goal(self, tagger):
         annotation = annotate_goal(tagger.tag("3.2 Configuring the adapter"),
-                                   is_heading=True)
+                                   is_heading=True, config=CUES)
         assert annotation.cue is GoalCue.GERUND_OPENING
 
     def test_non_heading_never_goal(self, tagger):
         for text in ["Creating a Service Instance", "Method 1: Restart"]:
-            annotation = annotate_goal(tagger.tag(text), is_heading=False)
+            annotation = annotate_goal(tagger.tag(text), is_heading=False,
+                                       config=CUES)
             assert annotation.is_goal is False
 
     def test_method_without_number(self, tagger):
         annotation = annotate_goal(tagger.tag("Method of recovery"),
-                                   is_heading=True)
+                                   is_heading=True, config=CUES)
         assert annotation.cue is GoalCue.METHOD_PREFIX
 
     def test_methodical_does_not_match_prefix(self, tagger):
         annotation = annotate_goal(tagger.tag("Methodical review notes"),
-                                   is_heading=True)
+                                   is_heading=True, config=CUES)
         assert annotation.cue is not GoalCue.METHOD_PREFIX
 
     def test_plain_heading_not_goal(self, tagger):
-        annotation = annotate_goal(tagger.tag("Step 4"), is_heading=True)
+        annotation = annotate_goal(tagger.tag("Step 4"), is_heading=True,
+                                   config=CUES)
         assert annotation.is_goal is False
 
     def test_determinism(self, tagger):
         sentence = tagger.tag("Creating a cluster")
-        assert annotate_goal(sentence, is_heading=True) == \
-            annotate_goal(sentence, is_heading=True)
+        assert annotate_goal(sentence, is_heading=True, config=CUES) == \
+            annotate_goal(sentence, is_heading=True, config=CUES)
 
 
 class TestGoalCueConfig:
     def test_custom_prefix_file(self, tagger, tmp_path):
-        cue_file = tmp_path / "cues.txt"
-        cue_file.write_text("gerund_opening:off\nprefix:method\nprefix:how to\n")
-        config = GoalCueConfig.load(cue_file)
+        (tmp_path / "goal_cues.txt").write_text(
+            "gerund_opening:off\nprefix:method\nprefix:how to\n")
+        config = PipelineConfig(lexicon_dir=tmp_path).goal_config()
         assert config.gerund_opening is False
         assert "how to" in config.prefixes
         annotation = annotate_goal(tagger.tag("How to restart the node"),
@@ -77,21 +80,8 @@ class TestGoalCueConfig:
         assert gerund.is_goal is False
 
     def test_bundled_defaults(self):
-        config = GoalCueConfig.bundled()
-        assert config.gerund_opening is True
-        assert config.prefixes == ("method",)
-
-    def test_config_less_calls_read_the_bundled_file_once(self, tagger,
-                                                          monkeypatch):
-        heading = tagger.tag("Creating a Service Instance")
-        annotate_goal(heading, is_heading=True)
-        reads = []
-        read_text = Path.read_text
-        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: (
-            reads.append(self.name), read_text(self, *a, **k))[1])
-        for _ in range(3):
-            assert annotate_goal(heading, is_heading=True).is_goal
-        assert reads == []
+        assert CUES.gerund_opening is True
+        assert CUES.prefixes == ("method",)
 
 
 class TestSectionNumbering:

@@ -1,11 +1,15 @@
 import json
 import random
+import tomllib
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
 from procmine import (actionable, chunker, classifier, extractor, features,
                       lingua, pipeline)
+from procmine.goals import GoalCueConfig
+from procmine.lingua import LexiconError
 from procmine.cli import main
 from procmine.docmodel import DocTree, Kind, parse_markdown, parse_sdjson
 from procmine.pipeline import ConfigError, PipelineConfig
@@ -14,7 +18,23 @@ from procmine.relatedness import DEFAULT_ROLE_WEIGHTS, Role
 from conftest import (check_links, procedure_fields, procedures_json_fields,
                       random_sdjson, random_tree)
 
-CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
+LEXICON_NAMES = sorted(path.name for path in lingua.bundled_data_dir().iterdir())
+
+
+def count_lexicon_reads(monkeypatch) -> list[str]:
+    """The name of each lexicon file read from here on, one entry per call
+    of `lingua.lexicon_lines`."""
+    reads = []
+    read = lingua.lexicon_lines
+
+    def counted(path):
+        reads.append(path.name)
+        return read(path)
+    for module in (lingua, pipeline):
+        monkeypatch.setattr(module, "lexicon_lines", counted)
+    return reads
 
 
 @pytest.fixture(scope="module")
@@ -195,31 +215,22 @@ class TestPipelineConfig:
         (tmp_path / "goal_cues.txt").write_text("prefix:how to\n")
         (tmp_path / "modals.txt").write_text("frobnicate\n")
         config = PipelineConfig(lexicon_dir=tmp_path)
-        lexicons = config.context_lexicons()
+        lexicons, bundled = config.context_lexicons(), PipelineConfig().context_lexicons()
         assert lexicons.procedural == {"frobnicate"}
-        assert lexicons.non_procedural == \
-            features.ContextLexicons.bundled().non_procedural
+        assert lexicons.non_procedural == bundled.non_procedural
+        assert "steps" in bundled.procedural
         assert config.goal_config().prefixes == ("how to",)
         lexicon, bundled = config.tagger().lexicon, lingua.default_lexicon()
         assert lexicon.closed["frobnicate"] == lingua.MD
         assert lexicon.closed["the"] == bundled.closed["the"] == lingua.DET
         assert lexicon.verb_forms == bundled.verb_forms
-        assert PipelineConfig().context_lexicons() == \
-            features.ContextLexicons.bundled()
 
     def test_lexicons_read_once_per_process_per_directory(self, tmp_path,
                                                           monkeypatch):
-        own = ["context_nonprocedural.txt", "context_procedural.txt",
-               "goal_cues.txt"]
-        for name in own:
-            (tmp_path / name).write_text("x\n")
-        reads = []
-        read_text = Path.read_text
-        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: (
-            reads.append(self.name), read_text(self, *a, **k))[1])
-        loads = []
-        monkeypatch.setattr(pipeline, "load_lexicon",
-                            lambda d: loads.append(d) or lingua.load_lexicon(d))
+        for name in ("context_nonprocedural.txt", "context_procedural.txt",
+                     "goal_cues.txt"):
+            (tmp_path / name).write_text("prefix:x\n")
+        reads = count_lexicon_reads(monkeypatch)
         config = PipelineConfig(lexicon_dir=tmp_path)
         for _ in range(3):
             assert config.tagger() is config.tagger()
@@ -229,47 +240,26 @@ class TestPipelineConfig:
         assert other.tagger() is config.tagger()
         assert other.goal_config() is config.goal_config()
         assert other.context_lexicons() is config.context_lexicons()
-        assert loads == [tmp_path]
-        closed = [name for name, _ in lingua._CLOSED_CLASS_FILES]
-        assert sorted(reads) == sorted(own + closed)
+        assert sorted(reads) == LEXICON_NAMES
         (tmp_path / "second").mkdir()
         PipelineConfig(lexicon_dir=tmp_path / "second").tagger()
-        assert loads == [tmp_path, tmp_path / "second"]
+        assert sorted(reads) == sorted(LEXICON_NAMES * 2)
 
     def test_each_lexicon_file_opened_once_over_analyze_calls(self, tmp_path,
                                                               monkeypatch):
         bundled = lingua.bundled_data_dir()
         for name in ("verbs.csv", "goal_cues.txt", "context_procedural.txt"):
             (tmp_path / name).write_bytes((bundled / name).read_bytes())
-        names = {path.name for path in bundled.iterdir()}
-        assert len(names) == 12
-        opened = []
-        depth = [0]
-
-        def counted(method):
-            def wrapper(self, *args, **kwargs):
-                if depth[0] == 0 and self.name in names:
-                    opened.append(self.name)
-                depth[0] += 1
-                try:
-                    return method(self, *args, **kwargs)
-                finally:
-                    depth[0] -= 1
-            return wrapper
-        monkeypatch.setattr(Path, "read_text", counted(Path.read_text))
-        monkeypatch.setattr(Path, "open", counted(Path.open))
+        reads = count_lexicon_reads(monkeypatch)
         tree = parse_markdown("# T\n\n1. Open the panel.\n2. Press start.\n",
                               source_name="t")
         for _ in range(5):
             pipeline.analyze(tree, None, PipelineConfig(lexicon_dir=tmp_path))
-        assert sorted(opened) == sorted(names)
+        assert sorted(reads) == LEXICON_NAMES
 
     def test_config_less_analyze_reads_each_lexicon_once(self, monkeypatch):
         pipeline._lexicons.cache_clear()
-        reads = []
-        read_text = Path.read_text
-        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: (
-            reads.append(self.name), read_text(self, *a, **k))[1])
+        reads = count_lexicon_reads(monkeypatch)
         tree = parse_markdown("# T\n\n1. Open the panel.\n2. Press start.\n",
                               source_name="t")
         for _ in range(5):
@@ -290,3 +280,67 @@ class TestPipelineConfig:
                      "--config", str(path), "-o", str(tmp_path / "tree.json")])
         assert code == 65
         assert "expected key=value" in capsys.readouterr().err
+
+
+class TestLexiconFiles:
+    def test_reader_strips_lowercases_and_skips_blanks_and_comments(self, tmp_path):
+        path = tmp_path / "adverbs.txt"
+        path.write_bytes(b"# adverbs\n  Quickly \n\n  # indented\r\nNEXT\r\n")
+        assert lingua.lexicon_lines(path) == [(2, "quickly"), (5, "next")]
+
+    @pytest.mark.parametrize("name,data,message", [
+        ("negators.txt", b"not\n\xff\n", "line 2: not UTF-8"),
+        ("adverbs.txt", b"first\rnext\r\nfas\xfft\n", "line 3: not UTF-8"),
+        ("context_procedural.txt", b"\xfe", "line 1: not UTF-8"),
+        ("goal_cues.txt", b"# cues\n\nprefix:how to\nprefix\n",
+         "line 4: expected prefix:<word> or gerund_opening:on|off, got 'prefix'"),
+        ("goal_cues.txt", b"prefix:\n", "line 1: expected prefix:<word>"),
+        ("goal_cues.txt", b"bogus:line\n", "line 1: expected prefix:<word>"),
+        ("goal_cues.txt", b"gerund_opening:maybe\n", "line 1: expected prefix:<word>"),
+        ("verbs.csv", b"", "line 1: expected the header "
+                           "base,third,past,participle,gerund"),
+        ("verbs.csv", b"# verbs\na,b\n", "line 2: expected the header"),
+        ("verbs.csv", b"base,third,past,participle,gerund\nopen,opens\n",
+         "line 2: expected 5 fields, got 2"),
+        ("verbs.csv", b"base,third,past,participle,gerund\n"
+                      b"open,opens,opened,opened,opening,x\n",
+         "line 2: expected 5 fields, got 6"),
+    ])
+    def test_bad_file_raises_naming_file_and_line(self, tmp_path, name, data,
+                                                  message):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(LexiconError) as raised:
+            pipeline._lexicons(tmp_path)
+        assert str(raised.value).startswith(f"{tmp_path / name}, {message}")
+
+    def test_goal_cues_without_a_prefix_keep_the_default_prefixes(self, tmp_path):
+        (tmp_path / "goal_cues.txt").write_text("# no prefixes\ngerund_opening:off\n")
+        cues = PipelineConfig(lexicon_dir=tmp_path).goal_config()
+        assert cues == GoalCueConfig(gerund_opening=False)
+        assert cues.prefixes == GoalCueConfig().prefixes
+
+    def test_verb_rows_may_leave_forms_empty(self, tmp_path):
+        (tmp_path / "verbs.csv").write_text("Base, Third,past,participle,gerund\n"
+                                            "Frob, ,frobbed,,\n")
+        lexicon = PipelineConfig(lexicon_dir=tmp_path).tagger().lexicon
+        assert lexicon.verb_forms == {"frob": {"base"}, "frobbed": {"past"}}
+
+    def test_bundled_set_passes_the_strict_reader(self):
+        pipeline._lexicons.cache_clear()
+        tagger, cues, context = pipeline._lexicons(None)
+        assert cues == GoalCueConfig()
+        assert context.procedural and context.non_procedural
+        lexicon = lingua.load_lexicon(None)  # a fresh read, not the cached one
+        assert lexicon == tagger.lexicon
+        assert len(lexicon.verb_forms) > 500 and len(lexicon.closed) > 100
+
+    def test_the_files_read_are_the_bundled_and_packaged_files(self, tmp_path,
+                                                               monkeypatch):
+        reads = count_lexicon_reads(monkeypatch)
+        pipeline._lexicons(tmp_path)  # empty: each file from the bundled set
+        assert len(LEXICON_NAMES) == 12
+        assert sorted(reads) == LEXICON_NAMES
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))
+        globs = pyproject["tool"]["setuptools"]["package-data"]["procmine"]
+        for name in LEXICON_NAMES:
+            assert any(fnmatch(f"data/{name}", glob) for glob in globs), name
