@@ -1,31 +1,37 @@
 """Per-chunk sentence annotation: runs the detectors, the goal cues, and
 the actionable-statement model over every sentence of every chunk item and
-bundles the results the feature stage needs."""
+bundles the results the feature stage needs.
+
+Each record holds each fact once, set when it is built: a sentence its
+tags, imperative flag, conditional split, goal reading and actionable
+reading; an item its sentences, image flag and the three flags later
+stages read; a chunk its items, its introducing node's goal reading and
+its relatedness. Tense, voice and polarity are not stored:
+`actionable.predict` works them out for the sentences it scores, their
+only reader.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import actionable as actionable_mod
-from . import lingua
 from .actionable import ActionableModel
 from .chunker import Chunk, ChunkSet
 from .docmodel import DocNode, DocTree, Kind
 from .goals import GoalAnnotation, GoalCue, GoalCueConfig, annotate_goal
-from .lingua import SentenceAnnotations, TaggedSentence, Tagger
+from .lingua import (ConditionalSplit, TaggedSentence, Tagger,
+                     detect_conditional, detect_imperative)
 from .relatedness import Role, chunk_relatedness
 
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
     tagged: TaggedSentence
-    annotations: SentenceAnnotations
+    imperative: bool
+    split: ConditionalSplit | None  # None unless the sentence is conditional
     goal: GoalAnnotation
     non_imperative_actionable: bool
-
-    @property
-    def actionable(self) -> bool:
-        return self.annotations.imperative or self.non_imperative_actionable
 
 
 @dataclass(frozen=True)
@@ -33,18 +39,9 @@ class ItemAnnotation:
     node_id: int
     sentences: tuple[AnnotatedSentence, ...]
     associated_image: bool
-
-    @property
-    def conditional(self) -> bool:
-        return any(s.annotations.conditional for s in self.sentences)
-
-    @property
-    def actionable(self) -> bool:
-        return any(s.actionable for s in self.sentences)
-
-    @property
-    def is_goal(self) -> bool:
-        return any(s.goal.is_goal for s in self.sentences)
+    actionable: bool  # some sentence is imperative or non-imperative actionable
+    conditional: bool  # some sentence has a conditional split
+    is_goal: bool  # some sentence carries a goal cue
 
 
 @dataclass(frozen=True)
@@ -59,17 +56,16 @@ def annotate_sentence_text(text: str, *, is_heading: bool, tagger: Tagger,
                            goal_config: GoalCueConfig,
                            model: ActionableModel | None) -> AnnotatedSentence:
     tagged = tagger.tag(text)
-    annotations = lingua.annotate_sentence(tagged)
+    imperative = detect_imperative(tagged)
     goal = annotate_goal(tagged, is_heading=is_heading, config=goal_config)
     if goal.cue is GoalCue.GERUND_OPENING:
         non_imperative = True  # gerund-opening goals read as actionable
-    elif annotations.imperative or model is None:
+    elif imperative or model is None:
         non_imperative = False
     else:
-        prof = lingua.Profile(tense=annotations.tense, voice=annotations.voice,
-                              polarity=annotations.polarity)
-        non_imperative, _ = actionable_mod.predict(model, tagged, prof)
-    return AnnotatedSentence(tagged=tagged, annotations=annotations, goal=goal,
+        non_imperative, _ = actionable_mod.predict(model, tagged)
+    return AnnotatedSentence(tagged=tagged, imperative=imperative,
+                             split=detect_conditional(tagged), goal=goal,
                              non_imperative_actionable=non_imperative)
 
 
@@ -88,7 +84,6 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
                    parent_is_goal: bool) -> ChunkAnnotation:
     """`parent_is_goal` is the goal flag of the chunk's introducing node."""
     items: list[ItemAnnotation] = []
-    all_tagged: list[TaggedSentence] = []
     for node_id in chunk.item_node_ids:
         node = tree.node(node_id)
         is_heading = node.kind in (Kind.HEADING, Kind.TITLE)
@@ -97,14 +92,19 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
                                    goal_config=goal_config, model=model)
             for text in tree.sentences[node_id]
         )
-        all_tagged.extend(s.tagged for s in sentences)
-        items.append(ItemAnnotation(node_id=node_id, sentences=sentences,
-                                    associated_image=node.associated_image))
+        items.append(ItemAnnotation(
+            node_id=node_id, sentences=sentences,
+            associated_image=node.associated_image,
+            actionable=any(s.imperative or s.non_imperative_actionable
+                           for s in sentences),
+            conditional=any(s.split is not None for s in sentences),
+            is_goal=any(s.goal.is_goal for s in sentences)))
     return ChunkAnnotation(
         chunk_id=chunk.id,
         items=tuple(items),
         parent_is_goal=parent_is_goal,
-        relatedness=chunk_relatedness(all_tagged, role_weights),
+        relatedness=chunk_relatedness(
+            [s.tagged for item in items for s in item.sentences], role_weights),
     )
 
 

@@ -53,7 +53,6 @@ class Chunk:
 @dataclass(eq=False)
 class ChunkSet:
     chunks: dict[int, Chunk]
-    by_level: dict[int, list[int]]
     # node id -> chunk ids directly dominated by that node (no other chunk
     # item on the path between the node and the chunk's items)
     child_chunks: dict[int, list[int]]
@@ -81,18 +80,15 @@ def chunk_size(chunk: Chunk, tree: DocTree) -> int:
 def build_chunks(tree: DocTree) -> ChunkSet:
     """One preorder walk with an explicit stack; chunk ids follow the walk."""
     chunks: dict[int, Chunk] = {}
-    by_level: dict[int, list[int]] = {}
     child_chunks: dict[int, list[int]] = {}
 
     def emit(kind: ChunkKind, items: list[DocNode], context: str, parent: int,
              intro: int, owner: int | None) -> None:
         chunk_id = len(chunks) + 1
-        depth = items[0].depth
         chunks[chunk_id] = Chunk(
             id=chunk_id, kind=kind, item_node_ids=tuple(n.id for n in items),
-            depth=depth, context_text=context, parent_node_id=parent,
+            depth=items[0].depth, context_text=context, parent_node_id=parent,
             intro_node_id=intro)
-        by_level.setdefault(depth, []).append(chunk_id)
         if owner is not None:
             child_chunks.setdefault(owner, []).append(chunk_id)
 
@@ -127,4 +123,4 @@ def build_chunks(tree: DocTree) -> ChunkSet:
             emit(kind, items, group_context, node.id, node.id, owner)
         stack.extend(reversed(below))
 
-    return ChunkSet(chunks=chunks, by_level=by_level, child_chunks=child_chunks)
+    return ChunkSet(chunks=chunks, child_chunks=child_chunks)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -49,7 +50,7 @@ class ProcedureClassifierModel:
         return Scorer(self.weights, self.bias, self.scaler)
 
     def score(self, vector: FeatureVector) -> float:
-        return self.scorer.margin(enumerate(vector.values()))
+        return self.scorer.margin(enumerate(vector))
 
     def to_json(self) -> str:
         doc = {
@@ -93,7 +94,7 @@ def train(rows: list[tuple[FeatureVector, bool]],
     import numpy as np
     y = np.array([1.0 if label else -1.0 for _, label in rows])
     linear.check_classes(y)  # before the scaler, which cannot fit zero rows
-    raw = np.array([vector.values() for vector, _ in rows], dtype=float)
+    raw = np.array([vector for vector, _ in rows], dtype=float)
     scaler = MinMaxScaler.fit(raw)
     x = scaler.transform(raw)
     fit = linear.fit_hinge(x, y, params)
@@ -104,10 +105,8 @@ def train(rows: list[tuple[FeatureVector, bool]],
 def _zero_features(vector: FeatureVector, feature_ids) -> FeatureVector:
     if not feature_ids:
         return vector
-    values = list(vector.values())
-    for fid in feature_ids:
-        values[fid - 1] = 0.0
-    return FeatureVector.from_values(values)
+    return FeatureVector._make(0.0 if fid in feature_ids else value
+                               for fid, value in enumerate(vector, 1))
 
 
 def classify_tree(tree: DocTree, chunks: ChunkSet,
@@ -119,24 +118,23 @@ def classify_tree(tree: DocTree, chunks: ChunkSet,
     """Score every chunk, deepest level first.
 
     With propagation off the two propagated features stay at zero. The
-    returned list is in processing order: depth descending, document order
-    within a level.
+    returned list is in processing order: depth descending, then chunk id
+    (the sort is stable and chunks iterate in id order).
     """
     labels: dict[int, bool] = {}
     ordered: list[ChunkPrediction] = []
-    for depth in sorted(chunks.by_level, reverse=True):
-        for chunk_id in chunks.by_level[depth]:
-            vector = static_features[chunk_id]
-            if propagate:
-                vector = update_propagated_features(
-                    annotations[chunk_id],
-                    child_flags(chunks.chunks[chunk_id], chunks, labels), vector)
-            vector = _zero_features(vector, ablate_ids)
-            margin = model.score(vector)
-            labels[chunk_id] = linear.decide(margin)
-            ordered.append(ChunkPrediction(chunk_id=chunk_id, depth=depth,
-                                           label=labels[chunk_id], margin=margin,
-                                           feature_snapshot=vector))
+    for chunk in sorted(chunks, key=attrgetter("depth"), reverse=True):
+        vector = static_features[chunk.id]
+        if propagate:
+            vector = update_propagated_features(
+                annotations[chunk.id], child_flags(chunk, chunks, labels),
+                vector)
+        vector = _zero_features(vector, ablate_ids)
+        margin = model.score(vector)
+        labels[chunk.id] = linear.decide(margin)
+        ordered.append(ChunkPrediction(chunk_id=chunk.id, depth=chunk.depth,
+                                       label=labels[chunk.id], margin=margin,
+                                       feature_snapshot=vector))
     return ordered
 
 

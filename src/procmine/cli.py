@@ -245,7 +245,7 @@ def _read_feature_csvs(paths: list[str]) -> list[tuple[FeatureVector, bool]]:
     for path in paths:
         rows.extend(_read_labeled_csv(
             path, _FEATURE_COLUMNS,
-            lambda v: FeatureVector.from_values([float(x) for x in v])))
+            lambda v: FeatureVector(*map(float, v))))
     return rows
 
 
@@ -522,12 +522,12 @@ def feature_csv_rows(vectors: dict[int, FeatureVector],
                      labels: dict[int, bool] | None) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    header = ["chunk_id"] + [f"f{i}" for i in range(1, len(FEATURE_NAMES) + 1)]
+    header = ["chunk_id", *_FEATURE_COLUMNS]
     if labels is not None:
         header.append("label")
     writer.writerow(header)
     for chunk_id, vector in vectors.items():
-        row = [chunk_id] + [repr(v) for v in vector.values()]
+        row = [chunk_id] + [repr(v) for v in vector]
         if labels is not None:
             row.append(int(labels.get(chunk_id, False)))
         writer.writerow(row)

@@ -1,5 +1,7 @@
 """The 15-feature vector scored per chunk.
 
+`FeatureVector` is a tuple: field i - 1 is feature id i, the order the
+scorer, the training matrix and the feature CSV columns f1..f15 read.
 Thirteen features are static functions of the chunk, its annotations, and
 the tree. Two (inferred_goal, non_actionable_goals) depend on how chunks
 below this one were classified and are filled in during the bottom-up
@@ -9,8 +11,8 @@ classification pass.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from operator import attrgetter
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .annotate import ChunkAnnotation, ItemAnnotation
 from .chunker import Chunk, ChunkKind, ChunkSet, chunk_size
@@ -19,23 +21,26 @@ from .docmodel import DocTree
 # by module.
 from .lingua import split_sentences
 
-FEATURE_NAMES = (
-    "n_imperatives",          # 1  fraction of imperative units
-    "n_conditionals",         # 2  fraction of conditional units
-    "n_actionables",          # 3  fraction of non-imperative actionable units
-    "n_effect_actionable",    # 4  fraction of conditionals whose effect is actionable
-    "n_discourse_goals",      # 5  fraction of items carrying discourse goal cues
-    "n_inferred_goal",        # 6  propagated: items with procedure children
-    "n_non_actionable_goals", # 7  propagated: non-actionable items with procedure children
-    "if_parent_is_goal",      # 8  enclosing node is a discourse goal
-    "relatedness",            # 9  entity-graph coherence score
-    "depth_level",            # 10 tree depth of the chunk items
-    "chunk_size",             # 11 items or sentences in the chunk
-    "avg_sibling_distance",   # 12 mean sentences between consecutive items
-    "n_associated_image",     # 13 fraction of items with an associated image
-    "context_non_procedural", # 14 context wording suggests scope/properties
-    "context_procedural",     # 15 context wording suggests steps/flow
-)
+
+class FeatureVector(NamedTuple):
+    n_imperatives: float = 0.0  # 1 fraction of imperative units
+    n_conditionals: float = 0.0  # 2 fraction of conditional units
+    n_actionables: float = 0.0  # 3 fraction of non-imperative actionable units
+    n_effect_actionable: float = 0.0  # 4 fraction of conditionals whose effect is actionable
+    n_discourse_goals: float = 0.0  # 5 fraction of items carrying discourse goal cues
+    n_inferred_goal: float = 0.0  # 6 propagated: items with procedure children
+    n_non_actionable_goals: float = 0.0  # 7 propagated: non-actionable items with procedure children
+    if_parent_is_goal: float = 0.0  # 8 enclosing node is a discourse goal
+    relatedness: float = 0.0  # 9 entity-graph coherence score
+    depth_level: float = 0.0  # 10 tree depth of the chunk items
+    chunk_size: float = 0.0  # 11 items or sentences in the chunk
+    avg_sibling_distance: float = 0.0  # 12 mean sentences between consecutive items
+    n_associated_image: float = 0.0  # 13 fraction of items with an associated image
+    context_non_procedural: float = 0.0  # 14 context wording suggests scope/properties
+    context_procedural: float = 0.0  # 15 context wording suggests steps/flow
+
+
+FEATURE_NAMES = FeatureVector._fields
 
 FEATURE_CATEGORIES = {
     "Actionable": (1, 2, 3, 4),
@@ -44,36 +49,6 @@ FEATURE_CATEGORIES = {
     "Structural": (10, 11, 12, 13),
     "Context-based": (14, 15),
 }
-
-
-_FEATURE_VALUES = attrgetter(*FEATURE_NAMES)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    n_imperatives: float = 0.0
-    n_conditionals: float = 0.0
-    n_actionables: float = 0.0
-    n_effect_actionable: float = 0.0
-    n_discourse_goals: float = 0.0
-    n_inferred_goal: float = 0.0
-    n_non_actionable_goals: float = 0.0
-    if_parent_is_goal: float = 0.0
-    relatedness: float = 0.0
-    depth_level: float = 0.0
-    chunk_size: float = 0.0
-    avg_sibling_distance: float = 0.0
-    n_associated_image: float = 0.0
-    context_non_procedural: float = 0.0
-    context_procedural: float = 0.0
-
-    def values(self) -> tuple[float, ...]:
-        """The features in FEATURE_NAMES order."""
-        return _FEATURE_VALUES(self)
-
-    @classmethod
-    def from_values(cls, values) -> "FeatureVector":
-        return cls(**{name: float(v) for name, v in zip(FEATURE_NAMES, values)})
 
 
 @dataclass(frozen=True)
@@ -125,16 +100,13 @@ def compute_static_features(chunk: Chunk, tree: DocTree,
     units = _units(chunk, annotation.items)
     size = chunk_size(chunk, tree)
 
-    unit_imperative = [any(s.annotations.imperative for s in u) for u in units]
-    unit_conditional = [any(s.annotations.conditional for s in u) for u in units]
+    unit_imperative = [any(s.imperative for s in u) for u in units]
+    unit_conditional = [any(s.split is not None for s in u) for u in units]
     unit_non_imp_actionable = [
-        any(s.non_imperative_actionable and not s.annotations.imperative for s in u)
+        any(s.non_imperative_actionable and not s.imperative for s in u)
         for u in units]
-    unit_effect = [any(s.annotations.conditional and s.annotations.effect_imperative
+    unit_effect = [any(s.split is not None and s.split.effect_imperative
                        for s in u) for u in units]
-    conditional_count = sum(unit_conditional)
-    effect_fraction = (sum(unit_effect) / conditional_count
-                       if conditional_count else 0.0)
 
     goal_items = [item.is_goal for item in annotation.items]
     image_items = [item.associated_image for item in annotation.items]
@@ -145,7 +117,7 @@ def compute_static_features(chunk: Chunk, tree: DocTree,
         n_imperatives=_fraction(unit_imperative, size),
         n_conditionals=_fraction(unit_conditional, size),
         n_actionables=_fraction(unit_non_imp_actionable, size),
-        n_effect_actionable=effect_fraction,
+        n_effect_actionable=_fraction(unit_effect, sum(unit_conditional)),
         n_discourse_goals=_fraction(goal_items, size),
         n_inferred_goal=0.0,
         n_non_actionable_goals=0.0,
@@ -182,12 +154,9 @@ def update_propagated_features(annotation: ChunkAnnotation,
     items = annotation.items
     with_child = [child_predictions[item.node_id] for item in items]
     inferred = _fraction(with_child, len(items))
-    non_actionable = [item for item in items if not item.actionable]
-    if non_actionable:
-        flagged = [child_predictions[item.node_id] for item in non_actionable]
-        non_actionable_goals = _fraction(flagged, len(non_actionable))
-    else:
-        non_actionable_goals = 0.0
-    return replace(current, n_inferred_goal=inferred,
-                   n_non_actionable_goals=non_actionable_goals)
+    non_actionable = [child_predictions[item.node_id] for item in items
+                      if not item.actionable]
+    return current._replace(
+        n_inferred_goal=inferred,
+        n_non_actionable_goals=_fraction(non_actionable, len(non_actionable)))
 

@@ -47,7 +47,7 @@ def annotate_goal(sentence: TaggedSentence, *, is_heading: bool,
     """Annotate a sentence as a goal. Only headings can carry goal cues."""
     if not is_heading:
         return NOT_GOAL
-    stripped = strip_section_numbering(sentence.text).lower()
+    stripped = strip_section_numbering(sentence.text.strip()).lower()
     for prefix in config.prefixes:
         if re.match(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)", stripped):
             return GoalAnnotation(is_goal=True, cue=GoalCue.METHOD_PREFIX)

@@ -12,6 +12,7 @@ lexicon file: the tagger's here and the lists that `pipeline` loads.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -96,18 +97,6 @@ class Profile:
     polarity: Polarity
 
 
-@dataclass(frozen=True)
-class SentenceAnnotations:
-    imperative: bool
-    conditional: bool
-    condition_span: tuple[int, int] | None
-    effect_span: tuple[int, int] | None
-    effect_imperative: bool
-    tense: Tense
-    voice: Voice
-    polarity: Polarity
-
-
 # ---------------------------------------------------------------------------
 # Lexicon loading
 
@@ -141,9 +130,10 @@ def bundled_data_dir() -> Path:
 
 
 def lexicon_file(directory: str | Path | None, name: str) -> Path:
-    """The lexicon file `name`: from `directory` when it holds the file,
-    else from the bundled set."""
-    if directory is not None and (Path(directory) / name).exists():
+    """The lexicon file `name`: from `directory` when it holds an entry of
+    that name (a dangling link too, which then fails to read), else from the
+    bundled set."""
+    if directory is not None and os.path.lexists(Path(directory) / name):
         return Path(directory) / name
     return bundled_data_dir() / name
 
@@ -190,7 +180,10 @@ _ABBREVIATIONS = frozenset({
     "e.g", "i.e", "etc", "cf", "vs", "no", "fig", "eq", "al", "approx",
     "dr", "mr", "mrs", "ms", "st", "ver", "rev", "sec", "min", "max",
 })
-_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s+[A-Z0-9])")
+# A boundary starts a run of terminal marks: finditer never starts a match
+# inside one, and the lookbehind spares it from trying at every mark.
+_BOUNDARY_RE = re.compile(r"(?<![.!?])[.!?]+(?=\s+[A-Z0-9])")
+_WORD_RUN_RE = re.compile(r"[\w.]+")  # matched on the reversed text
 
 
 def _paren_spans(text: str) -> list[tuple[int, int]]:
@@ -207,25 +200,24 @@ def _paren_spans(text: str) -> list[tuple[int, int]]:
 def split_sentences(text: str) -> list[str]:
     """Split text into sentences on terminal punctuation followed by
     whitespace and a capital or digit, guarding abbreviations and short
-    parenthesized spans."""
-    if not text or not text.strip():
-        return []
-    short_parens = [(a, b) for a, b in _paren_spans(text) if b - a < 40]
+    parenthesized spans. Linear in the text length."""
+    guarded = {i for a, b in _paren_spans(text) if b - a < 40  # short spans
+               for i in range(a + 1, b)}
+    reverse = text[::-1]
     cuts: list[int] = []
     for match in _BOUNDARY_RE.finditer(text):
-        end = match.end()
-        if any(a < match.start() < b for a, b in short_parens):
+        start = match.start()
+        if start in guarded:
             continue
-        preceding = re.search(r"[\w.]+$", text[:match.start()])
-        if preceding and preceding.group(0).rstrip(".").lower() in _ABBREVIATIONS:
+        # The word run that ends at the boundary, or at one newline just
+        # before it, so that "Fig.\n? I" stays whole.
+        end = start - 1 if text[start - 1:start] == "\n" else start
+        preceding = _WORD_RUN_RE.match(reverse, len(text) - end)
+        if (preceding and preceding.group(0)[::-1].rstrip(".").lower()
+                in _ABBREVIATIONS):
             continue
-        cuts.append(end)
-    pieces = []
-    last = 0
-    for cut in cuts:
-        pieces.append(text[last:cut].strip())
-        last = cut
-    pieces.append(text[last:].strip())
+        cuts.append(match.end())
+    pieces = (text[a:b].strip() for a, b in zip([0, *cuts], [*cuts, len(text)]))
     return [p for p in pieces if p]
 
 
@@ -423,19 +415,3 @@ def profile(sentence: TaggedSentence) -> Profile:
     polarity = Polarity.NEGATIVE if NEG in tags else Polarity.POSITIVE
     return Profile(tense=tense, voice=voice, polarity=polarity)
 
-
-def annotate_sentence(sentence: TaggedSentence) -> SentenceAnnotations:
-    """Bundle the imperative/conditional/profile annotations for one sentence."""
-    imperative = detect_imperative(sentence)
-    split = detect_conditional(sentence)
-    prof = profile(sentence)
-    return SentenceAnnotations(
-        imperative=imperative,
-        conditional=split is not None,
-        condition_span=split.condition_span if split else None,
-        effect_span=split.effect_span if split else None,
-        effect_imperative=split.effect_imperative if split else False,
-        tense=prof.tense,
-        voice=prof.voice,
-        polarity=prof.polarity,
-    )

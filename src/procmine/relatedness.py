@@ -57,7 +57,6 @@ VECTOR_MIN_MENTION_PAIRS = 128
 class Entity:
     surface: str  # normalized lowercase noun phrase
     role: Role
-    sentence_index: int
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,7 @@ def normalize_entity(tokens: list[str]) -> str:
     return " ".join(t.lower() for t in tokens)
 
 
-def extract_entities(sentence: TaggedSentence,
-                     sentence_index: int = 0) -> list[Entity]:
+def extract_entities(sentence: TaggedSentence) -> list[Entity]:
     """Noun runs with positional roles around the first main verb.
 
     Runs ending before the verb are subjects (none in imperatives); the
@@ -139,8 +137,7 @@ def extract_entities(sentence: TaggedSentence,
             object_taken = True
         else:
             role = Role.OTHER
-        entities.append(Entity(surface=surface, role=role,
-                               sentence_index=sentence_index))
+        entities.append(Entity(surface=surface, role=role))
     return entities
 
 
@@ -152,7 +149,7 @@ def build_bipartite(sentences: list[TaggedSentence],
     best: dict[tuple[int, str], float] = {}
     order: list[tuple[int, str]] = []
     for index, sentence in enumerate(sentences):
-        for entity in extract_entities(sentence, index):
+        for entity in extract_entities(sentence):
             key = (index, entity.surface)
             weight = weights[entity.role]
             if key not in best:
@@ -253,7 +250,7 @@ def describe_graph(sentences: list[TaggedSentence],
     """Line-oriented debug dump: entities with roles, projection edges, score."""
     lines: list[str] = []
     for index, sentence in enumerate(sentences):
-        for entity in extract_entities(sentence, index):
+        for entity in extract_entities(sentence):
             lines.append(f"entity s{index} {entity.surface!r} {entity.role.value}")
     graph = build_bipartite(sentences, role_weights)
     projection = project(graph)

@@ -1,10 +1,12 @@
 import json
 import random
+import re
 from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
+from procmine import lingua
 from procmine.docmodel import DocNode, DocTree, Kind, parse_sdjson
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -160,6 +162,37 @@ def procedures_json_fields(payload: bytes) -> list[tuple]:
                s.get("parentStepId"), s.get("childProcedureId"))
               for s in p["stepList"]])
             for p in json.loads(payload)]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the sentence split before it became linear. Each boundary
+# searched the whole text before it for the word run ending there, and
+# checked every short parenthesized span.
+
+_ORACLE_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s+[A-Z0-9])")
+
+
+def oracle_split_sentences(text: str) -> list[str]:
+    if not text or not text.strip():
+        return []
+    short_parens = [(a, b) for a, b in lingua._paren_spans(text) if b - a < 40]
+    cuts: list[int] = []
+    for match in _ORACLE_BOUNDARY_RE.finditer(text):
+        end = match.end()
+        if any(a < match.start() < b for a, b in short_parens):
+            continue
+        preceding = re.search(r"[\w.]+$", text[:match.start()])
+        if (preceding and preceding.group(0).rstrip(".").lower()
+                in lingua._ABBREVIATIONS):
+            continue
+        cuts.append(end)
+    pieces = []
+    last = 0
+    for cut in cuts:
+        pieces.append(text[last:cut].strip())
+        last = cut
+    pieces.append(text[last:].strip())
+    return [p for p in pieces if p]
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,6 @@ class TestPartitionProperty:
                 seen[nid] = chunk.id
         expected = {n.id for n in tree.preorder() if n.kind in self.CHUNKABLE}
         assert set(seen) == expected
-        levels = [cid for ids in chunks.by_level.values() for cid in ids]
-        assert sorted(levels) == sorted(chunks.chunks)
 
     def test_fuzz_500_random_trees(self):
         rng = random.Random(1234)
@@ -225,7 +223,7 @@ def oracle_chunks(tree):
                 groups.append((ChunkKind.PARAGRAPH_GROUP, paragraphs, node.id))
                 emitted.add("para")
 
-    chunks, by_level, is_item = {}, {}, set()
+    chunks, is_item = {}, set()
     for chunk_id, (kind, items, parent) in enumerate(groups, start=1):
         depth = tree.node(items[0]).depth
         intro = tree.parent_of(parent) if kind is ChunkKind.LIST else parent
@@ -233,7 +231,6 @@ def oracle_chunks(tree):
             id=chunk_id, kind=kind, item_node_ids=tuple(items), depth=depth,
             context_text=_oracle_context(tree, kind, items, parent),
             parent_node_id=parent, intro_node_id=intro)
-        by_level.setdefault(depth, []).append(chunk_id)
         is_item.update(items)
 
     child_chunks = {}
@@ -243,14 +240,13 @@ def oracle_chunks(tree):
             current = tree.parent_of(current)
         if current is not None:
             child_chunks.setdefault(current, []).append(chunk.id)
-    return chunks, by_level, child_chunks
+    return chunks, child_chunks
 
 
 def assert_matches_oracle(tree):
     chunks = build_chunks(tree)
-    want_chunks, want_levels, want_children = oracle_chunks(tree)
+    want_chunks, want_children = oracle_chunks(tree)
     assert list(chunks.chunks.items()) == list(want_chunks.items())
-    assert list(chunks.by_level.items()) == list(want_levels.items())
     assert list(chunks.child_chunks.items()) == list(want_children.items())
 
 

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +14,8 @@ from procmine.docmodel import parse_markdown
 from procmine.features import FEATURE_NAMES, FeatureVector
 from procmine.linear import (DegenerateLabels, MinMaxScaler, TrainParams,
                              VersionMismatch)
+
+from conftest import CORPUS_DIR, random_tree
 
 PARAMS = TrainParams(epochs=200, learning_rate=0.01, l2=1e-4, seed=11)
 
@@ -41,13 +42,13 @@ def toy_rows(seed, count=40):
         f1 = rng.uniform(0.7, 1.0) if label else rng.uniform(0.0, 0.3)
         noise = [rng.random() for _ in range(14)]
         values = [f1] + noise
-        rows.append((FeatureVector.from_values(values), label))
+        rows.append((FeatureVector(*values), label))
     return rows
 
 
 def threshold_separable(rows, feature_index) -> bool:
-    pos = [v.values()[feature_index] for v, l in rows if l]
-    neg = [v.values()[feature_index] for v, l in rows if not l]
+    pos = [v[feature_index] for v, l in rows if l]
+    neg = [v[feature_index] for v, l in rows if not l]
     return min(pos) > max(neg) or max(pos) < min(neg)
 
 
@@ -188,6 +189,33 @@ class TestClassifyTree:
         second = nested_run()[1]
         assert [(p.chunk_id, p.label, p.margin) for p in first] == \
                [(p.chunk_id, p.label, p.margin) for p in second]
+
+
+class TestProcessingOrder:
+    """Predictions come depth descending, then by chunk id: the order the
+    chunker's per-level lists had."""
+
+    @staticmethod
+    def assert_order(tree):
+        run = pipeline.analyze(tree, actionable_model=None)
+        predictions = classify_tree(run.tree, run.chunks, run.static_features,
+                                    run.annotations, FLIP_MODEL)
+        order = [(p.depth, p.chunk_id) for p in predictions]
+        assert order == sorted(order, key=lambda key: (-key[0], key[1]))
+        assert [p.depth for p in predictions] == \
+            [run.chunks.chunks[p.chunk_id].depth for p in predictions]
+        assert sorted(p.chunk_id for p in predictions) == list(run.chunks.chunks)
+
+    @pytest.mark.parametrize("path", sorted((CORPUS_DIR / "docs").glob("*.md"))
+                             + [CORPUS_DIR / "nested-fixture.md"],
+                             ids=lambda p: p.stem)
+    def test_corpus_documents(self, path):
+        self.assert_order(pipeline.load_document(path))
+
+    def test_300_random_trees(self):
+        rng = random.Random(909)
+        for _ in range(300):
+            self.assert_order(random_tree(rng, max_elements=20))
 
 
 def prediction(chunk_id, label):

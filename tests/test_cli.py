@@ -89,6 +89,13 @@ def lexicon_dir(path, name, data=None):
     return str(path)
 
 
+def dangling_link(path, name):
+    """A lexicon directory whose only entry `name` links to nothing."""
+    path.mkdir()
+    (path / name).symlink_to(path / "missing")
+    return str(path)
+
+
 VERB_HEADER = b"base,third,past,participle,gerund\n"
 LONE_SURROGATE = ('{"version": "sdjson/1", "title": "T", "elements": '
                   '[{"type": "paragraph", "text": "Open the \\ud800 panel."}]}')
@@ -284,6 +291,9 @@ BAD_INPUTS = {
     "extract-lexicon-verbs-is-a-directory": (66, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
         "--lexicon-dir", lexicon_dir(d / "lex", "verbs.csv")]),
+    "extract-lexicon-verbs-dangling-link": (66, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", dangling_link(d / "lex", "verbs.csv")]),
     "extract-lexicon-verbs-other-header": (65, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
         "--lexicon-dir", lexicon_dir(d / "lex", "verbs.csv", b"a,b\n")]),

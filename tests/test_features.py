@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +7,9 @@ from procmine import pipeline
 from procmine.chunker import ChunkKind, build_chunks
 from procmine.classifier import ProcedureClassifierModel
 from procmine.docmodel import parse_markdown
-from procmine.features import (FEATURE_NAMES, FeatureVector,
-                               avg_sibling_distance, update_propagated_features)
+from procmine.features import (FEATURE_CATEGORIES, FEATURE_NAMES,
+                               FeatureVector, avg_sibling_distance,
+                               update_propagated_features)
 from procmine.linear import MinMaxScaler
 from procmine.lingua import split_sentences
 
@@ -231,15 +231,15 @@ class TestScale:
         return model.score(vector)
 
     def test_training_minimum_scales_to_zero(self):
-        raw = np.array([FeatureVector().values()])
+        raw = np.array([FeatureVector()])
         assert self.SCALER.transform(raw)[0].tolist() == [0.0] * len(FEATURE_NAMES)
 
     def test_above_maximum_clips_to_one(self):
-        vector = replace(FeatureVector(), chunk_size=99.0)
+        vector = FeatureVector()._replace(chunk_size=99.0)
         assert self.score_of(vector, "chunk_size") == 1.0
 
     def test_midpoint_scales_to_half(self):
-        vector = replace(FeatureVector(), relatedness=1.0)
+        vector = FeatureVector()._replace(relatedness=1.0)
         assert self.score_of(vector, "relatedness") == 0.5
 
     def test_constant_feature_scales_to_zero(self):
@@ -264,5 +264,10 @@ class TestFeatureBounds:
 
     def test_array_round_trip_preserves_order(self):
         vector = FeatureVector(*[float(i) for i in range(1, 16)])
-        assert FeatureVector.from_values(vector.values()) == vector
-        assert vector.values() == tuple(float(i) for i in range(1, 16))
+        assert FeatureVector(*np.array(vector).tolist()) == vector
+        assert tuple(vector) == tuple(float(i) for i in range(1, 16))
+        assert [getattr(vector, name) for name in FEATURE_NAMES] == list(vector)
+
+    def test_categories_hold_each_feature_id_once(self):
+        ids = sorted(fid for ids in FEATURE_CATEGORIES.values() for fid in ids)
+        assert ids == list(range(1, len(FEATURE_NAMES) + 1)) == list(range(1, 16))

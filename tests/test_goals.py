@@ -1,5 +1,10 @@
+import json
+
 import pytest
 
+from procmine import pipeline
+from procmine.chunker import ChunkKind
+from procmine.docmodel import parse_sdjson
 from procmine.goals import GoalCue, annotate_goal, strip_section_numbering
 from procmine.lingua import Tagger
 from procmine.pipeline import PipelineConfig
@@ -93,3 +98,28 @@ class TestSectionNumbering:
     ])
     def test_strip(self, raw, stripped):
         assert strip_section_numbering(raw) == stripped
+
+
+class TestLeadingWhitespace:
+    """A heading's text reaches `annotate_goal` untrimmed as the intro of
+    the chunks below it and trimmed by the sentence split as a chunk item:
+    both readings must agree."""
+
+    @pytest.mark.parametrize("heading", ["Method 1: Reset", "  Method 1: Reset",
+                                         "\t2.1 Method 2: Reset "])
+    def test_item_and_intro_readings_agree(self, heading):
+        doc = {"version": "sdjson/1", "title": "T", "elements": [
+            {"type": "heading", "level": 2, "text": heading},
+            {"type": "list", "ordered": True,
+             "items": [{"text": "Open the panel."}, {"text": "Press Reset."}]}]}
+        run = pipeline.analyze(parse_sdjson(json.dumps(doc)),
+                               actionable_model=None)
+        group = next(c for c in run.chunks if c.kind is ChunkKind.HEADING_GROUP)
+        listed = next(c for c in run.chunks if c.kind is ChunkKind.LIST)
+        assert run.annotations[group.id].items[0].is_goal is True
+        assert run.static_features[listed.id].if_parent_is_goal == 1.0
+
+    def test_untrimmed_heading_text(self, tagger):
+        annotation = annotate_goal(tagger.tag("  Method 1: Reset"),
+                                   is_heading=True, config=CUES)
+        assert annotation.cue is GoalCue.METHOD_PREFIX

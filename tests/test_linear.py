@@ -75,7 +75,7 @@ class TestProcedureScorer:
             run = pipeline.run_document(pipeline.load_document(path),
                                         actionable_model, procedure_model)
             for p in run.predictions:
-                oracle = numpy_margin(procedure_model, p.feature_snapshot.values())
+                oracle = numpy_margin(procedure_model, p.feature_snapshot)
                 assert_matches_oracle(p.margin, oracle)
                 assert p.label is linear.decide(oracle)
                 scored += 1
@@ -89,7 +89,7 @@ class TestProcedureScorer:
             values = [rng.uniform(lo - (hi - lo), hi + (hi - lo)) if rng.random() < 0.8
                       else rng.choice((lo, hi))
                       for lo, hi in zip(model.scaler.mins, model.scaler.maxs)]
-            vector = FeatureVector.from_values(values)
+            vector = FeatureVector(*map(float, values))
             assert_matches_oracle(model.score(vector), numpy_margin(model, values))
 
     def test_random_models_match_numpy(self):
@@ -102,7 +102,7 @@ class TestProcedureScorer:
                 weights=tuple(rng.uniform(-5, 5) for _ in range(size)),
                 bias=rng.uniform(-1, 1), scaler=MinMaxScaler(mins=mins, maxs=maxs))
             values = [rng.uniform(-4, 6) for _ in range(size)]
-            assert_matches_oracle(model.score(FeatureVector.from_values(values)),
+            assert_matches_oracle(model.score(FeatureVector(*map(float, values))),
                                   numpy_margin(model, values))
 
 

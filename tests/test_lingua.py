@@ -1,11 +1,21 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from procmine import lingua
+from procmine.annotate import annotate_sentence_text
+from procmine.goals import GoalCueConfig
 from procmine.lingua import (ADV, DET, NOUN, PUNCT, VB, VBD, VBG, VBN, VBZ,
                              Polarity, Tagger, Tense, Voice,
                              detect_conditional, detect_imperative, profile,
                              split_sentences)
+from procmine.pipeline import load_document
+
+from conftest import CORPUS_DIR, oracle_split_sentences
+
+CORPUS_DOCS = sorted((CORPUS_DIR / "docs").glob("*.md")) + [
+    CORPUS_DIR / "nested-fixture.md"]
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +52,42 @@ class TestSplitSentences:
     def test_lowercase_continuation_not_split(self):
         assert split_sentences("Open config.yaml and edit it.") == \
             ["Open config.yaml and edit it."]
+
+    def test_abbreviation_before_final_newline_guards(self):
+        # `[\w.]+$` in the oracle also matches before a final newline
+        assert split_sentences("Fig.\n? I") == ["Fig.\n? I"]
+        assert split_sentences("Fig.\n\n? I") == ["Fig.\n\n?", "I"]
+
+    def test_20000_sentence_paragraph_is_linear(self):
+        sentences = ["Open the panel (see Fig. 2) now.", "Press Start!",
+                     "Use a key, e.g. F2, to enter the setup?"]
+        text = " ".join(sentences[i % 3] for i in range(20_000))
+        started = time.perf_counter()
+        pieces = split_sentences(text)
+        assert time.perf_counter() - started < 2.0
+        assert len(pieces) == 20_000
+        assert pieces[:3] == sentences
+
+
+# Text drawn from the pieces the split reacts to: terminal marks, capitals
+# and digits after whitespace, newlines, parentheses and abbreviations.
+SPLIT_PIECES = st.sampled_from([
+    "a", "Open", "1", "_", "é", ".", "..", "!", "?", "!?", " ", "  ", "\n",
+    "\t", "(", ")", "e.g", "Fig", "etc", "i.e.", "No", "x" * 30])
+
+
+class TestSplitOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(SPLIT_PIECES, max_size=40).map("".join))
+    def test_random_text_matches_oracle(self, text):
+        assert split_sentences(text) == oracle_split_sentences(text)
+
+    def test_corpus_node_texts_match_oracle(self):
+        texts = [node.text for path in CORPUS_DOCS
+                 for node in load_document(path).nodes.values()]
+        assert len(texts) > 200
+        for text in texts:
+            assert split_sentences(text) == oracle_split_sentences(text)
 
 
 class TestTagger:
@@ -212,7 +258,12 @@ class TestConditionalFuzz:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(WORDS, min_size=1, max_size=12))
     def test_non_conditional_has_no_effect_flag(self, words):
-        sentence = Tagger().tag(" ".join(words))
-        annotations = lingua.annotate_sentence(sentence)
-        if not annotations.conditional:
-            assert annotations.effect_imperative is False
+        """The effect flag lives on the conditional split, so a sentence
+        without one carries none."""
+        sentence = annotate_sentence_text(
+            " ".join(words), is_heading=False, tagger=Tagger(),
+            goal_config=GoalCueConfig(), model=None)
+        assert sentence.split == detect_conditional(sentence.tagged)
+        if sentence.split is not None:
+            assert sentence.split.effect_imperative is detect_imperative(
+                sentence.tagged.slice(*sentence.split.effect_span))
