@@ -3,10 +3,10 @@ the actionable-statement model over every sentence of every chunk item and
 bundles the results the feature stage needs.
 
 Each record holds each fact once, set when it is built: a sentence its
-tags, imperative flag, conditional split, goal reading and actionable
-reading; an item its sentences, image flag and the three flags later
-stages read; a chunk its items, its introducing node's goal reading and
-its relatedness. Tense, voice and polarity are not stored:
+tagged tokens (which carry its imperative flag), conditional split, goal
+reading and actionable reading; an item its sentences, image flag and the
+three flags later stages read; a chunk its items, its introducing node's
+goal reading and its relatedness. Tense, voice and polarity are not stored:
 `actionable.predict` works them out for the sentences it scores, their
 only reader.
 """
@@ -17,18 +17,17 @@ from dataclasses import dataclass
 
 from . import actionable as actionable_mod
 from .actionable import ActionableModel
-from .chunker import Chunk, ChunkSet
+from .chunker import Chunk, ChunkKind, ChunkSet
 from .docmodel import DocNode, DocTree, Kind
-from .goals import GoalAnnotation, GoalCue, GoalCueConfig, annotate_goal
-from .lingua import (ConditionalSplit, TaggedSentence, Tagger,
-                     detect_conditional, detect_imperative)
+from .goals import (GoalAnnotation, GoalCue, GoalCueConfig, annotate_goal,
+                    heading_goal)
+from .lingua import ConditionalSplit, TaggedSentence, Tagger, detect_conditional
 from .relatedness import Role, chunk_relatedness
 
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
-    tagged: TaggedSentence
-    imperative: bool
+    tagged: TaggedSentence  # with its imperative flag
     split: ConditionalSplit | None  # None unless the sentence is conditional
     goal: GoalAnnotation
     non_imperative_actionable: bool
@@ -56,25 +55,34 @@ def annotate_sentence_text(text: str, *, is_heading: bool, tagger: Tagger,
                            goal_config: GoalCueConfig,
                            model: ActionableModel | None) -> AnnotatedSentence:
     tagged = tagger.tag(text)
-    imperative = detect_imperative(tagged)
     goal = annotate_goal(tagged, is_heading=is_heading, config=goal_config)
     if goal.cue is GoalCue.GERUND_OPENING:
         non_imperative = True  # gerund-opening goals read as actionable
-    elif imperative or model is None:
+    elif tagged.imperative or model is None:
         non_imperative = False
     else:
         non_imperative, _ = actionable_mod.predict(model, tagged)
-    return AnnotatedSentence(tagged=tagged, imperative=imperative,
-                             split=detect_conditional(tagged), goal=goal,
-                             non_imperative_actionable=non_imperative)
+    return AnnotatedSentence(tagged=tagged, split=detect_conditional(tagged),
+                             goal=goal, non_imperative_actionable=non_imperative)
 
 
 def _heading_is_goal(node: DocNode, *, tagger: Tagger,
                      goal_config: GoalCueConfig) -> bool:
+    """The goal reading of a whole heading or title, tagged on its own."""
     if node.kind not in (Kind.HEADING, Kind.TITLE) or not node.text.strip():
         return False
     return annotate_goal(tagger.tag(node.text), is_heading=True,
                          config=goal_config).is_goal
+
+
+def _item_heading_is_goal(node: DocNode, item: ItemAnnotation, *,
+                          goal_config: GoalCueConfig) -> bool:
+    """`_heading_is_goal` of a heading from its item's tagged sentences.
+    Their tokens are the heading's tokens in order, and the tagger looks
+    only backward, so the first token that is not NUM or PUNCT has the
+    same tag in its sentence as in the whole heading."""
+    tags = (tag for s in item.sentences for tag in s.tagged.tags)
+    return heading_goal(node.text, tags, goal_config).is_goal
 
 
 def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
@@ -95,7 +103,7 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
         items.append(ItemAnnotation(
             node_id=node_id, sentences=sentences,
             associated_image=node.associated_image,
-            actionable=any(s.imperative or s.non_imperative_actionable
+            actionable=any(s.tagged.imperative or s.non_imperative_actionable
                            for s in sentences),
             conditional=any(s.split is not None for s in sentences),
             is_goal=any(s.goal.is_goal for s in sentences)))
@@ -113,8 +121,9 @@ def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger,
                     model: ActionableModel | None = None,
                     role_weights: dict[Role, float] | None = None,
                     ) -> dict[int, ChunkAnnotation]:
-    """Annotate every chunk; each introducing node is tagged once, as a
-    whole heading, however many chunks it introduces."""
+    """Annotate every chunk. A heading's goal reading as an introducing
+    node comes from its heading-group item, which the chunker emits before
+    the chunks below the heading; only the title is tagged on its own."""
     intro_goals: dict[int, bool] = {}
     out: dict[int, ChunkAnnotation] = {}
     for chunk in chunks:
@@ -122,7 +131,11 @@ def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger,
         if intro not in intro_goals:
             intro_goals[intro] = _heading_is_goal(
                 tree.node(intro), tagger=tagger, goal_config=goal_config)
-        out[chunk.id] = annotate_chunk(
+        annotation = out[chunk.id] = annotate_chunk(
             chunk, tree, tagger=tagger, goal_config=goal_config, model=model,
             role_weights=role_weights, parent_is_goal=intro_goals[intro])
+        if chunk.kind is ChunkKind.HEADING_GROUP:
+            for item in annotation.items:
+                intro_goals[item.node_id] = _item_heading_is_goal(
+                    tree.node(item.node_id), item, goal_config=goal_config)
     return out

@@ -304,6 +304,17 @@ _UNORDERED_RE = re.compile(r"^(\s*)[-*+]\s+(.*)$")
 _IMAGE_RE = re.compile(r"!\[[^\]]*\]\([^)]*\)")
 
 
+def _atx_text(content: str) -> str:
+    """An ATX heading's text without its closing sequence, a run of `#`
+    that ends the line after a space (CommonMark): "## Reset ##" gives
+    "Reset" and "# C#" keeps "C#"."""
+    text = content.strip()
+    body = text.rstrip("#")
+    if body != text and (not body or body[-1].isspace()):
+        return body.strip()
+    return text
+
+
 def _strip_images(text: str) -> tuple[str, bool]:
     stripped, n = _IMAGE_RE.subn("", text)
     return re.sub(r"\s{2,}", " ", stripped).strip(), n > 0
@@ -377,7 +388,7 @@ def parse_markdown(text: str, source_name: str = "document") -> DocTree:
     for i, line in enumerate(lines):
         match = _ATX_RE.match(line)
         if match and len(match.group(1)) == 1:
-            title_text, _ = _strip_images(match.group(2).strip())
+            title_text, _ = _strip_images(_atx_text(match.group(2)))
             title_line = i
             break
     parser = _MarkdownParser(source_name, title_text or source_name)
@@ -390,7 +401,7 @@ def parse_markdown(text: str, source_name: str = "document") -> DocTree:
             continue
         heading = _ATX_RE.match(line)
         if heading:
-            parser.add_heading(len(heading.group(1)), heading.group(2).strip())
+            parser.add_heading(len(heading.group(1)), _atx_text(heading.group(2)))
             continue
         ordered = _ORDERED_RE.match(line)
         if ordered:

@@ -100,10 +100,10 @@ def compute_static_features(chunk: Chunk, tree: DocTree,
     units = _units(chunk, annotation.items)
     size = chunk_size(chunk, tree)
 
-    unit_imperative = [any(s.imperative for s in u) for u in units]
+    unit_imperative = [any(s.tagged.imperative for s in u) for u in units]
     unit_conditional = [any(s.split is not None for s in u) for u in units]
     unit_non_imp_actionable = [
-        any(s.non_imperative_actionable and not s.imperative for s in u)
+        any(s.non_imperative_actionable and not s.tagged.imperative for s in u)
         for u in units]
     unit_effect = [any(s.split is not None and s.split.effect_imperative
                        for s in u) for u in units]

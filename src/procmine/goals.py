@@ -9,6 +9,7 @@ prefixes can be added without code changes.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,16 +48,23 @@ def annotate_goal(sentence: TaggedSentence, *, is_heading: bool,
     """Annotate a sentence as a goal. Only headings can carry goal cues."""
     if not is_heading:
         return NOT_GOAL
-    stripped = strip_section_numbering(sentence.text.strip()).lower()
+    return heading_goal(sentence.text, sentence.tags, config)
+
+
+def heading_goal(text: str, tags: Iterable[str],
+                 config: GoalCueConfig) -> GoalAnnotation:
+    """The goal reading of the heading `text` whose tokens have the tags
+    `tags`. Only the tags up to the first that is not NUM or PUNCT are read."""
+    stripped = strip_section_numbering(text.strip()).lower()
     for prefix in config.prefixes:
         if re.match(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)", stripped):
             return GoalAnnotation(is_goal=True, cue=GoalCue.METHOD_PREFIX)
 
     if config.gerund_opening:
-        for token in sentence.tokens:
-            if token.tag in (NUM, PUNCT):
+        for tag in tags:
+            if tag in (NUM, PUNCT):
                 continue
-            if token.tag == VBG:
+            if tag == VBG:
                 return GoalAnnotation(is_goal=True, cue=GoalCue.GERUND_OPENING)
             break
     return NOT_GOAL

@@ -2,6 +2,12 @@
 rule-based detection of imperative/conditional sentences with tense, voice
 and polarity profiling.
 
+`Tagger.tag` reads each sentence in one token pass. The `TaggedSentence`
+it returns holds three parallel tuples: the token surfaces, their
+lower-cased forms (each lower-cased once, the surface object itself where
+nothing changes) and their tags. Every detector reads those tuples, and
+the imperative flag is worked out once per sentence, on first use.
+
 The tagger is intentionally lightweight: a closed-class lexicon, a verb
 inflection table shipped as an editable data file, suffix fallbacks, and a
 NOUN default. It is deterministic and total over arbitrary text. Callers
@@ -12,14 +18,15 @@ lexicon file: the tagger's here and the lists that `pipeline` loads.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
+import stat
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
 
 # POS tags
 VB, VBD, VBG, VBN, VBZ, VBP = "VB", "VBD", "VBG", "VBN", "VBZ", "VBP"
@@ -65,22 +72,21 @@ class Polarity(Enum):
     NEGATIVE = "negative"
 
 
-class Token(NamedTuple):
-    surface: str
-    tag: str
-
-
 @dataclass(frozen=True)
 class TaggedSentence:
     text: str
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
+    lowers: tuple[str, ...]  # lower-cased surfaces
+    tags: tuple[str, ...]
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+    @cached_property
+    def imperative(self) -> bool:
+        return detect_imperative(self)
 
     def slice(self, start: int, end: int) -> "TaggedSentence":
-        tokens = self.tokens[start:end]
-        return TaggedSentence(text=" ".join(t.surface for t in tokens), tokens=tokens)
+        surfaces = self.surfaces[start:end]
+        return TaggedSentence(" ".join(surfaces), surfaces,
+                              self.lowers[start:end], self.tags[start:end])
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,10 @@ class LexiconError(ValueError):
 def lexicon_lines(path: Path) -> list[tuple[int, str]]:
     """(line number, text) of each line of the lexicon file `path`,
     stripped and lower-cased, skipping blank lines and `#` comments. Bytes
-    that are not UTF-8 raise LexiconError; an unreadable file, OSError."""
+    that are not UTF-8 raise LexiconError; an unreadable file, or one that
+    is not a regular file (reading a named pipe would block), OSError."""
+    if not stat.S_ISREG(path.stat().st_mode):  # follows a link
+        raise OSError(errno.EINVAL, "not a regular file", str(path))
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -221,15 +230,24 @@ def split_sentences(text: str) -> list[str]:
     return [p for p in pieces if p]
 
 
-def tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
+def tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The token surfaces of `text` and their lower-cased forms, each form
+    the surface object itself where lower-casing changes nothing. A
+    trailing `n't` is a token of its own."""
+    surfaces: list[str] = []
+    lowers: list[str] = []
     for raw in _TOKEN_RE.findall(text):
-        if raw.lower().endswith("n't") and len(raw) > 3:
-            tokens.append(raw[:-3])
-            tokens.append("n't")
+        lower = raw.lower()
+        if lower == raw:
+            lower = raw
+        if len(raw) > 3 and lower.endswith("n't"):
+            head, lower = raw[:-3], lower[:-3]
+            surfaces += (head, "n't")
+            lowers += (head if lower == head else lower, "n't")
         else:
-            tokens.append(raw)
-    return tokens
+            surfaces.append(raw)
+            lowers.append(lower)
+    return surfaces, lowers
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +260,22 @@ class Tagger:
     def __init__(self, lexicon: Lexicon | None = None):
         self.lexicon = lexicon or default_lexicon()
 
-    def tag_tokens(self, tokens: list[str]) -> list[Token]:
-        tags: list[str] = []
-        for i, surface in enumerate(tokens):
-            tags.append(self._tag_one(surface, i, tokens, tags))
-        return [Token(s, t) for s, t in zip(tokens, tags)]
-
     def tag(self, text: str) -> TaggedSentence:
-        return TaggedSentence(text=text, tokens=tuple(self.tag_tokens(tokenize(text))))
+        surfaces, lowers = tokenize(text)
+        return TaggedSentence(text, tuple(surfaces), tuple(lowers),
+                              self.tag_tokens(surfaces, lowers))
 
-    def _tag_one(self, surface: str, i: int, tokens: list[str], tags: list[str]) -> str:
+    def tag_tokens(self, surfaces: list[str], lowers: list[str]) -> tuple[str, ...]:
+        """The tags of pre-split tokens, given with their lower-cased forms."""
+        tags: list[str] = []
+        for i, surface in enumerate(surfaces):
+            tags.append(self._tag_one(surface, lowers[i], i, lowers, tags))
+        return tuple(tags)
+
+    def _tag_one(self, surface: str, word: str, i: int, lowers: list[str],
+                 tags: list[str]) -> str:
         if not _WORD_RE.search(surface):
             return PUNCT
-        word = surface.lower()
         if _NUM_RE.fullmatch(word):
             return NUM
         if word in _BE_FORMS:
@@ -264,19 +285,19 @@ class Tagger:
             return closed
         kinds = self.lexicon.verb_forms.get(word)
         if kinds:
-            tag = self._verb_tag(surface, kinds, i, tokens, tags)
+            tag = self._verb_tag(surface, kinds, i, lowers, tags)
             if tag is not None:
                 return tag
         return self._suffix_tag(word)
 
     def _verb_tag(self, surface: str, kinds: frozenset, i: int,
-                  tokens: list[str], tags: list[str]) -> str | None:
+                  lowers: list[str], tags: list[str]) -> str | None:
         if "gerund" in kinds:
             return VBG
         if "third" in kinds and "base" not in kinds:
             return VBZ
         prev = self._prev_content_tag(tags, i)
-        if "participle" in kinds and self._recent_aux(i, tokens, tags):
+        if "participle" in kinds and self._recent_aux(i, lowers, tags):
             return VBN
         if "participle" in kinds and prev in (DET, ADJ, PREP):
             return VBN  # attributive: "the saved password"
@@ -303,7 +324,7 @@ class Tagger:
                 return tags[j]
         return None
 
-    def _recent_aux(self, i: int, tokens: list[str], tags: list[str]) -> bool:
+    def _recent_aux(self, i: int, lowers: list[str], tags: list[str]) -> bool:
         steps = 0
         for j in range(i - 1, -1, -1):
             if tags[j] in (ADV, NEG):
@@ -311,7 +332,7 @@ class Tagger:
             steps += 1
             if steps > 3:
                 return False
-            if tokens[j].lower() in _AUX_SURFACES:
+            if lowers[j] in _AUX_SURFACES:
                 return True
             if tags[j] in (PUNCT, CONJ):
                 return False
@@ -340,22 +361,21 @@ _CONDITION_OPENERS = frozenset({"if", "when", "unless", "whenever"})
 
 def detect_imperative(sentence: TaggedSentence) -> bool:
     """A sentence is imperative when its first non-punctuation, non-adverb,
-    non-numeric token is a base-form verb."""
-    for token in sentence.tokens:
-        if token.tag in _SKIP_TAGS:
+    non-numeric token other than "please" is a base-form verb. Read it as
+    `sentence.imperative`, which works it out once."""
+    for tag, word in zip(sentence.tags, sentence.lowers):
+        if tag in _SKIP_TAGS or word == "please":
             continue
-        if token.surface.lower() == "please":
-            continue
-        return token.tag == VB
+        return tag == VB
     return False
 
 
 def _find_opener(sentence: TaggedSentence) -> int | None:
-    surfaces = [t.surface.lower() for t in sentence.tokens]
-    for i, word in enumerate(surfaces):
+    lowers = sentence.lowers
+    for i, word in enumerate(lowers):
         if word in _CONDITION_OPENERS:
             return i
-        if word == "in" and i + 1 < len(surfaces) and surfaces[i + 1] == "case":
+        if word == "in" and lowers[i + 1:i + 2] == ("case",):
             return i
     return None
 
@@ -367,17 +387,15 @@ def detect_conditional(sentence: TaggedSentence) -> ConditionalSplit | None:
     condition runs from the opener to the end of the sentence. The two spans
     partition the token sequence.
     """
-    n = len(sentence.tokens)
-    if n == 0:
-        return None
     opener = _find_opener(sentence)
     if opener is None:
         return None
+    n = len(sentence.tags)
     first_content = next(
-        (i for i, t in enumerate(sentence.tokens) if t.tag not in (PUNCT, NUM)), 0)
+        (i for i, tag in enumerate(sentence.tags) if tag not in (PUNCT, NUM)), 0)
     if opener <= first_content:
         comma = next((i for i in range(opener + 1, n)
-                      if sentence.tokens[i].surface == ","), None)
+                      if sentence.surfaces[i] == ","), None)
         if comma is None:
             condition = (0, n)
             effect = (n, n)
@@ -387,14 +405,14 @@ def detect_conditional(sentence: TaggedSentence) -> ConditionalSplit | None:
     else:
         condition = (opener, n)
         effect = (0, opener)
-    effect_imperative = detect_imperative(sentence.slice(*effect))
     return ConditionalSplit(condition_span=condition, effect_span=effect,
-                            effect_imperative=effect_imperative)
+                            effect_imperative=detect_imperative(
+                                sentence.slice(*effect)))
 
 
 def profile(sentence: TaggedSentence) -> Profile:
     """Tense, voice, and polarity from surface tags."""
-    tags = [t.tag for t in sentence.tokens]
+    tags = sentence.tags
     past = VBD in tags
     present = VBZ in tags or VBP in tags
     if past and present:
@@ -405,12 +423,10 @@ def profile(sentence: TaggedSentence) -> Profile:
         tense = Tense.PRESENT
 
     voice = Voice.ACTIVE
-    for i, token in enumerate(sentence.tokens):
-        if token.surface.lower() in _BE_FORMS:
-            window = tags[i + 1:i + 4]
-            if VBN in window:
-                voice = Voice.PASSIVE
-                break
+    for i, word in enumerate(sentence.lowers):
+        if word in _BE_FORMS and VBN in tags[i + 1:i + 4]:
+            voice = Voice.PASSIVE
+            break
 
     polarity = Polarity.NEGATIVE if NEG in tags else Polarity.POSITIVE
     return Profile(tense=tense, voice=voice, polarity=polarity)

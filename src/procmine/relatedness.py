@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .lingua import (ADJ, DET, NOUN, PREP, VERB_TAGS, TaggedSentence,
-                     detect_imperative)
+from .lingua import ADJ, DET, NOUN, PREP, VERB_TAGS, TaggedSentence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,17 +70,16 @@ class ProjectionGraph:
     directed_edges: tuple[tuple[int, int, float], ...]  # i < j
 
 
-def _noun_runs(sentence: TaggedSentence) -> list[tuple[int, int]]:
+def _noun_runs(tags: tuple[str, ...]) -> list[tuple[int, int]]:
     """Maximal (ADJ|NOUN)* NOUN token runs, as [start, end) index pairs."""
     runs: list[tuple[int, int]] = []
     i = 0
-    tokens = sentence.tokens
-    while i < len(tokens):
-        if tokens[i].tag in (ADJ, NOUN):
+    while i < len(tags):
+        if tags[i] in (ADJ, NOUN):
             start = i
             last_noun = -1
-            while i < len(tokens) and tokens[i].tag in (ADJ, NOUN):
-                if tokens[i].tag == NOUN:
+            while i < len(tags) and tags[i] in (ADJ, NOUN):
+                if tags[i] == NOUN:
                     last_noun = i
                 i += 1
             if last_noun >= 0:
@@ -91,26 +89,20 @@ def _noun_runs(sentence: TaggedSentence) -> list[tuple[int, int]]:
     return runs
 
 
-def _first_main_verb(sentence: TaggedSentence) -> int | None:
-    for i, token in enumerate(sentence.tokens):
-        if token.tag in VERB_TAGS:
+def _first_main_verb(tags: tuple[str, ...]) -> int | None:
+    for i, tag in enumerate(tags):
+        if tag in VERB_TAGS:
             return i
     return None
 
 
 def _preposition_governed(sentence: TaggedSentence, start: int) -> bool:
+    tags = sentence.tags
     for j in range(start - 1, -1, -1):
-        tag = sentence.tokens[j].tag
-        if tag in (DET, ADJ):
+        if tags[j] in (DET, ADJ):
             continue
-        if tag == PREP and sentence.tokens[j].surface.lower() != "to":
-            return True
-        return False
+        return tags[j] == PREP and sentence.lowers[j] != "to"
     return False
-
-
-def normalize_entity(tokens: list[str]) -> str:
-    return " ".join(t.lower() for t in tokens)
 
 
 def extract_entities(sentence: TaggedSentence) -> list[Entity]:
@@ -120,16 +112,15 @@ def extract_entities(sentence: TaggedSentence) -> list[Entity]:
     first non-preposition-governed run after the verb is the object;
     everything else, including preposition-governed runs, is other.
     """
-    runs = _noun_runs(sentence)
+    runs = _noun_runs(sentence.tags)
     if not runs:
         return []
-    verb = _first_main_verb(sentence)
-    imperative = detect_imperative(sentence)
+    verb = _first_main_verb(sentence.tags)
     entities: list[Entity] = []
     object_taken = False
     for start, end in runs:
-        surface = normalize_entity([t.surface for t in sentence.tokens[start:end]])
-        if verb is not None and end <= verb and not imperative:
+        surface = " ".join(sentence.lowers[start:end])
+        if verb is not None and end <= verb and not sentence.imperative:
             role = Role.SUBJECT
         elif (verb is not None and start > verb and not object_taken
               and not _preposition_governed(sentence, start)):

@@ -1,13 +1,17 @@
 import json
 import random
 import re
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from procmine import lingua
+from procmine import actionable, lingua
 from procmine.docmodel import DocNode, DocTree, Kind, parse_sdjson
+from procmine.goals import (NOT_GOAL, GoalAnnotation, GoalCue, GoalCueConfig,
+                            strip_section_numbering)
+from procmine.relatedness import DEFAULT_ROLE_WEIGHTS, Entity, Role
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -193,6 +197,266 @@ def oracle_split_sentences(text: str) -> list[str]:
         last = cut
     pieces.append(text[last:].strip())
     return [p for p in pieces if p]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: annotation before each sentence became one token pass. Each token
+# was a (surface, tag) tuple, every detector lower-cased the surfaces it
+# read, and entity extraction ran the imperative detector again.
+
+class OracleToken(NamedTuple):
+    surface: str
+    tag: str
+
+
+@dataclass(frozen=True)
+class OracleSentence:
+    text: str
+    tokens: tuple[OracleToken, ...]
+
+    def slice(self, start: int, end: int) -> "OracleSentence":
+        tokens = self.tokens[start:end]
+        return OracleSentence(text=" ".join(t.surface for t in tokens),
+                              tokens=tokens)
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    tokens: list[str] = []
+    for raw in lingua._TOKEN_RE.findall(text):
+        if raw.lower().endswith("n't") and len(raw) > 3:
+            tokens.append(raw[:-3])
+            tokens.append("n't")
+        else:
+            tokens.append(raw)
+    return tokens
+
+
+class OracleTagger:
+    def __init__(self, lexicon: lingua.Lexicon | None = None):
+        self.lexicon = lexicon or lingua.default_lexicon()
+
+    def tag(self, text: str) -> OracleSentence:
+        tokens = oracle_tokenize(text)
+        tags: list[str] = []
+        for i, surface in enumerate(tokens):
+            tags.append(self._tag_one(surface, i, tokens, tags))
+        return OracleSentence(text=text, tokens=tuple(
+            OracleToken(s, t) for s, t in zip(tokens, tags)))
+
+    def _tag_one(self, surface, i, tokens, tags):
+        if not lingua._WORD_RE.search(surface):
+            return lingua.PUNCT
+        word = surface.lower()
+        if lingua._NUM_RE.fullmatch(word):
+            return lingua.NUM
+        if word in lingua._BE_FORMS:
+            return lingua._BE_FORMS[word]
+        closed = self.lexicon.closed.get(word)
+        if closed is not None:
+            return closed
+        kinds = self.lexicon.verb_forms.get(word)
+        if kinds:
+            tag = self._verb_tag(surface, kinds, i, tokens, tags)
+            if tag is not None:
+                return tag
+        return self._suffix_tag(word)
+
+    def _verb_tag(self, surface, kinds, i, tokens, tags):
+        if "gerund" in kinds:
+            return lingua.VBG
+        if "third" in kinds and "base" not in kinds:
+            return lingua.VBZ
+        prev = next((tags[j] for j in range(i - 1, -1, -1) if tags[j] not in
+                     (lingua.PUNCT, lingua.ADV, lingua.NEG, lingua.NUM)), None)
+        if "participle" in kinds and self._recent_aux(i, tokens, tags):
+            return lingua.VBN
+        if "participle" in kinds and prev in (lingua.DET, lingua.ADJ, lingua.PREP):
+            return lingua.VBN
+        if "past" in kinds:
+            if "base" not in kinds:
+                return lingua.VBD
+            if prev in (lingua.NOUN, lingua.PRON):
+                return lingua.VBD
+        if "base" in kinds:
+            if prev in (lingua.DET, lingua.ADJ):
+                return lingua.NOUN
+            if (i > 0 and surface[0].isupper()
+                    and (tags[i - 1] in lingua.VERB_TAGS
+                         or tags[i - 1] == lingua.NOUN)):
+                return lingua.NOUN
+            return lingua.VB
+        if "participle" in kinds:
+            return lingua.VBN
+        return None
+
+    def _recent_aux(self, i, tokens, tags):
+        steps = 0
+        for j in range(i - 1, -1, -1):
+            if tags[j] in (lingua.ADV, lingua.NEG):
+                continue
+            steps += 1
+            if steps > 3:
+                return False
+            if tokens[j].lower() in lingua._AUX_SURFACES:
+                return True
+            if tags[j] in (lingua.PUNCT, lingua.CONJ):
+                return False
+        return False
+
+    def _suffix_tag(self, word):
+        if len(word) > 4 and word.endswith("ing"):
+            return lingua.VBG
+        if len(word) > 3 and word.endswith("ed"):
+            return lingua.VBD
+        if word.endswith(("tion", "ment", "ness", "sion", "ity")):
+            return lingua.NOUN
+        if len(word) > 3 and word.endswith("ly"):
+            return lingua.ADV
+        if word.endswith(("able", "ible", "ful", "ous", "ive", "ical")):
+            return lingua.ADJ
+        return lingua.NOUN
+
+
+def oracle_detect_imperative(sentence: OracleSentence) -> bool:
+    for token in sentence.tokens:
+        if token.tag in (lingua.PUNCT, lingua.ADV, lingua.NUM):
+            continue
+        if token.surface.lower() == "please":
+            continue
+        return token.tag == lingua.VB
+    return False
+
+
+def oracle_find_opener(sentence: OracleSentence) -> int | None:
+    surfaces = [t.surface.lower() for t in sentence.tokens]
+    for i, word in enumerate(surfaces):
+        if word in ("if", "when", "unless", "whenever"):
+            return i
+        if word == "in" and i + 1 < len(surfaces) and surfaces[i + 1] == "case":
+            return i
+    return None
+
+
+def oracle_detect_conditional(sentence: OracleSentence):
+    n = len(sentence.tokens)
+    if n == 0:
+        return None
+    opener = oracle_find_opener(sentence)
+    if opener is None:
+        return None
+    first_content = next((i for i, t in enumerate(sentence.tokens)
+                          if t.tag not in (lingua.PUNCT, lingua.NUM)), 0)
+    if opener <= first_content:
+        comma = next((i for i in range(opener + 1, n)
+                      if sentence.tokens[i].surface == ","), None)
+        if comma is None:
+            condition, effect = (0, n), (n, n)
+        else:
+            condition, effect = (0, comma + 1), (comma + 1, n)
+    else:
+        condition, effect = (opener, n), (0, opener)
+    return lingua.ConditionalSplit(
+        condition_span=condition, effect_span=effect,
+        effect_imperative=oracle_detect_imperative(sentence.slice(*effect)))
+
+
+def oracle_profile(sentence: OracleSentence) -> lingua.Profile:
+    tags = [t.tag for t in sentence.tokens]
+    past = lingua.VBD in tags
+    present = lingua.VBZ in tags or lingua.VBP in tags
+    tense = (lingua.Tense.MIXED if past and present else
+             lingua.Tense.PAST if past else lingua.Tense.PRESENT)
+    voice = lingua.Voice.ACTIVE
+    for i, token in enumerate(sentence.tokens):
+        if token.surface.lower() in lingua._BE_FORMS:
+            if lingua.VBN in tags[i + 1:i + 4]:
+                voice = lingua.Voice.PASSIVE
+                break
+    polarity = (lingua.Polarity.NEGATIVE if lingua.NEG in tags
+                else lingua.Polarity.POSITIVE)
+    return lingua.Profile(tense=tense, voice=voice, polarity=polarity)
+
+
+def oracle_annotate_goal(sentence: OracleSentence, *, is_heading: bool,
+                         config: GoalCueConfig) -> GoalAnnotation:
+    if not is_heading:
+        return NOT_GOAL
+    stripped = strip_section_numbering(sentence.text.strip()).lower()
+    for prefix in config.prefixes:
+        if re.match(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)", stripped):
+            return GoalAnnotation(is_goal=True, cue=GoalCue.METHOD_PREFIX)
+    if config.gerund_opening:
+        for token in sentence.tokens:
+            if token.tag in (lingua.NUM, lingua.PUNCT):
+                continue
+            if token.tag == lingua.VBG:
+                return GoalAnnotation(is_goal=True, cue=GoalCue.GERUND_OPENING)
+            break
+    return NOT_GOAL
+
+
+def oracle_extract_entities(sentence: OracleSentence) -> list[Entity]:
+    tokens = sentence.tokens
+    runs: list[tuple[int, int]] = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i].tag in (lingua.ADJ, lingua.NOUN):
+            start, last_noun = i, -1
+            while i < len(tokens) and tokens[i].tag in (lingua.ADJ, lingua.NOUN):
+                if tokens[i].tag == lingua.NOUN:
+                    last_noun = i
+                i += 1
+            if last_noun >= 0:
+                runs.append((start, last_noun + 1))
+        else:
+            i += 1
+    if not runs:
+        return []
+    verb = next((i for i, t in enumerate(tokens)
+                 if t.tag in lingua.VERB_TAGS), None)
+    imperative = oracle_detect_imperative(sentence)
+
+    def governed(start: int) -> bool:
+        for j in range(start - 1, -1, -1):
+            tag = tokens[j].tag
+            if tag in (lingua.DET, lingua.ADJ):
+                continue
+            return tag == lingua.PREP and tokens[j].surface.lower() != "to"
+        return False
+
+    entities: list[Entity] = []
+    object_taken = False
+    for start, end in runs:
+        surface = " ".join(t.surface.lower() for t in tokens[start:end])
+        if verb is not None and end <= verb and not imperative:
+            role = Role.SUBJECT
+        elif (verb is not None and start > verb and not object_taken
+              and not governed(start)):
+            role = Role.OBJECT
+            object_taken = True
+        else:
+            role = Role.OTHER
+        entities.append(Entity(surface=surface, role=role))
+    return entities
+
+
+def oracle_bipartite_edges(sentences: list[OracleSentence]) -> tuple:
+    weights = DEFAULT_ROLE_WEIGHTS
+    best: dict[tuple[int, str], float] = {}
+    for index, sentence in enumerate(sentences):
+        for entity in oracle_extract_entities(sentence):
+            key = (index, entity.surface)
+            best[key] = max(best.get(key, 0.0), weights[entity.role])
+    return tuple((i, surface, w) for (i, surface), w in best.items())
+
+
+def oracle_margin(model, sentence: OracleSentence) -> float:
+    """`actionable.predict`'s margin from the oracle's profile."""
+    size = len(model.vocabulary)
+    features = sorted(actionable._tf_idf(sentence.text, model.vocabulary).items())
+    features.extend(zip(range(size, size + 3),
+                        actionable._indicators(oracle_profile(sentence))))
+    return model.scorer.margin(features)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def test_detector_unit_suite(tagger):
         split = detect_conditional(sentence)
         assert split is not None, text
         (a, b), (c, d) = sorted([split.condition_span, split.effect_span])
-        assert a == 0 and b == c and d == len(sentence.tokens), text
+        assert a == 0 and b == c and d == len(sentence.tags), text
         checked += 1
     note("detector unit suite: PASS (anchored examples + 200 fuzzed "
          "conditionals with partitioning spans)")

@@ -1,0 +1,197 @@
+"""Annotation in one token pass against the oracles in conftest: the path
+before it, where each token was a (surface, tag) pair that every detector
+lower-cased again and entity extraction ran the imperative detector a
+second time. Tags, imperative flags, conditional splits, profiles, goal
+readings, entities, bipartite edges and actionable margins must all agree,
+the margins bit for bit."""
+
+import csv
+import json
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from procmine import annotate, pipeline
+from procmine.actionable import ActionableModel, predict
+from procmine.chunker import ChunkKind
+from procmine.docmodel import parse_sdjson
+from procmine.goals import GoalCueConfig, annotate_goal
+from procmine.lingua import (Tagger, detect_conditional, detect_imperative,
+                             profile, split_sentences)
+from procmine.relatedness import build_bipartite, extract_entities
+
+from conftest import (CORPUS_DIR, OracleTagger, oracle_annotate_goal,
+                      oracle_bipartite_edges, oracle_detect_conditional,
+                      oracle_detect_imperative, oracle_extract_entities,
+                      oracle_margin, oracle_profile, random_tree)
+
+TAGGER = Tagger()
+ORACLE = OracleTagger()
+MODEL = ActionableModel.load(CORPUS_DIR / "models" / "actionable.json")
+CUE_CONFIGS = (pipeline.PipelineConfig().goal_config(),
+               GoalCueConfig(gerund_opening=False, prefixes=("step", "how to")))
+CORPUS_DOCS = sorted((CORPUS_DIR / "docs").glob("*.md")) + [
+    CORPUS_DIR / "nested-fixture.md"]
+
+
+def assert_same_reading(text: str) -> None:
+    new, old = TAGGER.tag(text), ORACLE.tag(text)
+    assert new.surfaces == tuple(t.surface for t in old.tokens)
+    assert new.tags == tuple(t.tag for t in old.tokens)
+    assert new.lowers == tuple(surface.lower() for surface in new.surfaces)
+    # A form that lower-casing leaves alone is the surface object itself.
+    assert all(lower is surface for surface, lower
+               in zip(new.surfaces, new.lowers) if lower == surface)
+    assert new.imperative is detect_imperative(new) is \
+        oracle_detect_imperative(old)
+    assert detect_conditional(new) == oracle_detect_conditional(old)
+    assert profile(new) == oracle_profile(old)
+    for config in CUE_CONFIGS:
+        for is_heading in (True, False):
+            assert annotate_goal(new, is_heading=is_heading, config=config) == \
+                oracle_annotate_goal(old, is_heading=is_heading, config=config)
+    assert extract_entities(new) == oracle_extract_entities(old)
+    assert predict(MODEL, new)[1].hex() == oracle_margin(MODEL, old).hex()
+
+
+def assert_same_graph(texts: list[str]) -> None:
+    assert build_bipartite([TAGGER.tag(t) for t in texts]).edges == \
+        oracle_bipartite_edges([ORACLE.tag(t) for t in texts])
+
+
+# Words the detectors react to, in mixed case: contractions, "please",
+# be-forms and auxiliaries, condition openers, "in case", commas, numbers,
+# and characters whose lower-case form differs in length or script.
+PIECES = st.sampled_from([
+    "Click", "click", "CLICK", "Restart", "restart", "the", "The", "server",
+    "Server", "console", "Don't", "DON'T", "isn't", "can't", "doN'T", "n't",
+    "please", "Please", "PLEASE", "is", "Is", "was", "WERE", "been", "being",
+    "are", "am", "be", "has", "had", "got", "in", "In", "IN", "case", "Case",
+    "if", "If", "When", "unless", "Whenever", "to", "To", "on", "not",
+    "saved", "restarted", "running", "Creating", "Method", "method", "Step",
+    "1", "2.1", "3.", "v2.0", "1st", ",", ".", ";", ":", "(", ")", "!", "?",
+    "e.g.", "it", "automatically", "and", "or", "user", "network-tab",
+    "config.yaml", "İ", "K", "é", "ß", "Ǆ"])
+SEPARATORS = st.sampled_from([" ", " ", " ", "", ", ", "\n"])
+SENTENCES = st.lists(st.tuples(PIECES, SEPARATORS), max_size=16).map(
+    lambda pairs: "".join(piece + sep for piece, sep in pairs))
+
+
+class TestRandomSentences:
+    @settings(max_examples=500, deadline=None)
+    @given(SENTENCES)
+    def test_detector_pieces(self, text):
+        assert_same_reading(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=80))
+    def test_any_text(self, text):
+        assert_same_reading(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(SENTENCES, min_size=1, max_size=8))
+    def test_bipartite_edges(self, texts):
+        assert_same_graph(texts)
+
+
+def corpus_texts() -> list[str]:
+    with (CORPUS_DIR / "actionable_sentences.csv").open(newline="") as handle:
+        texts = [row["text"] for row in csv.DictReader(handle)]
+    for path in CORPUS_DOCS:
+        for node in pipeline.load_document(path).nodes.values():
+            texts.append(node.text)
+            texts.extend(split_sentences(node.text))
+    return texts
+
+
+class TestCorpus:
+    def test_every_sentence_and_node_text(self):
+        texts = corpus_texts()
+        assert len(texts) > 600
+        for text in texts:
+            assert_same_reading(text)
+
+    @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.stem)
+    def test_every_chunk_graph(self, path):
+        run = pipeline.analyze(pipeline.load_document(path),
+                               actionable_model=None)
+        for annotation in run.annotations.values():
+            assert_same_graph([s.tagged.text for item in annotation.items
+                               for s in item.sentences])
+
+
+# ---------------------------------------------------------------------------
+# A heading introducing chunks is read from its heading-group item, not
+# tagged again; `_heading_is_goal` tags it on its own and is the oracle.
+
+def assert_intro_goals_match_oracle(tree) -> None:
+    config = pipeline.PipelineConfig()
+    run = pipeline.analyze(tree, actionable_model=None, config=config)
+    for chunk in run.chunks:
+        assert run.annotations[chunk.id].parent_is_goal == \
+            annotate._heading_is_goal(tree.node(chunk.intro_node_id),
+                                      tagger=config.tagger(),
+                                      goal_config=config.goal_config()), chunk
+
+
+HEADING_PIECES = st.sampled_from([
+    "1.", "2", "3.1", "10.", "Creating", "creating", "Installing", "Method",
+    "method", "Overview", "Notes.", "Reset", "the", "server", "(", ")", ":",
+    ".", "!", "?", "e.g.", "How", "to", "Step", "Fig.", "v2.0"])
+HEADINGS = st.lists(HEADING_PIECES, max_size=6).map(" ".join)
+
+
+def heading_doc(title: str, headings: list[tuple[int, str]]) -> dict:
+    elements = []
+    for level, text in headings:
+        elements.append({"type": "heading", "level": level, "text": text})
+        elements.append({"type": "list", "ordered": True, "items": [
+            {"text": "Open the panel."}, {"text": "Press Reset."}]})
+    return {"version": "sdjson/1", "title": title or "T", "elements": elements}
+
+
+class TestIntroGoals:
+    @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.stem)
+    def test_corpus(self, path):
+        assert_intro_goals_match_oracle(pipeline.load_document(path))
+
+    def test_random_trees(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            assert_intro_goals_match_oracle(random_tree(rng))
+
+    @settings(max_examples=200, deadline=None)
+    @given(HEADINGS, st.lists(st.tuples(st.integers(1, 3), HEADINGS),
+                              max_size=5))
+    def test_random_headings(self, title, headings):
+        assert_intro_goals_match_oracle(
+            parse_sdjson(json.dumps(heading_doc(title, headings))))
+
+    @pytest.mark.parametrize("heading", [
+        "1. Creating a cluster",  # the first sentence, "1.", carries no cue
+        "Overview. Creating a cluster",  # the second sentence alone does
+        "Notes. Method 2: Reset"])
+    def test_headings_of_several_sentences(self, heading):
+        tree = parse_sdjson(json.dumps(heading_doc("T", [(1, heading)])))
+        assert len(tree.sentences[1]) == 2
+        assert_intro_goals_match_oracle(tree)
+
+
+class TestTagCalls:
+    """Each annotated sentence is tagged once, and the title once more."""
+
+    @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.stem)
+    def test_corpus(self, path, monkeypatch):
+        calls = []
+        tag = Tagger.tag
+        monkeypatch.setattr(Tagger, "tag",
+                            lambda self, text: calls.append(text) or tag(self, text))
+        tree = pipeline.load_document(path)
+        run = pipeline.analyze(tree, actionable_model=None)
+        sentences = [s.tagged.text for a in run.annotations.values()
+                     for item in a.items for s in item.sentences]
+        title = tree.node(tree.root).text
+        assert any(c.intro_node_id == tree.root for c in run.chunks)
+        assert sorted(calls) == sorted(sentences + [title])
+        assert any(c.kind is ChunkKind.HEADING_GROUP for c in run.chunks)

@@ -96,6 +96,14 @@ def dangling_link(path, name):
     return str(path)
 
 
+def named_pipe(path, name):
+    """A lexicon directory whose only entry `name` is a named pipe with no
+    writer: reading it would block for ever."""
+    path.mkdir()
+    os.mkfifo(path / name)
+    return str(path)
+
+
 VERB_HEADER = b"base,third,past,participle,gerund\n"
 LONE_SURROGATE = ('{"version": "sdjson/1", "title": "T", "elements": '
                   '[{"type": "paragraph", "text": "Open the \\ud800 panel."}]}')
@@ -294,6 +302,9 @@ BAD_INPUTS = {
     "extract-lexicon-verbs-dangling-link": (66, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
         "--lexicon-dir", dangling_link(d / "lex", "verbs.csv")]),
+    "extract-lexicon-verbs-named-pipe": (66, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--lexicon-dir", named_pipe(d / "lex", "verbs.csv")]),
     "extract-lexicon-verbs-other-header": (65, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
         "--lexicon-dir", lexicon_dir(d / "lex", "verbs.csv", b"a,b\n")]),
@@ -331,7 +342,7 @@ BAD_INPUTS = {
 def test_bad_input_exits_with_code_without_traceback(tmp_path, name):
     code, argv = BAD_INPUTS[name]
     result = subprocess.run([sys.executable, "-m", "procmine.cli", *argv(tmp_path)],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, timeout=120)
     assert "Traceback" not in result.stderr
     assert result.returncode == code
     assert result.stdout == ""

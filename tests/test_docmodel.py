@@ -182,6 +182,20 @@ class TestParseMarkdown:
         assert nested.kind is Kind.LIST_BLOCK and nested.ordered is False
         assert len(nested.children) == 2
 
+    @pytest.mark.parametrize("line, text", [
+        ("## Method 1: Reset ##", "Method 1: Reset"),
+        ("## Reset #####   ", "Reset"),
+        ("## Reset\t#", "Reset"),
+        ("## C#", "C#"),  # no space before the run: part of the text
+        ("## Reset # now", "Reset # now"),  # the run does not end the line
+        ("## ##", ""),
+    ])
+    def test_atx_closing_sequence_is_stripped(self, line, text):
+        tree = parse_markdown(f"# Title #\n{line}\ntext")
+        root = tree.node(tree.root)
+        assert root.text == "Title"
+        assert tree.node(root.children[0]).text == text
+
     def test_title_from_source_name_when_no_h1(self):
         tree = parse_markdown("## Only level two\ntext", source_name="fallback")
         assert tree.node(tree.root).text == "fallback"

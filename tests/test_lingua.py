@@ -92,63 +92,63 @@ class TestSplitOracle:
 
 class TestTagger:
     def test_sentence_initial_click_is_verb(self, tagger):
-        tokens = tagger.tag("Click the icon.").tokens
-        assert tokens[0].tag == VB
+        assert tagger.tag("Click the icon.").tags[0] == VB
 
     def test_gerund_suffix(self, tagger):
-        assert tagger.tag("running").tokens[0].tag == VBG
+        assert tagger.tag("running").tags[0] == VBG
 
     def test_determiner(self, tagger):
-        assert tagger.tag("the").tokens[0].tag == DET
+        assert tagger.tag("the").tags[0] == DET
 
     def test_nominal_context_blocks_verb_reading(self, tagger):
-        tokens = tagger.tag("Schedule the restart for midnight.").tokens
-        surface_tags = {t.surface: t.tag for t in tokens}
+        sentence = tagger.tag("Schedule the restart for midnight.")
+        surface_tags = dict(zip(sentence.surfaces, sentence.tags))
         assert surface_tags["restart"] == NOUN
 
     def test_capitalized_label_after_verb_is_noun(self, tagger):
-        tokens = tagger.tag("Click Start now.").tokens
-        assert tokens[1].tag == NOUN
+        assert tagger.tag("Click Start now.").tags[1] == NOUN
 
     def test_passive_participle_after_be(self, tagger):
-        tokens = tagger.tag("The service was restarted.").tokens
-        tags = {t.surface: t.tag for t in tokens}
+        sentence = tagger.tag("The service was restarted.")
+        tags = dict(zip(sentence.surfaces, sentence.tags))
         assert tags["was"] == VBD
         assert tags["restarted"] == VBN
 
     def test_active_past(self, tagger):
-        tokens = tagger.tag("The operator restarted the service.").tokens
-        tags = {t.surface: t.tag for t in tokens}
+        sentence = tagger.tag("The operator restarted the service.")
+        tags = dict(zip(sentence.surfaces, sentence.tags))
         assert tags["restarted"] == VBD
 
     def test_numbers_and_punctuation(self, tagger):
-        tokens = tagger.tag("2.1.5 Large Pages.").tokens
-        assert tokens[0].tag == "NUM"
-        assert tokens[-1].tag == PUNCT
+        tags = tagger.tag("2.1.5 Large Pages.").tags
+        assert tags[0] == "NUM"
+        assert tags[-1] == PUNCT
 
     def test_suffix_fallbacks(self, tagger):
-        tags = {t.surface: t.tag for t in
-                tagger.tag("The configuration assessment happened gracefully.").tokens}
+        sentence = tagger.tag("The configuration assessment happened gracefully.")
+        tags = dict(zip(sentence.surfaces, sentence.tags))
         assert tags["configuration"] == NOUN
         assert tags["assessment"] == NOUN
         assert tags["gracefully"] == ADV
 
     def test_tag_tokens_tags_pretokenized_input(self, tagger):
         tokens = ["Restart", "the", "server", "."]
-        assert [t.tag for t in tagger.tag_tokens(tokens)] == [VB, DET, NOUN, PUNCT]
-        assert tuple(tagger.tag_tokens(tokens)) == \
-            tagger.tag("Restart the server.").tokens
+        lowers = [token.lower() for token in tokens]
+        assert tagger.tag_tokens(tokens, lowers) == (VB, DET, NOUN, PUNCT)
+        assert tagger.tag_tokens(tokens, lowers) == \
+            tagger.tag("Restart the server.").tags
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=120))
     def test_totality_every_token_tagged(self, text):
         sentence = Tagger().tag(text)
-        for token in sentence.tokens:
-            assert token.tag in {VB, VBD, VBG, VBN, VBZ, "VBP", "MD", NOUN,
-                                 "PRON", DET, "ADJ", ADV, "PREP", "CONJ",
-                                 "NEG", "NUM", PUNCT, "OTHER"}
+        assert len(sentence.surfaces) == len(sentence.lowers) == len(sentence.tags)
+        for tag in sentence.tags:
+            assert tag in {VB, VBD, VBG, VBN, VBZ, "VBP", "MD", NOUN,
+                           "PRON", DET, "ADJ", ADV, "PREP", "CONJ",
+                           "NEG", "NUM", PUNCT, "OTHER"}
         if text.strip() and any(c.isalnum() for c in text):
-            assert sentence.tokens
+            assert sentence.tags
 
 
 class TestDetectImperative:
@@ -175,18 +175,18 @@ class TestDetectConditional:
         sentence = tagger.tag("If the problem persists, restart the server.")
         split = detect_conditional(sentence)
         assert split is not None
-        cond = sentence.slice(*split.condition_span).surfaces()
-        effect = sentence.slice(*split.effect_span).surfaces()
-        assert cond == ["If", "the", "problem", "persists", ","]
-        assert effect == ["restart", "the", "server", "."]
+        cond = sentence.slice(*split.condition_span).surfaces
+        effect = sentence.slice(*split.effect_span).surfaces
+        assert cond == ("If", "the", "problem", "persists", ",")
+        assert effect == ("restart", "the", "server", ".")
         assert split.effect_imperative is True
 
     def test_trailing_if_clause(self, tagger):
         sentence = tagger.tag("Restart the server if the problem persists.")
         split = detect_conditional(sentence)
         assert split is not None
-        effect = sentence.slice(*split.effect_span).surfaces()
-        assert effect == ["Restart", "the", "server"]
+        effect = sentence.slice(*split.effect_span).surfaces
+        assert effect == ("Restart", "the", "server")
         assert split.effect_imperative is True
 
     def test_no_opener(self, tagger):
@@ -210,7 +210,7 @@ class TestDetectConditional:
             split = detect_conditional(sentence)
             assert split is not None
             (a, b), (c, d) = sorted([split.condition_span, split.effect_span])
-            assert a == 0 and b == c and d == len(sentence.tokens)
+            assert a == 0 and b == c and d == len(sentence.tags)
 
 
 class TestProfile:
@@ -253,7 +253,7 @@ class TestConditionalFuzz:
         (a, b), (c, d) = sorted([split.condition_span, split.effect_span])
         assert a == 0
         assert b == c
-        assert d == len(sentence.tokens)
+        assert d == len(sentence.tags)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(WORDS, min_size=1, max_size=12))
