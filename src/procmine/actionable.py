@@ -196,7 +196,7 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
     scaler = MinMaxScaler.fit(raw)
     x = scaler.transform(raw)
     y = np.array([1.0 if label else -1.0 for _, label in labeled])
-    fit = linear.fit_hinge(x, y, params)
+    fit, = linear.fit_hinge([x], y, params)
     return ActionableModel(vocabulary=vocab, weights=fit.weights,
                            bias=fit.bias, scaler=scaler,
                            epoch_losses=fit.epoch_losses)

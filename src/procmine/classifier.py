@@ -91,15 +91,28 @@ def train(rows: list[tuple[FeatureVector, bool]],
           params: TrainParams) -> ProcedureClassifierModel:
     """Hinge-loss SGD on min-max scaled features; deterministic per seed.
     DegenerateLabels unless `rows` hold both classes."""
+    return _train_ablated(rows, params, [()])[0]
+
+
+def _train_ablated(rows: list[tuple[FeatureVector, bool]], params: TrainParams,
+                   ablations: list[tuple[int, ...]],
+                   ) -> list[ProcedureClassifierModel]:
+    """One model per tuple of feature ids, trained on `rows` with those
+    features zeroed; `linear.fit_hinge` fits them all in one lockstep pass."""
     import numpy as np
     y = np.array([1.0 if label else -1.0 for _, label in rows])
     linear.check_classes(y)  # before the scaler, which cannot fit zero rows
-    raw = np.array([vector for vector, _ in rows], dtype=float)
-    scaler = MinMaxScaler.fit(raw)
-    x = scaler.transform(raw)
-    fit = linear.fit_hinge(x, y, params)
-    return ProcedureClassifierModel(weights=fit.weights, bias=fit.bias,
-                                    scaler=scaler)
+    scalers, xs = [], []
+    for feature_ids in ablations:
+        raw = np.array([_zero_features(vector, feature_ids)
+                        for vector, _ in rows], dtype=float)
+        scaler = MinMaxScaler.fit(raw)
+        scalers.append(scaler)
+        xs.append(scaler.transform(raw))
+    fits = linear.fit_hinge(xs, y, params)
+    return [ProcedureClassifierModel(weights=fit.weights, bias=fit.bias,
+                                     scaler=scaler)
+            for fit, scaler in zip(fits, scalers)]
 
 
 def _zero_features(vector: FeatureVector, feature_ids) -> FeatureVector:
@@ -186,16 +199,7 @@ def ablate(feature_ids: tuple[int, ...],
            test_rows: list[tuple[FeatureVector, bool]],
            params: TrainParams) -> Metrics:
     """Zero the named features in both splits, retrain, evaluate."""
-    unknown = [fid for fid in feature_ids if not 1 <= fid <= N_FEATURES]
-    if unknown:
-        raise ValueError(f"unknown feature ids {unknown}")
-    train_z = [(_zero_features(v, feature_ids), label) for v, label in train_rows]
-    test_z = [(_zero_features(v, feature_ids), label) for v, label in test_rows]
-    model = train(train_z, params)
-    predicted = {i: linear.decide(model.score(vector))
-                 for i, (vector, _) in enumerate(test_z)}
-    gold = {i: label for i, (_, label) in enumerate(test_z)}
-    return evaluate_labels(predicted, gold)
+    return _ablate([tuple(feature_ids)], train_rows, test_rows, params)[0]
 
 
 def ablation_report(train_rows, test_rows, params: TrainParams,
@@ -203,7 +207,23 @@ def ablation_report(train_rows, test_rows, params: TrainParams,
                     ) -> list[tuple[str, Metrics]]:
     """Baseline plus one row per feature category with that category removed."""
     categories = categories or FEATURE_CATEGORIES
-    report = [("none", ablate((), train_rows, test_rows, params))]
-    for name, ids in categories.items():
-        report.append((name, ablate(tuple(ids), train_rows, test_rows, params)))
-    return report
+    ablations = [(), *(tuple(ids) for ids in categories.values())]
+    return list(zip(["none", *categories],
+                    _ablate(ablations, train_rows, test_rows, params)))
+
+
+def _ablate(ablations: list[tuple[int, ...]],
+            train_rows: list[tuple[FeatureVector, bool]],
+            test_rows: list[tuple[FeatureVector, bool]],
+            params: TrainParams) -> list[Metrics]:
+    """`ablate` for each tuple of feature ids, its models trained together."""
+    unknown = [fid for ids in ablations for fid in ids
+               if not 1 <= fid <= N_FEATURES]
+    if unknown:
+        raise ValueError(f"unknown feature ids {unknown}")
+    models = _train_ablated(train_rows, params, ablations)
+    gold = {i: label for i, (_, label) in enumerate(test_rows)}
+    return [evaluate_labels(
+                {i: linear.decide(model.score(_zero_features(vector, ids)))
+                 for i, (vector, _) in enumerate(test_rows)}, gold)
+            for ids, model in zip(ablations, models)]

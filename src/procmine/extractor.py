@@ -19,13 +19,15 @@ procedure-labeled chunks, each of which yields a procedure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .annotate import ChunkAnnotation
 from .chunker import Chunk, ChunkKind, ChunkSet
 from .classifier import ChunkPrediction
 from .docmodel import DocTree, Kind
+
+_JSON_BOOLS = {True: "true", False: "false"}
 
 
 @dataclass(frozen=True)
@@ -110,26 +112,30 @@ def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
 
 def serialize(procedures: list[Procedure]) -> bytes:
     """Deterministic UTF-8 JSON: fixed key order, 2-space indent, LF line
-    endings, optional fields omitted when absent."""
-    payload = []
+    endings, optional fields omitted when absent.
+
+    The bytes of `json.dumps(payload, indent=2, ensure_ascii=False)` and a
+    newline, written directly: `json` serves any indent from its pure-Python
+    encoder. Strings are quoted by the function that encoder uses."""
+    quote = encode_basestring
+    entries = []
     for procedure in procedures:
         steps = []
         for step in procedure.step_list:
-            entry: dict = {
-                "stepId": step.step_id,
-                "text": step.text,
-                "actionable": step.actionable,
-                "conditional": step.conditional,
-            }
+            fields = [f'"stepId": {quote(step.step_id)}',
+                      f'"text": {quote(step.text)}',
+                      f'"actionable": {_JSON_BOOLS[step.actionable]}',
+                      f'"conditional": {_JSON_BOOLS[step.conditional]}']
             if step.parent_step_id is not None:
-                entry["parentStepId"] = step.parent_step_id
+                fields.append(f'"parentStepId": {quote(step.parent_step_id)}')
             if step.child_procedure_id is not None:
-                entry["childProcedureId"] = step.child_procedure_id
-            steps.append(entry)
-        payload.append({
-            "sequenceId": procedure.sequence_id,
-            "goal": procedure.goal,
-            "stepList": steps,
-        })
-    text = json.dumps(payload, indent=2, ensure_ascii=False)
+                fields.append(
+                    f'"childProcedureId": {quote(step.child_procedure_id)}')
+            steps.append("      {\n        " + ",\n        ".join(fields)
+                         + "\n      }")
+        step_list = ("[\n" + ",\n".join(steps) + "\n    ]") if steps else "[]"
+        entries.append(f'  {{\n    "sequenceId": {quote(procedure.sequence_id)},'
+                       f'\n    "goal": {quote(procedure.goal)},'
+                       f'\n    "stepList": {step_list}\n  }}')
+    text = ("[\n" + ",\n".join(entries) + "\n]") if entries else "[]"
     return (text + "\n").encode("utf-8")

@@ -175,38 +175,75 @@ def check_classes(y: np.ndarray) -> None:
         raise DegenerateLabels(f"need both classes, got labels {sorted(classes)}")
 
 
-def fit_hinge(x: np.ndarray, y: np.ndarray, params: TrainParams) -> FitResult:
-    """SGD on hinge loss. `x` must already be scaled; `y` in {-1, +1}.
+def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
+              params: TrainParams) -> list[FitResult]:
+    """SGD on hinge loss, one model per matrix of `xs`, all in lockstep.
 
-    The step size decays as lr / (1 + lr * l2 * t) over global update
-    count t, so it is near-constant early and ~1/t asymptotically.
+    Each `x` in `xs` must already be scaled and have the same shape; `y` in
+    {-1, +1} labels the rows of every one. The step size decays as
+    lr / (1 + lr * l2 * t) over global update count t, so it is
+    near-constant early and ~1/t asymptotically.
+
+    The models share the sample order and step sizes, so one loop steps
+    them all: their weights are the rows of one array, decayed by one
+    multiply. Each step is the same float64 arithmetic in the same order as
+    fitting each model on its own, so every result has the same bits.
     """
     import numpy as np
     check_classes(y)
-    n, dim = x.shape
+    stacked = np.stack(xs, axis=1)
+    n, m, dim = stacked.shape
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    # Rows and labels looked up once; Python floats and float64 scalars
-    # round alike, so the updates are the same to the bit.
-    rows, labels = list(x), y.tolist()
-    w = np.zeros(dim, dtype=float)
-    b = 0.0
+    # Per sample, its rows of every matrix stacked, and those rows one by
+    # one; Python floats and float64 scalars round alike, so labels and
+    # biases are Python floats.
+    samples = [(rows, tuple(rows)) for rows in stacked]
+    labels = y.tolist()
+    w = np.zeros((m, dim), dtype=float)
+    ws = tuple(w)
+    b = [0.0] * m
+    lr0, l2 = params.learning_rate, params.l2
+    vecdot = np.vecdot
+    every_model = range(m)
     t = 0
-    losses: list[float] = []
+    losses: list[list[float]] = [[] for _ in xs]
     for _ in range(params.epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            lr = params.learning_rate / (1.0 + params.learning_rate * params.l2 * t)
-            xi, yi = rows[i], labels[i]
-            margin = yi * (float(xi @ w) + b)
-            w *= 1.0 - lr * params.l2
-            if margin < 1.0:
-                w += lr * yi * xi
-                b += lr * yi
-        loss = _epoch_loss(x, y, w, b, params.l2)
-        if not np.isfinite(loss) or not np.all(np.isfinite(w)):
-            raise NonFinite(f"training diverged (loss={loss})")
-        losses.append(loss)
-    return FitResult(weights=tuple(w.tolist()), bias=b, epoch_losses=losses)
+        # The same IEEE operations as computing each step's rate in turn.
+        steps = np.arange(t + 1, t + n + 1, dtype=float)
+        t += n
+        lrs = lr0 / (1.0 + lr0 * l2 * steps)
+        decays = 1.0 - lrs * l2
+        for i, lr, decay in zip(rng.permutation(n).tolist(), lrs.tolist(),
+                                decays.tolist()):
+            yi = labels[i]
+            rows, parts = samples[i]
+            # One BLAS ddot per model; for one model, ndarray.dot skips
+            # vecdot's dispatch and the test needs no loop.
+            if m > 1:
+                below = [k for k, dot in enumerate(vecdot(rows, w).tolist())
+                         if yi * (dot + b[k]) < 1.0]
+            elif yi * (float(parts[0].dot(ws[0])) + b[0]) < 1.0:
+                below = every_model
+            else:
+                below = ()
+            w *= decay
+            if below:
+                g = lr * yi
+                if len(below) == m:
+                    w += g * rows
+                    b = [bk + g for bk in b]
+                else:
+                    for k in below:
+                        wk = ws[k]
+                        wk += g * parts[k]
+                        b[k] += g
+        for k, (xk, wk) in enumerate(zip(xs, ws)):
+            loss = _epoch_loss(xk, y, wk, b[k], l2)
+            if not np.isfinite(loss) or not np.all(np.isfinite(wk)):
+                raise NonFinite(f"training diverged (loss={loss})")
+            losses[k].append(loss)
+    return [FitResult(weights=tuple(wk.tolist()), bias=bk, epoch_losses=lk)
+            for wk, bk, lk in zip(ws, b, losses)]
 
 
 def decide(score: float) -> bool:

@@ -6,7 +6,7 @@ and polarity profiling.
 it returns holds three parallel tuples: the token surfaces, their
 lower-cased forms (each lower-cased once, the surface object itself where
 nothing changes) and their tags. Every detector reads those tuples, and
-the imperative flag is worked out once per sentence, on first use.
+the imperative flag is worked out once per sentence, when it is tagged.
 
 The tagger is intentionally lightweight: a closed-class lexicon, a verb
 inflection table shipped as an editable data file, suffix fallbacks, and a
@@ -24,7 +24,7 @@ import re
 import stat
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -78,15 +78,13 @@ class TaggedSentence:
     surfaces: tuple[str, ...]
     lowers: tuple[str, ...]  # lower-cased surfaces
     tags: tuple[str, ...]
-
-    @cached_property
-    def imperative(self) -> bool:
-        return detect_imperative(self)
+    imperative: bool  # detect_imperative's reading
 
     def slice(self, start: int, end: int) -> "TaggedSentence":
         surfaces = self.surfaces[start:end]
-        return TaggedSentence(" ".join(surfaces), surfaces,
-                              self.lowers[start:end], self.tags[start:end])
+        lowers, tags = self.lowers[start:end], self.tags[start:end]
+        return TaggedSentence(" ".join(surfaces), surfaces, lowers, tags,
+                              _imperative(tags, lowers))
 
 
 @dataclass(frozen=True)
@@ -193,15 +191,19 @@ _ABBREVIATIONS = frozenset({
 # inside one, and the lookbehind spares it from trying at every mark.
 _BOUNDARY_RE = re.compile(r"(?<![.!?])[.!?]+(?=\s+[A-Z0-9])")
 _WORD_RUN_RE = re.compile(r"[\w.]+")  # matched on the reversed text
+_PAREN_RE = re.compile(r"[()]")
 
 
 def _paren_spans(text: str) -> list[tuple[int, int]]:
+    """(open, close) offsets of each matched parenthesis pair, in the order
+    the pairs close; a `)` with no open `(` is skipped."""
     spans: list[tuple[int, int]] = []
     stack: list[int] = []
-    for i, ch in enumerate(text):
-        if ch == "(":
+    for match in _PAREN_RE.finditer(text):
+        i = match.start()
+        if text[i] == "(":
             stack.append(i)
-        elif ch == ")" and stack:
+        elif stack:
             spans.append((stack.pop(), i))
     return spans
 
@@ -262,8 +264,9 @@ class Tagger:
 
     def tag(self, text: str) -> TaggedSentence:
         surfaces, lowers = tokenize(text)
-        return TaggedSentence(text, tuple(surfaces), tuple(lowers),
-                              self.tag_tokens(surfaces, lowers))
+        tags = self.tag_tokens(surfaces, lowers)
+        return TaggedSentence(text, tuple(surfaces), tuple(lowers), tags,
+                              _imperative(tags, lowers))
 
     def tag_tokens(self, surfaces: list[str], lowers: list[str]) -> tuple[str, ...]:
         """The tags of pre-split tokens, given with their lower-cased forms."""
@@ -362,8 +365,12 @@ _CONDITION_OPENERS = frozenset({"if", "when", "unless", "whenever"})
 def detect_imperative(sentence: TaggedSentence) -> bool:
     """A sentence is imperative when its first non-punctuation, non-adverb,
     non-numeric token other than "please" is a base-form verb. Read it as
-    `sentence.imperative`, which works it out once."""
-    for tag, word in zip(sentence.tags, sentence.lowers):
+    `sentence.imperative`, set once when the sentence is tagged."""
+    return _imperative(sentence.tags, sentence.lowers)
+
+
+def _imperative(tags: tuple[str, ...], lowers) -> bool:
+    for tag, word in zip(tags, lowers):
         if tag in _SKIP_TAGS or word == "please":
             continue
         return tag == VB
@@ -405,9 +412,9 @@ def detect_conditional(sentence: TaggedSentence) -> ConditionalSplit | None:
     else:
         condition = (opener, n)
         effect = (0, opener)
+    effect_imperative = sentence.slice(*effect).imperative
     return ConditionalSplit(condition_span=condition, effect_span=effect,
-                            effect_imperative=detect_imperative(
-                                sentence.slice(*effect)))
+                            effect_imperative=effect_imperative)
 
 
 def profile(sentence: TaggedSentence) -> Profile:

@@ -5,9 +5,10 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
-from procmine import actionable, lingua
+from procmine import actionable, linear, lingua
 from procmine.docmodel import DocNode, DocTree, Kind, parse_sdjson
 from procmine.goals import (NOT_GOAL, GoalAnnotation, GoalCue, GoalCueConfig,
                             strip_section_numbering)
@@ -169,6 +170,35 @@ def procedures_json_fields(payload: bytes) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# Oracle: `extractor.serialize` before it wrote the schema directly.
+
+def oracle_serialize(procedures) -> bytes:
+    """The payload as dicts and lists through `json.dumps`."""
+    payload = []
+    for procedure in procedures:
+        steps = []
+        for step in procedure.step_list:
+            entry: dict = {
+                "stepId": step.step_id,
+                "text": step.text,
+                "actionable": step.actionable,
+                "conditional": step.conditional,
+            }
+            if step.parent_step_id is not None:
+                entry["parentStepId"] = step.parent_step_id
+            if step.child_procedure_id is not None:
+                entry["childProcedureId"] = step.child_procedure_id
+            steps.append(entry)
+        payload.append({
+            "sequenceId": procedure.sequence_id,
+            "goal": procedure.goal,
+            "stepList": steps,
+        })
+    text = json.dumps(payload, indent=2, ensure_ascii=False)
+    return (text + "\n").encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
 # Oracle: the sentence split before it became linear. Each boundary
 # searched the whole text before it for the word run ending there, and
 # checked every short parenthesized span.
@@ -176,10 +206,23 @@ def procedures_json_fields(payload: bytes) -> list[tuple]:
 _ORACLE_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s+[A-Z0-9])")
 
 
+def oracle_paren_spans(text: str) -> list[tuple[int, int]]:
+    """`lingua._paren_spans` before it found the parentheses by regex: a
+    walk over every character."""
+    spans: list[tuple[int, int]] = []
+    stack: list[int] = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            stack.append(i)
+        elif ch == ")" and stack:
+            spans.append((stack.pop(), i))
+    return spans
+
+
 def oracle_split_sentences(text: str) -> list[str]:
     if not text or not text.strip():
         return []
-    short_parens = [(a, b) for a, b in lingua._paren_spans(text) if b - a < 40]
+    short_parens = [(a, b) for a, b in oracle_paren_spans(text) if b - a < 40]
     cuts: list[int] = []
     for match in _ORACLE_BOUNDARY_RE.finditer(text):
         end = match.end()
@@ -457,6 +500,40 @@ def oracle_margin(model, sentence: OracleSentence) -> float:
     features.extend(zip(range(size, size + 3),
                         actionable._indicators(oracle_profile(sentence))))
     return model.scorer.margin(features)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: `linear.fit_hinge` before it fitted several models in lockstep. One
+# model per call, each step's rate worked out in Python floats, each margin
+# from `x @ w`.
+
+def oracle_fit_hinge(x: np.ndarray, y: np.ndarray,
+                     params: linear.TrainParams) -> linear.FitResult:
+    linear.check_classes(y)
+    n, dim = x.shape
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    rows, labels = list(x), y.tolist()
+    w = np.zeros(dim, dtype=float)
+    b = 0.0
+    t = 0
+    losses: list[float] = []
+    for _ in range(params.epochs):
+        for i in rng.permutation(n).tolist():
+            t += 1
+            lr = params.learning_rate / (1.0 + params.learning_rate * params.l2 * t)
+            xi, yi = rows[i], labels[i]
+            margin = yi * (float(xi @ w) + b)
+            w *= 1.0 - lr * params.l2
+            if margin < 1.0:
+                w += lr * yi * xi
+                b += lr * yi
+        margins = y * (x @ w + b)
+        hinge = np.maximum(0.0, 1.0 - margins).mean()
+        loss = float(hinge + 0.5 * params.l2 * float(w @ w))
+        if not np.isfinite(loss) or not np.all(np.isfinite(w)):
+            raise linear.NonFinite(f"training diverged (loss={loss})")
+        losses.append(loss)
+    return linear.FitResult(weights=tuple(w.tolist()), bias=b, epoch_losses=losses)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ interpreter.
 Scoring is plain Python float64 summed in a fixed order, so `procmine
 extract` needs no numpy and its margins do not depend on the BLAS kernel
 numpy would pick for this CPU (`OPENBLAS_CORETYPE` forces one). Training
-still uses numpy; the bundled models must come out byte for byte under a
-forced kernel too.
+still uses numpy; the bundled models and the ablation report must come
+out byte for byte under a forced kernel too.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -58,23 +60,38 @@ def test_prediction_logs_do_not_depend_on_blas_kernel(tmp_path):
     assert logs["Prescott"] == logs[None]
 
 
+# The training recipe of scripts/build_models.py, writing nothing: both
+# models' JSON, then the ablation study over its train/test split as CSV.
+RECIPE = (
+    "import csv, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import build_models as b\n"
+    "from procmine import actionable, classifier\n"
+    "from procmine.linear import TrainParams\n"
+    "with (b.CORPUS / 'actionable_sentences.csv').open(newline='') as f:\n"
+    "    rows = [(r['text'], r['label'] == '1') for r in csv.DictReader(f)]\n"
+    "am = actionable.train(rows[:b.TRAIN_SPLIT],\n"
+    "                      TrainParams(seed=b.ACTIONABLE_SEED, **b.PARAMS))\n"
+    "split = {True: [], False: []}\n"
+    "for doc in b.DOCS:\n"
+    "    split[doc.name in b.TRAIN_DOCS] += b.labeled_rows(doc, am)\n"
+    "params = TrainParams(seed=b.PROCEDURE_SEED, **b.PARAMS)\n"
+    "pm = classifier.train(split[True], params)\n"
+    "sys.stdout.write(am.to_json() + pm.to_json())\n"
+    "for name, m in classifier.ablation_report(split[True], split[False], params):\n"
+    "    sys.stdout.write(f'{name},{m.accuracy!r},{m.precision!r},{m.recall!r}\\n')\n")
+
+
 def test_models_rebuild_byte_for_byte_under_forced_kernel():
-    """The training recipe of scripts/build_models.py, writing nothing."""
-    out = python(
-        "import csv, sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import build_models as b\n"
-        "from procmine import actionable, classifier\n"
-        "from procmine.linear import TrainParams\n"
-        "with (b.CORPUS / 'actionable_sentences.csv').open(newline='') as f:\n"
-        "    rows = [(r['text'], r['label'] == '1') for r in csv.DictReader(f)]\n"
-        "am = actionable.train(rows[:b.TRAIN_SPLIT],\n"
-        "                      TrainParams(seed=b.ACTIONABLE_SEED, **b.PARAMS))\n"
-        "train_rows = [row for doc in b.DOCS if doc.name in b.TRAIN_DOCS\n"
-        "              for row in b.labeled_rows(doc, am)]\n"
-        "pm = classifier.train(train_rows,\n"
-        "                      TrainParams(seed=b.PROCEDURE_SEED, **b.PARAMS))\n"
-        "sys.stdout.write(am.to_json() + pm.to_json())\n",
-        str(ROOT / "scripts"), coretype="Nehalem")
-    assert out == ((CORPUS / "models" / "actionable.json").read_text("utf-8")
-                   + (CORPUS / "models" / "procedure.json").read_text("utf-8"))
+    """Both models come out byte for byte under a forced kernel, and the
+    ablation study, whose models train in lockstep, reports what it reports
+    under the default kernel and what the benchmark's frozen digest holds."""
+    models = ((CORPUS / "models" / "actionable.json").read_text("utf-8")
+              + (CORPUS / "models" / "procedure.json").read_text("utf-8"))
+    forced = python(RECIPE, str(ROOT / "scripts"), coretype="Nehalem")
+    assert forced.startswith(models)
+    assert forced == python(RECIPE, str(ROOT / "scripts"))
+    report = forced[len(models):].encode()
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    assert hashlib.sha256(report).hexdigest() == \
+        digests["train"]["ablation_report"]

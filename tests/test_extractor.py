@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procmine import pipeline
 from procmine.chunker import ChunkKind
@@ -12,10 +13,23 @@ from procmine.features import FEATURE_NAMES
 from procmine.linear import MinMaxScaler
 
 from conftest import (DanglingLink, check_links, deep_list_markdown,
-                      procedure_fields, procedures_json_fields)
+                      oracle_serialize, procedure_fields,
+                      procedures_json_fields)
 from test_classifier import FLIP_MODEL, NESTED_DOC, hand_model
 
 IMPERATIVE_ONLY = hand_model({"n_imperatives": 2.0}, -1.0)
+
+# Text that JSON must escape or may pass through: quotes, backslashes,
+# control characters, line and paragraph separators, non-ASCII.
+JSON_TEXT = st.lists(st.sampled_from(
+    ('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+     "é", "漢", "\U0001f600", "a", " ", "/")), max_size=8).map("".join) \
+    | st.text(max_size=20)
+OPTIONAL_ID = st.none() | JSON_TEXT
+STEPS = st.builds(Step, JSON_TEXT, JSON_TEXT, st.booleans(), st.booleans(),
+                  OPTIONAL_ID, OPTIONAL_ID)
+PROCEDURES = st.builds(Procedure, JSON_TEXT, JSON_TEXT,
+                       st.lists(STEPS, max_size=4).map(tuple))
 
 
 def run_and_extract(markdown, model):
@@ -169,6 +183,22 @@ class TestSerialize:
         _, _, procedures = run_and_extract(NESTED_DOC, FLIP_MODEL)
         assert procedures_json_fields(serialize(procedures)) == \
             procedure_fields(procedures)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(PROCEDURES, max_size=4))
+    def test_bytes_match_json_dumps(self, procedures):
+        assert serialize(procedures) == oracle_serialize(procedures)
+
+    def test_corpus_procedures_match_json_dumps(self, corpus_dir):
+        for path in sorted((corpus_dir / "golden").glob("*.procedures.json")):
+            procedures = [
+                Procedure(p["sequenceId"], p["goal"], tuple(
+                    Step(s["stepId"], s["text"], s["actionable"],
+                         s["conditional"], s.get("parentStepId"),
+                         s.get("childProcedureId")) for s in p["stepList"]))
+                for p in json.loads(path.read_bytes())]
+            assert serialize(procedures) == oracle_serialize(procedures) \
+                == path.read_bytes()
 
     def test_deterministic_bytes(self):
         first = serialize(run_and_extract(NESTED_DOC, FLIP_MODEL)[2])

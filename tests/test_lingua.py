@@ -12,7 +12,7 @@ from procmine.lingua import (ADV, DET, NOUN, PUNCT, VB, VBD, VBG, VBN, VBZ,
                              split_sentences)
 from procmine.pipeline import load_document
 
-from conftest import CORPUS_DIR, oracle_split_sentences
+from conftest import CORPUS_DIR, oracle_paren_spans, oracle_split_sentences
 
 CORPUS_DOCS = sorted((CORPUS_DIR / "docs").glob("*.md")) + [
     CORPUS_DIR / "nested-fixture.md"]
@@ -88,6 +88,13 @@ class TestSplitOracle:
         assert len(texts) > 200
         for text in texts:
             assert split_sentences(text) == oracle_split_sentences(text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(("(", ")", "((", "))", "x", " ", "é",
+                                     "\n", "()")), max_size=30).map("".join)
+           | st.text(max_size=60))
+    def test_paren_spans_match_character_walk(self, text):
+        assert lingua._paren_spans(text) == oracle_paren_spans(text)
 
 
 class TestTagger:
