@@ -5,7 +5,11 @@ classifiers use, and the exception family they raise.
 Training is bit-deterministic for a given seed: the sample order comes
 from one seeded generator and all arithmetic is plain float64. Training
 imports numpy inside its functions; loading and scoring a model do not
-need it.
+need it. A fit fast-forwards over runs of steps that update no model: a
+probe certifies each such step from a bound on the rounding error of any
+summation order, so its decision is the one a BLAS `ddot` would reach
+under any kernel, and the skipped steps' weight decays are replayed with
+the same roundings. Every step not certified runs the `ddot` test itself.
 
 Scoring is plain Python float64 summed left to right in feature order
 (`Scorer`), not a BLAS dot product, whose summation order depends on the
@@ -175,6 +179,18 @@ def check_classes(y: np.ndarray) -> None:
         raise DegenerateLabels(f"need both classes, got labels {sorted(classes)}")
 
 
+# Fast-forwarding the update-free steps of a fit (see `fit_hinge`). A probe
+# costs about as much as this many exact steps of the bundled fits; a run
+# shorter than that quadruples the exact steps taken before the next probe,
+# up to the cap, and a longer one resets them.
+_SHORT_RUN = 16
+_MAX_WAIT = 4096
+# Elements of one block of replayed decays, which bounds the replay's memory.
+_REPLAY_ELEMENTS = 1 << 16
+# `_free_steps` assumes row sums and weights of at most this size.
+_LIMIT = 2.0 ** 500
+
+
 def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
               params: TrainParams) -> list[FitResult]:
     """SGD on hinge loss, one model per matrix of `xs`, all in lockstep.
@@ -188,6 +204,19 @@ def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
     them all: their weights are the rows of one array, decayed by one
     multiply. Each step is the same float64 arithmetic in the same order as
     fitting each model on its own, so every result has the same bits.
+
+    A step whose margins are all at least 1 only decays the weights, and a
+    trained model has long runs of such steps. So the fit probes: one
+    matrix product per model at the current weights gives every sample's
+    x.w and |x|.|w|, and `_free_steps` counts the steps ahead whose margins
+    a rounding-error bound puts at least 1 whichever order a BLAS ddot sums
+    in. Those steps are skipped and their decays replayed onto the weights
+    with the same roundings (`_decay`); the first step not certainly free
+    runs as an exact step, whose ddot decides its update and every tie.
+    The fit probes at the start of an epoch and after an exact step, but
+    while probes find runs shorter than a probe costs, it takes four times
+    as many exact steps before the next one, up to a cap. The first epoch
+    takes exact steps only.
     """
     import numpy as np
     check_classes(y)
@@ -207,36 +236,71 @@ def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
     every_model = range(m)
     t = 0
     losses: list[list[float]] = [[] for _ in xs]
+    # The probe's operands: each model's rows as columns, its weights and
+    # their magnitudes as two rows, the bound's 8u * (dim + k), and the
+    # block buffer of the decay replay.
+    by_column = stacked.transpose(1, 2, 0)
+    w2 = np.empty((m, 2, dim))
+    slack = np.ldexp(dim + np.arange(n, dtype=float), -50)
+    chain = np.empty((max(1, _REPLAY_ELEMENTS // (m * dim or 1)) + 1, m * dim))
+    reach = _step_reach(stacked, params)
+    # The first epoch runs exact steps: from zero weights, where every margin
+    # is 0, it updates nearly every step. `due` counts the exact steps
+    # before the next probe.
+    wait, due = 0, n
     for _ in range(params.epochs):
+        order = rng.permutation(n)
         # The same IEEE operations as computing each step's rate in turn.
         steps = np.arange(t + 1, t + n + 1, dtype=float)
         t += n
         lrs = lr0 / (1.0 + lr0 * l2 * steps)
         decays = 1.0 - lrs * l2
-        for i, lr, decay in zip(rng.permutation(n).tolist(), lrs.tolist(),
-                                decays.tolist()):
-            yi = labels[i]
-            rows, parts = samples[i]
-            # One BLAS ddot per model; for one model, ndarray.dot skips
-            # vecdot's dispatch and the test needs no loop.
-            if m > 1:
-                below = [k for k, dot in enumerate(vecdot(rows, w).tolist())
-                         if yi * (dot + b[k]) < 1.0]
-            elif yi * (float(parts[0].dot(ws[0])) + b[0]) < 1.0:
-                below = every_model
-            else:
-                below = ()
-            w *= decay
-            if below:
-                g = lr * yi
-                if len(below) == m:
-                    w += g * rows
-                    b = [bk + g for bk in b]
+        order_list, lrs_list, decays_list = order.tolist(), lrs.tolist(), decays.tolist()
+        pos = 0
+        while pos < n:
+            if not due:
+                run = 0
+                if t * reach <= _LIMIT:
+                    w2[:, 0] = w
+                    np.abs(w, out=w2[:, 1])
+                    ahead = np.matmul(w2, by_column).take(order[pos:], axis=-1)
+                    run = _free_steps(ahead, b, y[order[pos:]], decays[pos:], slack)
+                if run:
+                    _decay(w, decays[pos:pos + run], chain)
+                    pos += run
+                wait = 0 if run >= _SHORT_RUN else min(4 * wait or 1, _MAX_WAIT)
+                due = 1 + wait if pos < n else 0
+            stop = min(n, pos + due)
+            for i, lr, decay in zip(order_list[pos:stop], lrs_list[pos:stop],
+                                    decays_list[pos:stop]):
+                yi = labels[i]
+                rows, parts = samples[i]
+                # One BLAS ddot per model; for one model, ndarray.dot skips
+                # vecdot's dispatch and the test needs no loop. (Before
+                # Python 3.12 a plain loop beats a list comprehension here.)
+                if m > 1:
+                    below = []
+                    for k, dot in enumerate(vecdot(rows, w).tolist()):
+                        if yi * (dot + b[k]) < 1.0:
+                            below.append(k)
+                elif yi * (float(parts[0].dot(ws[0])) + b[0]) < 1.0:
+                    below = every_model
                 else:
-                    for k in below:
-                        wk = ws[k]
-                        wk += g * parts[k]
-                        b[k] += g
+                    below = ()
+                w *= decay
+                if below:
+                    g = lr * yi
+                    if len(below) == m:
+                        w += g * rows
+                        for k in every_model:
+                            b[k] += g
+                    else:
+                        for k in below:
+                            wk = ws[k]
+                            wk += g * parts[k]
+                            b[k] += g
+            due -= stop - pos
+            pos = stop
         for k, (xk, wk) in enumerate(zip(xs, ws)):
             loss = _epoch_loss(xk, y, wk, b[k], l2)
             if not np.isfinite(loss) or not np.all(np.isfinite(wk)):
@@ -244,6 +308,108 @@ def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
             losses[k].append(loss)
     return [FitResult(weights=tuple(wk.tolist()), bias=bk, epoch_losses=lk)
             for wk, bk, lk in zip(ws, b, losses)]
+
+
+def _step_reach(stacked: np.ndarray, params: TrainParams) -> float:
+    """Twice the most that one step can add to a weight's or bias's
+    magnitude, so that after t steps all of them lie within t times this;
+    or infinity where the fit must not skip steps, because it breaks what
+    `_free_steps` assumes: rows that are not all non-negative with sums
+    within 2^500 (scaled rows lie in [0, 1]), 2^30 or more samples plus
+    columns, 2^50 or more steps, or a rate or L2 weight that is negative or
+    not finite (which could take a decay factor out of [-1, 1])."""
+    import numpy as np
+    n, _, dim = stacked.shape
+    lo = float(np.min(stacked, initial=0.0))
+    hi = float(np.max(stacked, initial=0.0))
+    lr0, l2 = params.learning_rate, params.l2
+    if (0.0 <= lo and dim * hi <= _LIMIT and n + dim < 2 ** 30
+            and params.epochs * n < 2 ** 50 and 0.0 <= lr0 < math.inf
+            and 0.0 <= l2 < math.inf):
+        return 2.0 * lr0 * max(hi, 1.0)
+    return math.inf
+
+
+def _free_steps(ahead: np.ndarray, b: list[float], y: np.ndarray,
+                decays: np.ndarray, slack: np.ndarray) -> int:
+    """How many of the steps ahead certainly update no model.
+
+    A probe at weights w and biases `b` (one per model) gives, for the
+    sample x of each step ahead, d = x.w and s = |x|.|w| as
+    `ahead[:, 0]` and `ahead[:, 1]` (models by steps, each summed in any
+    order); `y` are those samples' labels and `decays` the steps' decay
+    factors. Step k ahead sees the weights v that k decays leave, and it
+    updates a model unless y * fl(D + b) >= 1 for D the BLAS ddot x.v. It
+    is certainly free when, for every model,
+
+        y * (P_k * d + b) - 1  >  8 * (dim + k) * u * (|P_k| * s + |b| + 1)
+
+    in float64, where P_k is the running product of the first k decays
+    (P_0 = 1), u = 2^-53 and `slack[k]` = 8 * (dim + k) * u.
+
+    Why. Write g_j = j*u / (1 - j*u), S = |x|.|w| exactly and |x|_1 for a
+    row's sum; every rounding is (1 + e) with |e| <= u. The fit probes only
+    where `_step_reach` allows it, so |decay| <= 1, x >= 0, |x|_1 <= 2^500,
+    every |w| and |b| <= 2^500 and (dim + k) * u < 2^-20.
+    1. Rounding is monotone and +-1 are floats: if y * (D + b) >= 1 exactly,
+       then y * fl(D + b) >= 1. The `+ b` and the comparison cost nothing.
+    2. Let Q be the exact product of the k decays. Then P_k = Q(1 + a) and
+       each v_i = w_i Q (1 + a_i) with |a|, |a_i| <= g_k. Any ddot, in any
+       order, with or without FMA, has |D - x.v| <= g_dim |x|.|v|, and so
+       has the probe: |d - x.w| <= g_dim S, and S <= s (1 + 2 g_dim). In
+       D - P_k d = (D - x.v) + (x.v - Q x.w) + (Q - P_k) x.w + P_k (x.w - d)
+       the four terms are at most g_dim |Q| S (1 + g_k), g_k |Q| S,
+       g_k |Q| S and g_dim |P_k| S, and |Q| <= |P_k| (1 + 2 g_k), so
+       |D - P_k d| <= 2.01 (dim + k) u |P_k| s.
+    3. The left side takes three roundings (times y is exact). As |d| <=
+       s (1 + 4 g_dim), its computed value L and the exact
+       y * (P_k d + b) - 1 differ by at most
+       1.01 u |L| + 2.01 u |P_k| s + u |b|.
+    4. So y * (D + b) - 1 >= L (1 - 2u) - 4.1 (dim + k) u (|P_k| s + |b|).
+       All terms of the right side are non-negative, so its three roundings
+       leave it at least 7.99 (dim + k) u (|P_k| s + |b| + 1). If L exceeds
+       it, y * (D + b) - 1 > 7.9 (dim + k) u > 0, and by 1 the step makes
+       no update.
+    5. Underflow adds at most 2^-1075 per rounding instead. Through the
+       decay chains, which |decay| <= 1 does not grow, and the sums, that
+       is at most (dim + k) 2^-1075 (|x|_1 + S + 4) <= (dim + k) 2^-74,
+       far below the 7.9 (dim + k) u that the `+ 1` leaves. Overflow: |v|
+       <= |w|, so no partial sum of d, s or D exceeds 2^1001, and every
+       quantity stays finite; a NaN would fail the comparison and end the
+       run.
+    """
+    import numpy as np
+    size = y.shape[0]
+    # Rows P_k and |P_k|, to scale d and s.
+    scale = np.ones((2, size))
+    np.multiply.accumulate(decays[:size - 1], out=scale[0, 1:])
+    np.abs(scale[0], out=scale[1])
+    # Per model, P_k * d + b and |P_k| * s + (|b| + 1).
+    sums = ahead * scale
+    sums += np.array([b, [abs(bk) + 1.0 for bk in b]]).T[:, :, None]
+    left = sums[:, 0] * y
+    left -= 1.0
+    right = sums[:, 1]
+    right *= slack[:size]
+    free = (left > right).all(axis=0)
+    run = int(free.argmin())
+    return size if free[run] else run
+
+
+def _decay(w: np.ndarray, factors: np.ndarray, chain: np.ndarray) -> None:
+    """Multiply `w` in place by each of `factors` in turn, with the one
+    rounding per element per factor of `w *= factor`. numpy multiplies a
+    reduction left to right (it sums pairwise only for `add`); `chain`
+    holds one block of factors at a time."""
+    import numpy as np
+    flat = w.reshape(-1)
+    block = len(chain) - 1
+    for start in range(0, len(factors), block):
+        part = factors[start:start + block]
+        rows = chain[:len(part) + 1]
+        rows[0] = flat
+        rows[1:] = part[:, None]
+        np.multiply.reduce(rows, axis=0, out=flat)
 
 
 def decide(score: float) -> bool:

@@ -4,9 +4,20 @@ Several scaled matrices that share labels and training parameters are
 fitted in one call; each model's weights, bias and epoch losses must equal
 the oracle's bit for bit. The ablation study, which fits its models in one
 call, must report what one `ablate` call per category reports.
+
+The fit skips runs of steps that a rounding-error bound certifies as
+update-free (`linear._free_steps`) and replays their decays
+(`linear._decay`); separable problems with long such runs, margins of
+exactly 1.0 inside a run, zero and negative decay factors and diverging
+rates must still give the oracle's bits, and the replay must stay within
+its memory bound.
 """
 
+import functools
+import math
+import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,3 +181,217 @@ def test_ablation_report_rejects_unknown_feature_ids():
     with pytest.raises(ValueError, match=r"\[0, 16\]"):
         ablation_report(rows, rows, TrainParams(epochs=1),
                         {"bad": (0, 3), "worse": (16,)})
+
+
+# ---------------------------------------------------------------------------
+# Fast-forwarded runs of update-free steps.
+
+class ProbeLog:
+    """Wraps `linear._free_steps`: counts the steps it certifies free and
+    the probes that stopped at a step whose margins the probe puts at 1 or
+    more for every model, in the band where the exact step decides."""
+
+    def __init__(self, free_steps):
+        self.free_steps = free_steps
+        self.skipped = self.in_band = 0
+
+    def __call__(self, ahead, b, y, decays, slack):
+        run = self.free_steps(ahead, b, y, decays, slack)
+        self.skipped += run
+        if run < len(y):
+            scale = functools.reduce(operator.mul, decays[:run].tolist(), 1.0)
+            if all(y[run] * (scale * d + bk) >= 1.0
+                   for d, bk in zip(ahead[:, 0, run].tolist(), b)):
+                self.in_band += 1
+        return run
+
+
+@pytest.fixture
+def probe_log(monkeypatch):
+    log = ProbeLog(linear._free_steps)
+    monkeypatch.setattr(linear, "_free_steps", log)
+    return log
+
+
+@st.composite
+def separable_problems(draw):
+    """Labels that column 0 separates (positives 1, negatives 0) and noise
+    columns, so fits settle into long update-free runs. Negative rows are
+    all zero when the noise is off for them: their margin is -b, which a
+    dyadic rate with l2 = 0 brings to exactly 1.0 and keeps there, inside a
+    run. Decay factors cover exactly 1 (l2 = 0), zero and slightly negative
+    (lr * l2 >= 1, on the fit's first step, so the weights that later
+    probes see passed through them) and the usual near-1 values; an
+    occasional negative entry turns fast-forwarding off."""
+    n = draw(st.integers(4, 60))
+    dim = draw(st.one_of(st.integers(1, 8), st.sampled_from((15, 40))))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    labels[:2] = [True, False]
+    y = np.array([1.0 if label else -1.0 for label in labels])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    quiet_negatives = draw(st.booleans())
+    xs = []
+    for _ in range(draw(st.integers(1, 6))):
+        noise = draw(st.sampled_from((0.0, 0.01, 0.3)))
+        x = rng.random((n, dim)) * noise
+        if quiet_negatives:
+            x[y < 0] = 0.0
+        x[:, 0] = y > 0
+        if draw(st.integers(0, 19)) == 0:
+            x[rng.integers(n), rng.integers(dim)] = -0.5
+        xs.append(x)
+    learning_rate, l2 = draw(st.sampled_from((
+        (0.5, 0.0), (0.25, 0.0), (1.0, 0.0), (0.3, 0.0), (0.5, 1e-4),
+        (0.01, 1e-4), (2.0, 0.05), (1e8, 1e8),
+        (164.26978867497522, 4487573192034803.0))))
+    params = TrainParams(epochs=draw(st.integers(2, 40)),
+                         learning_rate=learning_rate, l2=l2,
+                         seed=draw(st.integers(0, 2**32 - 1)))
+    return xs, y, params
+
+
+def test_fast_forwarded_fits_equal_one_model_fits(probe_log):
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(separable_problems())
+    def check(problem):
+        xs, y, params = problem
+        for x, fit in zip(xs, linear.fit_hinge(xs, y, params)):
+            assert bits(fit) == bits(oracle_fit_hinge(x, y, params))
+
+    check()
+    assert probe_log.skipped > 0
+    assert probe_log.in_band > 0
+
+
+@pytest.mark.parametrize("models", [1, 3])
+def test_margin_of_exactly_one_falls_back_inside_a_run(models, probe_log):
+    """Zero negative rows settle on a margin of exactly 1.0 while the
+    positives' margins stay far above it: each such step stops a run, takes
+    the exact step, makes no update, and the next probe skips on."""
+    rng = np.random.default_rng(3)
+    y = np.array([1.0, -1.0] * 10)
+    xs = []
+    for _ in range(models):
+        x = np.zeros((20, 4))
+        x[y > 0] = rng.random((10, 4)) * 0.1
+        x[y > 0, 0] = 1.0
+        xs.append(x)
+    params = TrainParams(epochs=30, learning_rate=0.5, l2=0.0, seed=7)
+    fits = linear.fit_hinge(xs, y, params)
+    assert all(fit.bias == -1.0 for fit in fits)
+    for x, fit in zip(xs, fits):
+        assert bits(fit) == bits(oracle_fit_hinge(x, y, params))
+    assert probe_log.skipped > 0
+    assert probe_log.in_band > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 40), st.integers(1, 12),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from((1.0, 0.0, -2.0**-52, 0.5, 1.0 - 2.0**-40,
+                                 0.999999)), min_size=12, max_size=12))
+def test_certified_steps_have_margins_of_at_least_one(m, dim, size, seed,
+                                                       factors):
+    """Each step `_free_steps` certifies is free in exact arithmetic: with
+    the weights decayed step by step (`w *= decay`) and the margin from a
+    BLAS ddot, every model's margin is at least 1. The probe's sums are
+    correctly rounded (`math.fsum`), an order no BLAS kernel takes, so they
+    differ from the ddot; each bias puts the first step's ddot margin
+    within a few ulps of the ddot of 1, and the decay factors include
+    exactly 1, zero and a negative one. A probe that certified on the
+    rounded margins alone fails on about one problem in a hundred, so each
+    example checks 40 of them."""
+    rng = np.random.default_rng(seed)
+    decays = np.array(factors[:size])
+    slack = np.ldexp(dim + np.arange(size, dtype=float), -50)
+    for _ in range(40):
+        x = rng.random((size, dim)) * (rng.random((size, 1)) < 0.8)
+        w = rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-3, 3)
+        y = np.where(rng.random(size) < 0.5, 1.0, -1.0)
+        first = [float(x[0].dot(wk)) for wk in w]
+        b = [float(y[0] - d + int(rng.integers(-4, 5)) * np.spacing(d))
+             for d in first]
+        ahead = np.array([[[math.fsum(row * wk) for row in x],
+                           [math.fsum(row * np.abs(wk)) for row in x]]
+                          for wk in w])
+        run = linear._free_steps(ahead, b, y, decays, slack)
+        v = w.copy()
+        for j in range(run):
+            for k in range(m):
+                assert y[j] * (float(x[j].dot(v[k])) + b[k]) >= 1.0
+            v *= decays[j]
+
+
+def test_certified_steps_end_at_nan_and_infinite_biases():
+    """A NaN or infinity ends a run: a bias of 5 frees every step of a
+    zero row, a NaN or infinite bias none, a NaN decay factor the steps
+    from the one after it."""
+    ahead = np.zeros((1, 2, 3))
+    slack = np.ldexp(2 + np.arange(3, dtype=float), -50)
+    y = np.ones(3)
+    decays = np.ones(3)
+    assert linear._free_steps(ahead, [5.0], y, decays, slack) == 3
+    for bias in (math.nan, math.inf, -math.inf):
+        assert linear._free_steps(ahead, [bias], y, decays, slack) == 0
+    assert linear._free_steps(ahead, [5.0], y, np.array([1.0, math.nan, 1.0]),
+                              slack) == 2
+
+
+def first_divergence(fit, epochs: int):
+    """The first epoch count at which `fit(epochs)` raises NonFinite, with
+    the message, or None."""
+    for count in range(1, epochs + 1):
+        try:
+            with np.errstate(all="ignore"):
+                fit(count)
+        except NonFinite as exc:
+            return count, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("models", [1, 3])
+@pytest.mark.parametrize("learning_rate,l2", [
+    (1e308, 0.0), (1e154, 0.0), (1e154, 1e-300), (5e153, 0.0), (1e148, 0.0)])
+def test_divergence_raises_at_the_oracles_epoch(models, learning_rate, l2):
+    """Rates whose weights overflow within a few epochs, with most margins
+    far above 1 or far below it, so the steps between updates would be
+    update-free: the fit raises NonFinite at the epoch the oracle raises,
+    with its message (NaN or infinite loss). Where neither diverges (the
+    smallest rate, whose weights grow to near 1e149 while the fit still
+    skips steps) the bits match."""
+    rng = np.random.default_rng(5)
+    y = np.array([1.0, -1.0] * 6)
+    xs = [rng.random((12, 3)) for _ in range(models)]
+
+    def params(epochs):
+        return TrainParams(epochs=epochs, learning_rate=learning_rate, l2=l2,
+                           seed=11)
+
+    expected = first_divergence(
+        lambda epochs: [oracle_fit_hinge(x, y, params(epochs)) for x in xs], 6)
+    assert first_divergence(
+        lambda epochs: linear.fit_hinge(xs, y, params(epochs)), 6) == expected
+    if expected is None:
+        for x, fit in zip(xs, linear.fit_hinge(xs, y, params(6))):
+            assert bits(fit) == bits(oracle_fit_hinge(x, y, params(6)))
+
+
+def test_replay_memory_stays_within_a_bound(probe_log):
+    """A wide matrix whose second epoch is one long update-free run: the
+    decays are replayed in blocks, so the fit's peak allocation stays below
+    1.5 times the input, where a replay of the whole run at once would take
+    one more input's worth."""
+    rng = np.random.default_rng(8)
+    y = np.where(rng.random(4000) < 0.5, 1.0, -1.0)
+    x = rng.random((4000, 500)) * 0.001
+    x[:, 0] = y > 0
+    params = TrainParams(epochs=2, learning_rate=0.5, l2=1e-4, seed=3)
+    tracemalloc.start()
+    try:
+        fit, = linear.fit_hinge([x], y, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probe_log.skipped > 3000
+    assert peak < 1.5 * x.nbytes
+    assert bits(fit) == bits(oracle_fit_hinge(x, y, params))
