@@ -220,7 +220,10 @@ def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
     """
     import numpy as np
     check_classes(y)
-    stacked = np.stack(xs, axis=1)
+    # One model's rows need no copy: a view of its matrix has the layout
+    # that stacking gives.
+    stacked = (np.ascontiguousarray(xs[0])[:, None, :] if len(xs) == 1
+               else np.stack(xs, axis=1))
     n, m, dim = stacked.shape
     rng = np.random.Generator(np.random.PCG64(params.seed))
     # Per sample, its rows of every matrix stacked, and those rows one by

@@ -2,11 +2,21 @@
 rule-based detection of imperative/conditional sentences with tense, voice
 and polarity profiling.
 
-`Tagger.tag` reads each sentence in one token pass. The `TaggedSentence`
-it returns holds three parallel tuples: the token surfaces, their
-lower-cased forms (each lower-cased once, the surface object itself where
-nothing changes) and their tags. Every detector reads those tuples, and
-the imperative flag is worked out once per sentence, when it is tagged.
+`Tagger.tag` tokenizes and tags each sentence in one token pass. The
+`TaggedSentence` it returns holds three parallel tuples: the token
+surfaces, their lower-cased forms (each lower-cased once, the surface
+object itself where nothing changes) and their tags. Every detector reads
+those tuples, and the imperative flag is worked out once per sentence,
+when it is tagged.
+
+Only a verb form's tag depends on the tags before it. Every other word is
+tagged from its surface alone (punctuation, number, a form of "be", closed
+class or suffix), so each `Tagger` keeps a table from surface to
+lower-cased form and tag, filled on first sight. Verb forms of its
+lexicon, and tokens that split off `n't`, never enter it and are tagged
+afresh each time. The table lives as long as its tagger, which
+`pipeline` keeps one of per lexicon directory, so it stays warm across
+the documents of a process; it stops growing at `TAG_TABLE_CAP` entries.
 
 The tagger is intentionally lightweight: a closed-class lexicon, a verb
 inflection table shipped as an editable data file, suffix fallbacks, and a
@@ -232,48 +242,58 @@ def split_sentences(text: str) -> list[str]:
     return [p for p in pieces if p]
 
 
-def tokenize(text: str) -> tuple[list[str], list[str]]:
-    """The token surfaces of `text` and their lower-cased forms, each form
-    the surface object itself where lower-casing changes nothing. A
-    trailing `n't` is a token of its own."""
-    surfaces: list[str] = []
-    lowers: list[str] = []
-    for raw in _TOKEN_RE.findall(text):
-        lower = raw.lower()
-        if lower == raw:
-            lower = raw
-        if len(raw) > 3 and lower.endswith("n't"):
-            head, lower = raw[:-3], lower[:-3]
-            surfaces += (head, "n't")
-            lowers += (head if lower == head else lower, "n't")
-        else:
-            surfaces.append(raw)
-            lowers.append(lower)
-    return surfaces, lowers
-
-
 # ---------------------------------------------------------------------------
 # POS tagging
 
+# Most entries of a Tagger's table of context-free surfaces: far more than
+# the distinct words of a document, and a bound on the table's memory.
+TAG_TABLE_CAP = 1 << 14
+
+
 class Tagger:
     """Deterministic tagger: closed-class lexicon, verb inflection table,
-    suffix fallbacks, NOUN default."""
+    suffix fallbacks, NOUN default. `table` maps each context-free surface
+    seen (see the module docstring) to its lower-cased form, or None where
+    that is the surface itself, and its tag."""
 
     def __init__(self, lexicon: Lexicon | None = None):
         self.lexicon = lexicon or default_lexicon()
+        self.table: dict[str, tuple[str | None, str]] = {}
 
     def tag(self, text: str) -> TaggedSentence:
-        surfaces, lowers = tokenize(text)
-        tags = self.tag_tokens(surfaces, lowers)
-        return TaggedSentence(text, tuple(surfaces), tuple(lowers), tags,
-                              _imperative(tags, lowers))
-
-    def tag_tokens(self, surfaces: list[str], lowers: list[str]) -> tuple[str, ...]:
-        """The tags of pre-split tokens, given with their lower-cased forms."""
+        """Tokenize and tag `text` in one pass. A token's lower-cased form
+        is the surface object itself where lower-casing changes nothing; a
+        trailing `n't` is a token of its own."""
+        table, verb_forms = self.table, self.lexicon.verb_forms
+        surfaces: list[str] = []
+        lowers: list[str] = []
         tags: list[str] = []
-        for i, surface in enumerate(surfaces):
-            tags.append(self._tag_one(surface, lowers[i], i, lowers, tags))
-        return tuple(tags)
+        for raw in _TOKEN_RE.findall(text):
+            known = table.get(raw)
+            if known is not None:
+                lower, tag = known
+                surfaces.append(raw)
+                lowers.append(lower or raw)  # None: the surface itself
+                tags.append(tag)
+                continue
+            lower = raw.lower()
+            if lower == raw:
+                lower = raw
+            if len(raw) > 3 and lower.endswith("n't"):
+                head, lower = raw[:-3], lower[:-3]
+                tokens = ((head, head if lower == head else lower), ("n't", "n't"))
+            else:
+                tokens = ((raw, lower),)
+            for surface, word in tokens:
+                surfaces.append(surface)
+                lowers.append(word)
+                tags.append(self._tag_one(surface, word, len(tags), lowers, tags))
+            if (len(tokens) == 1 and lower not in verb_forms
+                    and len(table) < TAG_TABLE_CAP):
+                table[raw] = (None if lower is raw else lower, tags[-1])
+        tagged = tuple(tags)
+        return TaggedSentence(text, tuple(surfaces), tuple(lowers), tagged,
+                              _imperative(tagged, lowers))
 
     def _tag_one(self, surface: str, word: str, i: int, lowers: list[str],
                  tags: list[str]) -> str:

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .lingua import ADJ, DET, NOUN, PREP, VERB_TAGS, TaggedSentence
+from .lingua import ADJ, DET, NOUN, PREP, PUNCT, VERB_TAGS, TaggedSentence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,8 +52,7 @@ DEFAULT_ROLE_WEIGHTS = {Role.SUBJECT: 3.0, Role.OBJECT: 2.0, Role.OTHER: 1.0}
 VECTOR_MIN_MENTION_PAIRS = 128
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):  # a tuple: a chunk's sentences make thousands
     surface: str  # normalized lowercase noun phrase
     role: Role
 
@@ -70,66 +69,51 @@ class ProjectionGraph:
     directed_edges: tuple[tuple[int, int, float], ...]  # i < j
 
 
-def _noun_runs(tags: tuple[str, ...]) -> list[tuple[int, int]]:
-    """Maximal (ADJ|NOUN)* NOUN token runs, as [start, end) index pairs."""
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i < len(tags):
-        if tags[i] in (ADJ, NOUN):
-            start = i
-            last_noun = -1
-            while i < len(tags) and tags[i] in (ADJ, NOUN):
-                if tags[i] == NOUN:
-                    last_noun = i
-                i += 1
-            if last_noun >= 0:
-                runs.append((start, last_noun + 1))
-        else:
-            i += 1
-    return runs
-
-
-def _first_main_verb(tags: tuple[str, ...]) -> int | None:
-    for i, tag in enumerate(tags):
-        if tag in VERB_TAGS:
-            return i
-    return None
-
-
-def _preposition_governed(sentence: TaggedSentence, start: int) -> bool:
-    tags = sentence.tags
-    for j in range(start - 1, -1, -1):
-        if tags[j] in (DET, ADJ):
-            continue
-        return tags[j] == PREP and sentence.lowers[j] != "to"
-    return False
-
-
 def extract_entities(sentence: TaggedSentence) -> list[Entity]:
     """Noun runs with positional roles around the first main verb.
 
-    Runs ending before the verb are subjects (none in imperatives); the
-    first non-preposition-governed run after the verb is the object;
-    everything else, including preposition-governed runs, is other.
+    A noun run is a maximal ADJ/NOUN stretch up to its last NOUN. Runs
+    ending before the verb are subjects (none in imperatives); the first
+    run after the verb that no preposition other than "to" governs (across
+    determiners and adjectives) is the object; everything else is other.
+    One walk of the tags finds the runs, the verb and the governing
+    prepositions; the roles of runs before the verb wait for its end.
     """
-    runs = _noun_runs(sentence.tags)
-    if not runs:
-        return []
-    verb = _first_main_verb(sentence.tags)
-    entities: list[Entity] = []
-    object_taken = False
-    for start, end in runs:
-        surface = " ".join(sentence.lowers[start:end])
-        if verb is not None and end <= verb and not sentence.imperative:
-            role = Role.SUBJECT
-        elif (verb is not None and start > verb and not object_taken
-              and not _preposition_governed(sentence, start)):
-            role = Role.OBJECT
-            object_taken = True
-        else:
-            role = Role.OTHER
-        entities.append(Entity(surface=surface, role=role))
-    return entities
+    lowers = sentence.lowers
+    surfaces: list[str] = []
+    roles: list[Role | None] = []  # None: before the verb, if any
+    verb = object_taken = False
+    # Whether the nearest tag so far other than DET and ADJ is a
+    # preposition other than "to": it governs a run starting here.
+    governed = False
+    start = last = -1  # the open ADJ/NOUN stretch and its last NOUN
+    # A closing PUNCT ends a stretch that reaches the last token.
+    for i, tag in enumerate((*sentence.tags, PUNCT)):
+        if tag == NOUN or tag == ADJ:
+            if start < 0:
+                start, governs = i, governed
+            if tag == NOUN:
+                last = i
+            continue
+        if last >= 0:
+            surfaces.append(" ".join(lowers[start:last + 1]))
+            if not verb:
+                roles.append(None)
+            elif object_taken or governs:
+                roles.append(Role.OTHER)
+            else:
+                roles.append(Role.OBJECT)
+                object_taken = True
+            governed = False  # the run's NOUN stops the look-back
+            last = -1
+        start = -1
+        if tag != DET:
+            governed = tag == PREP and lowers[i] != "to"
+            if tag in VERB_TAGS:
+                verb = True
+    before = Role.SUBJECT if verb and not sentence.imperative else Role.OTHER
+    return [Entity(surface, before if role is None else role)
+            for surface, role in zip(surfaces, roles)]
 
 
 def build_bipartite(sentences: list[TaggedSentence],

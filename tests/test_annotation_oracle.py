@@ -3,28 +3,36 @@ before it, where each token was a (surface, tag) pair that every detector
 lower-cased again and entity extraction ran the imperative detector a
 second time. Tags, imperative flags, conditional splits, profiles, goal
 readings, entities, bipartite edges and actionable margins must all agree,
-the margins bit for bit."""
+the margins bit for bit.
+
+The random sentences are read by three taggers: the module's, whose table
+of context-free surfaces is warm from every earlier example, a fresh one
+per example, and a `--lexicon-dir` one whose verb forms include words that
+the bundled lexicon tags NOUN. A table shared across lexicons, or one that
+keeps a verb form's tag, reads those words wrong."""
 
 import csv
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from procmine import annotate, pipeline
+from procmine import annotate, lingua, pipeline
 from procmine.actionable import ActionableModel, predict
 from procmine.chunker import ChunkKind
 from procmine.docmodel import parse_sdjson
 from procmine.goals import GoalCueConfig, annotate_goal
-from procmine.lingua import (Tagger, detect_conditional, detect_imperative,
-                             profile, split_sentences)
+from procmine.lingua import (TAG_TABLE_CAP, TaggedSentence, Tagger,
+                             bundled_data_dir, detect_conditional,
+                             detect_imperative, profile, split_sentences)
 from procmine.relatedness import build_bipartite, extract_entities
 
-from conftest import (CORPUS_DIR, OracleTagger, oracle_annotate_goal,
-                      oracle_bipartite_edges, oracle_detect_conditional,
-                      oracle_detect_imperative, oracle_extract_entities,
-                      oracle_margin, oracle_profile, random_tree)
+from conftest import (CORPUS_DIR, OracleSentence, OracleTagger, OracleToken,
+                      oracle_annotate_goal, oracle_bipartite_edges,
+                      oracle_detect_conditional, oracle_detect_imperative,
+                      oracle_extract_entities, oracle_margin, oracle_profile,
+                      random_tree)
 
 TAGGER = Tagger()
 ORACLE = OracleTagger()
@@ -35,8 +43,30 @@ CORPUS_DOCS = sorted((CORPUS_DIR / "docs").glob("*.md")) + [
     CORPUS_DIR / "nested-fixture.md"]
 
 
-def assert_same_reading(text: str) -> None:
-    new, old = TAGGER.tag(text), ORACLE.tag(text)
+# Rows that make "server" and "console", which the bundled lexicon tags
+# NOUN by default, verb forms.
+EXTRA_VERBS = ("server,servers,servered,servered,servering\n"
+               "console,consoles,consoled,consoled,consoling\n")
+
+
+@pytest.fixture(scope="module")
+def readers(tmp_path_factory):
+    """A function giving the (tagger, oracle) pairs that read each example:
+    the warm module tagger, a fresh one and the `--lexicon-dir` one, which
+    stays warm too."""
+    directory = tmp_path_factory.mktemp("lexicon")
+    verbs = (bundled_data_dir() / "verbs.csv").read_text("utf-8")
+    (directory / "verbs.csv").write_text(verbs.rstrip("\n") + "\n" + EXTRA_VERBS,
+                                         "utf-8")
+    tagger = pipeline.PipelineConfig(lexicon_dir=directory).tagger()
+    assert {"server", "console"} <= tagger.lexicon.verb_forms.keys()
+    oracle = OracleTagger(tagger.lexicon)
+    return lambda: ((TAGGER, ORACLE), (Tagger(), ORACLE), (tagger, oracle))
+
+
+def assert_same_reading(text: str, tagger: Tagger = TAGGER,
+                        oracle: OracleTagger = ORACLE) -> None:
+    new, old = tagger.tag(text), oracle.tag(text)
     assert new.surfaces == tuple(t.surface for t in old.tokens)
     assert new.tags == tuple(t.tag for t in old.tokens)
     assert new.lowers == tuple(surface.lower() for surface in new.surfaces)
@@ -55,9 +85,10 @@ def assert_same_reading(text: str) -> None:
     assert predict(MODEL, new)[1].hex() == oracle_margin(MODEL, old).hex()
 
 
-def assert_same_graph(texts: list[str]) -> None:
-    assert build_bipartite([TAGGER.tag(t) for t in texts]).edges == \
-        oracle_bipartite_edges([ORACLE.tag(t) for t in texts])
+def assert_same_graph(texts: list[str], tagger: Tagger = TAGGER,
+                      oracle: OracleTagger = ORACLE) -> None:
+    assert build_bipartite([tagger.tag(t) for t in texts]).edges == \
+        oracle_bipartite_edges([oracle.tag(t) for t in texts])
 
 
 # Words the detectors react to, in mixed case: contractions, "please",
@@ -81,18 +112,78 @@ SENTENCES = st.lists(st.tuples(PIECES, SEPARATORS), max_size=16).map(
 class TestRandomSentences:
     @settings(max_examples=500, deadline=None)
     @given(SENTENCES)
-    def test_detector_pieces(self, text):
-        assert_same_reading(text)
+    def test_detector_pieces(self, readers, text):
+        for tagger, oracle in readers():
+            assert_same_reading(text, tagger, oracle)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=80))
-    def test_any_text(self, text):
-        assert_same_reading(text)
+    def test_any_text(self, readers, text):
+        for tagger, oracle in readers():
+            assert_same_reading(text, tagger, oracle)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(SENTENCES, min_size=1, max_size=8))
-    def test_bipartite_edges(self, texts):
-        assert_same_graph(texts)
+    def test_bipartite_edges(self, readers, texts):
+        for tagger, oracle in readers():
+            assert_same_graph(texts, tagger, oracle)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["to", "To", "please", "in"]),
+        st.sampled_from([lingua.VB, lingua.VBZ, lingua.NOUN, lingua.ADJ,
+                         lingua.DET, lingua.PREP, lingua.PUNCT, lingua.PRON])),
+        max_size=16))
+    # A run's NOUN stops the look-back for a preposition; an adjective-only
+    # stretch does not; "to" governs nothing; a "please" run can come
+    # before the verb of an imperative; a run can end the sentence.
+    @example([("x", "VB"), ("in", "PREP"), ("x", "NOUN"), ("x", "DET"),
+              ("x", "NOUN")])
+    @example([("x", "VB"), ("in", "PREP"), ("x", "ADJ"), ("x", "DET"),
+              ("x", "NOUN")])
+    @example([("x", "VBZ"), ("to", "PREP"), ("x", "NOUN"), ("x", "NOUN")])
+    @example([("please", "NOUN"), ("x", "VB"), ("x", "ADJ"), ("x", "NOUN"),
+              ("x", "ADJ")])
+    def test_entities_of_any_tag_sequence(self, tokens):
+        """The one-walk entity extraction against the oracle's runs, verb
+        and look-back, on tag sequences that no sentence need produce. One
+        tag stands for each way the walk or the imperative test reads a
+        tag; "to" and "please" are the words they read."""
+        surfaces = tuple(surface for surface, _ in tokens)
+        lowers = tuple(surface.lower() for surface in surfaces)
+        tags = tuple(tag for _, tag in tokens)
+        text = " ".join(surfaces)
+        new = TaggedSentence(text, surfaces, lowers, tags,
+                             lingua._imperative(tags, lowers))
+        old = OracleSentence(text, tuple(OracleToken(*token) for token in tokens))
+        assert extract_entities(new) == oracle_extract_entities(old)
+
+
+class TestTagTable:
+    def test_table_stops_at_its_cap(self):
+        """More distinct context-free surfaces than the cap, mixed with
+        verb forms and `n't` splits: the table never grows past the cap,
+        keeps no verb form or split token, and the tags past the cap still
+        match the oracle's."""
+        def word(n: int) -> str:
+            letters = "".join(chr(ord("a") + int(d)) for d in str(n))
+            return ("Qz", "qz")[n % 2] + letters + ("", "ing", "ed", "ly",
+                                                    "tion", "able")[n % 6]
+
+        tagger = Tagger()
+        words = [word(n) for n in range(TAG_TABLE_CAP + 2000)]
+        sentences = [" ".join(["Restart", *words[i:i + 20], "isn't", "saved", "."])
+                     for i in range(0, len(words), 20)]
+        for k, text in enumerate(sentences):
+            sentence = tagger.tag(text)
+            assert len(tagger.table) <= TAG_TABLE_CAP
+            if k * 20 >= TAG_TABLE_CAP:
+                assert sentence.tags == tuple(t.tag for t in ORACLE.tag(text).tokens)
+        assert len(tagger.table) == TAG_TABLE_CAP
+        assert not {"Restart", "isn't", "is", "saved"} & tagger.table.keys()
+        assert words[-1] not in tagger.table
+        assert tagger.table[word(1)] == (None, lingua.VBG)  # qzbing
+        assert tagger.table[word(2)] == ("qzced", lingua.VBD)  # Qzced
 
 
 def corpus_texts() -> list[str]:
@@ -106,11 +197,12 @@ def corpus_texts() -> list[str]:
 
 
 class TestCorpus:
-    def test_every_sentence_and_node_text(self):
+    def test_every_sentence_and_node_text(self, readers):
         texts = corpus_texts()
         assert len(texts) > 600
-        for text in texts:
-            assert_same_reading(text)
+        for tagger, oracle in readers():
+            for text in texts:
+                assert_same_reading(text, tagger, oracle)
 
     @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.stem)
     def test_every_chunk_graph(self, path):

@@ -378,9 +378,10 @@ def test_divergence_raises_at_the_oracles_epoch(models, learning_rate, l2):
 
 def test_replay_memory_stays_within_a_bound(probe_log):
     """A wide matrix whose second epoch is one long update-free run: the
-    decays are replayed in blocks, so the fit's peak allocation stays below
-    1.5 times the input, where a replay of the whole run at once would take
-    one more input's worth."""
+    decays are replayed in blocks and one model's rows are not copied, so
+    the fit's peak allocation stays below half the input (about a quarter
+    is measured), where a replay of the whole run at once would take one
+    more input's worth, and a copy of the rows another."""
     rng = np.random.default_rng(8)
     y = np.where(rng.random(4000) < 0.5, 1.0, -1.0)
     x = rng.random((4000, 500)) * 0.001
@@ -393,5 +394,5 @@ def test_replay_memory_stays_within_a_bound(probe_log):
     finally:
         tracemalloc.stop()
     assert probe_log.skipped > 3000
-    assert peak < 1.5 * x.nbytes
+    assert peak < 0.5 * x.nbytes
     assert bits(fit) == bits(oracle_fit_hinge(x, y, params))

@@ -138,12 +138,8 @@ class TestTagger:
         assert tags["assessment"] == NOUN
         assert tags["gracefully"] == ADV
 
-    def test_tag_tokens_tags_pretokenized_input(self, tagger):
-        tokens = ["Restart", "the", "server", "."]
-        lowers = [token.lower() for token in tokens]
-        assert tagger.tag_tokens(tokens, lowers) == (VB, DET, NOUN, PUNCT)
-        assert tagger.tag_tokens(tokens, lowers) == \
-            tagger.tag("Restart the server.").tags
+    def test_tags_a_plain_imperative(self, tagger):
+        assert tagger.tag("Restart the server.").tags == (VB, DET, NOUN, PUNCT)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=120))
