@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -58,19 +58,20 @@ class Vocabulary:
         return len(self.terms)
 
 
-def build_vocabulary(corpus: list[str],
-                     min_df: int = MIN_DOCUMENT_FREQUENCY) -> Vocabulary:
-    """Terms appearing in at least `min_df` sentences, idf = ln(N / df)."""
+def build_vocabulary(corpus: list[str]) -> Vocabulary:
+    """Terms appearing in at least `MIN_DOCUMENT_FREQUENCY` sentences,
+    idf = ln(N / df)."""
     if not corpus:
         raise EmptyCorpus("empty corpus")
     df: dict[str, int] = {}
     for sentence in corpus:
         for term in set(sentence_terms(sentence)):
             df[term] = df.get(term, 0) + 1
-    kept = sorted(term for term, count in df.items() if count >= min_df)
+    kept = sorted(term for term, count in df.items()
+                  if count >= MIN_DOCUMENT_FREQUENCY)
     if not kept:
         raise EmptyCorpus(
-            f"no term appears in at least {min_df} sentences")
+            f"no term appears in at least {MIN_DOCUMENT_FREQUENCY} sentences")
     total = len(corpus)
     return Vocabulary(
         terms=tuple(kept),
@@ -114,10 +115,6 @@ class ActionableModel:
     weights: Sequence[float]
     bias: float
     scaler: MinMaxScaler
-    version: str = MODEL_VERSION
-    # training diagnostic, not serialized
-    epoch_losses: list[float] = field(default_factory=list, compare=False,
-                                      repr=False)
 
     @cached_property
     def scorer(self) -> Scorer:
@@ -125,7 +122,7 @@ class ActionableModel:
 
     def to_json(self) -> str:
         doc = {
-            "version": self.version,
+            "version": MODEL_VERSION,
             "vocabulary": [
                 {"term": t, "df": d, "idf": i}
                 for t, d, i in zip(self.vocabulary.terms,
@@ -162,8 +159,7 @@ class ActionableModel:
             raise VersionMismatch(
                 "tf-idf scaler ranges must have 0 <= min <= max")
         return cls(vocabulary=vocab, weights=weights,
-                   bias=finite(doc["bias"], "bias"), scaler=scaler,
-                   version=MODEL_VERSION)
+                   bias=finite(doc["bias"], "bias"), scaler=scaler)
 
     @classmethod
     def load(cls, path: str | Path) -> "ActionableModel":
@@ -181,8 +177,7 @@ def _feature_matrix(sentences: list[str], profiles: list[Profile],
 
 
 def train(labeled: list[tuple[str, bool]], params: TrainParams,
-          tagger: Tagger | None = None,
-          min_df: int = MIN_DOCUMENT_FREQUENCY) -> ActionableModel:
+          tagger: Tagger | None = None) -> ActionableModel:
     """Train from (sentence text, actionable) pairs. Deterministic per seed."""
     import numpy as np
     positives = sum(1 for _, label in labeled if label)
@@ -191,15 +186,14 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
     tagger = tagger or Tagger()
     texts = [text for text, _ in labeled]
     profiles = [profile_sentence(tagger.tag(text)) for text in texts]
-    vocab = build_vocabulary(texts, min_df=min_df)
+    vocab = build_vocabulary(texts)
     raw = _feature_matrix(texts, profiles, vocab)
     scaler = MinMaxScaler.fit(raw)
     x = scaler.transform(raw)
     y = np.array([1.0 if label else -1.0 for _, label in labeled])
     fit, = linear.fit_hinge([x], y, params)
     return ActionableModel(vocabulary=vocab, weights=fit.weights,
-                           bias=fit.bias, scaler=scaler,
-                           epoch_losses=fit.epoch_losses)
+                           bias=fit.bias, scaler=scaler)
 
 
 def predict(model: ActionableModel, sentence: TaggedSentence,

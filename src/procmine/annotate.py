@@ -22,7 +22,7 @@ from .docmodel import DocNode, DocTree, Kind
 from .goals import (GoalAnnotation, GoalCue, GoalCueConfig, annotate_goal,
                     heading_goal)
 from .lingua import ConditionalSplit, TaggedSentence, Tagger, detect_conditional
-from .relatedness import Role, chunk_relatedness
+from .relatedness import chunk_relatedness
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ def _item_heading_is_goal(node: DocNode, item: ItemAnnotation, *,
 def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
                    goal_config: GoalCueConfig,
                    model: ActionableModel | None,
-                   role_weights: dict[Role, float] | None = None,
                    parent_is_goal: bool) -> ChunkAnnotation:
     """`parent_is_goal` is the goal flag of the chunk's introducing node."""
     items: list[ItemAnnotation] = []
@@ -112,14 +111,13 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
         items=tuple(items),
         parent_is_goal=parent_is_goal,
         relatedness=chunk_relatedness(
-            [s.tagged for item in items for s in item.sentences], role_weights),
+            [s.tagged for item in items for s in item.sentences]),
     )
 
 
 def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger,
                     goal_config: GoalCueConfig,
-                    model: ActionableModel | None = None,
-                    role_weights: dict[Role, float] | None = None,
+                    model: ActionableModel | None = None
                     ) -> dict[int, ChunkAnnotation]:
     """Annotate every chunk. A heading's goal reading as an introducing
     node comes from its heading-group item, which the chunker emits before
@@ -133,7 +131,7 @@ def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger,
                 tree.node(intro), tagger=tagger, goal_config=goal_config)
         annotation = out[chunk.id] = annotate_chunk(
             chunk, tree, tagger=tagger, goal_config=goal_config, model=model,
-            role_weights=role_weights, parent_is_goal=intro_goals[intro])
+            parent_is_goal=intro_goals[intro])
         if chunk.kind is ChunkKind.HEADING_GROUP:
             for item in annotation.items:
                 intro_goals[item.node_id] = _item_heading_is_goal(

@@ -43,7 +43,6 @@ class ProcedureClassifierModel:
     weights: Sequence[float]  # one per feature
     bias: float
     scaler: MinMaxScaler
-    version: str = MODEL_VERSION
 
     @cached_property
     def scorer(self) -> Scorer:
@@ -54,7 +53,7 @@ class ProcedureClassifierModel:
 
     def to_json(self) -> str:
         doc = {
-            "version": self.version,
+            "version": MODEL_VERSION,
             "weights": [float(w) for w in self.weights],
             "bias": float(self.bias),
             "scaler": self.scaler.pairs(),
@@ -68,7 +67,7 @@ class ProcedureClassifierModel:
         scaler = MinMaxScaler.from_pairs(doc["scaler"])
         check_shape(weights, scaler, N_FEATURES)
         return cls(weights=weights, bias=finite(doc["bias"], "bias"),
-                   scaler=scaler, version=MODEL_VERSION)
+                   scaler=scaler)
 
     @classmethod
     def load(cls, path: str | Path) -> "ProcedureClassifierModel":

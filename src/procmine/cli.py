@@ -55,7 +55,6 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 64, not argparse's 2
-        self.print_usage(sys.stderr)
         raise CliError(f"{self.prog}: {message}", EX_USAGE)
 
 
@@ -66,11 +65,11 @@ def _build_parser() -> _Parser:
 
     def shared(p):
         p.add_argument("--config", help="key=value run configuration file")
-        p.add_argument("--seed", type=int, help="random seed (training)")
         p.add_argument("--lexicon-dir", dest="lexicon_dir",
                        help="directory overriding the bundled lexicons")
 
     def training(p):
+        p.add_argument("--seed", type=int, help="random seed")
         p.add_argument("--epochs", type=int, default=200)
         p.add_argument("--learning-rate", dest="learning_rate", type=float,
                        default=0.01)
@@ -373,7 +372,7 @@ def _cmd_extract(args) -> int:
             diagnostics.append((index, "".join(
                 f"# chunk {chunk.id}\n"
                 + describe_graph([s.tagged for item in run.annotations[chunk.id].items
-                                  for s in item.sentences], config.role_weights)
+                                  for s in item.sentences])
                 + "\n" for chunk in run.chunks)))
         payload = extractor.serialize(run.procedures)
         stem = Path(path).stem

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import lingua
 
@@ -239,15 +239,13 @@ def _add_list(builder: _Builder, parent: int, obj: dict, path: str) -> None:
             stack.pop()
 
 
-def parse_sdjson(data: bytes | str | IO, source_name: str = "") -> DocTree:
+def parse_sdjson(data: bytes | str, source_name: str = "") -> DocTree:
     """Parse structured-document JSON into a tree.
 
     Raises SchemaError on malformed input (with the offending path), also
     when it nests too deep for the recursive JSON decoder, and
     HierarchyError on a heading level below 1.
     """
-    if hasattr(data, "read"):
-        data = data.read()
     if isinstance(data, bytes):
         data = decode_utf8(data)
     try:

@@ -15,8 +15,7 @@ documents in forked worker processes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from pathlib import Path
 
@@ -31,10 +30,8 @@ from .features import ContextLexicons, FeatureVector
 from .goals import GoalCueConfig
 from .lingua import (LexiconError, Tagger, lexicon_file, lexicon_lines,
                      load_lexicon)
-from .relatedness import DEFAULT_ROLE_WEIGHTS, Role
 
 _PATH_KEYS = ("lexicon_dir", "actionable_model", "procedure_model")
-_KEYS = (*_PATH_KEYS, "role_weights", "seed")
 
 
 class ConfigError(ValueError):
@@ -92,8 +89,6 @@ class PipelineConfig:
     lexicon_dir: Path | None = None
     actionable_model: Path | None = None
     procedure_model: Path | None = None
-    role_weights: dict[Role, float] = field(
-        default_factory=lambda: dict(DEFAULT_ROLE_WEIGHTS))
     seed: int | None = None
 
     @classmethod
@@ -111,16 +106,6 @@ class PipelineConfig:
         for key in _PATH_KEYS:
             if values.get(key):
                 setattr(config, key, Path(values[key]))
-        weights = values.get("role_weights")
-        if weights:
-            parts = weights.replace(",", " ").split()
-            if len(parts) != 3:
-                raise ConfigError(f"role_weights needs 3 numbers, got {weights!r}")
-            numbers = [float(part) for part in parts]
-            if not all(map(math.isfinite, numbers)):
-                raise ConfigError(f"role_weights must be finite, got {weights!r}")
-            config.role_weights = dict(zip((Role.SUBJECT, Role.OBJECT, Role.OTHER),
-                                           numbers))
         if "seed" in values:
             config.seed = int(values["seed"])
         return config
@@ -147,6 +132,9 @@ class PipelineConfig:
 
     def context_lexicons(self) -> ContextLexicons:
         return _lexicons(self.lexicon_dir)[2]
+
+
+_KEYS = tuple(f.name for f in fields(PipelineConfig))
 
 
 @dataclass
@@ -179,7 +167,7 @@ def analyze(tree: DocTree, actionable_model: ActionableModel | None,
     chunks = chunker.build_chunks(tree)
     annotations = annotate_chunks(
         tree, chunks, tagger=config.tagger(), goal_config=config.goal_config(),
-        model=actionable_model, role_weights=config.role_weights)
+        model=actionable_model)
     lexicons = config.context_lexicons()
     static = {
         chunk.id: features.compute_static_features(chunk, tree,

@@ -2,8 +2,9 @@
 
 Sentences and the noun-phrase entities they mention form a bipartite graph
 whose edges are weighted by the entity's grammatical role (subject >
-object > other, assigned positionally around the main verb). Projecting
-onto the sentence set yields a directed graph between sentence pairs that
+object > other, assigned positionally around the main verb). The weights
+are fixed, `ROLE_WEIGHTS`, and no setting changes them. Projecting onto
+the sentence set yields a directed graph between sentence pairs that
 share entities, discounted by how far apart they are; the chunk score is
 the average out-degree of that projection.
 
@@ -41,7 +42,7 @@ class Role(str, Enum):
     OTHER = "other"
 
 
-DEFAULT_ROLE_WEIGHTS = {Role.SUBJECT: 3.0, Role.OBJECT: 2.0, Role.OTHER: 1.0}
+ROLE_WEIGHTS = {Role.SUBJECT: 3.0, Role.OBJECT: 2.0, Role.OTHER: 1.0}
 
 # Mention pairs from which `chunk_relatedness` projects with numpy. Below
 # it numpy's fixed cost per call (about 0.1 ms) outweighs the loop it
@@ -116,17 +117,15 @@ def extract_entities(sentence: TaggedSentence) -> list[Entity]:
             for surface, role in zip(surfaces, roles)]
 
 
-def build_bipartite(sentences: list[TaggedSentence],
-                    role_weights: dict[Role, float] | None = None) -> BipartiteGraph:
+def build_bipartite(sentences: list[TaggedSentence]) -> BipartiteGraph:
     """One weighted edge per (sentence, entity); repeat mentions keep the
     maximum role weight."""
-    weights = role_weights or DEFAULT_ROLE_WEIGHTS
     best: dict[tuple[int, str], float] = {}
     order: list[tuple[int, str]] = []
     for index, sentence in enumerate(sentences):
         for entity in extract_entities(sentence):
             key = (index, entity.surface)
-            weight = weights[entity.role]
+            weight = ROLE_WEIGHTS[entity.role]
             if key not in best:
                 best[key] = weight
                 order.append(key)
@@ -210,9 +209,8 @@ def project_arrays(graph: BipartiteGraph,
     return i, j, total / (j - i)
 
 
-def chunk_relatedness(sentences: list[TaggedSentence],
-                      role_weights: dict[Role, float] | None = None) -> float:
-    graph = build_bipartite(sentences, role_weights)
+def chunk_relatedness(sentences: list[TaggedSentence]) -> float:
+    graph = build_bipartite(sentences)
     if mention_pairs(graph) < VECTOR_MIN_MENTION_PAIRS:
         return relatedness_score(project(graph))
     _, _, weights = project_arrays(graph)
@@ -220,14 +218,13 @@ def chunk_relatedness(sentences: list[TaggedSentence],
     return sum(weights.tolist()) / graph.sentence_count
 
 
-def describe_graph(sentences: list[TaggedSentence],
-                   role_weights: dict[Role, float] | None = None) -> str:
+def describe_graph(sentences: list[TaggedSentence]) -> str:
     """Line-oriented debug dump: entities with roles, projection edges, score."""
     lines: list[str] = []
     for index, sentence in enumerate(sentences):
         for entity in extract_entities(sentence):
             lines.append(f"entity s{index} {entity.surface!r} {entity.role.value}")
-    graph = build_bipartite(sentences, role_weights)
+    graph = build_bipartite(sentences)
     projection = project(graph)
     for i, j, weight in projection.directed_edges:
         lines.append(f"edge s{i} -> s{j} weight={weight:g}")

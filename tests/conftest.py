@@ -12,7 +12,7 @@ from procmine import actionable, linear, lingua
 from procmine.docmodel import DocNode, DocTree, Kind, parse_sdjson
 from procmine.goals import (NOT_GOAL, GoalAnnotation, GoalCue, GoalCueConfig,
                             strip_section_numbering)
-from procmine.relatedness import DEFAULT_ROLE_WEIGHTS, Entity, Role
+from procmine.relatedness import ROLE_WEIGHTS, Entity, Role
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -484,7 +484,7 @@ def oracle_extract_entities(sentence: OracleSentence) -> list[Entity]:
 
 
 def oracle_bipartite_edges(sentences: list[OracleSentence]) -> tuple:
-    weights = DEFAULT_ROLE_WEIGHTS
+    weights = ROLE_WEIGHTS
     best: dict[tuple[int, str], float] = {}
     for index, sentence in enumerate(sentences):
         for entity in oracle_extract_entities(sentence):

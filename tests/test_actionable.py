@@ -169,10 +169,6 @@ class TestTrain:
                                         l2=1e-4, seed=99)).to_json()
         assert first != second
 
-    def test_loss_decreases_over_training(self, toy_model):
-        losses = toy_model.epoch_losses
-        assert losses[-1] <= losses[0]
-
     def test_scaled_training_features_in_unit_interval(self, toy_model, tagger):
         for text, _ in TOY:
             prof = Profile(Tense.PRESENT, Voice.ACTIVE, Polarity.POSITIVE)

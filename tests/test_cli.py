@@ -264,6 +264,11 @@ BAD_INPUTS = {
         "-o", str(d / "out.json")]),
     "config-cue-file-key": (65, lambda d: [
         "ingest", str(DOC), "--config", write(d / "run.cfg", "cue_file=c.txt\n")]),
+    "config-role-weights-key": (65, lambda d: [
+        "ingest", str(DOC),
+        "--config", write(d / "run.cfg", "role_weights=3,2,1\n")]),
+    "extract-seed": (64, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "--seed", "1"]),
     "config-context-procedural-key": (65, lambda d: [
         "ingest", str(DOC),
         "--config", write(d / "run.cfg", "context_procedural=p.txt\n")]),

@@ -13,7 +13,6 @@ from procmine.lingua import LexiconError
 from procmine.cli import main
 from procmine.docmodel import DocTree, Kind, parse_markdown, parse_sdjson
 from procmine.pipeline import ConfigError, PipelineConfig
-from procmine.relatedness import DEFAULT_ROLE_WEIGHTS, Role
 
 from conftest import (check_links, procedure_fields, procedures_json_fields,
                       random_sdjson, random_tree)
@@ -168,7 +167,6 @@ class TestPipelineConfig:
     def test_defaults_without_sources(self):
         config = PipelineConfig.from_sources(None, {})
         assert config == PipelineConfig()
-        assert config.role_weights == DEFAULT_ROLE_WEIGHTS
 
     def test_flag_wins_over_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -179,27 +177,8 @@ class TestPipelineConfig:
         assert config.lexicon_dir == Path("from-flag")
         assert config.procedure_model is None
 
-    def test_role_weights_reach_role_dict(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("role_weights=4,2,1\n")
-        config = PipelineConfig.from_sources(path, {})
-        assert config.role_weights == {Role.SUBJECT: 4.0, Role.OBJECT: 2.0,
-                                       Role.OTHER: 1.0}
-
-    def test_two_role_weights_raise(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("role_weights=4 2\n")
-        with pytest.raises(ConfigError):
-            PipelineConfig.from_sources(path, {})
-
-    @pytest.mark.parametrize("value", ["nan inf -1", "1 2 nan", "1,-inf,1"])
-    def test_non_finite_role_weights_raise(self, tmp_path, value):
-        path = tmp_path / "run.cfg"
-        path.write_text(f"role_weights={value}\n")
-        with pytest.raises(ConfigError, match="finite"):
-            PipelineConfig.from_sources(path, {})
-
     @pytest.mark.parametrize("line", ["role_weight=1,2,3",
+                                      "role_weights=3,2,1",
                                       "procedure_modle=m.json",
                                       "cue_file=cues.txt",
                                       "context_procedural=p.txt",

@@ -239,14 +239,6 @@ class TestRelatednessScore:
                 edges=graph.edges + ((i, fresh, 1.0), (j, fresh, 1.0)))
             assert relatedness_score(project(grown)) >= base
 
-    def test_custom_role_weights(self, tagger):
-        sentences = [tagger.tag("The administrator opens the console."),
-                     tagger.tag("The administrator checks the adapter.")]
-        heavier = chunk_relatedness(
-            sentences, {Role.SUBJECT: 5.0, Role.OBJECT: 2.0, Role.OTHER: 1.0})
-        default = chunk_relatedness(sentences)
-        assert heavier > default
-
 
 class TestVectorProjection:
     """`project_arrays` against `project`, the oracle: equal to the bit."""
