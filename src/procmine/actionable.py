@@ -2,31 +2,25 @@
 
 Features are bag-of-words tf-idf over a frequency-filtered vocabulary plus
 three linguistic bits (present tense, active voice, positive polarity).
-The model is a linear max-margin classifier trained with seeded SGD; the
-serialized form is a versioned JSON document.
+The model is a `linear.LinearModel` that also holds the vocabulary; its
+file, loader and training recipe are `linear`'s.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from . import linear
 from .lingua import (Polarity, Profile, TaggedSentence, Tagger, Tense, Voice,
                      profile as profile_sentence)
-from .linear import (DegenerateLabels, MinMaxScaler, Scorer, TrainParams,
-                     VersionMismatch, check_shape, finite, finite_array,
-                     objects, read_model)
+from .linear import DegenerateLabels, TrainParams, VersionMismatch
 
 if TYPE_CHECKING:
     import numpy as np
-
-MODEL_VERSION = "actionable/1 tf=raw idf=ln"
 
 MIN_DOCUMENT_FREQUENCY = 3
 
@@ -110,63 +104,46 @@ def featurize(text: str, prof: Profile, vocab: Vocabulary) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ActionableModel:
+class ActionableModel(linear.LinearModel):
+    """Weights and scaler ranges for the vocabulary's tf-idf terms, in
+    index order, then for the three indicators. `predict` leaves out absent
+    terms, which is exact only when a tf-idf of 0 scales to 0, so building
+    a model also checks that every tf-idf range has 0 <= min <= max, as
+    training always gives, and that every idf is finite."""
+
     vocabulary: Vocabulary
-    weights: Sequence[float]
-    bias: float
-    scaler: MinMaxScaler
 
-    @cached_property
-    def scorer(self) -> Scorer:
-        return Scorer(self.weights, self.bias, self.scaler)
+    MODEL_VERSION = "actionable/1 tf=raw idf=ln"
 
-    def to_json(self) -> str:
-        doc = {
-            "version": MODEL_VERSION,
-            "vocabulary": [
-                {"term": t, "df": d, "idf": i}
-                for t, d, i in zip(self.vocabulary.terms,
-                                   self.vocabulary.document_frequency,
-                                   self.vocabulary.idf)
-            ],
-            "total_sentences": self.vocabulary.total_sentences,
-            "weights": [float(w) for w in self.weights],
-            "bias": float(self.bias),
-            "scaler": self.scaler.pairs(),
-        }
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    @property
+    def n_features(self) -> int:
+        return len(self.vocabulary) + 3
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not all(map(math.isfinite, self.vocabulary.idf)):
+            raise VersionMismatch("idf must be finite numbers")
+        if not all(0.0 <= lo <= hi for lo, hi in
+                   zip(self.scaler.mins[:len(self.vocabulary)], self.scaler.maxs)):
+            raise VersionMismatch(
+                "tf-idf scaler ranges must have 0 <= min <= max")
+
+    def _header(self) -> dict:
+        vocab = self.vocabulary
+        return {"vocabulary": [{"term": t, "df": d, "idf": i} for t, d, i in
+                               zip(vocab.terms, vocab.document_frequency, vocab.idf)],
+                "total_sentences": vocab.total_sentences}
 
     @classmethod
-    def from_json(cls, data: str | bytes) -> "ActionableModel":
-        doc = read_model(data, MODEL_VERSION)
-        entries = objects(doc["vocabulary"], "vocabulary")
+    def _read_header(cls, doc: dict) -> dict:
+        entries = linear.objects(doc["vocabulary"], "vocabulary")
         terms = tuple(e["term"] for e in entries)
         if not all(isinstance(term, str) for term in terms):
             raise VersionMismatch("vocabulary terms must be strings")
-        vocab = Vocabulary(
-            terms=terms,
-            document_frequency=tuple(e["df"] for e in entries),
-            idf=finite_array([e["idf"] for e in entries], "idf"),
-            total_sentences=doc["total_sentences"],
-        )
-        weights = finite_array(doc["weights"], "weights")
-        scaler = MinMaxScaler.from_pairs(doc["scaler"])
-        check_shape(weights, scaler, len(vocab) + 3)
-        # `predict` leaves out absent terms, which is exact only when a
-        # tf-idf of 0 scales to 0. Training always gives 0 <= min <= max.
-        if not all(0.0 <= lo <= hi for lo, hi in
-                   zip(scaler.mins[:len(vocab)], scaler.maxs)):
-            raise VersionMismatch(
-                "tf-idf scaler ranges must have 0 <= min <= max")
-        return cls(vocabulary=vocab, weights=weights,
-                   bias=finite(doc["bias"], "bias"), scaler=scaler)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ActionableModel":
-        return cls.from_json(Path(path).read_text("utf-8"))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), "utf-8")
+        return {"vocabulary": Vocabulary(
+            terms=terms, document_frequency=tuple(e["df"] for e in entries),
+            idf=linear.floats([e["idf"] for e in entries], "idf"),
+            total_sentences=doc["total_sentences"])}
 
 
 def _feature_matrix(sentences: list[str], profiles: list[Profile],
@@ -179,7 +156,6 @@ def _feature_matrix(sentences: list[str], profiles: list[Profile],
 def train(labeled: list[tuple[str, bool]], params: TrainParams,
           tagger: Tagger | None = None) -> ActionableModel:
     """Train from (sentence text, actionable) pairs. Deterministic per seed."""
-    import numpy as np
     positives = sum(1 for _, label in labeled if label)
     if positives < 2 or len(labeled) - positives < 2:
         raise DegenerateLabels("need at least 2 examples of each class")
@@ -188,12 +164,9 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
     profiles = [profile_sentence(tagger.tag(text)) for text in texts]
     vocab = build_vocabulary(texts)
     raw = _feature_matrix(texts, profiles, vocab)
-    scaler = MinMaxScaler.fit(raw)
-    x = scaler.transform(raw)
-    y = np.array([1.0 if label else -1.0 for _, label in labeled])
-    fit, = linear.fit_hinge([x], y, params)
-    return ActionableModel(vocabulary=vocab, weights=fit.weights,
-                           bias=fit.bias, scaler=scaler)
+    return linear.fit_models(ActionableModel, [raw],
+                             [label for _, label in labeled], params,
+                             vocabulary=vocab)[0]
 
 
 def predict(model: ActionableModel, sentence: TaggedSentence,
@@ -202,7 +175,7 @@ def predict(model: ActionableModel, sentence: TaggedSentence,
 
     Scores only the vocabulary terms present, in index order, then the
     three indicators. An absent term's tf-idf of 0 scales to 0 (see
-    `ActionableModel.from_json`), so the margin has the same bits as the
+    `ActionableModel`), so the margin has the same bits as the
     sum over every feature."""
     prof = prof or profile_sentence(sentence)
     size = len(model.vocabulary)

@@ -7,16 +7,14 @@ decided by then: the chunker files a chunk under an item that is an
 ancestor of the chunk's own items, so the chunk lies strictly deeper than
 the item's chunk. Training rows carry the same rule applied to gold
 labels (`pipeline.teacher_forced_features`).
+The model is a `linear.LinearModel`, whose file, loader and training
+recipe it shares with the actionable model.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
-from pathlib import Path
-from typing import Sequence
 
 from . import linear
 from .annotate import ChunkAnnotation
@@ -26,10 +24,7 @@ from .docmodel import DocTree
 # patches it in this module.
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
                        child_flags, update_propagated_features)
-from .linear import (MinMaxScaler, Scorer, TrainParams, check_shape, finite,
-                     finite_array, read_model)
-
-MODEL_VERSION = "procedure/1 features=15"
+from .linear import TrainParams
 
 N_FEATURES = len(FEATURE_NAMES)
 
@@ -38,43 +33,12 @@ class MissingPrediction(KeyError):
     """A gold-labeled chunk has no prediction."""
 
 
-@dataclass(frozen=True)
-class ProcedureClassifierModel:
-    weights: Sequence[float]  # one per feature
-    bias: float
-    scaler: MinMaxScaler
-
-    @cached_property
-    def scorer(self) -> Scorer:
-        return Scorer(self.weights, self.bias, self.scaler)
+class ProcedureClassifierModel(linear.LinearModel):
+    MODEL_VERSION = "procedure/1 features=15"
+    n_features = N_FEATURES
 
     def score(self, vector: FeatureVector) -> float:
         return self.scorer.margin(enumerate(vector))
-
-    def to_json(self) -> str:
-        doc = {
-            "version": MODEL_VERSION,
-            "weights": [float(w) for w in self.weights],
-            "bias": float(self.bias),
-            "scaler": self.scaler.pairs(),
-        }
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-    @classmethod
-    def from_json(cls, data: str | bytes) -> "ProcedureClassifierModel":
-        doc = read_model(data, MODEL_VERSION)
-        weights = finite_array(doc["weights"], "weights")
-        scaler = MinMaxScaler.from_pairs(doc["scaler"])
-        check_shape(weights, scaler, N_FEATURES)
-        return cls(weights=weights, bias=finite(doc["bias"], "bias"),
-                   scaler=scaler)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProcedureClassifierModel":
-        return cls.from_json(Path(path).read_text("utf-8"))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), "utf-8")
 
 
 @dataclass(frozen=True)
@@ -97,21 +61,13 @@ def _train_ablated(rows: list[tuple[FeatureVector, bool]], params: TrainParams,
                    ablations: list[tuple[int, ...]],
                    ) -> list[ProcedureClassifierModel]:
     """One model per tuple of feature ids, trained on `rows` with those
-    features zeroed; `linear.fit_hinge` fits them all in one lockstep pass."""
+    features zeroed, all fitted in one lockstep pass."""
     import numpy as np
-    y = np.array([1.0 if label else -1.0 for _, label in rows])
-    linear.check_classes(y)  # before the scaler, which cannot fit zero rows
-    scalers, xs = [], []
-    for feature_ids in ablations:
-        raw = np.array([_zero_features(vector, feature_ids)
-                        for vector, _ in rows], dtype=float)
-        scaler = MinMaxScaler.fit(raw)
-        scalers.append(scaler)
-        xs.append(scaler.transform(raw))
-    fits = linear.fit_hinge(xs, y, params)
-    return [ProcedureClassifierModel(weights=fit.weights, bias=fit.bias,
-                                     scaler=scaler)
-            for fit, scaler in zip(fits, scalers)]
+    raws = [np.array([_zero_features(vector, feature_ids) for vector, _ in rows],
+                     dtype=float)
+            for feature_ids in ablations]
+    return linear.fit_models(ProcedureClassifierModel, raws,
+                             [label for _, label in rows], params)
 
 
 def _zero_features(vector: FeatureVector, feature_ids) -> FeatureVector:

@@ -264,6 +264,15 @@ def _write(path: str | Path, data: str | bytes, *, make_dir: bool = False) -> No
         raise CliError(f"cannot write {path}: {exc.strerror or exc}", EX_USAGE)
 
 
+def _csv(header: list[str], rows) -> str:
+    """CSV text of `header` and then `rows`, each line ended by LF."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def _write_or_print(text: str, output: str | None) -> None:
     if output:
         _write(output, text)
@@ -317,12 +326,9 @@ def _parse_ablate_ids(raw: str, flag: str) -> tuple[int, ...]:
 
 
 def _prediction_log(run: pipeline.DocumentRun) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["chunk_id", "depth", "label", "margin"])
-    for p in run.predictions:
-        writer.writerow([p.chunk_id, p.depth, int(p.label), repr(p.margin)])
-    return out.getvalue()
+    return _csv(["chunk_id", "depth", "label", "margin"],
+                ([p.chunk_id, p.depth, int(p.label), repr(p.margin)]
+                 for p in run.predictions))
 
 
 def _check_distinct_stems(inputs: list[str]) -> None:
@@ -348,9 +354,6 @@ def _cmd_extract(args) -> int:
                   if args.ablate is not None else ())
     inputs = args.inputs
     multi = len(inputs) > 1
-    if multi and args.output and Path(args.output).suffix:
-        raise CliError("-o must be a directory when extracting multiple inputs",
-                       EX_USAGE)
     if multi:
         _check_distinct_stems(inputs)
 
@@ -519,18 +522,11 @@ def _run_shares(shares: list[list[int]],
 
 def feature_csv_rows(vectors: dict[int, FeatureVector],
                      labels: dict[int, bool] | None) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = ["chunk_id", *_FEATURE_COLUMNS]
-    if labels is not None:
-        header.append("label")
-    writer.writerow(header)
-    for chunk_id, vector in vectors.items():
-        row = [chunk_id] + [repr(v) for v in vector]
-        if labels is not None:
-            row.append(int(labels.get(chunk_id, False)))
-        writer.writerow(row)
-    return out.getvalue()
+    rows = ([chunk_id, *map(repr, vector)] for chunk_id, vector in vectors.items())
+    if labels is None:
+        return _csv(["chunk_id", *_FEATURE_COLUMNS], rows)
+    return _csv(["chunk_id", *_FEATURE_COLUMNS, "label"],
+                (row + [int(labels.get(row[0], False))] for row in rows))
 
 
 def _cmd_features(args) -> int:
@@ -547,15 +543,11 @@ def _cmd_features(args) -> int:
     _write_or_print(feature_csv_rows(vectors, labels), args.output)
 
     if args.chunk_dump:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["chunk_id", "kind", "depth", "parent_node",
-                         "item_count", "context"])
-        for chunk in run.chunks:
-            writer.writerow([chunk.id, chunk.kind.value, chunk.depth,
-                             chunk.parent_node_id, len(chunk.item_node_ids),
-                             chunk.context_text])
-        _write(args.chunk_dump, out.getvalue())
+        _write(args.chunk_dump, _csv(
+            ["chunk_id", "kind", "depth", "parent_node", "item_count", "context"],
+            ([chunk.id, chunk.kind.value, chunk.depth, chunk.parent_node_id,
+              len(chunk.item_node_ids), chunk.context_text]
+             for chunk in run.chunks)))
     return EX_OK
 
 
@@ -584,9 +576,12 @@ def _cmd_train(args) -> int:
     return EX_OK
 
 
-def _metrics_line(metrics: Metrics) -> str:
-    return (f"{metrics.accuracy:.4f},{metrics.precision:.4f},"
-            f"{metrics.recall:.4f}")
+_METRICS_HEADER = ["accuracy", "precision", "recall"]
+
+
+def _metrics_fields(metrics: Metrics) -> list[str]:
+    return [f"{metrics.accuracy:.4f}", f"{metrics.precision:.4f}",
+            f"{metrics.recall:.4f}"]
 
 
 def _cmd_eval(args) -> int:
@@ -599,8 +594,7 @@ def _cmd_eval(args) -> int:
         raise CliError(exc.args[0], EX_DATA)
     if metrics.undefined_precision or metrics.undefined_recall:
         sys.stderr.write("warning: zero-denominator metric reported as 0\n")
-    sys.stdout.write("accuracy,precision,recall\n")
-    sys.stdout.write(_metrics_line(metrics) + "\n")
+    sys.stdout.write(_csv(_METRICS_HEADER, [_metrics_fields(metrics)]))
     return EX_OK
 
 
@@ -623,13 +617,9 @@ def _cmd_ablate(args) -> int:
     except (DegenerateLabels, NonFinite) as exc:
         raise CliError(str(exc), EX_DATA)
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["category", "accuracy", "precision", "recall"])
-    for name, metrics in report:
-        writer.writerow([name, f"{metrics.accuracy:.4f}",
-                         f"{metrics.precision:.4f}", f"{metrics.recall:.4f}"])
-    _write_or_print(out.getvalue(), args.output)
+    _write_or_print(_csv(["category", *_METRICS_HEADER],
+                         ([name, *_metrics_fields(metrics)]
+                          for name, metrics in report)), args.output)
     return EX_OK
 
 

@@ -1,6 +1,12 @@
-"""Shared linear max-margin machinery: min-max scaling, seeded stochastic
-subgradient descent on hinge loss with L2 regularization, the scorer both
-classifiers use, and the exception family they raise.
+"""The linear max-margin model both classifiers are: min-max scaling,
+seeded stochastic subgradient descent on hinge loss with L2
+regularization, the scorer, and `LinearModel`, the model and its file.
+
+Both classifiers subclass `LinearModel`: one file layout (version, any
+fields of the subclass, weights, bias, scaler ranges), one loader and one
+training recipe (`fit_models`). A model checks its values when it is
+built, so no model can be made that the loader would refuse; the loader
+checks only the file's form, and refuses a file nested too deep.
 
 Training is bit-deterministic for a given seed: the sample order comes
 from one seeded generator and all arithmetic is plain float64. Training
@@ -21,7 +27,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cached_property
+from pathlib import Path
+from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,28 +75,6 @@ class MinMaxScaler:
         scaled = (rows - mins) / span
         return np.clip(scaled, 0.0, 1.0)
 
-    def pairs(self) -> list[dict]:
-        return [{"min": float(lo), "max": float(hi)}
-                for lo, hi in zip(self.mins, self.maxs)]
-
-    @classmethod
-    def from_pairs(cls, pairs: list[dict]) -> "MinMaxScaler":
-        pairs = objects(pairs, "scaler")
-        return cls(mins=finite_array([p["min"] for p in pairs], "scaler"),
-                   maxs=finite_array([p["max"] for p in pairs], "scaler"))
-
-
-def read_model(data: str | bytes, version: str) -> dict:
-    """The JSON object of a serialized model; VersionMismatch unless it is
-    an object whose version is `version`."""
-    doc = json.loads(data)
-    if not isinstance(doc, dict):
-        raise VersionMismatch("model file must hold a JSON object")
-    if doc.get("version", "") != version:
-        raise VersionMismatch(
-            f"model version {doc.get('version', '')!r}, expected {version!r}")
-    return doc
-
 
 def objects(values, what: str) -> list[dict]:
     if not isinstance(values, list) or not all(isinstance(v, dict) for v in values):
@@ -96,30 +82,20 @@ def objects(values, what: str) -> list[dict]:
     return values
 
 
-def finite_array(values, what: str) -> tuple[float, ...]:
-    """A JSON list of finite numbers as floats, else VersionMismatch (also
-    for booleans and for integers too large for a float)."""
+def floats(values, what: str) -> tuple[float, ...]:
+    """A JSON list of numbers as floats, else VersionMismatch (also for
+    booleans and for integers too large for a float)."""
     try:
         if isinstance(values, list) and all(type(v) in (int, float) for v in values):
-            floats = tuple(float(v) for v in values)
-            if all(math.isfinite(v) for v in floats):
-                return floats
+            return tuple(float(v) for v in values)
     except OverflowError:
         pass
-    raise VersionMismatch(f"{what} must be finite numbers")
+    raise VersionMismatch(f"{what} must be numbers")
 
 
-def finite(value, what: str) -> float:
-    return finite_array([value], what)[0]
-
-
-def check_shape(weights: Sequence[float], scaler: MinMaxScaler, size: int) -> None:
-    """Raise VersionMismatch unless a loaded model has `size` weights and
-    `size` scaler ranges, so a bad model fails at load, not when scoring."""
-    if len(weights) != size or len(scaler.mins) != size:
-        raise VersionMismatch(
-            f"model has {len(weights)} weights and {len(scaler.mins)} scaler "
-            f"ranges, expected {size} of each")
+def _check_finite(values: Iterable[float], what: str) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise VersionMismatch(f"{what} must be finite numbers")
 
 
 class Scorer:
@@ -154,6 +130,101 @@ class Scorer:
                 v = 1.0
             total += v * w
         return total + self.bias
+
+
+@dataclass(frozen=True)
+class LinearModel:
+    """A linear model over min-max scaled features, and its file.
+
+    A subclass sets `MODEL_VERSION` and `n_features`; one with more fields
+    writes them after the version (`_header`) and reads them (`_read_header`).
+    Building a model raises VersionMismatch unless its weights, bias and
+    scaler ranges are finite and it has `n_features` weights and ranges."""
+
+    weights: Sequence[float]  # one per feature
+    bias: float
+    scaler: MinMaxScaler
+
+    MODEL_VERSION: ClassVar[str]
+    n_features: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        _check_finite(self.weights, "weights")
+        _check_finite([self.bias], "bias")
+        _check_finite([*self.scaler.mins, *self.scaler.maxs], "scaler")
+        sizes = {len(self.weights), len(self.scaler.mins), len(self.scaler.maxs)}
+        if sizes != {self.n_features}:
+            raise VersionMismatch(
+                f"model has {len(self.weights)} weights and "
+                f"{len(self.scaler.mins)} scaler ranges, expected "
+                f"{self.n_features} of each")
+
+    @cached_property
+    def scorer(self) -> Scorer:
+        return Scorer(self.weights, self.bias, self.scaler)
+
+    def _header(self) -> dict:
+        return {}
+
+    @classmethod
+    def _read_header(cls, doc: dict) -> dict:
+        return {}
+
+    def to_json(self) -> str:
+        doc = {
+            "version": self.MODEL_VERSION,
+            **self._header(),
+            "weights": [float(w) for w in self.weights],
+            "bias": float(self.bias),
+            "scaler": [{"min": float(lo), "max": float(hi)}
+                       for lo, hi in zip(self.scaler.mins, self.scaler.maxs)],
+        }
+        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+    @classmethod
+    def from_json(cls, data: str | bytes) -> LinearModel:
+        """The model a file holds; VersionMismatch unless it is a JSON
+        object of this class's version whose values build a model, also
+        when it nests too deep for the recursive JSON decoder."""
+        try:
+            doc = json.loads(data)
+        except RecursionError:
+            raise VersionMismatch("model file nested too deep") from None
+        if not isinstance(doc, dict):
+            raise VersionMismatch("model file must hold a JSON object")
+        if doc.get("version", "") != cls.MODEL_VERSION:
+            raise VersionMismatch(
+                f"model version {doc.get('version', '')!r}, "
+                f"expected {cls.MODEL_VERSION!r}")
+        pairs = objects(doc["scaler"], "scaler")
+        scaler = MinMaxScaler(mins=floats([p["min"] for p in pairs], "scaler"),
+                              maxs=floats([p["max"] for p in pairs], "scaler"))
+        return cls(weights=floats(doc["weights"], "weights"),
+                   bias=floats([doc["bias"]], "bias")[0], scaler=scaler,
+                   **cls._read_header(doc))
+
+    @classmethod
+    def load(cls, path: str | Path) -> LinearModel:
+        return cls.from_json(Path(path).read_text("utf-8"))
+
+    def save(self, path: str | Path) -> None:
+        Path(path).write_text(self.to_json(), "utf-8")
+
+
+def fit_models(cls: type[LinearModel], raws: Sequence[np.ndarray],
+               labels: Sequence[bool], params: TrainParams,
+               **fields) -> list[LinearModel]:
+    """One `cls` model, with `fields`, per raw matrix of `raws`, each scaled
+    by a `MinMaxScaler` fitted to it and all fitted by one `fit_hinge` call
+    on `labels` (True positive). DegenerateLabels unless both occur."""
+    import numpy as np
+    y = np.array([1.0 if label else -1.0 for label in labels])
+    check_classes(y)  # before the scalers, which cannot fit zero rows
+    scalers = [MinMaxScaler.fit(raw) for raw in raws]
+    fits = fit_hinge([scaler.transform(raw) for scaler, raw in zip(scalers, raws)],
+                     y, params)
+    return [cls(weights=fit.weights, bias=fit.bias, scaler=scaler, **fields)
+            for fit, scaler in zip(fits, scalers)]
 
 
 @dataclass

@@ -219,20 +219,6 @@ class TestModelIO:
         loaded = ActionableModel.load(path)
         assert loaded.to_json() == toy_model.to_json()
 
-    def test_version_mismatch(self, toy_model, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(toy_model.to_json().replace("actionable/1", "actionable/9"))
-        with pytest.raises(VersionMismatch):
-            ActionableModel.load(path)
-
-    @pytest.mark.parametrize("key", ["weights", "scaler"])
-    def test_entries_must_number_vocabulary_plus_three(self, toy_model, key):
-        doc = json.loads(toy_model.to_json())
-        assert len(doc[key]) == len(toy_model.vocabulary) + 3
-        doc[key] = doc[key][:-1]
-        with pytest.raises(VersionMismatch):
-            ActionableModel.from_json(json.dumps(doc))
-
     @pytest.mark.parametrize("field, value", [
         ("vocabulary", None), ("term", 7), ("idf", None), ("idf", float("nan")),
         ("bias", None), ("weights", None)])

@@ -172,6 +172,11 @@ BAD_INPUTS = {
         "--model", PROCEDURE, "-o", str(d / "out.json")]),
     "procedure-model-not-an-object": (65, lambda d: [
         "extract", str(DOC), "--model", write(d / "p.json", "[]")]),
+    "procedure-model-nested-too-deep": (65, lambda d: [
+        "extract", str(DOC), "--model", write(d / "p.json", "[" * 200_000)]),
+    "actionable-model-nested-too-deep": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE,
+        "--actionable-model", write(d / "a.json", "[" * 200_000)]),
     "procedure-model-scaler-not-objects": (65, lambda d: [
         "extract", str(DOC), "--model",
         edited_model(d / "p.json", "procedure", scaler=[1] * 15)]),
@@ -450,6 +455,23 @@ class TestExtract:
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["appliance-quickstart.procedures.json",
                          "release-notes.procedures.json"]
+
+    def test_multiple_inputs_fill_directories_named_with_a_suffix(
+            self, capsys, tmp_path):
+        """With several inputs `-o` and `--pred-log` are directories, whatever
+        their names look like: an existing one is filled, a missing one made."""
+        stems = ["appliance-quickstart", "release-notes"]
+        out_dir, log_dir = tmp_path / "out.v2", tmp_path / "preds.csv"
+        out_dir.mkdir()
+        code, _, _ = run_main(["extract", *(str(CORPUS / "docs" / f"{stem}.md")
+                                            for stem in stems),
+                               *MODELS, "-o", str(out_dir),
+                               "--pred-log", str(log_dir)], capsys)
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            f"{stem}.procedures.json" for stem in stems]
+        assert sorted(p.name for p in log_dir.iterdir()) == [
+            f"{stem}.predictions.csv" for stem in stems]
 
     def test_model_version_mismatch_exits_65(self, capsys, tmp_path):
         bad = tmp_path / "bad-model.json"

@@ -1,4 +1,5 @@
-"""`linear.Scorer` against the numpy scorer it replaced.
+"""`linear.Scorer` against the numpy scorer it replaced, and the model file
+`linear.LinearModel` reads and writes for both classifiers.
 
 The oracle is the old scoring path: `MinMaxScaler.transform` on a one-row
 matrix, then a BLAS dot product with the weights plus the bias. It sums in
@@ -8,7 +9,9 @@ sequential sum to the bit.
 """
 
 import csv
+import importlib.util
 import json
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -16,14 +19,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from procmine import linear, pipeline
+from procmine import actionable, classifier, linear, pipeline
 from procmine.actionable import ActionableModel, featurize, predict
 from procmine.classifier import ProcedureClassifierModel
 from procmine.features import FEATURE_NAMES, FeatureVector
-from procmine.linear import MinMaxScaler, VersionMismatch
+from procmine.linear import MinMaxScaler, TrainParams, VersionMismatch
 from procmine.lingua import Polarity, Profile, Tagger, Tense, Voice, profile
 
-CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
 DOCS = sorted((CORPUS / "docs").glob("*.md")) + [CORPUS / "nested-fixture.md"]
 TOLERANCE = 1e-12
 
@@ -160,3 +164,127 @@ class TestActionableScorer:
         with pytest.raises(AttributeError):
             model.weights = ()
         assert replace(model, bias=model.bias + 1.0).scorer.bias == model.bias + 1.0
+
+
+# Both model classes; `of_class` picks one's model from an (actionable,
+# procedure) pair.
+MODEL_CLASSES = pytest.mark.parametrize(
+    "cls", [ActionableModel, ProcedureClassifierModel],
+    ids=["actionable", "procedure"])
+
+
+def of_class(pair, cls):
+    return pair[0] if cls is ActionableModel else pair[1]
+
+
+def refused(cls, doc) -> None:
+    with pytest.raises(VersionMismatch):
+        cls.from_json(json.dumps(doc))
+
+
+class TestModelFile:
+    """The load-time rules of `linear.LinearModel.from_json`, the one loader
+    of both classifiers."""
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"model"', "null"],
+                             ids=["list", "number", "string", "null"])
+    @MODEL_CLASSES
+    def test_non_object_document_is_rejected(self, cls, text):
+        with pytest.raises(VersionMismatch, match="JSON object"):
+            cls.from_json(text)
+
+    @MODEL_CLASSES
+    def test_other_version_is_rejected(self, models, cls, tmp_path):
+        doc = json.loads(of_class(models, cls).to_json())
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, "version": doc["version"] + "9"}))
+        with pytest.raises(VersionMismatch, match="version"):
+            cls.load(path)
+        del doc["version"]
+        refused(cls, doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["bias", "weights"])
+    @MODEL_CLASSES
+    def test_non_finite_values_are_rejected(self, models, cls, key, value):
+        doc = json.loads(of_class(models, cls).to_json())
+        if key == "bias":
+            doc["bias"] = value
+        else:
+            doc["weights"][0] = value
+        refused(cls, doc)
+
+    @pytest.mark.parametrize("key", ["weights", "scaler"])
+    @MODEL_CLASSES
+    def test_wrong_count_is_rejected(self, models, cls, key):
+        doc = json.loads(of_class(models, cls).to_json())
+        refused(cls, {**doc, key: doc[key][:-1]})
+        refused(cls, {**doc, key: doc[key] + doc[key][-1:]})
+
+    @MODEL_CLASSES
+    def test_nesting_too_deep_is_rejected(self, cls):
+        with pytest.raises(VersionMismatch, match="too deep"):
+            cls.from_json("[" * 200_000)
+
+
+def short_weights(model):
+    return {"weights": tuple(model.weights[:-1])}
+
+
+def short_scaler(model):
+    return {"scaler": MinMaxScaler(mins=model.scaler.mins[:-1],
+                                   maxs=model.scaler.maxs[:-1])}
+
+
+def negative_tf_idf_min(model):
+    mins = list(model.scaler.mins)
+    mins[5] = -0.5
+    return {"scaler": MinMaxScaler(mins=tuple(mins), maxs=model.scaler.maxs)}
+
+
+@pytest.mark.parametrize("cls, edit", [
+    (ActionableModel, short_weights), (ActionableModel, short_scaler),
+    (ActionableModel, negative_tf_idf_min),
+    (ProcedureClassifierModel, short_weights),
+    (ProcedureClassifierModel, short_scaler),
+], ids=["actionable-weights", "actionable-scaler", "actionable-tf-idf-range",
+        "procedure-weights", "procedure-scaler"])
+def test_construction_refuses_what_the_loader_refuses(models, cls, edit):
+    """A model is checked when it is built, not only when it is read: the
+    same values fail both ways."""
+    model = of_class(models, cls)
+    changes = edit(model)
+    doc = json.loads(model.to_json())
+    if "weights" in changes:
+        doc["weights"] = list(changes["weights"])
+    else:
+        doc["scaler"] = [{"min": lo, "max": hi} for lo, hi in
+                         zip(changes["scaler"].mins, changes["scaler"].maxs)]
+    refused(cls, doc)
+    with pytest.raises(VersionMismatch):
+        replace(model, **changes)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """Both models trained from the corpus as scripts/build_models.py does."""
+    spec = importlib.util.spec_from_file_location(
+        "build_models", ROOT / "scripts" / "build_models.py")
+    recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipe)
+    with (CORPUS / "actionable_sentences.csv").open(newline="") as handle:
+        rows = [(r["text"], r["label"] == "1") for r in csv.DictReader(handle)]
+    actionable_model = actionable.train(
+        rows[:recipe.TRAIN_SPLIT],
+        TrainParams(seed=recipe.ACTIONABLE_SEED, **recipe.PARAMS))
+    train_rows = [row for doc in recipe.DOCS if doc.name in recipe.TRAIN_DOCS
+                  for row in recipe.labeled_rows(doc, actionable_model)]
+    procedure_model = classifier.train(
+        train_rows, TrainParams(seed=recipe.PROCEDURE_SEED, **recipe.PARAMS))
+    return actionable_model, procedure_model
+
+
+@MODEL_CLASSES
+def test_trained_model_survives_its_file(trained, cls):
+    model = of_class(trained, cls)
+    assert cls.from_json(model.to_json()) == model
