@@ -109,7 +109,9 @@ class ActionableModel(linear.LinearModel):
     index order, then for the three indicators. `predict` leaves out absent
     terms, which is exact only when a tf-idf of 0 scales to 0, so building
     a model also checks that every tf-idf range has 0 <= min <= max, as
-    training always gives, and that every idf is finite."""
+    training always gives, that every idf is finite, and that the terms
+    strictly increase and each df is an integer from 1 to total_sentences,
+    as `build_vocabulary` writes them."""
 
     vocabulary: Vocabulary
 
@@ -121,8 +123,16 @@ class ActionableModel(linear.LinearModel):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not all(map(math.isfinite, self.vocabulary.idf)):
+        vocab = self.vocabulary
+        if not all(map(math.isfinite, vocab.idf)):
             raise VersionMismatch("idf must be finite numbers")
+        if not all(a < b for a, b in zip(vocab.terms, vocab.terms[1:])):
+            raise VersionMismatch("vocabulary terms must strictly increase")
+        total = vocab.total_sentences  # `type(...) is int` refuses a bool
+        if not (type(total) is int and all(type(df) is int and 1 <= df <= total
+                                           for df in vocab.document_frequency)):
+            raise VersionMismatch("each df must be an integer from 1 to "
+                                  "total_sentences")
         if not all(0.0 <= lo <= hi for lo, hi in
                    zip(self.scaler.mins[:len(self.vocabulary)], self.scaler.maxs)):
             raise VersionMismatch(

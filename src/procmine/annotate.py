@@ -4,11 +4,12 @@ bundles the results the feature stage needs.
 
 Each record holds each fact once, set when it is built: a sentence its
 tagged tokens (which carry its imperative flag), conditional split, goal
-reading and actionable reading; an item its sentences, image flag and the
+reading and actionable reading; an item its node, its sentences and the
 three flags later stages read; a chunk its items, its introducing node's
-goal reading and its relatedness. Tense, voice and polarity are not stored:
-`actionable.predict` works them out for the sentences it scores, their
-only reader.
+goal reading and its relatedness. Nothing here repeats the tree (an
+item's image flag is its node's) or the chunk id that keys each record.
+Tense, voice and polarity are not stored: `actionable.predict` works them
+out for the sentences it scores, their only reader.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class AnnotatedSentence:
 class ItemAnnotation:
     node_id: int
     sentences: tuple[AnnotatedSentence, ...]
-    associated_image: bool
     actionable: bool  # some sentence is imperative or non-imperative actionable
     conditional: bool  # some sentence has a conditional split
     is_goal: bool  # some sentence carries a goal cue
@@ -45,7 +45,6 @@ class ItemAnnotation:
 
 @dataclass(frozen=True)
 class ChunkAnnotation:
-    chunk_id: int
     items: tuple[ItemAnnotation, ...]
     parent_is_goal: bool
     relatedness: float
@@ -101,13 +100,11 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
         )
         items.append(ItemAnnotation(
             node_id=node_id, sentences=sentences,
-            associated_image=node.associated_image,
             actionable=any(s.tagged.imperative or s.non_imperative_actionable
                            for s in sentences),
             conditional=any(s.split is not None for s in sentences),
             is_goal=any(s.goal.is_goal for s in sentences)))
     return ChunkAnnotation(
-        chunk_id=chunk.id,
         items=tuple(items),
         parent_is_goal=parent_is_goal,
         relatedness=chunk_relatedness(

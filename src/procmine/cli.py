@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: ingest, extract, features, train-actionable, train, eval,
-ablate. Every command builds one `pipeline.PipelineConfig` from --config
-and its flags, and reads each kind of input through one loader: documents,
-model files, and labeled CSVs. Machine-readable output goes to stdout or
--o targets, all written through `_write`; diagnostics go to stderr. Exit
-codes: 0 ok, 2 malformed document, 64 usage or unwritable output, 65 bad
-data, model or lexicon file, 66 unreadable input.
+ablate. Each setting is one flag. Every command reads the lexicons of
+--lexicon-dir before any work, and each kind of input through one loader:
+documents, model files, and labeled CSVs. Machine-readable output goes to
+stdout or -o targets, all written through `_write`; diagnostics go to
+stderr. Exit codes: 0 ok, 2 malformed document, 64 usage or unwritable
+output, 65 bad data, model or lexicon file, 66 unreadable input.
 
 `extract` over several documents runs them on up to one process per
 usable CPU: the parent parses every input and loads the models, then forks
@@ -64,12 +64,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def shared(p):
-        p.add_argument("--config", help="key=value run configuration file")
         p.add_argument("--lexicon-dir", dest="lexicon_dir",
                        help="directory overriding the bundled lexicons")
 
     def training(p):
-        p.add_argument("--seed", type=int, help="random seed")
+        p.add_argument("--seed", type=int, required=True, help="random seed")
         p.add_argument("--epochs", type=int, default=200)
         p.add_argument("--learning-rate", dest="learning_rate", type=float,
                        default=0.01)
@@ -84,7 +83,8 @@ def _build_parser() -> _Parser:
     p_extract = sub.add_parser("extract", help="run the full pipeline")
     p_extract.add_argument("inputs", nargs="+")
     p_extract.add_argument("-f", "--format", choices=["md", "sdjson"])
-    p_extract.add_argument("--model", help="procedure classifier model JSON")
+    p_extract.add_argument("--model", required=True,
+                           help="procedure classifier model JSON")
     p_extract.add_argument("--actionable-model", dest="actionable_model")
     p_extract.add_argument("-o", "--output",
                            help="output file (single input) or directory")
@@ -139,21 +139,8 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args) -> PipelineConfig:
-    overrides = {
-        "lexicon_dir": getattr(args, "lexicon_dir", None),
-        "actionable_model": getattr(args, "actionable_model", None),
-        "procedure_model": getattr(args, "model", None),
-        "seed": getattr(args, "seed", None),
-    }
-    try:
-        config = PipelineConfig.from_sources(args.config, overrides)
-    except OSError as exc:
-        raise CliError(f"cannot read config: {exc}", EX_NOINPUT)
-    except ValueError as exc:
-        raise CliError(str(exc), EX_DATA)
-    problems = config.check_paths()
-    if problems:
-        raise CliError("bad configured paths: " + "; ".join(problems), EX_NOINPUT)
+    config = PipelineConfig(
+        lexicon_dir=Path(args.lexicon_dir) if args.lexicon_dir else None)
     try:  # read every lexicon now, before any work and any fork
         pipeline._lexicons(config.lexicon_dir)
     except LexiconError as exc:
@@ -181,10 +168,10 @@ def _load_model(cls, path: Path):
         raise CliError(f"cannot load model {path}: {exc}", EX_DATA)
 
 
-def _actionable_model(config: PipelineConfig) -> ActionableModel | None:
-    if config.actionable_model is None:
+def _actionable_model(args) -> ActionableModel | None:
+    if not args.actionable_model:
         return None
-    return _load_model(ActionableModel, config.actionable_model)
+    return _load_model(ActionableModel, Path(args.actionable_model))
 
 
 _LABELS = {"1": True, "true": True, "True": True,
@@ -194,10 +181,11 @@ _LABELS = {"1": True, "true": True, "True": True,
 def _read_labeled_csv(path: str | Path, columns: tuple[str, ...],
                       parse) -> list[tuple[object, bool]]:
     """(parse(values of `columns`), label) for each row of a CSV whose header
-    names `columns` and `label`. A label is 1/true/True or 0/false/False.
-    An unreadable file exits 66; a missing column or bad value exits 65."""
+    names `columns` and `label`, after one leading byte-order mark if any.
+    A label is 1/true/True or 0/false/False. An unreadable file exits 66; a
+    missing column or bad value exits 65."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EX_NOINPUT)
     with handle:
@@ -280,14 +268,11 @@ def _write_or_print(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _train_params(args, config: PipelineConfig) -> TrainParams:
-    """The training settings; a missing or negative seed, negative epochs,
-    a learning rate not above 0 or an l2 below 0 (either one not finite)
-    exits 64."""
-    if config.seed is None:
-        raise CliError("--seed is required for training commands", EX_USAGE)
-    if config.seed < 0:
-        raise CliError(f"--seed must be 0 or more, got {config.seed}", EX_USAGE)
+def _train_params(args) -> TrainParams:
+    """The training settings; a negative seed, negative epochs, a learning
+    rate not above 0 or an l2 below 0 (either one not finite) exits 64."""
+    if args.seed < 0:
+        raise CliError(f"--seed must be 0 or more, got {args.seed}", EX_USAGE)
     if args.epochs < 0:
         raise CliError(f"--epochs must be 0 or more, got {args.epochs}", EX_USAGE)
     if not (math.isfinite(args.learning_rate) and args.learning_rate > 0):
@@ -297,7 +282,7 @@ def _train_params(args, config: PipelineConfig) -> TrainParams:
         raise CliError(f"--l2 must be a finite number of 0 or more, got {args.l2}",
                        EX_USAGE)
     return TrainParams(epochs=args.epochs, learning_rate=args.learning_rate,
-                       l2=args.l2, seed=config.seed)
+                       l2=args.l2, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +330,8 @@ def _check_distinct_stems(inputs: list[str]) -> None:
 
 def _cmd_extract(args) -> int:
     config = _run_config(args)
-    if config.procedure_model is None:
-        raise CliError("a procedure model is required (--model or config)",
-                       EX_USAGE)
-    procedure_model = _load_model(ProcedureClassifierModel, config.procedure_model)
-    actionable_model = _actionable_model(config)
+    procedure_model = _load_model(ProcedureClassifierModel, Path(args.model))
+    actionable_model = _actionable_model(args)
     ablate_ids = (_parse_ablate_ids(args.ablate, "--ablate")
                   if args.ablate is not None else ())
     inputs = args.inputs
@@ -531,7 +513,7 @@ def feature_csv_rows(vectors: dict[int, FeatureVector],
 
 def _cmd_features(args) -> int:
     config = _run_config(args)
-    actionable_model = _actionable_model(config)
+    actionable_model = _actionable_model(args)
     tree = _load_document(args.input, args.format)
     run = pipeline.analyze(tree, actionable_model, config)
 
@@ -553,7 +535,7 @@ def _cmd_features(args) -> int:
 
 def _cmd_train_actionable(args) -> int:
     config = _run_config(args)
-    params = _train_params(args, config)
+    params = _train_params(args)
     labeled = _read_labeled_csv(args.corpus, ("text",), lambda v: v[0])
     try:
         model = train_actionable_model(labeled, params, config.tagger())
@@ -565,7 +547,8 @@ def _cmd_train_actionable(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    params = _train_params(args, _run_config(args))
+    _run_config(args)
+    params = _train_params(args)
     rows = _read_feature_csvs(args.features)
     try:
         model = classifier_mod.train(rows, params)
@@ -599,7 +582,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    params = _train_params(args, _run_config(args))
+    _run_config(args)
+    params = _train_params(args)
     ids = _parse_ablate_ids(args.ids, "--ids") if args.ids is not None else None
     train_rows = _read_feature_csvs(args.train)
     test_rows = _read_feature_csvs(args.test)

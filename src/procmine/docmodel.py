@@ -38,11 +38,13 @@ class SchemaError(ValueError):
 
 
 def decode_utf8(data: bytes) -> str:
-    """Decode document bytes; invalid UTF-8 is a SchemaError, not a crash."""
+    """Decode document bytes, dropping one leading byte-order mark; invalid
+    UTF-8 is a SchemaError, not a crash."""
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
+    return text.removeprefix("\ufeff")
 
 
 class HierarchyError(ValueError):

@@ -109,7 +109,8 @@ def compute_static_features(chunk: Chunk, tree: DocTree,
                        for s in u) for u in units]
 
     goal_items = [item.is_goal for item in annotation.items]
-    image_items = [item.associated_image for item in annotation.items]
+    image_items = [tree.node(item.node_id).associated_image
+                   for item in annotation.items]
 
     non_procedural, procedural = _context_flags(chunk.context_text, lexicons)
 

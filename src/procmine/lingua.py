@@ -126,9 +126,10 @@ class LexiconError(ValueError):
 
 def lexicon_lines(path: Path) -> list[tuple[int, str]]:
     """(line number, text) of each line of the lexicon file `path`,
-    stripped and lower-cased, skipping blank lines and `#` comments. Bytes
-    that are not UTF-8 raise LexiconError; an unreadable file, or one that
-    is not a regular file (reading a named pipe would block), OSError."""
+    stripped and lower-cased, skipping blank lines and `#` comments; one
+    leading byte-order mark is dropped. Bytes that are not UTF-8 raise
+    LexiconError; an unreadable file, or one that is not a regular file
+    (reading a named pipe would block), OSError."""
     if not stat.S_ISREG(path.stat().st_mode):  # follows a link
         raise OSError(errno.EINVAL, "not a regular file", str(path))
     data = path.read_bytes()
@@ -137,6 +138,7 @@ def lexicon_lines(path: Path) -> list[tuple[int, str]]:
     except UnicodeDecodeError as exc:  # name the line of the first bad byte
         lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise LexiconError(f"{path}, line {lineno}: not UTF-8") from None
+    text = text.removeprefix("\ufeff")
     lines = enumerate((line.strip() for line in text.splitlines()), 1)
     return [(lineno, line.lower()) for lineno, line in lines
             if line and not line.startswith("#")]

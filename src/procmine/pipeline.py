@@ -1,21 +1,19 @@
 """End-to-end wiring: document -> tree -> chunks -> annotations ->
 features -> bottom-up classification -> extracted procedures.
 
-`PipelineConfig` is the one run configuration: a flat key=value file
-merged with command-line flags (flags win), whose referenced paths are
-checked up front so a bad config fails before any work starts. Each
-lexicon file comes from its `lexicon_dir` when that holds it and from the
-bundled set otherwise. `_lexicons` is the one loader of them all, through
-`lingua.lexicon_lines`, once per process per directory; the same
-read-only tagger, goal cues and context lists go to every document run
-that names that directory. Each document run is otherwise self-contained:
-it shares no mutable state with other runs, so the CLI can run several
-documents in forked worker processes.
+`PipelineConfig` is the one run configuration: the lexicon directory, or
+None for the bundled set. Each lexicon file comes from that directory when
+it holds it and from the bundled set otherwise. `_lexicons` is the one
+loader of them all, through `lingua.lexicon_lines`, once per process per
+directory; the same read-only tagger, goal cues and context lists go to
+every document run that names that directory. Each document run is
+otherwise self-contained: it shares no mutable state with other runs, so
+the CLI can run several documents in forked worker processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -30,25 +28,6 @@ from .features import ContextLexicons, FeatureVector
 from .goals import GoalCueConfig
 from .lingua import (LexiconError, Tagger, lexicon_file, lexicon_lines,
                      load_lexicon)
-
-_PATH_KEYS = ("lexicon_dir", "actionable_model", "procedure_model")
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _read_config_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
 
 
 def _goal_cues(path: Path) -> GoalCueConfig:
@@ -72,7 +51,11 @@ def _lexicons(lexicon_dir: Path | None
               ) -> tuple[Tagger, GoalCueConfig, ContextLexicons]:
     """The tagger, goal cues and context lexicons of a run, read once per
     process per directory and shared read-only by every run that names it.
-    A bad file raises LexiconError; an unreadable one, OSError."""
+    A bad file raises LexiconError; an unreadable one, or a directory that
+    is missing or is not a directory, OSError."""
+    if lexicon_dir is not None and not Path(lexicon_dir).is_dir():
+        raise OSError(f"{lexicon_dir} is missing or is not a directory")
+
     def words(name: str) -> frozenset[str]:
         return frozenset(text for _, text in
                          lexicon_lines(lexicon_file(lexicon_dir, name)))
@@ -87,42 +70,6 @@ def _lexicons(lexicon_dir: Path | None
 @dataclass
 class PipelineConfig:
     lexicon_dir: Path | None = None
-    actionable_model: Path | None = None
-    procedure_model: Path | None = None
-    seed: int | None = None
-
-    @classmethod
-    def from_sources(cls, config_path: str | Path | None,
-                     overrides: dict) -> "PipelineConfig":
-        """The key=value file at `config_path` (if any) with every
-        non-None value of `overrides` taking precedence; a key that names
-        no setting is a ConfigError."""
-        values = _read_config_file(config_path) if config_path is not None else {}
-        values.update((k, v) for k, v in overrides.items() if v is not None)
-        unknown = [key for key in values if key not in _KEYS]
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        config = cls()
-        for key in _PATH_KEYS:
-            if values.get(key):
-                setattr(config, key, Path(values[key]))
-        if "seed" in values:
-            config.seed = int(values["seed"])
-        return config
-
-    def check_paths(self) -> list[str]:
-        """`key: path` for every configured path that does not exist or,
-        for lexicon_dir, is not a directory."""
-        problems = []
-        for key in _PATH_KEYS:
-            value = getattr(self, key)
-            if value is None:
-                continue
-            if not value.exists():
-                problems.append(f"{key}: {value} does not exist")
-            elif key == "lexicon_dir" and not value.is_dir():
-                problems.append(f"{key}: {value} is not a directory")
-        return problems
 
     def tagger(self) -> Tagger:
         return _lexicons(self.lexicon_dir)[0]
@@ -132,9 +79,6 @@ class PipelineConfig:
 
     def context_lexicons(self) -> ContextLexicons:
         return _lexicons(self.lexicon_dir)[2]
-
-
-_KEYS = tuple(f.name for f in fields(PipelineConfig))
 
 
 @dataclass

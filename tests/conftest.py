@@ -169,6 +169,40 @@ def procedures_json_fields(payload: bytes) -> list[tuple]:
             for p in json.loads(payload)]
 
 
+def tree_to_sdjson(tree: DocTree) -> dict:
+    """An sdjson/1 document that parses to `tree`: its headings, paragraphs
+    and section-level lists as elements in document order, each list with
+    its sublists. A tree sdjson cannot spell (an image flag on the title or
+    on a list block, an item with two sublists) fails an assertion."""
+    def image(node: DocNode) -> dict:
+        return {"image": True} if node.associated_image else {}
+
+    def spell_list(block: DocNode) -> dict:
+        assert not block.associated_image, f"list block {block.id} has an image"
+        items = []
+        for item in map(tree.node, block.children):
+            assert len(item.children) <= 1, f"item {item.id} has two sublists"
+            entry = {"text": item.text, **image(item)}
+            if item.children:
+                entry["sublist"] = spell_list(tree.node(item.children[0]))
+            items.append(entry)
+        return {"type": "list", "ordered": block.ordered, "items": items}
+
+    root = tree.node(tree.root)
+    assert not root.associated_image, "the title has an image"
+    elements = []
+    for node in tree.preorder():
+        if node.kind is Kind.HEADING:
+            elements.append({"type": "heading", "level": node.level,
+                             "text": node.text, **image(node)})
+        elif node.kind is Kind.PARAGRAPH:
+            elements.append({"type": "paragraph", "text": node.text, **image(node)})
+        elif (node.kind is Kind.LIST_BLOCK
+              and tree.node(tree.parent_of(node.id)).kind is not Kind.LIST_ITEM):
+            elements.append(spell_list(node))
+    return {"version": "sdjson/1", "title": root.text, "elements": elements}
+
+
 # ---------------------------------------------------------------------------
 # Oracle: `extractor.serialize` before it wrote the schema directly.
 

@@ -46,6 +46,14 @@ def edited_model(path, name, **changes):
     return write(path, json.dumps(doc))
 
 
+def edited_vocabulary(path, index, **changes):
+    """A copy of the bundled actionable model with keys of one vocabulary
+    entry replaced."""
+    doc = json.loads((CORPUS / "models" / "actionable.json").read_text())
+    doc["vocabulary"][index].update(changes)
+    return write(path, json.dumps(doc))
+
+
 def hand_model(path, imperative_weight):
     """A procedure model whose margin is imperative_weight * f1 - 1 on
     unscaled features: with weight 2 a chunk of all-imperative items is a
@@ -113,6 +121,7 @@ FEATURE_HEADER = ",".join(["chunk_id", *(f"f{i}" for i in range(1, 16)), "label"
 TWO_CLASS_FEATURES = "\n".join([FEATURE_HEADER, "1," + "1," * 15 + "1",
                                 "2," + "0," * 15 + "0"]) + "\n"
 ACTIONABLE_CSV = str(CORPUS / "actionable_sentences.csv")
+BOM = b"\xef\xbb\xbf"
 
 # command -> (expected exit code, argv built in a scratch directory)
 BAD_INPUTS = {
@@ -121,8 +130,6 @@ BAD_INPUTS = {
     "ablate-missing-csv": (66, lambda d: [
         "ablate", "--train", str(d / "none.csv"), "--test", str(d / "none.csv"),
         "--seed", "1"]),
-    "config-is-directory": (66, lambda d: [
-        "ingest", str(DOC), "--config", str(d)]),
     "eval-non-integer-chunk-id": (65, lambda d: [
         "eval", write(d / "p.csv", "chunk_id,depth,label,margin\none,0,1,1.0\n"),
         write(d / "g.csv", "chunk_id,label\n1,1\n")]),
@@ -197,8 +204,6 @@ BAD_INPUTS = {
     "actionable-model-vocabulary-not-objects": (65, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "--actionable-model",
         edited_model(d / "a.json", "actionable", vocabulary=[1] * 107)]),
-    "config-unknown-key": (65, lambda d: [
-        "ingest", str(DOC), "--config", write(d / "run.cfg", "role_weight=1,2,3\n")]),
     "ingest-output-in-missing-directory": (64, lambda d: [
         "ingest", str(DOC), "-o", str(d / "missing" / "t.json")]),
     "extract-output-in-missing-directory": (64, lambda d: [
@@ -230,9 +235,6 @@ BAD_INPUTS = {
     "ablate-negative-seed": (64, lambda d: [
         "ablate", "--train", write(d / "f.csv", FEATURE_HEADER + "\n"),
         "--test", str(d / "f.csv"), "--seed", "-1"]),
-    "train-actionable-negative-seed-in-config": (64, lambda d: [
-        "train-actionable", ACTIONABLE_CSV, "--config", write(d / "run.cfg", "seed=-2\n"),
-        "-o", str(d / "m.json")]),
     "train-negative-l2": (64, lambda d: [
         "train", write(d / "f.csv", FEATURE_HEADER + "\n"), "--seed", "1",
         "--learning-rate", "1", "--l2", "-1", "-o", str(d / "m.json")]),
@@ -260,26 +262,21 @@ BAD_INPUTS = {
     "extract-one-input-twice": (64, lambda d: [
         "extract", str(DOC), str(CORPUS / "nested-fixture.md"), str(DOC),
         "--model", PROCEDURE, "-o", str(d / "out")]),
-    "extract-non-finite-role-weights": (65, lambda d: [
-        "extract", str(DOC), "--model", PROCEDURE,
-        "--config", write(d / "run.cfg", "role_weights=nan inf -1\n"),
-        "-o", str(d / "out.json")]),
     "extract-lexicon-dir-is-a-file": (66, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "--lexicon-dir", str(DOC),
         "-o", str(d / "out.json")]),
-    "config-cue-file-key": (65, lambda d: [
-        "ingest", str(DOC), "--config", write(d / "run.cfg", "cue_file=c.txt\n")]),
-    "config-role-weights-key": (65, lambda d: [
-        "ingest", str(DOC),
-        "--config", write(d / "run.cfg", "role_weights=3,2,1\n")]),
     "extract-seed": (64, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "--seed", "1"]),
-    "config-context-procedural-key": (65, lambda d: [
-        "ingest", str(DOC),
-        "--config", write(d / "run.cfg", "context_procedural=p.txt\n")]),
-    "config-context-nonprocedural-key": (65, lambda d: [
-        "ingest", str(DOC),
-        "--config", write(d / "run.cfg", "context_nonprocedural=n.txt\n")]),
+    "ingest-config-flag": (64, lambda d: [
+        "ingest", str(DOC), "--config", write(d / "run.cfg", "\n")]),
+    "extract-without-model": (64, lambda d: [
+        "extract", str(DOC), "-o", str(d / "out.json")]),
+    "extract-actionable-model-repeated-term": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--actionable-model", edited_vocabulary(d / "a.json", 1, term="account")]),
+    "extract-actionable-model-df-not-integer": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--actionable-model", edited_vocabulary(d / "a.json", 0, df={"n": 17})]),
     "eval-duplicate-gold-row": (65, lambda d: [
         "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
         write(d / "g.csv", "chunk_id,label\n1,1\n1,0\n")]),
@@ -796,15 +793,6 @@ class TestTraining:
         assert code == 64
         assert "seed" in err
 
-    def test_seed_from_config_file(self, capsys, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("seed=7\n")
-        out = tmp_path / "m.json"
-        code, _, _ = run_main(
-            ["train-actionable", str(CORPUS / "actionable_sentences.csv"),
-             "--config", str(config), "-o", str(out)], capsys)
-        assert code == 0
-
     def test_train_procedure_from_features(self, capsys, tmp_path):
         features = tmp_path / "features.csv"
         labels = CORPUS / "labels" / "appliance-quickstart.labels.csv"
@@ -870,6 +858,37 @@ class TestEvalCommand:
         assert code == 65
 
 
+class TestByteOrderMark:
+    """Inputs that start with a UTF-8 byte-order mark, as some editors and
+    spreadsheets write them, read as their copies without one."""
+
+    @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda path: path.name)
+    def test_markdown_document_gives_its_golden_bytes(self, capsys, tmp_path, path):
+        doc = tmp_path / path.name
+        doc.write_bytes(BOM + path.read_bytes())
+        out = tmp_path / "out.json"
+        code, _, _ = run_main(["extract", str(doc), *MODELS, "-o", str(out)], capsys)
+        assert code == 0
+        golden = CORPUS / "golden" / (path.stem + ".procedures.json")
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_markdown_title_is_kept(self, capsys, tmp_path):
+        doc = tmp_path / "bom.md"
+        doc.write_bytes(BOM + b"# Reset Guide\n\n1. Hold the button.\n")
+        code, out, _ = run_main(["ingest", str(doc)], capsys)
+        assert code == 0
+        assert [n["text"] for n in json.loads(out)["nodes"]] == \
+            ["Reset Guide", "", "Hold the button."]
+
+    def test_labels_csv(self, capsys, tmp_path):
+        plain = CORPUS / "labels" / "appliance-quickstart.labels.csv"
+        marked = tmp_path / plain.name
+        marked.write_bytes(BOM + plain.read_bytes())
+        assert cli.read_labels_csv(marked) == cli.read_labels_csv(plain)
+        assert run_main(["eval", str(marked), str(marked)], capsys) == \
+            run_main(["eval", str(plain), str(plain)], capsys)
+
+
 class TestLexiconOverride:
     def test_lexicon_dir_changes_tagging(self, capsys, tmp_path):
         # a lexicon dir without "frobnicate" vs one with it as a verb
@@ -895,18 +914,19 @@ class TestLexiconOverride:
         assert custom_f1 == ["1.0"]
 
     def test_missing_configured_path_exits_66(self, capsys):
-        code, _, err = run_main(["features", str(DOC),
+        code, out, err = run_main(["features", str(DOC),
                                  "--lexicon-dir", "/does/not/exist",
                                  "-o", "/dev/null"], capsys)
-        assert code == 66
-        assert "lexicon_dir" in err
+        assert (code, out) == (66, "")
+        assert err == ("cannot read lexicon: /does/not/exist is missing or "
+                       "is not a directory\n")
 
     def test_lexicon_dir_that_is_a_file_exits_66(self, capsys, tmp_path):
         code, out, err = run_main(["extract", str(DOC), *MODELS,
                                    "--lexicon-dir", str(DOC),
                                    "-o", str(tmp_path / "out.json")], capsys)
         assert (code, out) == (66, "")
-        assert err == f"bad configured paths: lexicon_dir: {DOC} is not a directory\n"
+        assert err == f"cannot read lexicon: {DOC} is missing or is not a directory\n"
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("command", [["extract", str(DOC), *MODELS],

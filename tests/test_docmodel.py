@@ -7,8 +7,17 @@ from hypothesis import given, settings, strategies as st
 from procmine.docmodel import (DocNode, HierarchyError, Kind, SchemaError,
                                parse_markdown, parse_sdjson, tree_to_json)
 
+from procmine import extractor, pipeline
+from procmine.actionable import ActionableModel
+from procmine.classifier import ProcedureClassifierModel
+
 from conftest import (CORPUS_DIR, assert_well_formed, make_tree, node_fields,
-                      random_sdjson, tree_json_node_fields, validate_tree)
+                      random_sdjson, tree_json_node_fields, tree_to_sdjson,
+                      validate_tree)
+
+CORPUS_DOCS = [*sorted((CORPUS_DIR / "docs").glob("*.md")),
+               CORPUS_DIR / "nested-fixture.md"]
+BOM = b"\xef\xbb\xbf"
 
 
 def sdjson(elements, title="Doc"):
@@ -142,6 +151,14 @@ class TestParseSdjson:
         with pytest.raises(SchemaError, match=path + " field 'image' must be bool"):
             parse_sdjson(sdjson([element]))
 
+
+    def test_byte_order_mark_is_dropped(self):
+        data = sdjson([{"type": "paragraph", "text": "Open the panel."}]).encode()
+        assert node_fields(parse_sdjson(BOM + data)) == node_fields(parse_sdjson(data))
+
+    def test_only_one_byte_order_mark_is_dropped(self):
+        with pytest.raises(SchemaError, match="BOM"):
+            parse_sdjson(BOM * 2 + sdjson([]).encode())
 
 class TestParseMarkdown:
     def test_title_and_two_step_headings(self):
@@ -289,3 +306,31 @@ class TestBuilderGuarantees:
                              ids=lambda path: path.name)
     def test_corpus_documents_are_well_formed(self, path):
         assert_well_formed(parse_markdown(path.read_text("utf-8"), path.stem))
+
+
+class TestCorpusThroughSdjson:
+    """Each corpus document spelled in sdjson parses to the tree its
+    Markdown gives and extracts to its golden bytes."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return (ActionableModel.load(CORPUS_DIR / "models" / "actionable.json"),
+                ProcedureClassifierModel.load(CORPUS_DIR / "models" / "procedure.json"))
+
+    def test_renderer_round_trips_random_trees(self):
+        """The renderer's sublists and image flags, which no corpus
+        document has."""
+        rng = random.Random(19)
+        for _ in range(100):
+            tree = parse_sdjson(json.dumps(random_sdjson(rng)))
+            reparsed = parse_sdjson(json.dumps(tree_to_sdjson(tree)))
+            assert node_fields(reparsed) == node_fields(tree)
+
+    @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda path: path.name)
+    def test_same_tree_and_golden_output(self, models, path):
+        tree = pipeline.load_document(path)
+        reparsed = parse_sdjson(json.dumps(tree_to_sdjson(tree)).encode("utf-8"))
+        assert node_fields(reparsed) == node_fields(tree)
+        run = pipeline.run_document(reparsed, *models)
+        golden = CORPUS_DIR / "golden" / (path.stem + ".procedures.json")
+        assert extractor.serialize(run.procedures) == golden.read_bytes()

@@ -242,12 +242,42 @@ def negative_tf_idf_min(model):
     return {"scaler": MinMaxScaler(mins=tuple(mins), maxs=model.scaler.maxs)}
 
 
+def vocabulary_edit(**fields):
+    """An edit of the actionable vocabulary: each field a function of the
+    bundled vocabulary's value, with `terms` and `document_frequency` lists."""
+    def edit(model):
+        vocab = model.vocabulary
+        values = {"terms": list(vocab.terms),
+                  "document_frequency": list(vocab.document_frequency),
+                  "total_sentences": vocab.total_sentences}
+        values.update((name, change(values[name])) for name, change in fields.items())
+        return {"vocabulary": replace(
+            vocab, terms=tuple(values["terms"]),
+            document_frequency=tuple(values["document_frequency"]),
+            total_sentences=values["total_sentences"])}
+    return edit
+
+
+VOCABULARY_EDITS = {
+    "repeated-term": vocabulary_edit(terms=lambda t: [t[0], t[0], *t[2:]]),
+    "terms-out-of-order": vocabulary_edit(terms=lambda t: [t[1], t[0], *t[2:]]),
+    "df-object": vocabulary_edit(document_frequency=lambda d: [{"n": 3}, *d[1:]]),
+    "df-bool": vocabulary_edit(document_frequency=lambda d: [True, *d[1:]]),
+    "df-float": vocabulary_edit(document_frequency=lambda d: [3.0, *d[1:]]),
+    "df-zero": vocabulary_edit(document_frequency=lambda d: [0, *d[1:]]),
+    "df-above-total": vocabulary_edit(total_sentences=lambda _: 3),
+    "total-sentences-list": vocabulary_edit(total_sentences=lambda n: [n]),
+}
+
+
 @pytest.mark.parametrize("cls, edit", [
     (ActionableModel, short_weights), (ActionableModel, short_scaler),
     (ActionableModel, negative_tf_idf_min),
+    *((ActionableModel, edit) for edit in VOCABULARY_EDITS.values()),
     (ProcedureClassifierModel, short_weights),
     (ProcedureClassifierModel, short_scaler),
 ], ids=["actionable-weights", "actionable-scaler", "actionable-tf-idf-range",
+        *(f"actionable-{name}" for name in VOCABULARY_EDITS),
         "procedure-weights", "procedure-scaler"])
 def test_construction_refuses_what_the_loader_refuses(models, cls, edit):
     """A model is checked when it is built, not only when it is read: the
@@ -257,6 +287,12 @@ def test_construction_refuses_what_the_loader_refuses(models, cls, edit):
     doc = json.loads(model.to_json())
     if "weights" in changes:
         doc["weights"] = list(changes["weights"])
+    elif "vocabulary" in changes:
+        vocab = changes["vocabulary"]
+        for entry, term, df in zip(doc["vocabulary"], vocab.terms,
+                                   vocab.document_frequency):
+            entry.update(term=term, df=df)
+        doc["total_sentences"] = vocab.total_sentences
     else:
         doc["scaler"] = [{"min": lo, "max": hi} for lo, hi in
                          zip(changes["scaler"].mins, changes["scaler"].maxs)]

@@ -10,9 +10,8 @@ from procmine import (actionable, chunker, classifier, extractor, features,
                       lingua, pipeline)
 from procmine.goals import GoalCueConfig
 from procmine.lingua import LexiconError
-from procmine.cli import main
 from procmine.docmodel import DocTree, Kind, parse_markdown, parse_sdjson
-from procmine.pipeline import ConfigError, PipelineConfig
+from procmine.pipeline import PipelineConfig
 
 from conftest import (check_links, procedure_fields, procedures_json_fields,
                       random_sdjson, random_tree)
@@ -164,31 +163,6 @@ class TestLinearWork:
 
 
 class TestPipelineConfig:
-    def test_defaults_without_sources(self):
-        config = PipelineConfig.from_sources(None, {})
-        assert config == PipelineConfig()
-
-    def test_flag_wins_over_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("seed=7\nlexicon_dir=from-file\n")
-        config = PipelineConfig.from_sources(
-            path, {"seed": 3, "lexicon_dir": "from-flag", "procedure_model": None})
-        assert config.seed == 3
-        assert config.lexicon_dir == Path("from-flag")
-        assert config.procedure_model is None
-
-    @pytest.mark.parametrize("line", ["role_weight=1,2,3",
-                                      "role_weights=3,2,1",
-                                      "procedure_modle=m.json",
-                                      "cue_file=cues.txt",
-                                      "context_procedural=p.txt",
-                                      "context_nonprocedural=n.txt"])
-    def test_unknown_key_raises_naming_it(self, tmp_path, line):
-        path = tmp_path / "run.cfg"
-        path.write_text(line + "\n")
-        with pytest.raises(ConfigError, match=line.partition("=")[0]):
-            PipelineConfig.from_sources(path, {})
-
     def test_each_lexicon_file_from_lexicon_dir_else_bundled(self, tmp_path):
         (tmp_path / "context_procedural.txt").write_text("frobnicate\n")
         (tmp_path / "goal_cues.txt").write_text("prefix:how to\n")
@@ -247,18 +221,12 @@ class TestPipelineConfig:
                     "goal_cues.txt"]
         assert sorted(r for r in reads if r in lexicons) == lexicons
 
-    def test_blank_lines_and_comments_skipped(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# run settings\n\n   \n  # seed=1\nseed = 9\n")
-        assert PipelineConfig.from_sources(path, {}).seed == 9
-
-    def test_line_without_equals_exits_65(self, tmp_path, capsys):
-        path = tmp_path / "run.cfg"
-        path.write_text("seed 9\n")
-        code = main(["ingest", str(CORPUS / "nested-fixture.md"),
-                     "--config", str(path), "-o", str(tmp_path / "tree.json")])
-        assert code == 65
-        assert "expected key=value" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", ["missing", "a-file"])
+    def test_lexicon_dir_that_is_not_a_directory_raises(self, tmp_path, name):
+        (tmp_path / "a-file").write_text("not a directory\n")
+        tree = parse_markdown("# T\n\n1. Open the panel.\n", source_name="t")
+        with pytest.raises(OSError):
+            pipeline.analyze(tree, None, PipelineConfig(lexicon_dir=tmp_path / name))
 
 
 class TestLexiconFiles:
@@ -291,6 +259,19 @@ class TestLexiconFiles:
         with pytest.raises(LexiconError) as raised:
             pipeline._lexicons(tmp_path)
         assert str(raised.value).startswith(f"{tmp_path / name}, {message}")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """Every file, copied with a leading byte-order mark, reads as the
+        bundled one: the same lines, line numbers, tagger lexicon, goal cues
+        and context lists."""
+        bundled = lingua.bundled_data_dir()
+        for name in LEXICON_NAMES:
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (bundled / name).read_bytes())
+            assert lingua.lexicon_lines(tmp_path / name) == \
+                lingua.lexicon_lines(bundled / name), name
+        tagger, cues, context = pipeline._lexicons(tmp_path)
+        assert tagger.lexicon == lingua.default_lexicon()
+        assert (cues, context) == pipeline._lexicons(None)[1:]
 
     def test_goal_cues_without_a_prefix_keep_the_default_prefixes(self, tmp_path):
         (tmp_path / "goal_cues.txt").write_text("# no prefixes\ngerund_opening:off\n")
