@@ -5,8 +5,8 @@ from .annotate import AnnotatedSentence, ChunkAnnotation, ItemAnnotation, annota
 from .chunker import Chunk, ChunkKind, ChunkSet, build_chunks, chunk_size
 from .classifier import (ChunkPrediction, Metrics, ProcedureClassifierModel,
                          ablate, classify_tree, evaluate)
-from .docmodel import (DocNode, DocTree, HierarchyError, Kind, SchemaError,
-                       parse_markdown, parse_sdjson)
+from .docmodel import (DocNode, DocTree, Kind, SchemaError, parse_markdown,
+                       parse_sdjson)
 from .extractor import Procedure, Step, extract, serialize
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
                        compute_static_features, update_propagated_features)

@@ -110,8 +110,8 @@ class ActionableModel(linear.LinearModel):
     terms, which is exact only when a tf-idf of 0 scales to 0, so building
     a model also checks that every tf-idf range has 0 <= min <= max, as
     training always gives, that every idf is finite, and that the terms
-    strictly increase and each df is an integer from 1 to total_sentences,
-    as `build_vocabulary` writes them."""
+    strictly increase, each with one df and one idf, and each df is an
+    integer from 1 to total_sentences, as `build_vocabulary` writes them."""
 
     vocabulary: Vocabulary
 
@@ -124,6 +124,8 @@ class ActionableModel(linear.LinearModel):
     def __post_init__(self) -> None:
         super().__post_init__()
         vocab = self.vocabulary
+        if not len(vocab.document_frequency) == len(vocab.idf) == len(vocab):
+            raise VersionMismatch("vocabulary needs one df and one idf per term")
         if not all(map(math.isfinite, vocab.idf)):
             raise VersionMismatch("idf must be finite numbers")
         if not all(a < b for a, b in zip(vocab.terms, vocab.terms[1:])):

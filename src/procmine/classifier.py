@@ -19,7 +19,6 @@ from operator import attrgetter
 from . import linear
 from .annotate import ChunkAnnotation
 from .chunker import ChunkSet
-from .docmodel import DocTree
 # update_propagated_features stays imported by name: perfbench/tracer.py
 # patches it in this module.
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
@@ -77,7 +76,7 @@ def _zero_features(vector: FeatureVector, feature_ids) -> FeatureVector:
                                for fid, value in enumerate(vector, 1))
 
 
-def classify_tree(tree: DocTree, chunks: ChunkSet,
+def classify_tree(chunks: ChunkSet,
                   static_features: dict[int, FeatureVector],
                   annotations: dict[int, ChunkAnnotation],
                   model: ProcedureClassifierModel, *,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ingest, extract, features, train-actionable, train, eval,
-ablate. Each setting is one flag. Every command reads the lexicons of
---lexicon-dir before any work, and each kind of input through one loader:
+ablate. Each setting is one flag, on the commands that read it: the three
+that tag text (extract, features, train-actionable) take --lexicon-dir and
+read its lexicons before any work. Each kind of input has one loader:
 documents, model files, and labeled CSVs. Machine-readable output goes to
 stdout or -o targets, all written through `_write`; diagnostics go to
 stderr. Exit codes: 0 ok, 2 malformed document, 64 usage or unwritable
@@ -32,7 +33,7 @@ from .actionable import ActionableModel, EmptyCorpus
 from .actionable import train as train_actionable_model
 from .classifier import (Metrics, MissingPrediction, ProcedureClassifierModel,
                          ablation_report)
-from .docmodel import HierarchyError, SchemaError, tree_to_json
+from .docmodel import SchemaError, tree_to_json
 from .features import FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector
 from .linear import DegenerateLabels, NonFinite, TrainParams
 from .lingua import LexiconError
@@ -63,7 +64,7 @@ def _build_parser() -> _Parser:
                      description="Extract procedures from technical documents.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p):
+    def tagging(p):  # the commands that tag text
         p.add_argument("--lexicon-dir", dest="lexicon_dir",
                        help="directory overriding the bundled lexicons")
 
@@ -78,7 +79,6 @@ def _build_parser() -> _Parser:
     p_ingest.add_argument("input")
     p_ingest.add_argument("-f", "--format", choices=["md", "sdjson"])
     p_ingest.add_argument("-o", "--output", help="tree JSON path (default stdout)")
-    shared(p_ingest)
 
     p_extract = sub.add_parser("extract", help="run the full pipeline")
     p_extract.add_argument("inputs", nargs="+")
@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     p_extract.add_argument("--ablate", help="comma-separated feature ids to zero")
     p_extract.add_argument("--dump-graphs", action="store_true",
                            help="dump per-chunk entity graphs to stderr")
-    shared(p_extract)
+    tagging(p_extract)
 
     p_features = sub.add_parser("features", help="dump per-chunk feature vectors")
     p_features.add_argument("input")
@@ -104,25 +104,23 @@ def _build_parser() -> _Parser:
     p_features.add_argument("-o", "--output", help="feature CSV (default stdout)")
     p_features.add_argument("--chunk-dump", dest="chunk_dump",
                             help="also write a chunk summary CSV here")
-    shared(p_features)
+    tagging(p_features)
 
     p_ta = sub.add_parser("train-actionable",
                           help="train the actionable-statement model")
     p_ta.add_argument("corpus", help="CSV with text,label rows")
     p_ta.add_argument("-o", "--output", required=True)
     training(p_ta)
-    shared(p_ta)
+    tagging(p_ta)
 
     p_train = sub.add_parser("train", help="train the procedure classifier")
     p_train.add_argument("features", nargs="+", help="labeled feature CSVs")
     p_train.add_argument("-o", "--output", required=True)
     training(p_train)
-    shared(p_train)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold labels")
     p_eval.add_argument("predictions", help="prediction log CSV")
     p_eval.add_argument("gold", help="gold labels CSV")
-    shared(p_eval)
 
     p_ablate = sub.add_parser("ablate", help="feature-elimination study")
     p_ablate.add_argument("--train", nargs="+", required=True,
@@ -134,7 +132,6 @@ def _build_parser() -> _Parser:
     group.add_argument("--ids", help="comma-separated feature ids to remove")
     p_ablate.add_argument("-o", "--output", help="report CSV (default stdout)")
     training(p_ablate)
-    shared(p_ablate)
     return parser
 
 
@@ -153,7 +150,7 @@ def _run_config(args) -> PipelineConfig:
 def _load_document(path: str, fmt: str | None):
     try:
         return pipeline.load_document(path, fmt)
-    except (SchemaError, HierarchyError) as exc:
+    except SchemaError as exc:
         raise CliError(f"{path}: {exc}", EX_DOCUMENT)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EX_NOINPUT)
@@ -227,12 +224,19 @@ def read_labels_csv(path: str | Path) -> dict[int, bool]:
 _FEATURE_COLUMNS = tuple(f"f{i}" for i in range(1, len(FEATURE_NAMES) + 1))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"feature values must be finite, got {text!r}")
+    return value
+
+
 def _read_feature_csvs(paths: list[str]) -> list[tuple[FeatureVector, bool]]:
     rows: list[tuple[FeatureVector, bool]] = []
     for path in paths:
         rows.extend(_read_labeled_csv(
             path, _FEATURE_COLUMNS,
-            lambda v: FeatureVector(*map(float, v))))
+            lambda v: FeatureVector(*map(_finite, v))))
     return rows
 
 
@@ -289,7 +293,6 @@ def _train_params(args) -> TrainParams:
 # Commands
 
 def _cmd_ingest(args) -> int:
-    _run_config(args)
     tree = _load_document(args.input, args.format)
     _write_or_print(tree_to_json(tree), args.output)
     return EX_OK
@@ -537,23 +540,16 @@ def _cmd_train_actionable(args) -> int:
     config = _run_config(args)
     params = _train_params(args)
     labeled = _read_labeled_csv(args.corpus, ("text",), lambda v: v[0])
-    try:
-        model = train_actionable_model(labeled, params, config.tagger())
-    except (DegenerateLabels, EmptyCorpus, NonFinite) as exc:
-        raise CliError(str(exc), EX_DATA)
+    model = train_actionable_model(labeled, params, config.tagger())
     _write(args.output, model.to_json())
     sys.stderr.write(f"trained actionable model on {len(labeled)} sentences\n")
     return EX_OK
 
 
 def _cmd_train(args) -> int:
-    _run_config(args)
     params = _train_params(args)
     rows = _read_feature_csvs(args.features)
-    try:
-        model = classifier_mod.train(rows, params)
-    except (DegenerateLabels, NonFinite) as exc:
-        raise CliError(str(exc), EX_DATA)
+    model = classifier_mod.train(rows, params)
     _write(args.output, model.to_json())
     sys.stderr.write(f"trained procedure classifier on {len(rows)} chunks\n")
     return EX_OK
@@ -568,13 +564,9 @@ def _metrics_fields(metrics: Metrics) -> list[str]:
 
 
 def _cmd_eval(args) -> int:
-    _run_config(args)
     predicted = read_labels_csv(args.predictions)
     gold = read_labels_csv(args.gold)
-    try:
-        metrics = classifier_mod.evaluate_labels(predicted, gold)
-    except MissingPrediction as exc:
-        raise CliError(exc.args[0], EX_DATA)
+    metrics = classifier_mod.evaluate_labels(predicted, gold)
     if metrics.undefined_precision or metrics.undefined_recall:
         sys.stderr.write("warning: zero-denominator metric reported as 0\n")
     sys.stdout.write(_csv(_METRICS_HEADER, [_metrics_fields(metrics)]))
@@ -582,25 +574,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _run_config(args)
     params = _train_params(args)
     ids = _parse_ablate_ids(args.ids, "--ids") if args.ids is not None else None
     train_rows = _read_feature_csvs(args.train)
     test_rows = _read_feature_csvs(args.test)
 
-    try:
-        if ids is not None:
-            report = [(f"ids:{args.ids}",
-                       classifier_mod.ablate(ids, train_rows, test_rows, params))]
-        elif args.category:
-            ids = FEATURE_CATEGORIES[args.category]
-            report = [(args.category,
-                       classifier_mod.ablate(ids, train_rows, test_rows, params))]
-        else:
-            report = ablation_report(train_rows, test_rows, params)
-    except (DegenerateLabels, NonFinite) as exc:
-        raise CliError(str(exc), EX_DATA)
-
+    if ids is not None:
+        report = [(f"ids:{args.ids}",
+                   classifier_mod.ablate(ids, train_rows, test_rows, params))]
+    elif args.category:
+        ids = FEATURE_CATEGORIES[args.category]
+        report = [(args.category,
+                   classifier_mod.ablate(ids, train_rows, test_rows, params))]
+    else:
+        report = ablation_report(train_rows, test_rows, params)
     _write_or_print(_csv(["category", *_METRICS_HEADER],
                          ([name, *_metrics_fields(metrics)]
                           for name, metrics in report)), args.output)
@@ -626,6 +613,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         sys.stderr.write(str(exc) + "\n")
         return exc.code
+    except (DegenerateLabels, EmptyCorpus, NonFinite, MissingPrediction) as exc:
+        sys.stderr.write(exc.args[0] + "\n")
+        return EX_DATA
 
 
 if __name__ == "__main__":

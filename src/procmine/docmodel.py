@@ -5,7 +5,7 @@ format (``sdjson/1``) emitted by upstream converters, and a Markdown subset
 for authoring test corpora by hand. Both build through one `_Builder`,
 which alone keeps the heading outline and sets every node's parent and
 depth, so a parsed tree needs no separate validation pass. Trees are
-immutable once built.
+immutable once built. A malformed document raises `SchemaError`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class Kind(str, Enum):
     PARAGRAPH = "paragraph"
     LIST_BLOCK = "list_block"
     LIST_ITEM = "list_item"
-    FIGURE = "figure"
 
 
 class SchemaError(ValueError):
@@ -45,10 +44,6 @@ def decode_utf8(data: bytes) -> str:
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
     return text.removeprefix("\ufeff")
-
-
-class HierarchyError(ValueError):
-    """A heading level below 1: the outline has no place for it."""
 
 
 @dataclass(frozen=True)
@@ -245,8 +240,8 @@ def parse_sdjson(data: bytes | str, source_name: str = "") -> DocTree:
     """Parse structured-document JSON into a tree.
 
     Raises SchemaError on malformed input (with the offending path), also
-    when it nests too deep for the recursive JSON decoder, and
-    HierarchyError on a heading level below 1.
+    when it nests too deep for the recursive JSON decoder or gives a
+    heading level below 1.
     """
     if isinstance(data, bytes):
         data = decode_utf8(data)
@@ -281,7 +276,7 @@ def _parse_sdjson(data: str, source_name: str) -> DocTree:
         if etype == "heading":
             level = _require(element, "level", int, path)
             if level < 1:
-                raise HierarchyError(f"{path}: heading level must be >= 1, got {level}")
+                raise SchemaError(f"heading level must be >= 1, got {level}", path)
             text = _require(element, "text", str, path)
             builder.heading(level, text, _image(element, path))
         elif etype == "paragraph":

@@ -216,13 +216,15 @@ def fit_models(cls: type[LinearModel], raws: Sequence[np.ndarray],
                **fields) -> list[LinearModel]:
     """One `cls` model, with `fields`, per raw matrix of `raws`, each scaled
     by a `MinMaxScaler` fitted to it and all fitted by one `fit_hinge` call
-    on `labels` (True positive). DegenerateLabels unless both occur."""
+    on `labels` (True positive). DegenerateLabels unless both occur;
+    NonFinite, and no numpy warning, if a value range or the fit overflows."""
     import numpy as np
     y = np.array([1.0 if label else -1.0 for label in labels])
     check_classes(y)  # before the scalers, which cannot fit zero rows
     scalers = [MinMaxScaler.fit(raw) for raw in raws]
-    fits = fit_hinge([scaler.transform(raw) for scaler, raw in zip(scalers, raws)],
-                     y, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # warnings only
+        fits = fit_hinge([scaler.transform(raw)
+                          for scaler, raw in zip(scalers, raws)], y, params)
     return [cls(weights=fit.weights, bias=fit.bias, scaler=scaler, **fields)
             for fit, scaler in zip(fits, scalers)]
 

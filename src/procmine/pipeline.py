@@ -131,8 +131,8 @@ def run_document(tree: DocTree, actionable_model: ActionableModel | None,
     """Full pipeline on one parsed document."""
     run = analyze(tree, actionable_model, config)
     run.predictions = classifier.classify_tree(
-        run.tree, run.chunks, run.static_features, run.annotations,
-        procedure_model, propagate=propagate, ablate_ids=ablate_ids)
+        run.chunks, run.static_features, run.annotations, procedure_model,
+        propagate=propagate, ablate_ids=ablate_ids)
     run.procedures = extractor.extract(run.predictions, run.chunks, run.tree,
                                        run.annotations)
     return run

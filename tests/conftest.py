@@ -203,6 +203,35 @@ def tree_to_sdjson(tree: DocTree) -> dict:
     return {"version": "sdjson/1", "title": root.text, "elements": elements}
 
 
+def sdjson_to_markdown(doc: dict) -> str:
+    """The Markdown spelling of an sdjson/1 document: `# title`, then each
+    element as a block, blocks apart by a blank line. Headings are ATX,
+    list items are marked `1.` or `-` and indented 2 spaces per level, and
+    ` ![](x.png)` follows the text of each element whose image flag is set.
+    Two adjacent lists of one marker style come back as one list block."""
+    def text(element: dict) -> str:
+        return element["text"] + (" ![](x.png)" if element.get("image") else "")
+
+    def list_lines(block: dict, depth: int) -> list[str]:
+        marker = "1." if block["ordered"] else "-"
+        lines = []
+        for item in block["items"]:
+            lines.append(f"{'  ' * depth}{marker} {text(item)}")
+            if "sublist" in item:
+                lines += list_lines(item["sublist"], depth + 1)
+        return lines
+
+    blocks = ["# " + doc["title"]]
+    for element in doc["elements"]:
+        if element["type"] == "heading":
+            blocks.append("#" * element["level"] + " " + text(element))
+        elif element["type"] == "paragraph":
+            blocks.append(text(element))
+        else:
+            blocks.append("\n".join(list_lines(element, 0)))
+    return "\n\n".join(blocks) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Oracle: `extractor.serialize` before it wrote the schema directly.
 

@@ -67,7 +67,7 @@ FLIP_MODEL = hand_model({"n_imperatives": 2.0, "n_inferred_goal": 2.0}, -1.0)
 def nested_run(model=FLIP_MODEL, propagate=True):
     tree = parse_markdown(NESTED_DOC, source_name="nested")
     run = pipeline.analyze(tree, actionable_model=None)
-    predictions = classify_tree(run.tree, run.chunks, run.static_features,
+    predictions = classify_tree(run.chunks, run.static_features,
                                 run.annotations, model, propagate=propagate)
     return run, predictions
 
@@ -153,9 +153,9 @@ class TestClassifyTree:
     def test_flat_document_propagation_is_noop(self):
         tree = parse_markdown("# T\n1. Click a.\n2. Click b.\n", source_name="flat")
         run = pipeline.analyze(tree, actionable_model=None)
-        with_prop = classify_tree(run.tree, run.chunks, run.static_features,
+        with_prop = classify_tree(run.chunks, run.static_features,
                                   run.annotations, FLIP_MODEL, propagate=True)
-        without = classify_tree(run.tree, run.chunks, run.static_features,
+        without = classify_tree(run.chunks, run.static_features,
                                 run.annotations, FLIP_MODEL, propagate=False)
         assert [(p.chunk_id, p.label, p.margin) for p in with_prop] == \
                [(p.chunk_id, p.label, p.margin) for p in without]
@@ -163,12 +163,12 @@ class TestClassifyTree:
     def test_empty_chunk_set_empty_predictions(self):
         tree = parse_markdown("# Only a title", source_name="bare")
         run = pipeline.analyze(tree, actionable_model=None)
-        assert classify_tree(run.tree, run.chunks, run.static_features,
+        assert classify_tree(run.chunks, run.static_features,
                              run.annotations, FLIP_MODEL) == []
 
     def test_ablate_ids_zero_features_at_inference(self):
         run, baseline = nested_run()
-        ablated = classify_tree(run.tree, run.chunks, run.static_features,
+        ablated = classify_tree(run.chunks, run.static_features,
                                 run.annotations, FLIP_MODEL,
                                 ablate_ids=(1, 6))
         group = next(c for c in run.chunks if c.kind is ChunkKind.HEADING_GROUP)
@@ -190,7 +190,7 @@ class TestProcessingOrder:
     @staticmethod
     def assert_order(tree):
         run = pipeline.analyze(tree, actionable_model=None)
-        predictions = classify_tree(run.tree, run.chunks, run.static_features,
+        predictions = classify_tree(run.chunks, run.static_features,
                                     run.annotations, FLIP_MODEL)
         order = [(p.depth, p.chunk_id) for p in predictions]
         assert order == sorted(order, key=lambda key: (-key[0], key[1]))

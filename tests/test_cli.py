@@ -117,9 +117,19 @@ LONE_SURROGATE = ('{"version": "sdjson/1", "title": "T", "elements": '
                   '[{"type": "paragraph", "text": "Open the \\ud800 panel."}]}')
 PROCEDURE = str(CORPUS / "models" / "procedure.json")
 FEATURE_HEADER = ",".join(["chunk_id", *(f"f{i}" for i in range(1, 16)), "label"])
-# One row of each class: enough for every training command to succeed.
-TWO_CLASS_FEATURES = "\n".join([FEATURE_HEADER, "1," + "1," * 15 + "1",
-                                "2," + "0," * 15 + "0"]) + "\n"
+
+
+def two_class_features(positive_f1="1", negative_f1="0"):
+    """One row of each class, all ones and all zeros but for f1."""
+    return "\n".join([FEATURE_HEADER, f"1,{positive_f1}," + "1," * 14 + "1",
+                      f"2,{negative_f1}," + "0," * 14 + "0"]) + "\n"
+
+
+# Enough for every training command to succeed.
+TWO_CLASS_FEATURES = two_class_features()
+# Four sentences of two classes in which no word occurs three times.
+NO_VOCABULARY_CSV = ("text,label\nOpen the panel.,1\nPress start.,1\n"
+                     "The server restarts.,0\nIt is done.,0\n")
 ACTIONABLE_CSV = str(CORPUS / "actionable_sentences.csv")
 BOM = b"\xef\xbb\xbf"
 
@@ -269,6 +279,40 @@ BAD_INPUTS = {
         "extract", str(DOC), "--model", PROCEDURE, "--seed", "1"]),
     "ingest-config-flag": (64, lambda d: [
         "ingest", str(DOC), "--config", write(d / "run.cfg", "\n")]),
+    "ingest-lexicon-dir": (64, lambda d: [
+        "ingest", str(DOC), "-o", str(d / "t.json"), "--lexicon-dir", str(d)]),
+    "train-lexicon-dir": (64, lambda d: [
+        "train", write(d / "f.csv", TWO_CLASS_FEATURES), "--seed", "1",
+        "-o", str(d / "m.json"), "--lexicon-dir", str(d)]),
+    "eval-lexicon-dir": (64, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write(d / "g.csv", "chunk_id,label\n1,1\n"), "--lexicon-dir", str(d)]),
+    "ablate-lexicon-dir": (64, lambda d: [
+        "ablate", "--train", write(d / "f.csv", TWO_CLASS_FEATURES),
+        "--test", str(d / "f.csv"), "--seed", "1", "-o", str(d / "r.csv"),
+        "--lexicon-dir", str(d)]),
+    "train-diverges": (65, lambda d: [
+        "train", write(d / "f.csv", TWO_CLASS_FEATURES), "--seed", "1",
+        "--learning-rate", "1e308", "--l2", "0", "-o", str(d / "m.json")]),
+    "train-actionable-diverges": (65, lambda d: [
+        "train-actionable", ACTIONABLE_CSV, "--seed", "1", "--learning-rate",
+        "1e308", "--l2", "0", "-o", str(d / "m.json")]),
+    "train-feature-inf": (65, lambda d: [
+        "train", write(d / "f.csv", two_class_features(positive_f1="inf")),
+        "--seed", "1", "-o", str(d / "m.json")]),
+    "ablate-feature-nan": (65, lambda d: [
+        "ablate", "--train",
+        write(d / "f.csv", two_class_features(negative_f1="nan")),
+        "--test", str(d / "f.csv"), "--seed", "1", "-o", str(d / "r.csv")]),
+    "train-feature-range-overflows": (65, lambda d: [
+        "train", write(d / "f.csv", two_class_features("1e308", "-1e308")),
+        "--seed", "1", "-o", str(d / "m.json")]),
+    "train-actionable-empty-vocabulary": (65, lambda d: [
+        "train-actionable", write(d / "c.csv", NO_VOCABULARY_CSV), "--seed", "1",
+        "-o", str(d / "m.json")]),
+    "eval-missing-prediction": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write(d / "g.csv", "chunk_id,label\n1,1\n2,0\n")]),
     "extract-without-model": (64, lambda d: [
         "extract", str(DOC), "-o", str(d / "out.json")]),
     "extract-actionable-model-repeated-term": (65, lambda d: [
@@ -810,6 +854,22 @@ class TestTraining:
                                "-o", str(out)], capsys)
         assert code == 0
         assert json.loads(out.read_text())["version"].startswith("procedure/1")
+
+    def test_non_finite_feature_value_names_file_and_line(self, capsys, tmp_path):
+        code, out, err = run_main(BAD_INPUTS["ablate-feature-nan"][1](tmp_path),
+                                  capsys)
+        assert (code, out) == (65, "")
+        assert err == (f"{tmp_path / 'f.csv'}, line 3: "
+                       "feature values must be finite, got 'nan'\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("train-actionable-empty-vocabulary",
+         "no term appears in at least 3 sentences"),
+        ("eval-missing-prediction", "no prediction for chunks [2]")])
+    def test_library_data_error_exits_65_with_its_message(self, capsys, tmp_path,
+                                                          row, message):
+        code, out, err = run_main(BAD_INPUTS[row][1](tmp_path), capsys)
+        assert (code, out, err) == (65, "", message + "\n")
 
     def test_degenerate_labels_exit_65(self, capsys, tmp_path):
         features = tmp_path / "features.csv"

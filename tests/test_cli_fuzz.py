@@ -1,10 +1,11 @@
 """Fuzz the CLI in process: whatever the document bytes, sdjson tree,
 model file, lexicon directory or training input and flags, `main` returns
-a documented exit code and raises nothing. Every document that parses
-gives a tree the `validate_tree` oracle accepts, and every extraction gives
-procedures whose links the `check_links` oracle accepts. Documents of
-imperative lists, several to one `extract` on 1 to 3 processes, reach the
-extractor's linking and folding, also in forked workers.
+a documented exit code, raises nothing and issues no warning, which a user
+would see on stderr. Every document that parses gives a tree the
+`validate_tree` oracle accepts, and every extraction gives procedures whose
+links the `check_links` oracle accepts. Documents of imperative lists,
+several to one `extract` on 1 to 3 processes, reach the extractor's
+linking and folding, also in forked workers.
 
 Examples are drawn deterministically and their number is bounded, so the
 tests take a few seconds and fail the same way on every run."""
@@ -13,6 +14,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -76,16 +78,19 @@ def linked(extract):
 def run_cli(files: dict[str, bytes | None], argv, outputs=None) -> int:
     """Write `files` into a fresh directory (a name may hold a `/`; None
     makes a directory) and run `main(argv(directory))` with stdout and
-    stderr captured, both parsers and the extractor checked, then
-    `outputs(directory)` if given. Any exception propagates. The checks
-    hold in forked workers too, where a failed one makes `main` return 1."""
+    stderr captured, both parsers and the extractor checked and warnings
+    raised as errors, then `outputs(directory)` if given. Any exception
+    propagates. The checks hold in forked workers too, where a failed one
+    makes `main` return 1."""
     with tempfile.TemporaryDirectory() as scratch, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()), \
             mock.patch.object(pipeline, "parse_sdjson", checked(pipeline.parse_sdjson)), \
             mock.patch.object(pipeline, "parse_markdown",
                               checked(pipeline.parse_markdown)), \
-            mock.patch.object(extractor, "extract", linked(extractor.extract)):
+            mock.patch.object(extractor, "extract", linked(extractor.extract)), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         directory = Path(scratch)
         for name, data in files.items():
             path = directory / name
@@ -335,7 +340,7 @@ CORPUS_ROWS = st.lists(st.tuples(
     st.sampled_from(["Open the panel.", "Click Start.", "The server restarts.",
                      "If the light is red, press reset."]),
     st.booleans()), max_size=4)
-RATE = st.sampled_from(["1e-3", "1", "0", "-1", "inf", "nan"])
+RATE = st.sampled_from(["1e-3", "1", "1e308", "0", "-1", "inf", "nan"])
 
 
 # About 9 draws in 10 hold a flag that exits 64, so this test takes more

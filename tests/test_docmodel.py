@@ -1,19 +1,20 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procmine.docmodel import (DocNode, HierarchyError, Kind, SchemaError,
-                               parse_markdown, parse_sdjson, tree_to_json)
+from procmine.docmodel import (DocNode, Kind, SchemaError, parse_markdown,
+                               parse_sdjson, tree_to_json)
 
 from procmine import extractor, pipeline
 from procmine.actionable import ActionableModel
 from procmine.classifier import ProcedureClassifierModel
 
 from conftest import (CORPUS_DIR, assert_well_formed, make_tree, node_fields,
-                      random_sdjson, tree_json_node_fields, tree_to_sdjson,
-                      validate_tree)
+                      random_sdjson, sdjson_to_markdown, tree_json_node_fields,
+                      tree_to_sdjson, validate_tree)
 
 CORPUS_DOCS = [*sorted((CORPUS_DIR / "docs").glob("*.md")),
                CORPUS_DIR / "nested-fixture.md"]
@@ -23,6 +24,16 @@ BOM = b"\xef\xbb\xbf"
 def sdjson(elements, title="Doc"):
     return json.dumps({"version": "sdjson/1", "title": title,
                        "elements": elements})
+
+
+@pytest.fixture(scope="module")
+def models():
+    return (ActionableModel.load(CORPUS_DIR / "models" / "actionable.json"),
+            ProcedureClassifierModel.load(CORPUS_DIR / "models" / "procedure.json"))
+
+
+def output(tree, models) -> bytes:
+    return extractor.serialize(pipeline.run_document(tree, *models).procedures)
 
 
 class TestParseSdjson:
@@ -87,13 +98,13 @@ class TestParseSdjson:
             parse_sdjson(json.dumps({"version": "sdjson/2", "title": "t",
                                      "elements": []}))
 
-    def test_nonpositive_heading_level_is_hierarchy_error(self):
-        with pytest.raises(HierarchyError):
+    def test_nonpositive_heading_level_is_schema_error(self):
+        with pytest.raises(SchemaError):
             parse_sdjson(sdjson([{"type": "heading", "level": 0, "text": "x"}]))
 
     @pytest.mark.parametrize("level", [0, -3])
     def test_heading_level_error_carries_path(self, level):
-        with pytest.raises(HierarchyError, match=r"^\$\.elements\[1\]: heading level"):
+        with pytest.raises(SchemaError, match=r"^\$\.elements\[1\]: heading level"):
             parse_sdjson(sdjson([{"type": "paragraph", "text": "p"},
                                  {"type": "heading", "level": level, "text": "x"}]))
 
@@ -312,11 +323,6 @@ class TestCorpusThroughSdjson:
     """Each corpus document spelled in sdjson parses to the tree its
     Markdown gives and extracts to its golden bytes."""
 
-    @pytest.fixture(scope="class")
-    def models(self):
-        return (ActionableModel.load(CORPUS_DIR / "models" / "actionable.json"),
-                ProcedureClassifierModel.load(CORPUS_DIR / "models" / "procedure.json"))
-
     def test_renderer_round_trips_random_trees(self):
         """The renderer's sublists and image flags, which no corpus
         document has."""
@@ -331,6 +337,62 @@ class TestCorpusThroughSdjson:
         tree = pipeline.load_document(path)
         reparsed = parse_sdjson(json.dumps(tree_to_sdjson(tree)).encode("utf-8"))
         assert node_fields(reparsed) == node_fields(tree)
-        run = pipeline.run_document(reparsed, *models)
         golden = CORPUS_DIR / "golden" / (path.stem + ".procedures.json")
-        assert extractor.serialize(run.procedures) == golden.read_bytes()
+        assert output(reparsed, models) == golden.read_bytes()
+
+
+def list_blocks(tree) -> int:
+    return sum(node.kind is Kind.LIST_BLOCK for node in tree.nodes.values())
+
+
+def adjacent_lists_of_one_style(doc: dict) -> bool:
+    elements = doc["elements"]
+    return any(a["type"] == b["type"] == "list" and a["ordered"] == b["ordered"]
+               for a, b in zip(elements, elements[1:]))
+
+
+class TestOneDocumentInBothSyntaxes:
+    """A document written in sdjson and in Markdown parses to one tree and
+    extracts to one output, apart from the two differences of the formats
+    that the README lists, each pinned here."""
+
+    def test_random_documents_give_one_tree_and_one_output(self, models):
+        rng = random.Random(5)
+        for _ in range(400):
+            doc = random_sdjson(rng)
+            from_sdjson = parse_sdjson(json.dumps(doc))
+            from_markdown = parse_markdown(sdjson_to_markdown(doc))
+            if adjacent_lists_of_one_style(doc):
+                assert list_blocks(from_markdown) < list_blocks(from_sdjson)
+                continue
+            assert node_fields(from_markdown) == node_fields(from_sdjson)
+            assert output(from_markdown, models) == output(from_sdjson, models)
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_markdown_cannot_write_two_adjacent_lists_of_one_style(self, ordered):
+        doc = json.loads(sdjson([
+            {"type": "list", "ordered": ordered, "items": [{"text": text}]}
+            for text in ("Open the panel.", "Press start.")]))
+        assert list_blocks(parse_sdjson(json.dumps(doc))) == 2
+        assert list_blocks(parse_markdown(sdjson_to_markdown(doc))) == 1
+
+    @pytest.mark.parametrize("template, flagged", [
+        ("# T\n\n1. Open the panel.\n2. Press start.\n\n{figure}\n", 1),
+        ("# T\n\n{figure}\n\n1. Open the panel.\n2. Press start.\n", 0),
+    ], ids=["after-a-list", "after-the-title"])
+    def test_bare_figure_flags_what_sdjson_cannot_and_no_feature_reads(
+            self, models, template, flagged):
+        """The figure flags the list block or the title, and nothing else
+        changes: the tree, the features and the output are those of the
+        document without it."""
+        tree = parse_markdown(template.format(figure="![](fig.png)"))
+        plain = parse_markdown(template.format(figure=""))
+        assert [n.id for n in tree.nodes.values() if n.associated_image] == [flagged]
+        assert tree.node(flagged).kind in (Kind.LIST_BLOCK, Kind.TITLE)
+        assert [replace(n, associated_image=False) for n in tree.nodes.values()] == \
+            list(plain.nodes.values())
+        with pytest.raises(AssertionError, match="has an image"):
+            tree_to_sdjson(tree)
+        assert pipeline.analyze(tree, models[0]).static_features == \
+            pipeline.analyze(plain, models[0]).static_features
+        assert output(tree, models) == output(plain, models)

@@ -35,7 +35,7 @@ PROCEDURES = st.builds(Procedure, JSON_TEXT, JSON_TEXT,
 def run_and_extract(markdown, model):
     tree = parse_markdown(markdown, source_name="doc")
     run = pipeline.analyze(tree, actionable_model=None)
-    predictions = classify_tree(run.tree, run.chunks, run.static_features,
+    predictions = classify_tree(run.chunks, run.static_features,
                                 run.annotations, model)
     procedures = extract(predictions, run.chunks, run.tree, run.annotations)
     return run, predictions, procedures

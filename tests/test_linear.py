@@ -14,6 +14,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -244,17 +245,18 @@ def negative_tf_idf_min(model):
 
 def vocabulary_edit(**fields):
     """An edit of the actionable vocabulary: each field a function of the
-    bundled vocabulary's value, with `terms` and `document_frequency` lists."""
+    bundled vocabulary's value, with `terms`, `document_frequency` and `idf`
+    lists."""
     def edit(model):
         vocab = model.vocabulary
         values = {"terms": list(vocab.terms),
                   "document_frequency": list(vocab.document_frequency),
-                  "total_sentences": vocab.total_sentences}
+                  "idf": list(vocab.idf), "total_sentences": vocab.total_sentences}
         values.update((name, change(values[name])) for name, change in fields.items())
         return {"vocabulary": replace(
             vocab, terms=tuple(values["terms"]),
             document_frequency=tuple(values["document_frequency"]),
-            total_sentences=values["total_sentences"])}
+            idf=tuple(values["idf"]), total_sentences=values["total_sentences"])}
     return edit
 
 
@@ -267,6 +269,10 @@ VOCABULARY_EDITS = {
     "df-zero": vocabulary_edit(document_frequency=lambda d: [0, *d[1:]]),
     "df-above-total": vocabulary_edit(total_sentences=lambda _: 3),
     "total-sentences-list": vocabulary_edit(total_sentences=lambda n: [n]),
+    "df-one-short": vocabulary_edit(document_frequency=lambda d: d[:-1]),
+    "df-one-over": vocabulary_edit(document_frequency=lambda d: [*d, d[-1]]),
+    "idf-one-short": vocabulary_edit(idf=lambda i: i[:-1]),
+    "idf-one-over": vocabulary_edit(idf=lambda i: [*i, i[-1]]),
 }
 
 
@@ -289,9 +295,10 @@ def test_construction_refuses_what_the_loader_refuses(models, cls, edit):
         doc["weights"] = list(changes["weights"])
     elif "vocabulary" in changes:
         vocab = changes["vocabulary"]
-        for entry, term, df in zip(doc["vocabulary"], vocab.terms,
-                                   vocab.document_frequency):
-            entry.update(term=term, df=df)
+        # one entry per place in the longest list, null where a list ends
+        doc["vocabulary"] = [
+            {"term": t, "df": d, "idf": i} for t, d, i in
+            zip_longest(vocab.terms, vocab.document_frequency, vocab.idf)]
         doc["total_sentences"] = vocab.total_sentences
     else:
         doc["scaler"] = [{"min": lo, "max": hi} for lo, hi in
