@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import linear
+from .docmodel import require
 from .lingua import (Polarity, Profile, TaggedSentence, Tagger, Tense, Voice,
                      profile as profile_sentence)
 from .linear import DegenerateLabels, TrainParams, VersionMismatch
@@ -148,14 +149,13 @@ class ActionableModel(linear.LinearModel):
 
     @classmethod
     def _read_header(cls, doc: dict) -> dict:
-        entries = linear.objects(doc["vocabulary"], "vocabulary")
-        terms = tuple(e["term"] for e in entries)
-        if not all(isinstance(term, str) for term in terms):
-            raise VersionMismatch("vocabulary terms must be strings")
+        entries = list(enumerate(require(doc, "vocabulary", list, "$", dict)))
+        terms, dfs, idfs = (
+            tuple(require(e, key, kind, f"$.vocabulary[{i}]") for i, e in entries)
+            for key, kind in [("term", str), ("df", int), ("idf", float)])
         return {"vocabulary": Vocabulary(
-            terms=terms, document_frequency=tuple(e["df"] for e in entries),
-            idf=linear.floats([e["idf"] for e in entries], "idf"),
-            total_sentences=doc["total_sentences"])}
+            terms=terms, document_frequency=dfs, idf=idfs,
+            total_sentences=require(doc, "total_sentences", int, "$"))}
 
 
 def _feature_matrix(sentences: list[str], profiles: list[Profile],

@@ -35,8 +35,8 @@ from .classifier import (Metrics, MissingPrediction, ProcedureClassifierModel,
                          ablation_report)
 from .docmodel import SchemaError, tree_to_json
 from .features import FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector
-from .linear import DegenerateLabels, NonFinite, TrainParams
-from .lingua import LexiconError
+from .linear import DegenerateLabels, NonFinite, TrainParams, VersionMismatch
+from .lingua import LexiconError, decode_utf8
 from .pipeline import PipelineConfig
 from .relatedness import describe_graph
 
@@ -161,7 +161,7 @@ def _load_model(cls, path: Path):
         return cls.load(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EX_NOINPUT)
-    except (ValueError, KeyError) as exc:
+    except VersionMismatch as exc:
         raise CliError(f"cannot load model {path}: {exc}", EX_DATA)
 
 
@@ -178,32 +178,32 @@ _LABELS = {"1": True, "true": True, "True": True,
 def _read_labeled_csv(path: str | Path, columns: tuple[str, ...],
                       parse) -> list[tuple[object, bool]]:
     """(parse(values of `columns`), label) for each row of a CSV whose header
-    names `columns` and `label`, after one leading byte-order mark if any.
-    A label is 1/true/True or 0/false/False. An unreadable file exits 66; a
-    missing column or bad value exits 65."""
+    names `columns` and `label`, its text read by `decode_utf8`. A label is
+    1/true/True or 0/false/False. An unreadable file exits 66; bytes that
+    are not UTF-8, a missing column or a bad value exit 65, naming the line."""
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        text = decode_utf8(Path(path).read_bytes(),
+                           lambda message: CliError(f"{path}, {message}", EX_DATA))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EX_NOINPUT)
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, [])
-            missing = [c for c in (*columns, "label") if c not in header]
-            if missing:
-                raise ValueError(f"missing column(s) {', '.join(missing)}")
-            where = [header.index(c) for c in columns]
-            label_at = header.index("label")
-            rows = []
-            for line in reader:
-                if not line:
-                    continue
-                label = line[label_at].strip()
-                if label not in _LABELS:
-                    raise ValueError(f"label must be 0/1 or true/false, got {label!r}")
-                rows.append((parse([line[i] for i in where]), _LABELS[label]))
-        except (ValueError, IndexError, csv.Error) as exc:
-            raise CliError(f"{path}, line {reader.line_num}: {exc}", EX_DATA)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, [])
+        missing = [c for c in (*columns, "label") if c not in header]
+        if missing:
+            raise ValueError(f"missing column(s) {', '.join(missing)}")
+        where = [header.index(c) for c in columns]
+        label_at = header.index("label")
+        rows = []
+        for line in reader:
+            if not line:
+                continue
+            label = line[label_at].strip()
+            if label not in _LABELS:
+                raise ValueError(f"label must be 0/1 or true/false, got {label!r}")
+            rows.append((parse([line[i] for i in where]), _LABELS[label]))
+    except (ValueError, IndexError, csv.Error) as exc:
+        raise CliError(f"{path}, line {reader.line_num}: {exc}", EX_DATA)
     return rows
 
 

@@ -6,12 +6,15 @@ for authoring test corpora by hand. Both build through one `_Builder`,
 which alone keeps the heading outline and sets every node's parent and
 depth, so a parsed tree needs no separate validation pass. Trees are
 immutable once built. A malformed document raises `SchemaError`.
+`load_json` reads every JSON input file, documents and model files alike,
+and `require` every field, so a bad one is a `SchemaError` naming its path.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -29,21 +32,63 @@ class Kind(str, Enum):
 
 
 class SchemaError(ValueError):
-    """Malformed or missing field in structured-document JSON input."""
+    """A document or model file that is not UTF-8 or not JSON, or a bad
+    JSON field, whose path (`$.elements[2]`) starts the message."""
 
-    def __init__(self, message: str, path: str = "$"):
-        super().__init__(f"{path}: {message}")
-        self.path = path
+    def __init__(self, message: str, path: str = ""):
+        super().__init__(f"{path}: {message}" if path else message)
 
 
-def decode_utf8(data: bytes) -> str:
-    """Decode document bytes, dropping one leading byte-order mark; invalid
-    UTF-8 is a SchemaError, not a crash."""
+def load_json(data: bytes | str) -> dict:
+    """The JSON object an input file's bytes or text hold. SchemaError when
+    they are not UTF-8, not JSON or not an object, hold an integer too long
+    for `int`, or nest too deep for the recursive JSON decoder."""
+    if isinstance(data, bytes):
+        data = lingua.decode_utf8(data, SchemaError)
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
-    return text.removeprefix("\ufeff")
+        doc = json.loads(data)
+    except RecursionError:
+        raise SchemaError("nested too deep") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from None
+    except ValueError:  # `int` refuses a literal of over 4,300 digits
+        raise SchemaError("holds an integer too long to read") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("top-level value must be a JSON object")
+    return doc
+
+
+def require(mapping: dict, key: str, kind: type, path: str, each: type | None = None):
+    """The field `key` of the object at JSON path `path`; SchemaError unless
+    it is there and of `kind` (see `_of_kind`), and, when `each` is given,
+    a list whose every entry is of `each` (the error names its path)."""
+    if key not in mapping:
+        raise SchemaError(f"missing field '{key}'", path)
+    value = _of_kind(mapping[key], kind, path, key)
+    if each is not None:
+        value = [_of_kind(entry, each, f"{path}.{key}", i)
+                 for i, entry in enumerate(value)]
+    return value
+
+
+def _of_kind(value, kind: type, path: str, key: str | int):
+    """`value` if it is of `kind`: of that exact JSON type (so a bool is no
+    int), or an int within float range for `float`, the number kind (given
+    as a float); a str must also be encodable as UTF-8. Else SchemaError
+    naming the field `key` at `path`, or entry `key` of the list at `path`."""
+    if type(value) is kind and (kind is not str or value.isascii()):
+        return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    path, what = ((f"{path}[{key}]", "entry") if type(key) is int
+                  else (path, f"field '{key}'"))
+    if type(value) is not kind:
+        raise SchemaError(f"{what} must be {kind.__name__}", path)
+    try:  # a lone surrogate escape ("\\ud800") parses but cannot be written out
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{what} holds a lone surrogate", path) from None
+    return value
 
 
 @dataclass(frozen=True)
@@ -178,35 +223,17 @@ class _Builder:
 SDJSON_VERSION = "sdjson/1"
 
 
-def _require(mapping: dict, key: str, kind: type, path: str):
-    if key not in mapping:
-        raise SchemaError(f"missing field '{key}'", path)
-    value = mapping[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise SchemaError(f"field '{key}' must be {kind.__name__}", path)
-    if kind is str:
-        _check_encodable(value, key, path)
-    return value
-
-
-def _check_encodable(text: str, key: str, path: str) -> None:
-    try:  # a lone surrogate escape ("\\ud800") parses but cannot be written out
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise SchemaError(f"field '{key}' holds a lone surrogate", path) from None
-
-
 def _image(mapping: dict, path: str) -> bool:
     """An absent flag is false; anything but a JSON boolean is an error."""
-    return "image" in mapping and _require(mapping, "image", bool, path)
+    return "image" in mapping and require(mapping, "image", bool, path)
 
 
 def _open_list(builder: _Builder, parent: int, obj: dict,
-               path: str) -> tuple[int, Iterator[tuple[int, object]], str]:
+               path: str) -> tuple[int, Iterator[tuple[int, dict]], str]:
     if "type" in obj and obj["type"] != "list":
         raise SchemaError("sublist must have type 'list'", path)
-    ordered = _require(obj, "ordered", bool, path)
-    items = _require(obj, "items", list, path)
+    ordered = require(obj, "ordered", bool, path)
+    items = require(obj, "items", list, path, dict)
     if not items:
         raise SchemaError("field 'items' must be non-empty", path)
     block = builder.child(parent, Kind.LIST_BLOCK, "", ordered=ordered)
@@ -221,15 +248,11 @@ def _add_list(builder: _Builder, parent: int, obj: dict, path: str) -> None:
         block, items, path = stack[-1]
         for i, item in items:
             item_path = f"{path}.items[{i}]"
-            if not isinstance(item, dict):
-                raise SchemaError("item must be an object", item_path)
-            text = _require(item, "text", str, item_path)
+            text = require(item, "text", str, item_path)
             node = builder.child(block, Kind.LIST_ITEM, text,
                                  image=_image(item, item_path))
             if "sublist" in item:
-                sub = item["sublist"]
-                if not isinstance(sub, dict):
-                    raise SchemaError("field 'sublist' must be an object", item_path)
+                sub = require(item, "sublist", dict, item_path)
                 stack.append(_open_list(builder, node, sub, f"{item_path}.sublist"))
                 break  # the sublist's items come before this list's next item
         else:
@@ -240,47 +263,30 @@ def parse_sdjson(data: bytes | str, source_name: str = "") -> DocTree:
     """Parse structured-document JSON into a tree.
 
     Raises SchemaError on malformed input (with the offending path), also
-    when it nests too deep for the recursive JSON decoder or gives a
-    heading level below 1.
+    when `load_json` refuses it or it gives a heading level below 1.
     """
-    if isinstance(data, bytes):
-        data = decode_utf8(data)
-    try:
-        return _parse_sdjson(data, source_name)
-    except RecursionError:
-        raise SchemaError("nested too deep") from None
-
-
-def _parse_sdjson(data: str, source_name: str) -> DocTree:
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level value must be an object")
+    doc = load_json(data)
     version = doc.get("version")
     if version != SDJSON_VERSION:
         raise SchemaError(f"unsupported version {version!r}, expected {SDJSON_VERSION!r}")
     title = doc.get("title")
     if not isinstance(title, str) or not title.strip():
         raise SchemaError("no root title")
-    _check_encodable(title, "title", "$")
-    elements = _require(doc, "elements", list, "$")
+    _of_kind(title, str, "$", "title")
+    elements = require(doc, "elements", list, "$", dict)
 
     builder = _Builder(source_name or title, title.strip())
     for i, element in enumerate(elements):
         path = f"$.elements[{i}]"
-        if not isinstance(element, dict):
-            raise SchemaError("element must be an object", path)
-        etype = _require(element, "type", str, path)
+        etype = require(element, "type", str, path)
         if etype == "heading":
-            level = _require(element, "level", int, path)
+            level = require(element, "level", int, path)
             if level < 1:
                 raise SchemaError(f"heading level must be >= 1, got {level}", path)
-            text = _require(element, "text", str, path)
+            text = require(element, "text", str, path)
             builder.heading(level, text, _image(element, path))
         elif etype == "paragraph":
-            text = _require(element, "text", str, path)
+            text = require(element, "text", str, path)
             builder.child(builder.section, Kind.PARAGRAPH, text,
                           image=_image(element, path))
         elif etype == "list":

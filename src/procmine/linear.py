@@ -6,7 +6,7 @@ Both classifiers subclass `LinearModel`: one file layout (version, any
 fields of the subclass, weights, bias, scaler ranges), one loader and one
 training recipe (`fit_models`). A model checks its values when it is
 built, so no model can be made that the loader would refuse; the loader
-checks only the file's form, and refuses a file nested too deep.
+reads every field through `docmodel.require`, which checks its form.
 
 Training is bit-deterministic for a given seed: the sample order comes
 from one seeded generator and all arithmetic is plain float64. Training
@@ -31,6 +31,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
 
+from .docmodel import SchemaError, load_json, require
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -44,8 +46,8 @@ class NonFinite(FloatingPointError):
 
 
 class VersionMismatch(ValueError):
-    """Serialized model has an incompatible version string, shape or
-    value."""
+    """A model file or model that is not of this class: another version, or
+    a file that is not JSON, or a missing or bad field, shape or value."""
 
 
 @dataclass(frozen=True)
@@ -74,23 +76,6 @@ class MinMaxScaler:
         span = np.where(span == 0.0, 1.0, span)
         scaled = (rows - mins) / span
         return np.clip(scaled, 0.0, 1.0)
-
-
-def objects(values, what: str) -> list[dict]:
-    if not isinstance(values, list) or not all(isinstance(v, dict) for v in values):
-        raise VersionMismatch(f"{what} must be a list of objects")
-    return values
-
-
-def floats(values, what: str) -> tuple[float, ...]:
-    """A JSON list of numbers as floats, else VersionMismatch (also for
-    booleans and for integers too large for a float)."""
-    try:
-        if isinstance(values, list) and all(type(v) in (int, float) for v in values):
-            return tuple(float(v) for v in values)
-    except OverflowError:
-        pass
-    raise VersionMismatch(f"{what} must be numbers")
 
 
 def _check_finite(values: Iterable[float], what: str) -> None:
@@ -183,29 +168,29 @@ class LinearModel:
 
     @classmethod
     def from_json(cls, data: str | bytes) -> LinearModel:
-        """The model a file holds; VersionMismatch unless it is a JSON
-        object of this class's version whose values build a model, also
-        when it nests too deep for the recursive JSON decoder."""
+        """The model a file holds; VersionMismatch, naming the JSON path of a
+        bad field, unless `load_json` reads an object of this class's
+        version whose fields `require` reads and whose values build a model."""
         try:
-            doc = json.loads(data)
-        except RecursionError:
-            raise VersionMismatch("model file nested too deep") from None
-        if not isinstance(doc, dict):
-            raise VersionMismatch("model file must hold a JSON object")
-        if doc.get("version", "") != cls.MODEL_VERSION:
-            raise VersionMismatch(
-                f"model version {doc.get('version', '')!r}, "
-                f"expected {cls.MODEL_VERSION!r}")
-        pairs = objects(doc["scaler"], "scaler")
-        scaler = MinMaxScaler(mins=floats([p["min"] for p in pairs], "scaler"),
-                              maxs=floats([p["max"] for p in pairs], "scaler"))
-        return cls(weights=floats(doc["weights"], "weights"),
-                   bias=floats([doc["bias"]], "bias")[0], scaler=scaler,
-                   **cls._read_header(doc))
+            doc = load_json(data)
+            version = require(doc, "version", str, "$")
+            if version != cls.MODEL_VERSION:
+                raise SchemaError(f"{version!r}, expected {cls.MODEL_VERSION!r}",
+                                  "$.version")
+            ranges = list(enumerate(require(doc, "scaler", list, "$", dict)))
+            mins, maxs = (
+                tuple(require(r, key, float, f"$.scaler[{i}]") for i, r in ranges)
+                for key in ("min", "max"))
+            fields = dict(weights=tuple(require(doc, "weights", list, "$", float)),
+                          bias=require(doc, "bias", float, "$"),
+                          scaler=MinMaxScaler(mins, maxs), **cls._read_header(doc))
+        except SchemaError as exc:
+            raise VersionMismatch(str(exc)) from None
+        return cls(**fields)
 
     @classmethod
     def load(cls, path: str | Path) -> LinearModel:
-        return cls.from_json(Path(path).read_text("utf-8"))
+        return cls.from_json(Path(path).read_bytes())
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), "utf-8")

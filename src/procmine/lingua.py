@@ -23,7 +23,8 @@ inflection table shipped as an editable data file, suffix fallbacks, and a
 NOUN default. It is deterministic and total over arbitrary text. Callers
 that need higher fidelity can pass their own tagger anywhere a
 :class:`Tagger` is accepted. `lexicon_lines` is the one reader of every
-lexicon file: the tagger's here and the lists that `pipeline` loads.
+lexicon file: the tagger's here and the lists that `pipeline` loads;
+`decode_utf8` is the one decoder of every input file, lexicons or not.
 """
 
 from __future__ import annotations
@@ -124,21 +125,26 @@ class LexiconError(ValueError):
     """A lexicon file that is not UTF-8 or breaks its format."""
 
 
+def decode_utf8(data: bytes, error) -> str:
+    """The text of input file bytes, without one leading byte-order mark.
+    Bytes that are not UTF-8 raise `error("line N: not UTF-8")`, N the line
+    of the first bad byte."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise error(f"line {lineno}: not UTF-8") from None
+
+
 def lexicon_lines(path: Path) -> list[tuple[int, str]]:
     """(line number, text) of each line of the lexicon file `path`,
-    stripped and lower-cased, skipping blank lines and `#` comments; one
-    leading byte-order mark is dropped. Bytes that are not UTF-8 raise
-    LexiconError; an unreadable file, or one that is not a regular file
-    (reading a named pipe would block), OSError."""
+    stripped and lower-cased, skipping blank lines and `#` comments. Bytes
+    that are not UTF-8 raise LexiconError; an unreadable file, or one that
+    is not a regular file (reading a named pipe would block), OSError."""
     if not stat.S_ISREG(path.stat().st_mode):  # follows a link
         raise OSError(errno.EINVAL, "not a regular file", str(path))
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:  # name the line of the first bad byte
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise LexiconError(f"{path}, line {lineno}: not UTF-8") from None
-    text = text.removeprefix("\ufeff")
+    text = decode_utf8(path.read_bytes(),
+                       lambda message: LexiconError(f"{path}, {message}"))
     lines = enumerate((line.strip() for line in text.splitlines()), 1)
     return [(lineno, line.lower()) for lineno, line in lines
             if line and not line.startswith("#")]

@@ -22,12 +22,12 @@ from .actionable import ActionableModel
 from .annotate import ChunkAnnotation, annotate_chunks
 from .chunker import ChunkSet
 from .classifier import ChunkPrediction, ProcedureClassifierModel
-from .docmodel import DocTree, decode_utf8, parse_markdown, parse_sdjson
+from .docmodel import DocTree, SchemaError, parse_markdown, parse_sdjson
 from .extractor import Procedure
 from .features import ContextLexicons, FeatureVector
 from .goals import GoalCueConfig
-from .lingua import (LexiconError, Tagger, lexicon_file, lexicon_lines,
-                     load_lexicon)
+from .lingua import (LexiconError, Tagger, decode_utf8, lexicon_file,
+                     lexicon_lines, load_lexicon)
 
 
 def _goal_cues(path: Path) -> GoalCueConfig:
@@ -100,7 +100,7 @@ def load_document(path: str | Path, fmt: str | None = None) -> DocTree:
     if fmt == "sdjson":
         return parse_sdjson(data, source_name=path.name)
     if fmt == "md":
-        return parse_markdown(decode_utf8(data), source_name=path.stem)
+        return parse_markdown(decode_utf8(data, SchemaError), source_name=path.stem)
     raise ValueError(f"unknown format {fmt!r}")
 
 

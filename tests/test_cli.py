@@ -2,6 +2,7 @@ import csv
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,17 @@ def edited_model(path, name, **changes):
     return write(path, json.dumps(doc))
 
 
+def model_without(path, name, key, index=None, field=None):
+    """A copy of a bundled model without the top-level `key`, or without
+    `field` of entry `index` of the list `key`."""
+    doc = json.loads((CORPUS / "models" / f"{name}.json").read_text())
+    if index is None:
+        del doc[key]
+    else:
+        del doc[key][index][field]
+    return write(path, json.dumps(doc))
+
+
 def edited_vocabulary(path, index, **changes):
     """A copy of the bundled actionable model with keys of one vocabulary
     entry replaced."""
@@ -79,6 +91,11 @@ def deep_sublists(path, depth):
         item = '{"text": "level", "sublist": {"ordered": true, "items": [%s]}}' % item
     return write(path, '{"version": "sdjson/1", "title": "Deep", "elements": '
                        '[{"type": "list", "ordered": true, "items": [%s]}]}' % item)
+
+
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
 
 
 def sdjson_element(path, element):
@@ -132,6 +149,8 @@ NO_VOCABULARY_CSV = ("text,label\nOpen the panel.,1\nPress start.,1\n"
                      "The server restarts.,0\nIt is done.,0\n")
 ACTIONABLE_CSV = str(CORPUS / "actionable_sentences.csv")
 BOM = b"\xef\xbb\xbf"
+# An integer literal of 5,001 digits, more than `int` reads from a string.
+LONG_INTEGER = "1" + "0" * 5000
 
 # command -> (expected exit code, argv built in a scratch directory)
 BAD_INPUTS = {
@@ -379,6 +398,35 @@ BAD_INPUTS = {
     "train-actionable-lexicon-verbs-other-header": (65, lambda d: [
         "train-actionable", ACTIONABLE_CSV, "--seed", "1", "-o", str(d / "m.json"),
         "--lexicon-dir", lexicon_dir(d / "lex", "verbs.csv", b"a,b\n")]),
+    "ingest-integer-too-long": (2, lambda d: [
+        "ingest", write(d / "h.json", SDJSON_DOC.replace('"level": 1', '"level": '
+                                                         + LONG_INTEGER)),
+        "-o", str(d / "t.json")]),
+    "procedure-model-integer-too-long": (65, lambda d: [
+        "extract", str(DOC), "-o", str(d / "out.json"), "--model",
+        write(d / "p.json", re.sub(r'"bias": [^,]+', '"bias": ' + LONG_INTEGER,
+                                   (CORPUS / "models" / "procedure.json").read_text()))]),
+    "procedure-model-without-scaler": (65, lambda d: [
+        "extract", str(DOC), "-o", str(d / "out.json"), "--model",
+        model_without(d / "p.json", "procedure", "scaler")]),
+    "procedure-model-scaler-entry-without-max": (65, lambda d: [
+        "extract", str(DOC), "-o", str(d / "out.json"), "--model",
+        model_without(d / "p.json", "procedure", "scaler", 0, "max")]),
+    "actionable-model-vocabulary-entry-without-df": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--actionable-model",
+        model_without(d / "a.json", "actionable", "vocabulary", 2, "df")]),
+    "actionable-model-without-total-sentences": (65, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
+        "--actionable-model",
+        model_without(d / "a.json", "actionable", "total_sentences")]),
+    "eval-labels-not-utf8": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write_bytes(d / "g.csv", b"chunk_id,label\n1,1\n2,\xff\n")]),
+    "train-features-not-utf8": (65, lambda d: [
+        "train", write_bytes(d / "f.csv", TWO_CLASS_FEATURES.encode()
+                             .replace(b"\n2,", b"\n2,\xe9")),
+        "--seed", "1", "-o", str(d / "m.json")]),
     "extract-markdown-1100-deep-no-procedure": (0, lambda d: [
         "extract", deep_markdown(d / "deep.md", ["- option top"]),
         "--model", hand_model(d / "p.json", 0.0), "-o", str(d / "out.json")]),
@@ -404,6 +452,55 @@ def run_main(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# BAD_INPUTS row -> its one line of stderr, built from the scratch directory.
+# A model file's message names the JSON path of the bad field; a bad byte's,
+# its line.
+BAD_INPUT_MESSAGES = {
+    "ingest-integer-too-long":
+        lambda d: f"{d / 'h.json'}: holds an integer too long to read",
+    "procedure-model-integer-too-long":
+        lambda d: f"cannot load model {d / 'p.json'}: holds an integer too long to read",
+    "procedure-model-without-scaler":
+        lambda d: f"cannot load model {d / 'p.json'}: $: missing field 'scaler'",
+    "procedure-model-scaler-entry-without-max":
+        lambda d: f"cannot load model {d / 'p.json'}: $.scaler[0]: missing field 'max'",
+    "actionable-model-vocabulary-entry-without-df":
+        lambda d: (f"cannot load model {d / 'a.json'}: "
+                   "$.vocabulary[2]: missing field 'df'"),
+    "actionable-model-without-total-sentences":
+        lambda d: (f"cannot load model {d / 'a.json'}: "
+                   "$: missing field 'total_sentences'"),
+    "eval-labels-not-utf8": lambda d: f"{d / 'g.csv'}, line 3: not UTF-8",
+    "train-features-not-utf8": lambda d: f"{d / 'f.csv'}, line 3: not UTF-8",
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUT_MESSAGES)
+def test_bad_input_message(capsys, tmp_path, name):
+    code, out, err = run_main(BAD_INPUTS[name][1](tmp_path), capsys)
+    assert (code, out) == (BAD_INPUTS[name][0], "")
+    assert err == BAD_INPUT_MESSAGES[name](tmp_path) + "\n"
+
+
+@pytest.mark.parametrize("name", ["MinMaxScaler", "load_json"])
+@pytest.mark.parametrize("error", ["KeyError", "ValueError"])
+def test_fault_while_loading_a_model_exits_1_with_traceback(name, error):
+    """A KeyError or ValueError raised by a fault in procmine while it loads
+    a model is no bad model file: it escapes as a traceback and exits 1."""
+    code = ("import sys\n"
+            "from procmine import cli, linear\n"
+            "def fault(*args, **kwargs):\n"
+            f"    raise {error}('fault')\n"
+            f"linear.{name} = fault\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    result = subprocess.run([sys.executable, "-c", code, "extract", str(DOC),
+                             *MODELS], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert "Traceback" in result.stderr
+    assert result.stderr.splitlines()[-1].startswith(f"{error}: ")
+    assert result.stdout == ""
 
 
 class TestIngest:
@@ -434,11 +531,12 @@ class TestIngest:
         code, _, _ = run_main(["ingest", str(DOC), "-f", "pdf"], capsys)
         assert code == 64
 
-    @pytest.mark.parametrize("name, data", [
-        ("bad.md", b"# T\n\n\xff bad\n"),
-        ("bad.json", b'{"version": "sdjson/1", "title": "T\xff", "elements": []}'),
+    @pytest.mark.parametrize("name, data, line", [
+        ("bad.md", b"# T\n\n\xff bad\n", 3),
+        ("bad.json", b'{"version": "sdjson/1", "title": "T\xff", "elements": []}', 1),
     ], ids=["md", "sdjson"])
-    def test_invalid_utf8_exits_2_without_traceback(self, tmp_path, name, data):
+    def test_invalid_utf8_exits_2_without_traceback(self, tmp_path, name, data,
+                                                    line):
         src = tmp_path / name
         src.write_bytes(data)
         result = subprocess.run(
@@ -447,8 +545,7 @@ class TestIngest:
             capture_output=True, text=True)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        assert "not valid UTF-8" in result.stderr
-        assert result.stderr.count("\n") == 1
+        assert result.stderr == f"{src}: line {line}: not UTF-8\n"
         assert result.stdout == ""
 
     def test_unreadable_file_exits_66(self, capsys):
@@ -939,6 +1036,21 @@ class TestByteOrderMark:
         assert code == 0
         assert [n["text"] for n in json.loads(out)["nodes"]] == \
             ["Reset Guide", "", "Hold the button."]
+
+    @pytest.mark.parametrize("name", ["procedure", "actionable"])
+    def test_model_file_gives_the_golden_bytes(self, capsys, tmp_path, name):
+        model = tmp_path / f"{name}.json"
+        model.write_bytes(BOM + (CORPUS / "models" / f"{name}.json").read_bytes())
+        models = {"procedure": str(CORPUS / "models" / "procedure.json"),
+                  "actionable": str(CORPUS / "models" / "actionable.json"),
+                  name: str(model)}
+        out = tmp_path / "out.json"
+        code, _, err = run_main(["extract", str(DOC), "--model", models["procedure"],
+                                 "--actionable-model", models["actionable"],
+                                 "-o", str(out)], capsys)
+        assert (code, err) == (0, "")
+        golden = CORPUS / "golden" / (DOC.stem + ".procedures.json")
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_labels_csv(self, capsys, tmp_path):
         plain = CORPUS / "labels" / "appliance-quickstart.labels.csv"

@@ -247,9 +247,9 @@ def test_random_sdjson_tree(doc):
 def mutate(data, doc):
     """One random edit of a model document: replace the whole document,
     drop or replace a top-level key, cut a list short, or replace one entry
-    of a list or one field of an entry."""
-    kind = data.draw(st.sampled_from(["document", "drop", "replace",
-                                      "truncate", "entry", "field"]))
+    of a list or drop or replace one field of an entry."""
+    kind = data.draw(st.sampled_from(["document", "drop", "replace", "truncate",
+                                      "entry", "field", "drop-field"]))
     if kind == "document":
         return data.draw(JUNK)
     key = data.draw(st.sampled_from(sorted(doc)))
@@ -262,8 +262,13 @@ def mutate(data, doc):
         doc[key] = value[:data.draw(st.integers(0, len(value) - 1))]
     else:
         at = data.draw(st.integers(0, len(value) - 1))
-        if kind == "field" and isinstance(value[at], dict):
-            value[at][data.draw(st.sampled_from(sorted(value[at])))] = data.draw(JUNK)
+        entry = value[at]
+        if kind in ("field", "drop-field") and isinstance(entry, dict) and entry:
+            field = data.draw(st.sampled_from(sorted(entry)))
+            if kind == "field":
+                entry[field] = data.draw(JUNK)
+            else:
+                del entry[field]
         else:
             value[at] = data.draw(JUNK)
     return doc

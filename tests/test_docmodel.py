@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procmine.docmodel import (DocNode, Kind, SchemaError, parse_markdown,
-                               parse_sdjson, tree_to_json)
+from procmine.docmodel import (DocNode, Kind, SchemaError, load_json,
+                               parse_markdown, parse_sdjson, require,
+                               tree_to_json)
 
 from procmine import extractor, pipeline
 from procmine.actionable import ActionableModel
@@ -170,6 +171,43 @@ class TestParseSdjson:
     def test_only_one_byte_order_mark_is_dropped(self):
         with pytest.raises(SchemaError, match="BOM"):
             parse_sdjson(BOM * 2 + sdjson([]).encode())
+
+class TestReaders:
+    """`load_json` and `require`, the one JSON decoder and the one checked
+    field reader of sdjson documents and model files."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b"{}\n\n\xff", "^line 3: not UTF-8$"),
+        ('{"a": 1' + "0" * 5000 + "}", "^holds an integer too long to read$"),
+        ("[" * 200_000, "^nested too deep$"),
+        ("[]", "^top-level value must be a JSON object$"),
+        ("{", "^not valid JSON: "),
+    ], ids=["not-utf8", "long-integer", "too-deep", "list", "not-json"])
+    def test_refusal_is_one_schema_error(self, data, message):
+        with pytest.raises(SchemaError, match=message):
+            load_json(data)
+
+    def test_number_kind_takes_ints_and_floats_as_floats(self):
+        doc = {"a": 2, "b": -0.5, "w": [1, 2.5]}
+        assert [type(require(doc, key, float, "$")) for key in "ab"] == [float, float]
+        assert require(doc, "w", list, "$", float) == [1.0, 2.5]
+
+    @pytest.mark.parametrize("doc, kind, message", [
+        ({"x": True}, float, r"^\$: field 'x' must be float$"),
+        ({"x": True}, int, r"^\$: field 'x' must be int$"),
+        ({"x": 10 ** 400}, float, r"^\$: field 'x' must be float$"),
+        ({"x": "1.0"}, float, r"^\$: field 'x' must be float$"),
+        ({"y": 1.0}, float, r"^\$: missing field 'x'$"),
+        ({"x": "\ud800"}, str, r"^\$: field 'x' holds a lone surrogate$"),
+    ], ids=["bool-number", "bool-int", "huge-int", "string", "missing", "surrogate"])
+    def test_field_of_another_kind_is_refused(self, doc, kind, message):
+        with pytest.raises(SchemaError, match=message):
+            require(doc, "x", kind, "$")
+
+    def test_bad_entry_is_named_by_its_path(self):
+        with pytest.raises(SchemaError, match=r"^\$\.a\.w\[2\]: entry must be float$"):
+            require({"w": [1.0, 2, False]}, "w", list, "$.a", float)
+
 
 class TestParseMarkdown:
     def test_title_and_two_step_headings(self):

@@ -222,6 +222,14 @@ class TestModelFile:
         refused(cls, {**doc, key: doc[key][:-1]})
         refused(cls, {**doc, key: doc[key] + doc[key][-1:]})
 
+    @pytest.mark.parametrize("key", ["scaler", "weights", "bias", "version"])
+    @MODEL_CLASSES
+    def test_missing_field_is_named_by_its_path(self, models, cls, key):
+        doc = json.loads(of_class(models, cls).to_json())
+        del doc[key]
+        with pytest.raises(VersionMismatch, match=rf"^\$: missing field '{key}'$"):
+            cls.from_json(json.dumps(doc))
+
     @MODEL_CLASSES
     def test_nesting_too_deep_is_rejected(self, cls):
         with pytest.raises(VersionMismatch, match="too deep"):
