@@ -36,7 +36,7 @@ from .classifier import (Metrics, MissingPrediction, ProcedureClassifierModel,
 from .docmodel import SchemaError, tree_to_json
 from .features import FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector
 from .linear import DegenerateLabels, NonFinite, TrainParams, VersionMismatch
-from .lingua import LexiconError, decode_utf8
+from .lingua import LexiconError, decode_utf8, read_input
 from .pipeline import PipelineConfig
 from .relatedness import describe_graph
 
@@ -182,7 +182,7 @@ def _read_labeled_csv(path: str | Path, columns: tuple[str, ...],
     1/true/True or 0/false/False. An unreadable file exits 66; bytes that
     are not UTF-8, a missing column or a bad value exit 65, naming the line."""
     try:
-        text = decode_utf8(Path(path).read_bytes(),
+        text = decode_utf8(read_input(path),
                            lambda message: CliError(f"{path}, {message}", EX_DATA))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EX_NOINPUT)

@@ -8,14 +8,14 @@ training recipe (`fit_models`). A model checks its values when it is
 built, so no model can be made that the loader would refuse; the loader
 reads every field through `docmodel.require`, which checks its form.
 
-Training is bit-deterministic for a given seed: the sample order comes
-from one seeded generator and all arithmetic is plain float64. Training
-imports numpy inside its functions; loading and scoring a model do not
-need it. A fit fast-forwards over runs of steps that update no model: a
-probe certifies each such step from a bound on the rounding error of any
-summation order, so its decision is the one a BLAS `ddot` would reach
-under any kernel, and the skipped steps' weight decays are replayed with
-the same roundings. Every step not certified runs the `ddot` test itself.
+Training is bit-deterministic for a given seed: the sample order comes from
+one seeded generator and all arithmetic is plain float64. Training imports
+numpy inside its functions; loading and scoring a model do not need it. A
+fit skips runs of steps that update no model, across epoch ends too: a probe
+certifies each such step from a bound on the rounding error of any summation
+order, so its decision is the one a BLAS `ddot` would reach under any
+kernel, and the skipped decays are replayed with the same roundings. No
+epoch loss is kept; one is computed only where the weights break a bound.
 
 Scoring is plain Python float64 summed left to right in feature order
 (`Scorer`), not a BLAS dot product, whose summation order depends on the
@@ -29,9 +29,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, NamedTuple, Sequence
 
 from .docmodel import SchemaError, load_json, require
+from .lingua import read_input
 
 if TYPE_CHECKING:
     import numpy as np
@@ -190,7 +191,7 @@ class LinearModel:
 
     @classmethod
     def load(cls, path: str | Path) -> LinearModel:
-        return cls.from_json(Path(path).read_bytes())
+        return cls.from_json(read_input(path))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), "utf-8")
@@ -214,18 +215,15 @@ def fit_models(cls: type[LinearModel], raws: Sequence[np.ndarray],
             for fit, scaler in zip(fits, scalers)]
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     weights: tuple[float, ...]
     bias: float
-    epoch_losses: list[float]  # mean hinge + L2 loss per epoch
 
 
 def _epoch_loss(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
                 l2: float) -> float:
     import numpy as np
-    margins = y * (x @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
+    hinge = np.maximum(0.0, 1.0 - y * (x @ w + b)).mean()
     return float(hinge + 0.5 * l2 * float(w @ w))
 
 
@@ -237,16 +235,17 @@ def check_classes(y: np.ndarray) -> None:
         raise DegenerateLabels(f"need both classes, got labels {sorted(classes)}")
 
 
-# Fast-forwarding the update-free steps of a fit (see `fit_hinge`). A probe
-# costs about as much as this many exact steps of the bundled fits; a run
-# shorter than that quadruples the exact steps taken before the next probe,
-# up to the cap, and a longer one resets them.
+# Fast-forwarding update-free steps (see `fit_hinge`). A probe costs about as
+# much as this many exact steps of the bundled fits; a shorter run quadruples
+# the exact steps before the next probe, up to the cap; a longer one resets.
 _SHORT_RUN = 16
 _MAX_WAIT = 4096
+_BLOCK = 1024  # steps times models of the epochs drawn at once (at least one)
 # Elements of one block of replayed decays, which bounds the replay's memory.
-_REPLAY_ELEMENTS = 1 << 16
+_REPLAY_ELEMENTS = 1 << 14
 # `_free_steps` assumes row sums and weights of at most this size.
 _LIMIT = 2.0 ** 500
+_SAFE = 2.0 ** 400  # no epoch loss is computed while no |w| or |b| exceeds it
 
 
 def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
@@ -255,8 +254,8 @@ def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
 
     Each `x` in `xs` must already be scaled and have the same shape; `y` in
     {-1, +1} labels the rows of every one. The step size decays as
-    lr / (1 + lr * l2 * t) over global update count t, so it is
-    near-constant early and ~1/t asymptotically.
+    lr / (1 + lr * l2 * t) over global update count t: near-constant early,
+    ~1/t later. NonFinite where an epoch ends with a non-finite weight or loss.
 
     The models share the sample order and step sizes, so one loop steps
     them all: their weights are the rows of one array, decayed by one
@@ -264,29 +263,26 @@ def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
     fitting each model on its own, so every result has the same bits.
 
     A step whose margins are all at least 1 only decays the weights, and a
-    trained model has long runs of such steps. So the fit probes: one
-    matrix product per model at the current weights gives every sample's
-    x.w and |x|.|w|, and `_free_steps` counts the steps ahead whose margins
-    a rounding-error bound puts at least 1 whichever order a BLAS ddot sums
-    in. Those steps are skipped and their decays replayed onto the weights
-    with the same roundings (`_decay`); the first step not certainly free
-    runs as an exact step, whose ddot decides its update and every tie.
-    The fit probes at the start of an epoch and after an exact step, but
-    while probes find runs shorter than a probe costs, it takes four times
-    as many exact steps before the next one, up to a cap. The first epoch
-    takes exact steps only.
+    trained model has long runs of such steps. A probe, one matrix product
+    per model, finds the steps ahead that `_free_steps` certifies free
+    whichever order a BLAS ddot sums in; they are skipped, their decays
+    replayed (`_decay`), and the next step runs exactly (see `_SHORT_RUN`).
+
+    Exact steps stop at each epoch end, where the loss is computed only if
+    a weight or bias exceeds `_SAFE` (see `_step_reach`). Epochs are drawn
+    in blocks: after a long run, a probe where that bound holds looks ahead
+    to the block's end, any other to the epoch's end. A free run only scales
+    the weights, by factors in [-1, 1], so the bound holds at each end it meets.
     """
     import numpy as np
     check_classes(y)
-    # One model's rows need no copy: a view of its matrix has the layout
-    # that stacking gives.
+    # One model's rows need no copy: a view has the layout stacking gives.
     stacked = (np.ascontiguousarray(xs[0])[:, None, :] if len(xs) == 1
                else np.stack(xs, axis=1))
     n, m, dim = stacked.shape
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    # Per sample, its rows of every matrix stacked, and those rows one by
-    # one; Python floats and float64 scalars round alike, so labels and
-    # biases are Python floats.
+    # Per sample, its rows of every matrix stacked and one by one. Python and
+    # float64 scalars round alike, so labels and biases are Python floats.
     samples = [(rows, tuple(rows)) for rows in stacked]
     labels = y.tolist()
     w = np.zeros((m, dim), dtype=float)
@@ -295,50 +291,48 @@ def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
     lr0, l2 = params.learning_rate, params.l2
     vecdot = np.vecdot
     every_model = range(m)
-    t = 0
-    losses: list[list[float]] = [[] for _ in xs]
-    # The probe's operands: each model's rows as columns, its weights and
-    # their magnitudes as two rows, the bound's 8u * (dim + k), and the
-    # block buffer of the decay replay.
-    by_column = stacked.transpose(1, 2, 0)
-    w2 = np.empty((m, 2, dim))
-    slack = np.ldexp(dim + np.arange(n, dtype=float), -50)
-    chain = np.empty((max(1, _REPLAY_ELEMENTS // (m * dim or 1)) + 1, m * dim))
     reach = _step_reach(stacked, params)
-    # The first epoch runs exact steps: from zero weights, where every margin
-    # is 0, it updates nearly every step. `due` counts the exact steps
-    # before the next probe.
+
+    def finite_loss() -> bool:  # by the bound of `_step_reach`
+        return (reach < math.inf and float(np.abs(w).max(initial=0.0)) <= _SAFE
+                and all(abs(bk) <= _SAFE for bk in b))
+
+    # Probe operands: each model's rows as columns, the bound's 8u * (dim + k).
+    per_block = max(1, _BLOCK // (n * m))
+    by_column = stacked.transpose(1, 2, 0)
+    slack = np.ldexp(dim + np.arange(per_block * n, dtype=float), -50)
+    chain = np.empty((max(1, _REPLAY_ELEMENTS // (m * dim or 1)) + 1, m * dim))
+    # `due` counts the exact steps before the next probe. The first epoch's
+    # are all exact: from zero weights nearly every step updates.
     wait, due = 0, n
-    for _ in range(params.epochs):
-        order = rng.permutation(n)
+    for first in range(0, params.epochs, per_block):
+        size = n * min(per_block, params.epochs - first)
+        order = np.concatenate([rng.permutation(n) for _ in range(size // n)])
         # The same IEEE operations as computing each step's rate in turn.
-        steps = np.arange(t + 1, t + n + 1, dtype=float)
-        t += n
+        steps = np.arange(first * n + 1, first * n + size + 1, dtype=float)
         lrs = lr0 / (1.0 + lr0 * l2 * steps)
         decays = 1.0 - lrs * l2
-        order_list, lrs_list, decays_list = order.tolist(), lrs.tolist(), decays.tolist()
         pos = 0
-        while pos < n:
+        while pos < size:
             if not due:
+                far = size if not wait and finite_loss() else pos - pos % n + n
                 run = 0
-                if t * reach <= _LIMIT:
-                    w2[:, 0] = w
-                    np.abs(w, out=w2[:, 1])
-                    ahead = np.matmul(w2, by_column).take(order[pos:], axis=-1)
-                    run = _free_steps(ahead, b, y[order[pos:]], decays[pos:], slack)
+                if (first * n + far) * reach <= _LIMIT:
+                    w2 = np.stack((w, np.abs(w)), axis=1)  # per model, w and |w|
+                    ahead = np.matmul(w2, by_column).take(order[pos:far], axis=-1)
+                    run = _free_steps(ahead, b, y[order[pos:far]], decays[pos:far], slack)
                 if run:
                     _decay(w, decays[pos:pos + run], chain)
                     pos += run
                 wait = 0 if run >= _SHORT_RUN else min(4 * wait or 1, _MAX_WAIT)
-                due = 1 + wait if pos < n else 0
-            stop = min(n, pos + due)
-            for i, lr, decay in zip(order_list[pos:stop], lrs_list[pos:stop],
-                                    decays_list[pos:stop]):
+                due = 1 + wait if pos < far else 0
+            stop = min(pos + due, pos - pos % n + n)  # exact steps stop at epoch ends
+            for i, lr, decay in zip(order[pos:stop].tolist(), lrs[pos:stop].tolist(),
+                                    decays[pos:stop].tolist()):
                 yi = labels[i]
                 rows, parts = samples[i]
-                # One BLAS ddot per model; for one model, ndarray.dot skips
-                # vecdot's dispatch and the test needs no loop. (Before
-                # Python 3.12 a plain loop beats a list comprehension here.)
+                # One BLAS ddot per model; for one model, ndarray.dot skips vecdot's
+                # dispatch. (Before Python 3.12 a plain loop beats a comprehension.)
                 if m > 1:
                     below = []
                     for k, dot in enumerate(vecdot(rows, w).tolist()):
@@ -362,13 +356,12 @@ def fit_hinge(xs: Sequence[np.ndarray], y: np.ndarray,
                             b[k] += g
             due -= stop - pos
             pos = stop
-        for k, (xk, wk) in enumerate(zip(xs, ws)):
-            loss = _epoch_loss(xk, y, wk, b[k], l2)
-            if not np.isfinite(loss) or not np.all(np.isfinite(wk)):
-                raise NonFinite(f"training diverged (loss={loss})")
-            losses[k].append(loss)
-    return [FitResult(weights=tuple(wk.tolist()), bias=bk, epoch_losses=lk)
-            for wk, bk, lk in zip(ws, b, losses)]
+            if pos % n == 0 and not finite_loss():
+                for xk, wk, bk in zip(xs, ws, b):
+                    loss = _epoch_loss(xk, y, wk, bk, l2)
+                    if not np.isfinite(loss) or not np.all(np.isfinite(wk)):
+                        raise NonFinite(f"training diverged (loss={loss})")
+    return [FitResult(weights=tuple(wk.tolist()), bias=bk) for wk, bk in zip(ws, b)]
 
 
 def _step_reach(stacked: np.ndarray, params: TrainParams) -> float:
@@ -376,17 +369,23 @@ def _step_reach(stacked: np.ndarray, params: TrainParams) -> float:
     magnitude, so that after t steps all of them lie within t times this;
     or infinity where the fit must not skip steps, because it breaks what
     `_free_steps` assumes: rows that are not all non-negative with sums
-    within 2^500 (scaled rows lie in [0, 1]), 2^30 or more samples plus
-    columns, 2^50 or more steps, or a rate or L2 weight that is negative or
-    not finite (which could take a decay factor out of [-1, 1])."""
+    within 2^500 (scaled rows lie in [0, 1]), 2^30 or more columns plus
+    samples or steps in a block, 2^50 or more steps, a negative rate or L2
+    weight (which could take a decay out of [-1, 1]) or one not finite, or
+    an L2 weight above 2^100.
+
+    Where it is finite, so is an epoch's loss while no |w| or |b| exceeds
+    2^400 (`_SAFE`): a term of x.w is at most hi * 2^400, so x.w + b in any
+    order, each row's hinge and their mean over n < 2^30 rows stay below
+    2^902, and 0.5 * l2 * w.w below 2^930. No operand is infinite or NaN."""
     import numpy as np
     n, _, dim = stacked.shape
     lo = float(np.min(stacked, initial=0.0))
     hi = float(np.max(stacked, initial=0.0))
     lr0, l2 = params.learning_rate, params.l2
-    if (0.0 <= lo and dim * hi <= _LIMIT and n + dim < 2 ** 30
+    if (0.0 <= lo and dim * hi <= _LIMIT and max(n, _BLOCK) + dim < 2 ** 30
             and params.epochs * n < 2 ** 50 and 0.0 <= lr0 < math.inf
-            and 0.0 <= l2 < math.inf):
+            and 0.0 <= l2 <= 2.0 ** 100):
         return 2.0 * lr0 * max(hi, 1.0)
     return math.inf
 

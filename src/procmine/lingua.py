@@ -125,27 +125,42 @@ class LexiconError(ValueError):
     """A lexicon file that is not UTF-8 or breaks its format."""
 
 
+def read_input(path: str | Path) -> bytes:
+    """The bytes of the input file `path`: OSError where it cannot be read
+    or is not a regular file, through any link (reading a named pipe would
+    block)."""
+    path = Path(path)
+    if not stat.S_ISREG(path.stat().st_mode):
+        raise OSError(errno.EINVAL, "not a regular file", str(path))
+    return path.read_bytes()
+
+
+def input_lines(text: str) -> list[str]:
+    """The lines of input text, each ended by \\n, \\r\\n or a lone \\r, as
+    `csv.reader` counts them, so that every input file numbers its lines
+    alike (`str.splitlines` also ends a line at \\x0c, U+0085, U+2028...)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def decode_utf8(data: bytes, error) -> str:
     """The text of input file bytes, without one leading byte-order mark.
-    Bytes that are not UTF-8 raise `error("line N: not UTF-8")`, N the line
-    of the first bad byte."""
+    Bytes that are not UTF-8 raise `error("line N: not UTF-8")`, N the
+    `input_lines` line of the first bad byte."""
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        lineno = len(input_lines(data[:exc.start].decode("utf-8")))
         raise error(f"line {lineno}: not UTF-8") from None
 
 
 def lexicon_lines(path: Path) -> list[tuple[int, str]]:
-    """(line number, text) of each line of the lexicon file `path`,
-    stripped and lower-cased, skipping blank lines and `#` comments. Bytes
-    that are not UTF-8 raise LexiconError; an unreadable file, or one that
-    is not a regular file (reading a named pipe would block), OSError."""
-    if not stat.S_ISREG(path.stat().st_mode):  # follows a link
-        raise OSError(errno.EINVAL, "not a regular file", str(path))
-    text = decode_utf8(path.read_bytes(),
+    """(line number, text) of each of the `input_lines` of the lexicon file
+    `path`, stripped and lower-cased, skipping blank lines and `#` comments.
+    Bytes that are not UTF-8 raise LexiconError; a file that `read_input`
+    cannot read, OSError."""
+    text = decode_utf8(read_input(path),
                        lambda message: LexiconError(f"{path}, {message}"))
-    lines = enumerate((line.strip() for line in text.splitlines()), 1)
+    lines = enumerate((line.strip() for line in input_lines(text)), 1)
     return [(lineno, line.lower()) for lineno, line in lines
             if line and not line.startswith("#")]
 

@@ -27,7 +27,7 @@ from .extractor import Procedure
 from .features import ContextLexicons, FeatureVector
 from .goals import GoalCueConfig
 from .lingua import (LexiconError, Tagger, decode_utf8, lexicon_file,
-                     lexicon_lines, load_lexicon)
+                     lexicon_lines, load_lexicon, read_input)
 
 
 def _goal_cues(path: Path) -> GoalCueConfig:
@@ -96,7 +96,7 @@ def load_document(path: str | Path, fmt: str | None = None) -> DocTree:
     path = Path(path)
     if fmt is None:
         fmt = "sdjson" if path.suffix.lower() == ".json" else "md"
-    data = path.read_bytes()
+    data = read_input(path)
     if fmt == "sdjson":
         return parse_sdjson(data, source_name=path.name)
     if fmt == "md":

@@ -596,7 +596,7 @@ def oracle_fit_hinge(x: np.ndarray, y: np.ndarray,
         if not np.isfinite(loss) or not np.all(np.isfinite(w)):
             raise linear.NonFinite(f"training diverged (loss={loss})")
         losses.append(loss)
-    return linear.FitResult(weights=tuple(w.tolist()), bias=b, epoch_losses=losses)
+    return linear.FitResult(weights=tuple(w.tolist()), bias=b)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,12 @@ def named_pipe(path, name):
     return str(path)
 
 
+def fifo(path):
+    """A named pipe with no writer at `path`."""
+    os.mkfifo(path)
+    return str(path)
+
+
 VERB_HEADER = b"base,third,past,participle,gerund\n"
 LONE_SURROGATE = ('{"version": "sdjson/1", "title": "T", "elements": '
                   '[{"type": "paragraph", "text": "Open the \\ud800 panel."}]}')
@@ -375,6 +381,21 @@ BAD_INPUTS = {
     "extract-lexicon-verbs-named-pipe": (66, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
         "--lexicon-dir", named_pipe(d / "lex", "verbs.csv")]),
+    # Any other input file that is a named pipe exits 66 too, not blocking.
+    "extract-document-named-pipe": (66, lambda d: [
+        "extract", fifo(d / "doc.md"), "--model", PROCEDURE,
+        "-o", str(d / "out.json")]),
+    "eval-labels-named-pipe": (66, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        fifo(d / "g.csv")]),
+    "train-features-named-pipe": (66, lambda d: [
+        "train", fifo(d / "f.csv"), "--seed", "1", "-o", str(d / "m.json")]),
+    "extract-model-named-pipe": (66, lambda d: [
+        "extract", str(DOC), "--model", fifo(d / "p.json"),
+        "-o", str(d / "out.json")]),
+    "extract-actionable-model-named-pipe": (66, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE,
+        "--actionable-model", fifo(d / "a.json"), "-o", str(d / "out.json")]),
     "extract-lexicon-verbs-other-header": (65, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
         "--lexicon-dir", lexicon_dir(d / "lex", "verbs.csv", b"a,b\n")]),
@@ -423,6 +444,13 @@ BAD_INPUTS = {
     "eval-labels-not-utf8": (65, lambda d: [
         "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
         write_bytes(d / "g.csv", b"chunk_id,label\n1,1\n2,\xff\n")]),
+    # A form feed ends no line for `csv.reader`, so neither for the decoder.
+    "eval-labels-form-feed-not-utf8": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write_bytes(d / "g.csv", b"chunk_id,label\n1,1\x0c\n2,\xff\n")]),
+    "eval-labels-form-feed-bad-label": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write_bytes(d / "g.csv", b"chunk_id,label\n1,1\x0c\n2,x\n")]),
     "train-features-not-utf8": (65, lambda d: [
         "train", write_bytes(d / "f.csv", TWO_CLASS_FEATURES.encode()
                              .replace(b"\n2,", b"\n2,\xe9")),
@@ -473,6 +501,9 @@ BAD_INPUT_MESSAGES = {
         lambda d: (f"cannot load model {d / 'a.json'}: "
                    "$: missing field 'total_sentences'"),
     "eval-labels-not-utf8": lambda d: f"{d / 'g.csv'}, line 3: not UTF-8",
+    "eval-labels-form-feed-not-utf8": lambda d: f"{d / 'g.csv'}, line 3: not UTF-8",
+    "eval-labels-form-feed-bad-label": lambda d: (
+        f"{d / 'g.csv'}, line 3: label must be 0/1 or true/false, got 'x'"),
     "train-features-not-utf8": lambda d: f"{d / 'f.csv'}, line 3: not UTF-8",
 }
 

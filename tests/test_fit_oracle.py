@@ -1,29 +1,33 @@
 """`linear.fit_hinge` in lockstep against the one-model loop in conftest.
 
 Several scaled matrices that share labels and training parameters are
-fitted in one call; each model's weights, bias and epoch losses must equal
-the oracle's bit for bit. The ablation study, which fits its models in one
-call, must report what one `ablate` call per category reports.
+fitted in one call; each model's weights and bias must equal the oracle's
+bit for bit, and the fit must raise NonFinite where the oracle does. The
+ablation study, which fits its models in one call, must report what one
+`ablate` call per category reports.
 
 The fit skips runs of steps that a rounding-error bound certifies as
 update-free (`linear._free_steps`) and replays their decays
-(`linear._decay`); separable problems with long such runs, margins of
-exactly 1.0 inside a run, zero and negative decay factors and diverging
-rates must still give the oracle's bits, and the replay must stay within
-its memory bound.
+(`linear._decay`), across epoch ends; separable problems with long such
+runs, margins of exactly 1.0 inside a run, zero and negative decay factors
+and diverging rates must still give the oracle's bits, and the replay must
+stay within its memory bound. The loss is computed only at epoch ends where
+a bound on the weights fails (`linear._epoch_loss`).
 """
 
+import csv
 import functools
 import math
 import operator
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procmine import linear
+from procmine import actionable, classifier, linear
 from procmine.classifier import ablate, ablation_report
 from procmine.features import FEATURE_CATEGORIES, FeatureVector
 from procmine.linear import DegenerateLabels, NonFinite, TrainParams
@@ -31,11 +35,11 @@ from procmine.linear import DegenerateLabels, NonFinite, TrainParams
 from conftest import oracle_fit_hinge
 
 COLUMN_KINDS = ("dense", "sparse", "constant", "zero")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def bits(fit: linear.FitResult) -> tuple:
-    return (tuple(w.hex() for w in fit.weights), fit.bias.hex(),
-            tuple(loss.hex() for loss in fit.epoch_losses))
+    return tuple(w.hex() for w in fit.weights), fit.bias.hex()
 
 
 def scaled_matrix(rng: np.random.Generator, n: int, kinds: list[str],
@@ -187,16 +191,19 @@ def test_ablation_report_rejects_unknown_feature_ids():
 # Fast-forwarded runs of update-free steps.
 
 class ProbeLog:
-    """Wraps `linear._free_steps`: counts the steps it certifies free and
-    the probes that stopped at a step whose margins the probe puts at 1 or
-    more for every model, in the band where the exact step decides."""
+    """Wraps `linear._free_steps`: counts the probes, the longest window of
+    steps a probe looked at, the steps it certifies free and the probes that
+    stopped at a step whose margins the probe puts at 1 or more for every
+    model, in the band where the exact step decides."""
 
     def __init__(self, free_steps):
         self.free_steps = free_steps
-        self.skipped = self.in_band = 0
+        self.probes = self.longest = self.skipped = self.in_band = 0
 
     def __call__(self, ahead, b, y, decays, slack):
         run = self.free_steps(ahead, b, y, decays, slack)
+        self.probes += 1
+        self.longest = max(self.longest, len(y))
         self.skipped += run
         if run < len(y):
             scale = functools.reduce(operator.mul, decays[:run].tolist(), 1.0)
@@ -211,6 +218,19 @@ def probe_log(monkeypatch):
     log = ProbeLog(linear._free_steps)
     monkeypatch.setattr(linear, "_free_steps", log)
     return log
+
+
+@pytest.fixture
+def epoch_losses(monkeypatch):
+    """Counts the calls of `linear._epoch_loss`."""
+    calls = []
+    loss = linear._epoch_loss
+
+    def counted(*args):
+        calls.append(None)
+        return loss(*args)
+    monkeypatch.setattr(linear, "_epoch_loss", counted)
+    return calls
 
 
 @st.composite
@@ -283,6 +303,50 @@ def test_margin_of_exactly_one_falls_back_inside_a_run(models, probe_log):
         assert bits(fit) == bits(oracle_fit_hinge(x, y, params))
     assert probe_log.skipped > 0
     assert probe_log.in_band > 0
+
+
+@pytest.mark.parametrize("models", [1, 3])
+def test_runs_cross_epoch_ends(models, probe_log):
+    """A separable problem settles into update-free runs longer than an
+    epoch: the fit probes fewer times than it has epochs, a probe looks
+    past the end of its epoch, and the bits are the oracle's."""
+    rng = np.random.default_rng(6)
+    y = np.array([1.0, -1.0] * 10)
+    xs = []
+    for _ in range(models):
+        x = rng.random((20, 4)) * 0.01
+        x[:, 0] = y > 0
+        xs.append(x)
+    params = TrainParams(epochs=100, learning_rate=0.5, l2=1e-4, seed=4)
+    fits = linear.fit_hinge(xs, y, params)
+    assert probe_log.probes < params.epochs
+    assert probe_log.longest > len(y)
+    assert probe_log.skipped > len(y) * params.epochs // 2
+    for x, fit in zip(xs, fits):
+        assert bits(fit) == bits(oracle_fit_hinge(x, y, params))
+
+
+def test_bundled_fits_compute_no_epoch_loss(monkeypatch, epoch_losses):
+    """The recipe of scripts/build_models.py trains both bundled models and
+    runs the ablation study with no epoch loss computed, since the bound
+    holds at every epoch end, and still gives the models' bytes."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import build_models as recipe
+    with (recipe.CORPUS / "actionable_sentences.csv").open(newline="") as handle:
+        rows = [(row["text"], row["label"] == "1") for row in csv.DictReader(handle)]
+    actionable_model = actionable.train(
+        rows[:recipe.TRAIN_SPLIT],
+        TrainParams(seed=recipe.ACTIONABLE_SEED, **recipe.PARAMS))
+    split = {True: [], False: []}
+    for doc in recipe.DOCS:
+        split[doc.name in recipe.TRAIN_DOCS] += recipe.labeled_rows(doc, actionable_model)
+    params = TrainParams(seed=recipe.PROCEDURE_SEED, **recipe.PARAMS)
+    procedure_model = classifier.train(split[True], params)
+    classifier.ablation_report(split[True], split[False], params)
+    assert epoch_losses == []
+    models = recipe.CORPUS / "models"
+    assert actionable_model.to_json() == (models / "actionable.json").read_text("utf-8")
+    assert procedure_model.to_json() == (models / "procedure.json").read_text("utf-8")
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,6 +438,69 @@ def test_divergence_raises_at_the_oracles_epoch(models, learning_rate, l2):
     if expected is None:
         for x, fit in zip(xs, linear.fit_hinge(xs, y, params(6))):
             assert bits(fit) == bits(oracle_fit_hinge(x, y, params(6)))
+
+
+@pytest.mark.parametrize("models", [1, 3])
+@pytest.mark.parametrize("learning_rate,l2", [
+    (1e308, 0.0), (1e154, 0.0), (1e154, 1e-300), (5e153, 0.0), (1e148, 0.0)])
+def test_weights_beyond_the_bound_compute_the_loss(models, learning_rate, l2,
+                                                   epoch_losses):
+    """The cases of `test_divergence_raises_at_the_oracles_epoch`, fitted
+    for 1 to 12 epochs; some weights shrink back from where they overflowed
+    the loss. The weights pass the bound, so the fit computes the loss at
+    epoch ends, and it raises what the oracle raises at the first epoch end
+    with a non-finite loss (the first model's, if several), or gives the
+    oracle's bits."""
+    rng = np.random.default_rng(5)
+    y = np.array([1.0, -1.0] * 6)
+    xs = [rng.random((12, 3)) for _ in range(models)]
+
+    def params(epochs):
+        return TrainParams(epochs=epochs, learning_rate=learning_rate, l2=l2,
+                           seed=11)
+
+    firsts = []
+    for k, x in enumerate(xs):
+        found = first_divergence(
+            lambda epochs: oracle_fit_hinge(x, y, params(epochs)), 12)
+        if found:
+            firsts.append((found[0], k, found[1]))
+    for epochs in range(1, 13):
+        raised = [(message, k) for first, k, message in sorted(firsts)
+                  if first <= epochs]
+        try:
+            with np.errstate(all="ignore"):
+                fits = linear.fit_hinge(xs, y, params(epochs))
+        except NonFinite as exc:
+            assert raised and str(exc) == raised[0][0]
+        else:
+            assert not raised
+            for x, fit in zip(xs, fits):
+                assert bits(fit) == bits(oracle_fit_hinge(x, y, params(epochs)))
+    assert epoch_losses
+
+
+@pytest.mark.parametrize("learning_rate", [1e308, 1e200])
+def test_bias_beyond_the_bound_computes_the_loss(learning_rate, epoch_losses):
+    """All-zero rows keep the weights at zero while the bias swings between
+    0 and +-rate, past the bound: the fit computes the loss, and raises
+    where the oracle does (two hinges of 1 + 1e308 overflow the mean) or
+    gives its bits."""
+    y = np.array([1.0, 1.0, -1.0, -1.0])
+    x = np.zeros((4, 2))
+
+    def params(epochs):
+        return TrainParams(epochs=epochs, learning_rate=learning_rate, l2=0.0,
+                           seed=3)
+
+    expected = first_divergence(lambda epochs: oracle_fit_hinge(x, y, params(epochs)), 4)
+    assert (expected is None) == (learning_rate < 1e308)
+    assert first_divergence(
+        lambda epochs: linear.fit_hinge([x], y, params(epochs)), 4) == expected
+    if expected is None:
+        fit, = linear.fit_hinge([x], y, params(4))
+        assert bits(fit) == bits(oracle_fit_hinge(x, y, params(4)))
+    assert epoch_losses
 
 
 def test_replay_memory_stays_within_a_bound(probe_log):

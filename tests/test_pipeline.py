@@ -235,9 +235,20 @@ class TestLexiconFiles:
         path.write_bytes(b"# adverbs\n  Quickly \n\n  # indented\r\nNEXT\r\n")
         assert lingua.lexicon_lines(path) == [(2, "quickly"), (5, "next")]
 
+    def test_lines_end_where_csv_reader_ends_them(self, tmp_path):
+        """Only \\n, \\r\\n and a lone \\r end a line: a form feed, U+0085
+        and U+2028 do not, as in `csv.reader` (`str.splitlines` breaks at
+        all three)."""
+        path = tmp_path / "adverbs.txt"
+        path.write_bytes("first\x0cstep\r\nnext\u2028up\rlast\x85\n".encode())
+        assert lingua.lexicon_lines(path) == [
+            (1, "first\x0cstep"), (2, "next\u2028up"), (3, "last")]
+
     @pytest.mark.parametrize("name,data,message", [
         ("negators.txt", b"not\n\xff\n", "line 2: not UTF-8"),
         ("adverbs.txt", b"first\rnext\r\nfas\xfft\n", "line 3: not UTF-8"),
+        ("adverbs.txt", "first\x0c\u2028\nnext\x85\n".encode() + b"\xff\n",
+         "line 3: not UTF-8"),
         ("context_procedural.txt", b"\xfe", "line 1: not UTF-8"),
         ("goal_cues.txt", b"# cues\n\nprefix:how to\nprefix\n",
          "line 4: expected prefix:<word> or gerund_opening:on|off, got 'prefix'"),
