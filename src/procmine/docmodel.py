@@ -2,9 +2,10 @@
 
 Two ingestion paths produce the same tree shape: a structured-document JSON
 format (``sdjson/1``) emitted by upstream converters, and a Markdown subset
-for authoring test corpora by hand. Both build through one `_Builder`,
-which alone keeps the heading outline and sets every node's parent and
-depth, so a parsed tree needs no separate validation pass. Trees are
+for authoring test corpora by hand, read in one pass over its lines as
+`lingua.input_lines` ends them. Both build through one `_Builder`, which
+alone keeps the heading outline and sets every node's parent and depth, so
+a parsed tree needs no separate validation pass. Trees are
 immutable once built. A malformed document raises `SchemaError`.
 `load_json` reads every JSON input file, documents and model files alike,
 and `require` every field, so a bad one is a `SchemaError` naming its path.
@@ -168,6 +169,8 @@ class _Builder:
         }]
         # Outline stack of (heading level, node id); the title acts as level 0.
         self._outline: list[tuple[int, int]] = [(0, 0)]
+        # Node id -> its text pieces, for the nodes `extend` gave text.
+        self._pieces: dict[int, list[str]] = {}
 
     @property
     def section(self) -> int:
@@ -194,18 +197,23 @@ class _Builder:
         self._outline.append((level, node_id))
         return node_id
 
+    def set_text(self, node_id: int, text: str) -> None:
+        self._nodes[node_id]["text"] = text
+
     def extend(self, node_id: int, text: str = "", image: bool = False) -> None:
-        """Append continuation text and an image flag to an existing node."""
-        raw = self._nodes[node_id]
+        """Append stripped continuation text and an image flag to an existing
+        node. `freeze` joins the node's non-empty pieces once, by spaces."""
         if text:
-            raw["text"] = (raw["text"] + " " + text).strip()
+            self._pieces.setdefault(node_id, [self._nodes[node_id]["text"]]).append(text)
         if image:
-            raw["image"] = True
+            self._nodes[node_id]["image"] = True
 
     def children(self, node_id: int) -> list[int]:
         return self._nodes[node_id]["children"]
 
     def freeze(self) -> DocTree:
+        for node_id, pieces in self._pieces.items():
+            self._nodes[node_id]["text"] = " ".join(filter(None, pieces))
         nodes = {
             raw["id"]: DocNode(
                 id=raw["id"], kind=raw["kind"], text=raw["text"], depth=raw["depth"],
@@ -300,9 +308,13 @@ def parse_sdjson(data: bytes | str, source_name: str = "") -> DocTree:
 # Markdown subset
 
 _ATX_RE = re.compile(r"^(#{1,6})\s+(.*)$")
-_ORDERED_RE = re.compile(r"^(\s*)(\d+)[.)]\s+(.*)$")
-_UNORDERED_RE = re.compile(r"^(\s*)[-*+]\s+(.*)$")
-_IMAGE_RE = re.compile(r"!\[[^\]]*\]\([^)]*\)")
+# A list item: its indent, the number of an ordered marker (`1.`, `1)`;
+# none for `-`, `*`, `+`) and its text.
+_ITEM_RE = re.compile(r"^(\s*)(?:(\d+)[.)]|[-*+])\s+(.*)$")
+# From each `![`, the longest prefix of an image `![alt](src)`: group 2 is
+# set only for a whole image, and a partial one consumes what no image
+# starting inside it could use, so each character is read once.
+_IMAGE_RE = re.compile(r"!\[[^\]]*(?:\](\([^)]*(\))?)?)?")
 
 
 def _atx_text(content: str) -> str:
@@ -317,112 +329,78 @@ def _atx_text(content: str) -> str:
 
 
 def _strip_images(text: str) -> tuple[str, bool]:
-    stripped, n = _IMAGE_RE.subn("", text)
-    return re.sub(r"\s{2,}", " ", stripped).strip(), n > 0
-
-
-class _MarkdownParser:
-    def __init__(self, source_name: str, title: str):
-        self.builder = _Builder(source_name, title)
-        # open lists: (indent level, block id, ordered, last item id)
-        self.list_stack: list[list] = []
-        self.para_lines: list[str] = []
-
-    def flush_paragraph(self) -> None:
-        if not self.para_lines:
-            return
-        text = " ".join(line.strip() for line in self.para_lines)
-        self.para_lines = []
-        text, has_image = _strip_images(text)
-        parent = self.builder.section
-        if not text and has_image:
-            # A bare figure marks the node it illustrates: the element just
-            # before it, falling back to the enclosing section.
-            siblings = self.builder.children(parent)
-            self.builder.extend(siblings[-1] if siblings else parent, image=True)
-            return
-        self.builder.child(parent, Kind.PARAGRAPH, text, image=has_image)
-
-    def close_lists(self, down_to: int = -1) -> None:
-        while self.list_stack and self.list_stack[-1][0] > down_to:
-            self.list_stack.pop()
-
-    def open_list(self, indent: int, ordered: bool) -> None:
-        if self.list_stack:
-            parent = self.list_stack[-1][3]  # nest under the last open item
-        else:
-            parent = self.builder.section
-        block = self.builder.child(parent, Kind.LIST_BLOCK, "", ordered=ordered)
-        self.list_stack.append([indent, block, ordered, None])
-
-    def add_item(self, indent: int, ordered: bool, text: str) -> None:
-        self.flush_paragraph()
-        self.close_lists(down_to=indent)
-        top = self.list_stack[-1] if self.list_stack else None
-        if top is None or top[0] < indent:
-            self.open_list(indent, ordered)
-        elif top[2] != ordered:  # marker style switch starts a new block
-            self.list_stack.pop()
-            self.open_list(indent, ordered)
-        top = self.list_stack[-1]
-        text, has_image = _strip_images(text)
-        top[3] = self.builder.child(top[1], Kind.LIST_ITEM, text, image=has_image)
-
-    def add_heading(self, level: int, text: str) -> None:
-        self.flush_paragraph()
-        self.close_lists()
-        text, has_image = _strip_images(text)
-        self.builder.heading(level, text, has_image)
+    """`text` without its images, spaces collapsed, and whether it had one
+    (a removed image always shortens it)."""
+    stripped = _IMAGE_RE.sub(lambda match: "" if match[2] else match[0], text)
+    return re.sub(r"\s{2,}", " ", stripped).strip(), len(stripped) < len(text)
 
 
 def parse_markdown(text: str, source_name: str = "document") -> DocTree:
-    """Parse an ATX-heading/list/paragraph Markdown subset into a tree.
+    """Parse an ATX-heading/list/paragraph Markdown subset into a tree, in
+    one pass over its `lingua.input_lines`, so `\\r\\n` and a lone `\\r` end
+    a line as `\\n` does.
 
     The first level-1 heading becomes the title (the source name when there
-    is none). Nesting indents are 2 spaces; tabs count as 2 spaces. Nothing
-    is fatal: unrecognized lines are folded into paragraphs.
+    is none); its line adds no node and ends no paragraph. Nesting indents
+    are 2 spaces; tabs count as 2 spaces. An indented line right after an
+    item continues it. Nothing is fatal: unrecognized lines are folded into
+    paragraphs.
     """
-    lines = text.replace("\t", "  ").split("\n")
-
-    title_text = None
-    title_line = None
-    for i, line in enumerate(lines):
-        match = _ATX_RE.match(line)
-        if match and len(match.group(1)) == 1:
-            title_text, _ = _strip_images(_atx_text(match.group(2)))
-            title_line = i
-            break
-    parser = _MarkdownParser(source_name, title_text or source_name)
-
-    for i, line in enumerate(lines):
-        if i == title_line:
-            continue
-        if not line.strip():
-            parser.flush_paragraph()
-            continue
-        heading = _ATX_RE.match(line)
-        if heading:
-            parser.add_heading(len(heading.group(1)), _atx_text(heading.group(2)))
-            continue
-        ordered = _ORDERED_RE.match(line)
-        if ordered:
-            parser.add_item(len(ordered.group(1)) // 2, True, ordered.group(3))
-            continue
-        unordered = _UNORDERED_RE.match(line)
-        if unordered:
-            parser.add_item(len(unordered.group(1)) // 2, False, unordered.group(2))
-            continue
-        if parser.list_stack and not parser.para_lines and line[:1].isspace():
-            # indented continuation of the current list item
-            item = parser.list_stack[-1][3]
-            if item is not None:
-                parser.builder.extend(item, *_strip_images(line.strip()))
+    builder = _Builder(source_name, source_name)
+    titled = False
+    paragraph: list[str] = []  # the lines of the pending paragraph
+    lists: list[list] = []  # open lists: [indent, block id, ordered, last item id]
+    # A blank line after the last flushes the pending paragraph.
+    for line in [*lingua.input_lines(text.replace("\t", "  ")), ""]:
+        heading = item = None
+        if line.strip():
+            heading = _ATX_RE.match(line)
+            item = None if heading else _ITEM_RE.match(line)
+            if heading and not titled and len(heading[1]) == 1:
+                titled = True
+                title, _ = _strip_images(_atx_text(heading[2]))
+                if title:
+                    builder.set_text(0, title)
                 continue
-        if not parser.para_lines:
-            parser.close_lists()
-        parser.para_lines.append(line)
-    parser.flush_paragraph()
-    return parser.builder.freeze()
+            if heading is None and item is None:
+                if lists and not paragraph and line[:1].isspace():
+                    builder.extend(lists[-1][3], *_strip_images(line.strip()))
+                    continue
+                if not paragraph:
+                    lists.clear()
+                paragraph.append(line.strip())
+                continue
+
+        # A blank line, a heading or an item ends the pending paragraph.
+        if paragraph:
+            body, image = _strip_images(" ".join(paragraph))
+            paragraph.clear()
+            if body or not image:
+                builder.child(builder.section, Kind.PARAGRAPH, body, image=image)
+            else:
+                # A bare figure marks the node it illustrates: the element
+                # just before it, falling back to the enclosing section.
+                siblings = builder.children(builder.section)
+                builder.extend(siblings[-1] if siblings else builder.section,
+                               image=True)
+        if heading:
+            lists.clear()
+            builder.heading(len(heading[1]), *_strip_images(_atx_text(heading[2])))
+        elif item:
+            indent, ordered = len(item[1]) // 2, item[2] is not None
+            while lists and lists[-1][0] > indent:
+                lists.pop()
+            if lists and lists[-1][0] == indent and lists[-1][2] != ordered:
+                lists.pop()  # a marker style switch starts a new block
+            if not lists or lists[-1][0] < indent:
+                # nest under the last item of the innermost open list
+                parent = lists[-1][3] if lists else builder.section
+                block = builder.child(parent, Kind.LIST_BLOCK, "", ordered=ordered)
+                lists.append([indent, block, ordered, None])
+            body, image = _strip_images(item[3])
+            lists[-1][3] = builder.child(lists[-1][1], Kind.LIST_ITEM, body,
+                                         image=image)
+    return builder.freeze()
 
 
 # ---------------------------------------------------------------------------

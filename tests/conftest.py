@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from procmine import actionable, linear, lingua
+from procmine import actionable, docmodel, linear, lingua
 from procmine.docmodel import DocNode, DocTree, Kind, parse_sdjson
 from procmine.goals import (NOT_GOAL, GoalAnnotation, GoalCue, GoalCueConfig,
                             strip_section_numbering)
@@ -259,6 +259,135 @@ def oracle_serialize(procedures) -> bytes:
         })
     text = json.dumps(payload, indent=2, ensure_ascii=False)
     return (text + "\n").encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Markdown parser before it made one pass over the input lines.
+# It split lines only at \n, found the title in a pass of its own, retried
+# the image pattern from every `![` and re-joined an item's whole text for
+# each continuation line.
+
+ORACLE_IMAGE_RE = re.compile(r"!\[[^\]]*\]\([^)]*\)")
+_ORACLE_ATX_RE = re.compile(r"^(#{1,6})\s+(.*)$")
+_ORACLE_ORDERED_RE = re.compile(r"^(\s*)(\d+)[.)]\s+(.*)$")
+_ORACLE_UNORDERED_RE = re.compile(r"^(\s*)[-*+]\s+(.*)$")
+
+
+def _oracle_atx_text(content: str) -> str:
+    text = content.strip()
+    body = text.rstrip("#")
+    if body != text and (not body or body[-1].isspace()):
+        return body.strip()
+    return text
+
+
+def oracle_strip_images(text: str) -> tuple[str, bool]:
+    stripped, n = ORACLE_IMAGE_RE.subn("", text)
+    return re.sub(r"\s{2,}", " ", stripped).strip(), n > 0
+
+
+class _OracleBuilder(docmodel._Builder):
+    def extend(self, node_id: int, text: str = "", image: bool = False) -> None:
+        raw = self._nodes[node_id]
+        if text:
+            raw["text"] = (raw["text"] + " " + text).strip()
+        if image:
+            raw["image"] = True
+
+
+class _OracleMarkdownParser:
+    def __init__(self, source_name: str, title: str):
+        self.builder = _OracleBuilder(source_name, title)
+        self.list_stack: list[list] = []
+        self.para_lines: list[str] = []
+
+    def flush_paragraph(self) -> None:
+        if not self.para_lines:
+            return
+        text = " ".join(line.strip() for line in self.para_lines)
+        self.para_lines = []
+        text, has_image = oracle_strip_images(text)
+        parent = self.builder.section
+        if not text and has_image:
+            siblings = self.builder.children(parent)
+            self.builder.extend(siblings[-1] if siblings else parent, image=True)
+            return
+        self.builder.child(parent, Kind.PARAGRAPH, text, image=has_image)
+
+    def close_lists(self, down_to: int = -1) -> None:
+        while self.list_stack and self.list_stack[-1][0] > down_to:
+            self.list_stack.pop()
+
+    def open_list(self, indent: int, ordered: bool) -> None:
+        if self.list_stack:
+            parent = self.list_stack[-1][3]
+        else:
+            parent = self.builder.section
+        block = self.builder.child(parent, Kind.LIST_BLOCK, "", ordered=ordered)
+        self.list_stack.append([indent, block, ordered, None])
+
+    def add_item(self, indent: int, ordered: bool, text: str) -> None:
+        self.flush_paragraph()
+        self.close_lists(down_to=indent)
+        top = self.list_stack[-1] if self.list_stack else None
+        if top is None or top[0] < indent:
+            self.open_list(indent, ordered)
+        elif top[2] != ordered:
+            self.list_stack.pop()
+            self.open_list(indent, ordered)
+        top = self.list_stack[-1]
+        text, has_image = oracle_strip_images(text)
+        top[3] = self.builder.child(top[1], Kind.LIST_ITEM, text, image=has_image)
+
+    def add_heading(self, level: int, text: str) -> None:
+        self.flush_paragraph()
+        self.close_lists()
+        text, has_image = oracle_strip_images(text)
+        self.builder.heading(level, text, has_image)
+
+
+def oracle_parse_markdown(text: str, source_name: str = "document") -> DocTree:
+    lines = text.replace("\t", "  ").split("\n")
+
+    title_text = None
+    title_line = None
+    for i, line in enumerate(lines):
+        match = _ORACLE_ATX_RE.match(line)
+        if match and len(match.group(1)) == 1:
+            title_text, _ = oracle_strip_images(_oracle_atx_text(match.group(2)))
+            title_line = i
+            break
+    parser = _OracleMarkdownParser(source_name, title_text or source_name)
+
+    for i, line in enumerate(lines):
+        if i == title_line:
+            continue
+        if not line.strip():
+            parser.flush_paragraph()
+            continue
+        heading = _ORACLE_ATX_RE.match(line)
+        if heading:
+            parser.add_heading(len(heading.group(1)),
+                               _oracle_atx_text(heading.group(2)))
+            continue
+        ordered = _ORACLE_ORDERED_RE.match(line)
+        if ordered:
+            parser.add_item(len(ordered.group(1)) // 2, True, ordered.group(3))
+            continue
+        unordered = _ORACLE_UNORDERED_RE.match(line)
+        if unordered:
+            parser.add_item(len(unordered.group(1)) // 2, False, unordered.group(2))
+            continue
+        if parser.list_stack and not parser.para_lines and line[:1].isspace():
+            item = parser.list_stack[-1][3]
+            if item is not None:
+                parser.builder.extend(item, *oracle_strip_images(line.strip()))
+                continue
+        if not parser.para_lines:
+            parser.close_lists()
+        parser.para_lines.append(line)
+    parser.flush_paragraph()
+    return parser.builder.freeze()
 
 
 # ---------------------------------------------------------------------------

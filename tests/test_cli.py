@@ -544,6 +544,17 @@ class TestIngest:
         assert doc["format"] == "doctree/1"
         assert doc["nodes"][0]["kind"] == "title"
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_markdown_lines_end_at_every_line_end(self, capsys, tmp_path, end):
+        src = tmp_path / "cr.md"
+        src.write_bytes(end.join([b"# Title", b"", b"## Setup", b"",
+                                  b"1. Open the panel.", b"2. Close the lid.", b""]))
+        code, out, _ = run_main(["ingest", str(src)], capsys)
+        assert code == 0
+        assert [(n["kind"], n["text"]) for n in json.loads(out)["nodes"]] == [
+            ("title", "Title"), ("heading", "Setup"), ("list_block", ""),
+            ("list_item", "Open the panel."), ("list_item", "Close the lid.")]
+
     def test_sdjson_to_stdout(self, capsys, tmp_path):
         src = tmp_path / "doc.json"
         src.write_text(SDJSON_DOC)

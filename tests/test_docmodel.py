@@ -1,21 +1,23 @@
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procmine.docmodel import (DocNode, Kind, SchemaError, load_json,
-                               parse_markdown, parse_sdjson, require,
-                               tree_to_json)
+from procmine.docmodel import (DocNode, Kind, SchemaError, _strip_images,
+                               load_json, parse_markdown, parse_sdjson,
+                               require, tree_to_json)
 
 from procmine import extractor, pipeline
 from procmine.actionable import ActionableModel
 from procmine.classifier import ProcedureClassifierModel
 
 from conftest import (CORPUS_DIR, assert_well_formed, make_tree, node_fields,
-                      random_sdjson, sdjson_to_markdown, tree_json_node_fields,
-                      tree_to_sdjson, validate_tree)
+                      oracle_parse_markdown, oracle_strip_images, random_sdjson,
+                      sdjson_to_markdown, tree_json_node_fields, tree_to_sdjson,
+                      validate_tree)
 
 CORPUS_DOCS = [*sorted((CORPUS_DIR / "docs").glob("*.md")),
                CORPUS_DIR / "nested-fixture.md"]
@@ -288,6 +290,91 @@ class TestParseMarkdown:
         assert [(n.text, n.associated_image) for n in items] == \
             [("first more text", True), ("second", False)]
 
+    def test_nested_list_hangs_under_the_last_item_of_the_open_list(self):
+        # "c" closes the list of "a2" and opens a list under "a1"
+        tree = parse_markdown("# T\n- a1\n    - a2\n  - c\n")
+        a1 = next(n for n in tree.preorder() if n.text == "a1")
+        assert [[tree.node(i).text for i in tree.node(block).children]
+                for block in a1.children] == [["a2"], ["c"]]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_every_line_end_gives_one_tree(self, end):
+        text = end.join(["# Title", "", "## Setup", "", "1. Open the panel.",
+                         "  Then wait.", "2. Close the lid.", ""])
+        tree = parse_markdown(text)
+        assert [(n.kind, n.text) for n in tree.preorder()] == [
+            (Kind.TITLE, "Title"), (Kind.HEADING, "Setup"),
+            (Kind.LIST_BLOCK, ""), (Kind.LIST_ITEM, "Open the panel. Then wait."),
+            (Kind.LIST_ITEM, "Close the lid.")]
+
+    def test_a_later_level_one_heading_is_a_heading(self):
+        tree = parse_markdown("text\n# Title\nmore\n# Again\n")
+        assert [(n.kind, n.text) for n in tree.preorder()] == [
+            (Kind.TITLE, "Title"), (Kind.PARAGRAPH, "text more"),
+            (Kind.HEADING, "Again")]
+
+
+# Markdown drawn from the pieces the parser reacts to: headings of every
+# level, both ordered and all three unordered markers, indents of 0-6
+# spaces or a tab, images, blank lines and all three line ends.
+MARKDOWN_PIECES = st.sampled_from([
+    "# ", "## ", "### ", "#### ", "##### ", "###### ", "#", "1. ", "1) ",
+    "- ", "* ", "+ ", " ", "  ", "   ", "    ", "      ", "\t", "![](x)",
+    "\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\r\r", "Open", "the panel.",
+    "x"])
+
+IMAGE_PIECES = st.sampled_from(["!", "[", "]", "(", ")", "a", "b", " "])
+
+
+class TestMarkdownOracle:
+    """The one-pass parser against the parser before it (`conftest`), which
+    ended a line only at \n."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(MARKDOWN_PIECES, max_size=50).map("".join))
+    def test_random_markdown_matches_oracle(self, text):
+        lf = text.replace("\r\n", "\n").replace("\r", "\n")
+        assert tree_to_json(parse_markdown(text)) == \
+            tree_to_json(oracle_parse_markdown(lf))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(IMAGE_PIECES, max_size=40).map("".join))
+    def test_image_strip_matches_oracle(self, text):
+        assert _strip_images(text) == oracle_strip_images(text)
+
+    def test_corpus_documents_match_oracle(self):
+        for path in CORPUS_DOCS:
+            text = path.read_text(encoding="utf-8")
+            assert tree_to_json(parse_markdown(text, path.stem)) == \
+                tree_to_json(oracle_parse_markdown(text, path.stem))
+
+
+def best_parse_seconds(text: str) -> float:
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        parse_markdown(text)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+class TestMarkdownIsLinear:
+    """Parse time grows linearly with the input: 8 times the size takes
+    about 8 times as long (a quadratic form, about 64 times), so a ratio
+    below 24 leaves room for the machine's speed to swing."""
+
+    def test_long_item_continuation_is_linear(self):
+        def item(lines):
+            return ("# T\n\n- Open the panel.\n"
+                    + "  then press the green start button twice.\n" * lines)
+        small, large = (best_parse_seconds(item(n)) for n in (5_000, 40_000))
+        assert large / small < 24
+
+    def test_long_line_of_unclosed_images_is_linear(self):
+        small, large = (best_parse_seconds("![a](" * n) for n in (5_000, 40_000))
+        assert large / small < 24
+
 
 class TestValidateTree:
     def test_valid_tree_no_violations(self):
@@ -399,7 +486,11 @@ class TestOneDocumentInBothSyntaxes:
         for _ in range(400):
             doc = random_sdjson(rng)
             from_sdjson = parse_sdjson(json.dumps(doc))
-            from_markdown = parse_markdown(sdjson_to_markdown(doc))
+            markdown = sdjson_to_markdown(doc)
+            from_markdown = parse_markdown(markdown)
+            for end in ("\r\n", "\r"):
+                assert node_fields(parse_markdown(markdown.replace("\n", end))) \
+                    == node_fields(from_markdown)
             if adjacent_lists_of_one_style(doc):
                 assert list_blocks(from_markdown) < list_blocks(from_sdjson)
                 continue
