@@ -11,21 +11,30 @@ the average out-degree of that projection.
 `chunk_relatedness` projects by one of two paths, chosen by the graph's
 mention pairs (for each entity mentioned in c sentences, c * (c - 1) / 2):
 
-- below `VECTOR_MIN_MENTION_PAIRS`, `project`, a dict of pair sums, scored
-  by `relatedness_score`. It is also the oracle the other path is tested
-  against.
-- from that constant up, `project_arrays`, which builds and sums every
-  mention pair with numpy.
+- below `VECTOR_MIN_MENTION_PAIRS`, or below `IMPORT_MIN_MENTION_PAIRS`
+  when no other code has imported numpy yet, `project`, a dict of pair
+  sums, scored by `relatedness_score`. It is also the oracle the other
+  path is tested against.
+- otherwise `streamed_score` over `project_blocks`, which builds and sums
+  the mention pairs with numpy one block of sentence rows at a time. A
+  block holds about `_BLOCK_PAIRS` pairs, or one row that has more, so
+  memory is O(edges + max(block, one row)), not O(mention pairs).
 
-Both paths give the same score to the bit. Each pair's products are added
-in the same order (entities in first-mention order), each sum is divided
-by the same distance, and the edge weights are totalled by the builtin
-`sum` in the same (i, j) order, so the paths agree on every interpreter
-whatever its float `sum` does.
+Both paths give the same score to the bit. Every edge weight is a
+`ROLE_WEIGHTS` value (1, 2 or 3), so every product is a small integer and
+each pair's sum is exact in any order of addition; the vector path packs
+(i, j - i, product) into one int64 key, sorts the keys and sums each pair
+as integers. Each sum is divided once by the same distance. The edge
+weights are then totalled left to right in (i, j) order from 0.0: by a
+loop in `relatedness_score` (the builtin `sum` of floats is compensated
+from Python 3.12 on) and by `np.cumsum` per block in `streamed_score`, the
+running total carried from block to block.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -43,6 +52,7 @@ class Role(str, Enum):
 
 
 ROLE_WEIGHTS = {Role.SUBJECT: 3.0, Role.OBJECT: 2.0, Role.OTHER: 1.0}
+_ROLE_VALUES = frozenset(ROLE_WEIGHTS.values())
 
 # Mention pairs from which `chunk_relatedness` projects with numpy. Below
 # it numpy's fixed cost per call (about 0.1 ms) outweighs the loop it
@@ -51,6 +61,18 @@ ROLE_WEIGHTS = {Role.SUBJECT: 3.0, Role.OBJECT: 2.0, Role.OTHER: 1.0}
 # corpus sentences the two paths break even near 100 pairs, and at 2,500
 # pairs numpy is about 6 times faster.
 VECTOR_MIN_MENTION_PAIRS = 128
+
+# Mention pairs from which `chunk_relatedness` imports numpy to project
+# with it, where no other code has. The import takes 168-185 ms and the
+# dict path about 1.6 us per pair (6.1 ms for 3,979 pairs), so the import
+# pays only from about 100,000 pairs.
+IMPORT_MIN_MENTION_PAIRS = 100_000
+
+# Mention pairs per block of `project_blocks`: its memory beyond the
+# graph's edges is O(max(block, one row)). On prose-wide's wide chunk
+# (272,766 pairs; 2-vCPU Xeon VM), 2^14 gave a 2.5 MB tracemalloc peak
+# and the fastest projection; 2^16 gave 7.2 MB and took 34% longer.
+_BLOCK_PAIRS = 1 << 14
 
 
 class Entity(NamedTuple):  # a tuple: a chunk's sentences make thousands
@@ -158,7 +180,11 @@ def relatedness_score(projection: ProjectionGraph) -> float:
     """Average out-degree: total projected edge weight over sentence count."""
     if projection.sentence_count <= 1 or not projection.directed_edges:
         return 0.0
-    total = sum(weight for _, _, weight in projection.directed_edges)
+    # Left to right on every interpreter: from Python 3.12 on the builtin
+    # `sum` of floats is compensated, and `streamed_score` must match.
+    total = 0.0
+    for _, _, weight in projection.directed_edges:
+        total += weight
     return total / projection.sentence_count
 
 
@@ -171,51 +197,83 @@ def mention_pairs(graph: BipartiteGraph) -> int:
     return sum(c * (c - 1) // 2 for c in counts.values())
 
 
-def project_arrays(graph: BipartiteGraph,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`project` with numpy: the (i, j, weight) columns of its directed
-    edges, sorted by (i, j), with bit-identical weights. Edges must come as
-    for `project`."""
+def project_blocks(graph: BipartiteGraph,
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`project` with numpy, streamed: the (i, j, weight) columns of its
+    directed edges in (i, j) order, with bit-identical weights. Each block
+    holds whole rows i and at most `_BLOCK_PAIRS` mention pairs, or one row
+    that has more. Edges must come as for `project`, each weighted by a
+    `ROLE_WEIGHTS` value; any other weight raises ValueError before the
+    first block."""
     import numpy as np  # only wide chunks pay for the import
-    n = graph.sentence_count
+    if not {w for _, _, w in graph.edges} <= _ROLE_VALUES:
+        raise ValueError("project_blocks needs ROLE_WEIGHTS values as weights")
     codes: dict[str, int] = {}
     entity = np.array([codes.setdefault(e, len(codes)) for _, e, _ in graph.edges],
                       dtype=np.int64)
-    # Mentions grouped by entity in first-mention order, each group in
-    # increasing sentence order: `project`'s loop order.
+    sentence = np.array([i for i, _, _ in graph.edges], dtype=np.int64)
+    weight = np.array([w for _, _, w in graph.edges], dtype=np.int64)
+    # Mentions grouped by entity, each group in sentence order; `rank` is a
+    # mention's place in that order and `later` counts the mentions of its
+    # entity after it: the pairs it starts.
     by_entity = np.argsort(entity, kind="stable")
-    sentence = np.array([i for i, _, _ in graph.edges], dtype=np.int64)[by_entity]
-    weight = np.array([w for _, _, w in graph.edges], dtype=float)[by_entity]
-    counts = np.bincount(entity, minlength=len(codes))
-    rank = np.arange(len(entity)) - np.repeat(np.cumsum(counts) - counts, counts)
-    later = np.repeat(counts, counts) - 1 - rank  # mentions after each one
-    # Every mention a paired with each later mention b of its entity.
-    a = np.repeat(np.arange(len(entity)), later)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
-    key = sentence[a] * n + sentence[b]
-    order = np.argsort(key, kind="stable")  # keeps entity order within a pair
-    key = key[order]
-    product = (weight[a] * weight[b])[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 1
-    sizes = np.diff(starts, append=len(key))
-    # Start from 0.0 as `project` does (so a -0.0 product sums to 0.0),
-    # then add the r-th product of each pair that shares more than r
-    # entities, round by round, in `project`'s order.
-    total = 0.0 + product[starts]
-    for r in range(1, int(sizes.max(initial=1))):
-        more = np.flatnonzero(sizes > r)
-        total[more] += product[starts[more] + r]
-    i, j = np.divmod(key[starts], n)
-    return i, j, total / (j - i)
+    rank = np.empty_like(by_entity)
+    rank[by_entity] = np.arange(len(by_entity))
+    later = np.cumsum(np.bincount(entity))[entity] - 1 - rank
+    grouped_sentence = sentence[by_entity]
+    grouped_weight = weight[by_entity]
+    # Row bounds (a row's mentions are contiguous edges) and the pairs
+    # that the rows before each bound start.
+    bounds = np.append(np.flatnonzero(np.diff(sentence, prepend=-1)), len(sentence))
+    pairs_before = np.concatenate(([0], np.cumsum(later)))[bounds]
+    # Bits enough for j - i; the keys fit an int64 below 2^29 sentences.
+    shift = graph.sentence_count.bit_length()
+    row = 0
+    while row < len(bounds) - 1:
+        end = max(row + 1, int(np.searchsorted(
+            pairs_before, pairs_before[row] + _BLOCK_PAIRS, side="right")) - 1)
+        lo, hi = bounds[row], bounds[end]
+        row = end
+        count = later[lo:hi]
+        if not count.any():
+            continue
+        # Every mention a of the block's rows with each later mention b of
+        # its entity, as one key (i, j - i, product) that sorts by (i, j).
+        step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        b = np.repeat(rank[lo:hi], count) + 1 + step
+        i = np.repeat(sentence[lo:hi], count)
+        key = (((i << shift) | (grouped_sentence[b] - i)) << 4
+               | (np.repeat(weight[lo:hi], count) * grouped_weight[b]))
+        key.sort()
+        pair = key >> 4
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))  # pair >= 1
+        sums = np.add.reduceat(key & 15, starts)  # exact integers
+        pair = pair[starts]
+        i = pair >> shift
+        distance = pair & ((1 << shift) - 1)
+        yield i, i + distance, sums / distance
+
+
+def streamed_score(graph: BipartiteGraph) -> float:
+    """`relatedness_score(project(graph))` from `project_blocks`: each block
+    is added onto the running total left to right by `np.cumsum`, the
+    total carried from block to block."""
+    import numpy as np
+    if graph.sentence_count <= 1:
+        return 0.0
+    total = 0.0
+    for _, _, weights in project_blocks(graph):
+        total = float(np.cumsum(np.concatenate(([total], weights)))[-1])
+    return total / graph.sentence_count
 
 
 def chunk_relatedness(sentences: list[TaggedSentence]) -> float:
     graph = build_bipartite(sentences)
-    if mention_pairs(graph) < VECTOR_MIN_MENTION_PAIRS:
+    pairs = mention_pairs(graph)
+    if pairs < VECTOR_MIN_MENTION_PAIRS or (
+            pairs < IMPORT_MIN_MENTION_PAIRS and "numpy" not in sys.modules):
         return relatedness_score(project(graph))
-    _, _, weights = project_arrays(graph)
-    # The builtin sum over the same (i, j) order as `relatedness_score`.
-    return sum(weights.tolist()) / graph.sentence_count
+    return streamed_score(graph)
 
 
 def describe_graph(sentences: list[TaggedSentence]) -> str:

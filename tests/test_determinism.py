@@ -48,6 +48,42 @@ def test_extract_never_imports_numpy(tmp_path):
         CORPUS / "golden" / (DOCS[0].stem + ".procedures.json")).read_bytes()
 
 
+# One section of 23 paragraphs whose 46 sentences all name "the device":
+# one chunk of 1,035 mention pairs, above the vector projection's minimum
+# and far below what importing numpy costs.
+WIDE_CHUNK = "# Device setup\n\n" + \
+    "Check the device. The device restarts.\n\n" * 23
+
+
+def test_extract_on_a_wide_chunk_does_not_import_numpy(tmp_path):
+    doc = tmp_path / "device.md"
+    doc.write_text(WIDE_CHUNK, encoding="utf-8")
+    out = python(
+        "import sys\n"
+        "from procmine import annotate, cli, relatedness\n"
+        "pairs = []\n"
+        "def spy(sentences, score=annotate.chunk_relatedness):\n"
+        "    graph = relatedness.build_bipartite(sentences)\n"
+        "    pairs.append(relatedness.mention_pairs(graph))\n"
+        "    return score(sentences)\n"
+        "annotate.chunk_relatedness = spy\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(max(pairs), 'numpy' in sys.modules)\n",
+        "extract", str(doc), *MODELS, "-o", str(tmp_path / "fresh.json"),
+        "--pred-log", str(tmp_path / "fresh.csv"))
+    assert out == "1035 False\n"
+    # Here numpy is imported, so the chunk takes the vector path: the
+    # margins and the procedures must not change.
+    import numpy  # noqa: F401
+    from procmine import cli
+    assert cli.main(["extract", str(doc), *MODELS, "-o", str(tmp_path / "here.json"),
+                     "--pred-log", str(tmp_path / "here.csv")]) == 0
+    assert (tmp_path / "here.json").read_bytes() == \
+        (tmp_path / "fresh.json").read_bytes()
+    assert (tmp_path / "here.csv").read_bytes() == \
+        (tmp_path / "fresh.csv").read_bytes()
+
+
 def test_prediction_logs_do_not_depend_on_blas_kernel(tmp_path):
     logs = {}
     for coretype in (None, "Nehalem", "Prescott"):

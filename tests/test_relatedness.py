@@ -1,6 +1,8 @@
 import csv
+import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -10,11 +12,12 @@ import pytest
 
 from procmine import relatedness
 from procmine.lingua import Tagger
-from procmine.relatedness import (VECTOR_MIN_MENTION_PAIRS, BipartiteGraph,
-                                  Role, build_bipartite, chunk_relatedness,
+from procmine.relatedness import (ROLE_WEIGHTS, VECTOR_MIN_MENTION_PAIRS,
+                                  BipartiteGraph, ProjectionGraph, Role,
+                                  build_bipartite, chunk_relatedness,
                                   describe_graph, extract_entities,
-                                  mention_pairs, project, project_arrays,
-                                  relatedness_score)
+                                  mention_pairs, project, project_blocks,
+                                  relatedness_score, streamed_score)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -22,6 +25,21 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 @pytest.fixture(scope="module")
 def tagger():
     return Tagger()
+
+
+@pytest.fixture(scope="module")
+def corpus_chunk(tagger):
+    """2,000 corpus sentences in one chunk: shuffled copies of the labeled
+    actionable sentences."""
+    with (CORPUS / "actionable_sentences.csv").open(newline="") as handle:
+        texts = [row["text"] for row in csv.DictReader(handle)]
+    rng = random.Random(3)
+    chunk = []
+    while len(chunk) < 2000:
+        copy = texts[:]
+        rng.shuffle(copy)
+        chunk += copy
+    return [tagger.tag(text) for text in chunk[:2000]]
 
 
 def brute_force_score(graph: BipartiteGraph) -> float:
@@ -55,19 +73,22 @@ def random_graph(rng: random.Random) -> BipartiteGraph:
     return BipartiteGraph(sentence_count=n, edges=tuple(edges))
 
 
-# Role weight triples for `varied_graph`: the defaults, zeros, negatives
-# (products of -0.0 and 0.0 included) and fractions that round.
-WEIGHT_SETS = ((3.0, 2.0, 1.0), (0.0, -1.0, 2.5), (-0.0, 0.0, -3.0),
+# Weight triples for `varied_graph`: the role weights, then zeros,
+# negatives (products of -0.0 and 0.0 included) and fractions that round.
+# `project` takes them all; `project_blocks` only the first.
+ROLE_WEIGHT_SET = tuple(ROLE_WEIGHTS.values())
+WEIGHT_SETS = (ROLE_WEIGHT_SET, (0.0, -1.0, 2.5), (-0.0, 0.0, -3.0),
                (0.1, 0.2, 0.7), (-1.5, 1e-3, 7.0))
 
 
-def varied_graph(rng: random.Random) -> BipartiteGraph:
-    """Up to 12 sentences over up to 10 entities; an entity appears in a
+def varied_graph(rng: random.Random, weights=None) -> BipartiteGraph:
+    """Up to 12 sentences over up to 10 entities, weighted from `weights`
+    (by default a random one of `WEIGHT_SETS`); an entity appears in a
     sentence at most once and sentences come in increasing order, as
     `build_bipartite` makes them."""
     n = rng.randint(1, 12)
     pool = [f"e{k}" for k in range(rng.randint(1, 10))]
-    weights = rng.choice(WEIGHT_SETS)
+    weights = weights or rng.choice(WEIGHT_SETS)
     edges = []
     for i in range(n):
         for entity in rng.sample(pool, rng.randint(0, len(pool))):
@@ -101,6 +122,31 @@ def mentions(graph: BipartiteGraph) -> dict[str, list[int]]:
     for index, entity, _ in graph.edges:
         by_entity.setdefault(entity, []).append(index)
     return by_entity
+
+
+def row_pairs(graph: BipartiteGraph) -> Counter:
+    """Sentence i -> the mention pairs (i, j > i) it starts."""
+    rows: Counter = Counter()
+    for sentences in mentions(graph).values():
+        for rank, i in enumerate(sentences):
+            rows[i] += len(sentences) - 1 - rank
+    return rows
+
+
+def concatenated_blocks(graph: BipartiteGraph):
+    """`project_blocks` joined: its edges as `project`'s tuples, and the
+    bytes of its weights."""
+    blocks = list(project_blocks(graph))
+    edges = [edge for i, j, weights in blocks
+             for edge in zip(i.tolist(), j.tolist(), weights.tolist())]
+    return edges, b"".join(weights.tobytes() for _, _, weights in blocks)
+
+
+def left_to_right(weights) -> float:
+    total = 0.0
+    for weight in weights:
+        total += weight
+    return total
 
 
 class TestExtractEntities:
@@ -190,6 +236,28 @@ class TestProjection:
             projection = project(BipartiteGraph(sentence_count=2, edges=edges))
             assert projection.directed_edges == ((0, 1, 9.0 * k),)
 
+    def test_edges_equal_pair_loop_on_every_weight_set(self):
+        # Each pair's products in first-mention order of the entities, from
+        # 0.0, divided once by the distance: the bits `project` must give.
+        rng = random.Random(11)
+        for _ in range(500):
+            graph = varied_graph(rng)
+            by_entity = mentions(graph)
+            weight = {(i, e): w for i, e, w in graph.edges}
+            expected = []
+            for i, j in combinations(range(graph.sentence_count), 2):
+                shared = [e for e in by_entity
+                          if (i, e) in weight and (j, e) in weight]
+                total = 0.0
+                for e in shared:
+                    total += weight[(i, e)] * weight[(j, e)]
+                if shared:
+                    expected.append((i, j, total / (j - i)))
+            edges = project(graph).directed_edges
+            assert edges == tuple(expected)
+            assert [math.copysign(1.0, w) for _, _, w in edges] == \
+                [math.copysign(1.0, w) for _, _, w in expected]
+
     def test_distance_discount_exact(self):
         for d in (1, 2, 3, 4, 5):
             edges = ((0, "x", 2.0), (d, "x", 3.0))
@@ -223,6 +291,26 @@ class TestRelatednessScore:
             assert fast == pytest.approx(brute_force_score(graph), abs=1e-9)
         assert time.monotonic() - start < 5.0
 
+    def test_total_is_left_to_right_not_compensated(self):
+        # From Python 3.12 on the builtin `sum` of floats is compensated;
+        # the score adds left to right, as `streamed_score` does.
+        rng = random.Random(9)
+        differ = 0
+        for _ in range(500):
+            graph = varied_graph(rng, ROLE_WEIGHT_SET)
+            projection = project(graph)
+            weights = [w for _, _, w in projection.directed_edges]
+            if graph.sentence_count <= 1 or not weights:
+                continue
+            expected = left_to_right(weights) / graph.sentence_count
+            assert relatedness_score(projection) == expected
+            differ += math.fsum(weights) / graph.sentence_count != expected
+        assert differ >= 20
+        projection = ProjectionGraph(sentence_count=3, directed_edges=(
+            (0, 1, 1.0), (0, 2, 1e-16), (1, 2, 1e-16)))
+        assert relatedness_score(projection) == 1.0 / 3
+        assert math.fsum(w for _, _, w in projection.directed_edges) / 3 != 1.0 / 3
+
     def test_adding_shared_entity_never_decreases_score(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -241,28 +329,68 @@ class TestRelatednessScore:
 
 
 class TestVectorProjection:
-    """`project_arrays` against `project`, the oracle: equal to the bit."""
+    """`project_blocks` against `project`, the oracle: equal to the bit."""
 
     def test_weights_equal_project_on_1000_random_graphs(self):
         rng = random.Random(5)
-        seen = {"shared 2+": 0, "one sentence": 0, "nothing shared": 0,
-                "zero or negative weight": 0}
+        seen = {"shared 2+": 0, "one sentence": 0, "nothing shared": 0}
         for _ in range(1000):
-            graph = varied_graph(rng)
+            graph = varied_graph(rng, ROLE_WEIGHT_SET)
             expected = project(graph).directed_edges
-            i, j, weights = project_arrays(graph)
-            assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a, b, _ in expected]
-            assert weights.tolist() == [w for _, _, w in expected]
+            edges, weight_bytes = concatenated_blocks(graph)
+            assert edges == list(expected)
             # == treats -0.0 and 0.0 as equal: compare the bits too.
-            assert weights.tobytes() == np.array([w for _, _, w in expected],
-                                                 dtype=float).tobytes()
+            assert weight_bytes == np.array([w for _, _, w in expected],
+                                            dtype=float).tobytes()
+            assert streamed_score(graph) == relatedness_score(project(graph))
             shared = Counter(pair for sentences in mentions(graph).values()
                              for pair in combinations(sentences, 2))
             seen["shared 2+"] += any(c >= 2 for c in shared.values())
             seen["one sentence"] += graph.sentence_count == 1
             seen["nothing shared"] += not shared
-            seen["zero or negative weight"] += any(w <= 0 for _, _, w in graph.edges)
         assert all(count >= 20 for count in seen.values()), seen
+
+    def test_other_weights_raise_value_error(self):
+        rng = random.Random(6)
+        raised = 0
+        for _ in range(200):
+            weights = rng.choice(WEIGHT_SETS[1:])
+            graph = varied_graph(rng, weights)
+            if not graph.edges:
+                assert list(project_blocks(graph)) == []
+                continue
+            with pytest.raises(ValueError, match="ROLE_WEIGHTS"):
+                next(project_blocks(graph))
+            raised += 1
+        assert raised >= 100
+        # One stray weight among role weights is enough.
+        graph = BipartiteGraph(sentence_count=3, edges=(
+            (0, "x", 3.0), (1, "x", 2.0), (2, "x", 1.0), (2, "y", 2.5)))
+        with pytest.raises(ValueError, match="ROLE_WEIGHTS"):
+            streamed_score(graph)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_block_bounds_keep_project_bits(self, monkeypatch, block):
+        monkeypatch.setattr(relatedness, "_BLOCK_PAIRS", block)
+        rng = random.Random(block)
+        seen = {"row over a block": 0, "rows sharing a block": 0}
+        for _ in range(300):
+            graph = varied_graph(rng, ROLE_WEIGHT_SET)
+            expected = project(graph).directed_edges
+            edges, weight_bytes = concatenated_blocks(graph)
+            assert edges == list(expected)
+            assert weight_bytes == np.array([w for _, _, w in expected],
+                                            dtype=float).tobytes()
+            # No row is split: each block starts past the last one's rows.
+            block_rows = [i.tolist() for i, _, _ in project_blocks(graph)]
+            assert all(a[-1] < b[0] for a, b in zip(block_rows, block_rows[1:]))
+            assert streamed_score(graph) == relatedness_score(project(graph))
+            rows = row_pairs(graph)
+            seen["row over a block"] += any(c > block for c in rows.values())
+            seen["rows sharing a block"] += any(len(set(i)) > 1 for i in block_rows)
+        # A block of one pair has room for one row with pairs.
+        assert seen["row over a block"] >= 20, seen
+        assert block == 1 or seen["rows sharing a block"] >= 20, seen
 
     @pytest.mark.parametrize("pairs", [VECTOR_MIN_MENTION_PAIRS - 1,
                                        VECTOR_MIN_MENTION_PAIRS])
@@ -279,19 +407,25 @@ class TestVectorProjection:
         monkeypatch.setattr(relatedness, "VECTOR_MIN_MENTION_PAIRS", other)
         assert chunk_relatedness(sentences) == oracle
 
-    def test_2000_sentence_corpus_chunk(self, tagger):
-        with (CORPUS / "actionable_sentences.csv").open(newline="") as handle:
-            texts = [row["text"] for row in csv.DictReader(handle)]
-        rng = random.Random(3)
-        chunk = []
-        while len(chunk) < 2000:
-            copy = texts[:]
-            rng.shuffle(copy)
-            chunk += copy
-        sentences = [tagger.tag(text) for text in chunk[:2000]]
-        graph = build_bipartite(sentences)
+    def test_2000_sentence_corpus_chunk(self, corpus_chunk):
+        graph = build_bipartite(corpus_chunk)
         assert mention_pairs(graph) >= VECTOR_MIN_MENTION_PAIRS
-        assert chunk_relatedness(sentences) == relatedness_score(project(graph))
+        assert chunk_relatedness(corpus_chunk) == relatedness_score(project(graph))
+
+    def test_2000_sentence_corpus_chunk_memory_grows_with_edges(self,
+                                                                corpus_chunk):
+        # 5,224 edges and 272,940 mention pairs. Holding every pair at once
+        # took about 92 bytes a pair (25 MB) at peak; in blocks it is 2.5 MB.
+        graph = build_bipartite(corpus_chunk)
+        assert mention_pairs(graph) > 50 * len(graph.edges)
+        chunk_relatedness(corpus_chunk)
+        tracemalloc.start()
+        try:
+            chunk_relatedness(corpus_chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * (len(graph.edges) + relatedness._BLOCK_PAIRS)
 
 
 class TestDescribeGraph:
