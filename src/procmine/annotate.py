@@ -10,11 +10,17 @@ goal reading and its relatedness. Nothing here repeats the tree (an
 item's image flag is its node's) or the chunk id that keys each record.
 Tense, voice and polarity are not stored: `actionable.predict` works them
 out for the sentences it scores, their only reader.
+
+The records are NamedTuples, like every record built per node, sentence,
+chunk or step: one 1k-node synth document builds 6,109 of them. A frozen
+dataclass sets each field through `object.__setattr__`; with five fields
+it took 1.1-1.5 us to build, a NamedTuple 0.4 us by position and 0.9 us by
+keyword (Python 3.11, 2-vCPU Xeon VM, fastest of 5 x 200,000).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import actionable as actionable_mod
 from .actionable import ActionableModel
@@ -26,16 +32,14 @@ from .lingua import ConditionalSplit, TaggedSentence, Tagger, detect_conditional
 from .relatedness import chunk_relatedness
 
 
-@dataclass(frozen=True)
-class AnnotatedSentence:
+class AnnotatedSentence(NamedTuple):
     tagged: TaggedSentence  # with its imperative flag
     split: ConditionalSplit | None  # None unless the sentence is conditional
     goal: GoalAnnotation
     non_imperative_actionable: bool
 
 
-@dataclass(frozen=True)
-class ItemAnnotation:
+class ItemAnnotation(NamedTuple):
     node_id: int
     sentences: tuple[AnnotatedSentence, ...]
     actionable: bool  # some sentence is imperative or non-imperative actionable
@@ -43,8 +47,7 @@ class ItemAnnotation:
     is_goal: bool  # some sentence carries a goal cue
 
 
-@dataclass(frozen=True)
-class ChunkAnnotation:
+class ChunkAnnotation(NamedTuple):
     items: tuple[ItemAnnotation, ...]
     parent_is_goal: bool
     relatedness: float

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .docmodel import DocNode, DocTree, Kind
 # split_sentences stays importable from here: perfbench/tracer.py patches it
@@ -39,8 +40,7 @@ class ChunkKind(str, Enum):
     PARAGRAPH_GROUP = "paragraph_group"
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     id: int
     kind: ChunkKind
     item_node_ids: tuple[int, ...]

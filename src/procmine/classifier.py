@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import linear
 from .annotate import ChunkAnnotation
@@ -40,8 +41,7 @@ class ProcedureClassifierModel(linear.LinearModel):
         return self.scorer.margin(enumerate(vector))
 
 
-@dataclass(frozen=True)
-class ChunkPrediction:
+class ChunkPrediction(NamedTuple):
     chunk_id: int
     depth: int
     label: bool

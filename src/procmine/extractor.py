@@ -19,8 +19,8 @@ procedure-labeled chunks, each of which yields a procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 from .annotate import ChunkAnnotation
 from .chunker import Chunk, ChunkKind, ChunkSet
@@ -30,8 +30,7 @@ from .docmodel import DocTree, Kind
 _JSON_BOOLS = {True: "true", False: "false"}
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     step_id: str
     text: str
     actionable: bool
@@ -40,8 +39,7 @@ class Step:
     child_procedure_id: str | None = None
 
 
-@dataclass(frozen=True)
-class Procedure:
+class Procedure(NamedTuple):
     sequence_id: str
     goal: str
     step_list: tuple[Step, ...]

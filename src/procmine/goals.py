@@ -12,6 +12,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .lingua import NUM, PUNCT, VBG, TaggedSentence
 
@@ -22,8 +23,7 @@ class GoalCue(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class GoalAnnotation:
+class GoalAnnotation(NamedTuple):
     is_goal: bool
     cue: GoalCue
 

@@ -38,6 +38,7 @@ from enum import Enum
 from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 # POS tags
 VB, VBD, VBG, VBN, VBZ, VBP = "VB", "VBD", "VBG", "VBN", "VBZ", "VBP"
@@ -83,8 +84,7 @@ class Polarity(Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class TaggedSentence:
+class TaggedSentence(NamedTuple):
     text: str
     surfaces: tuple[str, ...]
     lowers: tuple[str, ...]  # lower-cased surfaces
@@ -98,15 +98,13 @@ class TaggedSentence:
                               _imperative(tags, lowers))
 
 
-@dataclass(frozen=True)
-class ConditionalSplit:
+class ConditionalSplit(NamedTuple):
     condition_span: tuple[int, int]  # token range, end exclusive
     effect_span: tuple[int, int]
     effect_imperative: bool
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     tense: Tense
     voice: Voice
     polarity: Polarity

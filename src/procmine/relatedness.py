@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -75,19 +74,20 @@ IMPORT_MIN_MENTION_PAIRS = 100_000
 _BLOCK_PAIRS = 1 << 14
 
 
-class Entity(NamedTuple):  # a tuple: a chunk's sentences make thousands
+# Entity and the graphs are tuples: a chunk's sentences make thousands of
+# entities, and a tuple builds in a third of a frozen dataclass's time (0.4
+# against 1.1-1.5 us by position; see `annotate`).
+class Entity(NamedTuple):
     surface: str  # normalized lowercase noun phrase
     role: Role
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(NamedTuple):
     sentence_count: int
     edges: tuple[tuple[int, str, float], ...]  # (sentence index, entity key, weight)
 
 
-@dataclass(frozen=True)
-class ProjectionGraph:
+class ProjectionGraph(NamedTuple):
     sentence_count: int
     directed_edges: tuple[tuple[int, int, float], ...]  # i < j
 

@@ -1,7 +1,7 @@
 import json
 import random
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -141,11 +141,11 @@ def check_links(procedures) -> None:
 
 
 # Field-by-field views of the two JSON outputs, for checking that each
-# carries every field: `astuple` lists all dataclass fields in order, so a
+# carries every field: `tuple` lists all record fields in order, so a
 # field the writer leaves out makes the two views differ.
 
 def node_fields(tree: DocTree) -> list[tuple]:
-    return [astuple(node) for node in tree.nodes.values()]
+    return [tuple(node) for node in tree.nodes.values()]
 
 
 def tree_json_node_fields(text: str) -> list[tuple]:
@@ -156,7 +156,7 @@ def tree_json_node_fields(text: str) -> list[tuple]:
 
 
 def procedure_fields(procedures) -> list[tuple]:
-    return [(p.sequence_id, p.goal, [astuple(step) for step in p.step_list])
+    return [(p.sequence_id, p.goal, [tuple(step) for step in p.step_list])
             for p in procedures]
 
 

@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -518,7 +517,7 @@ class TestOneDocumentInBothSyntaxes:
         plain = parse_markdown(template.format(figure=""))
         assert [n.id for n in tree.nodes.values() if n.associated_image] == [flagged]
         assert tree.node(flagged).kind in (Kind.LIST_BLOCK, Kind.TITLE)
-        assert [replace(n, associated_image=False) for n in tree.nodes.values()] == \
+        assert [n._replace(associated_image=False) for n in tree.nodes.values()] == \
             list(plain.nodes.values())
         with pytest.raises(AssertionError, match="has an image"):
             tree_to_sdjson(tree)
