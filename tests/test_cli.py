@@ -534,6 +534,55 @@ def test_fault_while_loading_a_model_exits_1_with_traceback(name, error):
     assert result.stdout == ""
 
 
+# command -> argv built in a scratch directory, for each command that writes
+# its output to stdout when given no -o.
+STDOUT_COMMANDS = {
+    "ingest": lambda d: ["ingest", str(DOC)],
+    "extract": lambda d: ["extract", str(DOC), *MODELS],
+    "features": lambda d: ["features", str(DOC)],
+    "eval": lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n2,0,0,-1\n"),
+        write(d / "g.csv", "chunk_id,label\n1,1\n2,0\n")],
+    "ablate": lambda d: [
+        "ablate", "--train", write(d / "f.csv", TWO_CLASS_FEATURES),
+        "--test", str(d / "f.csv"), "--seed", "1", "--epochs", "5"],
+}
+
+
+def run_with_broken_stdout(argv: list[str], how: str) -> subprocess.CompletedProcess:
+    """The CLI run with stdout on /dev/full, on a pipe whose reader has
+    gone, or closed. Stdout is buffered, as it is by default, so output
+    the failed write leaves in the buffer meets the flush at exit."""
+    command = [sys.executable, "-m", "procmine.cli", *argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    stdout = None
+    if how == "full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    elif how == "reader-gone":
+        read_fd, stdout = os.pipe()
+        os.close(read_fd)
+    else:
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    try:
+        return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        if stdout is not None:
+            os.close(stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("how, reason", [
+    ("full", "No space left on device"), ("reader-gone", "Broken pipe"),
+    ("closed", "Bad file descriptor")])
+@pytest.mark.parametrize("name", STDOUT_COMMANDS)
+def test_failing_stdout_exits_64_with_one_line(tmp_path, name, how, reason):
+    result = run_with_broken_stdout(STDOUT_COMMANDS[name](tmp_path), how)
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stderr) == (
+        64, f"cannot write stdout: {reason}\n")
+
+
 class TestIngest:
     def test_markdown_to_tree_json(self, capsys, tmp_path):
         out = tmp_path / "tree.json"

@@ -1,19 +1,23 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
 from procmine import pipeline
-from procmine.chunker import ChunkKind, build_chunks
+from procmine.actionable import ActionableModel
+from procmine.chunker import ChunkKind, build_chunks, chunk_size
 from procmine.classifier import ProcedureClassifierModel
-from procmine.docmodel import parse_markdown
+from procmine.docmodel import parse_markdown, parse_sdjson
 from procmine.features import (FEATURE_CATEGORIES, FEATURE_NAMES,
                                FeatureVector, avg_sibling_distance,
                                update_propagated_features)
 from procmine.linear import MinMaxScaler
 from procmine.lingua import split_sentences
 
-from conftest import CORPUS_DIR, random_tree
+from conftest import (CORPUS_DIR, oracle_actionable_features,
+                      oracle_item_flags, oracle_unit_flags, random_sdjson,
+                      random_tree)
 
 FRACTION_FIELDS = ("n_imperatives", "n_conditionals", "n_actionables",
                    "n_effect_actionable", "n_discourse_goals",
@@ -138,6 +142,95 @@ class TestStaticFeatures:
                          "2. The system stores the result.\n")
         chunk = chunk_of(run, ChunkKind.LIST)
         assert run.static_features[chunk.id].n_imperatives == 0.5
+
+
+CORPUS_DOCS = sorted(CORPUS_DIR.glob("docs/*.md")) + [
+    CORPUS_DIR / "nested-fixture.md"]
+ACTIONABLE_MODEL = ActionableModel.load(CORPUS_DIR / "models" / "actionable.json")
+
+
+def with_corpus_text(doc: dict, rng: random.Random, pool: list[str]) -> dict:
+    """`doc` with most paragraph and list item texts replaced by one to
+    three sentences of `pool`, so that conditional and non-imperative
+    sentences occur beside the generator's imperatives."""
+    def retext(element):
+        if rng.random() < 0.8:
+            element["text"] = " ".join(rng.choices(pool, k=rng.randint(1, 3)))
+
+    def retext_items(items):
+        for item in items:
+            retext(item)
+            if "sublist" in item:
+                retext_items(item["sublist"]["items"])
+    for element in doc["elements"]:
+        if element["type"] == "paragraph":
+            retext(element)
+        elif element["type"] == "list":
+            retext_items(element["items"])
+    return doc
+
+
+# What each flag oracle run must meet enough times, so that no flag is
+# compared only where it is False.
+SEEN_KINDS = ("conditional", "effect imperative", "non-imperative actionable",
+              "multi-sentence list item", "paragraph chunk")
+
+
+class TestFlagOracle:
+    """The item flags and features 1-4, worked out once per item, against
+    the `any()` passes and fractions they replaced (`conftest`), the
+    features bit for bit. The bundled actionable model is loaded so that
+    non-imperative actionable sentences occur."""
+
+    def check(self, run: pipeline.DocumentRun, seen: dict[str, int]) -> None:
+        for chunk in run.chunks:
+            items = run.annotations[chunk.id].items
+            paragraphs = chunk.kind is ChunkKind.PARAGRAPH_GROUP
+            for item in items:
+                flags = (item.actionable, item.conditional, item.is_goal,
+                         item.imperative, item.non_imperative_actionable,
+                         item.effect_imperative)
+                assert all(type(flag) is bool for flag in flags)
+                assert flags[:3] == oracle_item_flags(item.sentences)
+                assert (item.imperative, item.conditional,
+                        item.non_imperative_actionable,
+                        item.effect_imperative) == \
+                    oracle_unit_flags(item.sentences)
+                seen["multi-sentence list item"] += (
+                    not paragraphs and len(item.sentences) > 1)
+                for s in item.sentences:
+                    seen["conditional"] += s.split is not None
+                    seen["effect imperative"] += (
+                        s.split is not None and s.split.effect_imperative)
+                    seen["non-imperative actionable"] += (
+                        s.non_imperative_actionable and not s.tagged.imperative)
+            seen["paragraph chunk"] += paragraphs
+            expected = oracle_actionable_features(
+                paragraphs, items, chunk_size(chunk, run.tree))
+            got = run.static_features[chunk.id][:4]
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    def test_corpus_chunks(self):
+        seen = dict.fromkeys(SEEN_KINDS, 0)
+        for path in CORPUS_DOCS:
+            self.check(pipeline.analyze(pipeline.load_document(path),
+                                        ACTIONABLE_MODEL), seen)
+        # The corpus's list items each hold one sentence.
+        assert seen.pop("multi-sentence list item") == 0
+        assert all(seen.values()), seen
+
+    def test_random_documents(self):
+        pool = [text for path in CORPUS_DOCS
+                for texts in pipeline.load_document(path).sentences.values()
+                for text in texts]
+        rng = random.Random(26)
+        seen = dict.fromkeys(SEEN_KINDS, 0)
+        for _ in range(150):
+            doc = with_corpus_text(random_sdjson(rng, rng.randint(1, 20)),
+                                   rng, pool)
+            self.check(pipeline.analyze(parse_sdjson(json.dumps(doc)),
+                                        ACTIONABLE_MODEL), seen)
+        assert all(value > 20 for value in seen.values()), seen
 
 
 class TestSiblingDistanceOracle:

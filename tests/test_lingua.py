@@ -75,11 +75,26 @@ SPLIT_PIECES = st.sampled_from([
     "a", "Open", "1", "_", "é", ".", "..", "!", "?", "!?", " ", "  ", "\n",
     "\t", "(", ")", "e.g", "Fig", "etc", "i.e.", "No", "x" * 30])
 
+# The same pieces without those that start with a capital or a digit,
+# which alone can follow the whitespace after a boundary: text drawn from
+# them holds no `_BOUNDARY_RE` match. Beside it, texts with no sentence.
+NO_BOUNDARY_TEXT = (
+    st.lists(st.sampled_from([
+        "a", "_", "é", ".", "..", "!", "?", "!?", " ", "  ", "\n", "\t", "(",
+        ")", "e.g", "etc", "i.e.", "x" * 30]), max_size=40).map("".join)
+    | st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028"),
+              max_size=8))
+
 
 class TestSplitOracle:
     @settings(max_examples=1000, deadline=None)
     @given(st.lists(SPLIT_PIECES, max_size=40).map("".join))
     def test_random_text_matches_oracle(self, text):
+        assert split_sentences(text) == oracle_split_sentences(text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(NO_BOUNDARY_TEXT | st.lists(SPLIT_PIECES, max_size=40).map("".join))
+    def test_text_mostly_without_boundary_matches_oracle(self, text):
         assert split_sentences(text) == oracle_split_sentences(text)
 
     def test_corpus_node_texts_match_oracle(self):

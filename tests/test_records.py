@@ -26,7 +26,8 @@ FIELDS = {
     GoalAnnotation: ("is_goal", "cue"),
     AnnotatedSentence: ("tagged", "split", "goal", "non_imperative_actionable"),
     ItemAnnotation: ("node_id", "sentences", "actionable", "conditional",
-                     "is_goal"),
+                     "is_goal", "imperative", "non_imperative_actionable",
+                     "effect_imperative"),
     ChunkAnnotation: ("items", "parent_is_goal", "relatedness"),
     Chunk: ("id", "kind", "item_node_ids", "depth", "context_text",
             "parent_node_id", "intro_node_id"),

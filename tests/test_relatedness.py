@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from procmine import relatedness
+from procmine import pipeline, relatedness
 from procmine.lingua import Tagger
 from procmine.relatedness import (ROLE_WEIGHTS, VECTOR_MIN_MENTION_PAIRS,
                                   BipartiteGraph, ProjectionGraph, Role,
@@ -326,6 +326,51 @@ class TestRelatednessScore:
                 sentence_count=graph.sentence_count,
                 edges=graph.edges + ((i, fresh, 1.0), (j, fresh, 1.0)))
             assert relatedness_score(project(grown)) >= base
+
+
+class TestShortChunks:
+    """A chunk of at most one sentence scores 0.0 without a graph; every
+    chunk still scores what the graph path gives, bit for bit."""
+
+    ONE_SENTENCE_TEXTS = ("", "Open the console.",
+                          "The server sends the server log to the server.",
+                          "The administrator opens the console and the console log.")
+
+    def test_corpus_chunks_equal_the_graph_path(self):
+        docs = sorted((CORPUS / "docs").glob("*.md")) + [
+            CORPUS / "nested-fixture.md"]
+        sizes = Counter()
+        for path in docs:
+            run = pipeline.analyze(pipeline.load_document(path), None)
+            for annotation in run.annotations.values():
+                sentences = [s.tagged for item in annotation.items
+                             for s in item.sentences]
+                sizes[min(len(sentences), 2)] += 1
+                expected = relatedness_score(project(build_bipartite(sentences)))
+                assert chunk_relatedness(sentences).hex() == expected.hex()
+                assert annotation.relatedness.hex() == expected.hex()
+        assert sizes[1] and sizes[2], sizes
+
+    @pytest.mark.parametrize("text", ONE_SENTENCE_TEXTS)
+    def test_zero_and_one_sentence_equal_the_graph_path(self, tagger, text):
+        for sentences in ([], [tagger.tag(text)]):
+            expected = relatedness_score(project(build_bipartite(sentences)))
+            assert chunk_relatedness(sentences).hex() == expected.hex() == \
+                (0.0).hex()
+
+    def test_no_entities_extracted_below_two_sentences(self, tagger,
+                                                       monkeypatch):
+        calls = []
+
+        def counting(sentence):
+            calls.append(sentence)
+            return extract_entities(sentence)
+        monkeypatch.setattr(relatedness, "extract_entities", counting)
+        one = [tagger.tag(self.ONE_SENTENCE_TEXTS[2])]
+        assert chunk_relatedness([]) == chunk_relatedness(one) == 0.0
+        assert calls == []
+        assert chunk_relatedness(one * 2) > 0.0
+        assert len(calls) == 2  # the patch is seen where a graph is built
 
 
 class TestVectorProjection:
