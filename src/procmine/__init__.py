@@ -1,6 +1,6 @@
 """procmine: identify and extract procedures from structured technical documents."""
 
-from .actionable import ActionableModel, Vocabulary, build_vocabulary, featurize
+from .actionable import ActionableModel, Vocabulary, build_vocabulary
 from .annotate import AnnotatedSentence, ChunkAnnotation, ItemAnnotation, annotate_chunks
 from .chunker import Chunk, ChunkKind, ChunkSet, build_chunks, chunk_size
 from .classifier import (ChunkPrediction, Metrics, ProcedureClassifierModel,
@@ -12,8 +12,7 @@ from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
                        compute_static_features, update_propagated_features)
 from .goals import GoalAnnotation, GoalCue, GoalCueConfig, annotate_goal
 from .linear import DegenerateLabels, NonFinite, TrainParams, VersionMismatch
-from .lingua import (Polarity, TaggedSentence, Tagger, Tense, Voice,
-                     detect_conditional, detect_imperative, profile,
+from .lingua import (TaggedSentence, Tagger, detect_conditional, profile,
                      split_sentences)
 from .pipeline import PipelineConfig, analyze, load_document, run_document
 from .relatedness import (BipartiteGraph, Entity, ProjectionGraph, Role,

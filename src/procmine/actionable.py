@@ -1,9 +1,11 @@
 """Classifier for non-imperative actionable statements.
 
-Features are bag-of-words tf-idf over a frequency-filtered vocabulary plus
-three linguistic bits (present tense, active voice, positive polarity).
-The model is a `linear.LinearModel` that also holds the vocabulary; its
-file, loader and training recipe are `linear`'s.
+A tagged sentence has one featurization, `_features`: bag-of-words tf-idf
+over a frequency-filtered vocabulary, then the three indicator bits of
+`lingua.profile` (present tense, active voice, positive polarity).
+`predict` scores those sparse pairs and `train` fills its dense matrix
+from them. The model is a `linear.LinearModel` that also holds the
+vocabulary; its file, loader and training recipe are `linear`'s.
 """
 
 from __future__ import annotations
@@ -12,16 +14,11 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from . import linear
 from .docmodel import require
-from .lingua import (Polarity, Profile, TaggedSentence, Tagger, Tense, Voice,
-                     profile as profile_sentence)
+from .lingua import TaggedSentence, Tagger, profile
 from .linear import DegenerateLabels, TrainParams, VersionMismatch
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MIN_DOCUMENT_FREQUENCY = 3
 
@@ -88,20 +85,15 @@ def _tf_idf(text: str, vocab: Vocabulary) -> dict[int, float]:
     return bag
 
 
-def _indicators(prof: Profile) -> tuple[float, float, float]:
-    return (1.0 if prof.tense is Tense.PRESENT else 0.0,
-            1.0 if prof.voice is Voice.ACTIVE else 0.0,
-            1.0 if prof.polarity is Polarity.POSITIVE else 0.0)
-
-
-def featurize(text: str, prof: Profile, vocab: Vocabulary) -> np.ndarray:
-    """tf-idf bag plus [present, active, positive] indicator tail."""
-    import numpy as np
-    vector = np.zeros(len(vocab) + 3, dtype=float)
-    for i, value in _tf_idf(text, vocab).items():
-        vector[i] = value
-    vector[len(vocab):] = _indicators(prof)
-    return vector
+def _features(sentence: TaggedSentence,
+              vocab: Vocabulary) -> list[tuple[int, float]]:
+    """(index, value) pairs: the tf-idf of the vocabulary terms present, in
+    index order, then the present, active and positive bits as 1.0 or 0.0
+    at indices len(vocab) to len(vocab) + 2."""
+    size = len(vocab)
+    features = sorted(_tf_idf(sentence.text, vocab).items())
+    features.extend(zip(range(size, size + 3), map(float, profile(sentence))))
+    return features
 
 
 @dataclass(frozen=True)
@@ -158,40 +150,30 @@ class ActionableModel(linear.LinearModel):
             total_sentences=require(doc, "total_sentences", int, "$"))}
 
 
-def _feature_matrix(sentences: list[str], profiles: list[Profile],
-                    vocab: Vocabulary) -> np.ndarray:
-    import numpy as np
-    return np.stack([featurize(s, p, vocab)
-                     for s, p in zip(sentences, profiles)])
-
-
 def train(labeled: list[tuple[str, bool]], params: TrainParams,
           tagger: Tagger | None = None) -> ActionableModel:
     """Train from (sentence text, actionable) pairs. Deterministic per seed."""
+    import numpy as np
     positives = sum(1 for _, label in labeled if label)
     if positives < 2 or len(labeled) - positives < 2:
         raise DegenerateLabels("need at least 2 examples of each class")
     tagger = tagger or Tagger()
     texts = [text for text, _ in labeled]
-    profiles = [profile_sentence(tagger.tag(text)) for text in texts]
     vocab = build_vocabulary(texts)
-    raw = _feature_matrix(texts, profiles, vocab)
+    raw = np.zeros((len(texts), len(vocab) + 3))
+    for row, text in zip(raw, texts):
+        for i, value in _features(tagger.tag(text), vocab):
+            row[i] = value
     return linear.fit_models(ActionableModel, [raw],
                              [label for _, label in labeled], params,
                              vocabulary=vocab)[0]
 
 
-def predict(model: ActionableModel, sentence: TaggedSentence,
-            prof: Profile | None = None) -> tuple[bool, float]:
-    """(actionable, margin); margin-zero ties resolve to actionable.
-
-    Scores only the vocabulary terms present, in index order, then the
-    three indicators. An absent term's tf-idf of 0 scales to 0 (see
-    `ActionableModel`), so the margin has the same bits as the
-    sum over every feature."""
-    prof = prof or profile_sentence(sentence)
-    size = len(model.vocabulary)
-    features = sorted(_tf_idf(sentence.text, model.vocabulary).items())
-    features.extend(zip(range(size, size + 3), _indicators(prof)))
-    margin = model.scorer.margin(features)
+def predict(model: ActionableModel,
+            sentence: TaggedSentence) -> tuple[bool, float]:
+    """(actionable, margin) over `_features`; margin-zero ties resolve to
+    actionable. An absent term's tf-idf of 0 scales to 0 (see
+    `ActionableModel`), so the margin has the same bits as the sum over
+    every feature."""
+    margin = model.scorer.margin(_features(sentence, model.vocabulary))
     return linear.decide(margin), margin

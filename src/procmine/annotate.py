@@ -8,9 +8,9 @@ reading and actionable reading; an item its node, its sentences and the
 six flags later stages read, each set in one loop over its sentences; a
 chunk its items, its introducing node's goal reading and its relatedness.
 Nothing here repeats the tree (an item's image flag is its node's) or the
-chunk id that keys each record. Tense, voice and polarity are not stored:
-`actionable.predict` works them out for the sentences it scores, their
-only reader.
+chunk id that keys each record. The tense, voice and polarity bits of
+`lingua.profile` are not stored: `actionable.predict` reads them off the
+tags of the sentences it scores, their only reader.
 
 The records are NamedTuples, like every record built per node, sentence,
 chunk or step: one 1k-node synth document builds 6,109 of them. A frozen

@@ -1,11 +1,12 @@
 """Sentence segmentation, tokenization, lexicon-driven POS tagging, and
-rule-based detection of imperative/conditional sentences with tense, voice
-and polarity profiling.
+rule-based detection of imperative and conditional sentences. `profile`
+reads three bits off a sentence's tags: present tense, active voice and
+positive polarity, the indicators the actionable model scores.
 
 `Tagger.tag` tokenizes and tags each sentence in one token pass. The
 `TaggedSentence` it returns holds three parallel tuples: the token
-surfaces, their lower-cased forms (each lower-cased once, the surface
-object itself where nothing changes) and their tags. Every detector reads
+surfaces, their lower-cased forms (each lower-cased once, and no new
+string where nothing changes) and their tags. Every detector reads
 those tuples, and the imperative flag is worked out once per sentence,
 when it is tagged.
 
@@ -20,11 +21,10 @@ the documents of a process; it stops growing at `TAG_TABLE_CAP` entries.
 
 The tagger is intentionally lightweight: a closed-class lexicon, a verb
 inflection table shipped as an editable data file, suffix fallbacks, and a
-NOUN default. It is deterministic and total over arbitrary text. Callers
-that need higher fidelity can pass their own tagger anywhere a
-:class:`Tagger` is accepted. `lexicon_lines` is the one reader of every
-lexicon file: the tagger's here and the lists that `pipeline` loads;
-`decode_utf8` is the one decoder of every input file, lexicons or not.
+NOUN default. It is deterministic and total over arbitrary text.
+`lexicon_lines` is the one reader of every lexicon file: the tagger's here
+and the lists that `pipeline` loads; `decode_utf8` is the one decoder of
+every input file, lexicons or not.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import os
 import re
 import stat
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -68,28 +67,12 @@ _NUM_RE = re.compile(r"\d+(?:[.\-/:]\d+)*(?:st|nd|rd|th)?|v\d+(?:\.\d+)*")
 _WORD_RE = re.compile(r"[A-Za-z0-9]")
 
 
-class Tense(Enum):
-    PRESENT = "present"
-    PAST = "past"
-    MIXED = "mixed"
-
-
-class Voice(Enum):
-    ACTIVE = "active"
-    PASSIVE = "passive"
-
-
-class Polarity(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
 class TaggedSentence(NamedTuple):
     text: str
     surfaces: tuple[str, ...]
     lowers: tuple[str, ...]  # lower-cased surfaces
     tags: tuple[str, ...]
-    imperative: bool  # detect_imperative's reading
+    imperative: bool  # `_imperative` of the tags and lowers
 
     def slice(self, start: int, end: int) -> "TaggedSentence":
         surfaces = self.surfaces[start:end]
@@ -102,12 +85,6 @@ class ConditionalSplit(NamedTuple):
     condition_span: tuple[int, int]  # token range, end exclusive
     effect_span: tuple[int, int]
     effect_imperative: bool
-
-
-class Profile(NamedTuple):
-    tense: Tense
-    voice: Voice
-    polarity: Polarity
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +256,18 @@ TAG_TABLE_CAP = 1 << 14
 class Tagger:
     """Deterministic tagger: closed-class lexicon, verb inflection table,
     suffix fallbacks, NOUN default. `table` maps each context-free surface
-    seen (see the module docstring) to its lower-cased form, or None where
-    that is the surface itself, and its tag."""
+    seen (see the module docstring) to its lower-cased form, the surface
+    object itself where lower-casing changes nothing, and its tag."""
 
     def __init__(self, lexicon: Lexicon | None = None):
         self.lexicon = lexicon or default_lexicon()
-        self.table: dict[str, tuple[str | None, str]] = {}
+        self.table: dict[str, tuple[str, str]] = {}
 
     def tag(self, text: str) -> TaggedSentence:
-        """Tokenize and tag `text` in one pass. A token's lower-cased form
-        is the surface object itself where lower-casing changes nothing; a
-        trailing `n't` is a token of its own."""
+        """Tokenize and tag `text` in one pass. Where lower-casing changes
+        nothing, a token's lower-cased form is its surface object, or on a
+        table hit the surface the table stored; a trailing `n't` is a
+        token of its own."""
         table, verb_forms = self.table, self.lexicon.verb_forms
         surfaces: list[str] = []
         lowers: list[str] = []
@@ -299,7 +277,7 @@ class Tagger:
             if known is not None:
                 lower, tag = known
                 surfaces.append(raw)
-                lowers.append(lower or raw)  # None: the surface itself
+                lowers.append(lower)
                 tags.append(tag)
                 continue
             lower = raw.lower()
@@ -316,7 +294,7 @@ class Tagger:
                 tags.append(self._tag_one(surface, word, len(tags), lowers, tags))
             if (len(tokens) == 1 and lower not in verb_forms
                     and len(table) < TAG_TABLE_CAP):
-                table[raw] = (None if lower is raw else lower, tags[-1])
+                table[raw] = (lower, tags[-1])
         tagged = tuple(tags)
         return TaggedSentence(text, tuple(surfaces), tuple(lowers), tagged,
                               _imperative(tagged, lowers))
@@ -408,14 +386,10 @@ _SKIP_TAGS = frozenset({PUNCT, ADV, NUM})
 _CONDITION_OPENERS = frozenset({"if", "when", "unless", "whenever"})
 
 
-def detect_imperative(sentence: TaggedSentence) -> bool:
+def _imperative(tags: tuple[str, ...], lowers) -> bool:
     """A sentence is imperative when its first non-punctuation, non-adverb,
     non-numeric token other than "please" is a base-form verb. Read it as
-    `sentence.imperative`, set once when the sentence is tagged."""
-    return _imperative(sentence.tags, sentence.lowers)
-
-
-def _imperative(tags: tuple[str, ...], lowers) -> bool:
+    `TaggedSentence.imperative`, set once when the sentence is tagged."""
     for tag, word in zip(tags, lowers):
         if tag in _SKIP_TAGS or word == "please":
             continue
@@ -463,24 +437,13 @@ def detect_conditional(sentence: TaggedSentence) -> ConditionalSplit | None:
                             effect_imperative=effect_imperative)
 
 
-def profile(sentence: TaggedSentence) -> Profile:
-    """Tense, voice, and polarity from surface tags."""
+def profile(sentence: TaggedSentence) -> tuple[bool, bool, bool]:
+    """(present, active, positive): no past-tense verb, no form of "be"
+    with a past participle in the three tokens after it, no negator."""
     tags = sentence.tags
-    past = VBD in tags
-    present = VBZ in tags or VBP in tags
-    if past and present:
-        tense = Tense.MIXED
-    elif past:
-        tense = Tense.PAST
-    else:
-        tense = Tense.PRESENT
-
-    voice = Voice.ACTIVE
+    active = True
     for i, word in enumerate(sentence.lowers):
         if word in _BE_FORMS and VBN in tags[i + 1:i + 4]:
-            voice = Voice.PASSIVE
+            active = False
             break
-
-    polarity = Polarity.NEGATIVE if NEG in tags else Polarity.POSITIVE
-    return Profile(tense=tense, voice=voice, polarity=polarity)
-
+    return VBD not in tags, active, NEG not in tags

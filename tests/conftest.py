@@ -595,21 +595,23 @@ def oracle_detect_conditional(sentence: OracleSentence):
         effect_imperative=oracle_detect_imperative(sentence.slice(*effect)))
 
 
-def oracle_profile(sentence: OracleSentence) -> lingua.Profile:
+def oracle_profile(sentence: OracleSentence) -> tuple[bool, bool, bool]:
+    """The three-valued tense, two-valued voice and polarity that profiles
+    were read as before they became bits, mapped to (present, active,
+    positive): "present" is the tense with no past-tense verb, so a mixed
+    tense reads False like a past one."""
     tags = [t.tag for t in sentence.tokens]
     past = lingua.VBD in tags
     present = lingua.VBZ in tags or lingua.VBP in tags
-    tense = (lingua.Tense.MIXED if past and present else
-             lingua.Tense.PAST if past else lingua.Tense.PRESENT)
-    voice = lingua.Voice.ACTIVE
+    tense = ("mixed" if past and present else "past" if past else "present")
+    voice = "active"
     for i, token in enumerate(sentence.tokens):
         if token.surface.lower() in lingua._BE_FORMS:
             if lingua.VBN in tags[i + 1:i + 4]:
-                voice = lingua.Voice.PASSIVE
+                voice = "passive"
                 break
-    polarity = (lingua.Polarity.NEGATIVE if lingua.NEG in tags
-                else lingua.Polarity.POSITIVE)
-    return lingua.Profile(tense=tense, voice=voice, polarity=polarity)
+    polarity = "negative" if lingua.NEG in tags else "positive"
+    return tense == "present", voice == "active", polarity == "positive"
 
 
 def oracle_annotate_goal(sentence: OracleSentence, *, is_heading: bool,
@@ -685,12 +687,22 @@ def oracle_bipartite_edges(sentences: list[OracleSentence]) -> tuple:
     return tuple((i, surface, w) for (i, surface), w in best.items())
 
 
+def dense_features(sentence: lingua.TaggedSentence, vocab) -> np.ndarray:
+    """`actionable._features` as one row of all len(vocab) + 3 features,
+    each absent term 0.0: the row `actionable.train` fills."""
+    row = np.zeros(len(vocab) + 3)
+    for i, value in actionable._features(sentence, vocab):
+        row[i] = value
+    return row
+
+
 def oracle_margin(model, sentence: OracleSentence) -> float:
     """`actionable.predict`'s margin from the oracle's profile."""
     size = len(model.vocabulary)
     features = sorted(actionable._tf_idf(sentence.text, model.vocabulary).items())
+    bits = oracle_profile(sentence)
     features.extend(zip(range(size, size + 3),
-                        actionable._indicators(oracle_profile(sentence))))
+                        (1.0 if bit else 0.0 for bit in bits)))
     return model.scorer.margin(features)
 
 

@@ -20,7 +20,7 @@ from procmine.docmodel import Kind
 from procmine.features import FeatureVector
 from procmine.goals import GoalCue, annotate_goal
 from procmine.linear import TrainParams
-from procmine.lingua import Tagger, detect_conditional, detect_imperative
+from procmine.lingua import Tagger, detect_conditional
 from procmine.relatedness import project, relatedness_score
 
 from conftest import check_links, random_tree, validate_tree
@@ -186,8 +186,8 @@ def test_actionable_classifier_bounds(tagger):
 
 
 def test_detector_unit_suite(tagger):
-    assert detect_imperative(tagger.tag("Click Start, select ALL Programs"))
-    assert not detect_imperative(tagger.tag("The user enters the password"))
+    assert tagger.tag("Click Start, select ALL Programs").imperative
+    assert not tagger.tag("The user enters the password").imperative
     cues = pipeline.PipelineConfig().goal_config()
     goal = annotate_goal(tagger.tag("Creating a Service Instance"),
                          is_heading=True, config=cues)

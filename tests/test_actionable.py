@@ -6,11 +6,13 @@ import pytest
 
 from procmine import actionable
 from procmine.actionable import (ActionableModel, EmptyCorpus, Vocabulary,
-                                 build_vocabulary, featurize, predict,
+                                 _features, build_vocabulary, predict,
                                  sentence_terms, train)
 from procmine.linear import (DegenerateLabels, MinMaxScaler, TrainParams,
                              VersionMismatch)
-from procmine.lingua import Polarity, Profile, Tagger, Tense, Voice
+from procmine.lingua import Tagger
+
+from conftest import dense_features
 
 POSITIVE = [
     "The user installs the package on the server.",
@@ -38,8 +40,6 @@ NEGATIVE = [
 ]
 TOY = [(t, True) for t in POSITIVE] + [(t, False) for t in NEGATIVE]
 PARAMS = TrainParams(epochs=200, learning_rate=0.01, l2=1e-4, seed=3)
-
-PRESENT_ACTIVE_POSITIVE = Profile(Tense.PRESENT, Voice.ACTIVE, Polarity.POSITIVE)
 
 
 @pytest.fixture(scope="module")
@@ -111,20 +111,19 @@ class TestFeaturize:
                        document_frequency=(4, 5),
                        idf=(2.0, 1.0), total_sentences=20)
 
-    def test_oov_sentence_gets_zero_bag_and_profile_tail(self):
-        vector = featurize("Reboot the gateway.", PRESENT_ACTIVE_POSITIVE,
-                           self.VOCAB)
-        assert vector.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+    def test_oov_sentence_gets_zero_bag_and_profile_tail(self, tagger):
+        features = _features(tagger.tag("Reboot the gateway."), self.VOCAB)
+        assert features == [(2, 1.0), (3, 1.0), (4, 1.0)]
 
-    def test_tf_times_idf(self):
-        vector = featurize("install twice install", PRESENT_ACTIVE_POSITIVE,
-                           self.VOCAB)
-        assert vector[0] == 4.0  # tf 2 x idf 2.0
+    def test_tf_times_idf(self, tagger):
+        features = _features(tagger.tag("install twice install"), self.VOCAB)
+        assert features[0] == (0, 4.0)  # tf 2 x idf 2.0
 
-    def test_negative_profile_tail(self):
-        profile = Profile(Tense.PAST, Voice.PASSIVE, Polarity.NEGATIVE)
-        vector = featurize("install", profile, self.VOCAB)
-        assert vector[-3:].tolist() == [0.0, 0.0, 0.0]
+    def test_negative_profile_tail(self, tagger):
+        """Past tense, passive voice and a negator: all three bits 0.0."""
+        features = _features(tagger.tag("The install was not restarted."),
+                             self.VOCAB)
+        assert features == [(0, 2.0), (2, 0.0), (3, 0.0), (4, 0.0)]
 
     def test_punctuation_stripped_and_lowercased(self):
         assert sentence_terms("Install, the SERVER!") == ["install", "the",
@@ -133,11 +132,8 @@ class TestFeaturize:
 
 class TestTrain:
     def test_toy_set_is_separable_by_oracle(self, toy_model, tagger):
-        from procmine.lingua import profile as profile_sentence
-        matrix = np.stack([
-            featurize(text, profile_sentence(tagger.tag(text)),
-                      toy_model.vocabulary)
-            for text, _ in TOY])
+        matrix = np.stack([dense_features(tagger.tag(text), toy_model.vocabulary)
+                           for text, _ in TOY])
         assert separable_by_single_feature(matrix, [l for _, l in TOY])
 
     def test_training_accuracy_is_one_on_separable_toy(self, toy_model, tagger):
@@ -171,8 +167,7 @@ class TestTrain:
 
     def test_scaled_training_features_in_unit_interval(self, toy_model, tagger):
         for text, _ in TOY:
-            prof = Profile(Tense.PRESENT, Voice.ACTIVE, Polarity.POSITIVE)
-            raw = featurize(text, prof, toy_model.vocabulary)
+            raw = dense_features(tagger.tag(text), toy_model.vocabulary)
             scaled = toy_model.scaler.transform(raw[np.newaxis, :])[0]
             assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 

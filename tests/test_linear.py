@@ -21,11 +21,13 @@ import numpy as np
 import pytest
 
 from procmine import actionable, classifier, linear, pipeline
-from procmine.actionable import ActionableModel, featurize, predict
+from procmine.actionable import ActionableModel, predict
 from procmine.classifier import ProcedureClassifierModel
 from procmine.features import FEATURE_NAMES, FeatureVector
 from procmine.linear import MinMaxScaler, TrainParams, VersionMismatch
-from procmine.lingua import Polarity, Profile, Tagger, Tense, Voice, profile
+from procmine.lingua import Tagger, profile
+
+from conftest import dense_features
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -67,9 +69,18 @@ def random_sentence(rng: random.Random, terms: tuple[str, ...]) -> str:
     return " ".join(words) + "."
 
 
-def random_profile(rng: random.Random) -> Profile:
-    return Profile(tense=rng.choice(list(Tense)), voice=rng.choice(list(Voice)),
-                   polarity=rng.choice(list(Polarity)))
+# One sentence for each of the 8 (present, active, positive) indicator
+# combinations: past tense, passive voice and negation, each or not.
+PROFILE_SENTENCES = [f"The service {be}{negator} {word}."
+                     for be in ("is", "was") for negator in ("", " not")
+                     for word in ("ready", "restarted")]
+
+
+def test_profile_sentences_carry_every_indicator_combination():
+    tagger = Tagger()
+    assert {profile(tagger.tag(text)) for text in PROFILE_SENTENCES} == {
+        (present, active, positive) for present in (True, False)
+        for active in (True, False) for positive in (True, False)}
 
 
 class TestProcedureScorer:
@@ -117,21 +128,24 @@ class TestActionableScorer:
         for text in corpus_sentences():
             tagged = tagger.tag(text)
             label, margin = predict(model, tagged)
-            raw = featurize(text, profile(tagged), model.vocabulary)
+            raw = dense_features(tagged, model.vocabulary)
             assert_matches_oracle(margin, numpy_margin(model, raw))
             assert label is linear.decide(margin)
 
     def test_sparse_sum_equals_dense_sum(self, models, tagger):
         """Leaving out absent terms gives the same bits as scoring all
-        vocabulary + 3 features in index order, in plain Python."""
+        vocabulary + 3 features in index order, in plain Python. Each
+        random sentence ends in one of `PROFILE_SENTENCES`, so every
+        indicator combination is scored."""
         model = models[0]
         rng = random.Random(8)
-        sentences = corpus_sentences() + [
-            random_sentence(rng, model.vocabulary.terms) for _ in range(1500)]
+        sentences = corpus_sentences() + PROFILE_SENTENCES + [
+            random_sentence(rng, model.vocabulary.terms) + " "
+            + rng.choice(PROFILE_SENTENCES) for _ in range(1500)]
         for text in sentences:
-            prof = random_profile(rng)
-            _, margin = predict(model, tagger.tag(text), prof)
-            dense = featurize(text, prof, model.vocabulary).tolist()
+            tagged = tagger.tag(text)
+            _, margin = predict(model, tagged)
+            dense = dense_features(tagged, model.vocabulary).tolist()
             assert margin == model.scorer.margin(enumerate(dense))
             assert_matches_oracle(margin, numpy_margin(model, dense))
 
@@ -143,11 +157,10 @@ class TestActionableScorer:
         for entry in doc["scaler"][-3:]:
             entry["min"] = -1.0
         edited = ActionableModel.from_json(json.dumps(doc))
-        rng = random.Random(9)
-        for text in corpus_sentences()[:100]:
-            prof = random_profile(rng)
-            _, margin = predict(edited, tagger.tag(text), prof)
-            dense = featurize(text, prof, edited.vocabulary).tolist()
+        for text in corpus_sentences()[:100] + PROFILE_SENTENCES:
+            tagged = tagger.tag(text)
+            _, margin = predict(edited, tagged)
+            dense = dense_features(tagged, edited.vocabulary).tolist()
             assert margin == edited.scorer.margin(enumerate(dense))
 
     @pytest.mark.parametrize("entry", [{"min": -0.5, "max": 1.0},
