@@ -10,7 +10,7 @@ from .docmodel import (DocNode, DocTree, Kind, SchemaError, parse_markdown,
 from .extractor import Procedure, Step, extract, serialize
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
                        compute_static_features, update_propagated_features)
-from .goals import GoalAnnotation, GoalCue, GoalCueConfig, annotate_goal
+from .goals import GoalCue, GoalCueConfig, annotate_goal
 from .linear import DegenerateLabels, NonFinite, TrainParams, VersionMismatch
 from .lingua import (TaggedSentence, Tagger, detect_conditional, profile,
                      split_sentences)

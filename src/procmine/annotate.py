@@ -4,7 +4,7 @@ bundles the results the feature stage needs.
 
 Each record holds each fact once, set when it is built: a sentence its
 tagged tokens (which carry its imperative flag), conditional split, goal
-reading and actionable reading; an item its node, its sentences and the
+cue and actionable reading; an item its node, its sentences and the
 six flags later stages read, each set in one loop over its sentences; a
 chunk its items, its introducing node's goal reading and its relatedness.
 Nothing here repeats the tree (an item's image flag is its node's) or the
@@ -13,10 +13,11 @@ chunk id that keys each record. The tense, voice and polarity bits of
 tags of the sentences it scores, their only reader.
 
 The records are NamedTuples, like every record built per node, sentence,
-chunk or step: one 1k-node synth document builds 6,109 of them. A frozen
-dataclass sets each field through `object.__setattr__`; with five fields
-it took 1.1-1.5 us to build, a NamedTuple 0.4 us by position and 0.9 us by
-keyword (Python 3.11, 2-vCPU Xeon VM, fastest of 5 x 200,000).
+chunk or step: one 1k-node synth document (`perfbench/gen.py`, seed 3)
+builds 6,027 of them, 1,000 of them `DocNode`s. A frozen dataclass sets
+each field through `object.__setattr__`; with five fields it took
+1.1-1.5 us to build, a NamedTuple 0.4 us by position and 0.9 us by keyword
+(Python 3.11, 2-vCPU Xeon VM, fastest of 5 x 200,000).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from . import actionable as actionable_mod
 from .actionable import ActionableModel
 from .chunker import Chunk, ChunkKind, ChunkSet
 from .docmodel import DocNode, DocTree, Kind
-from .goals import (GoalAnnotation, GoalCue, GoalCueConfig, annotate_goal,
-                    heading_goal)
+from .goals import GoalCue, GoalCueConfig, annotate_goal, heading_goal
 from .lingua import ConditionalSplit, TaggedSentence, Tagger, detect_conditional
 from .relatedness import chunk_relatedness
 
@@ -36,7 +36,7 @@ from .relatedness import chunk_relatedness
 class AnnotatedSentence(NamedTuple):
     tagged: TaggedSentence  # with its imperative flag
     split: ConditionalSplit | None  # None unless the sentence is conditional
-    goal: GoalAnnotation
+    goal: GoalCue | None  # None unless the sentence carries a goal cue
     non_imperative_actionable: bool
 
 
@@ -65,7 +65,7 @@ def annotate_sentence_text(text: str, *, is_heading: bool, tagger: Tagger,
                            model: ActionableModel | None) -> AnnotatedSentence:
     tagged = tagger.tag(text)
     goal = annotate_goal(tagged, is_heading=is_heading, config=goal_config)
-    if goal.cue is GoalCue.GERUND_OPENING:
+    if goal is GoalCue.GERUND_OPENING:
         non_imperative = True  # gerund-opening goals read as actionable
     elif tagged.imperative or model is None:
         non_imperative = False
@@ -81,7 +81,7 @@ def _heading_is_goal(node: DocNode, *, tagger: Tagger,
     if node.kind not in (Kind.HEADING, Kind.TITLE) or not node.text.strip():
         return False
     return annotate_goal(tagger.tag(node.text), is_heading=True,
-                         config=goal_config).is_goal
+                         config=goal_config) is not None
 
 
 def _item_heading_is_goal(node: DocNode, item: ItemAnnotation, *,
@@ -91,7 +91,7 @@ def _item_heading_is_goal(node: DocNode, item: ItemAnnotation, *,
     only backward, so the first token that is not NUM or PUNCT has the
     same tag in its sentence as in the whole heading."""
     tags = (tag for s in item.sentences for tag in s.tagged.tags)
-    return heading_goal(node.text, tags, goal_config).is_goal
+    return heading_goal(node.text, tags, goal_config) is not None
 
 
 def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
@@ -117,7 +117,7 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
                 conditional = True
                 if s.split.effect_imperative:
                     effect = True
-            if s.goal.is_goal:
+            if s.goal is not None:
                 goal = True
         items.append(ItemAnnotation(
             node_id=node_id, sentences=tuple(sentences),
@@ -138,17 +138,15 @@ def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger,
                     ) -> dict[int, ChunkAnnotation]:
     """Annotate every chunk. A heading's goal reading as an introducing
     node comes from its heading-group item, which the chunker emits before
-    the chunks below the heading; only the title is tagged on its own."""
-    intro_goals: dict[int, bool] = {}
+    the chunks below the heading; only the title is tagged on its own. No
+    other kind of node carries a goal cue."""
+    intro_goals = {tree.root: _heading_is_goal(
+        tree.node(tree.root), tagger=tagger, goal_config=goal_config)}
     out: dict[int, ChunkAnnotation] = {}
     for chunk in chunks:
-        intro = chunk.intro_node_id
-        if intro not in intro_goals:
-            intro_goals[intro] = _heading_is_goal(
-                tree.node(intro), tagger=tagger, goal_config=goal_config)
         annotation = out[chunk.id] = annotate_chunk(
             chunk, tree, tagger=tagger, goal_config=goal_config, model=model,
-            parent_is_goal=intro_goals[intro])
+            parent_is_goal=intro_goals.get(chunk.intro_node_id, False))
         if chunk.kind is ChunkKind.HEADING_GROUP:
             for item in annotation.items:
                 intro_goals[item.node_id] = _item_heading_is_goal(

@@ -156,13 +156,11 @@ def ablate(feature_ids: tuple[int, ...],
     return _ablate([tuple(feature_ids)], train_rows, test_rows, params)[0]
 
 
-def ablation_report(train_rows, test_rows, params: TrainParams,
-                    categories: dict[str, tuple[int, ...]] | None = None,
-                    ) -> list[tuple[str, Metrics]]:
+def ablation_report(train_rows, test_rows,
+                    params: TrainParams) -> list[tuple[str, Metrics]]:
     """Baseline plus one row per feature category with that category removed."""
-    categories = categories or FEATURE_CATEGORIES
-    ablations = [(), *(tuple(ids) for ids in categories.values())]
-    return list(zip(["none", *categories],
+    ablations = [(), *FEATURE_CATEGORIES.values()]
+    return list(zip(["none", *FEATURE_CATEGORIES],
                     _ablate(ablations, train_rows, test_rows, params)))
 
 

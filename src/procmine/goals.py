@@ -12,7 +12,6 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .lingua import NUM, PUNCT, VBG, TaggedSentence
 
@@ -20,12 +19,6 @@ from .lingua import NUM, PUNCT, VBG, TaggedSentence
 class GoalCue(str, Enum):
     GERUND_OPENING = "gerund_opening"
     METHOD_PREFIX = "method_prefix"
-    NONE = "none"
-
-
-class GoalAnnotation(NamedTuple):
-    is_goal: bool
-    cue: GoalCue
 
 
 @dataclass(frozen=True)
@@ -36,35 +29,35 @@ class GoalCueConfig:
 
 _LEADING_NUMBERING_RE = re.compile(r"^\s*\d+(?:\.\d+)*\.?\s*")
 
-NOT_GOAL = GoalAnnotation(is_goal=False, cue=GoalCue.NONE)
-
 
 def strip_section_numbering(text: str) -> str:
     return _LEADING_NUMBERING_RE.sub("", text)
 
 
 def annotate_goal(sentence: TaggedSentence, *, is_heading: bool,
-                  config: GoalCueConfig) -> GoalAnnotation:
-    """Annotate a sentence as a goal. Only headings can carry goal cues."""
+                  config: GoalCueConfig) -> GoalCue | None:
+    """The goal cue a sentence carries, None where it carries none. Only
+    headings can carry goal cues."""
     if not is_heading:
-        return NOT_GOAL
+        return None
     return heading_goal(sentence.text, sentence.tags, config)
 
 
 def heading_goal(text: str, tags: Iterable[str],
-                 config: GoalCueConfig) -> GoalAnnotation:
-    """The goal reading of the heading `text` whose tokens have the tags
-    `tags`. Only the tags up to the first that is not NUM or PUNCT are read."""
+                 config: GoalCueConfig) -> GoalCue | None:
+    """The goal cue of the heading `text` whose tokens have the tags
+    `tags`, None where it carries none. Only the tags up to the first that
+    is not NUM or PUNCT are read."""
     stripped = strip_section_numbering(text.strip()).lower()
     for prefix in config.prefixes:
         if re.match(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)", stripped):
-            return GoalAnnotation(is_goal=True, cue=GoalCue.METHOD_PREFIX)
+            return GoalCue.METHOD_PREFIX
 
     if config.gerund_opening:
         for tag in tags:
             if tag in (NUM, PUNCT):
                 continue
             if tag == VBG:
-                return GoalAnnotation(is_goal=True, cue=GoalCue.GERUND_OPENING)
+                return GoalCue.GERUND_OPENING
             break
-    return NOT_GOAL
+    return None

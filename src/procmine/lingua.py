@@ -74,12 +74,6 @@ class TaggedSentence(NamedTuple):
     tags: tuple[str, ...]
     imperative: bool  # `_imperative` of the tags and lowers
 
-    def slice(self, start: int, end: int) -> "TaggedSentence":
-        surfaces = self.surfaces[start:end]
-        lowers, tags = self.lowers[start:end], self.tags[start:end]
-        return TaggedSentence(" ".join(surfaces), surfaces, lowers, tags,
-                              _imperative(tags, lowers))
-
 
 class ConditionalSplit(NamedTuple):
     condition_span: tuple[int, int]  # token range, end exclusive
@@ -417,24 +411,20 @@ def detect_conditional(sentence: TaggedSentence) -> ConditionalSplit | None:
     opener = _find_opener(sentence)
     if opener is None:
         return None
-    n = len(sentence.tags)
+    tags, n = sentence.tags, len(sentence.tags)
     first_content = next(
-        (i for i, tag in enumerate(sentence.tags) if tag not in (PUNCT, NUM)), 0)
+        (i for i, tag in enumerate(tags) if tag not in (PUNCT, NUM)), 0)
     if opener <= first_content:
+        # Without a comma the condition is the whole sentence.
         comma = next((i for i in range(opener + 1, n)
-                      if sentence.surfaces[i] == ","), None)
-        if comma is None:
-            condition = (0, n)
-            effect = (n, n)
-        else:
-            condition = (0, comma + 1)
-            effect = (comma + 1, n)
+                      if sentence.surfaces[i] == ","), n - 1)
+        condition, effect = (0, comma + 1), (comma + 1, n)
     else:
-        condition = (opener, n)
-        effect = (0, opener)
-    effect_imperative = sentence.slice(*effect).imperative
-    return ConditionalSplit(condition_span=condition, effect_span=effect,
-                            effect_imperative=effect_imperative)
+        condition, effect = (opener, n), (0, opener)
+    start, end = effect
+    return ConditionalSplit(
+        condition_span=condition, effect_span=effect,
+        effect_imperative=_imperative(tags[start:end], sentence.lowers[start:end]))
 
 
 def profile(sentence: TaggedSentence) -> tuple[bool, bool, bool]:

@@ -144,19 +144,14 @@ def extract_entities(sentence: TaggedSentence) -> list[Entity]:
 def build_bipartite(sentences: list[TaggedSentence]) -> BipartiteGraph:
     """One weighted edge per (sentence, entity); repeat mentions keep the
     maximum role weight."""
-    best: dict[tuple[int, str], float] = {}
-    order: list[tuple[int, str]] = []
+    best: dict[tuple[int, str], float] = {}  # in order of first mention
     for index, sentence in enumerate(sentences):
         for entity in extract_entities(sentence):
             key = (index, entity.surface)
             weight = ROLE_WEIGHTS[entity.role]
-            if key not in best:
-                best[key] = weight
-                order.append(key)
-            else:
-                best[key] = max(best[key], weight)
-    edges = tuple((idx, surface, best[(idx, surface)]) for idx, surface in order)
-    return BipartiteGraph(sentence_count=len(sentences), edges=edges)
+            best[key] = max(best.get(key, weight), weight)
+    return BipartiteGraph(sentence_count=len(sentences), edges=tuple(
+        (index, surface, weight) for (index, surface), weight in best.items()))
 
 
 def project(graph: BipartiteGraph) -> ProjectionGraph:

@@ -10,8 +10,7 @@ import pytest
 
 from procmine import actionable, docmodel, linear, lingua
 from procmine.docmodel import DocNode, DocTree, Kind, parse_sdjson
-from procmine.goals import (NOT_GOAL, GoalAnnotation, GoalCue, GoalCueConfig,
-                            strip_section_numbering)
+from procmine.goals import GoalCue, GoalCueConfig, strip_section_numbering
 from procmine.relatedness import ROLE_WEIGHTS, Entity, Role
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -615,21 +614,21 @@ def oracle_profile(sentence: OracleSentence) -> tuple[bool, bool, bool]:
 
 
 def oracle_annotate_goal(sentence: OracleSentence, *, is_heading: bool,
-                         config: GoalCueConfig) -> GoalAnnotation:
+                         config: GoalCueConfig) -> GoalCue | None:
     if not is_heading:
-        return NOT_GOAL
+        return None
     stripped = strip_section_numbering(sentence.text.strip()).lower()
     for prefix in config.prefixes:
         if re.match(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)", stripped):
-            return GoalAnnotation(is_goal=True, cue=GoalCue.METHOD_PREFIX)
+            return GoalCue.METHOD_PREFIX
     if config.gerund_opening:
         for token in sentence.tokens:
             if token.tag in (lingua.NUM, lingua.PUNCT):
                 continue
             if token.tag == lingua.VBG:
-                return GoalAnnotation(is_goal=True, cue=GoalCue.GERUND_OPENING)
+                return GoalCue.GERUND_OPENING
             break
-    return NOT_GOAL
+    return None
 
 
 def oracle_extract_entities(sentence: OracleSentence) -> list[Entity]:
@@ -717,7 +716,7 @@ def oracle_item_flags(sentences) -> tuple[bool, bool, bool]:
     return (any(s.tagged.imperative or s.non_imperative_actionable
                 for s in sentences),
             any(s.split is not None for s in sentences),
-            any(s.goal.is_goal for s in sentences))
+            any(s.goal is not None for s in sentences))
 
 
 def oracle_unit_flags(unit) -> tuple[bool, bool, bool, bool]:

@@ -191,11 +191,11 @@ def test_detector_unit_suite(tagger):
     cues = pipeline.PipelineConfig().goal_config()
     goal = annotate_goal(tagger.tag("Creating a Service Instance"),
                          is_heading=True, config=cues)
-    assert goal.is_goal and goal.cue is GoalCue.GERUND_OPENING
+    assert goal is GoalCue.GERUND_OPENING
     non_goal = annotate_goal(
         tagger.tag("2.1.5 Linux Large Pages and Oracle Databases"),
         is_heading=True, config=cues)
-    assert not non_goal.is_goal
+    assert non_goal is None
 
     rng = random.Random(7)
     openers = ["If", "When", "Unless", "Whenever", "In case"]

@@ -23,13 +23,18 @@ CORPUS = ROOT / "corpus"
 DOCS = sorted((CORPUS / "docs").glob("*.md")) + [CORPUS / "nested-fixture.md"]
 MODELS = ["--model", str(CORPUS / "models" / "procedure.json"),
           "--actionable-model", str(CORPUS / "models" / "actionable.json")]
+# Code for `python -c` that runs `procmine` on the arguments after it.
+CLI = "import sys\nfrom procmine import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
 
 
-def python(code: str, *args: str, coretype: str | None = None) -> str:
+def python(code: str, *args: str, coretype: str | None = None,
+           hash_seed: str | None = None) -> str:
     env = dict(os.environ)
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     result = subprocess.run([sys.executable, "-c", code, *args], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -88,15 +93,36 @@ def test_prediction_logs_do_not_depend_on_blas_kernel(tmp_path):
     logs = {}
     for coretype in (None, "Nehalem", "Prescott"):
         log_dir = tmp_path / str(coretype)
-        python("import sys\nfrom procmine import cli\n"
-               "sys.exit(cli.main(sys.argv[1:]))\n",
-               "extract", *map(str, DOCS), *MODELS, "-o", str(log_dir / "out"),
-               "--pred-log", str(log_dir), coretype=coretype)
+        python(CLI, "extract", *map(str, DOCS), *MODELS,
+               "-o", str(log_dir / "out"), "--pred-log", str(log_dir),
+               coretype=coretype)
         logs[coretype] = {path.name: path.read_bytes()
                           for path in sorted(log_dir.glob("*.predictions.csv"))}
     assert len(logs[None]) == len(DOCS)
     assert logs["Nehalem"] == logs[None]
     assert logs["Prescott"] == logs[None]
+
+
+def test_outputs_do_not_depend_on_hash_seed(tmp_path):
+    """String hashes, and so the iteration order of sets and dicts keyed
+    by strings, change with PYTHONHASHSEED; no output byte may."""
+    outputs = {}
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        python(CLI, "extract", *map(str, DOCS), *MODELS,
+               "-o", str(out / "procedures"), "--pred-log", str(out / "logs"),
+               hash_seed=seed)
+        python(CLI, "train-actionable", str(CORPUS / "actionable_sentences.csv"),
+               "--seed", "101", "-o", str(out / "actionable.json"),
+               hash_seed=seed)
+        outputs[seed] = {path.relative_to(out).as_posix(): path.read_bytes()
+                         for path in sorted(out.rglob("*")) if path.is_file()}
+    assert len(outputs["0"]) == 2 * len(DOCS) + 1
+    assert outputs["1"] == outputs["0"]
+    for path in DOCS:
+        name = path.stem + ".procedures.json"
+        assert outputs["0"]["procedures/" + name] == \
+            (CORPUS / "golden" / name).read_bytes()
 
 
 # The training recipe of scripts/build_models.py, writing nothing: both

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procmine import actionable, classifier, linear
-from procmine.classifier import ablate, ablation_report
+from procmine.classifier import _ablate, ablate, ablation_report
 from procmine.features import FEATURE_CATEGORIES, FeatureVector
 from procmine.linear import DegenerateLabels, NonFinite, TrainParams
 
@@ -171,20 +171,26 @@ def random_rows(seed: int, count: int) -> list[tuple[FeatureVector, bool]]:
     None, {"overlap": (1, 2, 3), "all": tuple(range(1, 16)), "one": (15,),
            "again": (3, 2, 1)}], ids=["paper-categories", "custom"])
 def test_ablation_report_equals_one_ablate_per_category(seed, categories):
+    """The report's models train together in `_ablate`; other category
+    sets reach it directly."""
     train_rows, test_rows = random_rows(seed, 30), random_rows(seed + 10, 20)
     params = TrainParams(epochs=40, learning_rate=0.05, l2=1e-3, seed=seed)
-    report = ablation_report(train_rows, test_rows, params, categories)
+    if categories is None:
+        categories = FEATURE_CATEGORIES
+        report = ablation_report(train_rows, test_rows, params)
+    else:
+        report = list(zip(["none", *categories], _ablate(
+            [(), *categories.values()], train_rows, test_rows, params)))
     expected = [("none", ablate((), train_rows, test_rows, params))] + [
         (name, ablate(tuple(ids), train_rows, test_rows, params))
-        for name, ids in (categories or FEATURE_CATEGORIES).items()]
+        for name, ids in categories.items()]
     assert report == expected
 
 
 def test_ablation_report_rejects_unknown_feature_ids():
     rows = random_rows(4, 10)
     with pytest.raises(ValueError, match=r"\[0, 16\]"):
-        ablation_report(rows, rows, TrainParams(epochs=1),
-                        {"bad": (0, 3), "worse": (16,)})
+        _ablate([(), (0, 3), (16,)], rows, rows, TrainParams(epochs=1))
 
 
 # ---------------------------------------------------------------------------

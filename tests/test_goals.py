@@ -20,49 +20,46 @@ def tagger():
 
 class TestAnnotateGoal:
     def test_gerund_opening_heading(self, tagger):
-        annotation = annotate_goal(tagger.tag("Creating a Service Instance"),
-                                   is_heading=True, config=CUES)
-        assert annotation.is_goal is True
-        assert annotation.cue is GoalCue.GERUND_OPENING
+        cue = annotate_goal(tagger.tag("Creating a Service Instance"),
+                            is_heading=True, config=CUES)
+        assert cue is GoalCue.GERUND_OPENING
 
     def test_method_prefix_heading(self, tagger):
-        annotation = annotate_goal(tagger.tag("Method 1: Restart the service"),
-                                   is_heading=True, config=CUES)
-        assert annotation.is_goal is True
-        assert annotation.cue is GoalCue.METHOD_PREFIX
+        cue = annotate_goal(tagger.tag("Method 1: Restart the service"),
+                            is_heading=True, config=CUES)
+        assert cue is GoalCue.METHOD_PREFIX
 
     def test_numbered_noun_heading_is_not_goal(self, tagger):
-        annotation = annotate_goal(
+        cue = annotate_goal(
             tagger.tag("2.1.5 Linux Large Pages and Oracle Databases"),
             is_heading=True, config=CUES)
-        assert annotation.is_goal is False
-        assert annotation.cue is GoalCue.NONE
+        assert cue is None
 
     def test_numbered_gerund_heading_is_goal(self, tagger):
-        annotation = annotate_goal(tagger.tag("3.2 Configuring the adapter"),
-                                   is_heading=True, config=CUES)
-        assert annotation.cue is GoalCue.GERUND_OPENING
+        cue = annotate_goal(tagger.tag("3.2 Configuring the adapter"),
+                            is_heading=True, config=CUES)
+        assert cue is GoalCue.GERUND_OPENING
 
     def test_non_heading_never_goal(self, tagger):
         for text in ["Creating a Service Instance", "Method 1: Restart"]:
-            annotation = annotate_goal(tagger.tag(text), is_heading=False,
-                                       config=CUES)
-            assert annotation.is_goal is False
+            cue = annotate_goal(tagger.tag(text), is_heading=False,
+                                config=CUES)
+            assert cue is None
 
     def test_method_without_number(self, tagger):
-        annotation = annotate_goal(tagger.tag("Method of recovery"),
-                                   is_heading=True, config=CUES)
-        assert annotation.cue is GoalCue.METHOD_PREFIX
+        cue = annotate_goal(tagger.tag("Method of recovery"),
+                            is_heading=True, config=CUES)
+        assert cue is GoalCue.METHOD_PREFIX
 
     def test_methodical_does_not_match_prefix(self, tagger):
-        annotation = annotate_goal(tagger.tag("Methodical review notes"),
-                                   is_heading=True, config=CUES)
-        assert annotation.cue is not GoalCue.METHOD_PREFIX
+        cue = annotate_goal(tagger.tag("Methodical review notes"),
+                            is_heading=True, config=CUES)
+        assert cue is not GoalCue.METHOD_PREFIX
 
     def test_plain_heading_not_goal(self, tagger):
-        annotation = annotate_goal(tagger.tag("Step 4"), is_heading=True,
-                                   config=CUES)
-        assert annotation.is_goal is False
+        cue = annotate_goal(tagger.tag("Step 4"), is_heading=True,
+                            config=CUES)
+        assert cue is None
 
     def test_determinism(self, tagger):
         sentence = tagger.tag("Creating a cluster")
@@ -77,12 +74,12 @@ class TestGoalCueConfig:
         config = PipelineConfig(lexicon_dir=tmp_path).goal_config()
         assert config.gerund_opening is False
         assert "how to" in config.prefixes
-        annotation = annotate_goal(tagger.tag("How to restart the node"),
-                                   is_heading=True, config=config)
-        assert annotation.cue is GoalCue.METHOD_PREFIX
+        cue = annotate_goal(tagger.tag("How to restart the node"),
+                            is_heading=True, config=config)
+        assert cue is GoalCue.METHOD_PREFIX
         gerund = annotate_goal(tagger.tag("Creating a cluster"),
                                is_heading=True, config=config)
-        assert gerund.is_goal is False
+        assert gerund is None
 
     def test_bundled_defaults(self):
         assert CUES.gerund_opening is True
@@ -120,6 +117,6 @@ class TestLeadingWhitespace:
         assert run.static_features[listed.id].if_parent_is_goal == 1.0
 
     def test_untrimmed_heading_text(self, tagger):
-        annotation = annotate_goal(tagger.tag("  Method 1: Reset"),
-                                   is_heading=True, config=CUES)
-        assert annotation.cue is GoalCue.METHOD_PREFIX
+        cue = annotate_goal(tagger.tag("  Method 1: Reset"),
+                            is_heading=True, config=CUES)
+        assert cue is GoalCue.METHOD_PREFIX

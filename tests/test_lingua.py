@@ -192,8 +192,8 @@ class TestDetectConditional:
         sentence = tagger.tag("If the problem persists, restart the server.")
         split = detect_conditional(sentence)
         assert split is not None
-        cond = sentence.slice(*split.condition_span).surfaces
-        effect = sentence.slice(*split.effect_span).surfaces
+        cond = sentence.surfaces[slice(*split.condition_span)]
+        effect = sentence.surfaces[slice(*split.effect_span)]
         assert cond == ("If", "the", "problem", "persists", ",")
         assert effect == ("restart", "the", "server", ".")
         assert split.effect_imperative is True
@@ -202,7 +202,7 @@ class TestDetectConditional:
         sentence = tagger.tag("Restart the server if the problem persists.")
         split = detect_conditional(sentence)
         assert split is not None
-        effect = sentence.slice(*split.effect_span).surfaces
+        effect = sentence.surfaces[slice(*split.effect_span)]
         assert effect == ("Restart", "the", "server")
         assert split.effect_imperative is True
 
@@ -288,5 +288,6 @@ class TestConditionalFuzz:
             goal_config=GoalCueConfig(), model=None)
         assert sentence.split == detect_conditional(sentence.tagged)
         if sentence.split is not None:
-            assert sentence.split.effect_imperative is sentence.tagged.slice(
-                *sentence.split.effect_span).imperative
+            effect = slice(*sentence.split.effect_span)
+            assert sentence.split.effect_imperative is lingua._imperative(
+                sentence.tagged.tags[effect], sentence.tagged.lowers[effect])

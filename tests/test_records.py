@@ -13,7 +13,6 @@ from procmine.chunker import Chunk
 from procmine.classifier import ChunkPrediction
 from procmine.docmodel import DocNode, Kind
 from procmine.extractor import Procedure, Step
-from procmine.goals import GoalAnnotation
 from procmine.lingua import ConditionalSplit, TaggedSentence
 from procmine.relatedness import BipartiteGraph, ProjectionGraph
 
@@ -22,7 +21,6 @@ FIELDS = {
               "associated_image"),
     TaggedSentence: ("text", "surfaces", "lowers", "tags", "imperative"),
     ConditionalSplit: ("condition_span", "effect_span", "effect_imperative"),
-    GoalAnnotation: ("is_goal", "cue"),
     AnnotatedSentence: ("tagged", "split", "goal", "non_imperative_actionable"),
     ItemAnnotation: ("node_id", "sentences", "actionable", "conditional",
                      "is_goal", "imperative", "non_imperative_actionable",
