@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from procmine import pipeline
+from procmine import chunker, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "corpus" / "docs"
@@ -106,9 +106,7 @@ FIXTURE_GOLD = {"nested-fixture.md": {1: 1, 2: 1, 3: 1}}
 
 
 def write_labels(doc_path: Path, gold: dict[int, int]) -> None:
-    tree = pipeline.load_document(doc_path)
-    run = pipeline.analyze(tree, None)
-    chunk_ids = sorted(run.chunks.chunks)
+    chunk_ids = sorted(chunker.build_chunks(pipeline.load_document(doc_path)).chunks)
     if chunk_ids != sorted(gold):
         raise SystemExit(
             f"{doc_path.name}: chunk ids {chunk_ids} do not match the gold "

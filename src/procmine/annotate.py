@@ -101,7 +101,7 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
     """`parent_is_goal` is the goal flag of the chunk's introducing node."""
     items: list[ItemAnnotation] = []
     for node_id in chunk.item_node_ids:
-        is_heading = tree.node(node_id).kind in (Kind.HEADING, Kind.TITLE)
+        is_heading = tree.nodes[node_id].kind in (Kind.HEADING, Kind.TITLE)
         sentences: list[AnnotatedSentence] = []
         imperative = non_imperative = conditional = effect = goal = False
         for text in tree.sentences[node_id]:
@@ -140,8 +140,8 @@ def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger,
     node comes from its heading-group item, which the chunker emits before
     the chunks below the heading; only the title is tagged on its own. No
     other kind of node carries a goal cue."""
-    intro_goals = {tree.root: _heading_is_goal(
-        tree.node(tree.root), tagger=tagger, goal_config=goal_config)}
+    intro_goals = {0: _heading_is_goal(
+        tree.nodes[0], tagger=tagger, goal_config=goal_config)}
     out: dict[int, ChunkAnnotation] = {}
     for chunk in chunks:
         annotation = out[chunk.id] = annotate_chunk(
@@ -150,5 +150,5 @@ def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger,
         if chunk.kind is ChunkKind.HEADING_GROUP:
             for item in annotation.items:
                 intro_goals[item.node_id] = _item_heading_is_goal(
-                    tree.node(item.node_id), item, goal_config=goal_config)
+                    tree.nodes[item.node_id], item, goal_config=goal_config)
     return out

@@ -95,7 +95,7 @@ def build_chunks(tree: DocTree) -> ChunkSet:
     # (node, its parent's id, the context of a chunk anchored at it, the
     # nearest chunk item at or above it)
     stack: list[tuple[DocNode, int | None, str, int | None]] = [
-        (tree.node(tree.root), None, "", None)]
+        (tree.nodes[0], None, "", None)]
     while stack:
         node, parent, context_here, owner = stack.pop()
         if not node.children:
@@ -104,7 +104,8 @@ def build_chunks(tree: DocTree) -> ChunkSet:
         groups: dict[tuple[ChunkKind, int | None], tuple[str, list[DocNode]]] = {}
         context = node.text.strip()  # until a child donates a sentence
         below = []
-        for child in map(tree.node, node.children):
+        for child_id in node.children:
+            child = tree.nodes[child_id]
             group = None if is_block else _GROUP_KINDS.get(child.kind)
             if group is not None:
                 key = (group, child.level)

@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 from . import lingua
 
@@ -108,51 +109,30 @@ class DocNode(NamedTuple):
 
 @dataclass(eq=False)
 class DocTree:
-    """Id-indexed node collection. Treated as immutable after construction.
+    """The nodes in document order. Treated as immutable after construction.
 
-    Node ids are preorder indexes: the root is 0, and `nodes` holds the
-    nodes in document order. `_Builder` guarantees this for every parsed
-    tree, so code that needs document order reads the id."""
+    Node ids are preorder indexes, so `nodes[i].id == i` and `nodes[0]` is
+    the title. `_Builder` guarantees this for every parsed tree, so code
+    that needs document order reads the id."""
 
-    nodes: dict[int, DocNode]
-    root: int
+    nodes: tuple[DocNode, ...]
     source_name: str = ""
-
-    def node(self, node_id: int) -> DocNode:
-        return self.nodes[node_id]
 
     @cached_property
     def parents(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for node in self.nodes.values():
-            for child in node.children:
-                out[child] = node.id
-        return out
-
-    def parent_of(self, node_id: int) -> int | None:
-        return self.parents.get(node_id)
+        """Node id -> its parent's id, for every node but the title."""
+        return {child: node.id for node in self.nodes for child in node.children}
 
     @cached_property
-    def sentences(self) -> dict[int, tuple[str, ...]]:
-        """Node id -> the node's sentences, split once per document."""
-        return {node_id: tuple(lingua.split_sentences(node.text))
-                for node_id, node in self.nodes.items()}
+    def sentences(self) -> tuple[tuple[str, ...], ...]:
+        """Entry i: node i's sentences, split once per document."""
+        return tuple(tuple(lingua.split_sentences(node.text)) for node in self.nodes)
 
     @cached_property
     def sentences_before(self) -> list[int]:
         """Entry i: total sentences of nodes 0 .. i - 1, so the nodes with
         ids in [i, j) hold entry j - entry i sentences."""
-        out = [0]
-        for node_id in self.nodes:  # ids in order, which is preorder
-            out.append(out[-1] + len(self.sentences[node_id]))
-        return out
-
-    def preorder(self, start: int | None = None) -> Iterable[DocNode]:
-        stack = [self.root if start is None else start]
-        while stack:
-            node = self.nodes[stack.pop()]
-            yield node
-            stack.extend(reversed(node.children))
+        return [0, *accumulate(map(len, self.sentences))]
 
 
 class _Builder:
@@ -216,15 +196,15 @@ class _Builder:
     def freeze(self) -> DocTree:
         for node_id, pieces in self._pieces.items():
             self._nodes[node_id]["text"] = " ".join(filter(None, pieces))
-        nodes = {
-            raw["id"]: DocNode(
+        nodes = tuple(
+            DocNode(
                 id=raw["id"], kind=raw["kind"], text=raw["text"], depth=raw["depth"],
                 children=tuple(raw["children"]), level=raw["level"],
                 ordered=raw["ordered"], associated_image=raw["image"],
             )
             for raw in self._nodes
-        }
-        return DocTree(nodes=nodes, root=0, source_name=self.source_name)
+        )
+        return DocTree(nodes=nodes, source_name=self.source_name)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +393,7 @@ TREE_FORMAT = "doctree/1"
 
 def tree_to_json(tree: DocTree) -> str:
     nodes = []
-    for node in tree.nodes.values():
+    for node in tree.nodes:
         entry: dict = {
             "id": node.id,
             "kind": node.kind.value,
@@ -429,5 +409,5 @@ def tree_to_json(tree: DocTree) -> str:
             entry["image"] = True
         nodes.append(entry)
     doc = {"format": TREE_FORMAT, "source": tree.source_name,
-           "root": tree.root, "nodes": nodes}
+           "root": 0, "nodes": nodes}
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

@@ -46,12 +46,12 @@ class Procedure(NamedTuple):
 
 
 def _nearest_heading_text(tree: DocTree, node_id: int) -> str | None:
-    current = tree.parent_of(node_id)
+    current = tree.parents.get(node_id)
     while current is not None:
-        node = tree.node(current)
+        node = tree.nodes[current]
         if node.kind is Kind.HEADING and node.text.strip():
             return node.text.strip()
-        current = tree.parent_of(current)
+        current = tree.parents.get(current)
     return None
 
 
@@ -62,7 +62,7 @@ def _goal_for(chunk: Chunk, tree: DocTree) -> str:
     heading = _nearest_heading_text(tree, chunk.item_node_ids[0])
     if heading:
         return heading
-    return tree.node(tree.root).text.strip()
+    return tree.nodes[0].text.strip()
 
 
 def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
@@ -90,7 +90,7 @@ def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
             link = next((sequence_ids[c] for c in below if labels.get(c)), None)
             actionable, conditional = flags[node_id]
             step_id = f"s{len(steps) + 1}"
-            steps.append(Step(step_id=step_id, text=tree.node(node_id).text,
+            steps.append(Step(step_id=step_id, text=tree.nodes[node_id].text,
                               actionable=actionable, conditional=conditional,
                               parent_step_id=parent_step,
                               child_procedure_id=link))

@@ -97,7 +97,7 @@ def compute_static_features(chunk: Chunk, tree: DocTree,
     imperative = conditional = non_imperative = effect = goals = images = 0
     for item in annotation.items:
         goals += item.is_goal
-        images += tree.node(item.node_id).associated_image
+        images += tree.nodes[item.node_id].associated_image
         if not paragraphs:
             imperative += item.imperative
             conditional += item.conditional

@@ -28,40 +28,41 @@ def corpus_dir() -> Path:
 # runs over random, fuzzed and corpus trees in the tests.
 
 def validate_tree(tree: DocTree) -> list[str]:
-    """Return a violation descriptor per broken invariant (empty when valid)."""
+    """Return a violation descriptor per broken invariant (empty when valid).
+    Nodes are named by their position in `tree.nodes`."""
     violations: list[str] = []
     nodes = tree.nodes
 
-    if tree.root not in nodes:
-        return [f"node {tree.root}: root id not present"]
-    root = nodes[tree.root]
+    if not nodes:
+        return ["no nodes"]
+    root = nodes[0]
     if root.kind is not Kind.TITLE:
-        violations.append(f"node {root.id}: root is not a title")
+        violations.append("node 0: root is not a title")
     if root.depth != 0:
-        violations.append(f"node {root.id}: root depth is {root.depth}, expected 0")
-    for node in nodes.values():
-        if node.kind is Kind.TITLE and node.id != tree.root:
-            violations.append(f"node {node.id}: non-root title")
+        violations.append(f"node 0: root depth is {root.depth}, expected 0")
+    for nid, node in enumerate(nodes):
+        if node.kind is Kind.TITLE and nid != 0:
+            violations.append(f"node {nid}: non-root title")
 
-    parent_count: dict[int, int] = {nid: 0 for nid in nodes}
-    for node in nodes.values():
+    parent_count = [0] * len(nodes)
+    for nid, node in enumerate(nodes):
         for child in node.children:
-            if child not in nodes:
-                violations.append(f"node {node.id}: child {child} does not exist")
+            if not 0 <= child < len(nodes):
+                violations.append(f"node {nid}: child {child} does not exist")
                 continue
             parent_count[child] += 1
-    for nid, count in parent_count.items():
-        if nid == tree.root:
+    for nid, count in enumerate(parent_count):
+        if nid == 0:
             if count:
-                violations.append(f"node {nid}: root has a parent")
+                violations.append("node 0: root has a parent")
             continue
         if count == 0:
             violations.append(f"node {nid}: unreachable (no parent)")
         elif count > 1:
             violations.append(f"node {nid}: multiple parents")
 
+    visited: list[int] = []  # the ids of the nodes the walk reaches, in order
     seen: set[int] = set()
-    stack: list[int] = [tree.root]
     path: set[int] = set()
 
     def walk(nid: int) -> None:
@@ -73,8 +74,9 @@ def validate_tree(tree: DocTree) -> list[str]:
         seen.add(nid)
         path.add(nid)
         node = nodes[nid]
+        visited.append(node.id)
         for child in node.children:
-            if child not in nodes:
+            if not 0 <= child < len(nodes):
                 continue
             child_node = nodes[child]
             if child_node.depth != node.depth + 1:
@@ -92,14 +94,15 @@ def validate_tree(tree: DocTree) -> list[str]:
             walk(child)
         path.discard(nid)
 
-    walk(tree.root)
+    walk(0)
+    if visited != list(range(len(nodes))):
+        violations.append("the walk from node 0 does not visit ids 0, 1, 2, ... in order")
     return violations
 
 
 def assert_well_formed(tree: DocTree) -> None:
     """The builder's guarantees: node ids are preorder indexes, and the
     oracle finds no broken invariant."""
-    assert [n.id for n in tree.preorder()] == list(range(len(tree.nodes)))
     assert validate_tree(tree) == []
 
 
@@ -144,7 +147,7 @@ def check_links(procedures) -> None:
 # field the writer leaves out makes the two views differ.
 
 def node_fields(tree: DocTree) -> list[tuple]:
-    return [tuple(node) for node in tree.nodes.values()]
+    return [tuple(node) for node in tree.nodes]
 
 
 def tree_json_node_fields(text: str) -> list[tuple]:
@@ -179,25 +182,25 @@ def tree_to_sdjson(tree: DocTree) -> dict:
     def spell_list(block: DocNode) -> dict:
         assert not block.associated_image, f"list block {block.id} has an image"
         items = []
-        for item in map(tree.node, block.children):
+        for item in (tree.nodes[i] for i in block.children):
             assert len(item.children) <= 1, f"item {item.id} has two sublists"
             entry = {"text": item.text, **image(item)}
             if item.children:
-                entry["sublist"] = spell_list(tree.node(item.children[0]))
+                entry["sublist"] = spell_list(tree.nodes[item.children[0]])
             items.append(entry)
         return {"type": "list", "ordered": block.ordered, "items": items}
 
-    root = tree.node(tree.root)
+    root = tree.nodes[0]
     assert not root.associated_image, "the title has an image"
     elements = []
-    for node in tree.preorder():
+    for node in tree.nodes:
         if node.kind is Kind.HEADING:
             elements.append({"type": "heading", "level": node.level,
                              "text": node.text, **image(node)})
         elif node.kind is Kind.PARAGRAPH:
             elements.append({"type": "paragraph", "text": node.text, **image(node)})
         elif (node.kind is Kind.LIST_BLOCK
-              and tree.node(tree.parent_of(node.id)).kind is not Kind.LIST_ITEM):
+              and tree.nodes[tree.parents[node.id]].kind is not Kind.LIST_ITEM):
             elements.append(spell_list(node))
     return {"version": "sdjson/1", "title": root.text, "elements": elements}
 
@@ -849,6 +852,5 @@ def deep_list_markdown(depth: int = 1100) -> str:
     return "\n".join(lines)
 
 
-def make_tree(nodes: list[DocNode], root: int = 0,
-              source: str = "test") -> DocTree:
-    return DocTree(nodes={n.id: n for n in nodes}, root=root, source_name=source)
+def make_tree(nodes: list[DocNode], source: str = "test") -> DocTree:
+    return DocTree(nodes=tuple(nodes), source_name=source)

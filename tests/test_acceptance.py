@@ -83,18 +83,18 @@ def test_chunker_partition_property():
         seen = set()
         for chunk in chunks:
             assert chunk.item_node_ids
-            assert {tree.parent_of(n) for n in chunk.item_node_ids} == \
+            assert {tree.parents.get(n) for n in chunk.item_node_ids} == \
                 {chunk.parent_node_id}
-            assert {tree.node(n).depth for n in chunk.item_node_ids} == \
+            assert {tree.nodes[n].depth for n in chunk.item_node_ids} == \
                 {chunk.depth}
             if chunk.kind is ChunkKind.LIST:
-                parent = tree.node(chunk.parent_node_id)
+                parent = tree.nodes[chunk.parent_node_id]
                 assert parent.kind is Kind.LIST_BLOCK
                 assert chunk.item_node_ids == parent.children
             for node_id in chunk.item_node_ids:
                 assert node_id not in seen
                 seen.add(node_id)
-        assert seen == {n.id for n in tree.preorder() if n.kind in chunkable}
+        assert seen == {n.id for n in tree.nodes if n.kind in chunkable}
     note("chunker partition: PASS (500 random trees, zero violations)")
 
 

@@ -195,7 +195,7 @@ def corpus_texts() -> list[str]:
     with (CORPUS_DIR / "actionable_sentences.csv").open(newline="") as handle:
         texts = [row["text"] for row in csv.DictReader(handle)]
     for path in CORPUS_DOCS:
-        for node in pipeline.load_document(path).nodes.values():
+        for node in pipeline.load_document(path).nodes:
             texts.append(node.text)
             texts.extend(split_sentences(node.text))
     return texts
@@ -227,7 +227,7 @@ def assert_intro_goals_match_oracle(tree) -> None:
     run = pipeline.analyze(tree, actionable_model=None, config=config)
     for chunk in run.chunks:
         assert run.annotations[chunk.id].parent_is_goal == \
-            annotate._heading_is_goal(tree.node(chunk.intro_node_id),
+            annotate._heading_is_goal(tree.nodes[chunk.intro_node_id],
                                       tagger=config.tagger(),
                                       goal_config=config.goal_config()), chunk
 
@@ -288,7 +288,7 @@ class TestTagCalls:
         run = pipeline.analyze(tree, actionable_model=None)
         sentences = [s.tagged.text for a in run.annotations.values()
                      for item in a.items for s in item.sentences]
-        title = tree.node(tree.root).text
-        assert any(c.intro_node_id == tree.root for c in run.chunks)
+        title = tree.nodes[0].text
+        assert any(c.intro_node_id == 0 for c in run.chunks)
         assert sorted(calls) == sorted(sentences + [title])
         assert any(c.kind is ChunkKind.HEADING_GROUP for c in run.chunks)

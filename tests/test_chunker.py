@@ -70,14 +70,16 @@ class TestBuildChunks:
             "2. do b",
         ]))
         chunks = build_chunks(tree)
-        section = next(n for n in tree.preorder() if n.kind is Kind.HEADING)
+        section = next(n for n in tree.nodes if n.kind is Kind.HEADING)
         owned = chunks.child_chunks[section.id]
         kinds = {chunks.chunks[cid].kind for cid in owned}
         assert kinds == {ChunkKind.PARAGRAPH_GROUP, ChunkKind.LIST}
         # the list items' own sub-chunks would not be attributed to the section
+        subtree = [section.id]
+        for node_id in subtree:
+            subtree.extend(tree.nodes[node_id].children)
         for cid in owned:
-            assert chunks.chunks[cid].parent_node_id in \
-                {n.id for n in tree.preorder(section.id)}
+            assert chunks.chunks[cid].parent_node_id in subtree
 
     def test_determinism(self):
         text = "# T\n## A\np1.\n1. x\n2. y\n## B\np2."
@@ -128,7 +130,7 @@ class TestChunkContext:
         tree = md_tree("# T\nIntro sentence.\n\n- noise a\n- noise b\n\n1. real one\n2. real two")
         chunks = build_chunks(tree)
         ordered = next(c for c in chunks if c.kind is ChunkKind.LIST
-                       and tree.node(c.parent_node_id).ordered)
+                       and tree.nodes[c.parent_node_id].ordered)
         assert ordered.context_text == "Intro sentence."
 
 
@@ -161,14 +163,14 @@ class TestPartitionProperty:
         seen: dict[int, int] = {}
         for chunk in chunks:
             assert chunk.item_node_ids, "empty chunk"
-            parents = {tree.parent_of(nid) for nid in chunk.item_node_ids}
+            parents = {tree.parents.get(nid) for nid in chunk.item_node_ids}
             assert parents == {chunk.parent_node_id}
-            depths = {tree.node(nid).depth for nid in chunk.item_node_ids}
+            depths = {tree.nodes[nid].depth for nid in chunk.item_node_ids}
             assert depths == {chunk.depth}
             for nid in chunk.item_node_ids:
                 assert nid not in seen, "node in two chunks"
                 seen[nid] = chunk.id
-        expected = {n.id for n in tree.preorder() if n.kind in self.CHUNKABLE}
+        expected = {n.id for n in tree.nodes if n.kind in self.CHUNKABLE}
         assert set(seen) == expected
 
     def test_fuzz_500_random_trees(self):
@@ -187,34 +189,34 @@ _DONORS = (Kind.PARAGRAPH, Kind.HEADING, Kind.TITLE)
 
 def _oracle_context(tree, kind, items, parent):
     anchor = parent if kind is ChunkKind.LIST else items[0]
-    parent_id = tree.parent_of(anchor)
+    parent_id = tree.parents.get(anchor)
     if parent_id is None:
         return ""
-    siblings = tree.node(parent_id).children
+    siblings = tree.nodes[parent_id].children
     for sib_id in reversed(siblings[:siblings.index(anchor)]):
-        sibling = tree.node(sib_id)
+        sibling = tree.nodes[sib_id]
         if sibling.kind in _DONORS and sibling.text.strip():
             sentences = tree.sentences[sib_id]
             return sentences[-1] if sentences else sibling.text.strip()
-    return tree.node(parent_id).text.strip()
+    return tree.nodes[parent_id].text.strip()
 
 
 def oracle_chunks(tree):
     groups = []  # (kind, items, parent)
-    for node in tree.preorder():
+    for node in tree.nodes:
         if node.kind is Kind.LIST_BLOCK:
             if node.children:
                 groups.append((ChunkKind.LIST, list(node.children), node.id))
             continue
         headings, paragraphs, emitted = {}, [], set()
         for child_id in node.children:
-            child = tree.node(child_id)
+            child = tree.nodes[child_id]
             if child.kind is Kind.HEADING:
                 headings.setdefault(child.level, []).append(child_id)
             elif child.kind is Kind.PARAGRAPH:
                 paragraphs.append(child_id)
         for child_id in node.children:
-            child = tree.node(child_id)
+            child = tree.nodes[child_id]
             if child.kind is Kind.HEADING and child.level not in emitted:
                 groups.append((ChunkKind.HEADING_GROUP, headings[child.level],
                                node.id))
@@ -225,8 +227,8 @@ def oracle_chunks(tree):
 
     chunks, is_item = {}, set()
     for chunk_id, (kind, items, parent) in enumerate(groups, start=1):
-        depth = tree.node(items[0]).depth
-        intro = tree.parent_of(parent) if kind is ChunkKind.LIST else parent
+        depth = tree.nodes[items[0]].depth
+        intro = tree.parents.get(parent) if kind is ChunkKind.LIST else parent
         chunks[chunk_id] = Chunk(
             id=chunk_id, kind=kind, item_node_ids=tuple(items), depth=depth,
             context_text=_oracle_context(tree, kind, items, parent),
@@ -237,7 +239,7 @@ def oracle_chunks(tree):
     for chunk in chunks.values():
         current = chunk.parent_node_id
         while current is not None and current not in is_item:
-            current = tree.parent_of(current)
+            current = tree.parents.get(current)
         if current is not None:
             child_chunks.setdefault(current, []).append(chunk.id)
     return chunks, child_chunks
@@ -295,21 +297,22 @@ class TestChildrenDeeperOracle:
 
 
 class TestLinearWork:
-    def test_node_lookups_linear_in_nodes(self, monkeypatch):
+    def test_node_lookups_linear_in_nodes(self):
         doc = {"version": "sdjson/1", "title": "Many lists", "elements": [
             {"type": "list", "ordered": True, "items": [{"text": "Do it."}]}
             for _ in range(2000)]}
-        tree = parse_sdjson(json.dumps(doc))
-        assert len(tree.nodes) == 4001
-        tree.sentences  # split up front; only the chunker's lookups count
+        parsed = parse_sdjson(json.dumps(doc))
+        assert len(parsed.nodes) == 4001
         calls = [0]
-        node = DocTree.node
 
-        def counting_node(self, node_id):
-            calls[0] += 1
-            return node(self, node_id)
+        class CountingNodes(tuple):
+            def __getitem__(self, node_id):
+                calls[0] += 1
+                return tuple.__getitem__(self, node_id)
 
-        monkeypatch.setattr(DocTree, "node", counting_node)
+        tree = DocTree(nodes=CountingNodes(parsed.nodes))
+        tree.sentences  # split up front; only the chunker's lookups count
+        calls[0] = 0
         chunks = build_chunks(tree)
         assert len(chunks) == 2000
         assert calls[0] <= 4 * len(tree.nodes)

@@ -45,10 +45,10 @@ class TestParseSdjson:
             {"type": "list", "ordered": True,
              "items": [{"text": "a"}, {"text": "b"}, {"text": "c"}]},
         ]))
-        kinds = [n.kind for n in tree.preorder()]
+        kinds = [n.kind for n in tree.nodes]
         assert kinds == [Kind.TITLE, Kind.HEADING, Kind.LIST_BLOCK,
                          Kind.LIST_ITEM, Kind.LIST_ITEM, Kind.LIST_ITEM]
-        depths = [n.depth for n in tree.preorder()]
+        depths = [n.depth for n in tree.nodes]
         assert depths == [0, 1, 2, 3, 3, 3]
         assert validate_tree(tree) == []
 
@@ -58,7 +58,7 @@ class TestParseSdjson:
 
     def test_empty_elements_with_title_gives_bare_tree(self):
         tree = parse_sdjson(sdjson([]))
-        assert [n.kind for n in tree.preorder()] == [Kind.TITLE]
+        assert [n.kind for n in tree.nodes] == [Kind.TITLE]
 
     def test_nested_sublist_depths(self):
         tree = parse_sdjson(sdjson([
@@ -69,15 +69,15 @@ class TestParseSdjson:
             ]},
         ]))
         assert validate_tree(tree) == []
-        blocks = [n for n in tree.preorder() if n.kind is Kind.LIST_BLOCK]
+        blocks = [n for n in tree.nodes if n.kind is Kind.LIST_BLOCK]
         assert len(blocks) == 2
-        outer_item = next(n for n in tree.preorder()
+        outer_item = next(n for n in tree.nodes
                           if n.kind is Kind.LIST_ITEM and n.text == "outer")
-        nested = tree.node(outer_item.children[0])
+        nested = tree.nodes[outer_item.children[0]]
         assert nested.kind is Kind.LIST_BLOCK
         assert nested.depth == outer_item.depth + 1
         for item_id in nested.children:
-            assert tree.node(item_id).depth == nested.depth + 1
+            assert tree.nodes[item_id].depth == nested.depth + 1
 
     def test_outline_nesting_under_most_recent_lower_heading(self):
         tree = parse_sdjson(sdjson([
@@ -86,10 +86,10 @@ class TestParseSdjson:
             {"type": "paragraph", "text": "under h2"},
             {"type": "heading", "level": 1, "text": "H1b"},
         ]))
-        h1, h2, para, h1b = list(tree.preorder())[1:]
-        assert tree.parent_of(h2.id) == h1.id
-        assert tree.parent_of(para.id) == h2.id
-        assert tree.parent_of(h1b.id) == tree.root
+        h1, h2, para, h1b = tree.nodes[1:]
+        assert tree.parents.get(h2.id) == h1.id
+        assert tree.parents.get(para.id) == h2.id
+        assert tree.parents.get(h1b.id) == 0
 
     def test_schema_error_carries_path(self):
         with pytest.raises(SchemaError, match=r"\$\.elements\[0\]"):
@@ -136,7 +136,7 @@ class TestParseSdjson:
 
     def test_sublist_chain_150_deep_parses(self):
         tree = parse_sdjson(self.sublist_chain(150))
-        assert max(n.depth for n in tree.nodes.values()) == 302
+        assert max(n.depth for n in tree.nodes) == 302
         assert_well_formed(tree)
 
     @pytest.mark.parametrize("depth", [340, 450])
@@ -148,7 +148,7 @@ class TestParseSdjson:
         tree = parse_sdjson(sdjson([
             {"type": "paragraph", "text": "figure below", "image": True},
         ]))
-        para = list(tree.preorder())[1]
+        para = tree.nodes[1]
         assert para.associated_image
 
     @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
@@ -213,39 +213,39 @@ class TestReaders:
 class TestParseMarkdown:
     def test_title_and_two_step_headings(self):
         tree = parse_markdown("# T\n## Step 1\ntext\n## Step 2\ntext")
-        root = tree.node(tree.root)
+        root = tree.nodes[0]
         assert root.kind is Kind.TITLE and root.text == "T"
-        headings = [tree.node(c) for c in root.children]
+        headings = [tree.nodes[c] for c in root.children]
         assert [h.kind for h in headings] == [Kind.HEADING, Kind.HEADING]
         assert [h.level for h in headings] == [2, 2]
         for heading in headings:
-            children = [tree.node(c) for c in heading.children]
+            children = [tree.nodes[c] for c in heading.children]
             assert [c.kind for c in children] == [Kind.PARAGRAPH]
 
     def test_ordered_list(self):
         tree = parse_markdown("# T\n1. a\n2. b")
-        block = next(n for n in tree.preorder() if n.kind is Kind.LIST_BLOCK)
+        block = next(n for n in tree.nodes if n.kind is Kind.LIST_BLOCK)
         assert block.ordered is True
-        assert [tree.node(c).text for c in block.children] == ["a", "b"]
+        assert [tree.nodes[c].text for c in block.children] == ["a", "b"]
 
     def test_image_inside_list_item_sets_flag(self):
         tree = parse_markdown("# T\n- item one ![img](x.png)\n- item two")
-        items = [n for n in tree.preorder() if n.kind is Kind.LIST_ITEM]
+        items = [n for n in tree.nodes if n.kind is Kind.LIST_ITEM]
         assert items[0].associated_image is True
         assert items[0].text == "item one"
         assert items[1].associated_image is False
 
     def test_standalone_image_marks_previous_sibling(self):
         tree = parse_markdown("# T\nSome paragraph.\n\n![fig](a.png)\n")
-        para = next(n for n in tree.preorder() if n.kind is Kind.PARAGRAPH)
+        para = next(n for n in tree.nodes if n.kind is Kind.PARAGRAPH)
         assert para.associated_image is True
 
     def test_nested_list_two_space_indent(self):
         tree = parse_markdown("# T\n1. outer\n  - inner a\n  - inner b\n2. second")
-        outer_block = tree.node(tree.node(tree.root).children[0])
+        outer_block = tree.nodes[tree.nodes[0].children[0]]
         assert len(outer_block.children) == 2
-        outer_item = tree.node(outer_block.children[0])
-        nested = tree.node(outer_item.children[0])
+        outer_item = tree.nodes[outer_block.children[0]]
+        nested = tree.nodes[outer_item.children[0]]
         assert nested.kind is Kind.LIST_BLOCK and nested.ordered is False
         assert len(nested.children) == 2
 
@@ -259,17 +259,17 @@ class TestParseMarkdown:
     ])
     def test_atx_closing_sequence_is_stripped(self, line, text):
         tree = parse_markdown(f"# Title #\n{line}\ntext")
-        root = tree.node(tree.root)
+        root = tree.nodes[0]
         assert root.text == "Title"
-        assert tree.node(root.children[0]).text == text
+        assert tree.nodes[root.children[0]].text == text
 
     def test_title_from_source_name_when_no_h1(self):
         tree = parse_markdown("## Only level two\ntext", source_name="fallback")
-        assert tree.node(tree.root).text == "fallback"
+        assert tree.nodes[0].text == "fallback"
 
     def test_tabs_normalize_to_two_spaces(self):
         tree = parse_markdown("# T\n1. outer\n\t- inner")
-        outer_item = next(n for n in tree.preorder() if n.text == "outer")
+        outer_item = next(n for n in tree.nodes if n.text == "outer")
         assert len(outer_item.children) == 1
 
     def test_node_count_elements_plus_list_blocks(self):
@@ -285,15 +285,15 @@ class TestParseMarkdown:
 
     def test_continuation_lines_extend_the_item(self):
         tree = parse_markdown("# T\n- first\n  more text\n  ![f](x.png)\n- second")
-        items = [n for n in tree.preorder() if n.kind is Kind.LIST_ITEM]
+        items = [n for n in tree.nodes if n.kind is Kind.LIST_ITEM]
         assert [(n.text, n.associated_image) for n in items] == \
             [("first more text", True), ("second", False)]
 
     def test_nested_list_hangs_under_the_last_item_of_the_open_list(self):
         # "c" closes the list of "a2" and opens a list under "a1"
         tree = parse_markdown("# T\n- a1\n    - a2\n  - c\n")
-        a1 = next(n for n in tree.preorder() if n.text == "a1")
-        assert [[tree.node(i).text for i in tree.node(block).children]
+        a1 = next(n for n in tree.nodes if n.text == "a1")
+        assert [[tree.nodes[i].text for i in tree.nodes[block].children]
                 for block in a1.children] == [["a2"], ["c"]]
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
@@ -302,14 +302,14 @@ class TestParseMarkdown:
         text = end.join(["# Title", "", "## Setup", "", "1. Open the panel.",
                          "  Then wait.", "2. Close the lid.", ""])
         tree = parse_markdown(text)
-        assert [(n.kind, n.text) for n in tree.preorder()] == [
+        assert [(n.kind, n.text) for n in tree.nodes] == [
             (Kind.TITLE, "Title"), (Kind.HEADING, "Setup"),
             (Kind.LIST_BLOCK, ""), (Kind.LIST_ITEM, "Open the panel. Then wait."),
             (Kind.LIST_ITEM, "Close the lid.")]
 
     def test_a_later_level_one_heading_is_a_heading(self):
         tree = parse_markdown("text\n# Title\nmore\n# Again\n")
-        assert [(n.kind, n.text) for n in tree.preorder()] == [
+        assert [(n.kind, n.text) for n in tree.nodes] == [
             (Kind.TITLE, "Title"), (Kind.PARAGRAPH, "text more"),
             (Kind.HEADING, "Again")]
 
@@ -382,13 +382,13 @@ class TestValidateTree:
 
     def test_multiple_parents_reported(self):
         nodes = [
-            DocNode(id=0, kind=Kind.TITLE, text="t", depth=0, children=(1, 7)),
-            DocNode(id=1, kind=Kind.HEADING, text="h", depth=1, children=(7,),
+            DocNode(id=0, kind=Kind.TITLE, text="t", depth=0, children=(1, 2)),
+            DocNode(id=1, kind=Kind.HEADING, text="h", depth=1, children=(2,),
                     level=1),
-            DocNode(id=7, kind=Kind.PARAGRAPH, text="p", depth=1),
+            DocNode(id=2, kind=Kind.PARAGRAPH, text="p", depth=1),
         ]
         violations = validate_tree(make_tree(nodes))
-        assert "node 7: multiple parents" in violations
+        assert "node 2: multiple parents" in violations
 
     def test_heading_level_inversion_reported(self):
         nodes = [
@@ -429,7 +429,7 @@ class TestBuilderGuarantees:
             assert tree_json_node_fields(text) == node_fields(tree)
             doc = json.loads(text)
             assert (doc["format"], doc["root"], doc["source"]) == \
-                ("doctree/1", tree.root, tree.source_name)
+                ("doctree/1", 0, tree.source_name)
 
     def test_random_documents_are_well_formed(self):
         rng = random.Random(99)
@@ -466,7 +466,7 @@ class TestCorpusThroughSdjson:
 
 
 def list_blocks(tree) -> int:
-    return sum(node.kind is Kind.LIST_BLOCK for node in tree.nodes.values())
+    return sum(node.kind is Kind.LIST_BLOCK for node in tree.nodes)
 
 
 def adjacent_lists_of_one_style(doc: dict) -> bool:
@@ -515,10 +515,10 @@ class TestOneDocumentInBothSyntaxes:
         document without it."""
         tree = parse_markdown(template.format(figure="![](fig.png)"))
         plain = parse_markdown(template.format(figure=""))
-        assert [n.id for n in tree.nodes.values() if n.associated_image] == [flagged]
-        assert tree.node(flagged).kind in (Kind.LIST_BLOCK, Kind.TITLE)
-        assert [n._replace(associated_image=False) for n in tree.nodes.values()] == \
-            list(plain.nodes.values())
+        assert [n.id for n in tree.nodes if n.associated_image] == [flagged]
+        assert tree.nodes[flagged].kind in (Kind.LIST_BLOCK, Kind.TITLE)
+        assert [n._replace(associated_image=False) for n in tree.nodes] == \
+            list(plain.nodes)
         with pytest.raises(AssertionError, match="has an image"):
             tree_to_sdjson(tree)
         assert pipeline.analyze(tree, models[0]).static_features == \

@@ -101,7 +101,7 @@ class TestExtract:
         assert [s.parent_step_id for s in steps] == \
             [None, None] + [f"s{i}" for i in range(2, 1102)]
 
-    def test_goal_falls_back_to_nearest_heading(self):
+    def test_goal_is_the_parent_heading_as_context(self):
         markdown = ("# Manual\n"
                     "## Creating the cluster\n"
                     "1. Click the icon.\n"
@@ -109,6 +109,26 @@ class TestExtract:
         _, _, procedures = run_and_extract(markdown, IMPERATIVE_ONLY)
         # the list's context is the heading text itself (parent fallback)
         assert any(p.goal == "Creating the cluster" for p in procedures)
+
+    # A list under a figure-only item: its context is the item's empty text.
+    FIGURE_ITEM_LIST = "- ![](img.png)\n  1. Click the icon.\n  2. Type the value.\n"
+
+    def assert_empty_context_goal(self, markdown, goal):
+        run, _, procedures = run_and_extract(markdown, IMPERATIVE_ONLY)
+        chunk = next(c for c in run.chunks if c.kind is ChunkKind.LIST
+                     and run.tree.nodes[c.item_node_ids[0]].text == "Click the icon.")
+        assert chunk.context_text == ""
+        assert [(p.goal, [s.text for s in p.step_list]) for p in procedures] == \
+            [(goal, ["Click the icon.", "Type the value."])]
+
+    def test_empty_context_goal_is_the_nearest_heading(self):
+        self.assert_empty_context_goal(
+            "# Manual\n## Creating the cluster\n" + self.FIGURE_ITEM_LIST,
+            "Creating the cluster")
+
+    def test_empty_context_goal_is_the_title_without_a_heading(self):
+        self.assert_empty_context_goal("# Manual\n" + self.FIGURE_ITEM_LIST,
+                                       "Manual")
 
     def test_conditional_steps_flagged(self):
         markdown = ("# Manual\n"

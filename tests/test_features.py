@@ -30,12 +30,16 @@ def brute_force_sibling_distance(chunk, tree) -> float:
     preorder map, scan every node and split each one in between again."""
     if len(chunk.item_node_ids) < 2:
         return 0.0
-    order = {node.id: i for i, node in enumerate(tree.preorder())}
+    order, stack = {}, [0]
+    while stack:
+        node = tree.nodes[stack.pop()]
+        order[node.id] = len(order)
+        stack.extend(reversed(node.children))
     counts = []
     for a, b in zip(chunk.item_node_ids, chunk.item_node_ids[1:]):
         between = [nid for nid, pos in order.items()
                    if order[a] < pos < order[b]]
-        counts.append(sum(len(split_sentences(tree.node(nid).text))
+        counts.append(sum(len(split_sentences(tree.nodes[nid].text))
                           for nid in between))
     return sum(counts) / len(counts)
 
@@ -221,7 +225,7 @@ class TestFlagOracle:
 
     def test_random_documents(self):
         pool = [text for path in CORPUS_DOCS
-                for texts in pipeline.load_document(path).sentences.values()
+                for texts in pipeline.load_document(path).sentences
                 for text in texts]
         rng = random.Random(26)
         seen = dict.fromkeys(SEEN_KINDS, 0)

@@ -98,7 +98,7 @@ class TestSplitOracle:
 
     def test_corpus_node_texts_match_oracle(self):
         texts = [node.text for path in CORPUS_DOCS
-                 for node in load_document(path).nodes.values()]
+                 for node in load_document(path).nodes]
         assert len(texts) > 200
         for text in texts:
             assert split_sentences(text) == oracle_split_sentences(text)

@@ -1,6 +1,9 @@
+import gc
 import importlib.util
 import json
 import random
+import string
+import time
 import tomllib
 import tracemalloc
 from fnmatch import fnmatch
@@ -9,10 +12,11 @@ from pathlib import Path
 import pytest
 
 from procmine import (actionable, chunker, classifier, extractor, features,
-                      lingua, pipeline)
+                      lingua, pipeline, relatedness)
+from procmine.annotate import annotate_chunks
 from procmine.goals import GoalCueConfig
 from procmine.lingua import LexiconError
-from procmine.docmodel import DocTree, Kind, parse_markdown, parse_sdjson
+from procmine.docmodel import parse_markdown, parse_sdjson
 from procmine.pipeline import PipelineConfig
 
 from conftest import (check_links, procedure_fields, procedures_json_fields,
@@ -42,6 +46,65 @@ def models():
     return (actionable.ActionableModel.load(CORPUS / "models" / "actionable.json"),
             classifier.ProcedureClassifierModel.load(
                 CORPUS / "models" / "procedure.json"))
+
+
+def perfbench_gen():
+    """The benchmark's document generator, loaded read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def paragraph_doc(sentences: int) -> bytes:
+    """One paragraph of `sentences` imperatives, each with one entity of its
+    own ("the azq panel", "the bzq panel", ...): the `zq` ending keeps the
+    tagger from reading a suffix into the made-up word."""
+    def word(i):
+        letters = ""
+        while True:
+            i, r = divmod(i, 26)
+            letters = string.ascii_lowercase[r] + letters
+            if not i:
+                return letters + "zq"
+    text = " ".join(f"Open the {word(i)} panel." for i in range(sentences))
+    return json.dumps({"version": "sdjson/1", "title": "Panels", "elements": [
+        {"type": "paragraph", "text": text}]}).encode("utf-8")
+
+
+def lists_doc(lists: int) -> bytes:
+    """`lists` one-item lists side by side under the title, so that a scan
+    of a node's siblings walks a share of the whole document."""
+    return json.dumps({"version": "sdjson/1", "title": "Lists", "elements": [
+        {"type": "list", "ordered": True, "items": [{"text": "Do it."}]}
+    ] * lists}).encode("utf-8")
+
+
+def stage_seconds(doc: bytes, models) -> dict[str, float]:
+    """Each stage's wall time on one document, through its public call."""
+    tagger, goal_config, lexicons = pipeline._lexicons(None)
+    times = {}
+
+    def timed(stage, call):
+        started = time.perf_counter()
+        result = call()
+        times[stage] = time.perf_counter() - started
+        return result
+
+    tree = timed("parse", lambda: parse_sdjson(doc))
+    timed("split", lambda: tree.sentences)
+    chunks = timed("chunk", lambda: chunker.build_chunks(tree))
+    annotations = timed("annotate", lambda: annotate_chunks(
+        tree, chunks, tagger=tagger, goal_config=goal_config, model=models[0]))
+    static = timed("features", lambda: {
+        chunk.id: features.compute_static_features(
+            chunk, tree, annotations[chunk.id], lexicons) for chunk in chunks})
+    predictions = timed("classify", lambda: classifier.classify_tree(
+        chunks, static, annotations, models[1]))
+    timed("extract", lambda: extractor.serialize(
+        extractor.extract(predictions, chunks, tree, annotations)))
+    return times
 
 
 def run_random_doc(rng, models):
@@ -122,25 +185,19 @@ class TestOnePropagationRule:
 
 
 class TestLinearWork:
-    """Counts, not timings: per-document work that must not grow with the
-    number of chunks."""
+    """Per-document work, memory and time that grow no faster than the
+    document."""
 
-    def test_one_split_per_node_one_preorder_per_document(self, models,
-                                                          monkeypatch):
+    def test_one_split_per_node_one_tag_per_sentence(self, models, monkeypatch):
         tree = random_tree(random.Random(5), max_elements=400)
         nodes = len(tree.nodes)
         assert nodes > 500
-        calls = {"split": 0, "preorder": 0, "tag": 0}
-        split, preorder, tag = (lingua.split_sentences, DocTree.preorder,
-                                lingua.Tagger.tag)
+        calls = {"split": 0, "tag": 0}
+        split, tag = lingua.split_sentences, lingua.Tagger.tag
 
         def counting_split(text):
             calls["split"] += 1
             return split(text)
-
-        def counting_preorder(self, start=None):
-            calls["preorder"] += 1
-            return preorder(self, start)
 
         def counting_tag(self, text):
             calls["tag"] += 1
@@ -148,20 +205,16 @@ class TestLinearWork:
 
         for module in (lingua, chunker, features):  # every importing module
             monkeypatch.setattr(module, "split_sentences", counting_split)
-        monkeypatch.setattr(DocTree, "preorder", counting_preorder)
         monkeypatch.setattr(lingua.Tagger, "tag", counting_tag)
         run = pipeline.run_document(tree, None, models[1])
 
         assert len(run.chunks) > 100
         assert calls["split"] <= nodes
-        assert calls["preorder"] <= 2
-        # every item sentence once, plus each heading at most once as the
-        # parent of the chunks below it
+        # every item sentence once, plus the title once as the introducing
+        # node of the chunks below it; a heading's reading comes from its item
         sentences = sum(len(item.sentences) for a in run.annotations.values()
                         for item in a.items)
-        headings = sum(n.kind in (Kind.HEADING, Kind.TITLE)
-                       for n in tree.nodes.values())
-        assert calls["tag"] <= sentences + headings
+        assert calls["tag"] == sentences + 1
 
     def test_memory_peak_grows_linearly_with_node_count(self, models):
         """The `tracemalloc` peak of one run on an 8k-node synth document
@@ -170,10 +223,7 @@ class TestLinearWork:
         keeps a copy of the tree's nodes per chunk. The peak is deterministic, so one run of
         each size suffices, after a warm-up run that loads the lexicons
         and fills the tagger's table."""
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_gen", ROOT / "perfbench" / "gen.py")
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
+        gen = perfbench_gen()
         peaks = {}
         for size in ("1k", "8k"):
             doc = gen.synth_doc(3, 0, size)
@@ -186,6 +236,49 @@ class TestLinearWork:
             finally:
                 tracemalloc.stop()
         assert peaks["8k"] < 16 * peaks["1k"], peaks
+
+    def test_no_stage_is_quadratic(self, models):
+        """Each stage's time on an input 8 times larger stays below 24 times
+        its time on the smaller one: about 8 when the stage grows linearly,
+        about 64 when it is quadratic. Putting back the features' whole-tree
+        scan per chunk, the chunker's `siblings.index` scan or the split's
+        search of each sentence's prefix gave 62-71.
+
+        The inputs are synth documents of 1k and 8k nodes, one paragraph of
+        1k and of 8k sentences, and 500 and 4,000 one-item lists under the
+        title. The paragraph's entities never repeat, because the relatedness
+        projection is quadratic by definition in one entity's mentions
+        within a chunk. Each time is the least of 3 runs interleaved over
+        the inputs, after a warm-up run, with the cyclic garbage collector
+        paused so that no collection lands in a stage's time."""
+        gen = perfbench_gen()
+        inputs = {("synth", "1k"): gen.synth_doc(3, 0, "1k"),
+                  ("synth", "8k"): gen.synth_doc(3, 0, "8k"),
+                  ("paragraph", "1k"): paragraph_doc(1000),
+                  ("paragraph", "8k"): paragraph_doc(8000),
+                  ("lists", "1k"): lists_doc(500),
+                  ("lists", "8k"): lists_doc(4000)}
+        tree = parse_sdjson(inputs["paragraph", "8k"])
+        tagger = pipeline._lexicons(None)[0]
+        surfaces = [entity.surface for text in tree.sentences[1]
+                    for entity in relatedness.extract_entities(tagger.tag(text))]
+        assert len(surfaces) == len(set(surfaces)) == 8000
+        best: dict[tuple[str, str, str], float] = {}
+        gc.disable()
+        try:
+            for run in range(4):
+                for (name, size), doc in inputs.items():
+                    gc.collect()
+                    for stage, seconds in stage_seconds(doc, models).items():
+                        key = (name, size, stage)
+                        if run:  # run 0 warms up
+                            best[key] = min(best.get(key, seconds), seconds)
+        finally:
+            gc.enable()
+        ratios = {(name, stage): round(best[name, "8k", stage]
+                                       / best[name, "1k", stage], 1)
+                  for name, size, stage in best if size == "1k"}
+        assert max(ratios.values()) < 24, ratios
 
 
 class TestPipelineConfig:
