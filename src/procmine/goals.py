@@ -12,6 +12,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .lingua import NUM, PUNCT, VBG, TaggedSentence
 
@@ -25,6 +26,13 @@ class GoalCue(str, Enum):
 class GoalCueConfig:
     gerund_opening: bool = True
     prefixes: tuple[str, ...] = ("method",)
+
+    @cached_property
+    def prefix_patterns(self) -> tuple[re.Pattern, ...]:
+        """Per prefix: the prefix, an optional number, then a colon or a
+        word boundary. Compiled once per config, on first use."""
+        return tuple(re.compile(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)")
+                     for prefix in self.prefixes)
 
 
 _LEADING_NUMBERING_RE = re.compile(r"^\s*\d+(?:\.\d+)*\.?\s*")
@@ -49,8 +57,8 @@ def heading_goal(text: str, tags: Iterable[str],
     `tags`, None where it carries none. Only the tags up to the first that
     is not NUM or PUNCT are read."""
     stripped = strip_section_numbering(text.strip()).lower()
-    for prefix in config.prefixes:
-        if re.match(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)", stripped):
+    for pattern in config.prefix_patterns:
+        if pattern.match(stripped):
             return GoalCue.METHOD_PREFIX
 
     if config.gerund_opening:

@@ -10,12 +10,15 @@ string where nothing changes) and their tags. Every detector reads
 those tuples, and the imperative flag is worked out once per sentence,
 when it is tagged.
 
-Only a verb form's tag depends on the tags before it. Every other word is
-tagged from its surface alone (punctuation, number, a form of "be", closed
-class or suffix), so each `Tagger` keeps a table from surface to
-lower-cased form and tag, filled on first sight. Verb forms of its
-lexicon, and tokens that split off `n't`, never enter it and are tagged
-afresh each time. The table lives as long as its tagger, which
+Only a verb form's tag can depend on the tags before it. Every other word
+is tagged from its surface alone (punctuation, number, a form of "be",
+closed class or suffix), and so is a gerund (VBG) or a form that is a
+third person but no base (VBZ). Each `Tagger` keeps a table from surface
+to lower-cased form and entry, filled on first sight: the entry is the
+tag where the surface alone decides it, and otherwise the verb form's
+kinds from the lexicon, which `_verb_tag` reads against the tags before
+the word on every sight. Tokens that split off `n't` never enter it and
+are tagged afresh each time. The table lives as long as its tagger, which
 `pipeline` keeps one of per lexicon directory, so it stays warm across
 the documents of a process; it stops growing at `TAG_TABLE_CAP` entries.
 
@@ -242,37 +245,40 @@ def split_sentences(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # POS tagging
 
-# Most entries of a Tagger's table of context-free surfaces: far more than
-# the distinct words of a document, and a bound on the table's memory.
+# Most entries of a Tagger's table of surfaces: far more than the distinct
+# words of a document, and a bound on the table's memory.
 TAG_TABLE_CAP = 1 << 14
 
 
 class Tagger:
     """Deterministic tagger: closed-class lexicon, verb inflection table,
-    suffix fallbacks, NOUN default. `table` maps each context-free surface
-    seen (see the module docstring) to its lower-cased form, the surface
-    object itself where lower-casing changes nothing, and its tag."""
+    suffix fallbacks, NOUN default. `table` maps each surface seen, other
+    than one split off `n't` (see the module docstring), to its lower-cased
+    form, the surface object itself where lower-casing changes nothing,
+    and its `_entry`: its tag, or the kinds of a verb form whose tag
+    depends on the tags before it."""
 
     def __init__(self, lexicon: Lexicon | None = None):
         self.lexicon = lexicon or default_lexicon()
-        self.table: dict[str, tuple[str, str]] = {}
+        self.table: dict[str, tuple[str, str | frozenset]] = {}
 
     def tag(self, text: str) -> TaggedSentence:
         """Tokenize and tag `text` in one pass. Where lower-casing changes
         nothing, a token's lower-cased form is its surface object, or on a
         table hit the surface the table stored; a trailing `n't` is a
         token of its own."""
-        table, verb_forms = self.table, self.lexicon.verb_forms
+        table = self.table
         surfaces: list[str] = []
         lowers: list[str] = []
         tags: list[str] = []
         for raw in _TOKEN_RE.findall(text):
             known = table.get(raw)
             if known is not None:
-                lower, tag = known
+                lower, entry = known
                 surfaces.append(raw)
                 lowers.append(lower)
-                tags.append(tag)
+                tags.append(entry if type(entry) is str else self._verb_tag(
+                    raw, lower, entry, len(tags), lowers, tags))
                 continue
             lower = raw.lower()
             if lower == raw:
@@ -283,18 +289,20 @@ class Tagger:
             else:
                 tokens = ((raw, lower),)
             for surface, word in tokens:
+                entry = self._entry(surface, word)
                 surfaces.append(surface)
                 lowers.append(word)
-                tags.append(self._tag_one(surface, word, len(tags), lowers, tags))
-            if (len(tokens) == 1 and lower not in verb_forms
-                    and len(table) < TAG_TABLE_CAP):
-                table[raw] = (lower, tags[-1])
+                tags.append(entry if type(entry) is str else self._verb_tag(
+                    surface, word, entry, len(tags), lowers, tags))
+            if len(tokens) == 1 and len(table) < TAG_TABLE_CAP:
+                table[raw] = (lower, entry)
         tagged = tuple(tags)
         return TaggedSentence(text, tuple(surfaces), tuple(lowers), tagged,
                               _imperative(tagged, lowers))
 
-    def _tag_one(self, surface: str, word: str, i: int, lowers: list[str],
-                 tags: list[str]) -> str:
+    def _entry(self, surface: str, word: str) -> str | frozenset:
+        """The tag that the surface alone decides, or the kinds of a verb
+        form whose tag `_verb_tag` reads off the tags before it."""
         if not _WORD_RE.search(surface):
             return PUNCT
         if _NUM_RE.fullmatch(word):
@@ -306,17 +314,17 @@ class Tagger:
             return closed
         kinds = self.lexicon.verb_forms.get(word)
         if kinds:
-            tag = self._verb_tag(surface, kinds, i, lowers, tags)
-            if tag is not None:
-                return tag
+            if "gerund" in kinds:
+                return VBG
+            if "third" in kinds and "base" not in kinds:
+                return VBZ
+            return kinds
         return self._suffix_tag(word)
 
-    def _verb_tag(self, surface: str, kinds: frozenset, i: int,
-                  lowers: list[str], tags: list[str]) -> str | None:
-        if "gerund" in kinds:
-            return VBG
-        if "third" in kinds and "base" not in kinds:
-            return VBZ
+    def _verb_tag(self, surface: str, word: str, kinds: frozenset, i: int,
+                  lowers: list[str], tags: list[str]) -> str:
+        """The tag of the i-th token, a verb form whose `_entry` is its
+        kinds `kinds`, from the tags and words before it."""
         prev = self._prev_content_tag(tags, i)
         if "participle" in kinds and self._recent_aux(i, lowers, tags):
             return VBN
@@ -337,7 +345,7 @@ class Tagger:
             return VB
         if "participle" in kinds:
             return VBN
-        return None
+        return self._suffix_tag(word)
 
     def _prev_content_tag(self, tags: list[str], i: int) -> str | None:
         for j in range(i - 1, -1, -1):
@@ -408,6 +416,9 @@ def detect_conditional(sentence: TaggedSentence) -> ConditionalSplit | None:
     condition runs from the opener to the end of the sentence. The two spans
     partition the token sequence.
     """
+    lowers = sentence.lowers
+    if _CONDITION_OPENERS.isdisjoint(lowers) and "case" not in lowers:
+        return None  # no opener to scan for
     opener = _find_opener(sentence)
     if opener is None:
         return None

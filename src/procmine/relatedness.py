@@ -9,15 +9,21 @@ share entities, discounted by how far apart they are; the chunk score is
 the average out-degree of that projection.
 
 `chunk_relatedness` scores a chunk of at most one sentence 0.0 without
-building its graph. Otherwise it projects by one of two paths, chosen by
-the graph's mention pairs (for each entity mentioned in c sentences,
-c * (c - 1) / 2):
+walking its sentences. Otherwise it walks each sentence once for its noun
+runs and their role weights (`_mention_weights`) and groups them once by
+entity: each entity's (sentence, maximum weight) mentions in sentence
+order, the entities in order of first mention. From that grouping it
+counts the mention pairs (for each entity mentioned in c sentences,
+c * (c - 1) / 2) and projects by one of two paths:
 
 - below `VECTOR_MIN_MENTION_PAIRS`, or below `IMPORT_MIN_MENTION_PAIRS`
-  when no other code has imported numpy yet, `project`, a dict of pair
-  sums, scored by `relatedness_score`. It is also the oracle the other
+  when no other code has imported numpy yet, a dict of pair sums built
+  straight from the grouping and scored by `relatedness_score`.
+  `relatedness_score(project(build_bipartite(...)))` runs the same walk,
+  grouping and pair loop through the graph, and is the oracle the other
   path is tested against.
-- otherwise `streamed_score` over `project_blocks`, which builds and sums
+- otherwise `streamed_score` over `project_blocks`, the only path that
+  builds the graph's edges (`BipartiteGraph`). It builds and sums
   the mention pairs with numpy one block of sentence rows at a time. A
   block holds about `_BLOCK_PAIRS` pairs, or one row that has more, so
   memory is O(edges + max(block, one row)), not O(mention pairs).
@@ -36,7 +42,7 @@ running total carried from block to block.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -54,6 +60,8 @@ class Role(str, Enum):
 
 ROLE_WEIGHTS = {Role.SUBJECT: 3.0, Role.OBJECT: 2.0, Role.OTHER: 1.0}
 _ROLE_VALUES = frozenset(ROLE_WEIGHTS.values())
+_ROLE_OF_WEIGHT = {weight: role for role, weight in ROLE_WEIGHTS.items()}
+_SUBJECT, _OBJECT, _OTHER = (ROLE_WEIGHTS[role] for role in Role)
 
 # Mention pairs from which `chunk_relatedness` projects with numpy. Below
 # it numpy's fixed cost per call (about 0.1 ms) outweighs the loop it
@@ -94,19 +102,20 @@ class ProjectionGraph(NamedTuple):
     directed_edges: tuple[tuple[int, int, float], ...]  # i < j
 
 
-def extract_entities(sentence: TaggedSentence) -> list[Entity]:
-    """Noun runs with positional roles around the first main verb.
+def _mention_weights(sentence: TaggedSentence) -> list[tuple[str, float]]:
+    """(surface, role weight) of each noun run of the sentence, in order.
 
     A noun run is a maximal ADJ/NOUN stretch up to its last NOUN. Runs
     ending before the verb are subjects (none in imperatives); the first
     run after the verb that no preposition other than "to" governs (across
     determiners and adjectives) is the object; everything else is other.
     One walk of the tags finds the runs, the verb and the governing
-    prepositions; the roles of runs before the verb wait for its end.
+    prepositions; the weight of the runs before the verb waits for its end.
     """
     lowers = sentence.lowers
     surfaces: list[str] = []
-    roles: list[Role | None] = []  # None: before the verb, if any
+    weights: list[float] = []  # of the runs after the verb
+    before = 0  # runs before the verb, if any
     verb = object_taken = False
     # Whether the nearest tag so far other than DET and ADJ is a
     # preposition other than "to": it governs a run starting here.
@@ -123,11 +132,11 @@ def extract_entities(sentence: TaggedSentence) -> list[Entity]:
         if last >= 0:
             surfaces.append(" ".join(lowers[start:last + 1]))
             if not verb:
-                roles.append(None)
+                before += 1
             elif object_taken or governs:
-                roles.append(Role.OTHER)
+                weights.append(_OTHER)
             else:
-                roles.append(Role.OBJECT)
+                weights.append(_OBJECT)
                 object_taken = True
             governed = False  # the run's NOUN stops the look-back
             last = -1
@@ -136,22 +145,86 @@ def extract_entities(sentence: TaggedSentence) -> list[Entity]:
             governed = tag == PREP and lowers[i] != "to"
             if tag in VERB_TAGS:
                 verb = True
-    before = Role.SUBJECT if verb and not sentence.imperative else Role.OTHER
-    return [Entity(surface, before if role is None else role)
-            for surface, role in zip(surfaces, roles)]
+    if before:
+        weights[:0] = [_SUBJECT if verb and not sentence.imperative
+                       else _OTHER] * before
+    return list(zip(surfaces, weights))
+
+
+def extract_entities(sentence: TaggedSentence) -> list[Entity]:
+    """Noun runs with positional roles around the first main verb (see
+    `_mention_weights`)."""
+    return [Entity(surface, _ROLE_OF_WEIGHT[weight])
+            for surface, weight in _mention_weights(sentence)]
+
+
+# Each entity's mentions, (sentence index, weight), in sentence order; the
+# entities in order of first mention.
+_Mentions = dict[str, list[tuple[int, float]]]
+
+
+def _group(rows: Iterable[tuple[int, Iterable[tuple[str, float]]]]) -> _Mentions:
+    """The mentions of rows (sentence index, (entity, weight) pairs) that
+    come in increasing sentence order. An entity mentioned more than once
+    in a sentence keeps its maximum weight there."""
+    by_entity: _Mentions = {}
+    for index, row in rows:
+        for entity, weight in row:
+            mentions = by_entity.get(entity)
+            if mentions is None:
+                by_entity[entity] = [(index, weight)]
+                continue
+            last_index, last_weight = mentions[-1]
+            if last_index != index:
+                mentions.append((index, weight))
+            elif last_weight < weight:
+                mentions[-1] = (index, weight)
+    return by_entity
+
+
+def _graph_mentions(graph: BipartiteGraph) -> _Mentions:
+    return _group((index, ((entity, weight),))
+                  for index, entity, weight in graph.edges)
+
+
+def _bipartite(rows: list[list[tuple[str, float]]],
+               by_entity: _Mentions) -> BipartiteGraph:
+    """The graph of the sentences whose walks are `rows` and whose grouped
+    mentions are `by_entity`: one edge per (sentence, entity), in order of
+    first mention. The sentences come in order, so each edge takes the
+    next of its entity's mentions."""
+    later = {entity: iter(mentions) for entity, mentions in by_entity.items()}
+    last: dict[str, int] = {}  # entity -> the sentence of its latest edge
+    edges: list[tuple[int, str, float]] = []
+    for index, row in enumerate(rows):
+        for entity, _ in row:
+            if last.get(entity) != index:
+                last[entity] = index
+                edges.append((index, entity, next(later[entity])[1]))
+    return BipartiteGraph(sentence_count=len(rows), edges=tuple(edges))
 
 
 def build_bipartite(sentences: list[TaggedSentence]) -> BipartiteGraph:
     """One weighted edge per (sentence, entity); repeat mentions keep the
     maximum role weight."""
-    best: dict[tuple[int, str], float] = {}  # in order of first mention
-    for index, sentence in enumerate(sentences):
-        for entity in extract_entities(sentence):
-            key = (index, entity.surface)
-            weight = ROLE_WEIGHTS[entity.role]
-            best[key] = max(best.get(key, weight), weight)
-    return BipartiteGraph(sentence_count=len(sentences), edges=tuple(
-        (index, surface, weight) for (index, surface), weight in best.items()))
+    rows = [_mention_weights(sentence) for sentence in sentences]
+    return _bipartite(rows, _group(enumerate(rows)))
+
+
+def _projection(by_entity: _Mentions, sentence_count: int) -> ProjectionGraph:
+    """For each sentence pair (i, j) that shares entities, the products of
+    their weights summed from 0.0 over the entities in order of first
+    mention, divided once by the pair distance j - i."""
+    pair_sums: dict[tuple[int, int], float] = {}
+    for mentions in by_entity.values():
+        if len(mentions) < 2:
+            continue  # most entities: one sentence mentions them
+        for a, (i, wi) in enumerate(mentions):
+            for j, wj in mentions[a + 1:]:
+                pair_sums[(i, j)] = pair_sums.get((i, j), 0.0) + wi * wj
+    edges = tuple((i, j, total / (j - i))
+                  for (i, j), total in sorted(pair_sums.items()))
+    return ProjectionGraph(sentence_count=sentence_count, directed_edges=edges)
 
 
 def project(graph: BipartiteGraph) -> ProjectionGraph:
@@ -159,18 +232,7 @@ def project(graph: BipartiteGraph) -> ProjectionGraph:
     with shared entities, sum the products of their edge weights and divide
     once by the pair distance j - i. Edges must come as `build_bipartite`
     makes them: one per (sentence, entity), in increasing sentence order."""
-    by_entity: dict[str, list[tuple[int, float]]] = {}
-    for index, entity, weight in graph.edges:
-        by_entity.setdefault(entity, []).append((index, weight))
-    pair_sums: dict[tuple[int, int], float] = {}
-    for mentions in by_entity.values():
-        for a, (i, wi) in enumerate(mentions):
-            for j, wj in mentions[a + 1:]:
-                pair_sums[(i, j)] = pair_sums.get((i, j), 0.0) + wi * wj
-    edges = tuple((i, j, total / (j - i))
-                  for (i, j), total in sorted(pair_sums.items()))
-    return ProjectionGraph(sentence_count=graph.sentence_count,
-                           directed_edges=edges)
+    return _projection(_graph_mentions(graph), graph.sentence_count)
 
 
 def relatedness_score(projection: ProjectionGraph) -> float:
@@ -185,13 +247,14 @@ def relatedness_score(projection: ProjectionGraph) -> float:
     return total / projection.sentence_count
 
 
+def _pair_count(by_entity: _Mentions) -> int:
+    return sum(len(m) * (len(m) - 1) // 2 for m in by_entity.values())
+
+
 def mention_pairs(graph: BipartiteGraph) -> int:
     """Sentence pairs summed over entities: c * (c - 1) / 2 for an entity
     mentioned in c sentences. The projection's work for the graph."""
-    counts: dict[str, int] = {}
-    for _, entity, _ in graph.edges:
-        counts[entity] = counts.get(entity, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+    return _pair_count(_graph_mentions(graph))
 
 
 def project_blocks(graph: BipartiteGraph,
@@ -265,27 +328,35 @@ def streamed_score(graph: BipartiteGraph) -> float:
 
 
 def chunk_relatedness(sentences: list[TaggedSentence]) -> float:
-    """`relatedness_score(project(build_bipartite(sentences)))`. A chunk of
-    at most one sentence scores 0.0 whatever its entities, so it builds no
-    graph."""
+    """`relatedness_score(project(build_bipartite(sentences)))`, from one
+    walk per sentence and one grouping of the mentions by entity. A chunk
+    of at most one sentence scores 0.0 whatever its entities, so it walks
+    none; the graph's edges are built only for the numpy path."""
     if len(sentences) <= 1:
         return 0.0
-    graph = build_bipartite(sentences)
-    pairs = mention_pairs(graph)
+    rows = [_mention_weights(sentence) for sentence in sentences]
+    by_entity = _group(enumerate(rows))
+    pairs = _pair_count(by_entity)
     if pairs < VECTOR_MIN_MENTION_PAIRS or (
             pairs < IMPORT_MIN_MENTION_PAIRS and "numpy" not in sys.modules):
-        return relatedness_score(project(graph))
+        return relatedness_score(_projection(by_entity, len(sentences)))
+    graph = _bipartite(rows, by_entity)
+    # The numpy path holds only the edges and one block: on prose-wide's
+    # wide chunk, keeping the walks and the grouping alive through it
+    # raised the tracemalloc peak from 2.5 to about 3.2 MB.
+    del rows, by_entity
     return streamed_score(graph)
 
 
 def describe_graph(sentences: list[TaggedSentence]) -> str:
     """Line-oriented debug dump: entities with roles, projection edges, score."""
     lines: list[str] = []
-    for index, sentence in enumerate(sentences):
-        for entity in extract_entities(sentence):
-            lines.append(f"entity s{index} {entity.surface!r} {entity.role.value}")
-    graph = build_bipartite(sentences)
-    projection = project(graph)
+    rows = [_mention_weights(sentence) for sentence in sentences]
+    for index, row in enumerate(rows):
+        for surface, weight in row:
+            role = _ROLE_OF_WEIGHT[weight]
+            lines.append(f"entity s{index} {surface!r} {role.value}")
+    projection = _projection(_group(enumerate(rows)), len(sentences))
     for i, j, weight in projection.directed_edges:
         lines.append(f"edge s{i} -> s{j} weight={weight:g}")
     lines.append(f"score {relatedness_score(projection):g}")

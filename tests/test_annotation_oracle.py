@@ -2,11 +2,11 @@
 before it, where each token was a (surface, tag) pair that every detector
 lower-cased again and entity extraction ran the imperative detector a
 second time. Tags, imperative flags, conditional splits, profiles, goal
-readings, entities, bipartite edges and actionable margins must all agree,
-the margins bit for bit.
+readings, entities, bipartite edges, chunk relatedness and actionable
+margins must all agree, the margins and relatedness bit for bit.
 
 The random sentences are read by three taggers: the module's, whose table
-of context-free surfaces is warm from every earlier example, a fresh one
+of surfaces is warm from every earlier example, a fresh one
 per example, and a `--lexicon-dir` one whose verb forms include words that
 the bundled lexicon tags NOUN. A table shared across lexicons, or one that
 keeps a verb form's tag, reads those words wrong."""
@@ -14,6 +14,7 @@ keeps a verb form's tag, reads those words wrong."""
 import csv
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +27,10 @@ from procmine.goals import GoalCueConfig, annotate_goal
 from procmine.lingua import (TAG_TABLE_CAP, TaggedSentence, Tagger,
                              bundled_data_dir, detect_conditional, profile,
                              split_sentences)
-from procmine.relatedness import build_bipartite, extract_entities
+from procmine.relatedness import (VECTOR_MIN_MENTION_PAIRS, BipartiteGraph,
+                                  build_bipartite, chunk_relatedness,
+                                  extract_entities, mention_pairs, project,
+                                  relatedness_score)
 
 from conftest import (CORPUS_DIR, OracleSentence, OracleTagger, OracleToken,
                       oracle_annotate_goal, oracle_bipartite_edges,
@@ -92,6 +96,14 @@ def assert_same_graph(texts: list[str], tagger: Tagger = TAGGER,
         oracle_bipartite_edges([oracle.tag(t) for t in texts])
 
 
+def assert_same_relatedness(texts: list[str], tagger: Tagger = TAGGER,
+                            oracle: OracleTagger = ORACLE) -> None:
+    graph = BipartiteGraph(sentence_count=len(texts), edges=oracle_bipartite_edges(
+        [oracle.tag(t) for t in texts]))
+    assert chunk_relatedness([tagger.tag(t) for t in texts]).hex() == \
+        relatedness_score(project(graph)).hex()
+
+
 # Words the detectors react to, in mixed case: contractions, "please",
 # be-forms and auxiliaries, condition openers, "in case", commas, numbers,
 # and characters whose lower-case form differs in length or script.
@@ -130,6 +142,23 @@ class TestRandomSentences:
         for tagger, oracle in readers():
             assert_same_graph(texts, tagger, oracle)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(SENTENCES, min_size=2, max_size=8))
+    # "server" is first other (after "on"), then the object: the edge
+    # keeps the later, larger weight.
+    @example(["Click on the server and open the server.", "Open the server."])
+    def test_chunk_relatedness(self, readers, texts):
+        for tagger, oracle in readers():
+            assert_same_relatedness(texts, tagger, oracle)
+
+    def test_chunk_relatedness_streamed(self):
+        """A chunk with enough mention pairs for the numpy path."""
+        texts = corpus_texts()[:300]
+        assert "numpy" in sys.modules
+        assert mention_pairs(build_bipartite(
+            [TAGGER.tag(t) for t in texts])) >= VECTOR_MIN_MENTION_PAIRS
+        assert_same_relatedness(texts)
+
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.tuples(
         st.sampled_from(["to", "To", "please", "in"]),
@@ -165,8 +194,9 @@ class TestTagTable:
     def test_table_stops_at_its_cap(self):
         """More distinct context-free surfaces than the cap, mixed with
         verb forms and `n't` splits: the table never grows past the cap,
-        keeps no verb form or split token, and the tags past the cap still
-        match the oracle's."""
+        keeps no split token, holds a verb form whose tag depends on the
+        tags before it as its kinds, never as a tag, and the tags past the
+        cap still match the oracle's."""
         def word(n: int) -> str:
             letters = "".join(chr(ord("a") + int(d)) for d in str(n))
             return ("Qz", "qz")[n % 2] + letters + ("", "ing", "ed", "ly",
@@ -174,7 +204,8 @@ class TestTagTable:
 
         tagger = Tagger()
         words = [word(n) for n in range(TAG_TABLE_CAP + 2000)]
-        sentences = [" ".join(["Restart", *words[i:i + 20], "isn't", "saved", "."])
+        sentences = [" ".join(["Restart", *words[i:i + 20], "isn't", "is",
+                               "saved", "."])
                      for i in range(0, len(words), 20)]
         for k, text in enumerate(sentences):
             sentence = tagger.tag(text)
@@ -182,13 +213,33 @@ class TestTagTable:
             if k * 20 >= TAG_TABLE_CAP:
                 assert sentence.tags == tuple(t.tag for t in ORACLE.tag(text).tokens)
         assert len(tagger.table) == TAG_TABLE_CAP
-        assert not {"Restart", "isn't", "is", "saved"} & tagger.table.keys()
+        assert "isn't" not in tagger.table
+        verb_forms = tagger.lexicon.verb_forms
+        assert tagger.table["Restart"] == ("restart", verb_forms["restart"])
+        assert tagger.table["saved"] == ("saved", verb_forms["saved"])
+        assert tagger.table["is"] == ("is", lingua.VBZ)
         assert words[-1] not in tagger.table
         # qzbing: a lower-cased form that is the surface is the key itself
         surface, (lower, tag) = next(entry for entry in tagger.table.items()
                                      if entry[0] == word(1))
         assert lower is surface and tag == lingua.VBG
         assert tagger.table[word(2)] == ("qzced", lingua.VBD)  # Qzced
+
+    def test_warm_table_tags_a_verb_form_by_its_context(self):
+        """One surface, three readings, the second round from the table:
+        "saved" after a determiner and after a form of "be" is VBN, after
+        a noun VBD."""
+        tagger = Tagger()
+        cases = (("Open the saved file.", lingua.VBN),
+                 ("The files were saved.", lingua.VBN),
+                 ("The user saved the file.", lingua.VBD))
+        for _ in range(2):
+            for text, expected in cases:
+                new, old = tagger.tag(text), ORACLE.tag(text)
+                k = new.surfaces.index("saved")
+                assert new.tags[k] == old.tokens[k].tag == expected
+        assert tagger.table["saved"] == (
+            "saved", tagger.lexicon.verb_forms["saved"])
 
 
 def corpus_texts() -> list[str]:

@@ -361,16 +361,17 @@ class TestShortChunks:
     def test_no_entities_extracted_below_two_sentences(self, tagger,
                                                        monkeypatch):
         calls = []
+        walk = relatedness._mention_weights
 
         def counting(sentence):
             calls.append(sentence)
-            return extract_entities(sentence)
-        monkeypatch.setattr(relatedness, "extract_entities", counting)
+            return walk(sentence)
+        monkeypatch.setattr(relatedness, "_mention_weights", counting)
         one = [tagger.tag(self.ONE_SENTENCE_TEXTS[2])]
         assert chunk_relatedness([]) == chunk_relatedness(one) == 0.0
         assert calls == []
         assert chunk_relatedness(one * 2) > 0.0
-        assert len(calls) == 2  # the patch is seen where a graph is built
+        assert len(calls) == 2  # one walk per sentence
 
 
 class TestVectorProjection:
