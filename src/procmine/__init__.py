@@ -15,8 +15,7 @@ from .linear import DegenerateLabels, NonFinite, TrainParams, VersionMismatch
 from .lingua import (TaggedSentence, Tagger, detect_conditional, profile,
                      split_sentences)
 from .pipeline import PipelineConfig, analyze, load_document, run_document
-from .relatedness import (BipartiteGraph, Entity, ProjectionGraph, Role,
-                          build_bipartite, extract_entities, project,
-                          relatedness_score)
+from .relatedness import (BipartiteGraph, ProjectionGraph, build_bipartite,
+                          extract_entities, project, relatedness_score)
 
 __version__ = "0.1.0"

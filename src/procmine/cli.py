@@ -381,7 +381,8 @@ def _cmd_extract(args) -> int:
             trees[index], actionable_model, procedure_model, config,
             propagate=not args.no_propagation, ablate_ids=ablate_ids)
         if args.dump_graphs:
-            diagnostics.append((index, "".join(
+            header = f"# document {path}\n" if multi else ""
+            diagnostics.append((index, header + "".join(
                 f"# chunk {chunk.id}\n"
                 + describe_graph([s.tagged for item in run.annotations[chunk.id].items
                                   for s in item.sentences])

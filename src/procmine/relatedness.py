@@ -2,33 +2,32 @@
 
 Sentences and the noun-phrase entities they mention form a bipartite graph
 whose edges are weighted by the entity's grammatical role (subject >
-object > other, assigned positionally around the main verb). The weights
-are fixed, `ROLE_WEIGHTS`, and no setting changes them. Projecting onto
-the sentence set yields a directed graph between sentence pairs that
-share entities, discounted by how far apart they are; the chunk score is
-the average out-degree of that projection.
+object > other, assigned positionally around the main verb). A role is its
+weight, fixed in `ROLE_WEIGHTS`. Projecting onto the sentence set yields a
+directed graph between sentence pairs that share entities, discounted by
+how far apart they are; the chunk score is the average out-degree of that
+projection.
 
-`chunk_relatedness` scores a chunk of at most one sentence 0.0 without
-walking its sentences. Otherwise it walks each sentence once for its noun
-runs and their role weights (`_mention_weights`) and groups them once by
-entity: each entity's (sentence, maximum weight) mentions in sentence
-order, the entities in order of first mention. From that grouping it
-counts the mention pairs (for each entity mentioned in c sentences,
-c * (c - 1) / 2) and projects by one of two paths:
+A chunk's mentions have one form, the grouping by entity: each entity's
+(sentence, maximum weight) mentions in sentence order, the entities in
+order of first mention. `chunk_relatedness` scores a chunk of at most one
+sentence 0.0 without walking its sentences. Otherwise it groups each
+sentence's (surface, weight) pairs (`extract_entities`) as soon as they
+are made, counts the mention pairs of the grouping (for each entity
+mentioned in c sentences, c * (c - 1) / 2) and projects it by one of two
+paths:
 
 - below `VECTOR_MIN_MENTION_PAIRS`, or below `IMPORT_MIN_MENTION_PAIRS`
-  when no other code has imported numpy yet, a dict of pair sums built
-  straight from the grouping and scored by `relatedness_score`.
-  `relatedness_score(project(build_bipartite(...)))` runs the same walk,
-  grouping and pair loop through the graph, and is the oracle the other
-  path is tested against.
-- otherwise `streamed_score` over `project_blocks`, the only path that
-  builds the graph's edges (`BipartiteGraph`). It builds and sums
+  when no other code has imported numpy yet, a dict of pair sums scored
+  by `relatedness_score`. `relatedness_score(project(build_bipartite(...)))`
+  groups the graph's edges and runs the same pair loop; it is the oracle
+  the other path is tested against.
+- otherwise `streamed_score` over `project_blocks`, which builds and sums
   the mention pairs with numpy one block of sentence rows at a time. A
   block holds about `_BLOCK_PAIRS` pairs, or one row that has more, so
-  memory is O(edges + max(block, one row)), not O(mention pairs).
+  memory is O(mentions + max(block, one row)), not O(mention pairs).
 
-Both paths give the same score to the bit. Every edge weight is a
+Both paths give the same score to the bit. Every weight is a
 `ROLE_WEIGHTS` value (1, 2 or 3), so every product is a small integer and
 each pair's sum is exact in any order of addition; the vector path packs
 (i, j - i, product) into one int64 key, sorts the keys and sums each pair
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
-from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .lingua import ADJ, DET, NOUN, PREP, PUNCT, VERB_TAGS, TaggedSentence
@@ -52,16 +50,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class Role(str, Enum):
-    SUBJECT = "subject"
-    OBJECT = "object"
-    OTHER = "other"
-
-
-ROLE_WEIGHTS = {Role.SUBJECT: 3.0, Role.OBJECT: 2.0, Role.OTHER: 1.0}
+ROLE_WEIGHTS = {"subject": 3.0, "object": 2.0, "other": 1.0}
 _ROLE_VALUES = frozenset(ROLE_WEIGHTS.values())
-_ROLE_OF_WEIGHT = {weight: role for role, weight in ROLE_WEIGHTS.items()}
-_SUBJECT, _OBJECT, _OTHER = (ROLE_WEIGHTS[role] for role in Role)
+_SUBJECT, _OBJECT, _OTHER = ROLE_WEIGHTS.values()
 
 # Mention pairs from which `chunk_relatedness` projects with numpy. Below
 # it numpy's fixed cost per call (about 0.1 ms) outweighs the loop it
@@ -84,14 +75,6 @@ IMPORT_MIN_MENTION_PAIRS = 100_000
 _BLOCK_PAIRS = 1 << 14
 
 
-# Entity and the graphs are tuples: a chunk's sentences make thousands of
-# entities, and a tuple builds in a third of a frozen dataclass's time (0.4
-# against 1.1-1.5 us by position; see `annotate`).
-class Entity(NamedTuple):
-    surface: str  # normalized lowercase noun phrase
-    role: Role
-
-
 class BipartiteGraph(NamedTuple):
     sentence_count: int
     edges: tuple[tuple[int, str, float], ...]  # (sentence index, entity key, weight)
@@ -102,15 +85,16 @@ class ProjectionGraph(NamedTuple):
     directed_edges: tuple[tuple[int, int, float], ...]  # i < j
 
 
-def _mention_weights(sentence: TaggedSentence) -> list[tuple[str, float]]:
+def extract_entities(sentence: TaggedSentence) -> list[tuple[str, float]]:
     """(surface, role weight) of each noun run of the sentence, in order.
 
-    A noun run is a maximal ADJ/NOUN stretch up to its last NOUN. Runs
-    ending before the verb are subjects (none in imperatives); the first
-    run after the verb that no preposition other than "to" governs (across
-    determiners and adjectives) is the object; everything else is other.
-    One walk of the tags finds the runs, the verb and the governing
-    prepositions; the weight of the runs before the verb waits for its end.
+    A noun run is a maximal ADJ/NOUN stretch up to its last NOUN; its
+    surface is the run's lowercase words. Runs ending before the verb are
+    subjects (none in imperatives); the first run after the verb that no
+    preposition other than "to" governs (across determiners and adjectives)
+    is the object; everything else is other. One walk of the tags finds the
+    runs, the verb and the governing prepositions; the weight of the runs
+    before the verb waits for its end.
     """
     lowers = sentence.lowers
     surfaces: list[str] = []
@@ -151,13 +135,6 @@ def _mention_weights(sentence: TaggedSentence) -> list[tuple[str, float]]:
     return list(zip(surfaces, weights))
 
 
-def extract_entities(sentence: TaggedSentence) -> list[Entity]:
-    """Noun runs with positional roles around the first main verb (see
-    `_mention_weights`)."""
-    return [Entity(surface, _ROLE_OF_WEIGHT[weight])
-            for surface, weight in _mention_weights(sentence)]
-
-
 # Each entity's mentions, (sentence index, weight), in sentence order; the
 # entities in order of first mention.
 _Mentions = dict[str, list[tuple[int, float]]]
@@ -187,28 +164,17 @@ def _graph_mentions(graph: BipartiteGraph) -> _Mentions:
                   for index, entity, weight in graph.edges)
 
 
-def _bipartite(rows: list[list[tuple[str, float]]],
-               by_entity: _Mentions) -> BipartiteGraph:
-    """The graph of the sentences whose walks are `rows` and whose grouped
-    mentions are `by_entity`: one edge per (sentence, entity), in order of
-    first mention. The sentences come in order, so each edge takes the
-    next of its entity's mentions."""
-    later = {entity: iter(mentions) for entity, mentions in by_entity.items()}
-    last: dict[str, int] = {}  # entity -> the sentence of its latest edge
-    edges: list[tuple[int, str, float]] = []
-    for index, row in enumerate(rows):
-        for entity, _ in row:
-            if last.get(entity) != index:
-                last[entity] = index
-                edges.append((index, entity, next(later[entity])[1]))
-    return BipartiteGraph(sentence_count=len(rows), edges=tuple(edges))
-
-
 def build_bipartite(sentences: list[TaggedSentence]) -> BipartiteGraph:
-    """One weighted edge per (sentence, entity); repeat mentions keep the
-    maximum role weight."""
-    rows = [_mention_weights(sentence) for sentence in sentences]
-    return _bipartite(rows, _group(enumerate(rows)))
+    """One weighted edge per (sentence, entity), in order of first mention
+    within each sentence; repeat mentions keep the maximum role weight."""
+    edges: list[tuple[int, str, float]] = []
+    for index, sentence in enumerate(sentences):
+        best: dict[str, float] = {}
+        for surface, weight in extract_entities(sentence):
+            if best.get(surface, 0.0) < weight:
+                best[surface] = weight
+        edges += ((index, surface, weight) for surface, weight in best.items())
+    return BipartiteGraph(sentence_count=len(sentences), edges=tuple(edges))
 
 
 def _projection(by_entity: _Mentions, sentence_count: int) -> ProjectionGraph:
@@ -257,37 +223,35 @@ def mention_pairs(graph: BipartiteGraph) -> int:
     return _pair_count(_graph_mentions(graph))
 
 
-def project_blocks(graph: BipartiteGraph,
+def project_blocks(by_entity: _Mentions, sentence_count: int,
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """`project` with numpy, streamed: the (i, j, weight) columns of its
+    """`_projection` with numpy, streamed: the (i, j, weight) columns of its
     directed edges in (i, j) order, with bit-identical weights. Each block
     holds whole rows i and at most `_BLOCK_PAIRS` mention pairs, or one row
-    that has more. Edges must come as for `project`, each weighted by a
-    `ROLE_WEIGHTS` value; any other weight raises ValueError before the
-    first block."""
+    that has more. Every weight must be a `ROLE_WEIGHTS` value; any other
+    raises ValueError before the first block."""
     import numpy as np  # only wide chunks pay for the import
-    if not {w for _, _, w in graph.edges} <= _ROLE_VALUES:
+    if not {w for m in by_entity.values() for _, w in m} <= _ROLE_VALUES:
         raise ValueError("project_blocks needs ROLE_WEIGHTS values as weights")
-    codes: dict[str, int] = {}
-    entity = np.array([codes.setdefault(e, len(codes)) for _, e, _ in graph.edges],
-                      dtype=np.int64)
-    sentence = np.array([i for i, _, _ in graph.edges], dtype=np.int64)
-    weight = np.array([w for _, _, w in graph.edges], dtype=np.int64)
-    # Mentions grouped by entity, each group in sentence order; `rank` is a
-    # mention's place in that order and `later` counts the mentions of its
-    # entity after it: the pairs it starts.
-    by_entity = np.argsort(entity, kind="stable")
-    rank = np.empty_like(by_entity)
-    rank[by_entity] = np.arange(len(by_entity))
-    later = np.cumsum(np.bincount(entity))[entity] - 1 - rank
-    grouped_sentence = sentence[by_entity]
-    grouped_weight = weight[by_entity]
-    # Row bounds (a row's mentions are contiguous edges) and the pairs
-    # that the rows before each bound start.
-    bounds = np.append(np.flatnonzero(np.diff(sentence, prepend=-1)), len(sentence))
+    # The mentions in entity order, each entity's in sentence order;
+    # `later` counts the mentions of its entity after each: the pairs it
+    # starts.
+    sentence = np.array([i for m in by_entity.values() for i, _ in m], dtype=np.int64)
+    weight = np.array([w for m in by_entity.values() for _, w in m], dtype=np.int64)
+    counts = np.array([len(m) for m in by_entity.values()], dtype=np.int64)
+    later = np.repeat(np.cumsum(counts), counts) - 1 - np.arange(len(sentence))
+    # The same mentions by sentence row; `rank` is each one's place in
+    # entity order, where the later mentions of its entity follow it.
+    rank = np.argsort(sentence, kind="stable")
+    row_sentence = sentence[rank]
+    row_weight = weight[rank]
+    later = later[rank]
+    # Row bounds and the pairs that the rows before each bound start.
+    bounds = np.append(np.flatnonzero(np.diff(row_sentence, prepend=-1)),
+                       len(row_sentence))
     pairs_before = np.concatenate(([0], np.cumsum(later)))[bounds]
     # Bits enough for j - i; the keys fit an int64 below 2^29 sentences.
-    shift = graph.sentence_count.bit_length()
+    shift = sentence_count.bit_length()
     row = 0
     while row < len(bounds) - 1:
         end = max(row + 1, int(np.searchsorted(
@@ -301,9 +265,9 @@ def project_blocks(graph: BipartiteGraph,
         # its entity, as one key (i, j - i, product) that sorts by (i, j).
         step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         b = np.repeat(rank[lo:hi], count) + 1 + step
-        i = np.repeat(sentence[lo:hi], count)
-        key = (((i << shift) | (grouped_sentence[b] - i)) << 4
-               | (np.repeat(weight[lo:hi], count) * grouped_weight[b]))
+        i = np.repeat(row_sentence[lo:hi], count)
+        key = (((i << shift) | (sentence[b] - i)) << 4
+               | (np.repeat(row_weight[lo:hi], count) * weight[b]))
         key.sort()
         pair = key >> 4
         starts = np.flatnonzero(np.diff(pair, prepend=-1))  # pair >= 1
@@ -314,49 +278,40 @@ def project_blocks(graph: BipartiteGraph,
         yield i, i + distance, sums / distance
 
 
-def streamed_score(graph: BipartiteGraph) -> float:
-    """`relatedness_score(project(graph))` from `project_blocks`: each block
-    is added onto the running total left to right by `np.cumsum`, the
-    total carried from block to block."""
+def streamed_score(by_entity: _Mentions, sentence_count: int) -> float:
+    """`relatedness_score(_projection(by_entity, sentence_count))` from
+    `project_blocks`: each block is added onto the running total left to
+    right by `np.cumsum`, the total carried from block to block."""
     import numpy as np
-    if graph.sentence_count <= 1:
+    if sentence_count <= 1:
         return 0.0
     total = 0.0
-    for _, _, weights in project_blocks(graph):
+    for _, _, weights in project_blocks(by_entity, sentence_count):
         total = float(np.cumsum(np.concatenate(([total], weights)))[-1])
-    return total / graph.sentence_count
+    return total / sentence_count
 
 
 def chunk_relatedness(sentences: list[TaggedSentence]) -> float:
     """`relatedness_score(project(build_bipartite(sentences)))`, from one
-    walk per sentence and one grouping of the mentions by entity. A chunk
-    of at most one sentence scores 0.0 whatever its entities, so it walks
-    none; the graph's edges are built only for the numpy path."""
+    walk per sentence, grouped by entity as it is made. A chunk of at most
+    one sentence scores 0.0 whatever its entities, so it walks none."""
     if len(sentences) <= 1:
         return 0.0
-    rows = [_mention_weights(sentence) for sentence in sentences]
-    by_entity = _group(enumerate(rows))
+    by_entity = _group(enumerate(map(extract_entities, sentences)))
     pairs = _pair_count(by_entity)
     if pairs < VECTOR_MIN_MENTION_PAIRS or (
             pairs < IMPORT_MIN_MENTION_PAIRS and "numpy" not in sys.modules):
         return relatedness_score(_projection(by_entity, len(sentences)))
-    graph = _bipartite(rows, by_entity)
-    # The numpy path holds only the edges and one block: on prose-wide's
-    # wide chunk, keeping the walks and the grouping alive through it
-    # raised the tracemalloc peak from 2.5 to about 3.2 MB.
-    del rows, by_entity
-    return streamed_score(graph)
+    return streamed_score(by_entity, len(sentences))
 
 
 def describe_graph(sentences: list[TaggedSentence]) -> str:
     """Line-oriented debug dump: entities with roles, projection edges, score."""
-    lines: list[str] = []
-    rows = [_mention_weights(sentence) for sentence in sentences]
-    for index, row in enumerate(rows):
-        for surface, weight in row:
-            role = _ROLE_OF_WEIGHT[weight]
-            lines.append(f"entity s{index} {surface!r} {role.value}")
-    projection = _projection(_group(enumerate(rows)), len(sentences))
+    role_of = {weight: role for role, weight in ROLE_WEIGHTS.items()}
+    rows = list(enumerate(map(extract_entities, sentences)))
+    lines = [f"entity s{index} {surface!r} {role_of[weight]}"
+             for index, row in rows for surface, weight in row]
+    projection = _projection(_group(rows), len(sentences))
     for i, j, weight in projection.directed_edges:
         lines.append(f"edge s{i} -> s{j} weight={weight:g}")
     lines.append(f"score {relatedness_score(projection):g}")

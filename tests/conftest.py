@@ -11,7 +11,7 @@ import pytest
 from procmine import actionable, docmodel, linear, lingua
 from procmine.docmodel import DocNode, DocTree, Kind, parse_sdjson
 from procmine.goals import GoalCue, GoalCueConfig, strip_section_numbering
-from procmine.relatedness import ROLE_WEIGHTS, Entity, Role
+from procmine.relatedness import ROLE_WEIGHTS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -634,7 +634,7 @@ def oracle_annotate_goal(sentence: OracleSentence, *, is_heading: bool,
     return None
 
 
-def oracle_extract_entities(sentence: OracleSentence) -> list[Entity]:
+def oracle_extract_entities(sentence: OracleSentence) -> list[tuple[str, float]]:
     tokens = sentence.tokens
     runs: list[tuple[int, int]] = []
     i = 0
@@ -663,29 +663,28 @@ def oracle_extract_entities(sentence: OracleSentence) -> list[Entity]:
             return tag == lingua.PREP and tokens[j].surface.lower() != "to"
         return False
 
-    entities: list[Entity] = []
+    entities: list[tuple[str, float]] = []
     object_taken = False
     for start, end in runs:
         surface = " ".join(t.surface.lower() for t in tokens[start:end])
         if verb is not None and end <= verb and not imperative:
-            role = Role.SUBJECT
+            role = "subject"
         elif (verb is not None and start > verb and not object_taken
               and not governed(start)):
-            role = Role.OBJECT
+            role = "object"
             object_taken = True
         else:
-            role = Role.OTHER
-        entities.append(Entity(surface=surface, role=role))
+            role = "other"
+        entities.append((surface, ROLE_WEIGHTS[role]))
     return entities
 
 
 def oracle_bipartite_edges(sentences: list[OracleSentence]) -> tuple:
-    weights = ROLE_WEIGHTS
     best: dict[tuple[int, str], float] = {}
     for index, sentence in enumerate(sentences):
-        for entity in oracle_extract_entities(sentence):
-            key = (index, entity.surface)
-            best[key] = max(best.get(key, 0.0), weights[entity.role])
+        for surface, weight in oracle_extract_entities(sentence):
+            key = (index, surface)
+            best[key] = max(best.get(key, 0.0), weight)
     return tuple((i, surface, w) for (i, surface), w in best.items())
 
 

@@ -28,9 +28,10 @@ from procmine.lingua import (TAG_TABLE_CAP, TaggedSentence, Tagger,
                              bundled_data_dir, detect_conditional, profile,
                              split_sentences)
 from procmine.relatedness import (VECTOR_MIN_MENTION_PAIRS, BipartiteGraph,
-                                  build_bipartite, chunk_relatedness,
-                                  extract_entities, mention_pairs, project,
-                                  relatedness_score)
+                                  _graph_mentions, build_bipartite,
+                                  chunk_relatedness, extract_entities,
+                                  mention_pairs, project, relatedness_score,
+                                  streamed_score)
 
 from conftest import (CORPUS_DIR, OracleSentence, OracleTagger, OracleToken,
                       oracle_annotate_goal, oracle_bipartite_edges,
@@ -152,12 +153,17 @@ class TestRandomSentences:
             assert_same_relatedness(texts, tagger, oracle)
 
     def test_chunk_relatedness_streamed(self):
-        """A chunk with enough mention pairs for the numpy path."""
+        """A chunk with enough mention pairs for the numpy path, and the
+        numpy path on the grouping of the oracle's graph."""
         texts = corpus_texts()[:300]
         assert "numpy" in sys.modules
         assert mention_pairs(build_bipartite(
             [TAGGER.tag(t) for t in texts])) >= VECTOR_MIN_MENTION_PAIRS
         assert_same_relatedness(texts)
+        graph = BipartiteGraph(sentence_count=len(texts), edges=oracle_bipartite_edges(
+            [ORACLE.tag(t) for t in texts]))
+        assert streamed_score(_graph_mentions(graph), len(texts)).hex() == \
+            relatedness_score(project(graph)).hex()
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.tuples(

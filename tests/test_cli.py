@@ -844,6 +844,12 @@ class TestWorkers:
                    for n in (1, 2, 3)]
         assert [r.returncode for r in results] == [0, 0, 0]
         assert results[0].stderr.endswith(alone.stderr)
+        # Each document's dump opens with its path, in input order; one
+        # input alone has no such header.
+        assert b"# document " not in alone.stderr
+        headers = [line for line in results[0].stderr.decode().splitlines()
+                   if line.startswith("# document ")]
+        assert headers == [f"# document {path}" for path in argv[:len(CORPUS_DOCS) + 1]]
         assert results[1].stderr == results[0].stderr
         assert results[2].stderr == results[0].stderr
         assert results[0].stdout == results[1].stdout == results[2].stdout == b""

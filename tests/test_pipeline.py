@@ -260,8 +260,8 @@ class TestLinearWork:
                   ("lists", "8k"): lists_doc(4000)}
         tree = parse_sdjson(inputs["paragraph", "8k"])
         tagger = pipeline._lexicons(None)[0]
-        surfaces = [entity.surface for text in tree.sentences[1]
-                    for entity in relatedness.extract_entities(tagger.tag(text))]
+        surfaces = [surface for text in tree.sentences[1]
+                    for surface, _ in relatedness.extract_entities(tagger.tag(text))]
         assert len(surfaces) == len(set(surfaces)) == 8000
         best: dict[tuple[str, str, str], float] = {}
         gc.disable()

@@ -13,7 +13,7 @@ import pytest
 from procmine import pipeline, relatedness
 from procmine.lingua import Tagger
 from procmine.relatedness import (ROLE_WEIGHTS, VECTOR_MIN_MENTION_PAIRS,
-                                  BipartiteGraph, ProjectionGraph, Role,
+                                  BipartiteGraph, ProjectionGraph,
                                   build_bipartite, chunk_relatedness,
                                   describe_graph, extract_entities,
                                   mention_pairs, project, project_blocks,
@@ -77,6 +77,7 @@ def random_graph(rng: random.Random) -> BipartiteGraph:
 # negatives (products of -0.0 and 0.0 included) and fractions that round.
 # `project` takes them all; `project_blocks` only the first.
 ROLE_WEIGHT_SET = tuple(ROLE_WEIGHTS.values())
+SUBJECT, OBJECT, OTHER = ROLE_WEIGHT_SET
 WEIGHT_SETS = (ROLE_WEIGHT_SET, (0.0, -1.0, 2.5), (-0.0, 0.0, -3.0),
                (0.1, 0.2, 0.7), (-1.5, 1e-3, 7.0))
 
@@ -133,10 +134,22 @@ def row_pairs(graph: BipartiteGraph) -> Counter:
     return rows
 
 
+def blocks_of(graph: BipartiteGraph) -> list:
+    """`project_blocks` of the graph's grouped mentions."""
+    return list(project_blocks(relatedness._graph_mentions(graph),
+                               graph.sentence_count))
+
+
+def streamed(graph: BipartiteGraph) -> float:
+    """`streamed_score` of the graph's grouped mentions."""
+    return streamed_score(relatedness._graph_mentions(graph),
+                          graph.sentence_count)
+
+
 def concatenated_blocks(graph: BipartiteGraph):
     """`project_blocks` joined: its edges as `project`'s tuples, and the
     bytes of its weights."""
-    blocks = list(project_blocks(graph))
+    blocks = blocks_of(graph)
     edges = [edge for i, j, weights in blocks
              for edge in zip(i.tolist(), j.tolist(), weights.tolist())]
     return edges, b"".join(weights.tobytes() for _, _, weights in blocks)
@@ -152,12 +165,11 @@ def left_to_right(weights) -> float:
 class TestExtractEntities:
     def test_declarative_subject_object(self, tagger):
         entities = extract_entities(tagger.tag("The administrator opens the console."))
-        roles = {e.surface: e.role for e in entities}
-        assert roles == {"administrator": Role.SUBJECT, "console": Role.OBJECT}
+        assert dict(entities) == {"administrator": SUBJECT, "console": OBJECT}
 
     def test_imperative_first_post_verb_is_object(self, tagger):
         entities = extract_entities(tagger.tag("Click Start."))
-        assert [(e.surface, e.role) for e in entities] == [("start", Role.OBJECT)]
+        assert entities == [("start", OBJECT)]
 
     def test_pronoun_only_sentence_has_no_entities(self, tagger):
         assert extract_entities(tagger.tag("Restart it.")) == []
@@ -165,23 +177,21 @@ class TestExtractEntities:
     def test_preposition_governed_is_other(self, tagger):
         entities = extract_entities(
             tagger.tag("The administrator logs into the console."))
-        roles = {e.surface: e.role for e in entities}
-        assert roles["console"] is Role.OTHER
+        assert dict(entities)["console"] == OTHER
 
     def test_second_object_is_other(self, tagger):
         entities = extract_entities(
             tagger.tag("The installer copies the files to the disk."))
-        roles = {e.surface: e.role for e in entities}
-        assert roles == {"installer": Role.SUBJECT, "files": Role.OBJECT,
-                         "disk": Role.OTHER}
+        assert dict(entities) == {"installer": SUBJECT, "files": OBJECT,
+                                  "disk": OTHER}
 
     def test_imperative_has_no_subject(self, tagger):
         entities = extract_entities(tagger.tag("Restart the server."))
-        assert all(e.role is not Role.SUBJECT for e in entities)
+        assert entities and all(weight != SUBJECT for _, weight in entities)
 
     def test_adjective_modifiers_join_run(self, tagger):
         entities = extract_entities(tagger.tag("Open the main console."))
-        assert entities[0].surface == "main console"
+        assert entities[0][0] == "main console"
 
 
 class TestBuildBipartite:
@@ -361,12 +371,12 @@ class TestShortChunks:
     def test_no_entities_extracted_below_two_sentences(self, tagger,
                                                        monkeypatch):
         calls = []
-        walk = relatedness._mention_weights
+        walk = relatedness.extract_entities
 
         def counting(sentence):
             calls.append(sentence)
             return walk(sentence)
-        monkeypatch.setattr(relatedness, "_mention_weights", counting)
+        monkeypatch.setattr(relatedness, "extract_entities", counting)
         one = [tagger.tag(self.ONE_SENTENCE_TEXTS[2])]
         assert chunk_relatedness([]) == chunk_relatedness(one) == 0.0
         assert calls == []
@@ -388,7 +398,7 @@ class TestVectorProjection:
             # == treats -0.0 and 0.0 as equal: compare the bits too.
             assert weight_bytes == np.array([w for _, _, w in expected],
                                             dtype=float).tobytes()
-            assert streamed_score(graph) == relatedness_score(project(graph))
+            assert streamed(graph) == relatedness_score(project(graph))
             shared = Counter(pair for sentences in mentions(graph).values()
                              for pair in combinations(sentences, 2))
             seen["shared 2+"] += any(c >= 2 for c in shared.values())
@@ -403,17 +413,17 @@ class TestVectorProjection:
             weights = rng.choice(WEIGHT_SETS[1:])
             graph = varied_graph(rng, weights)
             if not graph.edges:
-                assert list(project_blocks(graph)) == []
+                assert blocks_of(graph) == []
                 continue
             with pytest.raises(ValueError, match="ROLE_WEIGHTS"):
-                next(project_blocks(graph))
+                blocks_of(graph)
             raised += 1
         assert raised >= 100
         # One stray weight among role weights is enough.
         graph = BipartiteGraph(sentence_count=3, edges=(
             (0, "x", 3.0), (1, "x", 2.0), (2, "x", 1.0), (2, "y", 2.5)))
         with pytest.raises(ValueError, match="ROLE_WEIGHTS"):
-            streamed_score(graph)
+            streamed(graph)
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_block_bounds_keep_project_bits(self, monkeypatch, block):
@@ -428,15 +438,31 @@ class TestVectorProjection:
             assert weight_bytes == np.array([w for _, _, w in expected],
                                             dtype=float).tobytes()
             # No row is split: each block starts past the last one's rows.
-            block_rows = [i.tolist() for i, _, _ in project_blocks(graph)]
+            block_rows = [i.tolist() for i, _, _ in blocks_of(graph)]
             assert all(a[-1] < b[0] for a, b in zip(block_rows, block_rows[1:]))
-            assert streamed_score(graph) == relatedness_score(project(graph))
+            assert streamed(graph) == relatedness_score(project(graph))
             rows = row_pairs(graph)
             seen["row over a block"] += any(c > block for c in rows.values())
             seen["rows sharing a block"] += any(len(set(i)) > 1 for i in block_rows)
         # A block of one pair has room for one row with pairs.
         assert seen["row over a block"] >= 20, seen
         assert block == 1 or seen["rows sharing a block"] >= 20, seen
+
+    @pytest.mark.parametrize("block", [1, relatedness._BLOCK_PAIRS])
+    def test_rows_out_of_first_mention_order(self, monkeypatch, block):
+        # The grouping lists "a" before "b"; sentence 1 lists "b" first.
+        monkeypatch.setattr(relatedness, "_BLOCK_PAIRS", block)
+        graph = BipartiteGraph(sentence_count=3, edges=(
+            (0, "a", 3.0), (0, "b", 2.0), (1, "b", 1.0), (1, "a", 2.0),
+            (2, "a", 1.0), (2, "b", 3.0)))
+        assert list(relatedness._graph_mentions(graph)) == ["a", "b"]
+        expected = project(graph).directed_edges
+        assert expected == ((0, 1, 8.0), (0, 2, 4.5), (1, 2, 5.0))
+        edges, weight_bytes = concatenated_blocks(graph)
+        assert edges == list(expected)
+        assert weight_bytes == np.array([w for _, _, w in expected],
+                                        dtype=float).tobytes()
+        assert streamed(graph) == relatedness_score(project(graph))
 
     @pytest.mark.parametrize("pairs", [VECTOR_MIN_MENTION_PAIRS - 1,
                                        VECTOR_MIN_MENTION_PAIRS])
@@ -472,6 +498,30 @@ class TestVectorProjection:
         finally:
             tracemalloc.stop()
         assert peak < 256 * (len(graph.edges) + relatedness._BLOCK_PAIRS)
+
+
+    @pytest.mark.parametrize("vector_min", [0, 1 << 30])
+    def test_each_walk_freed_once_grouped(self, tagger, monkeypatch,
+                                          vector_min):
+        # Either path: no more than the walk being grouped and the next
+        # one are alive at once, whatever the chunk's length.
+        live = [0, 0]  # walks alive now, and the most at once
+
+        class Walk(list):
+            def __init__(self, pairs):
+                super().__init__(pairs)
+                live[0] += 1
+                live[1] = max(live)
+
+            def __del__(self):
+                live[0] -= 1
+        walk = relatedness.extract_entities
+        monkeypatch.setattr(relatedness, "extract_entities",
+                            lambda sentence: Walk(walk(sentence)))
+        monkeypatch.setattr(relatedness, "VECTOR_MIN_MENTION_PAIRS", vector_min)
+        sentences = [tagger.tag("The administrator opens the console.")] * 50
+        assert chunk_relatedness(sentences) > 0.0
+        assert live[0] == 0 and 1 <= live[1] <= 2, live
 
 
 class TestDescribeGraph:
