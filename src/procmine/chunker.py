@@ -16,6 +16,10 @@ nesting depth works, and emits each chunk complete:
   the anchor's parent. The anchor is the list block for a list chunk and
   the first item otherwise, so a list block's context is worked out while
   its parent's children are scanned and travels on the stack.
+- Goal: the context, if it is not empty; else the stripped text of the
+  nearest heading at or above the items' parent whose stripped text is not
+  empty; else the stripped title. The walk carries the last two as one
+  fallback on the stack, so no chunk walks up the tree.
 - `intro_node_id` is the node whose text introduces the chunk: the list
   block's parent for a list chunk, the items' parent otherwise.
 - `child_chunks` files each chunk under the nearest chunk item at or above
@@ -48,6 +52,7 @@ class Chunk(NamedTuple):
     context_text: str
     parent_node_id: int
     intro_node_id: int
+    goal: str
 
 
 @dataclass(eq=False)
@@ -83,21 +88,23 @@ def build_chunks(tree: DocTree) -> ChunkSet:
     child_chunks: dict[int, list[int]] = {}
 
     def emit(kind: ChunkKind, items: list[DocNode], context: str, parent: int,
-             intro: int, owner: int | None) -> None:
+             intro: int, owner: int | None, fallback: str) -> None:
         chunk_id = len(chunks) + 1
         chunks[chunk_id] = Chunk(
             id=chunk_id, kind=kind, item_node_ids=tuple(n.id for n in items),
             depth=items[0].depth, context_text=context, parent_node_id=parent,
-            intro_node_id=intro)
+            intro_node_id=intro, goal=context or fallback)
         if owner is not None:
             child_chunks.setdefault(owner, []).append(chunk_id)
 
     # (node, its parent's id, the context of a chunk anchored at it, the
-    # nearest chunk item at or above it)
-    stack: list[tuple[DocNode, int | None, str, int | None]] = [
-        (tree.nodes[0], None, "", None)]
+    # nearest chunk item at or above it, the goal of a chunk below it with
+    # no context: the nearest heading text at or above it, else the title)
+    root = tree.nodes[0]
+    stack: list[tuple[DocNode, int | None, str, int | None, str]] = [
+        (root, None, "", None, root.text.strip())]
     while stack:
-        node, parent, context_here, owner = stack.pop()
+        node, parent, context_here, owner, fallback = stack.pop()
         if not node.children:
             continue
         is_block = node.kind is Kind.LIST_BLOCK
@@ -113,15 +120,18 @@ def build_chunks(tree: DocTree) -> ChunkSet:
                     groups[key] = (context, [])
                 groups[key][1].append(child)
             item = is_block or group is not None
-            below.append((child, node.id, context, child.id if item else owner))
-            if child.kind in _CONTEXT_DONOR_KINDS and child.text.strip():
+            text = child.text.strip()
+            below.append((child, node.id, context, child.id if item else owner,
+                          text if text and child.kind is Kind.HEADING
+                          else fallback))
+            if text and child.kind in _CONTEXT_DONOR_KINDS:
                 sentences = tree.sentences[child.id]
-                context = sentences[-1] if sentences else child.text.strip()
+                context = sentences[-1] if sentences else text
         if is_block:
             emit(ChunkKind.LIST, [entry[0] for entry in below], context_here,
-                 node.id, parent, owner)
+                 node.id, parent, owner, fallback)
         for (kind, _), (group_context, items) in groups.items():
-            emit(kind, items, group_context, node.id, node.id, owner)
+            emit(kind, items, group_context, node.id, node.id, owner, fallback)
         stack.extend(reversed(below))
 
     return ChunkSet(chunks=chunks, child_chunks=child_chunks)

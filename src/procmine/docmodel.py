@@ -119,11 +119,6 @@ class DocTree:
     source_name: str = ""
 
     @cached_property
-    def parents(self) -> dict[int, int]:
-        """Node id -> its parent's id, for every node but the title."""
-        return {child: node.id for node in self.nodes for child in node.children}
-
-    @cached_property
     def sentences(self) -> tuple[tuple[str, ...], ...]:
         """Entry i: node i's sentences, split once per document."""
         return tuple(tuple(lingua.split_sentences(node.text)) for node in self.nodes)

@@ -1,15 +1,16 @@
 """Turn procedure-labeled chunks into serializable procedure objects.
 
-Each procedure-labeled chunk yields exactly one procedure: its items
-become steps in document order with actionable/conditional flags. A step
-whose node dominates another procedure-labeled chunk links to it through
-childProcedureId; otherwise each non-procedure list chunk directly below
-the step is folded in as sub-steps carrying parentStepId.
+Each procedure-labeled chunk yields exactly one procedure: its goal is
+the chunk's (see `chunker`), and its items become steps in document order
+with actionable/conditional flags. A step whose node dominates another
+procedure-labeled chunk links to it through childProcedureId; otherwise
+each non-procedure list chunk directly below the step is folded in as
+sub-steps carrying parentStepId.
 
 Folding uses an explicit stack, so any nesting depth works: steps come in
 preorder (a step, then its folded sub-steps, then its next sibling), are
-numbered s1, s2, ... in that order, and read their flags from one node id
--> (actionable, conditional) table built per document.
+numbered s1, s2, ... in that order, and each reads its flags off its
+item's annotation: its own chunk's, or the folded list chunk's.
 
 Every link resolves by construction: a sub-step's parentStepId names the
 step popped just before its own entry was pushed, so that step is already
@@ -23,9 +24,9 @@ from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .annotate import ChunkAnnotation
-from .chunker import Chunk, ChunkKind, ChunkSet
+from .chunker import ChunkKind, ChunkSet
 from .classifier import ChunkPrediction
-from .docmodel import DocTree, Kind
+from .docmodel import DocTree
 
 _JSON_BOOLS = {True: "true", False: "false"}
 
@@ -45,26 +46,6 @@ class Procedure(NamedTuple):
     step_list: tuple[Step, ...]
 
 
-def _nearest_heading_text(tree: DocTree, node_id: int) -> str | None:
-    current = tree.parents.get(node_id)
-    while current is not None:
-        node = tree.nodes[current]
-        if node.kind is Kind.HEADING and node.text.strip():
-            return node.text.strip()
-        current = tree.parents.get(current)
-    return None
-
-
-def _goal_for(chunk: Chunk, tree: DocTree) -> str:
-    context = chunk.context_text.strip()
-    if context:
-        return context
-    heading = _nearest_heading_text(tree, chunk.item_node_ids[0])
-    if heading:
-        return heading
-    return tree.nodes[0].text.strip()
-
-
 def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
             tree: DocTree,
             annotations: dict[int, ChunkAnnotation]) -> list[Procedure]:
@@ -76,34 +57,30 @@ def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
         key=lambda cid: chunks.chunks[cid].item_node_ids[0])
     sequence_ids = {cid: f"seq-{i}" for i, cid in enumerate(procedure_chunks, 1)}
 
-    flags = {item.node_id: (item.actionable, item.conditional)
-             for annotation in annotations.values() for item in annotation.items}
-
     procedures: list[Procedure] = []
     for chunk_id in procedure_chunks:
-        chunk = chunks.chunks[chunk_id]
         steps: list[Step] = []
-        stack = [(node_id, None) for node_id in reversed(chunk.item_node_ids)]
+        stack = [(item, None) for item in reversed(annotations[chunk_id].items)]
         while stack:
-            node_id, parent_step = stack.pop()
-            below = chunks.child_chunks.get(node_id, ())
+            item, parent_step = stack.pop()
+            below = chunks.child_chunks.get(item.node_id, ())
             link = next((sequence_ids[c] for c in below if labels.get(c)), None)
-            actionable, conditional = flags[node_id]
             step_id = f"s{len(steps) + 1}"
-            steps.append(Step(step_id=step_id, text=tree.nodes[node_id].text,
-                              actionable=actionable, conditional=conditional,
+            steps.append(Step(step_id=step_id, text=tree.nodes[item.node_id].text,
+                              actionable=item.actionable,
+                              conditional=item.conditional,
                               parent_step_id=parent_step,
                               child_procedure_id=link))
             if link is not None:
                 continue  # the nested content lives in its own procedure
             # no chunk below is a procedure: its list chunks become sub-steps
-            folded = [(sub_node, step_id) for child_id in below
+            folded = [(sub_item, step_id) for child_id in below
                       if chunks.chunks[child_id].kind is ChunkKind.LIST
-                      for sub_node in chunks.chunks[child_id].item_node_ids]
+                      for sub_item in annotations[child_id].items]
             stack.extend(reversed(folded))
 
         procedures.append(Procedure(sequence_id=sequence_ids[chunk_id],
-                                    goal=_goal_for(chunk, tree),
+                                    goal=chunks.chunks[chunk_id].goal,
                                     step_list=tuple(steps)))
     return procedures
 

@@ -27,6 +27,11 @@ def corpus_dir() -> Path:
 # nothing afterwards; this independent check of the shape they guarantee
 # runs over random, fuzzed and corpus trees in the tests.
 
+def parents(tree: DocTree) -> dict[int, int]:
+    """Node id -> its parent's id, for every node but the title."""
+    return {child: node.id for node in tree.nodes for child in node.children}
+
+
 def validate_tree(tree: DocTree) -> list[str]:
     """Return a violation descriptor per broken invariant (empty when valid).
     Nodes are named by their position in `tree.nodes`."""
@@ -192,6 +197,7 @@ def tree_to_sdjson(tree: DocTree) -> dict:
 
     root = tree.nodes[0]
     assert not root.associated_image, "the title has an image"
+    parent_of = parents(tree)
     elements = []
     for node in tree.nodes:
         if node.kind is Kind.HEADING:
@@ -200,7 +206,7 @@ def tree_to_sdjson(tree: DocTree) -> dict:
         elif node.kind is Kind.PARAGRAPH:
             elements.append({"type": "paragraph", "text": node.text, **image(node)})
         elif (node.kind is Kind.LIST_BLOCK
-              and tree.nodes[tree.parents[node.id]].kind is not Kind.LIST_ITEM):
+              and tree.nodes[parent_of[node.id]].kind is not Kind.LIST_ITEM):
             elements.append(spell_list(node))
     return {"version": "sdjson/1", "title": root.text, "elements": elements}
 

@@ -23,7 +23,7 @@ from procmine.linear import TrainParams
 from procmine.lingua import Tagger, detect_conditional
 from procmine.relatedness import project, relatedness_score
 
-from conftest import check_links, random_tree, validate_tree
+from conftest import check_links, parents, random_tree, validate_tree
 from test_relatedness import brute_force_score, random_graph
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,9 +81,10 @@ def test_chunker_partition_property():
         assert validate_tree(tree) == []
         chunks = build_chunks(tree)
         seen = set()
+        parent_of = parents(tree)
         for chunk in chunks:
             assert chunk.item_node_ids
-            assert {tree.parents.get(n) for n in chunk.item_node_ids} == \
+            assert {parent_of.get(n) for n in chunk.item_node_ids} == \
                 {chunk.parent_node_id}
             assert {tree.nodes[n].depth for n in chunk.item_node_ids} == \
                 {chunk.depth}

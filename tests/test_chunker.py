@@ -8,7 +8,8 @@ from procmine import pipeline
 from procmine.chunker import Chunk, ChunkKind, build_chunks, chunk_size
 from procmine.docmodel import DocTree, Kind, parse_markdown, parse_sdjson
 
-from conftest import assert_children_deeper, deep_list_markdown, random_tree
+from conftest import (assert_children_deeper, deep_list_markdown, make_tree,
+                      parents, random_tree)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -161,10 +162,11 @@ class TestPartitionProperty:
     def assert_partition(self, tree):
         chunks = build_chunks(tree)
         seen: dict[int, int] = {}
+        parent_of = parents(tree)
         for chunk in chunks:
             assert chunk.item_node_ids, "empty chunk"
-            parents = {tree.parents.get(nid) for nid in chunk.item_node_ids}
-            assert parents == {chunk.parent_node_id}
+            item_parents = {parent_of.get(nid) for nid in chunk.item_node_ids}
+            assert item_parents == {chunk.parent_node_id}
             depths = {tree.nodes[nid].depth for nid in chunk.item_node_ids}
             assert depths == {chunk.depth}
             for nid in chunk.item_node_ids:
@@ -182,14 +184,16 @@ class TestPartitionProperty:
 # ---------------------------------------------------------------------------
 # Oracle: the chunker before its one-pass walk. It groups in preorder, then
 # rebuilds every chunk with a backwards scan of its anchor's siblings for
-# the context, then walks up from each chunk to the chunk item dominating it.
+# the context and a walk up from its first item for the goal (the walk the
+# extractor made), then walks up from each chunk to the chunk item
+# dominating it.
 
 _DONORS = (Kind.PARAGRAPH, Kind.HEADING, Kind.TITLE)
 
 
-def _oracle_context(tree, kind, items, parent):
+def _oracle_context(tree, parent_of, kind, items, parent):
     anchor = parent if kind is ChunkKind.LIST else items[0]
-    parent_id = tree.parents.get(anchor)
+    parent_id = parent_of.get(anchor)
     if parent_id is None:
         return ""
     siblings = tree.nodes[parent_id].children
@@ -201,7 +205,22 @@ def _oracle_context(tree, kind, items, parent):
     return tree.nodes[parent_id].text.strip()
 
 
+def _oracle_goal(tree, parent_of, context, first_item):
+    """The context, else the nearest heading with text above the first
+    item, else the title."""
+    if context.strip():
+        return context.strip()
+    current = parent_of.get(first_item)
+    while current is not None:
+        node = tree.nodes[current]
+        if node.kind is Kind.HEADING and node.text.strip():
+            return node.text.strip()
+        current = parent_of.get(current)
+    return tree.nodes[0].text.strip()
+
+
 def oracle_chunks(tree):
+    parent_of = parents(tree)
     groups = []  # (kind, items, parent)
     for node in tree.nodes:
         if node.kind is Kind.LIST_BLOCK:
@@ -228,18 +247,19 @@ def oracle_chunks(tree):
     chunks, is_item = {}, set()
     for chunk_id, (kind, items, parent) in enumerate(groups, start=1):
         depth = tree.nodes[items[0]].depth
-        intro = tree.parents.get(parent) if kind is ChunkKind.LIST else parent
+        intro = parent_of.get(parent) if kind is ChunkKind.LIST else parent
+        context = _oracle_context(tree, parent_of, kind, items, parent)
         chunks[chunk_id] = Chunk(
             id=chunk_id, kind=kind, item_node_ids=tuple(items), depth=depth,
-            context_text=_oracle_context(tree, kind, items, parent),
-            parent_node_id=parent, intro_node_id=intro)
+            context_text=context, parent_node_id=parent, intro_node_id=intro,
+            goal=_oracle_goal(tree, parent_of, context, items[0]))
         is_item.update(items)
 
     child_chunks = {}
     for chunk in chunks.values():
         current = chunk.parent_node_id
         while current is not None and current not in is_item:
-            current = tree.parents.get(current)
+            current = parent_of.get(current)
         if current is not None:
             child_chunks.setdefault(current, []).append(chunk.id)
     return chunks, child_chunks
@@ -268,6 +288,31 @@ class TestOnePassOracle:
         tree = md_tree("# T\nIntro. Then this.\n\n- a\n- b\n\n## H\nOne.\n\n"
                        "1. x\n  - y\n    1. z\n2. w\n\nLast words.\n\n- q")
         assert_matches_oracle(tree)
+
+    BLANKABLE = (Kind.HEADING, Kind.LIST_ITEM, Kind.PARAGRAPH)
+
+    def test_500_random_trees_with_blank_texts(self):
+        """About 40% of the heading, item and paragraph texts blank, so
+        chunks lose their context and the goal falls back to a heading with
+        text, or past every heading to the title."""
+        rng = random.Random(7)
+        empty_contexts = heading_goals = title_goals = 0
+        for _ in range(500):
+            tree = random_tree(rng, max_elements=20)
+            tree = make_tree([
+                node._replace(text=rng.choice(("", "  ")))
+                if node.kind in self.BLANKABLE and rng.random() < 0.4 else node
+                for node in tree.nodes])
+            assert_matches_oracle(tree)
+            for chunk in build_chunks(tree):
+                if not chunk.context_text:
+                    empty_contexts += 1
+                    if chunk.goal == tree.nodes[0].text:
+                        title_goals += 1
+                    else:
+                        heading_goals += 1
+        assert empty_contexts > 1000
+        assert heading_goals > 300 and title_goals > 300
 
 
 class TestChildrenDeeperOracle:

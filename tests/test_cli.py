@@ -356,6 +356,15 @@ BAD_INPUTS = {
     "features-duplicate-label-row": (65, lambda d: [
         "features", str(DOC), "--labels",
         write(d / "l.csv", "chunk_id,label\n1,1\n1,0\n"), "-o", str(d / "f.csv")]),
+    "features-labels-missing-chunks": (65, lambda d: [
+        "features", str(DOC), "--labels",
+        write(d / "l.csv", "chunk_id,label\n1,1\n"), "-o", str(d / "f.csv")]),
+    "features-labels-foreign-chunks": (65, lambda d: [
+        "features", str(DOC), "--labels",
+        str(CORPUS / "labels" / "release-notes.labels.csv"), "-o", str(d / "f.csv")]),
+    "features-labels-missing-and-foreign-chunks": (65, lambda d: [
+        "features", str(DOC), "--labels",
+        write(d / "l.csv", "chunk_id,label\n1,1\n7,0\n"), "-o", str(d / "f.csv")]),
     "ablate-ids-not-integer": (64, lambda d: [
         "ablate", "--train", write(d / "f.csv", TWO_CLASS_FEATURES),
         "--test", str(d / "f.csv"), "--seed", "1", "--ids", "x"]),
@@ -505,6 +514,14 @@ BAD_INPUT_MESSAGES = {
     "eval-labels-form-feed-bad-label": lambda d: (
         f"{d / 'g.csv'}, line 3: label must be 0/1 or true/false, got 'x'"),
     "train-features-not-utf8": lambda d: f"{d / 'f.csv'}, line 3: not UTF-8",
+    "features-labels-missing-chunks":
+        lambda d: f"{d / 'l.csv'}: no label for chunks [2, 3, 4]",
+    "features-labels-foreign-chunks": lambda d: (
+        f"{CORPUS / 'labels' / 'release-notes.labels.csv'}: "
+        "labels chunks [5, 6, 7, 8, 9] that the document lacks"),
+    "features-labels-missing-and-foreign-chunks": lambda d: (
+        f"{d / 'l.csv'}: no label for chunks [2, 3, 4]; "
+        "labels chunks [7] that the document lacks"),
 }
 
 

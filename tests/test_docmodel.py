@@ -14,9 +14,9 @@ from procmine.actionable import ActionableModel
 from procmine.classifier import ProcedureClassifierModel
 
 from conftest import (CORPUS_DIR, assert_well_formed, make_tree, node_fields,
-                      oracle_parse_markdown, oracle_strip_images, random_sdjson,
-                      sdjson_to_markdown, tree_json_node_fields, tree_to_sdjson,
-                      validate_tree)
+                      oracle_parse_markdown, oracle_strip_images, parents,
+                      random_sdjson, sdjson_to_markdown, tree_json_node_fields,
+                      tree_to_sdjson, validate_tree)
 
 CORPUS_DOCS = [*sorted((CORPUS_DIR / "docs").glob("*.md")),
                CORPUS_DIR / "nested-fixture.md"]
@@ -87,9 +87,10 @@ class TestParseSdjson:
             {"type": "heading", "level": 1, "text": "H1b"},
         ]))
         h1, h2, para, h1b = tree.nodes[1:]
-        assert tree.parents.get(h2.id) == h1.id
-        assert tree.parents.get(para.id) == h2.id
-        assert tree.parents.get(h1b.id) == 0
+        parent_of = parents(tree)
+        assert parent_of.get(h2.id) == h1.id
+        assert parent_of.get(para.id) == h2.id
+        assert parent_of.get(h1b.id) == 0
 
     def test_schema_error_carries_path(self):
         with pytest.raises(SchemaError, match=r"\$\.elements\[0\]"):

@@ -126,6 +126,13 @@ class TestExtract:
             "# Manual\n## Creating the cluster\n" + self.FIGURE_ITEM_LIST,
             "Creating the cluster")
 
+    def test_empty_context_goal_skips_a_heading_without_text(self):
+        # the heading between the list and "Creating the cluster" is only
+        # an image, so its stripped text is empty
+        self.assert_empty_context_goal(
+            "# Manual\n## Creating the cluster\n### ![](fig.png)\n"
+            + self.FIGURE_ITEM_LIST, "Creating the cluster")
+
     def test_empty_context_goal_is_the_title_without_a_heading(self):
         self.assert_empty_context_goal("# Manual\n" + self.FIGURE_ITEM_LIST,
                                        "Manual")

@@ -27,7 +27,7 @@ FIELDS = {
                      "effect_imperative"),
     ChunkAnnotation: ("items", "parent_is_goal", "relatedness"),
     Chunk: ("id", "kind", "item_node_ids", "depth", "context_text",
-            "parent_node_id", "intro_node_id"),
+            "parent_node_id", "intro_node_id", "goal"),
     ChunkPrediction: ("chunk_id", "depth", "label", "margin",
                       "feature_snapshot"),
     Step: ("step_id", "text", "actionable", "conditional", "parent_step_id",
