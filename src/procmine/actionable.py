@@ -143,7 +143,7 @@ class ActionableModel(linear.LinearModel):
     def _read_header(cls, doc: dict) -> dict:
         entries = list(enumerate(require(doc, "vocabulary", list, "$", dict)))
         terms, dfs, idfs = (
-            tuple(require(e, key, kind, f"$.vocabulary[{i}]") for i, e in entries)
+            tuple(require(e, key, kind, ("$.vocabulary", i)) for i, e in entries)
             for key, kind in [("term", str), ("df", int), ("idf", float)])
         return {"vocabulary": Vocabulary(
             terms=terms, document_frequency=dfs, idf=idfs,

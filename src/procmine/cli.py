@@ -549,14 +549,10 @@ def _cmd_features(args) -> int:
     vectors = run.static_features
     if args.labels:
         labels = read_labels_csv(args.labels)
-        missing = [chunk.id for chunk in run.chunks if chunk.id not in labels]
-        foreign = sorted(labels.keys() - run.chunks.chunks.keys())
-        if missing or foreign:  # teacher forcing needs every chunk's label
-            raise CliError(f"{args.labels}: " + "; ".join(
-                ([f"no label for chunks {missing}"] if missing else [])
-                + ([f"labels chunks {foreign} that the document lacks"]
-                   if foreign else [])), EX_DATA)
-        vectors = pipeline.teacher_forced_features(run, labels)
+        try:
+            vectors = pipeline.teacher_forced_features(run, labels)
+        except pipeline.LabelMismatch as exc:
+            raise CliError(f"{args.labels}: {exc}", EX_DATA)
     _write_or_print(feature_csv_rows(vectors, labels), args.output)
 
     if args.chunk_dump:

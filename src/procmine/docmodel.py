@@ -5,13 +5,17 @@ format (``sdjson/1``) emitted by upstream converters, and a Markdown subset
 for authoring test corpora by hand, read in one pass over its lines as
 `lingua.input_lines` ends them. Both build through one `_Builder`, which
 alone keeps the heading outline and sets every node's parent and depth, so
-a parsed tree needs no separate validation pass. Trees are
-immutable once built: each `DocNode` is a NamedTuple, built by keyword
-in 0.8 us where a frozen dataclass took 1.9-2.2 us (more in `annotate`),
-and `DocTree` a dataclass read as frozen, for its cached properties. A
-malformed document raises `SchemaError`.
+a parsed tree needs no separate validation pass. The builder keeps each
+node as one row, a list in `DocNode` field order, and `freeze` makes each
+row a `DocNode` with `_make`: on a 2-core virtual machine a 1k-node
+sdjson document parses in about 1.8 ms, where one dict per node, then a
+`DocNode` built by keyword from it, took 2.7 ms. Trees are immutable once built: each `DocNode` is a
+NamedTuple and `DocTree` a dataclass read as frozen, for its cached
+properties. A malformed document raises `SchemaError`.
 `load_json` reads every JSON input file, documents and model files alike,
-and `require` every field, so a bad one is a `SchemaError` naming its path.
+and `require` every field, so a bad one is a `SchemaError` naming its
+path. Valid input formats no path: a path is passed as its parent path
+and the key or index below it, and only an error writes it out.
 """
 
 from __future__ import annotations
@@ -40,8 +44,20 @@ class SchemaError(ValueError):
     """A document or model file that is not UTF-8 or not JSON, or a bad
     JSON field, whose path (`$.elements[2]`) starts the message."""
 
-    def __init__(self, message: str, path: str = ""):
+    def __init__(self, message: str, path: str | tuple = ""):
+        path = _json_path(path)
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def _json_path(path: str | tuple) -> str:
+    """The text of a JSON path, given as its text or as the pair (parent
+    path, key or list index), which only an error writes out: `$.a` for
+    the key `a` below `$`, `$.a[2]` for the index 2 below `$.a`."""
+    keys = []
+    while type(path) is not str:  # a loop: sublists nest as deep as JSON may
+        path, key = path
+        keys.append(f"[{key}]" if type(key) is int else f".{key}")
+    return path + "".join(reversed(keys))
 
 
 def load_json(data: bytes | str) -> dict:
@@ -63,20 +79,23 @@ def load_json(data: bytes | str) -> dict:
     return doc
 
 
-def require(mapping: dict, key: str, kind: type, path: str, each: type | None = None):
+def require(mapping: dict, key: str, kind: type, path: str | tuple,
+            each: type | None = None):
     """The field `key` of the object at JSON path `path`; SchemaError unless
     it is there and of `kind` (see `_of_kind`), and, when `each` is given,
-    a list whose every entry is of `each` (the error names its path)."""
+    a list whose every entry is of `each` (the error names its path). The
+    path is written out only into an error, so pass a list entry's path as
+    the pair (list path, index) rather than formatting it."""
     if key not in mapping:
         raise SchemaError(f"missing field '{key}'", path)
     value = _of_kind(mapping[key], kind, path, key)
     if each is not None:
-        value = [_of_kind(entry, each, f"{path}.{key}", i)
-                 for i, entry in enumerate(value)]
+        where = (path, key)
+        value = [_of_kind(entry, each, where, i) for i, entry in enumerate(value)]
     return value
 
 
-def _of_kind(value, kind: type, path: str, key: str | int):
+def _of_kind(value, kind: type, path: str | tuple, key: str | int):
     """`value` if it is of `kind`: of that exact JSON type (so a bool is no
     int), or an int within float range for `float`, the number kind (given
     as a float); a str must also be encodable as UTF-8. Else SchemaError
@@ -85,7 +104,7 @@ def _of_kind(value, kind: type, path: str, key: str | int):
         return value
     if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)
-    path, what = ((f"{path}[{key}]", "entry") if type(key) is int
+    path, what = (((path, key), "entry") if type(key) is int
                   else (path, f"field '{key}'"))
     if type(value) is not kind:
         raise SchemaError(f"{what} must be {kind.__name__}", path)
@@ -130,20 +149,22 @@ class DocTree:
         return [0, *accumulate(map(len, self.sentences))]
 
 
+# Indexes into a `_Builder` row, which lists a node's fields in `DocNode` order.
+_TEXT, _DEPTH, _CHILDREN, _IMAGE = 2, 3, 4, 7
+
+
 class _Builder:
     """Accumulates nodes with list-valued children, then freezes them.
 
     The only code that decides tree shape: it keeps the heading outline,
     gives each node its parent's depth plus one and attaches it. Parsers add
-    nodes in document order, so node ids are preorder indexes.
+    nodes in document order, so node ids are preorder indexes. Each node is
+    one row, a list of its `DocNode` fields in order.
     """
 
     def __init__(self, source_name: str, title: str):
         self.source_name = source_name
-        self._nodes: list[dict] = [{
-            "id": 0, "kind": Kind.TITLE, "text": title, "depth": 0,
-            "children": [], "level": None, "ordered": None, "image": False,
-        }]
+        self._rows: list[list] = [[0, Kind.TITLE, title, 0, [], None, None, False]]
         # Outline stack of (heading level, node id); the title acts as level 0.
         self._outline: list[tuple[int, int]] = [(0, 0)]
         # Node id -> its text pieces, for the nodes `extend` gave text.
@@ -156,13 +177,11 @@ class _Builder:
 
     def child(self, parent: int, kind: Kind, text: str, *, level: int | None = None,
               ordered: bool | None = None, image: bool = False) -> int:
-        node_id = len(self._nodes)
-        self._nodes.append({
-            "id": node_id, "kind": kind, "text": text,
-            "depth": self._nodes[parent]["depth"] + 1, "children": [],
-            "level": level, "ordered": ordered, "image": image,
-        })
-        self._nodes[parent]["children"].append(node_id)
+        rows = self._rows
+        node_id = len(rows)
+        row = rows[parent]
+        rows.append([node_id, kind, text, row[_DEPTH] + 1, [], level, ordered, image])
+        row[_CHILDREN].append(node_id)
         return node_id
 
     def heading(self, level: int, text: str, image: bool) -> int:
@@ -175,31 +194,27 @@ class _Builder:
         return node_id
 
     def set_text(self, node_id: int, text: str) -> None:
-        self._nodes[node_id]["text"] = text
+        self._rows[node_id][_TEXT] = text
 
     def extend(self, node_id: int, text: str = "", image: bool = False) -> None:
         """Append stripped continuation text and an image flag to an existing
         node. `freeze` joins the node's non-empty pieces once, by spaces."""
         if text:
-            self._pieces.setdefault(node_id, [self._nodes[node_id]["text"]]).append(text)
+            self._pieces.setdefault(node_id, [self._rows[node_id][_TEXT]]).append(text)
         if image:
-            self._nodes[node_id]["image"] = True
+            self._rows[node_id][_IMAGE] = True
 
     def children(self, node_id: int) -> list[int]:
-        return self._nodes[node_id]["children"]
+        return self._rows[node_id][_CHILDREN]
 
     def freeze(self) -> DocTree:
+        rows = self._rows
         for node_id, pieces in self._pieces.items():
-            self._nodes[node_id]["text"] = " ".join(filter(None, pieces))
-        nodes = tuple(
-            DocNode(
-                id=raw["id"], kind=raw["kind"], text=raw["text"], depth=raw["depth"],
-                children=tuple(raw["children"]), level=raw["level"],
-                ordered=raw["ordered"], associated_image=raw["image"],
-            )
-            for raw in self._nodes
-        )
-        return DocTree(nodes=nodes, source_name=self.source_name)
+            rows[node_id][_TEXT] = " ".join(filter(None, pieces))
+        for row in rows:
+            row[_CHILDREN] = tuple(row[_CHILDREN])
+        return DocTree(nodes=tuple(map(DocNode._make, rows)),
+                       source_name=self.source_name)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +223,13 @@ class _Builder:
 SDJSON_VERSION = "sdjson/1"
 
 
-def _image(mapping: dict, path: str) -> bool:
+def _image(mapping: dict, path: tuple) -> bool:
     """An absent flag is false; anything but a JSON boolean is an error."""
     return "image" in mapping and require(mapping, "image", bool, path)
 
 
 def _open_list(builder: _Builder, parent: int, obj: dict,
-               path: str) -> tuple[int, Iterator[tuple[int, dict]], str]:
+               path: str | tuple) -> tuple[int, Iterator[tuple[int, dict]], tuple]:
     if "type" in obj and obj["type"] != "list":
         raise SchemaError("sublist must have type 'list'", path)
     ordered = require(obj, "ordered", bool, path)
@@ -222,23 +237,23 @@ def _open_list(builder: _Builder, parent: int, obj: dict,
     if not items:
         raise SchemaError("field 'items' must be non-empty", path)
     block = builder.child(parent, Kind.LIST_BLOCK, "", ordered=ordered)
-    return block, enumerate(items), path
+    return block, enumerate(items), (path, "items")
 
 
-def _add_list(builder: _Builder, parent: int, obj: dict, path: str) -> None:
+def _add_list(builder: _Builder, parent: int, obj: dict, path: str | tuple) -> None:
     """Add a list and its sublists in document order. One stack entry per
-    open list: (block id, its items not yet added, path)."""
+    open list: (block id, its items not yet added, the path of its items)."""
     stack = [_open_list(builder, parent, obj, path)]
     while stack:
-        block, items, path = stack[-1]
+        block, items, items_path = stack[-1]
         for i, item in items:
-            item_path = f"{path}.items[{i}]"
+            item_path = (items_path, i)
             text = require(item, "text", str, item_path)
             node = builder.child(block, Kind.LIST_ITEM, text,
                                  image=_image(item, item_path))
             if "sublist" in item:
                 sub = require(item, "sublist", dict, item_path)
-                stack.append(_open_list(builder, node, sub, f"{item_path}.sublist"))
+                stack.append(_open_list(builder, node, sub, (item_path, "sublist")))
                 break  # the sublist's items come before this list's next item
         else:
             stack.pop()
@@ -262,7 +277,7 @@ def parse_sdjson(data: bytes | str, source_name: str = "") -> DocTree:
 
     builder = _Builder(source_name or title, title.strip())
     for i, element in enumerate(elements):
-        path = f"$.elements[{i}]"
+        path = ("$.elements", i)
         etype = require(element, "type", str, path)
         if etype == "heading":
             level = require(element, "level", int, path)

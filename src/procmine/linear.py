@@ -180,7 +180,7 @@ class LinearModel:
                                   "$.version")
             ranges = list(enumerate(require(doc, "scaler", list, "$", dict)))
             mins, maxs = (
-                tuple(require(r, key, float, f"$.scaler[{i}]") for i, r in ranges)
+                tuple(require(r, key, float, ("$.scaler", i)) for i, r in ranges)
                 for key in ("min", "max"))
             fields = dict(weights=tuple(require(doc, "weights", list, "$", float)),
                           bias=require(doc, "bias", float, "$"),

@@ -192,9 +192,12 @@ _ABBREVIATIONS = frozenset({
     "e.g", "i.e", "etc", "cf", "vs", "no", "fig", "eq", "al", "approx",
     "dr", "mr", "mrs", "ms", "st", "ver", "rev", "sec", "min", "max",
 })
-# A boundary starts a run of terminal marks: finditer never starts a match
-# inside one, and the lookbehind spares it from trying at every mark.
-_BOUNDARY_RE = re.compile(r"(?<![.!?])[.!?]+(?=\s+[A-Z0-9])")
+# A boundary is a whole run of terminal marks: finditer never starts a match
+# inside one. The class comes first so that `re` jumps from mark to mark; a
+# leading lookbehind made it try the whole pattern at every position. The
+# lookbehind then refuses a mark with a mark before it at once, so a long
+# run of marks stays linear.
+_BOUNDARY_RE = re.compile(r"[.!?](?<![.!?]{2})[.!?]*(?=\s+[A-Z0-9])")
 _WORD_RUN_RE = re.compile(r"[\w.]+")  # matched on the reversed text
 _PAREN_RE = re.compile(r"[()]")
 
@@ -218,12 +221,13 @@ def split_sentences(text: str) -> list[str]:
     whitespace and a capital or digit, guarding abbreviations and short
     parenthesized spans. Linear in the text length. Most node texts hold
     no boundary at all (192 of the 204 in the bundled corpus): those skip
-    the parenthesis scan and the reversed copy, and come back stripped."""
+    the parenthesis scan and the reversed copy, and come back stripped.
+    A text with no `(` has no parenthesized span, so it skips the scan."""
     if _BOUNDARY_RE.search(text) is None:
         text = text.strip()
         return [text] if text else []
     guarded = {i for a, b in _paren_spans(text) if b - a < 40  # short spans
-               for i in range(a + 1, b)}
+               for i in range(a + 1, b)} if "(" in text else ()
     reverse = text[::-1]
     cuts: list[int] = []
     for match in _BOUNDARY_RE.finditer(text):

@@ -138,11 +138,28 @@ def run_document(tree: DocTree, actionable_model: ActionableModel | None,
     return run
 
 
+class LabelMismatch(ValueError):
+    """Gold labels that do not label exactly a document's chunks: the ids
+    of the chunks they give no label, and of those the document lacks."""
+
+    def __init__(self, missing: list[int], foreign: list[int]):
+        super().__init__("; ".join(
+            ([f"no label for chunks {missing}"] if missing else [])
+            + ([f"labels chunks {foreign} that the document lacks"]
+               if foreign else [])))
+
+
 def teacher_forced_features(run: DocumentRun,
                             gold: dict[int, bool]) -> dict[int, FeatureVector]:
     """Feature vectors with the propagated pair filled in from gold labels
     of dominated chunks (training-time propagation): the rule that
-    `classifier.classify_tree` applies to its own labels."""
+    `classifier.classify_tree` applies to its own labels. Teacher forcing
+    reads every chunk's label, so LabelMismatch unless `gold` labels
+    exactly the run's chunks."""
+    missing = [chunk.id for chunk in run.chunks if chunk.id not in gold]
+    foreign = sorted(gold.keys() - run.chunks.chunks.keys())
+    if missing or foreign:
+        raise LabelMismatch(missing, foreign)
     return {chunk.id: features.update_propagated_features(
                 run.annotations[chunk.id],
                 features.child_flags(chunk, run.chunks, gold),

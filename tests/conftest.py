@@ -296,11 +296,11 @@ def oracle_strip_images(text: str) -> tuple[str, bool]:
 
 class _OracleBuilder(docmodel._Builder):
     def extend(self, node_id: int, text: str = "", image: bool = False) -> None:
-        raw = self._nodes[node_id]
+        row = self._rows[node_id]
         if text:
-            raw["text"] = (raw["text"] + " " + text).strip()
+            row[docmodel._TEXT] = (row[docmodel._TEXT] + " " + text).strip()
         if image:
-            raw["image"] = True
+            row[docmodel._IMAGE] = True
 
 
 class _OracleMarkdownParser:
@@ -404,6 +404,9 @@ def oracle_parse_markdown(text: str, source_name: str = "document") -> DocTree:
 # checked every short parenthesized span.
 
 _ORACLE_BOUNDARY_RE = re.compile(r"[.!?]+(?=\s+[A-Z0-9])")
+# `lingua._BOUNDARY_RE` while its lookbehind came first: the same whole
+# runs of terminal marks, but `re` tried the pattern at every position.
+ORACLE_RUN_BOUNDARY_RE = re.compile(r"(?<![.!?])[.!?]+(?=\s+[A-Z0-9])")
 
 
 def oracle_paren_spans(text: str) -> list[tuple[int, int]]:

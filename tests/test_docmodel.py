@@ -466,6 +466,16 @@ class TestCorpusThroughSdjson:
         assert output(reparsed, models) == golden.read_bytes()
 
 
+@pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda path: path.name)
+def test_tree_json_equals_its_golden_file(path):
+    """The `ingest` bytes of each corpus document, as the builder kept
+    one dict per node: the Markdown oracle and the sdjson round trip both
+    build through `_Builder`, so only these check it from outside."""
+    golden = CORPUS_DIR / "golden" / (path.stem + ".tree.json")
+    assert tree_to_json(pipeline.load_document(path)).encode("utf-8") == \
+        golden.read_bytes()
+
+
 def list_blocks(tree) -> int:
     return sum(node.kind is Kind.LIST_BLOCK for node in tree.nodes)
 

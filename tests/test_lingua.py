@@ -11,7 +11,8 @@ from procmine.lingua import (ADV, DET, NOUN, PUNCT, VB, VBD, VBG, VBN, VBZ,
                              split_sentences)
 from procmine.pipeline import load_document
 
-from conftest import CORPUS_DIR, oracle_paren_spans, oracle_split_sentences
+from conftest import (CORPUS_DIR, ORACLE_RUN_BOUNDARY_RE, oracle_paren_spans,
+                      oracle_split_sentences)
 
 CORPUS_DOCS = sorted((CORPUS_DIR / "docs").glob("*.md")) + [
     CORPUS_DIR / "nested-fixture.md"]
@@ -109,6 +110,54 @@ class TestSplitOracle:
            | st.text(max_size=60))
     def test_paren_spans_match_character_walk(self, text):
         assert lingua._paren_spans(text) == oracle_paren_spans(text)
+
+
+# Text drawn from terminal marks, whitespace, newlines, capitals, digits,
+# parentheses and the abbreviations the split guards.
+BOUNDARY_PIECES = st.sampled_from([
+    ".", "!", "?", " ", "\t", "\n", "A", "Z", "0", "7", "(", ")", "a",
+    *sorted(lingua._ABBREVIATIONS)])
+
+
+class TestBoundaryOracle:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(BOUNDARY_PIECES, max_size=40).map("".join))
+    def test_spans_and_split_match_the_lookbehind_first_pattern(self, text):
+        assert ([m.span() for m in lingua._BOUNDARY_RE.finditer(text)]
+                == [m.span() for m in ORACLE_RUN_BOUNDARY_RE.finditer(text)])
+        assert split_sentences(text) == oracle_split_sentences(text)
+
+
+def best_split_seconds(small: str, large: str) -> tuple[float, float]:
+    """The least of 3 runs of the split on each text, interleaved."""
+    best = [float("inf"), float("inf")]
+    for _ in range(3):
+        for i, text in enumerate((small, large)):
+            started = time.perf_counter()
+            split_sentences(text)
+            best[i] = min(best[i], time.perf_counter() - started)
+    return best[0], best[1]
+
+
+class TestSplitIsLinear:
+    """Split time grows linearly with the text: 8 times the size takes
+    about 8 times as long (a quadratic form, about 64 times), so a ratio
+    below 24 leaves room for the machine's speed to swing."""
+
+    @pytest.mark.parametrize("tail", [" A", " a"], ids=["boundary", "none"])
+    def test_long_run_of_marks_is_linear(self, tail):
+        """Only the run's first mark passes the boundary's lookbehind; a
+        pattern that tried a match from every mark of the run, each reading
+        the run to its end, would be quadratic."""
+        small, large = best_split_seconds(
+            *("." * n + tail for n in (2_500, 20_000)))
+        assert large / small < 24
+
+    def test_many_parentheses_around_one_boundary_are_linear(self):
+        """Unclosed `(` before the boundary and closed pairs after it."""
+        small, large = best_split_seconds(
+            *("(" * n + "Run it. Then stop. " + "()" * n for n in (2_500, 20_000)))
+        assert large / small < 24
 
 
 class TestTagger:

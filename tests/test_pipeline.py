@@ -159,6 +159,18 @@ class TestPipelineProperties:
         assert labels == {1: True, 2: True, 3: True}
 
 
+class TestTeacherForcingLabels:
+    def test_labels_must_cover_exactly_the_chunks(self, models):
+        run = pipeline.analyze(
+            pipeline.load_document(CORPUS / "docs" / "appliance-quickstart.md"),
+            models[0])
+        with pytest.raises(pipeline.LabelMismatch) as caught:
+            pipeline.teacher_forced_features(run, {1: True, 42: False})
+        assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == ("no label for chunks [2, 3, 4]; "
+                                     "labels chunks [42] that the document lacks")
+
+
 class TestOnePropagationRule:
     """Inference and teacher forcing share `features.child_flags`: given the
     classifier's own labels as gold, teacher forcing rebuilds every vector
