@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linear
 from .docmodel import require
@@ -34,20 +34,21 @@ def sentence_terms(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class _VocabularyFields(NamedTuple):
     terms: tuple[str, ...]  # sorted lexicographically
     document_frequency: tuple[int, ...]
     idf: tuple[float, ...]
     total_sentences: int
 
+
+class Vocabulary(_VocabularyFields):
+    """A NamedTuple of the fields above. Unlike a plain NamedTuple it has an
+    instance dict, which caches `index`; `len` counts its four fields."""
+
     @cached_property
     def index(self) -> dict[str, int]:
         """Term -> position in `terms`, built on first use."""
         return {term: i for i, term in enumerate(self.terms)}
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 def build_vocabulary(corpus: list[str]) -> Vocabulary:
@@ -89,14 +90,13 @@ def _features(sentence: TaggedSentence,
               vocab: Vocabulary) -> list[tuple[int, float]]:
     """(index, value) pairs: the tf-idf of the vocabulary terms present, in
     index order, then the present, active and positive bits as 1.0 or 0.0
-    at indices len(vocab) to len(vocab) + 2."""
-    size = len(vocab)
+    at indices len(vocab.terms) to len(vocab.terms) + 2."""
+    size = len(vocab.terms)
     features = sorted(_tf_idf(sentence.text, vocab).items())
     features.extend(zip(range(size, size + 3), map(float, profile(sentence))))
     return features
 
 
-@dataclass(frozen=True)
 class ActionableModel(linear.LinearModel):
     """Weights and scaler ranges for the vocabulary's tf-idf terms, in
     index order, then for the three indicators. `predict` leaves out absent
@@ -106,18 +106,22 @@ class ActionableModel(linear.LinearModel):
     strictly increase, each with one df and one idf, and each df is an
     integer from 1 to total_sentences, as `build_vocabulary` writes them."""
 
-    vocabulary: Vocabulary
-
     MODEL_VERSION = "actionable/1 tf=raw idf=ln"
+    _fields = (*linear.LinearModel._fields, "vocabulary")
+
+    def __init__(self, weights, bias, scaler, vocabulary: Vocabulary):
+        vars(self)["vocabulary"] = vocabulary
+        super().__init__(weights, bias, scaler)
 
     @property
     def n_features(self) -> int:
-        return len(self.vocabulary) + 3
+        return len(self.vocabulary.terms) + 3
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _check(self) -> None:
+        super()._check()
         vocab = self.vocabulary
-        if not len(vocab.document_frequency) == len(vocab.idf) == len(vocab):
+        size = len(vocab.terms)
+        if not len(vocab.document_frequency) == len(vocab.idf) == size:
             raise VersionMismatch("vocabulary needs one df and one idf per term")
         if not all(map(math.isfinite, vocab.idf)):
             raise VersionMismatch("idf must be finite numbers")
@@ -129,7 +133,7 @@ class ActionableModel(linear.LinearModel):
             raise VersionMismatch("each df must be an integer from 1 to "
                                   "total_sentences")
         if not all(0.0 <= lo <= hi for lo, hi in
-                   zip(self.scaler.mins[:len(self.vocabulary)], self.scaler.maxs)):
+                   zip(self.scaler.mins[:size], self.scaler.maxs)):
             raise VersionMismatch(
                 "tf-idf scaler ranges must have 0 <= min <= max")
 
@@ -160,7 +164,7 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
     tagger = tagger or Tagger()
     texts = [text for text, _ in labeled]
     vocab = build_vocabulary(texts)
-    raw = np.zeros((len(texts), len(vocab) + 3))
+    raw = np.zeros((len(texts), len(vocab.terms) + 3))
     for row, text in zip(raw, texts):
         for i, value in _features(tagger.tag(text), vocab):
             row[i] = value

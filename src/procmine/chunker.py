@@ -28,7 +28,6 @@ nesting depth works, and emits each chunk complete:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -55,12 +54,12 @@ class Chunk(NamedTuple):
     goal: str
 
 
-@dataclass(eq=False)
 class ChunkSet:
-    chunks: dict[int, Chunk]
-    # node id -> chunk ids directly dominated by that node (no other chunk
-    # item on the path between the node and the chunk's items)
-    child_chunks: dict[int, list[int]]
+    def __init__(self, chunks: dict[int, Chunk], child_chunks: dict[int, list[int]]):
+        self.chunks = chunks
+        # node id -> chunk ids directly dominated by that node (no other
+        # chunk item on the path between the node and the chunk's items)
+        self.child_chunks = child_chunks
 
     def __iter__(self):
         return iter(self.chunks.values())

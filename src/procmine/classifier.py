@@ -13,7 +13,6 @@ recipe it shares with the actionable model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -31,6 +30,10 @@ N_FEATURES = len(FEATURE_NAMES)
 
 class MissingPrediction(KeyError):
     """A gold-labeled chunk has no prediction."""
+
+
+class UnlabeledPrediction(ValueError):
+    """A predicted chunk has no gold label."""
 
 
 class ProcedureClassifierModel(linear.LinearModel):
@@ -105,8 +108,7 @@ def classify_tree(chunks: ChunkSet,
     return ordered
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     accuracy: float
     precision: float
     recall: float
@@ -117,10 +119,14 @@ class Metrics:
 def evaluate_labels(predicted: dict, gold: dict) -> Metrics:
     """Binary metrics of predicted labels against gold labels, keyed alike,
     with procedures positive; an empty denominator yields 0 with the
-    corresponding flag set."""
+    corresponding flag set. MissingPrediction, or else UnlabeledPrediction,
+    unless both label the same keys."""
     missing = [key for key in gold if key not in predicted]
     if missing:
         raise MissingPrediction(f"no prediction for chunks {sorted(missing)}")
+    if len(predicted) != len(gold):
+        raise UnlabeledPrediction(
+            f"no label for predicted chunks {sorted(predicted.keys() - gold.keys())}")
     tp = fp = fn = tn = 0
     for key, truth in gold.items():
         if predicted[key] and truth:

@@ -367,11 +367,6 @@ def _cmd_extract(args) -> int:
         _check_distinct_stems(inputs)
 
     trees = [_load_document(path, args.format) for path in inputs]
-    # Build both scorers before any worker forks (the lexicons are already
-    # read), so that the workers share them instead of each building its own.
-    for model in (procedure_model, actionable_model):
-        if model is not None:
-            model.scorer  # a cached property, built on first read
 
     def extract_one(index: int, diagnostics: list[tuple[int, str]]) -> None:
         """Run input `index` and write its outputs, after adding its
@@ -594,7 +589,10 @@ def _metrics_fields(metrics: Metrics) -> list[str]:
 def _cmd_eval(args) -> int:
     predicted = read_labels_csv(args.predictions)
     gold = read_labels_csv(args.gold)
-    metrics = classifier_mod.evaluate_labels(predicted, gold)
+    try:
+        metrics = classifier_mod.evaluate_labels(predicted, gold)
+    except classifier_mod.UnlabeledPrediction as exc:
+        raise CliError(f"{args.gold}: {exc}", EX_DATA)
     if metrics.undefined_precision or metrics.undefined_recall:
         sys.stderr.write("warning: zero-denominator metric reported as 0\n")
     _print(_csv(_METRICS_HEADER, [_metrics_fields(metrics)]))

@@ -9,9 +9,10 @@ a parsed tree needs no separate validation pass. The builder keeps each
 node as one row, a list in `DocNode` field order, and `freeze` makes each
 row a `DocNode` with `_make`: on a 2-core virtual machine a 1k-node
 sdjson document parses in about 1.8 ms, where one dict per node, then a
-`DocNode` built by keyword from it, took 2.7 ms. Trees are immutable once built: each `DocNode` is a
-NamedTuple and `DocTree` a dataclass read as frozen, for its cached
-properties. A malformed document raises `SchemaError`.
+`DocNode` built by keyword from it, took 2.7 ms. Trees are immutable once
+built: each `DocNode` is a NamedTuple, and `DocTree` a plain class, read as
+frozen, that caches its sentence split. A malformed document raises
+`SchemaError`.
 `load_json` reads every JSON input file, documents and model files alike,
 and `require` every field, so a bad one is a `SchemaError` naming its
 path. Valid input formats no path: a path is passed as its parent path
@@ -23,7 +24,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
@@ -126,7 +126,6 @@ class DocNode(NamedTuple):
     associated_image: bool = False
 
 
-@dataclass(eq=False)
 class DocTree:
     """The nodes in document order. Treated as immutable after construction.
 
@@ -134,8 +133,9 @@ class DocTree:
     the title. `_Builder` guarantees this for every parsed tree, so code
     that needs document order reads the id."""
 
-    nodes: tuple[DocNode, ...]
-    source_name: str = ""
+    def __init__(self, nodes: tuple[DocNode, ...], source_name: str = ""):
+        self.nodes = nodes
+        self.source_name = source_name
 
     @cached_property
     def sentences(self) -> tuple[tuple[str, ...], ...]:

@@ -11,7 +11,6 @@ classification pass.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .annotate import ChunkAnnotation
@@ -51,8 +50,7 @@ FEATURE_CATEGORIES = {
 }
 
 
-@dataclass(frozen=True)
-class ContextLexicons:
+class ContextLexicons(NamedTuple):
     procedural: frozenset[str]
     non_procedural: frozenset[str]
 

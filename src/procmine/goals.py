@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache
+from typing import NamedTuple
 
 from .lingua import NUM, PUNCT, VBG, TaggedSentence
 
@@ -22,17 +22,17 @@ class GoalCue(str, Enum):
     METHOD_PREFIX = "method_prefix"
 
 
-@dataclass(frozen=True)
-class GoalCueConfig:
+class GoalCueConfig(NamedTuple):
     gerund_opening: bool = True
     prefixes: tuple[str, ...] = ("method",)
 
-    @cached_property
-    def prefix_patterns(self) -> tuple[re.Pattern, ...]:
-        """Per prefix: the prefix, an optional number, then a colon or a
-        word boundary. Compiled once per config, on first use."""
-        return tuple(re.compile(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)")
-                     for prefix in self.prefixes)
+
+@cache
+def prefix_patterns(prefixes: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+    """Per prefix: the prefix, an optional number, then a colon or a word
+    boundary. Compiled once per prefixes tuple, on first use."""
+    return tuple(re.compile(rf"{re.escape(prefix)}(\s*\d+)?\s*(:|\b)")
+                 for prefix in prefixes)
 
 
 _LEADING_NUMBERING_RE = re.compile(r"^\s*\d+(?:\.\d+)*\.?\s*")
@@ -57,7 +57,7 @@ def heading_goal(text: str, tags: Iterable[str],
     `tags`, None where it carries none. Only the tags up to the first that
     is not NUM or PUNCT are read."""
     stripped = strip_section_numbering(text.strip()).lower()
-    for pattern in config.prefix_patterns:
+    for pattern in prefix_patterns(config.prefixes):
         if pattern.match(stripped):
             return GoalCue.METHOD_PREFIX
 

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, Iterable, NamedTuple, Sequence
 
@@ -51,16 +49,14 @@ class VersionMismatch(ValueError):
     a file that is not JSON, or a missing or bad field, shape or value."""
 
 
-@dataclass(frozen=True)
-class TrainParams:
+class TrainParams(NamedTuple):
     epochs: int = 200
     learning_rate: float = 0.01
     l2: float = 1e-4
     seed: int = 0
 
 
-@dataclass
-class MinMaxScaler:
+class MinMaxScaler(NamedTuple):
     mins: Sequence[float]
     maxs: Sequence[float]
 
@@ -118,23 +114,42 @@ class Scorer:
         return total + self.bias
 
 
-@dataclass(frozen=True)
 class LinearModel:
     """A linear model over min-max scaled features, and its file.
 
     A subclass sets `MODEL_VERSION` and `n_features`; one with more fields
-    writes them after the version (`_header`) and reads them (`_read_header`).
-    Building a model raises VersionMismatch unless its weights, bias and
-    scaler ranges are finite and it has `n_features` weights and ranges."""
-
-    weights: Sequence[float]  # one per feature
-    bias: float
-    scaler: MinMaxScaler
+    names them in `_fields` after the three here, sets them before calling
+    this `__init__`, writes them after the version (`_header`) and reads
+    them (`_read_header`). Building a model raises VersionMismatch unless
+    its weights, bias and scaler ranges are finite and it has `n_features`
+    weights and ranges, then builds its `scorer`. As on a NamedTuple, no
+    field can be set, `_replace` builds a changed copy, and two models are
+    equal when they are of one class with equal fields."""
 
     MODEL_VERSION: ClassVar[str]
     n_features: ClassVar[int]
+    _fields: ClassVar[tuple[str, ...]] = ("weights", "bias", "scaler")
 
-    def __post_init__(self) -> None:
+    def __init__(self, weights: Sequence[float], bias: float,
+                 scaler: MinMaxScaler):
+        vars(self).update(weights=weights, bias=bias, scaler=scaler)
+        self._check()
+        vars(self)["scorer"] = Scorer(weights, bias, scaler)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: a model is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._asdict() == other._asdict()
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes) -> LinearModel:
+        """A model of this class with `changes` to its fields, checked anew."""
+        return type(self)(**self._asdict() | changes)
+
+    def _check(self) -> None:
         _check_finite(self.weights, "weights")
         _check_finite([self.bias], "bias")
         _check_finite([*self.scaler.mins, *self.scaler.maxs], "scaler")
@@ -144,10 +159,6 @@ class LinearModel:
                 f"model has {len(self.weights)} weights and "
                 f"{len(self.scaler.mins)} scaler ranges, expected "
                 f"{self.n_features} of each")
-
-    @cached_property
-    def scorer(self) -> Scorer:
-        return Scorer(self.weights, self.bias, self.scaler)
 
     def _header(self) -> dict:
         return {}

@@ -36,9 +36,7 @@ import errno
 import os
 import re
 import stat
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -87,8 +85,7 @@ class ConditionalSplit(NamedTuple):
 # ---------------------------------------------------------------------------
 # Lexicon loading
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(NamedTuple):
     verb_forms: dict  # surface -> frozenset of {"base","third","past","participle","gerund"}
     closed: dict  # surface -> tag
 
@@ -138,7 +135,7 @@ def lexicon_lines(path: Path) -> list[tuple[int, str]]:
 
 
 def bundled_data_dir() -> Path:
-    return Path(str(resources.files("procmine").joinpath("data")))
+    return Path(__file__).parent / "data"
 
 
 def lexicon_file(directory: str | Path | None, name: str) -> Path:

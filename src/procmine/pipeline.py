@@ -13,9 +13,9 @@ the CLI can run several documents in forked worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from . import chunker, classifier, extractor, features
 from .actionable import ActionableModel
@@ -43,7 +43,7 @@ def _goal_cues(path: Path) -> GoalCueConfig:
         else:
             raise LexiconError(f"{path}, line {lineno}: expected prefix:<word> "
                                f"or gerund_opening:on|off, got {line!r}")
-    return GoalCueConfig(gerund, tuple(prefixes) or GoalCueConfig.prefixes)
+    return GoalCueConfig(gerund, tuple(prefixes) or GoalCueConfig().prefixes)
 
 
 @cache
@@ -67,8 +67,7 @@ def _lexicons(lexicon_dir: Path | None
                             non_procedural=words("context_nonprocedural.txt")))
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     lexicon_dir: Path | None = None
 
     def tagger(self) -> Tagger:
@@ -81,14 +80,13 @@ class PipelineConfig:
         return _lexicons(self.lexicon_dir)[2]
 
 
-@dataclass
-class DocumentRun:
+class DocumentRun(NamedTuple):
     tree: DocTree
     chunks: ChunkSet
     annotations: dict[int, ChunkAnnotation]
     static_features: dict[int, FeatureVector]
-    predictions: list[ChunkPrediction] = field(default_factory=list)
-    procedures: list[Procedure] = field(default_factory=list)
+    predictions: list[ChunkPrediction]  # empty until `run_document` classifies
+    procedures: list[Procedure]
 
 
 def load_document(path: str | Path, fmt: str | None = None) -> DocTree:
@@ -120,7 +118,7 @@ def analyze(tree: DocTree, actionable_model: ActionableModel | None,
         for chunk in chunks
     }
     return DocumentRun(tree=tree, chunks=chunks, annotations=annotations,
-                       static_features=static)
+                       static_features=static, predictions=[], procedures=[])
 
 
 def run_document(tree: DocTree, actionable_model: ActionableModel | None,
@@ -130,12 +128,11 @@ def run_document(tree: DocTree, actionable_model: ActionableModel | None,
                  ablate_ids: tuple[int, ...] = ()) -> DocumentRun:
     """Full pipeline on one parsed document."""
     run = analyze(tree, actionable_model, config)
-    run.predictions = classifier.classify_tree(
+    predictions = classifier.classify_tree(
         run.chunks, run.static_features, run.annotations, procedure_model,
         propagate=propagate, ablate_ids=ablate_ids)
-    run.procedures = extractor.extract(run.predictions, run.chunks, run.tree,
-                                       run.annotations)
-    return run
+    return run._replace(predictions=predictions, procedures=extractor.extract(
+        predictions, run.chunks, run.tree, run.annotations))
 
 
 class LabelMismatch(ValueError):

@@ -698,9 +698,9 @@ def oracle_bipartite_edges(sentences: list[OracleSentence]) -> tuple:
 
 
 def dense_features(sentence: lingua.TaggedSentence, vocab) -> np.ndarray:
-    """`actionable._features` as one row of all len(vocab) + 3 features,
-    each absent term 0.0: the row `actionable.train` fills."""
-    row = np.zeros(len(vocab) + 3)
+    """`actionable._features` as one row of all len(vocab.terms) + 3
+    features, each absent term 0.0: the row `actionable.train` fills."""
+    row = np.zeros(len(vocab.terms) + 3)
     for i, value in actionable._features(sentence, vocab):
         row[i] = value
     return row
@@ -708,7 +708,7 @@ def dense_features(sentence: lingua.TaggedSentence, vocab) -> np.ndarray:
 
 def oracle_margin(model, sentence: OracleSentence) -> float:
     """`actionable.predict`'s margin from the oracle's profile."""
-    size = len(model.vocabulary)
+    size = len(model.vocabulary.terms)
     features = sorted(actionable._tf_idf(sentence.text, model.vocabulary).items())
     bits = oracle_profile(sentence)
     features.extend(zip(range(size, size + 3),

@@ -7,9 +7,9 @@ import pytest
 from procmine import pipeline
 from procmine.chunker import ChunkKind
 from procmine.classifier import (ChunkPrediction, Metrics, MissingPrediction,
-                                 ProcedureClassifierModel, ablate,
-                                 ablation_report, classify_tree, evaluate,
-                                 train)
+                                 ProcedureClassifierModel, UnlabeledPrediction,
+                                 ablate, ablation_report, classify_tree,
+                                 evaluate, train)
 from procmine.docmodel import parse_markdown
 from procmine.features import FEATURE_NAMES, FeatureVector
 from procmine.linear import (DegenerateLabels, MinMaxScaler, TrainParams,
@@ -252,6 +252,13 @@ class TestEvaluate:
     def test_missing_prediction_raises(self):
         with pytest.raises(MissingPrediction):
             evaluate([prediction(1, True)], {1: True, 2: False})
+
+    def test_prediction_without_gold_label_raises(self):
+        """Chunks the gold labels lack are named, not left out of the metrics."""
+        with pytest.raises(UnlabeledPrediction,
+                           match=r"^no label for predicted chunks \[2, 3\]$"):
+            evaluate([prediction(1, True), prediction(3, False),
+                      prediction(2, True)], {1: True})
 
 
 class TestAblate:

@@ -168,6 +168,10 @@ BAD_INPUTS = {
     "eval-non-integer-chunk-id": (65, lambda d: [
         "eval", write(d / "p.csv", "chunk_id,depth,label,margin\none,0,1,1.0\n"),
         write(d / "g.csv", "chunk_id,label\n1,1\n")]),
+    "eval-prediction-without-gold-label": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"
+                      "2,0,0,-1.0\n3,0,1,1.0\n"),
+        write(d / "g.csv", "chunk_id,label\n1,1\n")]),
     "eval-gold-without-label": (65, lambda d: [
         "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
         write(d / "g.csv", "chunk_id\n1\n")]),
@@ -509,6 +513,8 @@ BAD_INPUT_MESSAGES = {
     "actionable-model-without-total-sentences":
         lambda d: (f"cannot load model {d / 'a.json'}: "
                    "$: missing field 'total_sentences'"),
+    "eval-prediction-without-gold-label":
+        lambda d: f"{d / 'g.csv'}: no label for predicted chunks [2, 3]",
     "eval-labels-not-utf8": lambda d: f"{d / 'g.csv'}, line 3: not UTF-8",
     "eval-labels-form-feed-not-utf8": lambda d: f"{d / 'g.csv'}, line 3: not UTF-8",
     "eval-labels-form-feed-bad-label": lambda d: (

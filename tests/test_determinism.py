@@ -53,6 +53,27 @@ def test_extract_never_imports_numpy(tmp_path):
         CORPUS / "golden" / (DOCS[0].stem + ".procedures.json")).read_bytes()
 
 
+# Modules whose import costs start-up milliseconds: `dataclasses` pulls in
+# `inspect`, `ast`, `dis` and `tokenize`, and so does `importlib.resources`
+# on Python 3.12 and later.
+SLOW_IMPORTS = ("dataclasses", "importlib.resources", "inspect")
+
+
+def test_extract_adds_no_slow_imports(tmp_path):
+    """Against the modules a bare interpreter holds before procmine is
+    imported (site may import some), `extract` adds none of SLOW_IMPORTS."""
+    out = python(
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "from procmine import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        f"print(sorted(set({SLOW_IMPORTS!r}) & (sys.modules.keys() - bare)))\n",
+        "extract", str(DOCS[0]), *MODELS, "-o", str(tmp_path / "out.json"))
+    assert out == "[]\n"
+    assert (tmp_path / "out.json").read_bytes() == (
+        CORPUS / "golden" / (DOCS[0].stem + ".procedures.json")).read_bytes()
+
+
 # One section of 23 paragraphs whose 46 sentences all name "the device":
 # one chunk of 1,035 mention pairs, above the vector projection's minimum
 # and far below what importing numpy costs.

@@ -13,7 +13,6 @@ import importlib.util
 import json
 import math
 import random
-from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -177,7 +176,7 @@ class TestActionableScorer:
         assert isinstance(model.weights, tuple)
         with pytest.raises(AttributeError):
             model.weights = ()
-        assert replace(model, bias=model.bias + 1.0).scorer.bias == model.bias + 1.0
+        assert model._replace(bias=model.bias + 1.0).scorer.bias == model.bias + 1.0
 
 
 # Both model classes; `of_class` picks one's model from an (actionable,
@@ -274,8 +273,8 @@ def vocabulary_edit(**fields):
                   "document_frequency": list(vocab.document_frequency),
                   "idf": list(vocab.idf), "total_sentences": vocab.total_sentences}
         values.update((name, change(values[name])) for name, change in fields.items())
-        return {"vocabulary": replace(
-            vocab, terms=tuple(values["terms"]),
+        return {"vocabulary": vocab._replace(
+            terms=tuple(values["terms"]),
             document_frequency=tuple(values["document_frequency"]),
             idf=tuple(values["idf"]), total_sentences=values["total_sentences"])}
     return edit
@@ -326,7 +325,7 @@ def test_construction_refuses_what_the_loader_refuses(models, cls, edit):
                          zip(changes["scaler"].mins, changes["scaler"].maxs)]
     refused(cls, doc)
     with pytest.raises(VersionMismatch):
-        replace(model, **changes)
+        model._replace(**changes)
 
 
 @pytest.fixture(scope="module")
