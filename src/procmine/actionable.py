@@ -1,11 +1,22 @@
 """Classifier for non-imperative actionable statements.
 
-A tagged sentence has one featurization, `_features`: bag-of-words tf-idf
-over a frequency-filtered vocabulary, then the three indicator bits of
-`lingua.profile` (present tense, active voice, positive polarity).
-`predict` scores those sparse pairs and `train` fills its dense matrix
-from them. The model is a `linear.LinearModel` that also holds the
+A tagged sentence has one featurization: `term_indices`, the sorted
+vocabulary index of each term in its text (bag-of-words over a
+frequency-filtered vocabulary), and the three indicator bits of
+`lingua.profile` (present tense, active voice, positive polarity). `train`
+fills its dense tf-idf matrix from them, idf added once per occurrence
+from 0.0. The model is a `linear.LinearModel` that also holds the
 vocabulary; its file, loader and training recipe are `linear`'s.
+
+`predict` adds one precomputed score per term. `Scorer.margin` over the
+sparse features adds, from 0.0 and in index order, each present term's
+scaled tf-idf times its weight, then each indicator's, then the bias. A
+term seen once has the tf-idf 0.0 + idf, a constant of the model, and an
+indicator has two values, 0.0 and 1.0; so the model works out each of
+those terms once, by `Scorer.contribution`, which `margin` itself calls
+for each feature. A term seen k >= 2 times is worked out when it is seen, from
+idf added k times to 0.0. `predict` then adds the same floats in the same
+order as the sparse sum, so the margin has the same bits.
 """
 
 from __future__ import annotations
@@ -74,27 +85,14 @@ def build_vocabulary(corpus: list[str]) -> Vocabulary:
     )
 
 
-def _tf_idf(text: str, vocab: Vocabulary) -> dict[int, float]:
-    """Term index -> tf-idf of the vocabulary terms in `text`: idf added
-    once per occurrence, starting from 0.0."""
-    index, idf = vocab.index, vocab.idf
-    bag: dict[int, float] = {}
-    for term in sentence_terms(text):
-        i = index.get(term)
-        if i is not None:
-            bag[i] = bag.get(i, 0.0) + idf[i]
-    return bag
-
-
-def _features(sentence: TaggedSentence,
-              vocab: Vocabulary) -> list[tuple[int, float]]:
-    """(index, value) pairs: the tf-idf of the vocabulary terms present, in
-    index order, then the present, active and positive bits as 1.0 or 0.0
-    at indices len(vocab.terms) to len(vocab.terms) + 2."""
-    size = len(vocab.terms)
-    features = sorted(_tf_idf(sentence.text, vocab).items())
-    features.extend(zip(range(size, size + 3), map(float, profile(sentence))))
-    return features
+def term_indices(text: str, vocab: Vocabulary) -> list[int]:
+    """The vocabulary index of each term of `text`, in increasing order; a
+    term seen k times is there k times. Terms outside the vocabulary are
+    left out: their tf-idf is 0."""
+    get = vocab.index.get
+    indices = [i for i in map(get, sentence_terms(text)) if i is not None]
+    indices.sort()
+    return indices
 
 
 class ActionableModel(linear.LinearModel):
@@ -104,7 +102,11 @@ class ActionableModel(linear.LinearModel):
     a model also checks that every tf-idf range has 0 <= min <= max, as
     training always gives, that every idf is finite, and that the terms
     strictly increase, each with one df and one idf, and each df is an
-    integer from 1 to total_sentences, as `build_vocabulary` writes them."""
+    integer from 1 to total_sentences, as `build_vocabulary` writes them.
+
+    A model also holds `predict`'s score table, built with it: in
+    `term_scores` the margin term of each vocabulary term seen once, and in
+    `indicator_scores` the terms of each indicator at 0.0 and at 1.0."""
 
     MODEL_VERSION = "actionable/1 tf=raw idf=ln"
     _fields = (*linear.LinearModel._fields, "vocabulary")
@@ -112,6 +114,20 @@ class ActionableModel(linear.LinearModel):
     def __init__(self, weights, bias, scaler, vocabulary: Vocabulary):
         vars(self)["vocabulary"] = vocabulary
         super().__init__(weights, bias, scaler)
+        contribution = self.scorer.contribution
+        size = len(vocabulary.terms)
+        vars(self).update(
+            term_scores=tuple(contribution(i, 0.0 + idf)
+                              for i, idf in enumerate(vocabulary.idf)),
+            indicator_scores=tuple((contribution(i, 0.0), contribution(i, 1.0))
+                                   for i in range(size, size + 3)))
+
+    def repeated_score(self, index: int, count: int) -> float:
+        """The margin term of vocabulary term `index` seen `count` times."""
+        idf, x = self.vocabulary.idf[index], 0.0
+        for _ in range(count):
+            x += idf
+        return self.scorer.contribution(index, x)
 
     @property
     def n_features(self) -> int:
@@ -164,10 +180,13 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
     tagger = tagger or Tagger()
     texts = [text for text, _ in labeled]
     vocab = build_vocabulary(texts)
-    raw = np.zeros((len(texts), len(vocab.terms) + 3))
+    size, idf = len(vocab.terms), vocab.idf
+    raw = np.zeros((len(texts), size + 3))
     for row, text in zip(raw, texts):
-        for i, value in _features(tagger.tag(text), vocab):
-            row[i] = value
+        tagged = tagger.tag(text)
+        for i in term_indices(tagged.text, vocab):
+            row[i] += idf[i]
+        row[size:] = profile(tagged)
     return linear.fit_models(ActionableModel, [raw],
                              [label for _, label in labeled], params,
                              vocabulary=vocab)[0]
@@ -175,9 +194,27 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
 
 def predict(model: ActionableModel,
             sentence: TaggedSentence) -> tuple[bool, float]:
-    """(actionable, margin) over `_features`; margin-zero ties resolve to
-    actionable. An absent term's tf-idf of 0 scales to 0 (see
-    `ActionableModel`), so the margin has the same bits as the sum over
-    every feature."""
-    margin = model.scorer.margin(_features(sentence, model.vocabulary))
+    """(actionable, margin) over `term_indices` and `profile`; margin-zero
+    ties resolve to actionable. The margin has the bits of `Scorer.margin`
+    over the sparse tf-idf and indicator features (see the module
+    docstring)."""
+    indices = term_indices(sentence.text, model.vocabulary)
+    indices.append(-1)  # ends the last run of equal indices
+    scores = model.term_scores
+    total = 0.0
+    term, count = None, 0
+    for i in indices:
+        if i == term:
+            count += 1
+            continue
+        if count:
+            total += (scores[term] if count == 1
+                      else model.repeated_score(term, count))
+        term, count = i, 1
+    present, active, positive = model.indicator_scores
+    bits = profile(sentence)
+    total += present[bits[0]]
+    total += active[bits[1]]
+    total += positive[bits[2]]
+    margin = total + model.scorer.bias
     return linear.decide(margin), margin

@@ -33,8 +33,7 @@ from . import classifier as classifier_mod
 from . import extractor, pipeline
 from .actionable import ActionableModel, EmptyCorpus
 from .actionable import train as train_actionable_model
-from .classifier import (Metrics, MissingPrediction, ProcedureClassifierModel,
-                         ablation_report)
+from .classifier import Metrics, ProcedureClassifierModel, ablation_report
 from .docmodel import SchemaError, tree_to_json
 from .features import FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector
 from .linear import DegenerateLabels, NonFinite, TrainParams, VersionMismatch
@@ -591,6 +590,8 @@ def _cmd_eval(args) -> int:
     gold = read_labels_csv(args.gold)
     try:
         metrics = classifier_mod.evaluate_labels(predicted, gold)
+    except classifier_mod.MissingPrediction as exc:
+        raise CliError(f"{args.predictions}: {exc.args[0]}", EX_DATA)
     except classifier_mod.UnlabeledPrediction as exc:
         raise CliError(f"{args.gold}: {exc}", EX_DATA)
     if metrics.undefined_precision or metrics.undefined_recall:
@@ -639,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         sys.stderr.write(str(exc) + "\n")
         return exc.code
-    except (DegenerateLabels, EmptyCorpus, NonFinite, MissingPrediction) as exc:
+    except (DegenerateLabels, EmptyCorpus, NonFinite) as exc:
         sys.stderr.write(exc.args[0] + "\n")
         return EX_DATA
 

@@ -101,17 +101,22 @@ class Scorer:
         """The margin over (feature index, raw value) pairs in increasing
         index order. A feature left out adds nothing, which equals the full
         sum only where its value would scale to zero."""
-        rows = self.rows
+        contribution = self.contribution
         total = 0.0
         for index, x in features:
-            lo, span, w = rows[index]
-            v = (x - lo) / span
-            if v < 0.0:
-                v = 0.0
-            elif v > 1.0:
-                v = 1.0
-            total += v * w
+            total += contribution(index, x)
         return total + self.bias
+
+    def contribution(self, index: int, x: float) -> float:
+        """The term that `margin` adds for feature `index` at raw value `x`:
+        the value scaled and clipped to [0, 1], times the weight."""
+        lo, span, w = self.rows[index]
+        v = (x - lo) / span
+        if v < 0.0:
+            v = 0.0
+        elif v > 1.0:
+            v = 1.0
+        return v * w
 
 
 class LinearModel:

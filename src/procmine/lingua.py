@@ -444,8 +444,9 @@ def profile(sentence: TaggedSentence) -> tuple[bool, bool, bool]:
     with a past participle in the three tokens after it, no negator."""
     tags = sentence.tags
     active = True
-    for i, word in enumerate(sentence.lowers):
-        if word in _BE_FORMS and VBN in tags[i + 1:i + 4]:
-            active = False
-            break
+    if VBN in tags:  # else no form of "be" can have one after it
+        for i, word in enumerate(sentence.lowers):
+            if word in _BE_FORMS and VBN in tags[i + 1:i + 4]:
+                active = False
+                break
     return VBD not in tags, active, NEG not in tags

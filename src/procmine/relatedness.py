@@ -30,12 +30,15 @@ paths:
 Both paths give the same score to the bit. Every weight is a
 `ROLE_WEIGHTS` value (1, 2 or 3), so every product is a small integer and
 each pair's sum is exact in any order of addition; the vector path packs
-(i, j - i, product) into one int64 key, sorts the keys and sums each pair
-as integers. Each sum is divided once by the same distance. The edge
-weights are then totalled left to right in (i, j) order from 0.0: by a
-loop in `relatedness_score` (the builtin `sum` of floats is compensated
-from Python 3.12 on) and by `np.cumsum` per block in `streamed_score`, the
-running total carried from block to block.
+(i, j - i, product) into one integer key, sorts the keys and sums each
+pair as integers. A key takes 2 * b + 4 bits, b the bit length of the
+sentence count: the keys are 32-bit, which sort faster, for a chunk of
+fewer than 2^13 (8,192) sentences and 64-bit for a larger one. Each sum
+is divided once by the same distance. The edge weights are then totalled
+left to right in (i, j) order from 0.0: by a loop in `relatedness_score`
+(the builtin `sum` of floats is compensated from Python 3.12 on) and by
+`np.cumsum` per block in `streamed_score`, the running total carried from
+block to block.
 """
 
 from __future__ import annotations
@@ -236,8 +239,12 @@ def project_blocks(by_entity: _Mentions, sentence_count: int,
     # The mentions in entity order, each entity's in sentence order;
     # `later` counts the mentions of its entity after each: the pairs it
     # starts.
-    sentence = np.array([i for m in by_entity.values() for i, _ in m], dtype=np.int64)
-    weight = np.array([w for m in by_entity.values() for _, w in m], dtype=np.int64)
+    # Bits enough for j - i. A key takes 2 * shift + 4 bits: an int32 where
+    # that fits, else an int64, which holds it below 2^29 sentences.
+    shift = sentence_count.bit_length()
+    key_type = np.int32 if 2 * shift + 4 <= 31 else np.int64
+    sentence = np.array([i for m in by_entity.values() for i, _ in m], dtype=key_type)
+    weight = np.array([w for m in by_entity.values() for _, w in m], dtype=key_type)
     counts = np.array([len(m) for m in by_entity.values()], dtype=np.int64)
     later = np.repeat(np.cumsum(counts), counts) - 1 - np.arange(len(sentence))
     # The same mentions by sentence row; `rank` is each one's place in
@@ -250,8 +257,6 @@ def project_blocks(by_entity: _Mentions, sentence_count: int,
     bounds = np.append(np.flatnonzero(np.diff(row_sentence, prepend=-1)),
                        len(row_sentence))
     pairs_before = np.concatenate(([0], np.cumsum(later)))[bounds]
-    # Bits enough for j - i; the keys fit an int64 below 2^29 sentences.
-    shift = sentence_count.bit_length()
     row = 0
     while row < len(bounds) - 1:
         end = max(row + 1, int(np.searchsorted(

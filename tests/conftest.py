@@ -697,19 +697,36 @@ def oracle_bipartite_edges(sentences: list[OracleSentence]) -> tuple:
     return tuple((i, surface, w) for (i, surface), w in best.items())
 
 
+def oracle_tf_idf(text: str, vocab) -> dict[int, float]:
+    """Term index -> tf-idf of the vocabulary terms in `text`: idf added
+    once per occurrence, starting from 0.0. The bag that `actionable`
+    scored and trained on before the score table."""
+    index, idf = vocab.index, vocab.idf
+    bag: dict[int, float] = {}
+    for term in actionable.sentence_terms(text):
+        i = index.get(term)
+        if i is not None:
+            bag[i] = bag.get(i, 0.0) + idf[i]
+    return bag
+
+
 def dense_features(sentence: lingua.TaggedSentence, vocab) -> np.ndarray:
-    """`actionable._features` as one row of all len(vocab.terms) + 3
-    features, each absent term 0.0: the row `actionable.train` fills."""
+    """One row of all len(vocab.terms) + 3 actionable features, each absent
+    term 0.0: the tf-idf of `oracle_tf_idf`, then the `profile` bits. The
+    row `actionable.train` fills."""
     row = np.zeros(len(vocab.terms) + 3)
-    for i, value in actionable._features(sentence, vocab):
+    for i, value in oracle_tf_idf(sentence.text, vocab).items():
         row[i] = value
+    row[len(vocab.terms):] = lingua.profile(sentence)
     return row
 
 
 def oracle_margin(model, sentence: OracleSentence) -> float:
-    """`actionable.predict`'s margin from the oracle's profile."""
+    """`actionable.predict`'s margin: `Scorer.margin` over the sparse
+    features, the tf-idf of `oracle_tf_idf` in index order, then the bits
+    of the oracle's profile."""
     size = len(model.vocabulary.terms)
-    features = sorted(actionable._tf_idf(sentence.text, model.vocabulary).items())
+    features = sorted(oracle_tf_idf(sentence.text, model.vocabulary).items())
     bits = oracle_profile(sentence)
     features.extend(zip(range(size, size + 3),
                         (1.0 if bit else 0.0 for bit in bits)))

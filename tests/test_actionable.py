@@ -6,11 +6,11 @@ import pytest
 
 from procmine import actionable
 from procmine.actionable import (ActionableModel, EmptyCorpus, Vocabulary,
-                                 _features, build_vocabulary, predict,
-                                 sentence_terms, train)
+                                 build_vocabulary, predict, sentence_terms,
+                                 term_indices, train)
 from procmine.linear import (DegenerateLabels, MinMaxScaler, TrainParams,
                              VersionMismatch)
-from procmine.lingua import Tagger
+from procmine.lingua import Tagger, profile
 
 from conftest import dense_features
 
@@ -112,18 +112,25 @@ class TestFeaturize:
                        idf=(2.0, 1.0), total_sentences=20)
 
     def test_oov_sentence_gets_zero_bag_and_profile_tail(self, tagger):
-        features = _features(tagger.tag("Reboot the gateway."), self.VOCAB)
-        assert features == [(2, 1.0), (3, 1.0), (4, 1.0)]
+        tagged = tagger.tag("Reboot the gateway.")
+        assert term_indices(tagged.text, self.VOCAB) == []
+        assert profile(tagged) == (True, True, True)
 
     def test_tf_times_idf(self, tagger):
-        features = _features(tagger.tag("install twice install"), self.VOCAB)
-        assert features[0] == (0, 4.0)  # tf 2 x idf 2.0
+        tagged = tagger.tag("install twice install")
+        assert term_indices(tagged.text, self.VOCAB) == [0, 0]
+        # Only the first feature is weighted, its range [0, 8]: the margin
+        # is its scaled tf-idf, tf 2 x idf 2.0 over 8.
+        model = ActionableModel(
+            vocabulary=self.VOCAB, weights=(1.0, 0.0, 0.0, 0.0, 0.0), bias=0.0,
+            scaler=MinMaxScaler(mins=(0.0,) * 5, maxs=(8.0, 1.0, 1.0, 1.0, 1.0)))
+        assert predict(model, tagged) == (True, 0.5)
 
     def test_negative_profile_tail(self, tagger):
-        """Past tense, passive voice and a negator: all three bits 0.0."""
-        features = _features(tagger.tag("The install was not restarted."),
-                             self.VOCAB)
-        assert features == [(0, 2.0), (2, 0.0), (3, 0.0), (4, 0.0)]
+        """Past tense, passive voice and a negator: all three bits False."""
+        tagged = tagger.tag("The install was not restarted.")
+        assert term_indices(tagged.text, self.VOCAB) == [0]
+        assert profile(tagged) == (False, False, False)
 
     def test_punctuation_stripped_and_lowercased(self):
         assert sentence_terms("Install, the SERVER!") == ["install", "the",

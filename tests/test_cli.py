@@ -1082,11 +1082,11 @@ class TestTraining:
     @pytest.mark.parametrize("row, message", [
         ("train-actionable-empty-vocabulary",
          "no term appears in at least 3 sentences"),
-        ("eval-missing-prediction", "no prediction for chunks [2]")])
+        ("eval-missing-prediction", "{dir}/p.csv: no prediction for chunks [2]")])
     def test_library_data_error_exits_65_with_its_message(self, capsys, tmp_path,
                                                           row, message):
         code, out, err = run_main(BAD_INPUTS[row][1](tmp_path), capsys)
-        assert (code, out, err) == (65, "", message + "\n")
+        assert (code, out, err) == (65, "", message.format(dir=tmp_path) + "\n")
 
     def test_degenerate_labels_exit_65(self, capsys, tmp_path):
         features = tmp_path / "features.csv"

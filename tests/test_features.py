@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from procmine import pipeline
+from procmine import cli, pipeline
 from procmine.actionable import ActionableModel
 from procmine.chunker import ChunkKind, build_chunks, chunk_size
 from procmine.classifier import ProcedureClassifierModel
@@ -368,3 +368,21 @@ class TestFeatureBounds:
     def test_categories_hold_each_feature_id_once(self):
         ids = sorted(fid for ids in FEATURE_CATEGORIES.values() for fid in ids)
         assert ids == list(range(1, len(FEATURE_NAMES) + 1)) == list(range(1, 16))
+
+
+CORPUS_DOCS = sorted((CORPUS_DIR / "docs").glob("*.md")) + [
+    CORPUS_DIR / "nested-fixture.md"]
+
+
+@pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda path: path.name)
+def test_features_csv_equals_its_golden_file(path, tmp_path):
+    """`procmine features` on each corpus document with the bundled
+    actionable model. The golden file pins every chunk's actionable
+    fraction (f3), which the actionable margins decide, and its relatedness
+    (f9) to the bit."""
+    out = tmp_path / "features.csv"
+    assert cli.main(["features", str(path), "--actionable-model",
+                     str(CORPUS_DIR / "models" / "actionable.json"),
+                     "-o", str(out)]) == 0
+    golden = CORPUS_DIR / "golden" / (path.stem + ".features.csv")
+    assert out.read_bytes() == golden.read_bytes()

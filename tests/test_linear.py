@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procmine import actionable, classifier, linear, pipeline
 from procmine.actionable import ActionableModel, predict
@@ -26,7 +27,7 @@ from procmine.features import FEATURE_NAMES, FeatureVector
 from procmine.linear import MinMaxScaler, TrainParams, VersionMismatch
 from procmine.lingua import Tagger, profile
 
-from conftest import dense_features
+from conftest import OracleTagger, dense_features, oracle_margin
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -75,6 +76,9 @@ PROFILE_SENTENCES = [f"The service {be}{negator} {word}."
                      for word in ("ready", "restarted")]
 
 
+ORACLE = OracleTagger()
+
+
 def test_profile_sentences_carry_every_indicator_combination():
     tagger = Tagger()
     assert {profile(tagger.tag(text)) for text in PROFILE_SENTENCES} == {
@@ -121,7 +125,106 @@ class TestProcedureScorer:
                                   numpy_margin(model, values))
 
 
+def edited_actionable_model(edit) -> ActionableModel:
+    """The bundled actionable model with `edit(term index, vocabulary entry,
+    tf-idf scaler range)` applied to each term, read back by the loader."""
+    doc = json.loads((CORPUS / "models" / "actionable.json").read_text("utf-8"))
+    for i, (entry, bounds) in enumerate(zip(doc["vocabulary"], doc["scaler"])):
+        edit(i, entry, bounds)
+    return ActionableModel.from_json(json.dumps(doc))
+
+
+def repeat_clips_to_one(i, entry, bounds):
+    """A tf-idf max below 2 * idf: a term seen twice scales past 1."""
+    bounds.update(min=0.0, max=1.5 * entry["idf"])
+
+
+def single_clips_to_zero(i, entry, bounds):
+    """Every other term's min above its idf: seen once it scales below 0."""
+    if i % 2:
+        bounds.update(min=1.5 * entry["idf"], max=4.5 * entry["idf"])
+
+
+def wide_ranges(i, entry, bounds):
+    """A tf-idf max of 10 * idf: a term seen up to 9 times does not clip,
+    so the bits of idf added k times show."""
+    bounds.update(min=0.0, max=10.0 * entry["idf"])
+
+
+def negative_and_zero_idf(i, entry, bounds):
+    """Idfs of -0.0, 0.0 and below 0, which only a hand-made file has."""
+    entry["idf"] = (-0.0, 0.0, -entry["idf"], entry["idf"])[i % 4]
+
+
+TABLE_MODELS = {
+    "bundled": edited_actionable_model(lambda *_: None),
+    **{edit.__name__.replace("_", "-"): edited_actionable_model(edit)
+       for edit in (repeat_clips_to_one, single_clips_to_zero,
+                    wide_ranges, negative_and_zero_idf)}}
+TERMS = st.sampled_from(TABLE_MODELS["bundled"].vocabulary.terms)
+
+
+@st.composite
+def table_texts(draw) -> str:
+    """Vocabulary terms in any order, some seen 2-4 times, some in mixed
+    case and some joined by "-", "_" or "'" into one term outside the
+    vocabulary, then one of `PROFILE_SENTENCES`."""
+    words: list[str] = []
+    for _ in range(draw(st.integers(0, 12))):
+        term, form = draw(TERMS), draw(st.sampled_from(
+            ("once", "repeated", "mixed case", "joined")))
+        if form == "repeated":
+            words += [term] * draw(st.integers(2, 4))
+        elif form == "mixed case":
+            flips = draw(st.lists(st.booleans(), min_size=len(term),
+                                  max_size=len(term)))
+            words.append("".join(c.upper() if flip else c
+                                 for c, flip in zip(term, flips)))
+        elif form == "joined":
+            words.append(term + draw(st.sampled_from("-_'")) + draw(TERMS))
+        else:
+            words.append(term)
+    return (" ".join(draw(st.permutations(words))) + " "
+            + draw(st.sampled_from(PROFILE_SENTENCES)))
+
+
 class TestActionableScorer:
+    @pytest.mark.parametrize("name", TABLE_MODELS)
+    @settings(max_examples=200, deadline=None)
+    @given(text=table_texts())
+    def test_score_table_margin_equals_oracle_bits(self, tagger, name, text):
+        """`predict`'s sum of table scores has the bits of `Scorer.margin`
+        over the old sparse features, where a repeat or a single occurrence
+        clips and where an idf is -0.0 or negative."""
+        model = TABLE_MODELS[name]
+        label, margin = predict(model, tagger.tag(text))
+        assert margin.hex() == oracle_margin(model, ORACLE.tag(text)).hex()
+        assert label is linear.decide(margin)
+
+    @pytest.mark.parametrize("name", TABLE_MODELS)
+    def test_each_term_seen_1_to_9_times_equals_oracle_bits(self, tagger, name):
+        """Up to 5 times, idf added k times from 0.0 gives the bits of
+        k * idf for every bundled idf; from 6 times on it often does not,
+        and under `wide_ranges` the difference reaches the margin."""
+        model = TABLE_MODELS[name]
+        for term in model.vocabulary.terms:
+            for count in range(1, 10):
+                text = " ".join([term] * count) + "."
+                margin = predict(model, tagger.tag(text))[1]
+                assert margin.hex() == oracle_margin(model, ORACLE.tag(text)).hex()
+
+    def test_edited_models_clip_where_they_are_meant_to(self):
+        """Each hand-edited model reaches the case it is there for."""
+        repeat = TABLE_MODELS["repeat-clips-to-one"]
+        assert all(repeat.repeated_score(i, 2) == repeat.scorer.rows[i][2]
+                   for i in range(len(repeat.vocabulary.terms)))
+        single = TABLE_MODELS["single-clips-to-zero"]
+        assert all(single.term_scores[i] == 0.0
+                   for i in range(1, len(single.vocabulary.terms), 2))
+        idf = TABLE_MODELS["negative-and-zero-idf"].vocabulary.idf
+        assert math.copysign(1.0, idf[0]) == -1.0 and idf[0] == 0.0
+        assert idf[2] < 0.0
+
     def test_corpus_sentences_match_numpy(self, models, tagger):
         model = models[0]
         for text in corpus_sentences():

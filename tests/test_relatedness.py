@@ -479,6 +479,38 @@ class TestVectorProjection:
         monkeypatch.setattr(relatedness, "VECTOR_MIN_MENTION_PAIRS", other)
         assert chunk_relatedness(sentences) == oracle
 
+    @pytest.mark.parametrize("sentence_count",
+                             [(1 << 13) - 1, 1 << 13, (1 << 14) - 1],
+                             ids=["int32-keys", "int64-keys",
+                                  "int64-keys-past-2^31"])
+    def test_projection_at_the_key_width_boundary(self, sentence_count):
+        """A chunk of 8,191 sentences is projected with 32-bit keys and one
+        of 8,192 with 64-bit ones; one of 16,383 has keys from 2^31 up,
+        which a 32-bit key would wrap. The groupings are built by hand,
+        with pairs of product 3 x 3 at the largest distance and at the last
+        row, whose keys are the largest, and enough others for several
+        blocks."""
+        last = sentence_count - 1
+        rng = random.Random(sentence_count)
+        by_entity = {"far": [(0, SUBJECT), (last, SUBJECT)],
+                     "tail": [(last - 1, SUBJECT), (last, SUBJECT)]}
+        for k in range(400):
+            sentences = sorted(rng.sample(range(sentence_count), 12))
+            by_entity[f"e{k}"] = [(i, rng.choice(ROLE_WEIGHT_SET))
+                                  for i in sentences]
+        by_entity["spread"] = [(i, rng.choice(ROLE_WEIGHT_SET))
+                               for i in range(0, sentence_count, 97)]
+        expected = relatedness._projection(by_entity, sentence_count)
+        assert (0, last, 9.0 / last) in expected.directed_edges
+        assert expected.directed_edges[-1] == (last - 1, last, 9.0)
+        blocks = list(project_blocks(by_entity, sentence_count))
+        assert len(blocks) > 1
+        edges = [edge for i, j, weights in blocks
+                 for edge in zip(i.tolist(), j.tolist(), weights.tolist())]
+        assert edges == list(expected.directed_edges)
+        assert streamed_score(by_entity, sentence_count).hex() == \
+            relatedness_score(expected).hex()
+
     def test_2000_sentence_corpus_chunk(self, corpus_chunk):
         graph = build_bipartite(corpus_chunk)
         assert mention_pairs(graph) >= VECTOR_MIN_MENTION_PAIRS
