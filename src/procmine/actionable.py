@@ -14,9 +14,11 @@ scaled tf-idf times its weight, then each indicator's, then the bias. A
 term seen once has the tf-idf 0.0 + idf, a constant of the model, and an
 indicator has two values, 0.0 and 1.0; so the model works out each of
 those terms once, by `Scorer.contribution`, which `margin` itself calls
-for each feature. A term seen k >= 2 times is worked out when it is seen, from
-idf added k times to 0.0. `predict` then adds the same floats in the same
-order as the sparse sum, so the margin has the same bits.
+for each feature. A term seen k times has the tf-idf of idf added k times
+to 0.0; the model works those terms out too for k up to `TABLED_COUNTS`,
+from the running sum, and `predict` works out a larger k when it is seen.
+`predict` then adds the same floats in the same order as the sparse sum,
+so the margin has the same bits.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ from .lingua import TaggedSentence, Tagger, profile
 from .linear import DegenerateLabels, TrainParams, VersionMismatch
 
 MIN_DOCUMENT_FREQUENCY = 3
+
+# The largest occurrence count of a term whose margin term the score table
+# holds. No sentence of the bundled actionable corpus repeats a vocabulary
+# term more than 3 times, nor one of the benchmark's prose documents (seed 0)
+# more than 4; a longer run is worked out when it is seen.
+TABLED_COUNTS = 4
 
 _WORD_RE = re.compile(r"[a-z0-9]+(?:[-_'][a-z0-9]+)*")
 
@@ -105,8 +113,10 @@ class ActionableModel(linear.LinearModel):
     integer from 1 to total_sentences, as `build_vocabulary` writes them.
 
     A model also holds `predict`'s score table, built with it: in
-    `term_scores` the margin term of each vocabulary term seen once, and in
-    `indicator_scores` the terms of each indicator at 0.0 and at 1.0."""
+    `term_scores` the margin term of each vocabulary term seen once, in
+    `repeat_scores[k - 2]` that of each term seen k times for k from 2 to
+    `TABLED_COUNTS`, and in `indicator_scores` the terms of each indicator
+    at 0.0 and at 1.0."""
 
     MODEL_VERSION = "actionable/1 tf=raw idf=ln"
     _fields = (*linear.LinearModel._fields, "vocabulary")
@@ -116,9 +126,12 @@ class ActionableModel(linear.LinearModel):
         super().__init__(weights, bias, scaler)
         contribution = self.scorer.contribution
         size = len(vocabulary.terms)
+        by_count, xs = [], [0.0] * size
+        for _ in range(TABLED_COUNTS):  # xs: idf added k times to 0.0
+            xs = [x + idf for x, idf in zip(xs, vocabulary.idf)]
+            by_count.append(tuple(map(contribution, range(size), xs)))
         vars(self).update(
-            term_scores=tuple(contribution(i, 0.0 + idf)
-                              for i, idf in enumerate(vocabulary.idf)),
+            term_scores=by_count[0], repeat_scores=tuple(by_count[1:]),
             indicator_scores=tuple((contribution(i, 0.0), contribution(i, 1.0))
                                    for i in range(size, size + 3)))
 
@@ -200,15 +213,17 @@ def predict(model: ActionableModel,
     docstring)."""
     indices = term_indices(sentence.text, model.vocabulary)
     indices.append(-1)  # ends the last run of equal indices
-    scores = model.term_scores
+    scores, repeats = model.term_scores, model.repeat_scores
     total = 0.0
     term, count = None, 0
     for i in indices:
         if i == term:
             count += 1
             continue
-        if count:
-            total += (scores[term] if count == 1
+        if count == 1:
+            total += scores[term]
+        elif count:
+            total += (repeats[count - 2][term] if count <= TABLED_COUNTS
                       else model.repeated_score(term, count))
         term, count = i, 1
     present, active, positive = model.indicator_scores

@@ -1,12 +1,13 @@
 """Procedure/non-procedure classification over the document tree.
 
 Chunks are scored level by level from the deepest up. Before a chunk is
-scored, its two propagated features are filled in by `child_flags` from
-the labels of the chunks filed below its items. Those labels are always
-decided by then: the chunker files a chunk under an item that is an
-ancestor of the chunk's own items, so the chunk lies strictly deeper than
-the item's chunk. Training rows carry the same rule applied to gold
-labels (`pipeline.teacher_forced_features`).
+scored, `features.update_propagated_features` fills in its two propagated
+features in one loop over its items, from the labels of the chunks filed
+below each item. Those labels are always decided by then: the chunker
+files a chunk under an item that is an ancestor of the chunk's own items,
+so the chunk lies strictly deeper than the item's chunk. Training rows
+carry the same rule applied to gold labels
+(`pipeline.teacher_forced_features`).
 The model is a `linear.LinearModel`, whose file, loader and training
 recipe it shares with the actionable model.
 """
@@ -22,7 +23,7 @@ from .chunker import ChunkSet
 # update_propagated_features stays imported by name: perfbench/tracer.py
 # patches it in this module.
 from .features import (FEATURE_CATEGORIES, FEATURE_NAMES, FeatureVector,
-                       child_flags, update_propagated_features)
+                       update_propagated_features)
 from .linear import TrainParams
 
 N_FEATURES = len(FEATURE_NAMES)
@@ -93,18 +94,18 @@ def classify_tree(chunks: ChunkSet,
     """
     labels: dict[int, bool] = {}
     ordered: list[ChunkPrediction] = []
+    child_chunks = chunks.child_chunks
     for chunk in sorted(chunks, key=attrgetter("depth"), reverse=True):
-        vector = static_features[chunk.id]
+        chunk_id = chunk.id
+        vector = static_features[chunk_id]
         if propagate:
             vector = update_propagated_features(
-                annotations[chunk.id], child_flags(chunk, chunks, labels),
-                vector)
+                annotations[chunk_id], child_chunks, labels, vector)
         vector = _zero_features(vector, ablate_ids)
         margin = model.score(vector)
-        labels[chunk.id] = linear.decide(margin)
-        ordered.append(ChunkPrediction(chunk_id=chunk.id, depth=chunk.depth,
-                                       label=labels[chunk.id], margin=margin,
-                                       feature_snapshot=vector))
+        label = labels[chunk_id] = linear.decide(margin)
+        ordered.append(ChunkPrediction(chunk_id, chunk.depth, label, margin,
+                                       vector))
     return ordered
 
 

@@ -51,10 +51,11 @@ def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
             annotations: dict[int, ChunkAnnotation]) -> list[Procedure]:
     """One procedure per procedure-labeled chunk, sequence ids in document
     order ("seq-1", "seq-2", ...)."""
+    child_chunks, chunk_of, nodes = chunks.child_chunks, chunks.chunks, tree.nodes
     labels = {p.chunk_id: p.label for p in predictions}
     procedure_chunks = sorted(  # node ids are preorder: document order
         (cid for cid, label in labels.items() if label),
-        key=lambda cid: chunks.chunks[cid].item_node_ids[0])
+        key=lambda cid: chunk_of[cid].item_node_ids[0])
     sequence_ids = {cid: f"seq-{i}" for i, cid in enumerate(procedure_chunks, 1)}
 
     procedures: list[Procedure] = []
@@ -63,25 +64,27 @@ def extract(predictions: list[ChunkPrediction], chunks: ChunkSet,
         stack = [(item, None) for item in reversed(annotations[chunk_id].items)]
         while stack:
             item, parent_step = stack.pop()
-            below = chunks.child_chunks.get(item.node_id, ())
-            link = next((sequence_ids[c] for c in below if labels.get(c)), None)
+            node_id = item.node_id
             step_id = f"s{len(steps) + 1}"
-            steps.append(Step(step_id=step_id, text=tree.nodes[item.node_id].text,
-                              actionable=item.actionable,
-                              conditional=item.conditional,
-                              parent_step_id=parent_step,
-                              child_procedure_id=link))
-            if link is not None:
-                continue  # the nested content lives in its own procedure
-            # no chunk below is a procedure: its list chunks become sub-steps
-            folded = [(sub_item, step_id) for child_id in below
-                      if chunks.chunks[child_id].kind is ChunkKind.LIST
-                      for sub_item in annotations[child_id].items]
-            stack.extend(reversed(folded))
-
-        procedures.append(Procedure(sequence_id=sequence_ids[chunk_id],
-                                    goal=chunks.chunks[chunk_id].goal,
-                                    step_list=tuple(steps)))
+            link = None
+            below = child_chunks.get(node_id)
+            if below:
+                for child_id in below:
+                    if labels.get(child_id):
+                        link = sequence_ids[child_id]
+                        break
+                else:
+                    # no chunk below is a procedure: its list chunks become
+                    # sub-steps (a linked step's nested content lives in its
+                    # own procedure)
+                    folded = [(sub_item, step_id) for child_id in below
+                              if chunk_of[child_id].kind is ChunkKind.LIST
+                              for sub_item in annotations[child_id].items]
+                    stack.extend(reversed(folded))
+            steps.append(Step(step_id, nodes[node_id].text, item.actionable,
+                              item.conditional, parent_step, link))
+        procedures.append(Procedure(sequence_ids[chunk_id],
+                                    chunk_of[chunk_id].goal, tuple(steps)))
     return procedures
 
 

@@ -4,8 +4,9 @@
 scorer, the training matrix and the feature CSV columns f1..f15 read.
 Thirteen features are static functions of the chunk, its annotations, and
 the tree. Two (inferred_goal, non_actionable_goals) depend on how chunks
-below this one were classified and are filled in during the bottom-up
-classification pass.
+below this one were classified. `update_propagated_features` fills them in
+with one loop over the chunk's items, for the bottom-up classification
+pass and for teacher forcing alike.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from typing import NamedTuple
 
 from .annotate import ChunkAnnotation
-from .chunker import Chunk, ChunkKind, ChunkSet, chunk_size
+from .chunker import Chunk, ChunkKind, chunk_size
 from .docmodel import DocTree
 # split_sentences stays importable from here: perfbench/tracer.py patches it
 # by module.
@@ -114,49 +115,52 @@ def compute_static_features(chunk: Chunk, tree: DocTree,
     non_procedural, procedural = _context_flags(chunk.context_text, lexicons)
 
     return FeatureVector(
-        n_imperatives=_ratio(imperative, size),
-        n_conditionals=_ratio(conditional, size),
-        n_actionables=_ratio(non_imperative, size),
-        n_effect_actionable=_ratio(effect, conditional),
-        n_discourse_goals=_ratio(goals, size),
-        n_inferred_goal=0.0,
-        n_non_actionable_goals=0.0,
-        if_parent_is_goal=1.0 if annotation.parent_is_goal else 0.0,
-        relatedness=annotation.relatedness,
-        depth_level=float(chunk.depth),
-        chunk_size=float(size),
-        avg_sibling_distance=avg_sibling_distance(chunk, tree),
-        n_associated_image=_ratio(images, size),
-        context_non_procedural=non_procedural,
-        context_procedural=procedural,
-    )
-
-
-def child_flags(chunk: Chunk, chunks: ChunkSet,
-                labels: dict[int, bool]) -> dict[int, bool]:
-    """The propagation rule: item node id -> whether some chunk filed
-    directly below that item is labeled a procedure in `labels` (chunk id
-    -> label). A chunk missing from `labels` counts as not a procedure."""
-    return {node_id: any(labels.get(child_id, False)
-                         for child_id in chunks.child_chunks.get(node_id, ()))
-            for node_id in chunk.item_node_ids}
+        _ratio(imperative, size),
+        _ratio(conditional, size),
+        _ratio(non_imperative, size),
+        _ratio(effect, conditional),
+        _ratio(goals, size),
+        0.0,
+        0.0,
+        1.0 if annotation.parent_is_goal else 0.0,
+        annotation.relatedness,
+        float(chunk.depth),
+        float(size),
+        avg_sibling_distance(chunk, tree),
+        _ratio(images, size),
+        non_procedural,
+        procedural)
 
 
 def update_propagated_features(annotation: ChunkAnnotation,
-                               child_predictions: dict[int, bool],
+                               child_chunks: dict[int, list[int]],
+                               labels: dict[int, bool],
                                current: FeatureVector) -> FeatureVector:
-    """Recompute the two propagated features from per-item child outcomes.
+    """`current` with the two propagated features recomputed: the fraction
+    of items with a procedure child, and of non-actionable items with one.
 
-    `child_predictions` maps every item node id to whether some chunk
-    directly below it was classified as a procedure (see `child_flags`).
-    Only the two propagated fields change.
+    The propagation rule: an item has a procedure child when some chunk
+    filed directly below it (`child_chunks`, node id -> chunk ids, as in
+    `ChunkSet.child_chunks`) is labeled a procedure in `labels` (chunk id
+    -> label). A chunk missing from `labels` counts as not a procedure.
+    One pass over the items counts both fractions; only the two
+    propagated fields change.
     """
     items = annotation.items
-    with_child = [child_predictions[item.node_id] for item in items]
-    inferred = _ratio(sum(with_child), len(items))
-    non_actionable = [child_predictions[item.node_id] for item in items
-                      if not item.actionable]
-    return current._replace(
-        n_inferred_goal=inferred,
-        n_non_actionable_goals=_ratio(sum(non_actionable), len(non_actionable)))
-
+    with_child = non_actionable = non_actionable_with_child = 0
+    get_children, get_label = child_chunks.get, labels.get
+    for item in items:
+        has_child = False
+        for child_id in get_children(item.node_id, ()):
+            if get_label(child_id, False):
+                has_child = True
+                break
+        with_child += has_child
+        if not item.actionable:
+            non_actionable += 1
+            non_actionable_with_child += has_child
+    return FeatureVector._make((
+        *current[:5],
+        _ratio(with_child, len(items)),
+        _ratio(non_actionable_with_child, non_actionable),
+        *current[7:]))

@@ -157,8 +157,8 @@ def teacher_forced_features(run: DocumentRun,
     foreign = sorted(gold.keys() - run.chunks.chunks.keys())
     if missing or foreign:
         raise LabelMismatch(missing, foreign)
+    child_chunks = run.chunks.child_chunks
     return {chunk.id: features.update_propagated_features(
-                run.annotations[chunk.id],
-                features.child_flags(chunk, run.chunks, gold),
+                run.annotations[chunk.id], child_chunks, gold,
                 run.static_features[chunk.id])
             for chunk in run.chunks}

@@ -270,6 +270,69 @@ def oracle_serialize(procedures) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# Oracles: the propagation rule and the extractor before they made one loop
+# per chunk and per step. Propagation built an item -> flag dict per chunk
+# and two lists of flags; extraction walked every step's child chunks
+# through a generator and a fold list, and built records by keyword.
+
+def child_flags(chunk, chunks, labels: dict[int, bool]) -> dict[int, bool]:
+    """The propagation rule: item node id -> whether some chunk filed
+    directly below that item is labeled a procedure in `labels` (chunk id
+    -> label). A chunk missing from `labels` counts as not a procedure."""
+    return {node_id: any(labels.get(child_id, False)
+                         for child_id in chunks.child_chunks.get(node_id, ()))
+            for node_id in chunk.item_node_ids}
+
+
+def oracle_update_propagated_features(annotation, child_predictions, current):
+    """Recompute the two propagated features from `child_flags`."""
+    items = annotation.items
+    with_child = [child_predictions[item.node_id] for item in items]
+    inferred = sum(with_child) / len(items) if items else 0.0
+    non_actionable = [child_predictions[item.node_id] for item in items
+                      if not item.actionable]
+    return current._replace(
+        n_inferred_goal=inferred,
+        n_non_actionable_goals=(sum(non_actionable) / len(non_actionable)
+                                if non_actionable else 0.0))
+
+
+def oracle_extract(predictions, chunks, tree, annotations):
+    """One procedure per procedure-labeled chunk, in document order."""
+    from procmine.chunker import ChunkKind
+    from procmine.extractor import Procedure, Step
+    labels = {p.chunk_id: p.label for p in predictions}
+    procedure_chunks = sorted(
+        (cid for cid, label in labels.items() if label),
+        key=lambda cid: chunks.chunks[cid].item_node_ids[0])
+    sequence_ids = {cid: f"seq-{i}" for i, cid in enumerate(procedure_chunks, 1)}
+    procedures = []
+    for chunk_id in procedure_chunks:
+        steps = []
+        stack = [(item, None) for item in reversed(annotations[chunk_id].items)]
+        while stack:
+            item, parent_step = stack.pop()
+            below = chunks.child_chunks.get(item.node_id, ())
+            link = next((sequence_ids[c] for c in below if labels.get(c)), None)
+            step_id = f"s{len(steps) + 1}"
+            steps.append(Step(step_id=step_id, text=tree.nodes[item.node_id].text,
+                              actionable=item.actionable,
+                              conditional=item.conditional,
+                              parent_step_id=parent_step,
+                              child_procedure_id=link))
+            if link is not None:
+                continue
+            folded = [(sub_item, step_id) for child_id in below
+                      if chunks.chunks[child_id].kind is ChunkKind.LIST
+                      for sub_item in annotations[child_id].items]
+            stack.extend(reversed(folded))
+        procedures.append(Procedure(sequence_id=sequence_ids[chunk_id],
+                                    goal=chunks.chunks[chunk_id].goal,
+                                    step_list=tuple(steps)))
+    return procedures
+
+
+# ---------------------------------------------------------------------------
 # Oracle: the Markdown parser before it made one pass over the input lines.
 # It split lines only at \n, found the title in a pass of its own, retried
 # the image pattern from every `![` and re-joined an item's whole text for

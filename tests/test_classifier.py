@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from procmine import pipeline
+from procmine import cli, pipeline
 from procmine.chunker import ChunkKind
 from procmine.classifier import (ChunkPrediction, Metrics, MissingPrediction,
                                  ProcedureClassifierModel, UnlabeledPrediction,
@@ -16,6 +16,9 @@ from procmine.linear import (DegenerateLabels, MinMaxScaler, TrainParams,
                              VersionMismatch)
 
 from conftest import CORPUS_DIR, random_tree
+
+CORPUS_DOCS = sorted((CORPUS_DIR / "docs").glob("*.md")) + [
+    CORPUS_DIR / "nested-fixture.md"]
 
 PARAMS = TrainParams(epochs=200, learning_rate=0.01, l2=1e-4, seed=11)
 
@@ -198,9 +201,7 @@ class TestProcessingOrder:
             [run.chunks.chunks[p.chunk_id].depth for p in predictions]
         assert sorted(p.chunk_id for p in predictions) == list(run.chunks.chunks)
 
-    @pytest.mark.parametrize("path", sorted((CORPUS_DIR / "docs").glob("*.md"))
-                             + [CORPUS_DIR / "nested-fixture.md"],
-                             ids=lambda p: p.stem)
+    @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.stem)
     def test_corpus_documents(self, path):
         self.assert_order(pipeline.load_document(path))
 
@@ -287,3 +288,19 @@ class TestAblate:
         assert names == ["none", "Actionable", "Goal-based", "Relatedness",
                          "Structural", "Context-based"]
         assert all(isinstance(m, Metrics) for _, m in report)
+
+
+@pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda path: path.name)
+def test_prediction_log_equals_its_golden_file(path, tmp_path):
+    """`procmine extract --pred-log` on each corpus document with the
+    bundled models. The log writes `repr(margin)`, so the golden file pins
+    every chunk's label and margin after propagation to the bit."""
+    log = tmp_path / "predictions.csv"
+    models = CORPUS_DIR / "models"
+    assert cli.main(["extract", str(path),
+                     "--model", str(models / "procedure.json"),
+                     "--actionable-model", str(models / "actionable.json"),
+                     "-o", str(tmp_path / "procedures.json"),
+                     "--pred-log", str(log)]) == 0
+    golden = CORPUS_DIR / "golden" / (path.stem + ".predictions.csv")
+    assert log.read_bytes() == golden.read_bytes()

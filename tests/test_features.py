@@ -259,6 +259,14 @@ class TestSiblingDistanceOracle:
                 brute_force_sibling_distance(chunk, tree)
 
 
+def with_children(flags: dict[int, bool]):
+    """(child_chunks, labels) that give each item node id in `flags` one
+    chunk below it, labeled with the item's flag."""
+    child_chunks = {nid: [1000 + i] for i, nid in enumerate(flags)}
+    labels = {1000 + i: flag for i, flag in enumerate(flags.values())}
+    return child_chunks, labels
+
+
 class TestPropagatedFeatures:
     def _heading_run(self, n=8):
         lines = ["# T"]
@@ -271,7 +279,7 @@ class TestPropagatedFeatures:
         group = chunk_of(run, ChunkKind.HEADING_GROUP)
         child_map = {nid: True for nid in group.item_node_ids}
         updated = update_propagated_features(run.annotations[group.id],
-                                             child_map,
+                                             *with_children(child_map),
                                              run.static_features[group.id])
         assert updated.n_inferred_goal == 1.0
 
@@ -280,7 +288,7 @@ class TestPropagatedFeatures:
         leaf = chunk_of(run, ChunkKind.LIST)
         child_map = {nid: False for nid in leaf.item_node_ids}
         updated = update_propagated_features(run.annotations[leaf.id],
-                                             child_map,
+                                             *with_children(child_map),
                                              run.static_features[leaf.id])
         assert updated.n_inferred_goal == 0.0
         assert updated.n_non_actionable_goals == 0.0
@@ -297,7 +305,8 @@ class TestPropagatedFeatures:
         assert actionables == [True, True, False, False]
         ids = chunk.item_node_ids
         child_map = {ids[0]: False, ids[1]: False, ids[2]: True, ids[3]: False}
-        updated = update_propagated_features(annotation, child_map,
+        updated = update_propagated_features(annotation,
+                                             *with_children(child_map),
                                              run.static_features[chunk.id])
         assert updated.n_inferred_goal == 0.25
         assert updated.n_non_actionable_goals == 0.5
@@ -308,7 +317,7 @@ class TestPropagatedFeatures:
         base = run.static_features[group.id]
         updated = update_propagated_features(
             run.annotations[group.id],
-            {nid: True for nid in group.item_node_ids}, base)
+            *with_children({nid: True for nid in group.item_node_ids}), base)
         for name in FEATURE_NAMES:
             if name in ("n_inferred_goal", "n_non_actionable_goals"):
                 continue

@@ -213,6 +213,24 @@ class TestActionableScorer:
                 margin = predict(model, tagger.tag(text))[1]
                 assert margin.hex() == oracle_margin(model, ORACLE.tag(text)).hex()
 
+    @pytest.mark.parametrize("name", TABLE_MODELS)
+    def test_terms_seen_4_and_5_times_equal_oracle_bits(self, tagger, name):
+        """The repeat table's edge: a term seen `TABLED_COUNTS` (4) times
+        reads the table, and one seen 5 times in the same sentence is worked
+        out when it is seen. Each table entry has the bits of idf added k
+        times from 0.0."""
+        model = TABLE_MODELS[name]
+        assert actionable.TABLED_COUNTS == 4
+        terms = model.vocabulary.terms
+        for first, second in zip(terms, terms[1:]):
+            for text in (" ".join([first] * 4 + [second] * 5) + ".",
+                         " ".join([second] * 4 + [first] * 5) + "."):
+                margin = predict(model, tagger.tag(text))[1]
+                assert margin.hex() == oracle_margin(model, ORACLE.tag(text)).hex()
+        for count in range(2, actionable.TABLED_COUNTS + 1):
+            assert [score.hex() for score in model.repeat_scores[count - 2]] == [
+                model.repeated_score(i, count).hex() for i in range(len(terms))]
+
     def test_edited_models_clip_where_they_are_meant_to(self):
         """Each hand-edited model reaches the case it is there for."""
         repeat = TABLE_MODELS["repeat-clips-to-one"]

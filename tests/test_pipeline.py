@@ -19,11 +19,13 @@ from procmine.lingua import LexiconError
 from procmine.docmodel import parse_markdown, parse_sdjson
 from procmine.pipeline import PipelineConfig
 
-from conftest import (check_links, procedure_fields, procedures_json_fields,
-                      random_sdjson, random_tree)
+from conftest import (check_links, child_flags, oracle_extract,
+                      oracle_update_propagated_features, procedure_fields,
+                      procedures_json_fields, random_sdjson, random_tree)
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
+CORPUS_DOCS = sorted(CORPUS.glob("docs/*.md")) + [CORPUS / "nested-fixture.md"]
 LEXICON_NAMES = sorted(path.name for path in lingua.bundled_data_dir().iterdir())
 
 
@@ -172,9 +174,10 @@ class TestTeacherForcingLabels:
 
 
 class TestOnePropagationRule:
-    """Inference and teacher forcing share `features.child_flags`: given the
-    classifier's own labels as gold, teacher forcing rebuilds every vector
-    the classifier scored."""
+    """Inference and teacher forcing share
+    `features.update_propagated_features`: given the classifier's own
+    labels as gold, teacher forcing rebuilds every vector the classifier
+    scored."""
 
     @staticmethod
     def assert_reproduces_snapshots(run):
@@ -182,9 +185,7 @@ class TestOnePropagationRule:
         forced = pipeline.teacher_forced_features(run, labels)
         assert {p.chunk_id: p.feature_snapshot for p in run.predictions} == forced
 
-    @pytest.mark.parametrize("path", sorted(CORPUS.glob("docs/*.md"))
-                             + [CORPUS / "nested-fixture.md"],
-                             ids=lambda p: p.stem)
+    @pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.stem)
     def test_corpus_documents(self, models, path):
         run = pipeline.run_document(pipeline.load_document(path), *models)
         assert any(p.feature_snapshot.n_inferred_goal for p in run.predictions)
@@ -194,6 +195,70 @@ class TestOnePropagationRule:
         rng = random.Random(404)
         for _ in range(60):
             self.assert_reproduces_snapshots(run_random_doc(rng, models))
+
+
+def oracle_runs(models):
+    """The corpus documents' runs, then 60 random documents' runs."""
+    for path in CORPUS_DOCS:
+        yield pipeline.run_document(pipeline.load_document(path), *models)
+    rng = random.Random(606)
+    for _ in range(60):
+        yield run_random_doc(rng, models)
+
+
+def bits(vector) -> list[str]:
+    return [value.hex() for value in vector]
+
+
+class TestPropagationEqualsOracle:
+    """The one-loop propagation against `conftest.child_flags` and the
+    two-list update it replaced, bit for bit, under the classifier's own
+    labels, all-True, all-False and partial labels."""
+
+    def test_corpus_and_random_documents(self, models):
+        propagated = 0
+        for run in oracle_runs(models):
+            predicted = {p.chunk_id: p.label for p in run.predictions}
+            ids = sorted(predicted)
+            for labels in (predicted,
+                           dict.fromkeys(ids, True), dict.fromkeys(ids, False),
+                           {cid: True for cid in ids[::2]},  # the rest omitted
+                           {cid: predicted[cid] for cid in ids[1::3]}):
+                for chunk in run.chunks:
+                    annotation = run.annotations[chunk.id]
+                    static = run.static_features[chunk.id]
+                    vector = features.update_propagated_features(
+                        annotation, run.chunks.child_chunks, labels, static)
+                    oracle = oracle_update_propagated_features(
+                        annotation, child_flags(chunk, run.chunks, labels),
+                        static)
+                    assert type(vector) is features.FeatureVector
+                    assert bits(vector) == bits(oracle)
+                    propagated += vector.n_non_actionable_goals > 0.0
+        assert propagated > 100  # the non-actionable fraction was reached
+
+
+class TestExtractEqualsOracle:
+    """`extractor.extract` against the walk it replaced, under the
+    classifier's labels and under all-True, all-False and alternating
+    labels, so that steps link, fold and stay flat."""
+
+    def test_corpus_and_random_documents(self, models):
+        linked = folded = 0
+        for run in oracle_runs(models):
+            predictions = run.predictions
+            for relabel in (None, lambda i: True, lambda i: False,
+                            lambda i: i % 2 == 0):
+                if relabel is not None:
+                    predictions = [p._replace(label=relabel(i))
+                                   for i, p in enumerate(run.predictions)]
+                args = (predictions, run.chunks, run.tree, run.annotations)
+                procedures = extractor.extract(*args)
+                assert procedures == oracle_extract(*args)
+                steps = [s for p in procedures for s in p.step_list]
+                linked += sum(s.child_procedure_id is not None for s in steps)
+                folded += sum(s.parent_step_id is not None for s in steps)
+        assert linked > 100 and folded > 100  # both kinds of step were built
 
 
 class TestLinearWork:

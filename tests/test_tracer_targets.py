@@ -40,6 +40,7 @@ def test_every_target_wraps_a_traced_document_run(tmp_path):
     assert run.procedures
     names = {span.name for span in tracer.spans}
     assert {"pipeline.run", "pipeline.config_load", "lingua.tag",
-            "actionable.predict", "classifier.classify"} <= names
+            "actionable.predict", "classifier.classify", "features.propagate",
+            "annotate.sentence"} <= names
     assert all(getattr(pipeline, name) is fn for name, fn in originals.items())
     assert pipeline.PipelineConfig.tagger is tagger
