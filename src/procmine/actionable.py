@@ -1,12 +1,15 @@
 """Classifier for non-imperative actionable statements.
 
 A tagged sentence has one featurization: `term_indices`, the sorted
-vocabulary index of each term in its text (bag-of-words over a
+vocabulary index of each of its terms (bag-of-words over a
 frequency-filtered vocabulary), and the three indicator bits of
-`lingua.profile` (present tense, active voice, positive polarity). `train`
-fills its dense tf-idf matrix from them, idf added once per occurrence
-from 0.0. The model is a `linear.LinearModel` that also holds the
-vocabulary; its file, loader and training recipe are `linear`'s.
+`lingua.profile` (present tense, active voice, positive polarity). The
+terms are `lingua.sentence_terms` of its text, which the tagger gives as
+`TaggedSentence.terms`, so no sentence is tokenized a second time; only
+`build_vocabulary` reads raw texts. `train` fills its dense tf-idf matrix
+from them, idf added once per occurrence from 0.0. The model is a
+`linear.LinearModel` that also holds the vocabulary; its file, loader and
+training recipe are `linear`'s.
 
 `predict` adds one precomputed score per term. `Scorer.margin` over the
 sparse features adds, from 0.0 and in index order, each present term's
@@ -24,13 +27,12 @@ so the margin has the same bits.
 from __future__ import annotations
 
 import math
-import re
 from functools import cached_property
 from typing import NamedTuple
 
 from . import linear
 from .docmodel import require
-from .lingua import TaggedSentence, Tagger, profile
+from .lingua import TaggedSentence, Tagger, profile, sentence_terms
 from .linear import DegenerateLabels, TrainParams, VersionMismatch
 
 MIN_DOCUMENT_FREQUENCY = 3
@@ -41,16 +43,8 @@ MIN_DOCUMENT_FREQUENCY = 3
 # more than 4; a longer run is worked out when it is seen.
 TABLED_COUNTS = 4
 
-_WORD_RE = re.compile(r"[a-z0-9]+(?:[-_'][a-z0-9]+)*")
-
-
 class EmptyCorpus(ValueError):
     """No vocabulary term survived the document-frequency filter."""
-
-
-def sentence_terms(text: str) -> list[str]:
-    """Lowercased word tokens with punctuation stripped."""
-    return _WORD_RE.findall(text.lower())
 
 
 class _VocabularyFields(NamedTuple):
@@ -93,12 +87,12 @@ def build_vocabulary(corpus: list[str]) -> Vocabulary:
     )
 
 
-def term_indices(text: str, vocab: Vocabulary) -> list[int]:
-    """The vocabulary index of each term of `text`, in increasing order; a
+def term_indices(terms: tuple[str, ...], vocab: Vocabulary) -> list[int]:
+    """The vocabulary index of each of `terms`, in increasing order; a
     term seen k times is there k times. Terms outside the vocabulary are
     left out: their tf-idf is 0."""
     get = vocab.index.get
-    indices = [i for i in map(get, sentence_terms(text)) if i is not None]
+    indices = [i for i in map(get, terms) if i is not None]
     indices.sort()
     return indices
 
@@ -197,7 +191,7 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
     raw = np.zeros((len(texts), size + 3))
     for row, text in zip(raw, texts):
         tagged = tagger.tag(text)
-        for i in term_indices(tagged.text, vocab):
+        for i in term_indices(tagged.terms, vocab):
             row[i] += idf[i]
         row[size:] = profile(tagged)
     return linear.fit_models(ActionableModel, [raw],
@@ -211,7 +205,7 @@ def predict(model: ActionableModel,
     ties resolve to actionable. The margin has the bits of `Scorer.margin`
     over the sparse tf-idf and indicator features (see the module
     docstring)."""
-    indices = term_indices(sentence.text, model.vocabulary)
+    indices = term_indices(sentence.terms, model.vocabulary)
     indices.append(-1)  # ends the last run of equal indices
     scores, repeats = model.term_scores, model.repeat_scores
     total = 0.0

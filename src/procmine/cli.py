@@ -181,7 +181,8 @@ def _read_labeled_csv(path: str | Path, columns: tuple[str, ...],
     """(parse(values of `columns`), label) for each row of a CSV whose header
     names `columns` and `label`, its text read by `decode_utf8`. A label is
     1/true/True or 0/false/False. An unreadable file exits 66; bytes that
-    are not UTF-8, a missing column or a bad value exit 65, naming the line."""
+    are not UTF-8, a missing column, a row of more or fewer fields than the
+    header or a bad value exit 65, naming the line (an empty file's is 1)."""
     try:
         text = decode_utf8(read_input(path),
                            lambda message: CliError(f"{path}, {message}", EX_DATA))
@@ -199,12 +200,14 @@ def _read_labeled_csv(path: str | Path, columns: tuple[str, ...],
         for line in reader:
             if not line:
                 continue
+            if len(line) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(line)}")
             label = line[label_at].strip()
             if label not in _LABELS:
                 raise ValueError(f"label must be 0/1 or true/false, got {label!r}")
             rows.append((parse([line[i] for i in where]), _LABELS[label]))
-    except (ValueError, IndexError, csv.Error) as exc:
-        raise CliError(f"{path}, line {reader.line_num}: {exc}", EX_DATA)
+    except (ValueError, csv.Error) as exc:
+        raise CliError(f"{path}, line {max(reader.line_num, 1)}: {exc}", EX_DATA)
     return rows
 
 

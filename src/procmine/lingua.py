@@ -3,12 +3,12 @@ rule-based detection of imperative and conditional sentences. `profile`
 reads three bits off a sentence's tags: present tense, active voice and
 positive polarity, the indicators the actionable model scores.
 
-`Tagger.tag` tokenizes and tags each sentence in one token pass. The
-`TaggedSentence` it returns holds three parallel tuples: the token
-surfaces, their lower-cased forms (each lower-cased once, and no new
-string where nothing changes) and their tags. Every detector reads
-those tuples, and the imperative flag is worked out once per sentence,
-when it is tagged.
+`Tagger.tag` tokenizes and tags each sentence one whitespace word at a
+time. The `TaggedSentence` it returns holds three parallel tuples: the
+token surfaces, their lower-cased forms (each lower-cased once, and no new
+string where nothing changes) and their tags; and the actionable model's
+`terms` (`sentence_terms`). Every detector reads those tuples, and the
+imperative flag is worked out once per sentence, when it is tagged.
 
 Only a verb form's tag can depend on the tags before it. Every other word
 is tagged from its surface alone (punctuation, number, a form of "be",
@@ -17,10 +17,19 @@ third person but no base (VBZ). Each `Tagger` keeps a table from surface
 to lower-cased form and entry, filled on first sight: the entry is the
 tag where the surface alone decides it, and otherwise the verb form's
 kinds from the lexicon, which `_verb_tag` reads against the tags before
-the word on every sight. Tokens that split off `n't` never enter it and
-are tagged afresh each time. The table lives as long as its tagger, which
-`pipeline` keeps one of per lexicon directory, so it stays warm across
-the documents of a process; it stops growing at `TAG_TABLE_CAP` entries.
+the word on every sight. Tokens that split off `n't` never enter it; the
+word table below keeps them with their word.
+
+Above it sits a table of whitespace words (`str.split`). Neither the
+token pattern nor the term pattern matches whitespace, and `str.split`
+cuts exactly where `re`'s `\\s` matches, so a text's tokens and terms are
+its words' tokens and terms in turn; lower-casing works one code point at
+a time but for the Greek final sigma, which is in no term. A word's entry
+holds its tokens' surfaces, lower-cased forms and entries, whether every
+entry is a tag, and its terms; a miss is built from the token table. Both
+tables live as long as their tagger, which `pipeline` keeps one of per
+lexicon directory, so they stay warm across the documents of a process;
+each stops growing at `TAG_TABLE_CAP` entries.
 
 The tagger is intentionally lightweight: a closed-class lexicon, a verb
 inflection table shipped as an editable data file, suffix fallbacks, and a
@@ -66,6 +75,7 @@ _AUX_SURFACES = frozenset(_BE_FORMS) | {"have", "has", "had", "having",
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:[-_./':][A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
 _NUM_RE = re.compile(r"\d+(?:[.\-/:]\d+)*(?:st|nd|rd|th)?|v\d+(?:\.\d+)*")
 _WORD_RE = re.compile(r"[A-Za-z0-9]")
+_TERM_RE = re.compile(r"[a-z0-9]+(?:[-_'][a-z0-9]+)*")
 
 
 class TaggedSentence(NamedTuple):
@@ -74,6 +84,13 @@ class TaggedSentence(NamedTuple):
     lowers: tuple[str, ...]  # lower-cased surfaces
     tags: tuple[str, ...]
     imperative: bool  # `_imperative` of the tags and lowers
+    terms: tuple[str, ...]  # `sentence_terms(text)`
+
+
+def sentence_terms(text: str) -> list[str]:
+    """Lowercased word tokens with punctuation stripped: the actionable
+    model's terms."""
+    return _TERM_RE.findall(text.lower())
 
 
 class ConditionalSplit(NamedTuple):
@@ -246,8 +263,8 @@ def split_sentences(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # POS tagging
 
-# Most entries of a Tagger's table of surfaces: far more than the distinct
-# words of a document, and a bound on the table's memory.
+# Most entries of each of a Tagger's tables: far more than the distinct
+# words of a document, and a bound on the tables' memory.
 TAG_TABLE_CAP = 1 << 14
 
 
@@ -257,29 +274,57 @@ class Tagger:
     than one split off `n't` (see the module docstring), to its lower-cased
     form, the surface object itself where lower-casing changes nothing,
     and its `_entry`: its tag, or the kinds of a verb form whose tag
-    depends on the tags before it."""
+    depends on the tags before it. `words` maps each whitespace word seen
+    to its tokens' surfaces, lower-cased forms and entries, whether every
+    entry is a tag, and its terms, each a tuple but the flag."""
 
     def __init__(self, lexicon: Lexicon | None = None):
         self.lexicon = lexicon or default_lexicon()
         self.table: dict[str, tuple[str, str | frozenset]] = {}
+        self.words: dict[str, tuple] = {}
 
     def tag(self, text: str) -> TaggedSentence:
-        """Tokenize and tag `text` in one pass. Where lower-casing changes
-        nothing, a token's lower-cased form is its surface object, or on a
-        table hit the surface the table stored; a trailing `n't` is a
-        token of its own."""
-        table = self.table
+        """Tokenize and tag `text` one whitespace word at a time. Where
+        lower-casing changes nothing, a token's lower-cased form is its
+        surface object, or the surface the token table stored; a trailing
+        `n't` is a token of its own."""
+        words = self.words
         surfaces: list[str] = []
         lowers: list[str] = []
         tags: list[str] = []
-        for raw in _TOKEN_RE.findall(text):
+        terms: list[str] = []
+        for word in text.split():
+            known = words.get(word)
+            if known is None:
+                known = self._word(word)
+            word_surfaces, word_lowers, entries, all_tags, word_terms = known
+            surfaces += word_surfaces
+            lowers += word_lowers
+            if all_tags:
+                tags += entries
+            else:
+                for surface, lower, entry in zip(word_surfaces, word_lowers,
+                                                 entries):
+                    tags.append(entry if type(entry) is str else self._verb_tag(
+                        surface, lower, entry, len(tags), lowers, tags))
+            terms += word_terms
+        tagged = tuple(tags)
+        return TaggedSentence(text, tuple(surfaces), tuple(lowers), tagged,
+                              _imperative(tagged, lowers), tuple(terms))
+
+    def _word(self, word: str) -> tuple:
+        """The `words` entry of the whitespace word `word`, from the token
+        table, which it fills; kept unless `words` is full."""
+        table = self.table
+        surfaces: list[str] = []
+        lowers: list[str] = []
+        entries: list[str | frozenset] = []
+        for raw in _TOKEN_RE.findall(word):
             known = table.get(raw)
             if known is not None:
-                lower, entry = known
                 surfaces.append(raw)
-                lowers.append(lower)
-                tags.append(entry if type(entry) is str else self._verb_tag(
-                    raw, lower, entry, len(tags), lowers, tags))
+                lowers.append(known[0])
+                entries.append(known[1])
                 continue
             lower = raw.lower()
             if lower == raw:
@@ -289,17 +334,26 @@ class Tagger:
                 tokens = ((head, head if lower == head else lower), ("n't", "n't"))
             else:
                 tokens = ((raw, lower),)
-            for surface, word in tokens:
-                entry = self._entry(surface, word)
+            for surface, form in tokens:
+                entry = self._entry(surface, form)
                 surfaces.append(surface)
-                lowers.append(word)
-                tags.append(entry if type(entry) is str else self._verb_tag(
-                    surface, word, entry, len(tags), lowers, tags))
+                lowers.append(form)
+                entries.append(entry)
             if len(tokens) == 1 and len(table) < TAG_TABLE_CAP:
                 table[raw] = (lower, entry)
-        tagged = tuple(tags)
-        return TaggedSentence(text, tuple(surfaces), tuple(lowers), tagged,
-                              _imperative(tagged, lowers))
+        # Equal tuples and strings are kept once: most words are one token,
+        # with a lower-cased form and a term that are that token again.
+        surfaces = (word,) if surfaces == [word] else tuple(surfaces)
+        lowers = tuple(lowers)
+        if lowers == surfaces:
+            lowers = surfaces
+        terms = tuple(_TERM_RE.findall(word.lower()))
+        known = (surfaces, lowers, tuple(entries),
+                 frozenset not in map(type, entries),  # all tags
+                 lowers if terms == lowers else terms)
+        if len(self.words) < TAG_TABLE_CAP:
+            self.words[word] = known
+        return known
 
     def _entry(self, surface: str, word: str) -> str | frozenset:
         """The tag that the surface alone decides, or the kinds of a verb

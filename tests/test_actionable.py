@@ -113,12 +113,12 @@ class TestFeaturize:
 
     def test_oov_sentence_gets_zero_bag_and_profile_tail(self, tagger):
         tagged = tagger.tag("Reboot the gateway.")
-        assert term_indices(tagged.text, self.VOCAB) == []
+        assert term_indices(tagged.terms, self.VOCAB) == []
         assert profile(tagged) == (True, True, True)
 
     def test_tf_times_idf(self, tagger):
         tagged = tagger.tag("install twice install")
-        assert term_indices(tagged.text, self.VOCAB) == [0, 0]
+        assert term_indices(tagged.terms, self.VOCAB) == [0, 0]
         # Only the first feature is weighted, its range [0, 8]: the margin
         # is its scaled tf-idf, tf 2 x idf 2.0 over 8.
         model = ActionableModel(
@@ -129,7 +129,7 @@ class TestFeaturize:
     def test_negative_profile_tail(self, tagger):
         """Past tense, passive voice and a negator: all three bits False."""
         tagged = tagger.tag("The install was not restarted.")
-        assert term_indices(tagged.text, self.VOCAB) == [0]
+        assert term_indices(tagged.terms, self.VOCAB) == [0]
         assert profile(tagged) == (False, False, False)
 
     def test_punctuation_stripped_and_lowercased(self):

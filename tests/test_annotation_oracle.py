@@ -9,12 +9,19 @@ The random sentences are read by three taggers: the module's, whose table
 of surfaces is warm from every earlier example, a fresh one
 per example, and a `--lexicon-dir` one whose verb forms include words that
 the bundled lexicon tags NOUN. A table shared across lexicons, or one that
-keeps a verb form's tag, reads those words wrong."""
+keeps a verb form's tag, reads those words wrong.
+
+The tagger reads one whitespace word at a time from its table of words;
+`oracle_tag` is the one token pass it replaced, over the whole text, with
+the terms from `sentence_terms`. Their texts mix in every kind of
+whitespace, since the word table is exact only where `str.split` and
+`re`'s `\\s` cut alike."""
 
 import csv
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +33,7 @@ from procmine.docmodel import parse_sdjson
 from procmine.goals import GoalCueConfig, annotate_goal
 from procmine.lingua import (TAG_TABLE_CAP, TaggedSentence, Tagger,
                              bundled_data_dir, detect_conditional, profile,
-                             split_sentences)
+                             sentence_terms, split_sentences)
 from procmine.relatedness import (VECTOR_MIN_MENTION_PAIRS, BipartiteGraph,
                                   _graph_mentions, build_bipartite,
                                   chunk_relatedness, extract_entities,
@@ -37,7 +44,7 @@ from conftest import (CORPUS_DIR, OracleSentence, OracleTagger, OracleToken,
                       oracle_annotate_goal, oracle_bipartite_edges,
                       oracle_detect_conditional, oracle_detect_imperative,
                       oracle_extract_entities, oracle_margin, oracle_profile,
-                      random_tree)
+                      oracle_tag, random_tree)
 
 TAGGER = Tagger()
 ORACLE = OracleTagger()
@@ -123,7 +130,42 @@ SENTENCES = st.lists(st.tuples(PIECES, SEPARATORS), max_size=16).map(
     lambda pairs: "".join(piece + sep for piece, sep in pairs))
 
 
+# Every kind of whitespace that `str.split` cuts at and `re`'s `\s` matches
+# (ASCII controls, the information separators, NEL, no-break, line and
+# ideographic spaces), two characters that look like space but are
+# neither (zero-width space, Mongolian vowel separator), and none.
+SPACES = st.sampled_from(["\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d",
+                          "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+                          " ", "  ", "\u200b", "\u180e", ""])
+# Words that split into several tokens or terms, or whose lower-cased form
+# differs in length or script: KELVIN SIGN lowers to "k", U+0130 to "i"
+# and a combining dot, and a capital sigma lowers by its context.
+WORDS = st.one_of(PIECES, st.sampled_from([
+    "don't", "Won't", "CAN'T", "K5", "\u212a5", "\u0130stanbul", "config.yaml",
+    "a--b", "a-b_c'd", "...", "?!", "--", ",,", "(see", "it).", "\u03a3\u039f\u03a3",
+    "x\u03a3", "o'clock", "__init__"]))
+CORPUS_SENTENCES = st.deferred(lambda: st.sampled_from(corpus_texts()))
+SPACED_TEXTS = st.lists(st.tuples(st.one_of(WORDS, CORPUS_SENTENCES), SPACES),
+                        max_size=12).map(
+    lambda pairs: "".join(piece + space for piece, space in pairs))
+
+
 class TestRandomSentences:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(SPACED_TEXTS, st.text(max_size=40)))
+    @example("Don't\x1cclick\u3000the\x85K\u212a5 config.yaml\u2028a--b...")
+    def test_tag_by_words_matches_one_token_pass(self, readers, text):
+        """Every field of `tag` equals `oracle_tag`'s, the terms are
+        `sentence_terms` of the text, and a fresh tagger's token table ends
+        as the oracle's does."""
+        for tagger, _ in readers():
+            fresh, table = not tagger.table, {}
+            new = tagger.tag(text)
+            assert new == oracle_tag(tagger, text, table)
+            assert new.terms == tuple(sentence_terms(text))
+            if fresh:
+                assert tagger.table == table
+
     @settings(max_examples=500, deadline=None)
     @given(SENTENCES)
     @example("The service was restarted and is running")  # mixed tense
@@ -191,9 +233,26 @@ class TestRandomSentences:
         tags = tuple(tag for _, tag in tokens)
         text = " ".join(surfaces)
         new = TaggedSentence(text, surfaces, lowers, tags,
-                             lingua._imperative(tags, lowers))
+                             lingua._imperative(tags, lowers),
+                             tuple(sentence_terms(text)))
         old = OracleSentence(text, tuple(OracleToken(*token) for token in tokens))
         assert extract_entities(new) == oracle_extract_entities(old)
+
+
+def distinct_word(n: int) -> str:
+    """The n-th of as many distinct words as wanted, one token each, in
+    mixed case and with the suffixes the tagger reads."""
+    letters = "".join(chr(ord("a") + int(d)) for d in str(n))
+    return ("Qz", "qz")[n % 2] + letters + ("", "ing", "ed", "ly",
+                                            "tion", "able")[n % 6]
+
+
+def cap_sentences(count: int) -> list[str]:
+    """Sentences of `count` distinct words, 20 to a sentence, mixed with
+    verb forms, an `n't` split and a word of two tokens."""
+    words = [distinct_word(n) for n in range(count)]
+    return [" ".join(["Restart", *words[i:i + 20], "isn't", "is", "saved."])
+            for i in range(0, count, 20)]
 
 
 class TestTagTable:
@@ -203,13 +262,8 @@ class TestTagTable:
         keeps no split token, holds a verb form whose tag depends on the
         tags before it as its kinds, never as a tag, and the tags past the
         cap still match the oracle's."""
-        def word(n: int) -> str:
-            letters = "".join(chr(ord("a") + int(d)) for d in str(n))
-            return ("Qz", "qz")[n % 2] + letters + ("", "ing", "ed", "ly",
-                                                    "tion", "able")[n % 6]
-
         tagger = Tagger()
-        words = [word(n) for n in range(TAG_TABLE_CAP + 2000)]
+        words = [distinct_word(n) for n in range(TAG_TABLE_CAP + 2000)]
         sentences = [" ".join(["Restart", *words[i:i + 20], "isn't", "is",
                                "saved", "."])
                      for i in range(0, len(words), 20)]
@@ -227,9 +281,58 @@ class TestTagTable:
         assert words[-1] not in tagger.table
         # qzbing: a lower-cased form that is the surface is the key itself
         surface, (lower, tag) = next(entry for entry in tagger.table.items()
-                                     if entry[0] == word(1))
+                                     if entry[0] == distinct_word(1))
         assert lower is surface and tag == lingua.VBG
-        assert tagger.table[word(2)] == ("qzced", lingua.VBD)  # Qzced
+        assert tagger.table[distinct_word(2)] == ("qzced", lingua.VBD)  # Qzced
+
+    def test_word_table_stops_at_its_cap(self):
+        """More distinct whitespace words than the cap: the word table
+        never grows past it; an entry holds its word's surfaces, lower-cased
+        forms, entries (a verb form's kinds, never its tag), whether every
+        entry is a tag, and its terms; and the readings past the cap, where
+        every word not yet seen is a miss, still match the oracle's."""
+        tagger = Tagger()
+        for k, text in enumerate(cap_sentences(TAG_TABLE_CAP + 2000)):
+            sentence = tagger.tag(text)
+            assert len(tagger.words) <= TAG_TABLE_CAP
+            if k * 20 >= TAG_TABLE_CAP:
+                assert sentence == oracle_tag(tagger, text, {})
+        assert len(tagger.words) == TAG_TABLE_CAP
+        assert distinct_word(TAG_TABLE_CAP + 1999) not in tagger.words
+        verb_forms = tagger.lexicon.verb_forms
+        assert tagger.words["Restart"] == (
+            ("Restart",), ("restart",), (verb_forms["restart"],), False,
+            ("restart",))
+        assert tagger.words["isn't"] == (
+            ("is", "n't"), ("is", "n't"), (lingua.VBZ, lingua.NEG), True,
+            ("isn't",))
+        assert tagger.words["saved."] == (
+            ("saved", "."), ("saved", "."), (verb_forms["saved"], lingua.PUNCT),
+            False, ("saved",))
+        assert tagger.words[distinct_word(2)] == (  # Qzced
+            (distinct_word(2),), ("qzced",), (lingua.VBD,), True, ("qzced",))
+        # qzbing: the key is its one surface, and its lower-cased forms and
+        # its terms are that same tuple
+        word, (surfaces, lowers, _, _, terms) = next(
+            entry for entry in tagger.words.items()
+            if entry[0] == distinct_word(1))
+        assert surfaces[0] is word and lowers is surfaces and terms is lowers
+
+    def test_tables_hold_a_few_megabytes(self):
+        """A tagger with both tables full holds under 8 MB: 6.4 MB on
+        CPython 3.11, 2.6 MB of it the token table."""
+        sentences = cap_sentences(TAG_TABLE_CAP + 2000)
+        lingua.default_lexicon()
+        tracemalloc.start()
+        try:
+            tagger = Tagger()
+            for text in sentences:
+                tagger.tag(text)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tagger.table) == len(tagger.words) == TAG_TABLE_CAP
+        assert size < 8_000_000
 
     def test_warm_table_tags_a_verb_form_by_its_context(self):
         """One surface, three readings, the second round from the table:

@@ -464,6 +464,16 @@ BAD_INPUTS = {
     "eval-labels-form-feed-bad-label": (65, lambda d: [
         "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
         write_bytes(d / "g.csv", b"chunk_id,label\n1,1\x0c\n2,x\n")]),
+    # A row of fewer or more fields than its header, and an empty file.
+    "eval-labels-short-row": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write(d / "g.csv", "chunk_id,label\n1,1\n2\n")]),
+    "eval-labels-long-row": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write(d / "g.csv", "chunk_id,label\n1,1,9\n")]),
+    "eval-labels-empty-file": (65, lambda d: [
+        "eval", write(d / "p.csv", "chunk_id,depth,label,margin\n1,0,1,1.0\n"),
+        write(d / "g.csv", "")]),
     "train-features-not-utf8": (65, lambda d: [
         "train", write_bytes(d / "f.csv", TWO_CLASS_FEATURES.encode()
                              .replace(b"\n2,", b"\n2,\xe9")),
@@ -519,6 +529,12 @@ BAD_INPUT_MESSAGES = {
     "eval-labels-form-feed-not-utf8": lambda d: f"{d / 'g.csv'}, line 3: not UTF-8",
     "eval-labels-form-feed-bad-label": lambda d: (
         f"{d / 'g.csv'}, line 3: label must be 0/1 or true/false, got 'x'"),
+    "eval-labels-short-row":
+        lambda d: f"{d / 'g.csv'}, line 3: expected 2 fields, got 1",
+    "eval-labels-long-row":
+        lambda d: f"{d / 'g.csv'}, line 2: expected 2 fields, got 3",
+    "eval-labels-empty-file":
+        lambda d: f"{d / 'g.csv'}, line 1: missing column(s) chunk_id, label",
     "train-features-not-utf8": lambda d: f"{d / 'f.csv'}, line 3: not UTF-8",
     "features-labels-missing-chunks":
         lambda d: f"{d / 'l.csv'}: no label for chunks [2, 3, 4]",

@@ -19,7 +19,8 @@ from procmine.relatedness import BipartiteGraph, ProjectionGraph
 FIELDS = {
     DocNode: ("id", "kind", "text", "depth", "children", "level", "ordered",
               "associated_image"),
-    TaggedSentence: ("text", "surfaces", "lowers", "tags", "imperative"),
+    TaggedSentence: ("text", "surfaces", "lowers", "tags", "imperative",
+                     "terms"),
     ConditionalSplit: ("condition_span", "effect_span", "effect_imperative"),
     AnnotatedSentence: ("tagged", "split", "goal", "non_imperative_actionable"),
     ItemAnnotation: ("node_id", "sentences", "actionable", "conditional",
