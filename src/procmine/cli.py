@@ -357,6 +357,15 @@ def _check_distinct_stems(inputs: list[str]) -> None:
         first[stem] = path
 
 
+def _check_distinct_outputs(output: str | None, flag: str,
+                            other: str | None) -> None:
+    """-o and the output flag `flag` (value `other`) naming one file exit
+    64: the later write would replace the earlier."""
+    if output and other and os.path.realpath(output) == os.path.realpath(other):
+        raise CliError(f"-o {output} and {flag} {other} name one file",
+                       EX_USAGE)
+
+
 def _cmd_extract(args) -> int:
     config = _run_config(args)
     procedure_model = _load_model(ProcedureClassifierModel, Path(args.model))
@@ -367,6 +376,8 @@ def _cmd_extract(args) -> int:
     multi = len(inputs) > 1
     if multi:
         _check_distinct_stems(inputs)
+    else:
+        _check_distinct_outputs(args.output, "--pred-log", args.pred_log)
 
     trees = [_load_document(path, args.format) for path in inputs]
 
@@ -537,6 +548,7 @@ def feature_csv_rows(vectors: dict[int, FeatureVector],
 
 
 def _cmd_features(args) -> int:
+    _check_distinct_outputs(args.output, "--chunk-dump", args.chunk_dump)
     config = _run_config(args)
     actionable_model = _actionable_model(args)
     tree = _load_document(args.input, args.format)

@@ -13,23 +13,19 @@ imperative flag is worked out once per sentence, when it is tagged.
 Only a verb form's tag can depend on the tags before it. Every other word
 is tagged from its surface alone (punctuation, number, a form of "be",
 closed class or suffix), and so is a gerund (VBG) or a form that is a
-third person but no base (VBZ). Each `Tagger` keeps a table from surface
-to lower-cased form and entry, filled on first sight: the entry is the
-tag where the surface alone decides it, and otherwise the verb form's
-kinds from the lexicon, which `_verb_tag` reads against the tags before
-the word on every sight. Tokens that split off `n't` never enter it; the
-word table below keeps them with their word.
-
-Above it sits a table of whitespace words (`str.split`). Neither the
-token pattern nor the term pattern matches whitespace, and `str.split`
-cuts exactly where `re`'s `\\s` matches, so a text's tokens and terms are
-its words' tokens and terms in turn; lower-casing works one code point at
-a time but for the Greek final sigma, which is in no term. A word's entry
-holds its tokens' surfaces, lower-cased forms and entries, whether every
-entry is a tag, and its terms; a miss is built from the token table. Both
-tables live as long as their tagger, which `pipeline` keeps one of per
-lexicon directory, so they stay warm across the documents of a process;
-each stops growing at `TAG_TABLE_CAP` entries.
+third person but no base (VBZ). Each `Tagger` keeps one table, from each
+whitespace word seen (`str.split`) to its tokens' surfaces, lower-cased
+forms and entries, whether every entry is a tag, and its terms. An entry
+is the tag where the surface alone decides it, and otherwise the verb
+form's kinds from the lexicon, which `_verb_tag` reads against the tags
+before the token on every sight. Neither the token pattern nor the term
+pattern matches whitespace, and `str.split` cuts exactly where `re`'s
+`\\s` matches, so a text's tokens and terms are its words' tokens and
+terms in turn; lower-casing works one code point at a time but for the
+Greek final sigma, which is in no term. The table lives as long as its
+tagger, which `pipeline` keeps one of per lexicon directory, so it stays
+warm across the documents of a process. It keeps no word longer than
+`TAG_WORD_MAX` characters and stops growing at `TAG_TABLE_CAP` entries.
 
 The tagger is intentionally lightweight: a closed-class lexicon, a verb
 inflection table shipped as an editable data file, suffix fallbacks, and a
@@ -263,31 +259,30 @@ def split_sentences(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # POS tagging
 
-# Most entries of each of a Tagger's tables: far more than the distinct
-# words of a document, and a bound on the tables' memory.
+# Most entries of a Tagger's table, far more than the distinct words of a
+# document, and the longest word it keeps: a longer one is tagged and then
+# dropped. Together they bound the table's memory: about 5 MB full of
+# ordinary words, about 100 MB full of the costliest words found.
 TAG_TABLE_CAP = 1 << 14
+TAG_WORD_MAX = 32
 
 
 class Tagger:
     """Deterministic tagger: closed-class lexicon, verb inflection table,
-    suffix fallbacks, NOUN default. `table` maps each surface seen, other
-    than one split off `n't` (see the module docstring), to its lower-cased
-    form, the surface object itself where lower-casing changes nothing,
-    and its `_entry`: its tag, or the kinds of a verb form whose tag
-    depends on the tags before it. `words` maps each whitespace word seen
-    to its tokens' surfaces, lower-cased forms and entries, whether every
-    entry is a tag, and its terms, each a tuple but the flag."""
+    suffix fallbacks, NOUN default. `words` maps each whitespace word seen
+    (see the module docstring) to its tokens' surfaces, lower-cased forms
+    and `_entry`s, whether every entry is a tag, and its terms, each a
+    tuple but the flag. An entry is a token's tag, or the kinds of a verb
+    form whose tag depends on the tags before it."""
 
     def __init__(self, lexicon: Lexicon | None = None):
         self.lexicon = lexicon or default_lexicon()
-        self.table: dict[str, tuple[str, str | frozenset]] = {}
         self.words: dict[str, tuple] = {}
 
     def tag(self, text: str) -> TaggedSentence:
         """Tokenize and tag `text` one whitespace word at a time. Where
         lower-casing changes nothing, a token's lower-cased form is its
-        surface object, or the surface the token table stored; a trailing
-        `n't` is a token of its own."""
+        surface object; a trailing `n't` is a token of its own."""
         words = self.words
         surfaces: list[str] = []
         lowers: list[str] = []
@@ -313,34 +308,22 @@ class Tagger:
                               _imperative(tagged, lowers), tuple(terms))
 
     def _word(self, word: str) -> tuple:
-        """The `words` entry of the whitespace word `word`, from the token
-        table, which it fills; kept unless `words` is full."""
-        table = self.table
+        """The `words` entry of the whitespace word `word`; kept unless the
+        word is longer than `TAG_WORD_MAX` or `words` is full."""
         surfaces: list[str] = []
         lowers: list[str] = []
-        entries: list[str | frozenset] = []
         for raw in _TOKEN_RE.findall(word):
-            known = table.get(raw)
-            if known is not None:
-                surfaces.append(raw)
-                lowers.append(known[0])
-                entries.append(known[1])
-                continue
             lower = raw.lower()
             if lower == raw:
                 lower = raw
             if len(raw) > 3 and lower.endswith("n't"):
                 head, lower = raw[:-3], lower[:-3]
-                tokens = ((head, head if lower == head else lower), ("n't", "n't"))
+                surfaces += (head, "n't")
+                lowers += (head if lower == head else lower, "n't")
             else:
-                tokens = ((raw, lower),)
-            for surface, form in tokens:
-                entry = self._entry(surface, form)
-                surfaces.append(surface)
-                lowers.append(form)
-                entries.append(entry)
-            if len(tokens) == 1 and len(table) < TAG_TABLE_CAP:
-                table[raw] = (lower, entry)
+                surfaces.append(raw)
+                lowers.append(lower)
+        entries = tuple(map(self._entry, surfaces, lowers))
         # Equal tuples and strings are kept once: most words are one token,
         # with a lower-cased form and a term that are that token again.
         surfaces = (word,) if surfaces == [word] else tuple(surfaces)
@@ -348,10 +331,10 @@ class Tagger:
         if lowers == surfaces:
             lowers = surfaces
         terms = tuple(_TERM_RE.findall(word.lower()))
-        known = (surfaces, lowers, tuple(entries),
+        known = (surfaces, lowers, entries,
                  frozenset not in map(type, entries),  # all tags
                  lowers if terms == lowers else terms)
-        if len(self.words) < TAG_TABLE_CAP:
+        if len(word) <= TAG_WORD_MAX and len(self.words) < TAG_TABLE_CAP:
             self.words[word] = known
         return known
 

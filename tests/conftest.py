@@ -626,24 +626,14 @@ class OracleTagger:
         return lingua.NOUN
 
 
-def oracle_tag(tagger: lingua.Tagger, text: str,
-               table: dict) -> lingua.TaggedSentence:
+def oracle_tag(tagger: lingua.Tagger, text: str) -> lingua.TaggedSentence:
     """`Tagger.tag` before the word table: one `findall` over the whole
-    text, one lookup per token in `table` (a token table of the oracle's
-    own, filled as the tagger fills its `table`), and the terms from
-    `sentence_terms` of the text."""
+    text, each token lower-cased and tagged as it comes, and the terms
+    from `sentence_terms` of the text."""
     surfaces: list[str] = []
     lowers: list[str] = []
     tags: list[str] = []
     for raw in lingua._TOKEN_RE.findall(text):
-        known = table.get(raw)
-        if known is not None:
-            lower, entry = known
-            surfaces.append(raw)
-            lowers.append(lower)
-            tags.append(entry if type(entry) is str else tagger._verb_tag(
-                raw, lower, entry, len(tags), lowers, tags))
-            continue
         lower = raw.lower()
         if lower == raw:
             lower = raw
@@ -658,8 +648,6 @@ def oracle_tag(tagger: lingua.Tagger, text: str,
             lowers.append(word)
             tags.append(entry if type(entry) is str else tagger._verb_tag(
                 surface, word, entry, len(tags), lowers, tags))
-        if len(tokens) == 1 and len(table) < lingua.TAG_TABLE_CAP:
-            table[raw] = (lower, entry)
     tagged = tuple(tags)
     return lingua.TaggedSentence(text, tuple(surfaces), tuple(lowers), tagged,
                                  lingua._imperative(tagged, lowers),

@@ -6,7 +6,7 @@ readings, entities, bipartite edges, chunk relatedness and actionable
 margins must all agree, the margins and relatedness bit for bit.
 
 The random sentences are read by three taggers: the module's, whose table
-of surfaces is warm from every earlier example, a fresh one
+of words is warm from every earlier example, a fresh one
 per example, and a `--lexicon-dir` one whose verb forms include words that
 the bundled lexicon tags NOUN. A table shared across lexicons, or one that
 keeps a verb form's tag, reads those words wrong.
@@ -31,8 +31,8 @@ from procmine.actionable import ActionableModel, predict
 from procmine.chunker import ChunkKind
 from procmine.docmodel import parse_sdjson
 from procmine.goals import GoalCueConfig, annotate_goal
-from procmine.lingua import (TAG_TABLE_CAP, TaggedSentence, Tagger,
-                             bundled_data_dir, detect_conditional, profile,
+from procmine.lingua import (TAG_TABLE_CAP, TAG_WORD_MAX, TaggedSentence,
+                             Tagger, bundled_data_dir, detect_conditional, profile,
                              sentence_terms, split_sentences)
 from procmine.relatedness import (VECTOR_MIN_MENTION_PAIRS, BipartiteGraph,
                                   _graph_mentions, build_bipartite,
@@ -82,9 +82,9 @@ def assert_same_reading(text: str, tagger: Tagger = TAGGER,
     assert new.surfaces == tuple(t.surface for t in old.tokens)
     assert new.tags == tuple(t.tag for t in old.tokens)
     assert new.lowers == tuple(surface.lower() for surface in new.surfaces)
-    # A form that lower-casing leaves alone is no new string: the surface
-    # object itself, or the one the tagger's table stored on first sight.
-    assert all(lower is surface or lower is tagger.table[surface][0]
+    # A form that lower-casing leaves alone is no new string: it is the
+    # surface object itself.
+    assert all(lower is surface
                for surface, lower in zip(new.surfaces, new.lowers)
                if lower == surface)
     assert new.imperative is oracle_detect_imperative(old)
@@ -139,11 +139,13 @@ SPACES = st.sampled_from(["\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d",
                           " ", "  ", "\u200b", "\u180e", ""])
 # Words that split into several tokens or terms, or whose lower-cased form
 # differs in length or script: KELVIN SIGN lowers to "k", U+0130 to "i"
-# and a combining dot, and a capital sigma lowers by its context.
+# and a combining dot, and a capital sigma lowers by its context. The last
+# two are the longest word the table keeps and one character more.
 WORDS = st.one_of(PIECES, st.sampled_from([
     "don't", "Won't", "CAN'T", "K5", "\u212a5", "\u0130stanbul", "config.yaml",
     "a--b", "a-b_c'd", "...", "?!", "--", ",,", "(see", "it).", "\u03a3\u039f\u03a3",
-    "x\u03a3", "o'clock", "__init__"]))
+    "x\u03a3", "o'clock", "__init__", "Saved-" * 5 + "It",
+    "CONFIG_" * 4 + "Don't"]))
 CORPUS_SENTENCES = st.deferred(lambda: st.sampled_from(corpus_texts()))
 SPACED_TEXTS = st.lists(st.tuples(st.one_of(WORDS, CORPUS_SENTENCES), SPACES),
                         max_size=12).map(
@@ -156,15 +158,17 @@ class TestRandomSentences:
     @example("Don't\x1cclick\u3000the\x85K\u212a5 config.yaml\u2028a--b...")
     def test_tag_by_words_matches_one_token_pass(self, readers, text):
         """Every field of `tag` equals `oracle_tag`'s, the terms are
-        `sentence_terms` of the text, and a fresh tagger's token table ends
-        as the oracle's does."""
+        `sentence_terms` of the text, and a fresh tagger's table ends
+        holding each of the text's words but those longer than
+        `TAG_WORD_MAX`."""
         for tagger, _ in readers():
-            fresh, table = not tagger.table, {}
+            fresh = not tagger.words
             new = tagger.tag(text)
-            assert new == oracle_tag(tagger, text, table)
+            assert new == oracle_tag(tagger, text)
             assert new.terms == tuple(sentence_terms(text))
             if fresh:
-                assert tagger.table == table
+                assert tagger.words.keys() == {
+                    word for word in text.split() if len(word) <= TAG_WORD_MAX}
 
     @settings(max_examples=500, deadline=None)
     @given(SENTENCES)
@@ -255,48 +259,35 @@ def cap_sentences(count: int) -> list[str]:
             for i in range(0, count, 20)]
 
 
-class TestTagTable:
-    def test_table_stops_at_its_cap(self):
-        """More distinct context-free surfaces than the cap, mixed with
-        verb forms and `n't` splits: the table never grows past the cap,
-        keeps no split token, holds a verb form whose tag depends on the
-        tags before it as its kinds, never as a tag, and the tags past the
-        cap still match the oracle's."""
+def tagged_and_held(texts: list[str]) -> tuple[Tagger, int]:
+    """A fresh tagger that has tagged `texts`, and the bytes it holds."""
+    lingua.default_lexicon()
+    tracemalloc.start()
+    try:
         tagger = Tagger()
-        words = [distinct_word(n) for n in range(TAG_TABLE_CAP + 2000)]
-        sentences = [" ".join(["Restart", *words[i:i + 20], "isn't", "is",
-                               "saved", "."])
-                     for i in range(0, len(words), 20)]
-        for k, text in enumerate(sentences):
-            sentence = tagger.tag(text)
-            assert len(tagger.table) <= TAG_TABLE_CAP
-            if k * 20 >= TAG_TABLE_CAP:
-                assert sentence.tags == tuple(t.tag for t in ORACLE.tag(text).tokens)
-        assert len(tagger.table) == TAG_TABLE_CAP
-        assert "isn't" not in tagger.table
-        verb_forms = tagger.lexicon.verb_forms
-        assert tagger.table["Restart"] == ("restart", verb_forms["restart"])
-        assert tagger.table["saved"] == ("saved", verb_forms["saved"])
-        assert tagger.table["is"] == ("is", lingua.VBZ)
-        assert words[-1] not in tagger.table
-        # qzbing: a lower-cased form that is the surface is the key itself
-        surface, (lower, tag) = next(entry for entry in tagger.table.items()
-                                     if entry[0] == distinct_word(1))
-        assert lower is surface and tag == lingua.VBG
-        assert tagger.table[distinct_word(2)] == ("qzced", lingua.VBD)  # Qzced
+        for text in texts:
+            tagger.tag(text)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return tagger, size
 
+
+class TestTagTable:
     def test_word_table_stops_at_its_cap(self):
         """More distinct whitespace words than the cap: the word table
         never grows past it; an entry holds its word's surfaces, lower-cased
         forms, entries (a verb form's kinds, never its tag), whether every
         entry is a tag, and its terms; and the readings past the cap, where
-        every word not yet seen is a miss, still match the oracle's."""
+        every word not yet seen is a miss, still match both oracles'."""
         tagger = Tagger()
         for k, text in enumerate(cap_sentences(TAG_TABLE_CAP + 2000)):
             sentence = tagger.tag(text)
             assert len(tagger.words) <= TAG_TABLE_CAP
             if k * 20 >= TAG_TABLE_CAP:
-                assert sentence == oracle_tag(tagger, text, {})
+                assert sentence == oracle_tag(tagger, text)
+                assert sentence.tags == tuple(
+                    t.tag for t in ORACLE.tag(text).tokens)
         assert len(tagger.words) == TAG_TABLE_CAP
         assert distinct_word(TAG_TABLE_CAP + 1999) not in tagger.words
         verb_forms = tagger.lexicon.verb_forms
@@ -311,6 +302,8 @@ class TestTagTable:
             False, ("saved",))
         assert tagger.words[distinct_word(2)] == (  # Qzced
             (distinct_word(2),), ("qzced",), (lingua.VBD,), True, ("qzced",))
+        assert tagger.words["is"] == (("is",), ("is",), (lingua.VBZ,), True,
+                                      ("is",))
         # qzbing: the key is its one surface, and its lower-cased forms and
         # its terms are that same tuple
         word, (surfaces, lowers, _, _, terms) = next(
@@ -319,20 +312,39 @@ class TestTagTable:
         assert surfaces[0] is word and lowers is surfaces and terms is lowers
 
     def test_tables_hold_a_few_megabytes(self):
-        """A tagger with both tables full holds under 8 MB: 6.4 MB on
-        CPython 3.11, 2.6 MB of it the token table."""
-        sentences = cap_sentences(TAG_TABLE_CAP + 2000)
-        lingua.default_lexicon()
-        tracemalloc.start()
-        try:
-            tagger = Tagger()
-            for text in sentences:
-                tagger.tag(text)
-            size = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(tagger.table) == len(tagger.words) == TAG_TABLE_CAP
-        assert size < 8_000_000
+        """A tagger with its table full holds under 6 MB: 5.2 MB on
+        CPython 3.11."""
+        tagger, size = tagged_and_held(cap_sentences(TAG_TABLE_CAP + 2000))
+        assert len(tagger.words) == TAG_TABLE_CAP
+        assert size < 6_000_000
+
+    def test_long_words_are_tagged_and_dropped(self):
+        """2,000 distinct words of 5,000 characters and 909 to 2,000 tokens
+        (10 MB of text) are tagged as the oracle tags them, and leave the
+        tagger holding under 1 MB: none of them is kept."""
+        texts = [f"Open {(distinct_word(n) + ',') * 1000}"[:5005] + " now."
+                 for n in range(2000)]
+        tagger, size = tagged_and_held(texts)
+        assert tagger.words.keys() == {"Open", "now."}
+        assert size < 1_000_000
+        for text in texts[::250]:
+            assert tagger.tag(text) == oracle_tag(tagger, text)
+
+    def test_longest_kept_words_hold_a_few_kilobytes_each(self):
+        """The costliest entry found: a word of `TAG_WORD_MAX` capitals
+        outside Latin-1, each a token of its own whose lower-cased form is
+        a new string. It holds under 7 KB (6.3 KB on CPython 3.11), so a
+        table full of them holds under 115 MB; one character more and the
+        word is not kept."""
+        capitals = [chr(0x10400 + i) for i in range(40)]  # DESERET
+        words = [capitals[n % 40] + capitals[n // 40 % 40] + capitals[n // 1600]
+                 + capitals[0] * (TAG_WORD_MAX - 3) for n in range(2048)]
+        tagger, size = tagged_and_held(
+            [" ".join(words[i:i + 20]) for i in range(0, len(words), 20)])
+        assert len(tagger.words) == len(words)
+        assert size / len(words) < 7_000
+        tagger.tag(words[0] + capitals[0])
+        assert words[0] + capitals[0] not in tagger.words
 
     def test_warm_table_tags_a_verb_form_by_its_context(self):
         """One surface, three readings, the second round from the table:
@@ -347,8 +359,9 @@ class TestTagTable:
                 new, old = tagger.tag(text), ORACLE.tag(text)
                 k = new.surfaces.index("saved")
                 assert new.tags[k] == old.tokens[k].tag == expected
-        assert tagger.table["saved"] == (
-            "saved", tagger.lexicon.verb_forms["saved"])
+        assert tagger.words["saved"] == (
+            ("saved",), ("saved",), (tagger.lexicon.verb_forms["saved"],),
+            False, ("saved",))
 
 
 def corpus_texts() -> list[str]:

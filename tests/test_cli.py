@@ -93,6 +93,12 @@ def deep_sublists(path, depth):
                        '[{"type": "list", "ordered": true, "items": [%s]}]}' % item)
 
 
+def csv_rows(path):
+    """The rows of the CSV file `path` as dicts, the file closed."""
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 def write_bytes(path, data):
     path.write_bytes(data)
     return str(path)
@@ -301,6 +307,13 @@ BAD_INPUTS = {
     "extract-one-input-twice": (64, lambda d: [
         "extract", str(DOC), str(CORPUS / "nested-fixture.md"), str(DOC),
         "--model", PROCEDURE, "-o", str(d / "out")]),
+    # -o and a second output flag naming one file, the second through "..".
+    "extract-pred-log-is-the-output": (64, lambda d: [
+        "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "X"),
+        "--pred-log", str(d / "X")]),
+    "features-chunk-dump-is-the-output": (64, lambda d: [
+        "features", str(DOC), "-o", str(d / "X"),
+        "--chunk-dump", str(d / ".." / d.name / "X")]),
     "extract-lexicon-dir-is-a-file": (66, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "--lexicon-dir", str(DOC),
         "-o", str(d / "out.json")]),
@@ -536,6 +549,10 @@ BAD_INPUT_MESSAGES = {
     "eval-labels-empty-file":
         lambda d: f"{d / 'g.csv'}, line 1: missing column(s) chunk_id, label",
     "train-features-not-utf8": lambda d: f"{d / 'f.csv'}, line 3: not UTF-8",
+    "extract-pred-log-is-the-output":
+        lambda d: f"-o {d / 'X'} and --pred-log {d / 'X'} name one file",
+    "features-chunk-dump-is-the-output": lambda d: (
+        f"-o {d / 'X'} and --chunk-dump {d / '..' / d.name / 'X'} name one file"),
     "features-labels-missing-chunks":
         lambda d: f"{d / 'l.csv'}: no label for chunks [2, 3, 4]",
     "features-labels-foreign-chunks": lambda d: (
@@ -692,7 +709,7 @@ class TestExtract:
         assert code == 0
         procedures = json.loads(out.read_text())
         assert len(procedures) == 4
-        rows = list(csv.DictReader(log.open()))
+        rows = csv_rows(log)
         assert [r["chunk_id"] for r in rows]
         depths = [int(r["depth"]) for r in rows]
         assert depths == sorted(depths, reverse=True)
@@ -990,7 +1007,7 @@ class TestFeaturesCommand:
              "--actionable-model", str(CORPUS / "models" / "actionable.json"),
              "-o", str(out)], capsys)
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = csv_rows(out)
         assert len(rows) == 4
         assert list(rows[0]) == ["chunk_id"] + [f"f{i}" for i in range(1, 16)]
 
@@ -1002,7 +1019,7 @@ class TestFeaturesCommand:
              "--actionable-model", str(CORPUS / "models" / "actionable.json"),
              "--labels", str(labels), "-o", str(out)], capsys)
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = csv_rows(out)
         assert all(r["label"] == "1" for r in rows)
         # teacher forcing fills the propagated feature from gold children
         heading_row = rows[0]
@@ -1015,7 +1032,7 @@ class TestFeaturesCommand:
              "--actionable-model", str(CORPUS / "models" / "actionable.json"),
              "-o", str(tmp_path / "f.csv"), "--chunk-dump", str(dump)], capsys)
         assert code == 0
-        rows = list(csv.DictReader(dump.open()))
+        rows = csv_rows(dump)
         assert list(rows[0]) == ["chunk_id", "kind", "depth", "parent_node",
                                  "item_count", "context"]
 
@@ -1077,7 +1094,7 @@ class TestTraining:
                   "--actionable-model", str(CORPUS / "models" / "actionable.json"),
                   "--labels", str(labels), "-o", str(features)], capsys)
         # single-doc dump is single-class; build a second class by zeroing
-        rows = list(csv.DictReader(features.open()))
+        rows = csv_rows(features)
         with features.open("a", newline="") as handle:
             writer = csv.writer(handle)
             for i in range(2):
@@ -1216,8 +1233,8 @@ class TestLexiconOverride:
                   "-o", str(out_default)], capsys)
         run_main(["features", str(doc), "--actionable-model", am,
                   "--lexicon-dir", str(custom), "-o", str(out_custom)], capsys)
-        default_f1 = [r["f1"] for r in csv.DictReader(out_default.open())]
-        custom_f1 = [r["f1"] for r in csv.DictReader(out_custom.open())]
+        default_f1 = [r["f1"] for r in csv_rows(out_default)]
+        custom_f1 = [r["f1"] for r in csv_rows(out_custom)]
         assert default_f1 == ["0.0"]
         assert custom_f1 == ["1.0"]
 
