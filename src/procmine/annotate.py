@@ -100,6 +100,7 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
                    parent_is_goal: bool) -> ChunkAnnotation:
     """`parent_is_goal` is the goal flag of the chunk's introducing node."""
     items: list[ItemAnnotation] = []
+    tagged: list[TaggedSentence] = []  # the chunk's, for its relatedness
     for node_id in chunk.item_node_ids:
         is_heading = tree.nodes[node_id].kind in (Kind.HEADING, Kind.TITLE)
         sentences: list[AnnotatedSentence] = []
@@ -109,6 +110,7 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
                                        tagger=tagger, goal_config=goal_config,
                                        model=model)
             sentences.append(s)
+            tagged.append(s.tagged)
             if s.tagged.imperative:
                 imperative = True
             elif s.non_imperative_actionable:
@@ -124,12 +126,8 @@ def annotate_chunk(chunk: Chunk, tree: DocTree, *, tagger: Tagger,
             actionable=imperative or non_imperative, conditional=conditional,
             is_goal=goal, imperative=imperative,
             non_imperative_actionable=non_imperative, effect_imperative=effect))
-    return ChunkAnnotation(
-        items=tuple(items),
-        parent_is_goal=parent_is_goal,
-        relatedness=chunk_relatedness(
-            [s.tagged for item in items for s in item.sentences]),
-    )
+    return ChunkAnnotation(items=tuple(items), parent_is_goal=parent_is_goal,
+                           relatedness=chunk_relatedness(tagged))
 
 
 def annotate_chunks(tree: DocTree, chunks: ChunkSet, *, tagger: Tagger,

@@ -256,6 +256,9 @@ def _write(path: str | Path, data: str | bytes, *, make_dir: bool = False) -> No
             path.write_text(data, "utf-8")
         else:
             path.write_bytes(data)
+    except FileExistsError:  # mkdir found a file where the directory goes
+        raise CliError(f"cannot write {path}: {os.strerror(errno.ENOTDIR)}",
+                       EX_USAGE)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}", EX_USAGE)
 

@@ -25,7 +25,8 @@ terms in turn; lower-casing works one code point at a time but for the
 Greek final sigma, which is in no term. The table lives as long as its
 tagger, which `pipeline` keeps one of per lexicon directory, so it stays
 warm across the documents of a process. It keeps no word longer than
-`TAG_WORD_MAX` characters and stops growing at `TAG_TABLE_CAP` entries.
+`TAG_WORD_MAX` characters and stops growing at `TAG_TABLE_CAP` entries or
+once they hold `TAG_TABLE_TOKENS` tokens.
 
 The tagger is intentionally lightweight: a closed-class lexicon, a verb
 inflection table shipped as an editable data file, suffix fallbacks, and a
@@ -260,11 +261,15 @@ def split_sentences(text: str) -> list[str]:
 # POS tagging
 
 # Most entries of a Tagger's table, far more than the distinct words of a
-# document, and the longest word it keeps: a longer one is tagged and then
-# dropped. Together they bound the table's memory: about 5 MB full of
-# ordinary words, about 100 MB full of the costliest words found.
+# document; the longest word it keeps: a longer one is tagged and then
+# dropped; and the tokens its entries may hold before it keeps no more
+# words. Together they bound the table's memory: about 5 MB full of
+# ordinary words (1.1 to 1.2 tokens each), about 13 MB full of the
+# costliest words found, 32 tokens each, where the entry cap alone let
+# them hold about 100 MB.
 TAG_TABLE_CAP = 1 << 14
 TAG_WORD_MAX = 32
+TAG_TABLE_TOKENS = 1 << 16
 
 
 class Tagger:
@@ -278,6 +283,7 @@ class Tagger:
     def __init__(self, lexicon: Lexicon | None = None):
         self.lexicon = lexicon or default_lexicon()
         self.words: dict[str, tuple] = {}
+        self.table_tokens = 0  # the tokens of the entries of `words`
 
     def tag(self, text: str) -> TaggedSentence:
         """Tokenize and tag `text` one whitespace word at a time. Where
@@ -309,7 +315,8 @@ class Tagger:
 
     def _word(self, word: str) -> tuple:
         """The `words` entry of the whitespace word `word`; kept unless the
-        word is longer than `TAG_WORD_MAX` or `words` is full."""
+        word is longer than `TAG_WORD_MAX` or `words` is full: it has
+        `TAG_TABLE_CAP` entries, or they hold `TAG_TABLE_TOKENS` tokens."""
         surfaces: list[str] = []
         lowers: list[str] = []
         for raw in _TOKEN_RE.findall(word):
@@ -334,8 +341,10 @@ class Tagger:
         known = (surfaces, lowers, entries,
                  frozenset not in map(type, entries),  # all tags
                  lowers if terms == lowers else terms)
-        if len(word) <= TAG_WORD_MAX and len(self.words) < TAG_TABLE_CAP:
+        if (len(word) <= TAG_WORD_MAX and len(self.words) < TAG_TABLE_CAP
+                and self.table_tokens < TAG_TABLE_TOKENS):
             self.words[word] = known
+            self.table_tokens += len(surfaces)
         return known
 
     def _entry(self, surface: str, word: str) -> str | frozenset:

@@ -10,18 +10,25 @@ projection.
 
 A chunk's mentions have one form, the grouping by entity: each entity's
 (sentence, maximum weight) mentions in sentence order, the entities in
-order of first mention. `chunk_relatedness` scores a chunk of at most one
-sentence 0.0 without walking its sentences. Otherwise it groups each
-sentence's (surface, weight) pairs (`extract_entities`) as soon as they
-are made, counts the mention pairs of the grouping (for each entity
-mentioned in c sentences, c * (c - 1) / 2) and projects it by one of two
-paths:
+order of first mention. `extract_entities` is one walk over a sentence's
+tags that finds its noun runs, its verb and the prepositions that govern
+a run; the runs before the verb get their weight once, after the walk,
+and a sentence with no NOUN returns at once. `chunk_relatedness` scores a
+chunk of at most one sentence 0.0 without walking its sentences.
+Otherwise it groups each sentence's (surface, weight) pairs as soon as
+they are made, counting the mention pairs of the grouping as it goes (for
+each entity mentioned in c sentences, c * (c - 1) / 2). A chunk with none,
+where no entity has two mentions, scores 0.0 without a projection. Every
+other chunk is scored by one of two paths:
 
 - below `VECTOR_MIN_MENTION_PAIRS`, or below `IMPORT_MIN_MENTION_PAIRS`
-  when no other code has imported numpy yet, a dict of pair sums scored
-  by `relatedness_score`. `relatedness_score(project(build_bipartite(...)))`
-  groups the graph's edges and runs the same pair loop; it is the oracle
-  the other path is tested against.
+  when no other code has imported numpy yet, straight from the dict of
+  pair sums (`_pair_sums`), each divided by its distance and added in
+  (i, j) order; no `ProjectionGraph` is built. `_pair_sums` is the one
+  pair loop: `_projection`, which `project` and `describe_graph` read,
+  builds the edges from it, and
+  `relatedness_score(project(build_bipartite(...)))` is the oracle the
+  other paths are tested against.
 - otherwise `streamed_score` over `project_blocks`, which builds and sums
   the mention pairs with numpy one block of sentence rows at a time. A
   block holds about `_BLOCK_PAIRS` pairs, or one row that has more, so
@@ -36,9 +43,9 @@ sentence count: the keys are 32-bit, which sort faster, for a chunk of
 fewer than 2^13 (8,192) sentences and 64-bit for a larger one. Each sum
 is divided once by the same distance. The edge weights are then totalled
 left to right in (i, j) order from 0.0: by a loop in `relatedness_score`
-(the builtin `sum` of floats is compensated from Python 3.12 on) and by
-`np.cumsum` per block in `streamed_score`, the running total carried from
-block to block.
+and in the dict path (the builtin `sum` of floats is compensated from
+Python 3.12 on) and by `np.cumsum` per block in `streamed_score`, the
+running total carried from block to block.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .lingua import ADJ, DET, NOUN, PREP, PUNCT, VERB_TAGS, TaggedSentence
+from .lingua import ADJ, DET, NOUN, PREP, VERB_TAGS, TaggedSentence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,20 +103,21 @@ def extract_entities(sentence: TaggedSentence) -> list[tuple[str, float]]:
     subjects (none in imperatives); the first run after the verb that no
     preposition other than "to" governs (across determiners and adjectives)
     is the object; everything else is other. One walk of the tags finds the
-    runs, the verb and the governing prepositions; the weight of the runs
-    before the verb waits for its end.
+    runs, the verb and the governing prepositions; the runs before the verb
+    get their weight once, after it, and a sentence with no NOUN has none.
     """
+    tags = sentence.tags
+    if NOUN not in tags:
+        return []
     lowers = sentence.lowers
-    surfaces: list[str] = []
-    weights: list[float] = []  # of the runs after the verb
-    before = 0  # runs before the verb, if any
-    verb = object_taken = False
+    before: list[str] = []  # the surfaces of the runs before the verb
+    after: list[tuple[str, float]] = []
+    verb = object_taken = governs = False
     # Whether the nearest tag so far other than DET and ADJ is a
     # preposition other than "to": it governs a run starting here.
     governed = False
     start = last = -1  # the open ADJ/NOUN stretch and its last NOUN
-    # A closing PUNCT ends a stretch that reaches the last token.
-    for i, tag in enumerate((*sentence.tags, PUNCT)):
+    for i, tag in enumerate(tags):
         if tag == NOUN or tag == ADJ:
             if start < 0:
                 start, governs = i, governed
@@ -117,25 +125,31 @@ def extract_entities(sentence: TaggedSentence) -> list[tuple[str, float]]:
                 last = i
             continue
         if last >= 0:
-            surfaces.append(" ".join(lowers[start:last + 1]))
+            surface = " ".join(lowers[start:last + 1])
             if not verb:
-                before += 1
+                before.append(surface)
             elif object_taken or governs:
-                weights.append(_OTHER)
+                after.append((surface, _OTHER))
             else:
-                weights.append(_OBJECT)
+                after.append((surface, _OBJECT))
                 object_taken = True
             governed = False  # the run's NOUN stops the look-back
             last = -1
         start = -1
         if tag != DET:
             governed = tag == PREP and lowers[i] != "to"
-            if tag in VERB_TAGS:
+            if not verb and tag in VERB_TAGS:
                 verb = True
-    if before:
-        weights[:0] = [_SUBJECT if verb and not sentence.imperative
-                       else _OTHER] * before
-    return list(zip(surfaces, weights))
+    if last >= 0:  # a run that reaches the last token
+        surface = " ".join(lowers[start:last + 1])
+        if not verb:
+            before.append(surface)
+        else:
+            after.append((surface, _OTHER if object_taken or governs else _OBJECT))
+    if not before:
+        return after
+    weight = _SUBJECT if verb and not sentence.imperative else _OTHER
+    return [(surface, weight) for surface in before] + after
 
 
 # Each entity's mentions, (sentence index, weight), in sentence order; the
@@ -143,11 +157,14 @@ def extract_entities(sentence: TaggedSentence) -> list[tuple[str, float]]:
 _Mentions = dict[str, list[tuple[int, float]]]
 
 
-def _group(rows: Iterable[tuple[int, Iterable[tuple[str, float]]]]) -> _Mentions:
+def _group(rows: Iterable[tuple[int, Iterable[tuple[str, float]]]],
+           ) -> tuple[_Mentions, int]:
     """The mentions of rows (sentence index, (entity, weight) pairs) that
-    come in increasing sentence order. An entity mentioned more than once
-    in a sentence keeps its maximum weight there."""
+    come in increasing sentence order, and their mention pairs: for each
+    entity mentioned in c sentences, c * (c - 1) / 2. An entity mentioned
+    more than once in a sentence keeps its maximum weight there."""
     by_entity: _Mentions = {}
+    pairs = 0
     for index, row in rows:
         for entity, weight in row:
             mentions = by_entity.get(entity)
@@ -156,15 +173,16 @@ def _group(rows: Iterable[tuple[int, Iterable[tuple[str, float]]]]) -> _Mentions
                 continue
             last_index, last_weight = mentions[-1]
             if last_index != index:
+                pairs += len(mentions)  # one with each earlier mention
                 mentions.append((index, weight))
             elif last_weight < weight:
                 mentions[-1] = (index, weight)
-    return by_entity
+    return by_entity, pairs
 
 
 def _graph_mentions(graph: BipartiteGraph) -> _Mentions:
     return _group((index, ((entity, weight),))
-                  for index, entity, weight in graph.edges)
+                  for index, entity, weight in graph.edges)[0]
 
 
 def build_bipartite(sentences: list[TaggedSentence]) -> BipartiteGraph:
@@ -180,19 +198,26 @@ def build_bipartite(sentences: list[TaggedSentence]) -> BipartiteGraph:
     return BipartiteGraph(sentence_count=len(sentences), edges=tuple(edges))
 
 
-def _projection(by_entity: _Mentions, sentence_count: int) -> ProjectionGraph:
-    """For each sentence pair (i, j) that shares entities, the products of
-    their weights summed from 0.0 over the entities in order of first
-    mention, divided once by the pair distance j - i."""
+def _pair_sums(by_entity: _Mentions) -> dict[tuple[int, int], float]:
+    """For each sentence pair (i, j), i < j, that shares entities, the
+    products of their weights summed from 0.0 over the entities in order
+    of first mention."""
     pair_sums: dict[tuple[int, int], float] = {}
+    get = pair_sums.get
     for mentions in by_entity.values():
         if len(mentions) < 2:
             continue  # most entities: one sentence mentions them
         for a, (i, wi) in enumerate(mentions):
             for j, wj in mentions[a + 1:]:
-                pair_sums[(i, j)] = pair_sums.get((i, j), 0.0) + wi * wj
+                pair_sums[i, j] = get((i, j), 0.0) + wi * wj
+    return pair_sums
+
+
+def _projection(by_entity: _Mentions, sentence_count: int) -> ProjectionGraph:
+    """The pair sums in (i, j) order, each divided once by the pair
+    distance j - i."""
     edges = tuple((i, j, total / (j - i))
-                  for (i, j), total in sorted(pair_sums.items()))
+                  for (i, j), total in sorted(_pair_sums(by_entity).items()))
     return ProjectionGraph(sentence_count=sentence_count, directed_edges=edges)
 
 
@@ -214,16 +239,6 @@ def relatedness_score(projection: ProjectionGraph) -> float:
     for _, _, weight in projection.directed_edges:
         total += weight
     return total / projection.sentence_count
-
-
-def _pair_count(by_entity: _Mentions) -> int:
-    return sum(len(m) * (len(m) - 1) // 2 for m in by_entity.values())
-
-
-def mention_pairs(graph: BipartiteGraph) -> int:
-    """Sentence pairs summed over entities: c * (c - 1) / 2 for an entity
-    mentioned in c sentences. The projection's work for the graph."""
-    return _pair_count(_graph_mentions(graph))
 
 
 def project_blocks(by_entity: _Mentions, sentence_count: int,
@@ -299,14 +314,21 @@ def streamed_score(by_entity: _Mentions, sentence_count: int) -> float:
 def chunk_relatedness(sentences: list[TaggedSentence]) -> float:
     """`relatedness_score(project(build_bipartite(sentences)))`, from one
     walk per sentence, grouped by entity as it is made. A chunk of at most
-    one sentence scores 0.0 whatever its entities, so it walks none."""
+    one sentence scores 0.0 whatever its entities, so it walks none; one
+    where no entity has two mentions scores 0.0 without a projection."""
     if len(sentences) <= 1:
         return 0.0
-    by_entity = _group(enumerate(map(extract_entities, sentences)))
-    pairs = _pair_count(by_entity)
+    by_entity, pairs = _group(enumerate(map(extract_entities, sentences)))
+    if not pairs:
+        return 0.0
     if pairs < VECTOR_MIN_MENTION_PAIRS or (
             pairs < IMPORT_MIN_MENTION_PAIRS and "numpy" not in sys.modules):
-        return relatedness_score(_projection(by_entity, len(sentences)))
+        # `relatedness_score(_projection(...))`: each pair's edge weight
+        # added left to right in (i, j) order as it is divided.
+        total = 0.0
+        for (i, j), pair_sum in sorted(_pair_sums(by_entity).items()):
+            total += pair_sum / (j - i)
+        return total / len(sentences)
     return streamed_score(by_entity, len(sentences))
 
 
@@ -316,7 +338,7 @@ def describe_graph(sentences: list[TaggedSentence]) -> str:
     rows = list(enumerate(map(extract_entities, sentences)))
     lines = [f"entity s{index} {surface!r} {role_of[weight]}"
              for index, row in rows for surface, weight in row]
-    projection = _projection(_group(rows), len(sentences))
+    projection = _projection(_group(rows)[0], len(sentences))
     for i, j, weight in projection.directed_edges:
         lines.append(f"edge s{i} -> s{j} weight={weight:g}")
     lines.append(f"score {relatedness_score(projection):g}")

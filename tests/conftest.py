@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -11,7 +12,7 @@ import pytest
 from procmine import actionable, docmodel, linear, lingua
 from procmine.docmodel import DocNode, DocTree, Kind, parse_sdjson
 from procmine.goals import GoalCue, GoalCueConfig, strip_section_numbering
-from procmine.relatedness import ROLE_WEIGHTS
+from procmine.relatedness import ROLE_WEIGHTS, BipartiteGraph
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -786,6 +787,13 @@ def oracle_bipartite_edges(sentences: list[OracleSentence]) -> tuple:
             key = (index, surface)
             best[key] = max(best.get(key, 0.0), weight)
     return tuple((i, surface, w) for (i, surface), w in best.items())
+
+
+def mention_pairs(graph: BipartiteGraph) -> int:
+    """Sentence pairs summed over entities: c * (c - 1) / 2 for an entity
+    mentioned in c sentences of the graph. The projection's work for it."""
+    counts = Counter(entity for _, entity, _ in graph.edges)
+    return sum(c * (c - 1) // 2 for c in counts.values())
 
 
 def oracle_tf_idf(text: str, vocab) -> dict[int, float]:

@@ -31,17 +31,17 @@ from procmine.actionable import ActionableModel, predict
 from procmine.chunker import ChunkKind
 from procmine.docmodel import parse_sdjson
 from procmine.goals import GoalCueConfig, annotate_goal
-from procmine.lingua import (TAG_TABLE_CAP, TAG_WORD_MAX, TaggedSentence,
-                             Tagger, bundled_data_dir, detect_conditional, profile,
-                             sentence_terms, split_sentences)
+from procmine.lingua import (TAG_TABLE_CAP, TAG_TABLE_TOKENS, TAG_WORD_MAX,
+                             TaggedSentence, Tagger, bundled_data_dir,
+                             detect_conditional, profile, sentence_terms,
+                             split_sentences)
 from procmine.relatedness import (VECTOR_MIN_MENTION_PAIRS, BipartiteGraph,
                                   _graph_mentions, build_bipartite,
                                   chunk_relatedness, extract_entities,
-                                  mention_pairs, project, relatedness_score,
-                                  streamed_score)
+                                  project, relatedness_score, streamed_score)
 
 from conftest import (CORPUS_DIR, OracleSentence, OracleTagger, OracleToken,
-                      oracle_annotate_goal, oracle_bipartite_edges,
+                      mention_pairs, oracle_annotate_goal, oracle_bipartite_edges,
                       oracle_detect_conditional, oracle_detect_imperative,
                       oracle_extract_entities, oracle_margin, oracle_profile,
                       oracle_tag, random_tree)
@@ -227,6 +227,12 @@ class TestRandomSentences:
     @example([("x", "VBZ"), ("to", "PREP"), ("x", "NOUN"), ("x", "NOUN")])
     @example([("please", "NOUN"), ("x", "VB"), ("x", "ADJ"), ("x", "NOUN"),
               ("x", "ADJ")])
+    # No NOUN: no run. A run before any verb that reaches the end; runs
+    # on both sides of the verb, the last a second object that ends it.
+    @example([("x", "ADJ"), ("x", "VB"), ("x", "ADJ"), ("x", "DET")])
+    @example([("x", "DET"), ("x", "ADJ"), ("x", "NOUN")])
+    @example([("x", "NOUN"), ("x", "VBZ"), ("x", "NOUN"), ("x", "DET"),
+              ("x", "NOUN")])
     def test_entities_of_any_tag_sequence(self, tokens):
         """The one-walk entity extraction against the oracle's runs, verb
         and look-back, on tag sequences that no sentence need produce. One
@@ -345,6 +351,25 @@ class TestTagTable:
         assert size / len(words) < 7_000
         tagger.tag(words[0] + capitals[0])
         assert words[0] + capitals[0] not in tagger.words
+
+    def test_table_of_the_costliest_words_stops_at_its_token_budget(self):
+        """4,096 distinct words of `TAG_WORD_MAX` Deseret capitals, 32
+        tokens each: the table keeps words until its entries hold
+        `TAG_TABLE_TOKENS` tokens, the first 2,048, and then holds 12.9 MB
+        (CPython 3.11), where the entry cap alone let 16,384 of them hold
+        about 100 MB. A word past the budget, however short, is tagged as
+        the oracle tags it and not kept."""
+        capitals = [chr(0x10400 + i) for i in range(40)]  # DESERET
+        words = [capitals[n % 40] + capitals[n // 40 % 40] + capitals[n // 1600]
+                 + capitals[0] * (TAG_WORD_MAX - 3) for n in range(4096)]
+        texts = [" ".join(words[i:i + 20]) for i in range(0, len(words), 20)]
+        tagger, size = tagged_and_held(texts)
+        assert list(tagger.words) == words[:TAG_TABLE_TOKENS // TAG_WORD_MAX]
+        assert tagger.table_tokens == TAG_TABLE_TOKENS
+        assert size < 16_000_000
+        for text in (texts[-1], "Open the panel."):
+            assert tagger.tag(text) == oracle_tag(tagger, text)
+        assert len(tagger.words) == TAG_TABLE_TOKENS // TAG_WORD_MAX
 
     def test_warm_table_tags_a_verb_form_by_its_context(self):
         """One surface, three readings, the second round from the table:

@@ -257,6 +257,9 @@ BAD_INPUTS = {
     "extract-many-output-is-a-file": (64, lambda d: [
         "extract", str(DOC), str(CORPUS / "nested-fixture.md"), "--model",
         PROCEDURE, "-o", write(d / "out", "")]),
+    "extract-many-pred-log-is-a-file": (64, lambda d: [
+        "extract", str(DOC), str(CORPUS / "nested-fixture.md"), "--model",
+        PROCEDURE, "-o", str(d / "out"), "--pred-log", write(d / "p", "")]),
     "extract-pred-log-in-missing-directory": (64, lambda d: [
         "extract", str(DOC), "--model", PROCEDURE, "-o", str(d / "out.json"),
         "--pred-log", str(d / "missing" / "p.csv")]),
@@ -549,6 +552,14 @@ BAD_INPUT_MESSAGES = {
     "eval-labels-empty-file":
         lambda d: f"{d / 'g.csv'}, line 1: missing column(s) chunk_id, label",
     "train-features-not-utf8": lambda d: f"{d / 'f.csv'}, line 3: not UTF-8",
+    # A file where the output directory goes is not a directory; the
+    # message names that, not the mkdir's "File exists".
+    "extract-many-output-is-a-file": lambda d: (
+        f"cannot write {d / 'out' / (DOC.stem + '.procedures.json')}: "
+        "Not a directory"),
+    "extract-many-pred-log-is-a-file": lambda d: (
+        f"cannot write {d / 'p' / (DOC.stem + '.predictions.csv')}: "
+        "Not a directory"),
     "extract-pred-log-is-the-output":
         lambda d: f"-o {d / 'X'} and --pred-log {d / 'X'} name one file",
     "features-chunk-dump-is-the-output": lambda d: (
@@ -800,6 +811,17 @@ class TestExtract:
 
 
 CORPUS_DOCS = [*sorted((CORPUS / "docs").glob("*.md")), CORPUS / "nested-fixture.md"]
+
+
+@pytest.mark.parametrize("path", CORPUS_DOCS, ids=lambda p: p.stem)
+def test_dump_graphs_equal_their_golden_file(capsys, tmp_path, path):
+    """The golden file pins every entity surface and role, projection edge
+    and score that `--dump-graphs` prints for the document."""
+    code, _, err = run_main(["extract", str(path), *MODELS, "-o",
+                             str(tmp_path / "out.json"), "--dump-graphs"], capsys)
+    assert code == 0
+    golden = CORPUS / "golden" / (path.stem + ".graphs.txt")
+    assert err.encode("utf-8") == golden.read_bytes()
 
 
 def big_dump_list(path, items=80):

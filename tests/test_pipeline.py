@@ -161,6 +161,23 @@ class TestPipelineProperties:
         assert labels == {1: True, 2: True, 3: True}
 
 
+def test_prose_wide_relatedness_equals_the_graph_path():
+    """Every chunk of the benchmark's prose-wide document, its wide chunk
+    of about 270,000 mention pairs included, scores what
+    `relatedness_score(project(build_bipartite(...)))` gives, to the bit."""
+    gen = perfbench_gen()
+    tree = parse_sdjson(gen.prose_doc(gen.corpus_sentences(ROOT), 0, 0))
+    run = pipeline.analyze(tree, None)
+    widest = 0
+    for annotation in run.annotations.values():
+        sentences = [s.tagged for item in annotation.items for s in item.sentences]
+        expected = relatedness.relatedness_score(
+            relatedness.project(relatedness.build_bipartite(sentences)))
+        assert annotation.relatedness.hex() == expected.hex()
+        widest = max(widest, len(sentences))
+    assert widest > 1000
+
+
 class TestTeacherForcingLabels:
     def test_labels_must_cover_exactly_the_chunks(self, models):
         run = pipeline.analyze(

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import random
 import time
@@ -15,9 +16,11 @@ from procmine.lingua import Tagger
 from procmine.relatedness import (ROLE_WEIGHTS, VECTOR_MIN_MENTION_PAIRS,
                                   BipartiteGraph, ProjectionGraph,
                                   build_bipartite, chunk_relatedness,
-                                  describe_graph, extract_entities,
-                                  mention_pairs, project, project_blocks,
-                                  relatedness_score, streamed_score)
+                                  describe_graph, extract_entities, project,
+                                  project_blocks, relatedness_score,
+                                  streamed_score)
+
+from conftest import mention_pairs
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -321,6 +324,27 @@ class TestRelatednessScore:
         assert relatedness_score(projection) == 1.0 / 3
         assert math.fsum(w for _, _, w in projection.directed_edges) / 3 != 1.0 / 3
 
+    def test_chunk_total_is_left_to_right_not_compensated(self, tagger):
+        """The dict path of `chunk_relatedness` totals its own edge weights:
+        left to right, like `relatedness_score`, never compensated. Every
+        chunk of four of these sentences is scored; some of them add up
+        differently under `math.fsum`, the first being the chunk below."""
+        texts = ("Check the disk.", "The disk stops.", "The user opens the disk.",
+                 "Restart the fan.")
+        differ = 0
+        for combo in itertools.product(texts, repeat=4):
+            chunk = [tagger.tag(text) for text in combo]
+            weights = [w for _, _, w in project(build_bipartite(chunk)).directed_edges]
+            expected = left_to_right(weights) / len(chunk) if weights else 0.0
+            assert chunk_relatedness(chunk).hex() == expected.hex()
+            differ += math.fsum(weights) / len(chunk) != expected
+        assert differ >= 10, differ
+        chunk = [tagger.tag(text) for text in (
+            "Check the disk.", "Check the disk.", "The disk stops.", "Check the disk.")]
+        weights = [w for _, _, w in project(build_bipartite(chunk)).directed_edges]
+        assert left_to_right(weights) == 22.333333333333336 != math.fsum(weights)
+        assert chunk_relatedness(chunk) == 22.333333333333336 / 4
+
     def test_adding_shared_entity_never_decreases_score(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -382,6 +406,50 @@ class TestShortChunks:
         assert calls == []
         assert chunk_relatedness(one * 2) > 0.0
         assert len(calls) == 2  # one walk per sentence
+
+
+class TestNoRepeatedEntity:
+    """A chunk where no entity has two mentions scores 0.0 without a
+    projection; one where some entity has scores what the graph path
+    gives."""
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        calls = []
+        for name in ("_pair_sums", "streamed_score"):
+            def counting(*args, name=name, real=getattr(relatedness, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(relatedness, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("vector_min", [0, VECTOR_MIN_MENTION_PAIRS])
+    def test_no_projection_without_a_repeat(self, tagger, monkeypatch,
+                                            projections, vector_min):
+        monkeypatch.setattr(relatedness, "VECTOR_MIN_MENTION_PAIRS", vector_min)
+        chunks = ([tagger.tag("The server starts."), tagger.tag("The printer stops.")],
+                  # one entity twice in one sentence is one mention
+                  [tagger.tag("The server sends the server log to the server."),
+                   tagger.tag("Restart it."), tagger.tag("")])
+        for chunk in chunks:
+            assert chunk_relatedness(chunk) == 0.0
+            assert mention_pairs(build_bipartite(chunk)) == 0
+        assert projections == []
+        chunk = [tagger.tag("Restart the server."), tagger.tag("The server stops.")]
+        expected = relatedness_score(project(build_bipartite(chunk)))
+        assert expected > 0.0
+        projections.clear()  # the oracle's own pair loop
+        assert chunk_relatedness(chunk).hex() == expected.hex()
+        assert projections == ["streamed_score" if vector_min == 0
+                               else "_pair_sums"]
+
+    def test_grouping_counts_the_mention_pairs(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            graph = varied_graph(rng)
+            _, pairs = relatedness._group(
+                (index, ((entity, weight),)) for index, entity, weight in graph.edges)
+            assert pairs == mention_pairs(graph)
 
 
 class TestVectorProjection:
