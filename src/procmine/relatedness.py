@@ -21,14 +21,14 @@ each entity mentioned in c sentences, c * (c - 1) / 2). A chunk with none,
 where no entity has two mentions, scores 0.0 without a projection. Every
 other chunk is scored by one of two paths:
 
-- below `VECTOR_MIN_MENTION_PAIRS`, or below `IMPORT_MIN_MENTION_PAIRS`
-  when no other code has imported numpy yet, straight from the dict of
-  pair sums (`_pair_sums`), each divided by its distance and added in
-  (i, j) order; no `ProjectionGraph` is built. `_pair_sums` is the one
-  pair loop: `_projection`, which `project` and `describe_graph` read,
-  builds the edges from it, and
-  `relatedness_score(project(build_bipartite(...)))` is the oracle the
-  other paths are tested against.
+- below `VECTOR_MIN_MENTION_PAIRS`, below `IMPORT_MIN_MENTION_PAIRS`
+  when no other code has imported numpy yet, or where numpy cannot be
+  imported at all, straight from the dict of pair sums (`_pair_sums`),
+  each divided by its distance and added in (i, j) order; no
+  `ProjectionGraph` is built. `_pair_sums` is the one pair loop:
+  `_projection`, which `project` and `describe_graph` read, builds the
+  edges from it, and `relatedness_score(project(build_bipartite(...)))`
+  is the oracle the other paths are tested against.
 - otherwise `streamed_score` over `project_blocks`, which builds and sums
   the mention pairs with numpy one block of sentence rows at a time. A
   block holds about `_BLOCK_PAIRS` pairs, or one row that has more, so
@@ -36,22 +36,28 @@ other chunk is scored by one of two paths:
 
 Both paths give the same score to the bit. Every weight is a
 `ROLE_WEIGHTS` value (1, 2 or 3), so every product is a small integer and
-each pair's sum is exact in any order of addition; the vector path packs
-(i, j - i, product) into one integer key, sorts the keys and sums each
-pair as integers. A key takes 2 * b + 4 bits, b the bit length of the
-sentence count: the keys are 32-bit, which sort faster, for a chunk of
-fewer than 2^13 (8,192) sentences and 64-bit for a larger one. Each sum
-is divided once by the same distance. The edge weights are then totalled
+each pair's sum is exact in any order of addition. The vector path packs
+a pair into one integer key, (i << b | j - i) << 4 | w_i * w_j, b the bit
+length of the sentence count: a key takes 2 * b + 4 bits, so the keys are
+32-bit, which sort faster, for a chunk of fewer than 2^13 (8,192)
+sentences and 64-bit for a larger one. That key is the row term
+i * (2^(b + 4) - 16) plus 16 * j + w_i * w_j, which a partner table of
+three rows, one per weight w_i, holds for every mention of sentence j: a
+block's keys are its mentions' row terms plus one gather from the table.
+Sorted, the keys of one pair form a run, whose sum is the difference of
+the running sum of the 4-bit products at the run's ends. Each sum is
+divided once by the same distance. The edge weights are then totalled
 left to right in (i, j) order from 0.0: by a loop in `relatedness_score`
 and in the dict path (the builtin `sum` of floats is compensated from
-Python 3.12 on) and by `np.cumsum` per block in `streamed_score`, the
-running total carried from block to block.
+Python 3.12 on) and by `np.add.accumulate` per block in `streamed_score`,
+the running total added into the block's first weight.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .lingua import ADJ, DET, NOUN, PREP, VERB_TAGS, TaggedSentence
@@ -61,15 +67,15 @@ if TYPE_CHECKING:
 
 
 ROLE_WEIGHTS = {"subject": 3.0, "object": 2.0, "other": 1.0}
-_ROLE_VALUES = frozenset(ROLE_WEIGHTS.values())
 _SUBJECT, _OBJECT, _OTHER = ROLE_WEIGHTS.values()
 
 # Mention pairs from which `chunk_relatedness` projects with numpy. Below
-# it numpy's fixed cost per call (about 0.1 ms) outweighs the loop it
+# it numpy's fixed cost per call (about 0.08 ms) outweighs the loop it
 # replaces: a numpy-only prototype made every synth-large run slower (74 ->
-# 80 ms per document; its chunks have at most 73 mention pairs). On runs of
-# corpus sentences the two paths break even near 100 pairs, and at 2,500
-# pairs numpy is about 6 times faster.
+# 80 ms per document; its chunks have at most 73 mention pairs). On
+# prefixes of prose-wide's wide chunk the two paths break even near 130
+# pairs (134 pairs: 83 us on the dict path, 80 us with numpy), and at
+# 2,500 pairs numpy is about 8 times faster.
 VECTOR_MIN_MENTION_PAIRS = 128
 
 # Mention pairs from which `chunk_relatedness` imports numpy to project
@@ -80,8 +86,10 @@ IMPORT_MIN_MENTION_PAIRS = 100_000
 
 # Mention pairs per block of `project_blocks`: its memory beyond the
 # graph's edges is O(max(block, one row)). On prose-wide's wide chunk
-# (272,766 pairs; 2-vCPU Xeon VM), 2^14 gave a 2.5 MB tracemalloc peak
-# and the fastest projection; 2^16 gave 7.2 MB and took 34% longer.
+# (272,766 pairs; 2-vCPU Xeon VM), `streamed_score` took 5.6 ms with 2^13,
+# 5.7 ms with 2^14 and 6.0 ms with 2^15, at tracemalloc peaks of 0.9, 1.3
+# and 2.1 MB; 2^16 took 7.0 ms at 3.7 MB. 2^13 and 2^14 are level within
+# the spread of the runs.
 _BLOCK_PAIRS = 1 << 14
 
 
@@ -249,50 +257,71 @@ def project_blocks(by_entity: _Mentions, sentence_count: int,
     that has more. Every weight must be a `ROLE_WEIGHTS` value; any other
     raises ValueError before the first block."""
     import numpy as np  # only wide chunks pay for the import
-    if not {w for m in by_entity.values() for _, w in m} <= _ROLE_VALUES:
+    # The mentions in entity order, each entity's in sentence order, as
+    # (sentence, weight) rows of one flat array.
+    counts = np.fromiter(map(len, by_entity.values()), np.int64, len(by_entity))
+    size = int(counts.sum())
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(by_entity.values())),
+                       np.float64, 2 * size).reshape(size, 2)
+    weight = flat[:, 1]
+    if not ((weight == _SUBJECT) | (weight == _OBJECT) | (weight == _OTHER)).all():
         raise ValueError("project_blocks needs ROLE_WEIGHTS values as weights")
-    # The mentions in entity order, each entity's in sentence order;
-    # `later` counts the mentions of its entity after each: the pairs it
-    # starts.
     # Bits enough for j - i. A key takes 2 * shift + 4 bits: an int32 where
     # that fits, else an int64, which holds it below 2^29 sentences.
     shift = sentence_count.bit_length()
     key_type = np.int32 if 2 * shift + 4 <= 31 else np.int64
-    sentence = np.array([i for m in by_entity.values() for i, _ in m], dtype=key_type)
-    weight = np.array([w for m in by_entity.values() for _, w in m], dtype=key_type)
-    counts = np.array([len(m) for m in by_entity.values()], dtype=np.int64)
-    later = np.repeat(np.cumsum(counts), counts) - 1 - np.arange(len(sentence))
+    sentence = flat[:, 0].astype(key_type)
+    weight = weight.astype(key_type)
+    # The key of mention a's pair with a later mention b of its entity,
+    # (i << shift | j - i) << 4 | w_a * w_b, is a row term of a,
+    # i * (2^(shift + 4) - 16), plus 16 * j + w_a * w_b: row w_a - 1 of the
+    # partner table, at b.
+    partner = (np.arange(1, 4, dtype=key_type)[:, None] * weight
+               + 16 * sentence).ravel()
+    # `later` counts the mentions of its entity after each mention: the
+    # pairs it starts.
+    later = np.repeat(np.cumsum(counts), counts) - 1 - np.arange(size)
     # The same mentions by sentence row; `rank` is each one's place in
-    # entity order, where the later mentions of its entity follow it.
-    rank = np.argsort(sentence, kind="stable")
+    # entity order, where the later mentions of its entity follow it, and
+    # `first` the place in the partner table of its first partner. A
+    # stable sort of 16-bit values is a radix sort, 4 times as fast.
+    rank = np.argsort(sentence.astype(np.uint16) if shift <= 16 else sentence,
+                      kind="stable")
     row_sentence = sentence[rank]
-    row_weight = weight[rank]
+    row_term = row_sentence * key_type((1 << shift + 4) - 16)
+    first = (weight[rank] - 1) * size + rank + 1
     later = later[rank]
     # Row bounds and the pairs that the rows before each bound start.
-    bounds = np.append(np.flatnonzero(np.diff(row_sentence, prepend=-1)),
-                       len(row_sentence))
+    bounds = np.append(np.flatnonzero(np.diff(row_sentence, prepend=-1)), size)
     pairs_before = np.concatenate(([0], np.cumsum(later)))[bounds]
     row = 0
     while row < len(bounds) - 1:
         end = max(row + 1, int(np.searchsorted(
             pairs_before, pairs_before[row] + _BLOCK_PAIRS, side="right")) - 1)
         lo, hi = bounds[row], bounds[end]
+        pairs = int(pairs_before[end] - pairs_before[row])
         row = end
-        count = later[lo:hi]
-        if not count.any():
+        if not pairs:
             continue
-        # Every mention a of the block's rows with each later mention b of
-        # its entity, as one key (i, j - i, product) that sorts by (i, j).
-        step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        b = np.repeat(rank[lo:hi], count) + 1 + step
-        i = np.repeat(row_sentence[lo:hi], count)
-        key = (((i << shift) | (sentence[b] - i)) << 4
-               | (np.repeat(row_weight[lo:hi], count) * weight[b]))
+        # Every mention a of the block's rows with each later mention of its
+        # entity, the partners of a taking consecutive places in the table.
+        count = later[lo:hi]
+        start = np.cumsum(count) - count  # a's first pair in the block
+        key = np.repeat(first[lo:hi] - start, count)
+        key += np.arange(pairs)
+        key = partner.take(key)
+        key += np.repeat(row_term[lo:hi], count)
         key.sort()
+        # Each run of one pair (i, j) summed as the difference of the
+        # running sum of its products at the run's ends. The running sum
+        # may wrap around in a 32-bit key, but no run's sum does, so each
+        # difference is exact.
         pair = key >> 4
-        starts = np.flatnonzero(np.diff(pair, prepend=-1))  # pair >= 1
-        sums = np.add.reduceat(key & 15, starts)  # exact integers
-        pair = pair[starts]
+        ends = np.append(np.flatnonzero(pair[1:] != pair[:-1]), pairs - 1)
+        key &= 15
+        sums = np.add.accumulate(key, out=key)[ends]
+        sums[1:] -= sums[:-1].copy()
+        pair = pair[ends]
         i = pair >> shift
         distance = pair & ((1 << shift) - 1)
         yield i, i + distance, sums / distance
@@ -300,14 +329,16 @@ def project_blocks(by_entity: _Mentions, sentence_count: int,
 
 def streamed_score(by_entity: _Mentions, sentence_count: int) -> float:
     """`relatedness_score(_projection(by_entity, sentence_count))` from
-    `project_blocks`: each block is added onto the running total left to
-    right by `np.cumsum`, the total carried from block to block."""
+    `project_blocks`: each block's weights are added left to right by
+    `np.add.accumulate` in place, the first onto the running total carried
+    from block to block."""
     import numpy as np
     if sentence_count <= 1:
         return 0.0
     total = 0.0
     for _, _, weights in project_blocks(by_entity, sentence_count):
-        total = float(np.cumsum(np.concatenate(([total], weights)))[-1])
+        weights[0] += total
+        total = float(np.add.accumulate(weights, out=weights)[-1])
     return total / sentence_count
 
 
@@ -321,15 +352,20 @@ def chunk_relatedness(sentences: list[TaggedSentence]) -> float:
     by_entity, pairs = _group(enumerate(map(extract_entities, sentences)))
     if not pairs:
         return 0.0
-    if pairs < VECTOR_MIN_MENTION_PAIRS or (
-            pairs < IMPORT_MIN_MENTION_PAIRS and "numpy" not in sys.modules):
-        # `relatedness_score(_projection(...))`: each pair's edge weight
-        # added left to right in (i, j) order as it is divided.
-        total = 0.0
-        for (i, j), pair_sum in sorted(_pair_sums(by_entity).items()):
-            total += pair_sum / (j - i)
-        return total / len(sentences)
-    return streamed_score(by_entity, len(sentences))
+    if pairs >= VECTOR_MIN_MENTION_PAIRS and (
+            pairs >= IMPORT_MIN_MENTION_PAIRS or "numpy" in sys.modules):
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            pass  # an interpreter without numpy: the dict path, same bits
+        else:
+            return streamed_score(by_entity, len(sentences))
+    # `relatedness_score(_projection(...))`: each pair's edge weight added
+    # left to right in (i, j) order as it is divided.
+    total = 0.0
+    for (i, j), pair_sum in sorted(_pair_sums(by_entity).items()):
+        total += pair_sum / (j - i)
+    return total / len(sentences)
 
 
 def describe_graph(sentences: list[TaggedSentence]) -> str:

@@ -112,6 +112,25 @@ def test_extract_on_a_wide_chunk_does_not_import_numpy(tmp_path):
         (tmp_path / "fresh.csv").read_bytes()
 
 
+def test_extract_on_a_wide_chunk_where_numpy_cannot_be_imported(tmp_path):
+    """`None` in `sys.modules` makes `import numpy` fail while "numpy" is in
+    `sys.modules`, so the chunk's 1,035 pairs choose the vector path; it
+    scores them on the dict path instead, to the same bytes."""
+    doc = tmp_path / "device.md"
+    doc.write_text(WIDE_CHUNK, encoding="utf-8")
+    python("import sys\nsys.modules['numpy'] = None\n" + CLI,
+           "extract", str(doc), *MODELS, "-o", str(tmp_path / "bare.json"),
+           "--pred-log", str(tmp_path / "bare.csv"))
+    import numpy  # noqa: F401
+    from procmine import cli
+    assert cli.main(["extract", str(doc), *MODELS, "-o", str(tmp_path / "here.json"),
+                     "--pred-log", str(tmp_path / "here.csv")]) == 0
+    assert (tmp_path / "here.json").read_bytes() == \
+        (tmp_path / "bare.json").read_bytes()
+    assert (tmp_path / "here.csv").read_bytes() == \
+        (tmp_path / "bare.csv").read_bytes()
+
+
 def test_prediction_logs_do_not_depend_on_blas_kernel(tmp_path):
     logs = {}
     for coretype in (None, "Nehalem", "Prescott"):

@@ -487,11 +487,22 @@ class TestVectorProjection:
                 blocks_of(graph)
             raised += 1
         assert raised >= 100
-        # One stray weight among role weights is enough.
+        # One stray weight among role weights is enough, whether it is
+        # paired or not.
         graph = BipartiteGraph(sentence_count=3, edges=(
             (0, "x", 3.0), (1, "x", 2.0), (2, "x", 1.0), (2, "y", 2.5)))
         with pytest.raises(ValueError, match="ROLE_WEIGHTS"):
             streamed(graph)
+        for stray in (math.nan, 0.0, -1.0, 3.5):
+            for edges in (((1, "x", stray), (1, "y", 2.0)),
+                          ((1, "x", 2.0), (1, "z", stray))):
+                graph = BipartiteGraph(sentence_count=3, edges=(
+                    (0, "x", 3.0), (0, "y", 1.0), *edges,
+                    (2, "x", 1.0), (2, "y", 3.0)))
+                with pytest.raises(ValueError, match="ROLE_WEIGHTS"):
+                    blocks_of(graph)
+                with pytest.raises(ValueError, match="ROLE_WEIGHTS"):
+                    streamed(graph)
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_block_bounds_keep_project_bits(self, monkeypatch, block):
@@ -578,6 +589,51 @@ class TestVectorProjection:
         assert edges == list(expected.directed_edges)
         assert streamed_score(by_entity, sentence_count).hex() == \
             relatedness_score(expected).hex()
+
+    @pytest.mark.parametrize("block", [1, relatedness._BLOCK_PAIRS])
+    @pytest.mark.parametrize("sentence_count", [(1 << 13) - 1, 1 << 13],
+                             ids=["int32-keys", "int64-keys"])
+    def test_repeated_pairs_keep_their_sums(self, monkeypatch, block,
+                                            sentence_count):
+        """Runs of one pair in the sorted keys, summed from the running sum
+        of their products: the first row's 300 pairs with the last sentence
+        are one run of 3 x 3 products (2,700); each of the next rows has 4
+        pairs with its successor, one run, and they fill the first block of
+        `_BLOCK_PAIRS` pairs to its end; a lone row has one pair, a whole
+        block when a block holds one pair."""
+        monkeypatch.setattr(relatedness, "_BLOCK_PAIRS", block)
+        last = sentence_count - 1
+        rng = random.Random(sentence_count)
+        by_entity = {f"s{k}": [(0, SUBJECT), (last, SUBJECT)] for k in range(300)}
+        rows = (relatedness._BLOCK_PAIRS - 300) // 4 if block > 1 else 40
+        for r in range(1, rows + 1):
+            for k in range(4):
+                by_entity[f"r{r}-{k}"] = [(r, rng.choice(ROLE_WEIGHT_SET)),
+                                          (r + 1, rng.choice(ROLE_WEIGHT_SET))]
+        lone = rows + 5
+        by_entity["lone"] = [(lone, OBJECT), (lone + 7, OTHER)]
+        for k in range(200):
+            sentences = sorted(rng.sample(range(lone + 8, last), 12))
+            by_entity[f"e{k}"] = [(i, rng.choice(ROLE_WEIGHT_SET))
+                                  for i in sentences]
+        expected = relatedness._projection(by_entity, sentence_count)
+        assert (0, last, 2700 / last) in expected.directed_edges
+        blocks = list(project_blocks(by_entity, sentence_count))
+        edges = [edge for i, j, weights in blocks
+                 for edge in zip(i.tolist(), j.tolist(), weights.tolist())]
+        assert edges == list(expected.directed_edges)
+        assert b"".join(weights.tobytes() for _, _, weights in blocks) == \
+            np.array([w for _, _, w in expected.directed_edges]).tobytes()
+        assert streamed_score(by_entity, sentence_count).hex() == \
+            relatedness_score(expected).hex()
+        ends = [(i[-1], j[-1]) for i, j, _ in blocks]
+        if block > 1:
+            assert 300 + 4 * rows == block
+            assert ends[0] == (rows, rows + 1)
+        else:
+            assert (rows, rows + 1) in ends
+            assert [(i.tolist(), j.tolist()) for i, j, _ in blocks].count(
+                ([lone], [lone + 7])) == 1
 
     def test_2000_sentence_corpus_chunk(self, corpus_chunk):
         graph = build_bipartite(corpus_chunk)
