@@ -4,12 +4,12 @@ A tagged sentence has one featurization: `term_indices`, the sorted
 vocabulary index of each of its terms (bag-of-words over a
 frequency-filtered vocabulary), and the three indicator bits of
 `lingua.profile` (present tense, active voice, positive polarity). The
-terms are `lingua.sentence_terms` of its text, which the tagger gives as
-`TaggedSentence.terms`, so no sentence is tokenized a second time; only
-`build_vocabulary` reads raw texts. `train` fills its dense tf-idf matrix
-from them, idf added once per occurrence from 0.0. The model is a
-`linear.LinearModel` that also holds the vocabulary; its file, loader and
-training recipe are `linear`'s.
+terms are the ones the tagger gives as `TaggedSentence.terms`, so no
+sentence is tokenized a second time: `train` tags each text once,
+`build_vocabulary` counts the terms of those tagged sentences, and
+`train` fills its dense tf-idf matrix from them, idf added once per
+occurrence from 0.0. The model is a `linear.LinearModel` that also holds
+the vocabulary; its file, loader and training recipe are `linear`'s.
 
 `predict` adds one precomputed score per term. `Scorer.margin` over the
 sparse features adds, from 0.0 and in index order, each present term's
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import linear
 from .docmodel import require
-from .lingua import TaggedSentence, Tagger, profile, sentence_terms
+from .lingua import TaggedSentence, Tagger, profile
 from .linear import DegenerateLabels, TrainParams, VersionMismatch
 
 MIN_DOCUMENT_FREQUENCY = 3
@@ -64,14 +64,14 @@ class Vocabulary(_VocabularyFields):
         return {term: i for i, term in enumerate(self.terms)}
 
 
-def build_vocabulary(corpus: list[str]) -> Vocabulary:
+def build_vocabulary(corpus: list[TaggedSentence]) -> Vocabulary:
     """Terms appearing in at least `MIN_DOCUMENT_FREQUENCY` sentences,
     idf = ln(N / df)."""
     if not corpus:
         raise EmptyCorpus("empty corpus")
     df: dict[str, int] = {}
     for sentence in corpus:
-        for term in set(sentence_terms(sentence)):
+        for term in set(sentence.terms):
             df[term] = df.get(term, 0) + 1
     kept = sorted(term for term, count in df.items()
                   if count >= MIN_DOCUMENT_FREQUENCY)
@@ -185,12 +185,11 @@ def train(labeled: list[tuple[str, bool]], params: TrainParams,
     if positives < 2 or len(labeled) - positives < 2:
         raise DegenerateLabels("need at least 2 examples of each class")
     tagger = tagger or Tagger()
-    texts = [text for text, _ in labeled]
-    vocab = build_vocabulary(texts)
+    sentences = [tagger.tag(text) for text, _ in labeled]
+    vocab = build_vocabulary(sentences)
     size, idf = len(vocab.terms), vocab.idf
-    raw = np.zeros((len(texts), size + 3))
-    for row, text in zip(raw, texts):
-        tagged = tagger.tag(text)
+    raw = np.zeros((len(sentences), size + 3))
+    for row, tagged in zip(raw, sentences):
         for i in term_indices(tagged.terms, vocab):
             row[i] += idf[i]
         row[size:] = profile(tagged)

@@ -7,8 +7,9 @@ positive polarity, the indicators the actionable model scores.
 time. The `TaggedSentence` it returns holds three parallel tuples: the
 token surfaces, their lower-cased forms (each lower-cased once, and no new
 string where nothing changes) and their tags; and the actionable model's
-`terms` (`sentence_terms`). Every detector reads those tuples, and the
-imperative flag is worked out once per sentence, when it is tagged.
+`terms`, the lower-cased text's matches of `_TERM_RE`, which strip
+punctuation. Every detector reads those tuples, and the imperative flag is
+worked out once per sentence, when it is tagged.
 
 Only a verb form's tag can depend on the tags before it. Every other word
 is tagged from its surface alone (punctuation, number, a form of "be",
@@ -81,13 +82,7 @@ class TaggedSentence(NamedTuple):
     lowers: tuple[str, ...]  # lower-cased surfaces
     tags: tuple[str, ...]
     imperative: bool  # `_imperative` of the tags and lowers
-    terms: tuple[str, ...]  # `sentence_terms(text)`
-
-
-def sentence_terms(text: str) -> list[str]:
-    """Lowercased word tokens with punctuation stripped: the actionable
-    model's terms."""
-    return _TERM_RE.findall(text.lower())
+    terms: tuple[str, ...]  # `_TERM_RE` matches of the lower-cased text
 
 
 class ConditionalSplit(NamedTuple):

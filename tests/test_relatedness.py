@@ -14,13 +14,13 @@ import pytest
 from procmine import pipeline, relatedness
 from procmine.lingua import Tagger
 from procmine.relatedness import (ROLE_WEIGHTS, VECTOR_MIN_MENTION_PAIRS,
-                                  BipartiteGraph, ProjectionGraph,
-                                  build_bipartite, chunk_relatedness,
-                                  describe_graph, extract_entities, project,
-                                  project_blocks, relatedness_score,
+                                  BipartiteGraph, build_bipartite,
+                                  chunk_relatedness, describe_graph,
+                                  extract_entities, project_blocks,
                                   streamed_score)
 
-from conftest import mention_pairs
+from conftest import (mention_pairs, oracle_mentions, oracle_projection,
+                      oracle_score)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -78,7 +78,8 @@ def random_graph(rng: random.Random) -> BipartiteGraph:
 
 # Weight triples for `varied_graph`: the role weights, then zeros,
 # negatives (products of -0.0 and 0.0 included) and fractions that round.
-# `project` takes them all; `project_blocks` only the first.
+# The oracle and `_pair_sums` take them all; `project_blocks` only the
+# first.
 ROLE_WEIGHT_SET = tuple(ROLE_WEIGHTS.values())
 SUBJECT, OBJECT, OTHER = ROLE_WEIGHT_SET
 WEIGHT_SETS = (ROLE_WEIGHT_SET, (0.0, -1.0, 2.5), (-0.0, 0.0, -3.0),
@@ -137,21 +138,38 @@ def row_pairs(graph: BipartiteGraph) -> Counter:
     return rows
 
 
+def graph_of(by_entity: dict, sentence_count: int) -> BipartiteGraph:
+    """The graph of a grouping built by hand: one edge per mention, in
+    sentence order. Its own grouping may list the entities in another
+    order, which changes no pair sum of role weights: each is exact."""
+    edges = sorted(((i, entity, weight) for entity, mentions in by_entity.items()
+                    for i, weight in mentions), key=lambda edge: edge[0])
+    return BipartiteGraph(sentence_count=sentence_count, edges=tuple(edges))
+
+
+def pair_sum_edges(graph: BipartiteGraph) -> tuple:
+    """The dict path's edges, as `describe_graph` prints them: the graph
+    grouped by `_group`, its `_pair_sums` in (i, j) order, each divided
+    once by j - i."""
+    by_entity, _ = relatedness._group(
+        (index, ((entity, weight),)) for index, entity, weight in graph.edges)
+    return tuple((i, j, total / (j - i)) for (i, j), total
+                 in sorted(relatedness._pair_sums(by_entity).items()))
+
+
 def blocks_of(graph: BipartiteGraph) -> list:
     """`project_blocks` of the graph's grouped mentions."""
-    return list(project_blocks(relatedness._graph_mentions(graph),
-                               graph.sentence_count))
+    return list(project_blocks(oracle_mentions(graph), graph.sentence_count))
 
 
 def streamed(graph: BipartiteGraph) -> float:
     """`streamed_score` of the graph's grouped mentions."""
-    return streamed_score(relatedness._graph_mentions(graph),
-                          graph.sentence_count)
+    return streamed_score(oracle_mentions(graph), graph.sentence_count)
 
 
 def concatenated_blocks(graph: BipartiteGraph):
-    """`project_blocks` joined: its edges as `project`'s tuples, and the
-    bytes of its weights."""
+    """`project_blocks` joined: its edges as `oracle_projection`'s tuples,
+    and the bytes of its weights."""
     blocks = blocks_of(graph)
     edges = [edge for i, j, weights in blocks
              for edge in zip(i.tolist(), j.tolist(), weights.tolist())]
@@ -228,30 +246,35 @@ class TestBuildBipartite:
 
 
 class TestProjection:
+    """The oracle's edges and the dict path's, from `_pair_sums`, against
+    worked examples and a loop over sentence pairs."""
+
     def test_worked_example_edge_weights(self, tagger):
         sentences = [
             tagger.tag("The administrator opens the console."),
             tagger.tag("The administrator checks the network-tab."),
             tagger.tag("The console shows the network-tab."),
         ]
-        projection = project(build_bipartite(sentences))
-        weights = {(i, j): w for i, j, w in projection.directed_edges}
-        assert weights == {(0, 1): 9.0, (0, 2): 3.0, (1, 2): 4.0}
+        graph = build_bipartite(sentences)
+        for edges in (oracle_projection(graph), pair_sum_edges(graph)):
+            weights = {(i, j): w for i, j, w in edges}
+            assert weights == {(0, 1): 9.0, (0, 2): 3.0, (1, 2): 4.0}
 
     def test_single_sentence_no_edges(self, tagger):
-        projection = project(build_bipartite([tagger.tag("Open the console.")]))
-        assert projection.directed_edges == ()
+        graph = build_bipartite([tagger.tag("Open the console.")])
+        assert oracle_projection(graph) == pair_sum_edges(graph) == ()
 
     def test_identical_adjacent_subject_sets(self):
         # k shared subject entities at distance 1 weigh 9k
         for k in (1, 2, 3):
             edges = tuple((i, f"e{m}", 3.0) for i in (0, 1) for m in range(k))
-            projection = project(BipartiteGraph(sentence_count=2, edges=edges))
-            assert projection.directed_edges == ((0, 1, 9.0 * k),)
+            graph = BipartiteGraph(sentence_count=2, edges=edges)
+            assert oracle_projection(graph) == pair_sum_edges(graph) == \
+                ((0, 1, 9.0 * k),)
 
     def test_edges_equal_pair_loop_on_every_weight_set(self):
         # Each pair's products in first-mention order of the entities, from
-        # 0.0, divided once by the distance: the bits `project` must give.
+        # 0.0, divided once by the distance: the bits both must give.
         rng = random.Random(11)
         for _ in range(500):
             graph = varied_graph(rng)
@@ -266,16 +289,17 @@ class TestProjection:
                     total += weight[(i, e)] * weight[(j, e)]
                 if shared:
                     expected.append((i, j, total / (j - i)))
-            edges = project(graph).directed_edges
-            assert edges == tuple(expected)
-            assert [math.copysign(1.0, w) for _, _, w in edges] == \
-                [math.copysign(1.0, w) for _, _, w in expected]
+            for edges in (oracle_projection(graph), pair_sum_edges(graph)):
+                assert edges == tuple(expected)
+                assert [math.copysign(1.0, w) for _, _, w in edges] == \
+                    [math.copysign(1.0, w) for _, _, w in expected]
 
     def test_distance_discount_exact(self):
         for d in (1, 2, 3, 4, 5):
             edges = ((0, "x", 2.0), (d, "x", 3.0))
-            projection = project(BipartiteGraph(sentence_count=d + 1, edges=edges))
-            assert projection.directed_edges == ((0, d, 6.0 / d),)
+            graph = BipartiteGraph(sentence_count=d + 1, edges=edges)
+            assert oracle_projection(graph) == pair_sum_edges(graph) == \
+                ((0, d, 6.0 / d),)
 
 
 class TestRelatednessScore:
@@ -300,33 +324,37 @@ class TestRelatednessScore:
         start = time.monotonic()
         for _ in range(1000):
             graph = random_graph(rng)
-            fast = relatedness_score(project(graph))
-            assert fast == pytest.approx(brute_force_score(graph), abs=1e-9)
+            assert oracle_score(graph) == \
+                pytest.approx(brute_force_score(graph), abs=1e-9)
         assert time.monotonic() - start < 5.0
 
     def test_total_is_left_to_right_not_compensated(self):
         # From Python 3.12 on the builtin `sum` of floats is compensated;
-        # the score adds left to right, as `streamed_score` does.
+        # the oracle adds left to right, as both paths do.
         rng = random.Random(9)
         differ = 0
         for _ in range(500):
             graph = varied_graph(rng, ROLE_WEIGHT_SET)
-            projection = project(graph)
-            weights = [w for _, _, w in projection.directed_edges]
+            weights = [w for _, _, w in oracle_projection(graph)]
             if graph.sentence_count <= 1 or not weights:
                 continue
             expected = left_to_right(weights) / graph.sentence_count
-            assert relatedness_score(projection) == expected
+            assert oracle_score(graph) == expected
             differ += math.fsum(weights) / graph.sentence_count != expected
         assert differ >= 20
-        projection = ProjectionGraph(sentence_count=3, directed_edges=(
-            (0, 1, 1.0), (0, 2, 1e-16), (1, 2, 1e-16)))
-        assert relatedness_score(projection) == 1.0 / 3
-        assert math.fsum(w for _, _, w in projection.directed_edges) / 3 != 1.0 / 3
+        # Edge weights 1.0 and two of about 1e-16: left to right, each small
+        # one is lost against 1.0.
+        graph = BipartiteGraph(sentence_count=3, edges=(
+            (0, "x", 1.0), (0, "y", 1e-8), (1, "x", 1.0), (1, "z", 1e-8),
+            (2, "y", 2e-8), (2, "z", 1e-8)))
+        weights = [w for _, _, w in oracle_projection(graph)]
+        assert weights[0] == 1.0 and all(w < 1.1e-16 for w in weights[1:])
+        assert oracle_score(graph) == 1.0 / 3
+        assert math.fsum(weights) / 3 != 1.0 / 3
 
     def test_chunk_total_is_left_to_right_not_compensated(self, tagger):
         """The dict path of `chunk_relatedness` totals its own edge weights:
-        left to right, like `relatedness_score`, never compensated. Every
+        left to right, like the oracle, never compensated. Every
         chunk of four of these sentences is scored; some of them add up
         differently under `math.fsum`, the first being the chunk below."""
         texts = ("Check the disk.", "The disk stops.", "The user opens the disk.",
@@ -334,14 +362,14 @@ class TestRelatednessScore:
         differ = 0
         for combo in itertools.product(texts, repeat=4):
             chunk = [tagger.tag(text) for text in combo]
-            weights = [w for _, _, w in project(build_bipartite(chunk)).directed_edges]
+            weights = [w for _, _, w in oracle_projection(build_bipartite(chunk))]
             expected = left_to_right(weights) / len(chunk) if weights else 0.0
             assert chunk_relatedness(chunk).hex() == expected.hex()
             differ += math.fsum(weights) / len(chunk) != expected
         assert differ >= 10, differ
         chunk = [tagger.tag(text) for text in (
             "Check the disk.", "Check the disk.", "The disk stops.", "Check the disk.")]
-        weights = [w for _, _, w in project(build_bipartite(chunk)).directed_edges]
+        weights = [w for _, _, w in oracle_projection(build_bipartite(chunk))]
         assert left_to_right(weights) == 22.333333333333336 != math.fsum(weights)
         assert chunk_relatedness(chunk) == 22.333333333333336 / 4
 
@@ -351,7 +379,7 @@ class TestRelatednessScore:
             graph = random_graph(rng)
             if graph.sentence_count < 2:
                 continue
-            base = relatedness_score(project(graph))
+            base = oracle_score(graph)
             i, j = sorted(rng.sample(range(graph.sentence_count), 2))
             existing = {e for _, e, _ in graph.edges}
             fresh = "brand-new-entity"
@@ -359,7 +387,7 @@ class TestRelatednessScore:
             grown = BipartiteGraph(
                 sentence_count=graph.sentence_count,
                 edges=graph.edges + ((i, fresh, 1.0), (j, fresh, 1.0)))
-            assert relatedness_score(project(grown)) >= base
+            assert oracle_score(grown) >= base
 
 
 class TestShortChunks:
@@ -380,7 +408,7 @@ class TestShortChunks:
                 sentences = [s.tagged for item in annotation.items
                              for s in item.sentences]
                 sizes[min(len(sentences), 2)] += 1
-                expected = relatedness_score(project(build_bipartite(sentences)))
+                expected = oracle_score(build_bipartite(sentences))
                 assert chunk_relatedness(sentences).hex() == expected.hex()
                 assert annotation.relatedness.hex() == expected.hex()
         assert sizes[1] and sizes[2], sizes
@@ -388,7 +416,7 @@ class TestShortChunks:
     @pytest.mark.parametrize("text", ONE_SENTENCE_TEXTS)
     def test_zero_and_one_sentence_equal_the_graph_path(self, tagger, text):
         for sentences in ([], [tagger.tag(text)]):
-            expected = relatedness_score(project(build_bipartite(sentences)))
+            expected = oracle_score(build_bipartite(sentences))
             assert chunk_relatedness(sentences).hex() == expected.hex() == \
                 (0.0).hex()
 
@@ -436,9 +464,9 @@ class TestNoRepeatedEntity:
             assert mention_pairs(build_bipartite(chunk)) == 0
         assert projections == []
         chunk = [tagger.tag("Restart the server."), tagger.tag("The server stops.")]
-        expected = relatedness_score(project(build_bipartite(chunk)))
+        expected = oracle_score(build_bipartite(chunk))
         assert expected > 0.0
-        projections.clear()  # the oracle's own pair loop
+        assert projections == []  # the oracle shares no pair loop
         assert chunk_relatedness(chunk).hex() == expected.hex()
         assert projections == ["streamed_score" if vector_min == 0
                                else "_pair_sums"]
@@ -447,26 +475,27 @@ class TestNoRepeatedEntity:
         rng = random.Random(12)
         for _ in range(300):
             graph = varied_graph(rng)
-            _, pairs = relatedness._group(
+            by_entity, pairs = relatedness._group(
                 (index, ((entity, weight),)) for index, entity, weight in graph.edges)
+            assert by_entity == oracle_mentions(graph)
             assert pairs == mention_pairs(graph)
 
 
 class TestVectorProjection:
-    """`project_blocks` against `project`, the oracle: equal to the bit."""
+    """`project_blocks` against `oracle_projection`: equal to the bit."""
 
     def test_weights_equal_project_on_1000_random_graphs(self):
         rng = random.Random(5)
         seen = {"shared 2+": 0, "one sentence": 0, "nothing shared": 0}
         for _ in range(1000):
             graph = varied_graph(rng, ROLE_WEIGHT_SET)
-            expected = project(graph).directed_edges
+            expected = oracle_projection(graph)
             edges, weight_bytes = concatenated_blocks(graph)
             assert edges == list(expected)
             # == treats -0.0 and 0.0 as equal: compare the bits too.
             assert weight_bytes == np.array([w for _, _, w in expected],
                                             dtype=float).tobytes()
-            assert streamed(graph) == relatedness_score(project(graph))
+            assert streamed(graph) == oracle_score(graph)
             shared = Counter(pair for sentences in mentions(graph).values()
                              for pair in combinations(sentences, 2))
             seen["shared 2+"] += any(c >= 2 for c in shared.values())
@@ -511,7 +540,7 @@ class TestVectorProjection:
         seen = {"row over a block": 0, "rows sharing a block": 0}
         for _ in range(300):
             graph = varied_graph(rng, ROLE_WEIGHT_SET)
-            expected = project(graph).directed_edges
+            expected = oracle_projection(graph)
             edges, weight_bytes = concatenated_blocks(graph)
             assert edges == list(expected)
             assert weight_bytes == np.array([w for _, _, w in expected],
@@ -519,7 +548,7 @@ class TestVectorProjection:
             # No row is split: each block starts past the last one's rows.
             block_rows = [i.tolist() for i, _, _ in blocks_of(graph)]
             assert all(a[-1] < b[0] for a, b in zip(block_rows, block_rows[1:]))
-            assert streamed(graph) == relatedness_score(project(graph))
+            assert streamed(graph) == oracle_score(graph)
             rows = row_pairs(graph)
             seen["row over a block"] += any(c > block for c in rows.values())
             seen["rows sharing a block"] += any(len(set(i)) > 1 for i in block_rows)
@@ -534,14 +563,14 @@ class TestVectorProjection:
         graph = BipartiteGraph(sentence_count=3, edges=(
             (0, "a", 3.0), (0, "b", 2.0), (1, "b", 1.0), (1, "a", 2.0),
             (2, "a", 1.0), (2, "b", 3.0)))
-        assert list(relatedness._graph_mentions(graph)) == ["a", "b"]
-        expected = project(graph).directed_edges
+        assert list(oracle_mentions(graph)) == ["a", "b"]
+        expected = oracle_projection(graph)
         assert expected == ((0, 1, 8.0), (0, 2, 4.5), (1, 2, 5.0))
         edges, weight_bytes = concatenated_blocks(graph)
         assert edges == list(expected)
         assert weight_bytes == np.array([w for _, _, w in expected],
                                         dtype=float).tobytes()
-        assert streamed(graph) == relatedness_score(project(graph))
+        assert streamed(graph) == oracle_score(graph)
 
     @pytest.mark.parametrize("pairs", [VECTOR_MIN_MENTION_PAIRS - 1,
                                        VECTOR_MIN_MENTION_PAIRS])
@@ -550,7 +579,7 @@ class TestVectorProjection:
         sentences = sentences_with_mention_pairs(tagger, pairs)
         graph = build_bipartite(sentences)
         assert mention_pairs(graph) == pairs
-        oracle = relatedness_score(project(graph))
+        oracle = oracle_score(graph)
         assert oracle > 0
         assert chunk_relatedness(sentences) == oracle
         # The same chunk through the other path.
@@ -579,16 +608,17 @@ class TestVectorProjection:
                                   for i in sentences]
         by_entity["spread"] = [(i, rng.choice(ROLE_WEIGHT_SET))
                                for i in range(0, sentence_count, 97)]
-        expected = relatedness._projection(by_entity, sentence_count)
-        assert (0, last, 9.0 / last) in expected.directed_edges
-        assert expected.directed_edges[-1] == (last - 1, last, 9.0)
+        graph = graph_of(by_entity, sentence_count)
+        expected = oracle_projection(graph)
+        assert (0, last, 9.0 / last) in expected
+        assert expected[-1] == (last - 1, last, 9.0)
         blocks = list(project_blocks(by_entity, sentence_count))
         assert len(blocks) > 1
         edges = [edge for i, j, weights in blocks
                  for edge in zip(i.tolist(), j.tolist(), weights.tolist())]
-        assert edges == list(expected.directed_edges)
+        assert edges == list(expected)
         assert streamed_score(by_entity, sentence_count).hex() == \
-            relatedness_score(expected).hex()
+            oracle_score(graph).hex()
 
     @pytest.mark.parametrize("block", [1, relatedness._BLOCK_PAIRS])
     @pytest.mark.parametrize("sentence_count", [(1 << 13) - 1, 1 << 13],
@@ -616,16 +646,17 @@ class TestVectorProjection:
             sentences = sorted(rng.sample(range(lone + 8, last), 12))
             by_entity[f"e{k}"] = [(i, rng.choice(ROLE_WEIGHT_SET))
                                   for i in sentences]
-        expected = relatedness._projection(by_entity, sentence_count)
-        assert (0, last, 2700 / last) in expected.directed_edges
+        graph = graph_of(by_entity, sentence_count)
+        expected = oracle_projection(graph)
+        assert (0, last, 2700 / last) in expected
         blocks = list(project_blocks(by_entity, sentence_count))
         edges = [edge for i, j, weights in blocks
                  for edge in zip(i.tolist(), j.tolist(), weights.tolist())]
-        assert edges == list(expected.directed_edges)
+        assert edges == list(expected)
         assert b"".join(weights.tobytes() for _, _, weights in blocks) == \
-            np.array([w for _, _, w in expected.directed_edges]).tobytes()
+            np.array([w for _, _, w in expected]).tobytes()
         assert streamed_score(by_entity, sentence_count).hex() == \
-            relatedness_score(expected).hex()
+            oracle_score(graph).hex()
         ends = [(i[-1], j[-1]) for i, j, _ in blocks]
         if block > 1:
             assert 300 + 4 * rows == block
@@ -638,7 +669,7 @@ class TestVectorProjection:
     def test_2000_sentence_corpus_chunk(self, corpus_chunk):
         graph = build_bipartite(corpus_chunk)
         assert mention_pairs(graph) >= VECTOR_MIN_MENTION_PAIRS
-        assert chunk_relatedness(corpus_chunk) == relatedness_score(project(graph))
+        assert chunk_relatedness(corpus_chunk) == oracle_score(graph)
 
     def test_2000_sentence_corpus_chunk_memory_grows_with_edges(self,
                                                                 corpus_chunk):
@@ -688,3 +719,12 @@ class TestDescribeGraph:
         assert "entity s0 'administrator' subject" in dump
         assert "edge s0 -> s1" in dump
         assert dump.splitlines()[-1].startswith("score ")
+
+    def test_edges_and_score_are_the_oracle_projection(self, corpus_chunk):
+        sentences = corpus_chunk[:40]
+        graph = build_bipartite(sentences)
+        lines = describe_graph(sentences).splitlines()
+        assert [line for line in lines if line.startswith("edge ")] == [
+            f"edge s{i} -> s{j} weight={weight:g}"
+            for i, j, weight in oracle_projection(graph)]
+        assert lines[-1] == f"score {oracle_score(graph):g}"
